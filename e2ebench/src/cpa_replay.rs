@@ -1,12 +1,14 @@
-//! `cpa-replay`: known-plaintext CPA over a recorded single-shard-group
-//! `.psct` campaign of the four M2 CPA keys. Set-up records it with a
-//! live CPA campaign (`record_to`), so set-up covers the codec write
-//! path; one job is `ShardReplay::from_dir` + a replay CPA campaign + its
-//! rendered report. The simulator does no work in the timed phase.
+//! `cpa-replay`: known-plaintext CPA over recorded single-shard-group
+//! `.psct` campaigns of the four M2 CPA keys. Set-up records one campaign
+//! of each job size ([`crate::mix`]) with a live CPA campaign
+//! (`record_to`), so set-up covers the codec write path; one job is
+//! `ShardReplay::from_dir` + a replay CPA campaign + its rendered report,
+//! cycling through the recordings. The simulator does no work in the
+//! timed phase.
 
 use crate::measure::{self, closed_loop, ns, Job};
 use crate::traced::{account, overhead_pct, Pipeline, TracedLive};
-use crate::{Outcome, RunConfig, SETUP_REPS};
+use crate::{Outcome, RunConfig};
 use apple_power_sca::core::report::{cpa_model, render_cpa_body};
 use apple_power_sca::core::source::{OBS_CHUNK, REPLAY_CHUNK};
 use apple_power_sca::core::{
@@ -51,8 +53,8 @@ fn replay(dir: &Path, keys: &[SmcKey], metrics: bool) -> Result<StreamingCpaRepo
 
 pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let keys = DEVICE.cpa_keys();
-    let traces = cfg.size.cpa_traces;
-    let record = |dir: &Path| {
+    let sizes = crate::mix(cfg.size.cpa_traces);
+    let record = |dir: &Path, traces: usize| {
         Campaign::live(DEVICE, KIND, cfg.key, cfg.campaign_seed)
             .keys(&keys)
             .traces(traces)
@@ -63,46 +65,63 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     };
 
     let mut out = Outcome::default();
-    // Each set-up records into a fresh directory (the work directory goes
-    // after the run), so no file deletion lands inside a timed set-up.
+    // Each set-up records one job size into a fresh directory (the work
+    // directory goes after the run), so no file deletion lands inside a
+    // timed set-up; `setup_s` is the median over the sizes.
     let dirs: Vec<PathBuf> =
-        (0..SETUP_REPS).map(|rep| cfg.work.join(format!("recording-{rep}"))).collect();
-    let mut reference: Option<Vec<u8>> = None;
-    for dir in &dirs {
+        (0..sizes.len()).map(|k| cfg.work.join(format!("recording-{k}"))).collect();
+    let (mut states, mut bodies) = (Vec::new(), Vec::new());
+    for (dir, &traces) in dirs.iter().zip(&sizes) {
         let t0 = Instant::now();
-        let report = record(dir);
+        let report = record(dir, traces);
         out.setups_s.push(t0.elapsed().as_secs_f64());
-        let state = analysis(&report);
-        let reference = reference.get_or_insert_with(|| state.clone());
-        out.gate.check(*reference == state, || "recording campaigns differ run to run".into());
         out.gate.check(healthy(&report), || "recording campaign lost blocks or traces".into());
+        // The first replay of each recording is checked against its
+        // recording campaign's state; every timed replay must then render
+        // the same report.
+        let state = analysis(&report);
+        let first = replay(dir, &keys, false)?;
+        out.gate.check(analysis(&first) == state, || {
+            "replayed analysis state differs from the recording campaign's".into()
+        });
+        bodies.push(render_cpa_body(&first, &cfg.key));
+        states.push(state);
+        // The base-size replay must recover the key; a smaller recording
+        // may miss a byte for some victim keys (42 000 traces recovered
+        // 15/16 on one seed in ten).
+        if traces == cfg.size.cpa_traces {
+            let recovered = phpc_recovered(&first, &cfg.key);
+            out.gate.check(recovered == 16, || format!("PHPC recovered {recovered}/16 key bytes"));
+        }
     }
-    let reference = reference.expect("at least one set-up run");
-    let dir = dirs.last().expect("at least one set-up run");
 
-    // The first replay is checked against the recording campaign's state
-    // and must recover the key; every timed replay must then render the
-    // same report.
-    let first = replay(dir, &keys, false)?;
-    out.gate.check(analysis(&first) == reference, || {
-        "replayed analysis state differs from the recording campaign's".into()
-    });
-    let recovered = phpc_recovered(&first, &cfg.key);
-    out.gate.check(recovered == 16, || format!("PHPC recovered {recovered}/16 key bytes"));
-    let body = render_cpa_body(&first, &cfg.key);
-
-    let job = |metrics: bool| {
-        let report = replay(dir, &keys, metrics).ok();
-        let ok =
-            report.as_ref().is_some_and(|r| healthy(r) && render_cpa_body(r, &cfg.key) == body);
-        (report, Job { traces: traces as u64, ok })
+    let job = |k: usize, metrics: bool| {
+        let report = replay(&dirs[k], &keys, metrics).ok();
+        let ok = report
+            .as_ref()
+            .is_some_and(|r| healthy(r) && render_cpa_body(r, &cfg.key) == bodies[k]);
+        (report, Job { traces: sizes[k] as u64, ok })
     };
-    out.stats = closed_loop(1, cfg.loop_seconds(), cfg.size.min_jobs, |_, _| job(false).1);
+    out.stats = closed_loop(1, cfg.loop_seconds(), cfg.size.min_jobs, |_, i| {
+        job(i as usize % sizes.len(), false).1
+    });
 
     if cfg.trace {
-        traced(cfg, &keys, dir, &reference, &job, &mut out)?;
+        // The replica, write probe and traced recording use the middle
+        // size, whose trace count is the base size.
+        let mid = sizes.len() / 2;
+        let base = Recording { dir: &dirs[mid], traces: sizes[mid], state: &states[mid] };
+        traced(cfg, &keys, &base, sizes.len(), &job, &mut out)?;
     }
     Ok(out)
+}
+
+/// One set-up recording: its directory, trace count and the recording
+/// campaign's encoded analysis state.
+struct Recording<'a> {
+    dir: &'a Path,
+    traces: usize,
+    state: &'a [u8],
 }
 
 /// Traced phases: the replay loop with pipeline metrics on, a timed
@@ -112,17 +131,17 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
 fn traced(
     cfg: &RunConfig,
     keys: &[SmcKey],
-    dir: &Path,
-    reference: &[u8],
-    job: &(dyn Fn(bool) -> (Option<StreamingCpaReport>, Job) + Sync),
+    base: &Recording<'_>,
+    recordings: usize,
+    job: &(dyn Fn(usize, bool) -> (Option<StreamingCpaReport>, Job) + Sync),
     out: &mut Outcome,
 ) -> Result<(), String> {
-    let traces = cfg.size.cpa_traces as u64;
+    let (dir, reference, traces) = (base.dir, base.state, base.traces as u64);
     // Pipeline totals, correlation times, replay latencies.
     let state = std::sync::Mutex::new((Pipeline::default(), Vec::new(), Vec::new()));
-    let stats = closed_loop(1, cfg.loop_seconds(), cfg.size.min_jobs, |_, _| {
+    let stats = closed_loop(1, cfg.loop_seconds(), cfg.size.min_jobs, |_, i| {
         let t0 = Instant::now();
-        let (report, outcome) = job(true);
+        let (report, outcome) = job(i as usize % recordings, true);
         let replay_ms = t0.elapsed().as_secs_f64() * 1e3;
         if let Some(report) = report {
             let t0 = Instant::now();
@@ -132,7 +151,7 @@ fn traced(
             let correlate_ms = t0.elapsed().as_secs_f64() * 1e3;
             let mut s = state.lock().expect("traced state lock");
             if let Some(m) = &report.metrics {
-                s.0.add(m, traces);
+                s.0.add(m, outcome.traces);
             }
             s.1.push(correlate_ms);
             s.2.push(replay_ms);
@@ -153,7 +172,7 @@ fn traced(
     let source = TracedLive::new(DEVICE, KIND, cfg.key, cfg.campaign_seed);
     let recorded = Campaign::from_source(source.clone())
         .keys(keys)
-        .traces(cfg.size.cpa_traces)
+        .traces(base.traces)
         .shards(1)
         .record_to(cfg.work.join("recording-traced"))
         .session()

@@ -10,10 +10,13 @@
 //! does (see `e2ebench/README.md` for why each exists and which layer
 //! metric should move which end-to-end metric):
 //!
-//! * `tvla-live` — streaming TVLA on the live M2 simulator, 2 shards;
+//! * `tvla-live` — streaming TVLA on the live M2 simulator, 1 shard;
 //! * `cpa-replay` — known-plaintext CPA over a recorded `.psct` campaign;
 //! * `serve-jobs` — a closed loop of 2 clients against an in-process
 //!   `psc serve` server running small TVLA and CPA jobs.
+//!
+//! The two campaign workloads run on one CPU, so their figures are the
+//! work a job costs rather than how a shared host schedules its threads.
 //!
 //! `--trace 0` prints the end-to-end metrics of an untraced run;
 //! `--trace 1` adds traced phases and prints the per-layer metrics.
@@ -30,9 +33,30 @@ use measure::{Gate, LoopStats, Metric};
 use std::path::PathBuf;
 use std::time::Instant;
 
-/// Set-up repetitions per run of `cpa-replay` and `serve-jobs`;
+/// Set-up repetitions per run of `serve-jobs`;
 /// `setup_s` is their median.
 const SETUP_REPS: usize = 5;
+
+/// Workloads whose process runs on one CPU (see
+/// [`measure::pin_to_one_cpu`]): their jobs are CPU-bound campaigns of
+/// several threads. `serve-jobs` keeps every CPU; its jobs wait mostly on
+/// the server's progress sleep, and its two clients and two workers are
+/// meant to run side by side.
+const PINNED: [&str; 2] = ["tvla-live", "cpa-replay"];
+
+/// Job sizes of the campaign workloads, in twentieths of their base size
+/// ([`Size::tvla_traces`], [`Size::cpa_traces`]); job `i` takes the
+/// `i % 9`-th. On one core of a shared host a job runs either at full speed
+/// or ~1.5× slower, depending on a neighbour; with one job size the
+/// latencies form two spikes and the median jumps from one to the other
+/// as their shares change run to run. A spread of sizes makes every
+/// latency quantile move in proportion instead.
+const MIX: [usize; 9] = [12, 14, 16, 18, 20, 22, 24, 26, 28];
+
+/// The job sizes for base size `base`, in job order (see [`MIX`]).
+pub fn mix(base: usize) -> Vec<usize> {
+    MIX.iter().map(|m| base * m / 20).collect()
+}
 
 /// End-to-end metrics printed by every untraced run, with their units.
 const END_TO_END: [(&str, &str); 7] = [
@@ -86,9 +110,9 @@ const PER_LAYER: [(&str, &str); 32] = [
 /// self-test fast while still passing every correctness gate.
 #[derive(Debug, Clone, Copy)]
 pub struct Size {
-    /// TVLA traces per class per `tvla-live` job.
+    /// TVLA traces per class of the middle `tvla-live` job size.
     pub tvla_traces: usize,
-    /// Known-plaintext traces in the `cpa-replay` recording.
+    /// Known-plaintext traces of the middle `cpa-replay` recording.
     pub cpa_traces: usize,
     /// TVLA traces per class of a served TVLA job.
     pub serve_tvla_traces: usize,
@@ -110,7 +134,7 @@ impl Size {
     #[cfg(test)]
     const TINY: Size = Size {
         tvla_traces: 200,
-        cpa_traces: 40_000,
+        cpa_traces: 60_000,
         serve_tvla_traces: 50,
         serve_cpa_traces: 300,
         min_jobs: 2,
@@ -221,13 +245,13 @@ fn run_workload(name: &str, cfg: &RunConfig) -> Result<Outcome, String> {
     out
 }
 
-/// Run one workload and render its result: the environment, sample and
-/// gate lines, then the JSON result line.
-fn report(name: &str, cfg: &RunConfig) -> Result<String, String> {
+/// Run one workload and render its result: the environment line `env`,
+/// the sample and gate lines, then the JSON result line.
+fn report(name: &str, cfg: &RunConfig, env: &str) -> Result<String, String> {
     let started = Instant::now();
     let out = run_workload(name, cfg)?;
     let metrics = if cfg.trace { per_layer(&out) } else { end_to_end(&out) };
-    let mut text = format!("# env: {}\n", measure::environment(name, cfg.seed));
+    let mut text = format!("# env: {env}\n");
     text.push_str(&format!(
         "# samples: jobs={} setup_reps={} loop_s={:.3} run_s={:.3}\n",
         out.stats.jobs,
@@ -290,10 +314,16 @@ fn main() {
             std::process::exit(2);
         }
     };
+    let mut env = measure::environment(&args.workload, args.seed);
+    if PINNED.contains(&args.workload.as_str()) {
+        // Before any thread starts, so every campaign thread inherits it.
+        let pinned = measure::pin_to_one_cpu();
+        env += &pinned.map_or_else(|| " pinned=no".to_owned(), |cpu| format!(" pinned=cpu{cpu}"));
+    }
     let work =
         PathBuf::from(".bench_work").join(format!("{}-{}", args.workload, std::process::id()));
     let cfg = RunConfig::new(args.seed, args.seconds, args.trace, work, Size::FULL);
-    match report(&args.workload, &cfg) {
+    match report(&args.workload, &cfg, &env) {
         Ok(text) => print!("{text}"),
         Err(e) => {
             eprintln!("e2ebench: {e}");
@@ -315,7 +345,8 @@ mod tests {
                 let work = PathBuf::from(".bench_work")
                     .join(format!("selftest-{workload}-{trace}-{}", std::process::id()));
                 let cfg = RunConfig::new(7, 0.2, trace, work, Size::TINY);
-                let text = report(workload, &cfg).expect("workload runs");
+                let env = measure::environment(workload, 7);
+                let text = report(workload, &cfg, &env).expect("workload runs");
                 let last = text.lines().last().expect("result line");
                 assert!(last.starts_with("{\"correct\": true,"), "{workload}: {text}");
                 let names: &[(&str, &str)] = if trace { &PER_LAYER } else { &END_TO_END };

@@ -109,6 +109,35 @@ where
     stats
 }
 
+/// Restrict this thread, and every thread it starts afterwards, to one
+/// CPU: the highest-numbered one it may run on. Returns that CPU, or
+/// `None` when the affinity calls fail (the process then stays unpinned).
+///
+/// A campaign runs a producer and a consumer thread per shard. Spread
+/// over the CPUs of a shared host, a job stalls whenever the host takes
+/// away any one of them, so job latency jumps between runs; on one CPU
+/// the job slows only in proportion to that CPU's lost time.
+pub fn pin_to_one_cpu() -> Option<usize> {
+    // glibc, which std already links on Linux; a cpu_set_t is 1024 bits.
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, mask: *mut u64) -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, mask: *const u64) -> i32;
+    }
+    let mut mask = [0u64; 16];
+    let size = std::mem::size_of_val(&mask);
+    // SAFETY: `mask` is a writable buffer of `size` bytes; pid 0 is the
+    // calling thread.
+    if unsafe { sched_getaffinity(0, size, mask.as_mut_ptr()) } != 0 {
+        return None;
+    }
+    let cpu = (0..size * 8).rev().find(|&c| (mask[c / 64] >> (c % 64)) & 1 == 1)?;
+    let mut one = [0u64; 16];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: `one` is a readable buffer of `size` bytes; pid 0 is the
+    // calling thread.
+    (unsafe { sched_setaffinity(0, size, one.as_ptr()) } == 0).then_some(cpu)
+}
+
 /// Nanoseconds between two instants.
 pub fn ns(from: Instant, to: Instant) -> u64 {
     u64::try_from(to.duration_since(from).as_nanos()).unwrap_or(u64::MAX)
@@ -166,6 +195,7 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// The environment the result was measured in: CPU count, SIMD backend
 /// (after any `PSC_SIMD` pin), build profile and source revision.
+/// Call it before [`pin_to_one_cpu`], which narrows the CPU count.
 pub fn environment(workload: &str, seed: u64) -> String {
     let cpus = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };

@@ -1,7 +1,7 @@
 //! `tvla-live`: streaming TVLA on the live M2 simulator — user-space
-//! victim, all five Table 2 keys, no mitigation, 2 shards. One job is one
-//! campaign plus its rendered report; the simulator does nearly all the
-//! work.
+//! victim, all five Table 2 keys, no mitigation, 1 shard. One job is one
+//! campaign plus its rendered report, its size cycling through
+//! [`crate::mix`]; the simulator does nearly all the work.
 
 use crate::measure::{self, closed_loop, Job};
 use crate::traced::{account, overhead_pct, Pipeline, TracedLive};
@@ -14,10 +14,11 @@ use std::time::Instant;
 
 const DEVICE: Device = Device::MacbookAirM2;
 const KIND: VictimKind = VictimKind::UserSpace;
-const SHARDS: usize = 2;
-/// Warm-up campaigns in set-up. One ~25 ms campaign varies by a third
-/// run to run on 2 shared CPUs, so `setup_s` takes the median of many.
-const WARM_UPS: usize = 15;
+const SHARDS: usize = 1;
+/// Warm-up campaigns in set-up, two of each job size. One 30–130 ms
+/// campaign varies run to run on a shared host, so `setup_s` takes the
+/// median of many.
+const WARM_UPS: usize = 18;
 /// The TVLA leakage threshold.
 const T_THRESHOLD: f64 = 4.5;
 
@@ -46,45 +47,47 @@ fn healthy(report: &StreamingTvlaReport) -> bool {
 
 pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
     let keys = DEVICE.table2_keys();
-    let traces = cfg.size.tvla_traces;
-    let obs_per_job = (6 * traces) as u64;
-    let campaign = || {
-        Campaign::live(DEVICE, KIND, cfg.key, cfg.campaign_seed)
+    let sizes = crate::mix(cfg.size.tvla_traces);
+    let job = |traces: usize| {
+        let report = Campaign::live(DEVICE, KIND, cfg.key, cfg.campaign_seed)
             .keys(&keys)
             .traces(traces)
             .shards(SHARDS)
-    };
-    let job = || {
-        let report = campaign().session().tvla();
+            .session()
+            .tvla();
         let body = render_tvla_body(&report);
         (report, body)
     };
 
     let mut out = Outcome::default();
     // Set-up: warm-up campaigns (caches, allocator, lazy tables); the
-    // first also provides the reference body every later run must match.
-    let mut reference: Option<String> = None;
-    for _ in 0..WARM_UPS {
+    // first of each size also provides the reference body every later
+    // run of that size must match.
+    let mut references: Vec<Option<String>> = vec![None; sizes.len()];
+    for rep in 0..WARM_UPS {
+        let k = rep % sizes.len();
         let t0 = Instant::now();
-        let (report, body) = job();
+        let (report, body) = job(sizes[k]);
         out.setups_s.push(t0.elapsed().as_secs_f64());
-        let reference = reference.get_or_insert_with(|| body.clone());
+        let reference = references[k].get_or_insert_with(|| body.clone());
         out.gate.check(*reference == body, || "warm-up campaigns differ run to run".into());
         out.gate.check(healthy(&report), || "warm-up campaign lost blocks or shards".into());
-        if out.setups_s.len() == 1 {
+        if rep == k {
             let shape = table3_shape(&report);
             out.gate.check(shape.is_ok(), || shape.unwrap_err());
         }
     }
-    let reference = reference.expect("at least one set-up run");
+    let references: Vec<String> =
+        references.into_iter().map(|r| r.expect("a set-up run of every size")).collect();
 
-    out.stats = closed_loop(1, cfg.loop_seconds(), cfg.size.min_jobs, |_, _| {
-        let (report, body) = job();
-        Job { traces: obs_per_job, ok: healthy(&report) && body == reference }
+    out.stats = closed_loop(1, cfg.loop_seconds(), cfg.size.min_jobs, |_, i| {
+        let k = i as usize % sizes.len();
+        let (report, body) = job(sizes[k]);
+        Job { traces: 6 * sizes[k] as u64, ok: healthy(&report) && body == references[k] }
     });
 
     if cfg.trace {
-        traced(cfg, &keys, &reference, obs_per_job, &mut out);
+        traced(cfg, &keys, &sizes, &references, &mut out);
     }
     Ok(out)
 }
@@ -94,18 +97,20 @@ pub fn run(cfg: &RunConfig) -> Result<Outcome, String> {
 fn traced(
     cfg: &RunConfig,
     keys: &[apple_power_sca::smc::SmcKey],
-    reference: &str,
-    obs_per_job: u64,
+    sizes: &[usize],
+    references: &[String],
     out: &mut Outcome,
 ) {
     let source = TracedLive::new(DEVICE, KIND, cfg.key, cfg.campaign_seed);
     // Pipeline totals, finish times, campaign latencies, identical bodies.
     let state = std::sync::Mutex::new((Pipeline::default(), Vec::new(), Vec::new(), true));
-    let stats = closed_loop(1, cfg.loop_seconds(), cfg.size.min_jobs, |_, _| {
+    let stats = closed_loop(1, cfg.loop_seconds(), cfg.size.min_jobs, |_, i| {
+        let k = i as usize % sizes.len();
+        let (reference, obs_per_job) = (&references[k], 6 * sizes[k] as u64);
         let t0 = Instant::now();
         let report = Campaign::from_source(source.clone())
             .keys(keys)
-            .traces(cfg.size.tvla_traces)
+            .traces(sizes[k])
             .shards(SHARDS)
             .metrics()
             .session()
@@ -122,8 +127,8 @@ fn traced(
         }
         s.1.push(finish_ms);
         s.2.push(t1.duration_since(t0).as_secs_f64() * 1e3);
-        s.3 &= body == reference;
-        Job { traces: obs_per_job, ok: healthy(&report) && body == reference }
+        s.3 &= body == *reference;
+        Job { traces: obs_per_job, ok: healthy(&report) && body == *reference }
     });
     let (pipeline, finish_ms, traced_ms, identical) =
         state.into_inner().expect("traced state lock");
