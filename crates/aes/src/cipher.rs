@@ -21,8 +21,10 @@ const fn mul2(x: u8) -> u8 {
 /// Fused SubBytes+ShiftRows+MixColumns lookup tables (classic T-tables):
 /// `T0[x]` packs the MixColumns column `(2·S[x], S[x], S[x], 3·S[x])`
 /// big-endian; `T1..T3` are its byte rotations. 4 KB total, const-built
-/// from [`SBOX`], used only by the HW-profile fast path — the reference
-/// byte-oriented round functions in [`crate::state`] stay the ground truth.
+/// from [`SBOX`], used by [`Aes::encrypt_block`] and the HW-profile fast
+/// path — the reference byte-oriented round functions in [`crate::state`]
+/// (run by [`Aes::encrypt_observed`]/[`Aes::encrypt_traced`]) stay the
+/// ground truth that tests compare against.
 const fn t_table(shift: u32) -> [u32; 256] {
     let mut t = [0u32; 256];
     let mut i = 0;
@@ -42,6 +44,18 @@ static T0: [u32; 256] = t_table(0);
 static T1: [u32; 256] = t_table(1);
 static T2: [u32; 256] = t_table(2);
 static T3: [u32; 256] = t_table(3);
+
+/// Column `c` of a state as a big-endian word.
+#[inline]
+fn col(bytes: &[u8; 16], c: usize) -> u32 {
+    u32::from_be_bytes([bytes[4 * c], bytes[4 * c + 1], bytes[4 * c + 2], bytes[4 * c + 3]])
+}
+
+/// Byte `byte` (0 = most significant) of a column word, as a table index.
+#[inline]
+fn b(w: u32, byte: u32) -> usize {
+    ((w >> (24 - 8 * byte)) & 0xFF) as usize
+}
 
 /// Which transformation produced a recorded state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -215,19 +229,12 @@ impl Aes {
     /// Encrypt one 16-byte block.
     #[must_use]
     pub fn encrypt_block(&self, plaintext: &State) -> State {
-        let nr = self.schedule.rounds();
-        let mut s = *plaintext;
-        add_round_key(&mut s, self.schedule.round_key(0));
-        for r in 1..nr {
-            sub_bytes(&mut s);
-            shift_rows(&mut s);
-            mix_columns(&mut s);
-            add_round_key(&mut s, self.schedule.round_key(r));
+        let c = self.encrypt_columns(plaintext, |_, _| {});
+        let mut out = [0u8; 16];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(c) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
-        sub_bytes(&mut s);
-        shift_rows(&mut s);
-        add_round_key(&mut s, self.schedule.round_key(nr));
-        s
+        out
     }
 
     /// Decrypt one 16-byte block.
@@ -282,7 +289,7 @@ impl Aes {
 
     /// Hamming weights of every AddRoundKey output (rounds `0..=Nr`) of one
     /// encryption — the only states the default (HW-only) leakage model
-    /// needs — computed with a fused, table-driven round function that
+    /// needs — computed with the fused, table-driven round function that
     /// never materializes the SubBytes/ShiftRows/MixColumns intermediates
     /// and performs no heap allocation.
     ///
@@ -291,23 +298,24 @@ impl Aes {
     /// per-round `hw_state` of [`Self::encrypt_traced`]'s AddRoundKey
     /// entries; a test pins this for every key size.
     #[must_use]
-    #[allow(clippy::needless_range_loop)] // `r` indexes both `hw` and the key schedule
     pub fn round_hw_profile(&self, plaintext: &State) -> RoundHwProfile {
-        #[inline]
-        fn col(bytes: &[u8; 16], c: usize) -> u32 {
-            u32::from_be_bytes([bytes[4 * c], bytes[4 * c + 1], bytes[4 * c + 2], bytes[4 * c + 3]])
-        }
-        #[inline]
-        fn hw4(c: &[u32; 4]) -> u32 {
-            c[0].count_ones() + c[1].count_ones() + c[2].count_ones() + c[3].count_ones()
-        }
-        #[inline]
-        fn b(w: u32, byte: u32) -> usize {
-            ((w >> (24 - 8 * byte)) & 0xFF) as usize
-        }
-
-        let nr = self.schedule.rounds();
         let mut hw = [0u32; 15];
+        self.encrypt_columns(plaintext, |r, c| {
+            hw[r] = c[0].count_ones() + c[1].count_ones() + c[2].count_ones() + c[3].count_ones();
+        });
+        RoundHwProfile { hw, rounds: self.schedule.rounds() }
+    }
+
+    /// The T-table round function over big-endian column words. Hands
+    /// every AddRoundKey output (round `0..=Nr`, in order) to `on_round`
+    /// and returns the ciphertext columns.
+    #[inline(always)]
+    fn encrypt_columns(
+        &self,
+        plaintext: &State,
+        mut on_round: impl FnMut(usize, &[u32; 4]),
+    ) -> [u32; 4] {
+        let nr = self.schedule.rounds();
 
         let k0 = self.schedule.round_key(0);
         let mut c = [
@@ -316,7 +324,7 @@ impl Aes {
             col(plaintext, 2) ^ col(k0, 2),
             col(plaintext, 3) ^ col(k0, 3),
         ];
-        hw[0] = hw4(&c);
+        on_round(0, &c);
 
         for r in 1..nr {
             let k = self.schedule.round_key(r);
@@ -326,7 +334,7 @@ impl Aes {
                 T0[b(c[2], 0)] ^ T1[b(c[3], 1)] ^ T2[b(c[0], 2)] ^ T3[b(c[1], 3)] ^ col(k, 2),
                 T0[b(c[3], 0)] ^ T1[b(c[0], 1)] ^ T2[b(c[1], 2)] ^ T3[b(c[2], 3)] ^ col(k, 3),
             ];
-            hw[r] = hw4(&c);
+            on_round(r, &c);
         }
 
         // Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns.
@@ -338,9 +346,8 @@ impl Aes {
             ((s(c[2], 0) << 24) | (s(c[3], 1) << 16) | (s(c[0], 2) << 8) | s(c[1], 3)) ^ col(k, 2),
             ((s(c[3], 0) << 24) | (s(c[0], 1) << 16) | (s(c[1], 2) << 8) | s(c[2], 3)) ^ col(k, 3),
         ];
-        hw[nr] = hw4(&c);
-
-        RoundHwProfile { hw, rounds: nr }
+        on_round(nr, &c);
+        c
     }
 
     /// Encrypt one block while recording every intermediate state.
@@ -435,6 +442,28 @@ mod tests {
             let trace = aes.encrypt_traced(&pt);
             assert_eq!(trace.ciphertext, aes.encrypt_block(&pt));
             assert_eq!(trace.plaintext, pt);
+        }
+    }
+
+    #[test]
+    fn table_encrypt_matches_bytewise_reference_every_key_size() {
+        struct Ignore;
+        impl RoundObserver for Ignore {
+            fn observe(&mut self, _: u8, _: AesOp, _: &State) {}
+        }
+        for key_len in [16usize, 24, 32] {
+            let key: Vec<u8> = (0..key_len).map(|i| (i * 37 + 11) as u8).collect();
+            let aes = Aes::new(&key).unwrap();
+            for seed in 0u8..32 {
+                let pt: [u8; 16] = core::array::from_fn(|i| {
+                    (i as u8).wrapping_mul(seed ^ 0x5D).wrapping_add(seed)
+                });
+                assert_eq!(
+                    aes.encrypt_block(&pt),
+                    aes.encrypt_observed(&pt, &mut Ignore),
+                    "key_len {key_len} seed {seed}"
+                );
+            }
         }
     }
 

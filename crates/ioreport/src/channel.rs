@@ -6,6 +6,13 @@
 //! reproduce that access pattern: [`IoReport::snapshot`] captures all
 //! channel values, and [`Snapshot::delta`] computes per-channel deltas the
 //! way `IOReportCreateSamplesDelta` does.
+//!
+//! Storage is slot-based: [`IoReport::register`] returns a dense slot index,
+//! and values live in a `Vec` indexed by it. The name → slot map serves only
+//! the by-name API (`get`, `accumulate`, `snapshot`, `channel_ids`,
+//! `groups`); a per-observation integrator keeps the slots it registered
+//! and reads and writes through [`IoReport::value`] and
+//! [`IoReport::accumulate_slot`] without hashing or comparing strings.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -88,10 +95,16 @@ impl Snapshot {
 }
 
 /// The registry of cumulative channels.
+///
+/// Two registries compare equal when they registered the same channels in
+/// the same order and hold the same values.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct IoReport {
     time_s: f64,
-    channels: BTreeMap<ChannelId, ChannelValue>,
+    /// Name → slot, for the by-name API only.
+    slots: BTreeMap<ChannelId, usize>,
+    /// Channel values, indexed by slot.
+    values: Vec<ChannelValue>,
 }
 
 impl IoReport {
@@ -101,9 +114,21 @@ impl IoReport {
         Self::default()
     }
 
-    /// Register a channel starting at zero.
-    pub fn register(&mut self, id: ChannelId, unit: ChannelUnit) {
-        self.channels.entry(id).or_insert(ChannelValue { value: 0.0, unit });
+    /// Register a channel starting at zero and return its slot.
+    /// Re-registering an id returns its existing slot and keeps its value.
+    pub fn register(&mut self, id: ChannelId, unit: ChannelUnit) -> usize {
+        let next = self.values.len();
+        let slot = *self.slots.entry(id).or_insert(next);
+        if slot == next {
+            self.values.push(ChannelValue { value: 0.0, unit });
+        }
+        slot
+    }
+
+    /// The slot of a registered channel.
+    #[must_use]
+    pub fn slot(&self, id: &ChannelId) -> Option<usize> {
+        self.slots.get(id).copied()
     }
 
     /// Add to a channel's cumulative value.
@@ -112,8 +137,28 @@ impl IoReport {
     ///
     /// Panics if the channel was never registered (an integration bug).
     pub fn accumulate(&mut self, id: &ChannelId, amount: f64) {
-        let v = self.channels.get_mut(id).unwrap_or_else(|| panic!("channel {id} not registered"));
-        v.value += amount;
+        let slot = self.slot(id).unwrap_or_else(|| panic!("channel {id} not registered"));
+        self.accumulate_slot(slot, amount);
+    }
+
+    /// Add to the cumulative value of the channel at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` was not returned by [`IoReport::register`].
+    pub fn accumulate_slot(&mut self, slot: usize, amount: f64) {
+        self.values[slot].value += amount;
+    }
+
+    /// Current cumulative value of the channel at `slot` (the
+    /// allocation-free read the hot observation loop uses).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` was not returned by [`IoReport::register`].
+    #[must_use]
+    pub fn value(&self, slot: usize) -> f64 {
+        self.values[slot].value
     }
 
     /// Advance the registry clock.
@@ -124,29 +169,30 @@ impl IoReport {
     /// Channel ids, sorted.
     #[must_use]
     pub fn channel_ids(&self) -> Vec<ChannelId> {
-        self.channels.keys().cloned().collect()
+        self.slots.keys().cloned().collect()
     }
 
     /// Group names, sorted and deduplicated.
     #[must_use]
     pub fn groups(&self) -> Vec<String> {
-        let mut groups: Vec<String> = self.channels.keys().map(|id| id.group.clone()).collect();
+        let mut groups: Vec<String> = self.slots.keys().map(|id| id.group.clone()).collect();
         groups.sort();
         groups.dedup();
         groups
     }
 
-    /// Current cumulative value of one channel without snapshotting (the
-    /// allocation-free read the hot observation loop uses).
+    /// Current cumulative value of one channel, looked up by name.
     #[must_use]
     pub fn get(&self, id: &ChannelId) -> Option<ChannelValue> {
-        self.channels.get(id).copied()
+        self.slot(id).map(|slot| self.values[slot])
     }
 
     /// Capture all channels.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot { time_s: self.time_s, channels: self.channels.clone() }
+        let channels =
+            self.slots.iter().map(|(id, &slot)| (id.clone(), self.values[slot])).collect();
+        Snapshot { time_s: self.time_s, channels }
     }
 }
 
@@ -171,10 +217,24 @@ mod tests {
     #[test]
     fn register_is_idempotent() {
         let mut r = IoReport::new();
-        r.register(id("g", "c"), ChannelUnit::Count);
+        let slot = r.register(id("g", "c"), ChannelUnit::Count);
         r.accumulate(&id("g", "c"), 5.0);
-        r.register(id("g", "c"), ChannelUnit::Count);
+        assert_eq!(r.register(id("g", "c"), ChannelUnit::Count), slot);
         assert_eq!(r.snapshot().get(&id("g", "c")).unwrap().value, 5.0);
+    }
+
+    #[test]
+    fn slots_are_dense_and_match_names() {
+        let mut r = IoReport::new();
+        let b = r.register(id("g", "b"), ChannelUnit::Count);
+        let a = r.register(id("g", "a"), ChannelUnit::Count);
+        assert_eq!((b, a), (0, 1), "slots follow registration order, not name order");
+        assert_eq!(r.slot(&id("g", "a")), Some(a));
+        assert_eq!(r.slot(&id("g", "z")), None);
+        r.accumulate_slot(a, 3.0);
+        r.accumulate(&id("g", "b"), 4.0);
+        assert_eq!(r.value(a), 3.0);
+        assert_eq!(r.get(&id("g", "b")).unwrap().value, 4.0);
     }
 
     #[test]

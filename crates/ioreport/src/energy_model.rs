@@ -14,38 +14,21 @@ use psc_soc::{WindowBatch, WindowReport};
 /// Millijoule quantization of the energy channels.
 pub const ENERGY_QUANTUM_MJ: f64 = 1.0;
 
-/// The reporter's channel ids, constructed once — the sync path runs per
-/// SMC-sized observation, so it must not rebuild `String`-keyed ids.
-#[derive(Debug, Clone, PartialEq)]
-struct ChannelIds {
-    pcpu: ChannelId,
-    ecpu: ChannelId,
-    dram: ChannelId,
-    p_residency: ChannelId,
-    e_residency: ChannelId,
-    p_cores: [ChannelId; 4],
-    e_cores: [ChannelId; 4],
-}
-
-impl Default for ChannelIds {
-    fn default() -> Self {
-        Self {
-            pcpu: EnergyModelReporter::pcpu(),
-            ecpu: EnergyModelReporter::ecpu(),
-            dram: EnergyModelReporter::dram(),
-            p_residency: EnergyModelReporter::p_residency(),
-            e_residency: EnergyModelReporter::e_residency(),
-            p_cores: core::array::from_fn(EnergyModelReporter::p_core_residency),
-            e_cores: core::array::from_fn(EnergyModelReporter::e_core_residency),
-        }
-    }
-}
-
 /// Integrates SoC activity into IOReport channels.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The reporter keeps the registry slot of every channel it publishes, so
+/// the per-observation sync indexes the value vector directly instead of
+/// looking channels up by name.
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModelReporter {
     report: IoReport,
-    ids: ChannelIds,
+    pcpu: usize,
+    ecpu: usize,
+    dram: usize,
+    p_residency: usize,
+    e_residency: usize,
+    p_cores: [usize; 4],
+    e_cores: [usize; 4],
     // Unquantized running energies, mJ.
     pcpu_mj: f64,
     ecpu_mj: f64,
@@ -56,22 +39,47 @@ pub struct EnergyModelReporter {
     e_core_busy_ns: [f64; 4],
 }
 
+impl Default for EnergyModelReporter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl EnergyModelReporter {
     /// New reporter with the standard channel layout.
     #[must_use]
     pub fn new() -> Self {
-        let ids = ChannelIds::default();
         let mut report = IoReport::new();
-        report.register(ids.pcpu.clone(), ChannelUnit::Millijoules);
-        report.register(ids.ecpu.clone(), ChannelUnit::Millijoules);
-        report.register(ids.dram.clone(), ChannelUnit::Millijoules);
-        report.register(ids.p_residency.clone(), ChannelUnit::Nanoseconds);
-        report.register(ids.e_residency.clone(), ChannelUnit::Nanoseconds);
+        let mj = ChannelUnit::Millijoules;
+        let ns = ChannelUnit::Nanoseconds;
+        let pcpu = report.register(Self::pcpu(), mj);
+        let ecpu = report.register(Self::ecpu(), mj);
+        let dram = report.register(Self::dram(), mj);
+        let p_residency = report.register(Self::p_residency(), ns);
+        let e_residency = report.register(Self::e_residency(), ns);
+        let mut p_cores = [0; 4];
+        let mut e_cores = [0; 4];
         for core in 0..4 {
-            report.register(ids.p_cores[core].clone(), ChannelUnit::Nanoseconds);
-            report.register(ids.e_cores[core].clone(), ChannelUnit::Nanoseconds);
+            p_cores[core] = report.register(Self::p_core_residency(core), ns);
+            e_cores[core] = report.register(Self::e_core_residency(core), ns);
         }
-        Self { report, ids, ..Default::default() }
+        Self {
+            report,
+            pcpu,
+            ecpu,
+            dram,
+            p_residency,
+            e_residency,
+            p_cores,
+            e_cores,
+            pcpu_mj: 0.0,
+            ecpu_mj: 0.0,
+            dram_mj: 0.0,
+            p_busy_ns: 0.0,
+            e_busy_ns: 0.0,
+            p_core_busy_ns: [0.0; 4],
+            e_core_busy_ns: [0.0; 4],
+        }
     }
 
     /// `CPU Stats/P-Core N busy residency` (per-core view, as shown by
@@ -182,25 +190,21 @@ impl EnergyModelReporter {
     }
 
     fn sync(&mut self) {
-        // Publish quantized cumulative values (mJ resolution). Current
-        // values read through the registry directly — no snapshot clone.
-        let set = |report: &mut IoReport, id: &ChannelId, target: f64| {
-            let current = report.get(id).map_or(0.0, |v| v.value);
-            let quantized = (target / ENERGY_QUANTUM_MJ).floor() * ENERGY_QUANTUM_MJ;
-            report.accumulate(id, quantized - current);
+        // Publish quantized cumulative values (mJ resolution). Each channel
+        // moves by `target − current`, read and written through its slot.
+        let set = |report: &mut IoReport, slot: usize, target: f64| {
+            let current = report.value(slot);
+            report.accumulate_slot(slot, target - current);
         };
-        set(&mut self.report, &self.ids.pcpu, self.pcpu_mj);
-        set(&mut self.report, &self.ids.ecpu, self.ecpu_mj);
-        set(&mut self.report, &self.ids.dram, self.dram_mj);
-        let set_ns = |report: &mut IoReport, id: &ChannelId, target: f64| {
-            let current = report.get(id).map_or(0.0, |v| v.value);
-            report.accumulate(id, target - current);
-        };
-        set_ns(&mut self.report, &self.ids.p_residency, self.p_busy_ns);
-        set_ns(&mut self.report, &self.ids.e_residency, self.e_busy_ns);
+        let quantize = |mj: f64| (mj / ENERGY_QUANTUM_MJ).floor() * ENERGY_QUANTUM_MJ;
+        set(&mut self.report, self.pcpu, quantize(self.pcpu_mj));
+        set(&mut self.report, self.ecpu, quantize(self.ecpu_mj));
+        set(&mut self.report, self.dram, quantize(self.dram_mj));
+        set(&mut self.report, self.p_residency, self.p_busy_ns);
+        set(&mut self.report, self.e_residency, self.e_busy_ns);
         for core in 0..4 {
-            set_ns(&mut self.report, &self.ids.p_cores[core], self.p_core_busy_ns[core]);
-            set_ns(&mut self.report, &self.ids.e_cores[core], self.e_core_busy_ns[core]);
+            set(&mut self.report, self.p_cores[core], self.p_core_busy_ns[core]);
+            set(&mut self.report, self.e_cores[core], self.e_core_busy_ns[core]);
         }
     }
 
@@ -211,7 +215,7 @@ impl EnergyModelReporter {
     /// channel.
     #[must_use]
     pub fn pcpu_total_mj(&self) -> f64 {
-        self.report.get(&self.ids.pcpu).map_or(0.0, |v| v.value)
+        self.report.value(self.pcpu)
     }
 
     /// Take a snapshot (the `socpowerbud` read pattern).
@@ -364,6 +368,16 @@ mod tests {
         batch.clear(1.0);
         rep.observe_windows(&batch);
         assert_eq!(rep.snapshot(), before);
+    }
+
+    #[test]
+    fn default_is_the_standard_layout() {
+        let mut rep = EnergyModelReporter::default();
+        assert_eq!(rep, EnergyModelReporter::new());
+        rep.observe_window(&window(2.5, 2.0));
+        let pcpu = rep.snapshot().get(&EnergyModelReporter::pcpu()).unwrap().value;
+        assert!((pcpu - 2000.0).abs() <= 1.0, "pcpu {pcpu} mJ");
+        assert_eq!(rep.pcpu_total_mj(), pcpu);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use psc_ioreport::channel::{ChannelId, ChannelUnit, IoReport};
 use psc_ioreport::energy_model::EnergyModelReporter;
 use psc_soc::{PowerRails, WindowReport};
+use std::collections::BTreeMap;
 
 fn window(est_p: f64, dt: f64) -> WindowReport {
     WindowReport {
@@ -88,5 +89,97 @@ proptest! {
         }
         let got = reg.snapshot().get(&id).expect("registered").value;
         prop_assert!((got - sum).abs() < 1e-6 * sum.abs().max(1.0));
+    }
+
+    /// Re-registering an id returns its existing slot and keeps its value
+    /// and unit, however many other channels registered in between.
+    #[test]
+    fn reregistering_returns_the_existing_slot(
+        before in 0usize..6,
+        after in 0usize..6,
+        amount in -1.0e6f64..1.0e6,
+    ) {
+        let mut reg = IoReport::new();
+        for i in 0..before {
+            reg.register(ChannelId::new("g", format!("pre{i}")), ChannelUnit::Count);
+        }
+        let id = ChannelId::new("Energy Model", "PCPU");
+        let slot = reg.register(id.clone(), ChannelUnit::Millijoules);
+        prop_assert_eq!(slot, before, "a new channel takes the next dense slot");
+        reg.accumulate_slot(slot, amount);
+        for i in 0..after {
+            reg.register(ChannelId::new("h", format!("post{i}")), ChannelUnit::Count);
+        }
+        prop_assert_eq!(reg.register(id.clone(), ChannelUnit::Count), slot);
+        prop_assert_eq!(reg.slot(&id), Some(slot));
+        let v = reg.get(&id).expect("registered");
+        prop_assert_eq!(v.value.to_bits(), amount.to_bits());
+        prop_assert_eq!(v.unit, ChannelUnit::Millijoules);
+        prop_assert_eq!(reg.channel_ids().len(), before + after + 1);
+    }
+
+    /// After any register/accumulate sequence (by name or by slot), the
+    /// slot reads, `get`, `snapshot`, `channel_ids` and `groups` agree with
+    /// a by-name model of the registry.
+    #[test]
+    fn slot_storage_agrees_with_the_by_name_view(
+        ops in proptest::collection::vec(
+            (0u8..3, 0usize..4, 0usize..5, -1.0e3f64..1.0e3),
+            0..60,
+        ),
+    ) {
+        let mut reg = IoReport::new();
+        let mut model: BTreeMap<ChannelId, f64> = BTreeMap::new();
+        let mut slots: BTreeMap<ChannelId, usize> = BTreeMap::new();
+        for (op, group, channel, amount) in ops {
+            let id = ChannelId::new(format!("g{group}"), format!("c{channel}"));
+            match op {
+                0 => {
+                    let slot = reg.register(id.clone(), ChannelUnit::Count);
+                    let expected = *slots.entry(id.clone()).or_insert(slot);
+                    prop_assert_eq!(slot, expected, "{} changed slot", id);
+                    model.entry(id).or_insert(0.0);
+                }
+                1 if model.contains_key(&id) => {
+                    reg.accumulate(&id, amount);
+                    *model.get_mut(&id).expect("registered") += amount;
+                }
+                _ if model.contains_key(&id) => {
+                    reg.accumulate_slot(slots[&id], amount);
+                    *model.get_mut(&id).expect("registered") += amount;
+                }
+                _ => prop_assert!(reg.get(&id).is_none() && reg.slot(&id).is_none()),
+            }
+        }
+        let ids: Vec<ChannelId> = model.keys().cloned().collect();
+        prop_assert_eq!(reg.channel_ids(), ids);
+        let mut groups: Vec<String> = model.keys().map(|id| id.group.clone()).collect();
+        groups.dedup();
+        prop_assert_eq!(reg.groups(), groups);
+        let snap = reg.snapshot();
+        prop_assert_eq!(snap.channels.len(), model.len());
+        for (id, &want) in &model {
+            let slot = slots[id];
+            prop_assert_eq!(reg.value(slot).to_bits(), want.to_bits(), "{}", id);
+            prop_assert_eq!(reg.get(id).expect("registered").value.to_bits(), want.to_bits());
+            prop_assert_eq!(snap.get(id).expect("in snapshot").value.to_bits(), want.to_bits());
+        }
+        let mut dense: Vec<usize> = slots.values().copied().collect();
+        dense.sort_unstable();
+        prop_assert_eq!(dense, (0..model.len()).collect::<Vec<_>>(), "slots are dense");
+    }
+
+    /// A default-constructed reporter is the standard one: it integrates
+    /// windows without panicking and publishes what `new()` publishes.
+    #[test]
+    fn default_reporter_matches_new(powers in proptest::collection::vec(0.0f64..15.0, 1..10)) {
+        let mut a = EnergyModelReporter::default();
+        let mut b = EnergyModelReporter::new();
+        for p in powers {
+            a.observe_window(&window(p, 0.7));
+            b.observe_window(&window(p, 0.7));
+        }
+        prop_assert_eq!(a.snapshot(), b.snapshot());
+        prop_assert_eq!(a.pcpu_total_mj().to_bits(), b.pcpu_total_mj().to_bits());
     }
 }

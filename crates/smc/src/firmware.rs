@@ -494,6 +494,16 @@ impl Smc {
         &self.sorted_keys
     }
 
+    /// Everything an IOKit read needs, from one key lookup: the published
+    /// value (with its wire type) and whether the active mitigation denies
+    /// it to unprivileged clients.
+    pub(crate) fn read_entry(&self, k: SmcKey) -> Option<(SmcValue, bool)> {
+        self.lookup(k).map(|i| {
+            let rt = &self.runtime[i];
+            (rt.published, self.mitigation.restrict_power_keys && rt.power_related)
+        })
+    }
+
     /// Type/size info for a key.
     #[must_use]
     pub fn key_info(&self, k: SmcKey) -> Option<(SmcDataType, usize)> {

@@ -9,10 +9,19 @@
 //! Privilege: clients are unprivileged by default (as the paper's attacker
 //! is). The access-restriction countermeasure (§5) only bites through this
 //! layer — the firmware itself always knows every value.
+//!
+//! Reads: [`SmcUserClient::read_key`] and the [`SELECTOR_READ_KEY`] arm of
+//! [`SmcUserClient::call_struct_method`] share one private path. It takes
+//! a single read guard, resolves type, restriction and published value in
+//! one firmware lookup, checks privilege, and wire-encodes into a stack
+//! buffer. `read_key` then decodes those bytes with the key's type, so a
+//! decoded read still carries the wire quantisation (e.g. `flt ` values
+//! are f32-rounded) exactly as an explicit `KEY_INFO` + `READ_KEY` round
+//! trip would.
 
 use crate::firmware::Smc;
 use crate::key::SmcKey;
-use crate::types::{SmcDataType, SmcValue};
+use crate::types::{SmcDataType, SmcValue, WireBytes};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -148,13 +157,8 @@ impl SmcUserClient {
                 Ok(out.freeze())
             }
             SELECTOR_READ_KEY => {
-                let k = parse_key(input)?;
-                let smc = self.smc.read();
-                if smc.is_restricted(k) && !self.privileged {
-                    return Err(IoKitError::AccessDenied(k));
-                }
-                let value = smc.read(k).ok_or(IoKitError::KeyNotFound(k))?;
-                Ok(value.to_bytes())
+                let (_, wire) = self.read_wire(parse_key(input)?)?;
+                Ok(Bytes::copy_from_slice(&wire))
             }
             SELECTOR_WRITE_KEY => {
                 if input.len() < 5 {
@@ -262,9 +266,21 @@ impl SmcUserClient {
     /// [`IoKitError::AccessDenied`] when the access-restriction mitigation
     /// is active and this client is unprivileged.
     pub fn read_key(&self, k: SmcKey) -> Result<SmcValue, IoKitError> {
-        let (dtype, _) = self.key_info(k)?;
-        let raw = self.call_struct_method(SELECTOR_READ_KEY, k.as_bytes())?;
-        SmcValue::from_bytes(dtype, &raw).map_err(|_| IoKitError::BadInput)
+        let (dtype, wire) = self.read_wire(k)?;
+        SmcValue::from_bytes(dtype, &wire).map_err(|_| IoKitError::BadInput)
+    }
+
+    /// The one read path: a single read guard and firmware lookup yield
+    /// the key's type and its published value wire-encoded on the stack,
+    /// after the privilege check. Unknown keys fail `KeyNotFound` before
+    /// any privilege decision.
+    fn read_wire(&self, k: SmcKey) -> Result<(SmcDataType, WireBytes), IoKitError> {
+        let (value, restricted) =
+            self.smc.read().read_entry(k).ok_or(IoKitError::KeyNotFound(k))?;
+        if restricted && !self.privileged {
+            return Err(IoKitError::AccessDenied(k));
+        }
+        Ok((value.data_type, value.data_type.encode_wire(value.value)))
     }
 
     /// Convenience: read a power key in watts.

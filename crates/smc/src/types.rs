@@ -5,7 +5,7 @@
 //! population uses, with byte-exact encode/decode so the IOKit-style
 //! client can ship raw bytes like `IOConnectCallStructMethod` does.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use serde::{Deserialize, Serialize};
 
 /// SMC data type codes.
@@ -76,23 +76,28 @@ impl SmcDataType {
     /// saturates rather than erroring).
     #[must_use]
     pub fn encode(self, value: f64) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.size());
-        match self {
-            SmcDataType::Flt => buf.put_f32_le(value as f32),
-            SmcDataType::Ui8 => buf.put_u8(value.clamp(0.0, 255.0).round() as u8),
-            SmcDataType::Ui16 => buf.put_u16(value.clamp(0.0, 65_535.0).round() as u16),
-            SmcDataType::Ui32 => buf.put_u32(value.clamp(0.0, u32::MAX as f64).round() as u32),
+        Bytes::copy_from_slice(&self.encode_wire(value))
+    }
+
+    /// [`SmcDataType::encode`] into a stack buffer: the allocation-free
+    /// form the IOKit read path uses.
+    #[must_use]
+    pub(crate) fn encode_wire(self, value: f64) -> WireBytes {
+        let mut buf = [0u8; 4];
+        let bytes: &[u8] = match self {
+            SmcDataType::Flt => &(value as f32).to_le_bytes(),
+            SmcDataType::Ui8 => &[value.clamp(0.0, 255.0).round() as u8],
+            SmcDataType::Ui16 => &(value.clamp(0.0, 65_535.0).round() as u16).to_be_bytes(),
+            SmcDataType::Ui32 => &(value.clamp(0.0, u32::MAX as f64).round() as u32).to_be_bytes(),
             SmcDataType::Sp78 => {
                 let fixed = (value * 256.0).clamp(i16::MIN as f64, i16::MAX as f64).round() as i16;
-                buf.put_i16(fixed);
+                &fixed.to_be_bytes()
             }
-            SmcDataType::Fpe2 => {
-                let fixed = (value * 4.0).clamp(0.0, 65_535.0).round() as u16;
-                buf.put_u16(fixed);
-            }
-            SmcDataType::Flag => buf.put_u8(u8::from(value != 0.0)),
-        }
-        buf.freeze()
+            SmcDataType::Fpe2 => &((value * 4.0).clamp(0.0, 65_535.0).round() as u16).to_be_bytes(),
+            SmcDataType::Flag => &[u8::from(value != 0.0)],
+        };
+        buf[..bytes.len()].copy_from_slice(bytes);
+        WireBytes { buf, len: bytes.len() }
     }
 
     /// Decode wire bytes into a numeric value.
@@ -114,6 +119,22 @@ impl SmcDataType {
             SmcDataType::Fpe2 => f64::from(buf.get_u16()) / 4.0,
             SmcDataType::Flag => f64::from(buf.get_u8() != 0),
         })
+    }
+}
+
+/// One value's wire bytes, held on the stack (every type encodes to at
+/// most 4 bytes). Dereferences to the encoded byte slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WireBytes {
+    buf: [u8; 4],
+    len: usize,
+}
+
+impl core::ops::Deref for WireBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len]
     }
 }
 
@@ -243,6 +264,27 @@ mod tests {
             assert_eq!(t.code().len(), 4, "type codes are 4 chars");
         }
         assert_eq!(SmcDataType::from_code("zzzz"), Err(CodecError::UnknownType));
+    }
+
+    #[test]
+    fn wire_encoding_sizes_match_types() {
+        for t in [
+            SmcDataType::Flt,
+            SmcDataType::Ui8,
+            SmcDataType::Ui16,
+            SmcDataType::Ui32,
+            SmcDataType::Sp78,
+            SmcDataType::Fpe2,
+            SmcDataType::Flag,
+        ] {
+            for v in [-300.5, -1.0, 0.0, 0.4, 1.0, 24.5, 1850.25, 70_000.0, 5.0e9] {
+                let wire = t.encode_wire(v);
+                assert_eq!(wire.len(), t.size(), "{t:?}");
+                assert_eq!(&wire[..], &t.encode(v)[..], "{t:?} {v}");
+            }
+        }
+        assert_eq!(&SmcDataType::Ui16.encode_wire(258.0)[..], &[1, 2], "big-endian");
+        assert_eq!(&SmcDataType::Flt.encode_wire(1.0)[..], &1.0f32.to_le_bytes(), "little-endian");
     }
 
     #[test]

@@ -156,6 +156,76 @@ mod iokit_protocol_fuzz {
     }
 }
 
+mod iokit_read_path {
+    use super::{printable_key, report};
+    use proptest::prelude::*;
+    use psc_smc::firmware::Smc;
+    use psc_smc::iokit::{share, IoKitError, SmcUserClient, SELECTOR_READ_KEY};
+    use psc_smc::key::SmcKey;
+    use psc_smc::mitigation::MitigationConfig;
+    use psc_smc::sensors::SensorSet;
+    use psc_smc::types::{SmcDataType, SmcValue};
+    use std::sync::Arc;
+
+    /// The explicit protocol read: `KEY_INFO` for the type, then the raw
+    /// `READ_KEY` bytes decoded with it.
+    fn two_call_read(client: &SmcUserClient, k: SmcKey) -> Result<SmcValue, IoKitError> {
+        let (dtype, _) = client.key_info(k)?;
+        let raw = client.call_struct_method(SELECTOR_READ_KEY, k.as_bytes())?;
+        Ok(SmcValue::from_bytes(dtype, &raw).expect("READ_KEY bytes match KEY_INFO's size"))
+    }
+
+    /// A read result with the value as raw bits, so `-0.0` and `0.0` differ.
+    fn bits(r: Result<SmcValue, IoKitError>) -> Result<(SmcDataType, u64), IoKitError> {
+        r.map(|v| (v.data_type, v.value.to_bits()))
+    }
+
+    proptest! {
+        /// `read_key` equals decoding `call_struct_method(READ_KEY)` with
+        /// `key_info`'s type, errors included, for every key of both sensor
+        /// sets plus an arbitrary (mostly unknown) key, with and without the
+        /// restriction mitigation, for unprivileged and privileged clients.
+        /// Both equal the firmware's published value after one wire round
+        /// trip; unknown keys fail `KeyNotFound`, never `AccessDenied`.
+        #[test]
+        fn read_key_equals_the_two_call_protocol_read(
+            m1 in any::<bool>(),
+            (restrict, privileged) in (any::<bool>(), any::<bool>()),
+            (p, est, temp) in (0.0f64..30.0, 0.0f64..30.0, 20.0f64..110.0),
+            seed in any::<u64>(),
+            stray in printable_key(),
+        ) {
+            let sensors = if m1 { SensorSet::mac_mini_m1() } else { SensorSet::macbook_air_m2() };
+            let mut smc = Smc::new(sensors, seed);
+            if restrict {
+                smc.set_mitigation(MitigationConfig::restrict_access());
+            }
+            smc.observe_window(&report(p, est, temp));
+            let shared = share(smc);
+            let client = if privileged {
+                SmcUserClient::privileged(Arc::clone(&shared))
+            } else {
+                SmcUserClient::new(Arc::clone(&shared))
+            };
+            let (m1_set, m2_set) = (SensorSet::mac_mini_m1(), SensorSet::macbook_air_m2());
+            let keys = m1_set.sensors().iter().chain(m2_set.sensors()).map(|s| s.key);
+            for k in keys.chain([stray]) {
+                let direct = bits(client.read_key(k));
+                prop_assert_eq!(direct, bits(two_call_read(&client, k)), "key {}", k);
+                let firmware = shared.read();
+                let expected = match firmware.read(k) {
+                    None => Err(IoKitError::KeyNotFound(k)),
+                    Some(_) if firmware.is_restricted(k) && !privileged => {
+                        Err(IoKitError::AccessDenied(k))
+                    }
+                    Some(v) => Ok((v.data_type, v.data_type.decode(&v.to_bytes()).unwrap().to_bits())),
+                };
+                prop_assert_eq!(direct, expected, "key {}", k);
+            }
+        }
+    }
+}
+
 mod firmware_batch_props {
     use super::report;
     use proptest::prelude::*;

@@ -87,11 +87,12 @@ fn spawn_aggregator(addr: &str, scratch: &Scratch, extra: &[&str]) -> Child {
         .expect("spawn aggregator")
 }
 
-fn spawn_worker(addr: &str, scratch: &Scratch, member: usize) -> Child {
+fn spawn_worker(addr: &str, scratch: &Scratch, member: usize, extra: &[&str]) -> Child {
     psc()
         .args(["worker", "--connect", addr, "--spec", &scratch.spec_file()])
         .args(["--member", &member.to_string(), "--workdir", &scratch.workdir(member)])
         .args(["--heartbeat-ms", "50"])
+        .args(extra)
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn worker")
@@ -113,7 +114,7 @@ fn worker_processes_reproduce_the_inline_fleet_run_byte_for_byte() {
     let addr = reserve_addr();
 
     let aggregator = spawn_aggregator(&addr, &scratch, &[]);
-    let workers: Vec<Child> = (0..2).map(|m| spawn_worker(&addr, &scratch, m)).collect();
+    let workers: Vec<Child> = (0..2).map(|m| spawn_worker(&addr, &scratch, m, &[])).collect();
     for mut worker in workers {
         assert!(worker.wait().expect("wait worker").success(), "worker process failed");
     }
@@ -133,9 +134,7 @@ fn worker_processes_reproduce_the_inline_fleet_run_byte_for_byte() {
 
 #[test]
 fn a_sigkilled_worker_is_demoted_and_survivors_match_the_restricted_run() {
-    // Big enough (~1.5 s in release, ~6 s in debug) that member 1 is
-    // still far from done when the kill lands 400 ms in.
-    let spec = spec(20_000);
+    let spec = spec(2_000);
     let scratch = Scratch::new("sigkill", &spec);
     let addr = reserve_addr();
 
@@ -144,9 +143,21 @@ fn a_sigkilled_worker_is_demoted_and_survivors_match_the_restricted_run() {
         &scratch,
         &["--heartbeat-timeout-ms", "1500", "--straggler-timeout-ms", "2500"],
     );
-    let mut survivor = spawn_worker(&addr, &scratch, 0);
-    let mut casualty = spawn_worker(&addr, &scratch, 1);
-    std::thread::sleep(Duration::from_millis(400));
+    let mut survivor = spawn_worker(&addr, &scratch, 0, &[]);
+    // Every frame member 1 sends after its hello waits a minute, so
+    // however fast its campaign runs, it cannot deliver `Done` (or exit)
+    // before the kill: it is provably still running when the kill lands.
+    let mut casualty = spawn_worker(&addr, &scratch, 1, &["--frame-delay-us", "60000000"]);
+    // Its campaign, and so its checkpoint file, starts only after the
+    // aggregator accepted its hello: kill a member the aggregator knows.
+    let ckpt = Path::new(&scratch.workdir(1)).join("shard-000.ckpt");
+    for _ in 0..3000 {
+        if ckpt.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(casualty.try_wait().expect("poll worker 1").is_none(), "member 1 must be running");
     casualty.kill().expect("SIGKILL worker 1"); // SIGKILL: no cleanup, no goodbye
     casualty.wait().expect("reap worker 1");
 
