@@ -77,8 +77,9 @@ impl Client {
 
     /// Re-attach to a job this client (or a previous connection)
     /// already submitted: the server answers [`Response::Accepted`]
-    /// and resumes streaming progress, or [`Response::Rejected`] for
-    /// an unknown job id. Call [`Client::wait_for_report`] next.
+    /// and resumes streaming progress (the final frame at once if the
+    /// job has finished), or [`Response::Rejected`] for an unknown or
+    /// evicted job id. Call [`Client::wait_for_report`] next.
     ///
     /// # Errors
     ///

@@ -51,9 +51,21 @@
 //! tripped signal sheds the job with a **typed** refusal —
 //! [`proto::RejectReason::Saturated`] or
 //! [`proto::RejectReason::TenantBusy`] — the connection is answered,
-//! never hung up on. Admitted jobs are `Accepted{job_id}`; a waiting
-//! client then receives `Progress` frames (merged metrics snapshots)
-//! at a fixed cadence until the final `Report`.
+//! never hung up on. Admitted jobs are `Accepted{job_id}`. A waiting
+//! client then receives one `Progress` frame (a merged metrics
+//! snapshot) per progress interval while its job is in flight, and the
+//! final frame (`Report`, or `Rejected` for a failed or cancelled job)
+//! as soon as the job settles, not on the next progress tick.
+//!
+//! ### Job retention
+//!
+//! The server's job table keeps every queued and running job but only
+//! the [`server::FINISHED_JOBS_RETAINED`] most recently finished ones;
+//! older finished jobs are evicted in completion order, never while a
+//! wait or `Watch` stream is still attached. `Status` lists what is
+//! retained, `Watch` re-streams the final frame of a retained finished
+//! job and refuses an evicted one like an unknown id, and the server's
+//! counters (and `Drained{completed}`) keep counting every job.
 //!
 //! ### Drain / shutdown lifecycle
 //!

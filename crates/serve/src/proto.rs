@@ -303,10 +303,13 @@ pub enum Request {
     /// boundary, reject everything queued, then confirm.
     Drain,
     /// Re-attach to a job submitted with `wait` after the original
-    /// connection was lost: the server resumes streaming
-    /// [`Response::Progress`] frames (and the final frame) for `job`
-    /// on this connection. Unknown or already-reported jobs are
-    /// refused with [`RejectReason::Failed`].
+    /// connection was lost: the server answers [`Response::Accepted`]
+    /// and resumes streaming [`Response::Progress`] frames (and the
+    /// final frame) for `job` on this connection. A finished job still
+    /// in the server's table gets its final frame at once, identical
+    /// to the first one sent; an unknown job, or a finished one
+    /// already evicted from the table, is refused with
+    /// [`RejectReason::Failed`] `"no such job: N"`.
     Watch {
         /// The job to re-attach to.
         job: u64,

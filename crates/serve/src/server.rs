@@ -1,11 +1,24 @@
 //! The campaign server: accept loop, job table, drain lifecycle.
 //!
 //! One thread accepts connections on a local TCP socket and spawns a
-//! handler per connection; handlers parse one [`Request`] and reply
-//! (a waited-on submit streams [`Response::Progress`] frames until the
-//! final [`Response::Report`]). Campaign execution happens on the
-//! bounded FIFO [`WorkerPool`]; the [`AdmissionController`] decides at
-//! submit time whether a job gets a queue slot at all.
+//! handler per connection; handlers parse one [`Request`] and reply.
+//! Campaign execution happens on the bounded FIFO [`WorkerPool`]; the
+//! [`AdmissionController`] decides at submit time whether a job gets a
+//! queue slot at all.
+//!
+//! Job completion is event-driven: every terminal transition
+//! (completed, failed, cancelled, rejected by drain) signals one
+//! condition variable beside the job table. A waited-on submit or a
+//! [`Request::Watch`] therefore gets its final frame
+//! ([`Response::Report`] or [`Response::Rejected`]) as soon as the job
+//! settles; while the job is still in flight it gets one
+//! [`Response::Progress`] frame per [`ServerConfig::progress_interval`].
+//!
+//! The table keeps every queued and running job, but only the
+//! [`FINISHED_JOBS_RETAINED`] most recently settled ones: older
+//! finished jobs are evicted in completion order, except that a job
+//! is never evicted while a wait/watch stream is still attached to it.
+//! The server's counters keep counting every job.
 //!
 //! The server instruments itself with the same
 //! [`MetricsRegistry`] the campaigns use — counters for every job
@@ -23,16 +36,22 @@ use psc_core::report::{self, campaign_banner};
 use psc_core::session::Campaign;
 use psc_core::spec::{AnalysisMode, CampaignSpec};
 use psc_telemetry::metrics::{MetricsHub, MetricsRegistry, MetricsSnapshot};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Default service endpoint — loopback only; the daemon is a local
 /// multiplexer, not a network service.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7145";
+
+/// Finished (completed, cancelled or failed) jobs the job table keeps
+/// for [`Request::Status`] and [`Request::Watch`]. Older ones are
+/// evicted in completion order, so the table, and with it every scan
+/// of it, stays bounded however many jobs the server has run.
+pub const FINISHED_JOBS_RETAINED: usize = 64;
 
 /// Metric names for the server's own [`MetricsRegistry`] (the campaign
 /// pipeline names live in [`psc_telemetry::metrics::names`]).
@@ -73,7 +92,10 @@ pub struct ServerConfig {
     /// spec's cadence, so drained or interrupted jobs resume with
     /// `psc resume`.
     pub spool: Option<PathBuf>,
-    /// Cadence of [`Response::Progress`] frames to waiting clients.
+    /// Cadence of [`Response::Progress`] frames to a waiting client
+    /// while its job is in flight. The final frame never waits for
+    /// it: it is sent as soon as the job settles, so a job that
+    /// finishes within one interval gets no `Progress` frame at all.
     pub progress_interval: Duration,
     /// How long a connection may take to deliver its complete request
     /// frame. A stalled or half-open client is refused with the typed
@@ -112,12 +134,34 @@ struct Job {
     accepted_at: Instant,
     report: Option<Arc<FinishedReport>>,
     error: Option<String>,
+    /// Wait/watch streams attached and not yet done; the job is not
+    /// evicted while this is nonzero.
+    watchers: usize,
 }
 
 #[derive(Default)]
 struct JobTable {
     jobs: BTreeMap<u64, Job>,
+    /// Ids of settled jobs, oldest-settled first.
+    finished: VecDeque<u64>,
     next_id: u64,
+}
+
+impl JobTable {
+    /// Evict the oldest-settled jobs beyond [`FINISHED_JOBS_RETAINED`],
+    /// skipping those a stream is still attached to.
+    fn prune(&mut self) {
+        let mut excess = self.finished.len().saturating_sub(FINISHED_JOBS_RETAINED);
+        let jobs = &mut self.jobs;
+        self.finished.retain(|id| {
+            let evict = excess > 0 && jobs.get(id).is_none_or(|job| job.watchers == 0);
+            if evict {
+                jobs.remove(id);
+                excess -= 1;
+            }
+            !evict
+        });
+    }
 }
 
 struct Inner {
@@ -127,9 +171,52 @@ struct Inner {
     admission: AdmissionController,
     pool: Mutex<Option<WorkerPool>>,
     table: Mutex<JobTable>,
+    /// Signalled on every terminal job transition.
+    settled: Condvar,
     running: AtomicUsize,
     draining: AtomicBool,
     shutdown: AtomicBool,
+}
+
+impl Inner {
+    fn lock_table(&self) -> MutexGuard<'_, JobTable> {
+        self.table.lock().expect("job table poisoned")
+    }
+
+    /// Record that job `id`, whose entry the caller has just moved to a
+    /// terminal state, settled: queue it for eviction and wake every
+    /// stream and drain waiting on the table.
+    fn settle(&self, table: &mut JobTable, id: u64) {
+        table.finished.push_back(id);
+        table.prune();
+        self.settled.notify_all();
+    }
+}
+
+/// A wait/watch stream's hold on its job: the job stays in the table
+/// until the stream has sent its final frame or given up.
+struct Attached<'a> {
+    inner: &'a Inner,
+    job: u64,
+}
+
+impl<'a> Attached<'a> {
+    /// Attach to `job` in `table`; `None` if the table has no such job.
+    fn new(inner: &'a Inner, table: &mut JobTable, job: u64) -> Option<Self> {
+        table.jobs.get_mut(&job)?.watchers += 1;
+        Some(Self { inner, job })
+    }
+}
+
+impl Drop for Attached<'_> {
+    fn drop(&mut self) {
+        // A poisoned table has already failed every other handler.
+        let Ok(mut table) = self.inner.table.lock() else { return };
+        if let Some(job) = table.jobs.get_mut(&self.job) {
+            job.watchers -= 1;
+        }
+        table.prune();
+    }
 }
 
 /// A running campaign service. Dropping the handle does **not** stop
@@ -158,6 +245,7 @@ impl Server {
             registry,
             pool: Mutex::new(Some(pool)),
             table: Mutex::new(JobTable::default()),
+            settled: Condvar::new(),
             running: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -264,11 +352,12 @@ fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream) {
 }
 
 /// Re-attach a waiting client to a job it already submitted: verify
-/// the job exists, then stream progress until the terminal frame —
-/// the reconnect half of `psc submit --wait`'s disconnect tolerance.
+/// the job is still in the table, then stream progress until the
+/// terminal frame (at once for a finished job) — the reconnect half of
+/// `psc submit --wait`'s disconnect tolerance.
 fn handle_watch(inner: &Inner, stream: &mut TcpStream, job_id: u64) {
-    let known = inner.table.lock().expect("job table poisoned").jobs.contains_key(&job_id);
-    if !known {
+    let attached = Attached::new(inner, &mut inner.lock_table(), job_id);
+    let Some(attached) = attached else {
         let _ = reply(
             stream,
             &Response::Rejected {
@@ -276,9 +365,9 @@ fn handle_watch(inner: &Inner, stream: &mut TcpStream, job_id: u64) {
             },
         );
         return;
-    }
+    };
     if reply(stream, &Response::Accepted { job: job_id }) {
-        stream_until_done(inner, stream, job_id);
+        stream_until_done(stream, &attached);
     }
 }
 
@@ -320,8 +409,8 @@ fn handle_submit(
         inner.pool.lock().expect("pool lock poisoned").as_ref().map_or(0, WorkerPool::queue_depth);
     let running = inner.running.load(Ordering::Acquire);
     let dispatch_p99_ns = inner.registry.histogram(names::DISPATCH_WAIT_NS).percentile(0.99);
-    let job_id = {
-        let mut table = inner.table.lock().expect("job table poisoned");
+    let (job_id, attached) = {
+        let mut table = inner.lock_table();
         let tenant_jobs = table
             .jobs
             .values()
@@ -354,9 +443,13 @@ fn handle_submit(
                 accepted_at: Instant::now(),
                 report: None,
                 error: None,
+                watchers: 0,
             },
         );
-        id
+        // Attach before the job can run, so it cannot settle and be
+        // evicted before the stream looks at it.
+        let attached = if wait { Attached::new(inner, &mut table, id) } else { None };
+        (id, attached)
     };
     inner.registry.counter(names::ACCEPTED).inc();
     inner.registry.gauge(names::PEAK_QUEUE).set_max(queue_depth as u64 + 1);
@@ -369,62 +462,55 @@ fn handle_submit(
         .is_some_and(|pool| pool.submit(job_id, move || run_job(&worker_inner, job_id)));
     if !submitted {
         // Raced with a drain between admission and enqueue.
-        let mut table = inner.table.lock().expect("job table poisoned");
+        let mut table = inner.lock_table();
         if let Some(job) = table.jobs.get_mut(&job_id) {
             job.state = JobState::Cancelled;
             job.error = Some("rejected by drain".into());
+            inner.settle(&mut table, job_id);
         }
         drop(table);
         return reject(inner, stream, RejectReason::Draining);
     }
-    if !reply(stream, &Response::Accepted { job: job_id }) || !wait {
+    if !reply(stream, &Response::Accepted { job: job_id }) {
         return;
     }
-    stream_until_done(inner, stream, job_id);
+    if let Some(attached) = attached {
+        stream_until_done(stream, &attached);
+    }
 }
 
-/// Stream [`Response::Progress`] frames to a waiting client until the
-/// job reaches a terminal state, then send the final frame.
-fn stream_until_done(inner: &Inner, stream: &mut TcpStream, job_id: u64) {
+/// Stream one [`Response::Progress`] frame per progress interval while
+/// the attached job is in flight, and its final frame as soon as it
+/// settles.
+fn stream_until_done(stream: &mut TcpStream, attached: &Attached<'_>) {
+    enum Peek {
+        InFlight(MetricsSnapshot),
+        Done(Response),
+    }
+    let inner = attached.inner;
     loop {
-        std::thread::sleep(inner.cfg.progress_interval);
-        enum Peek {
-            InFlight(MetricsSnapshot),
-            Done(Response),
-        }
+        let deadline = Instant::now() + inner.cfg.progress_interval;
         let peek = {
-            let table = inner.table.lock().expect("job table poisoned");
-            let Some(job) = table.jobs.get(&job_id) else { return };
-            match job.state {
-                JobState::Queued | JobState::Running | JobState::Stopping => {
-                    Peek::InFlight(job.hub.merged())
+            let mut table = inner.lock_table();
+            loop {
+                let Some(job) = table.jobs.get(&attached.job) else { return };
+                if let Some(response) = final_frame(attached.job, job) {
+                    break Peek::Done(response);
                 }
-                JobState::Completed => {
-                    let report = job.report.as_ref().expect("completed job has a report");
-                    Peek::Done(Response::Report {
-                        job: job_id,
-                        mode: report.mode,
-                        stopped_early: report.stopped_early,
-                        rounds: report.rounds,
-                        text: report.text.clone(),
-                        analysis: report.analysis.clone(),
-                    })
+                let now = Instant::now();
+                if now >= deadline {
+                    break Peek::InFlight(job.hub.merged());
                 }
-                JobState::Cancelled => Peek::Done(Response::Rejected {
-                    reason: RejectReason::Failed {
-                        error: job.error.clone().unwrap_or_else(|| "cancelled".into()),
-                    },
-                }),
-                JobState::Failed => Peek::Done(Response::Rejected {
-                    reason: RejectReason::Failed {
-                        error: job.error.clone().unwrap_or_else(|| "worker failed".into()),
-                    },
-                }),
+                table = inner
+                    .settled
+                    .wait_timeout(table, deadline - now)
+                    .expect("job table poisoned")
+                    .0;
             }
         };
         match peek {
             Peek::InFlight(metrics) => {
-                if !reply(stream, &Response::Progress { job: job_id, metrics }) {
+                if !reply(stream, &Response::Progress { job: attached.job, metrics }) {
                     return; // client went away; the job keeps running
                 }
             }
@@ -436,10 +522,37 @@ fn stream_until_done(inner: &Inner, stream: &mut TcpStream, job_id: u64) {
     }
 }
 
+/// The frame that ends a wait/watch stream, once `job` has settled.
+fn final_frame(job_id: u64, job: &Job) -> Option<Response> {
+    let failed = |default: &str| {
+        Some(Response::Rejected {
+            reason: RejectReason::Failed {
+                error: job.error.clone().unwrap_or_else(|| default.into()),
+            },
+        })
+    };
+    match job.state {
+        JobState::Queued | JobState::Running | JobState::Stopping => None,
+        JobState::Completed => {
+            let report = job.report.as_ref().expect("completed job has a report");
+            Some(Response::Report {
+                job: job_id,
+                mode: report.mode,
+                stopped_early: report.stopped_early,
+                rounds: report.rounds,
+                text: report.text.clone(),
+                analysis: report.analysis.clone(),
+            })
+        }
+        JobState::Cancelled => failed("cancelled"),
+        JobState::Failed => failed("worker failed"),
+    }
+}
+
 /// Execute one admitted job on a pool worker.
 fn run_job(inner: &Arc<Inner>, job_id: u64) {
     let (spec, stop, hub, accepted_at) = {
-        let mut table = inner.table.lock().expect("job table poisoned");
+        let mut table = inner.lock_table();
         let Some(job) = table.jobs.get_mut(&job_id) else { return };
         if job.state != JobState::Queued {
             return; // cancelled while queued
@@ -460,7 +573,7 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
         report::run_session(campaign.session(), &run_spec)
     }));
     inner.running.fetch_sub(1, Ordering::AcqRel);
-    let mut table = inner.table.lock().expect("job table poisoned");
+    let mut table = inner.lock_table();
     let Some(job) = table.jobs.get_mut(&job_id) else { return };
     match outcome {
         Ok(out) => {
@@ -493,11 +606,12 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
             inner.registry.counter(names::FAILED).inc();
         }
     }
+    inner.settle(&mut table, job_id);
 }
 
 fn handle_status(inner: &Inner, stream: &mut TcpStream) {
     let jobs = {
-        let table = inner.table.lock().expect("job table poisoned");
+        let table = inner.lock_table();
         table
             .jobs
             .iter()
@@ -514,8 +628,8 @@ fn handle_status(inner: &Inner, stream: &mut TcpStream) {
 
 fn handle_cancel(inner: &Inner, stream: &mut TcpStream, job_id: u64) {
     let outcome = {
-        let mut table = inner.table.lock().expect("job table poisoned");
-        match table.jobs.get_mut(&job_id) {
+        let mut table = inner.lock_table();
+        let outcome = match table.jobs.get_mut(&job_id) {
             None => CancelResult::NotFound,
             Some(job) => match job.state {
                 JobState::Queued => {
@@ -534,7 +648,11 @@ fn handle_cancel(inner: &Inner, stream: &mut TcpStream, job_id: u64) {
                     CancelResult::AlreadyDone
                 }
             },
+        };
+        if outcome == CancelResult::Cancelled {
+            inner.settle(&mut table, job_id);
         }
+        outcome
     };
     let _ = reply(stream, &Response::CancelOutcome { job: job_id, outcome });
 }
@@ -551,15 +669,15 @@ fn handle_drain(inner: &Arc<Inner>, stream: &mut TcpStream) {
                 p.shutdown();
                 p.take_queued()
             });
-        let mut table = inner.table.lock().expect("job table poisoned");
+        let mut table = inner.lock_table();
         for pending in queued {
-            if let Some(job) = table.jobs.get_mut(&pending.id) {
-                if job.state == JobState::Queued {
-                    job.state = JobState::Cancelled;
-                    job.error = Some("rejected by drain".into());
-                    inner.registry.counter(names::REJECTED).inc();
-                    rejected += 1;
-                }
+            let Some(job) = table.jobs.get_mut(&pending.id) else { continue };
+            if job.state == JobState::Queued {
+                job.state = JobState::Cancelled;
+                job.error = Some("rejected by drain".into());
+                inner.registry.counter(names::REJECTED).inc();
+                rejected += 1;
+                inner.settle(&mut table, pending.id);
             }
         }
         for job in table.jobs.values_mut() {
@@ -569,18 +687,15 @@ fn handle_drain(inner: &Arc<Inner>, stream: &mut TcpStream) {
         }
     }
     // Wait until nothing is in flight any more.
-    loop {
-        let busy = {
-            let table = inner.table.lock().expect("job table poisoned");
-            table.jobs.values().any(|j| {
-                matches!(j.state, JobState::Queued | JobState::Running | JobState::Stopping)
-            })
-        };
-        if !busy {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
+    let mut table = inner.lock_table();
+    while table
+        .jobs
+        .values()
+        .any(|j| matches!(j.state, JobState::Queued | JobState::Running | JobState::Stopping))
+    {
+        table = inner.settled.wait(table).expect("job table poisoned");
     }
+    drop(table);
     if first {
         if let Some(pool) = inner.pool.lock().expect("pool lock poisoned").take() {
             pool.join();
@@ -589,4 +704,59 @@ fn handle_drain(inner: &Arc<Inner>, stream: &mut TcpStream) {
     let completed = inner.registry.counter(names::COMPLETED).get();
     let _ = reply(stream, &Response::Drained { completed, rejected });
     stop_accepting(inner);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psc_core::{Device, ExperimentConfig};
+
+    fn job(state: JobState, watchers: usize) -> Job {
+        Job {
+            tenant: "t".into(),
+            spec: CampaignSpec::new(
+                AnalysisMode::Tvla,
+                Device::MacMiniM1,
+                &ExperimentConfig::default(),
+            ),
+            state,
+            stop: Arc::default(),
+            hub: Arc::new(MetricsHub::new()),
+            accepted_at: Instant::now(),
+            report: None,
+            error: None,
+            watchers,
+        }
+    }
+
+    #[test]
+    fn prune_evicts_oldest_settled_first_and_never_a_watched_or_unsettled_job() {
+        let mut table = JobTable::default();
+        let running = 1_000;
+        table.jobs.insert(running, job(JobState::Running, 0));
+        // Settle in descending id order, so completion order and id
+        // order disagree; the first job to settle has a stream attached.
+        let settled: Vec<u64> = (0..FINISHED_JOBS_RETAINED as u64 + 3).rev().collect();
+        for (i, &id) in settled.iter().enumerate() {
+            table.jobs.insert(id, job(JobState::Completed, usize::from(i == 0)));
+            table.finished.push_back(id);
+            table.prune();
+        }
+        assert!(table.jobs.contains_key(&running));
+        assert!(table.jobs.contains_key(&settled[0]), "a watched job was evicted");
+        for id in &settled[1..4] {
+            assert!(!table.jobs.contains_key(id), "job {id} should be evicted first");
+        }
+        assert_eq!(table.finished.len(), FINISHED_JOBS_RETAINED);
+
+        // Once its stream detaches, it is the next to go.
+        table.jobs.get_mut(&settled[0]).expect("watched job").watchers = 0;
+        let newest = FINISHED_JOBS_RETAINED as u64 + 3;
+        table.jobs.insert(newest, job(JobState::Cancelled, 0));
+        table.finished.push_back(newest);
+        table.prune();
+        assert!(!table.jobs.contains_key(&settled[0]));
+        assert_eq!(table.jobs.len(), FINISHED_JOBS_RETAINED + 1);
+        assert!(table.finished.iter().eq(settled[4..].iter().chain([&newest])));
+    }
 }

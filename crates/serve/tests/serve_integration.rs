@@ -1,15 +1,25 @@
 //! End-to-end service tests: streamed reports must be byte-identical
 //! to inline runs of the same spec (with jobs genuinely concurrent),
-//! admission must shed with a typed rejection, and drain must settle
-//! cleanly.
+//! admission must shed with a typed rejection, drain must settle
+//! cleanly, final frames must not wait for the progress cadence, and
+//! the job table must keep only the most recently finished jobs.
 
 use psc_core::report;
 use psc_core::spec::{AnalysisMode, CampaignSpec};
 use psc_core::{Device, TuneConfig};
-use psc_serve::proto::{CancelResult, JobState, RejectReason, Response};
-use psc_serve::server::names;
+use psc_serve::proto::{CancelResult, JobState, JobSummary, RejectReason, Response};
+use psc_serve::server::{names, FINISHED_JOBS_RETAINED};
 use psc_serve::{submit_and_wait, AdmissionConfig, Client, Server, ServerConfig};
-use std::time::Duration;
+use std::net::SocketAddr;
+use std::time::{Duration, Instant};
+
+/// A progress cadence no job here comes near: a final frame that
+/// waited for the next tick would take a minute.
+const SLOW_PROGRESS: Duration = Duration::from_secs(60);
+
+/// Generous bound for "at once" that still fails a final frame which
+/// waits for a [`SLOW_PROGRESS`] tick, however slow the host.
+const PROMPT: Duration = Duration::from_secs(10);
 
 fn spec(mode: AnalysisMode, traces: usize, shards: usize) -> CampaignSpec {
     CampaignSpec {
@@ -30,15 +40,68 @@ fn spec(mode: AnalysisMode, traces: usize, shards: usize) -> CampaignSpec {
 }
 
 fn start_server(workers: usize, admission: AdmissionConfig) -> Server {
+    start_paced_server(workers, admission, Duration::from_millis(10))
+}
+
+fn start_paced_server(
+    workers: usize,
+    admission: AdmissionConfig,
+    progress_interval: Duration,
+) -> Server {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers,
         admission,
         spool: None,
-        progress_interval: Duration::from_millis(10),
+        progress_interval,
         ..ServerConfig::default()
     })
     .expect("bind an ephemeral port")
+}
+
+/// A job small enough to finish in a blink.
+fn tiny() -> String {
+    spec(AnalysisMode::Tvla, 10, 1).render()
+}
+
+/// A job that runs until cancelled or drained.
+fn hog() -> String {
+    spec(AnalysisMode::Tvla, 10_000_000, 1).render()
+}
+
+fn submit(addr: SocketAddr, tenant: &str, spec: &str) -> u64 {
+    let mut client = Client::connect(addr).expect("connect");
+    match client.submit(tenant, spec, false).expect("submit") {
+        Response::Accepted { job } => job,
+        other => panic!("expected Accepted, got {other:?}"),
+    }
+}
+
+fn job_list(addr: SocketAddr) -> Vec<JobSummary> {
+    match Client::connect(addr).expect("connect").status().expect("status") {
+        Response::JobList { jobs, .. } => jobs,
+        other => panic!("expected JobList, got {other:?}"),
+    }
+}
+
+fn wait_until_running(addr: SocketAddr, job: u64) {
+    while !job_list(addr).iter().any(|j| j.id == job && j.state == JobState::Running) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn expect_failed(response: Response) -> String {
+    match response {
+        Response::Rejected { reason: RejectReason::Failed { error } } => error,
+        other => panic!("expected Rejected(Failed), got {other:?}"),
+    }
+}
+
+fn drain(addr: SocketAddr) -> (u64, u64) {
+    match Client::connect(addr).expect("connect").drain().expect("drain") {
+        Response::Drained { completed, rejected } => (completed, rejected),
+        other => panic!("expected Drained, got {other:?}"),
+    }
 }
 
 fn expect_report(response: Response) -> (String, Vec<u8>) {
@@ -213,5 +276,188 @@ fn cancel_covers_queued_running_and_finished_jobs() {
 
     let mut drainer = Client::connect(addr).expect("connect");
     assert!(matches!(drainer.drain().expect("drain"), Response::Drained { .. }));
+    server.join();
+}
+
+#[test]
+fn a_waited_report_arrives_on_completion_not_on_the_progress_tick() {
+    let server = start_paced_server(1, AdmissionConfig::default(), SLOW_PROGRESS);
+    let addr = server.addr();
+    let spec = spec(AnalysisMode::Tvla, 10, 1);
+
+    let t0 = Instant::now();
+    let mut client = Client::connect(addr).expect("connect");
+    assert!(matches!(
+        client.submit("t", &spec.render(), true).expect("submit"),
+        Response::Accepted { job: 0 }
+    ));
+    let mut frames = 0;
+    let (text, analysis) = expect_report(client.wait_for_report(|_| frames += 1).expect("wait"));
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < PROMPT,
+        "report took {elapsed:?} under a {SLOW_PROGRESS:?} progress interval"
+    );
+    assert_eq!(frames, 0, "a job that settles within one interval gets no Progress frame");
+
+    let inline = report::run_spec(&spec);
+    assert_eq!(text, report::campaign_banner(&spec) + &inline.body);
+    assert_eq!(analysis, inline.analysis);
+    assert_eq!(drain(addr), (1, 0));
+    server.join();
+}
+
+#[test]
+fn a_job_in_flight_still_streams_progress_frames() {
+    let server = start_server(1, AdmissionConfig::default());
+    let addr = server.addr();
+    let mut client = Client::connect(addr).expect("connect");
+    let long = spec(AnalysisMode::Tvla, 2_000, 1).render();
+    assert!(matches!(
+        client.submit("t", &long, true).expect("submit"),
+        Response::Accepted { job: 0 }
+    ));
+    let mut frames = 0;
+    expect_report(client.wait_for_report(|_| frames += 1).expect("wait"));
+    assert!(frames >= 1, "a job longer than the 10 ms interval got no Progress frame");
+    assert_eq!(drain(addr), (1, 0));
+    server.join();
+}
+
+#[test]
+fn waiting_clients_of_cancelled_or_drained_queued_jobs_are_answered_at_once() {
+    let server = start_paced_server(
+        1,
+        AdmissionConfig { max_queue: 8, tenant_cap: 8, ..AdmissionConfig::default() },
+        SLOW_PROGRESS,
+    );
+    let addr = server.addr();
+    assert_eq!(submit(addr, "t", &hog()), 0);
+    wait_until_running(addr, 0);
+
+    // Two waiting clients queue behind the hog on the only worker.
+    let mut waiters: Vec<Client> = (1..=2u64)
+        .map(|job| {
+            let mut client = Client::connect(addr).expect("connect");
+            let accepted = client.submit("t", &tiny(), true).expect("submit");
+            assert!(matches!(accepted, Response::Accepted { job: id } if id == job));
+            client
+        })
+        .collect();
+
+    let t0 = Instant::now();
+    let mut canceller = Client::connect(addr).expect("connect");
+    assert!(matches!(
+        canceller.cancel(1).expect("cancel"),
+        Response::CancelOutcome { job: 1, outcome: CancelResult::Cancelled }
+    ));
+    let error = expect_failed(waiters[0].wait_for_report(|_| ()).expect("wait"));
+    assert_eq!(error, "cancelled while queued");
+    assert!(t0.elapsed() < PROMPT, "cancelled job answered after {:?}", t0.elapsed());
+
+    // Drain rejects the other queued job; its client hears at once,
+    // while the drain itself still waits for the hog to stop.
+    let t0 = Instant::now();
+    let drainer = std::thread::spawn(move || drain(addr));
+    let error = expect_failed(waiters[1].wait_for_report(|_| ()).expect("wait"));
+    assert_eq!(error, "rejected by drain");
+    assert!(t0.elapsed() < PROMPT, "drained job answered after {:?}", t0.elapsed());
+    // The hog stops early and still counts as completed.
+    assert_eq!(drainer.join().expect("drainer thread"), (1, 1));
+    server.join();
+}
+
+#[test]
+fn watch_restreams_a_retained_final_frame_and_refuses_unknown_jobs() {
+    let server = start_server(1, AdmissionConfig::default());
+    let addr = server.addr();
+    let first = submit_and_wait(addr, "t", &tiny()).expect("submit and wait");
+    assert!(matches!(first, Response::Report { job: 0, .. }), "got {first:?}");
+
+    let mut watcher = Client::connect(addr).expect("connect");
+    assert!(matches!(watcher.watch(0).expect("watch"), Response::Accepted { job: 0 }));
+    let again = watcher.wait_for_report(|_| ()).expect("wait");
+    assert_eq!(again.encode(), first.encode(), "re-streamed report is not byte-identical");
+
+    let mut watcher = Client::connect(addr).expect("connect");
+    assert_eq!(expect_failed(watcher.watch(7).expect("watch")), "no such job: 7");
+    assert_eq!(drain(addr), (1, 0));
+    server.join();
+}
+
+#[test]
+fn the_job_table_keeps_only_the_most_recently_finished_jobs() {
+    let server = start_server(
+        1,
+        AdmissionConfig { max_queue: 8, tenant_cap: 8, ..AdmissionConfig::default() },
+    );
+    let addr = server.addr();
+    let finished = |addr| -> Vec<u64> {
+        job_list(addr)
+            .iter()
+            .filter(|j| matches!(j.state, JobState::Completed | JobState::Cancelled))
+            .map(|j| j.id)
+            .collect()
+    };
+
+    // Settle three jobs in an order unlike their ids: 2, 0, 1.
+    assert_eq!(submit(addr, "t", &hog()), 0);
+    wait_until_running(addr, 0);
+    assert_eq!(submit(addr, "t", &tiny()), 1);
+    assert_eq!(submit(addr, "t", &tiny()), 2);
+    let mut canceller = Client::connect(addr).expect("connect");
+    assert!(matches!(
+        canceller.cancel(2).expect("cancel"),
+        Response::CancelOutcome { outcome: CancelResult::Cancelled, .. }
+    ));
+    let mut canceller = Client::connect(addr).expect("connect");
+    assert!(matches!(
+        canceller.cancel(0).expect("cancel"),
+        Response::CancelOutcome { outcome: CancelResult::Stopping, .. }
+    ));
+    let mut watcher = Client::connect(addr).expect("connect");
+    assert!(matches!(watcher.watch(1).expect("watch"), Response::Accepted { job: 1 }));
+    expect_report(watcher.wait_for_report(|_| ()).expect("wait"));
+
+    // A client that waits on a job but reads only after many more
+    // jobs have finished still gets its report.
+    let mut late = Client::connect(addr).expect("connect");
+    assert!(matches!(
+        late.submit("t", &tiny(), true).expect("submit"),
+        Response::Accepted { job: 3 }
+    ));
+    let served = |n: usize| {
+        for _ in 0..n {
+            expect_report(submit_and_wait(addr, "t", &tiny()).expect("submit and wait"));
+        }
+    };
+
+    // Filling the table to one over the cap evicts the oldest-settled
+    // job (2), not the lowest id (0).
+    served(FINISHED_JOBS_RETAINED - 3);
+    let kept = finished(addr);
+    assert_eq!(kept.len(), FINISHED_JOBS_RETAINED);
+    assert!(!kept.contains(&2) && kept.contains(&0) && kept.contains(&1), "kept {kept:?}");
+    served(1);
+    let kept = finished(addr);
+    assert!(!kept.contains(&0) && kept.contains(&1), "kept {kept:?}");
+    served(4);
+    let total = 4 + (FINISHED_JOBS_RETAINED - 3 + 1 + 4) as u64;
+    let kept = finished(addr);
+    let newest: Vec<u64> = (total - FINISHED_JOBS_RETAINED as u64..total).collect();
+    assert_eq!(kept, newest);
+    expect_report(late.wait_for_report(|_| ()).expect("wait"));
+
+    // An evicted job is as unknown to Watch as one never submitted.
+    let mut watcher = Client::connect(addr).expect("connect");
+    assert_eq!(expect_failed(watcher.watch(0).expect("watch")), "no such job: 0");
+
+    // The counters still count every job.
+    let completed = total - 2;
+    let metrics = server.metrics();
+    assert_eq!(metrics.counter(names::ACCEPTED), total);
+    assert_eq!(metrics.counter(names::COMPLETED), completed);
+    assert_eq!(metrics.counter(names::CANCELLED), 2);
+    assert_eq!(drain(addr), (completed, 0));
     server.join();
 }
