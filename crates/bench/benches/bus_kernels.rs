@@ -162,8 +162,8 @@ fn main() {
 
     // Same per-block loop with the campaign drivers' consume-side
     // instrumentation: a block/observation counter bump and a timed
-    // dispatch recorded into the `consume.on_block_ns` histogram —
-    // exactly what `Session::pump_blocks` does when metrics are on.
+    // dispatch recorded into the `consume.on_block_ns` histogram, as
+    // the session runner's consumer loop does when metrics are on.
     let registry = MetricsRegistry::new();
     let blocks_ctr = registry.counter(names::BUS_BLOCKS);
     let obs_ctr = registry.counter(names::BUS_OBS);

@@ -31,6 +31,20 @@
 //! streaming paths, with results bit-identical to the historical
 //! per-event pipeline (see `tests/block_equivalence.rs` and
 //! `tests/campaign_builder.rs`).
+//!
+//! ## One runner, one fold
+//!
+//! Every run method is a thin wrapper over one private runner driven by
+//! the [`Analysis`] trait ([`StreamingTvla`] for TVLA and adaptive TVLA,
+//! [`StreamingCpa`] for CPA, the retaining collectors for
+//! [`Session::collect`] and [`Session::tvla_datasets`]). The runner owns
+//! the campaign preamble (fingerprint, resume frames, fault arming,
+//! observability, progress, span, stop flag), the fan-out and the single
+//! per-block consumer loop, so every analysis gets the same cadence-poll
+//! dispatch, recorders, fault hooks, instruments and checkpoints. Shard
+//! results then go through [`merge_shards`], the one merge fold, which
+//! the distributed fleet aggregator (`psc_serve::fleet`) also uses on
+//! its members' decoded state.
 
 use crate::campaign::{TvlaCampaign, TvlaDatasets};
 use crate::checkpoint::{
@@ -43,7 +57,7 @@ use crate::source::{
 use crate::tune::TuneConfig;
 use crate::victim::VictimKind;
 use psc_sca::checkpoint::{CheckpointError, PayloadReader, PayloadWriter};
-use psc_sca::cpa::HypTable;
+use psc_sca::cpa::{CpaMergeError, HypTable};
 use psc_sca::model::PowerModel;
 use psc_sca::trace::TraceSet;
 use psc_sca::tvla::TvlaMatrix;
@@ -54,7 +68,7 @@ use psc_telemetry::faults::{FaultPlan, FaultState, RetryPolicy};
 use psc_telemetry::metrics::{
     names, Counter, Gauge, Histogram, MetricsHub, MetricsRegistry, MetricsReport, MetricsSnapshot,
 };
-use psc_telemetry::processor::{Processor, Pump};
+use psc_telemetry::processor::Processor;
 use psc_telemetry::processors::{
     CadenceCheckpoint, DatasetCollector, RecorderState, ShardRecorder, StreamingCpa, StreamingTvla,
     ThrottleMonitor, TraceCollector,
@@ -94,8 +108,8 @@ pub const RECORD_SHARD_CAPACITY: usize = 4096;
 /// Default cadence-monitor poll interval (simulated seconds); override
 /// with [`Campaign::monitor`].
 pub const MONITOR_INTERVAL_S: f64 = 64.0;
-/// Cadence-monitor retention (checkpoints).
-const MONITOR_DEPTH: usize = 64;
+/// Cadence-monitor retention (checkpoints per shard).
+pub const MONITOR_DEPTH: usize = 64;
 
 /// Adaptive early-stop policy: watch one channel's fixed-class separation
 /// and halt the fleet at the TVLA threshold crossing.
@@ -323,7 +337,9 @@ impl<'s> Campaign<'s> {
 
     /// Poll the cadence monitor every `interval_s` simulated seconds
     /// (default [`MONITOR_INTERVAL_S`]). The per-shard
-    /// [`CadenceCheckpoint`]s land in the report's `shard_cadence`.
+    /// [`CadenceCheckpoint`]s land in the report's `shard_cadence`. This
+    /// applies to every run method, adaptive runs included: all of them
+    /// share one consumer loop and so one poll grid.
     ///
     /// # Panics
     ///
@@ -630,14 +646,6 @@ fn elapsed_ns(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Degradation must never be silent: every warning collected on a report
-/// is also echoed to stderr at merge time.
-fn emit_warnings(warnings: &[String]) {
-    for w in warnings {
-        eprintln!("[psc] warning: {w}");
-    }
-}
-
 /// Fold one shard's end-of-run condition into the campaign warnings:
 /// non-`Ok` health, event blocks shed on the bus (data loss) and recycle
 /// blocks shed on the return lane (allocation churn only).
@@ -739,37 +747,42 @@ impl ShardInstruments {
 struct Observability {
     registries: Vec<Arc<MetricsRegistry>>,
     started: Instant,
-    tune: TuneConfig,
     /// Keeps the registries attached to the spec's [`MetricsHub`] for
     /// exactly the campaign's lifetime (detaches on drop).
     _hub: Option<psc_telemetry::metrics::HubAttachment>,
 }
 
-impl Observability {
-    fn merged_snapshot(registries: &[Arc<MetricsRegistry>]) -> MetricsSnapshot {
-        registries.iter().map(|r| r.snapshot()).fold(MetricsSnapshot::default(), |a, b| a.merged(b))
-    }
-
-    fn report(&self, shards: usize) -> MetricsReport {
-        MetricsReport {
-            wall_s: self.started.elapsed().as_secs_f64(),
-            shards,
-            simd_backend: pulp::backend_name(),
-            obs_chunk: self.tune.obs_chunk,
-            bus_capacity: self.tune.bus_capacity,
-            snapshot: Self::merged_snapshot(&self.registries),
-        }
+/// The per-shard `registries` merged into one report at `wall_s`.
+fn metrics_report(
+    registries: &[Arc<MetricsRegistry>],
+    wall_s: f64,
+    tune: TuneConfig,
+) -> MetricsReport {
+    MetricsReport {
+        wall_s,
+        shards: registries.len(),
+        simd_backend: pulp::backend_name(),
+        obs_chunk: tune.obs_chunk,
+        bus_capacity: tune.bus_capacity,
+        snapshot: registries
+            .iter()
+            .map(|r| r.snapshot())
+            .fold(MetricsSnapshot::default(), |a, b| a.merged(b)),
     }
 }
 
-/// What the shard recorders left behind (recorders live and die inside
-/// the consume closure; their failure accounting must escape it).
+/// What a shard's recorders left behind (recorders live and die inside
+/// the consumer loop; their failure accounting must escape it).
 #[derive(Debug, Clone, Default)]
-struct RecorderTally {
-    io_errors: u64,
-    io_retries: u64,
-    traces: u64,
-    last_error: Option<String>,
+pub struct RecorderTally {
+    /// Write failures that exhausted their retries (lost batches).
+    pub io_errors: u64,
+    /// Transient write failures that succeeded on retry.
+    pub io_retries: u64,
+    /// Traces recorded.
+    pub traces: u64,
+    /// The most recent write failure, if any.
+    pub last_error: Option<String>,
 }
 
 impl RecorderTally {
@@ -796,31 +809,273 @@ impl RecorderTally {
     }
 }
 
-/// One shard's outcome as it leaves the fan-out. `out` is `None` exactly
-/// when the shard's consumer (or whole worker) panicked — its accumulator
-/// state is unrecoverable, but the bus accounting and health survive.
-struct ShardRun<T> {
-    out: Option<T>,
-    stats: ChannelStats,
-    produced: usize,
-    recycle_dropped: u64,
-    health: ShardHealth,
+/// One shard's outcome as it leaves the fan-out, and the input to
+/// [`merge_shards`]. `out` is `None` exactly when the shard's consumer
+/// (or whole worker) panicked — its accumulator state is unrecoverable,
+/// but the bus accounting and health survive.
+#[derive(Debug)]
+pub struct ShardRun<T> {
+    /// The consumer's result (`None` for a failed shard).
+    pub out: Option<T>,
+    /// The shard's bus counters, in [`EventBlock`]s.
+    pub stats: ChannelStats,
+    /// Schedule units (traces or adaptive rounds) the producer emitted.
+    pub produced: usize,
+    /// Blocks the recycle lane shed (allocation churn, no data loss).
+    pub recycle_dropped: u64,
+    /// The shard's end-of-run health.
+    pub health: ShardHealth,
 }
 
-/// Everything a consume closure may consult beyond the bus itself: the
-/// shard's metric instruments, its degradation/offset journal and the
-/// armed fault plan. All `None`/absent on the zero-cost default paths.
-pub(crate) struct ConsumeCtx<'a> {
-    ins: Option<&'a ShardInstruments>,
-    log: Option<&'a ShardLog>,
-    faults: Option<&'a Arc<FaultState>>,
+impl<T> ShardRun<T> {
+    /// A shard that left nothing behind but its failure.
+    #[must_use]
+    pub fn failed(reason: String) -> Self {
+        let health = ShardHealth::Failed { reason };
+        ShardRun {
+            out: None,
+            stats: ChannelStats::default(),
+            produced: 0,
+            recycle_dropped: 0,
+            health,
+        }
+    }
+}
+
+/// What one shard's consumer loop hands back.
+#[derive(Debug)]
+pub struct ShardOutput<A> {
+    /// The shard's analysis state.
+    pub analysis: A,
+    /// The shard's cadence monitor (retained checkpoints and totals).
+    pub monitor: ThrottleMonitor,
+    /// The shard's recorder accounting.
+    pub recorders: RecorderTally,
+}
+
+/// One shard's streaming analysis as the campaign runner drives it: a
+/// [`Processor`] fed every block, plus the hooks the runner needs for
+/// checkpoints, the merge fold and early stop. Each run method hands the
+/// runner a builder, so every shard gets a fresh instance.
+pub trait Analysis: Processor + Send + Sized {
+    /// Serialise the accumulated state into a checkpoint payload.
+    fn encode_state(&self, w: &mut PayloadWriter);
+
+    /// Restore state written by [`Analysis::encode_state`] into a freshly
+    /// built instance.
+    ///
+    /// # Errors
+    ///
+    /// Truncated or incompatible payloads.
+    fn restore_state(&mut self, r: &mut PayloadReader<'_>) -> Result<(), CheckpointError>;
+
+    /// Fold the next shard's state into this one (shards fold in order).
+    ///
+    /// # Errors
+    ///
+    /// [`CpaMergeError`] when the two sides use different power models.
+    fn merge(self, other: Self) -> Result<Self, CpaMergeError>;
+
+    /// Checked after every block: `true` stops the whole campaign early.
+    fn should_stop(&self) -> bool {
+        false
+    }
+}
+
+impl Analysis for StreamingTvla {
+    fn encode_state(&self, w: &mut PayloadWriter) {
+        StreamingTvla::encode_state(self, w);
+    }
+
+    fn restore_state(&mut self, r: &mut PayloadReader<'_>) -> Result<(), CheckpointError> {
+        StreamingTvla::restore_state(self, r)
+    }
+
+    fn merge(self, other: Self) -> Result<Self, CpaMergeError> {
+        Ok(self.merged(other))
+    }
+
+    /// A watched channel crossed the threshold (never, unless the
+    /// adaptive run armed a watch).
+    fn should_stop(&self) -> bool {
+        self.leakage_detected()
+    }
+}
+
+impl Analysis for StreamingCpa {
+    fn encode_state(&self, w: &mut PayloadWriter) {
+        StreamingCpa::encode_state(self, w);
+    }
+
+    fn restore_state(&mut self, r: &mut PayloadReader<'_>) -> Result<(), CheckpointError> {
+        StreamingCpa::restore_state(self, r)
+    }
+
+    fn merge(self, other: Self) -> Result<Self, CpaMergeError> {
+        self.merged(other)
+    }
+}
+
+/// The retaining collectors ride the same runner, but their runs carry no
+/// checkpoint kind and assemble their own results, so the runner never
+/// asks them to checkpoint, restore or merge.
+macro_rules! retaining_collector {
+    ($collector:ty) => {
+        impl Analysis for $collector {
+            fn encode_state(&self, _: &mut PayloadWriter) {
+                unreachable!("collector runs never checkpoint")
+            }
+
+            fn restore_state(&mut self, _: &mut PayloadReader<'_>) -> Result<(), CheckpointError> {
+                unreachable!("collector runs never resume")
+            }
+
+            fn merge(self, _: Self) -> Result<Self, CpaMergeError> {
+                unreachable!("collector runs assemble their own results")
+            }
+        }
+    };
+}
+retaining_collector!(TraceCollector);
+retaining_collector!(DatasetCollector);
+
+/// A campaign folded over its shards by [`merge_shards`]: the surviving
+/// shards' analysis (`None` when every shard failed) plus the accounting
+/// every report carries. Turn it into a typed report with `into_report`.
+#[derive(Debug)]
+pub struct MergedShards<A> {
+    analysis: Option<A>,
+    monitor: ThrottleMonitor,
+    bus: ChannelStats,
+    produced: usize,
+    shard_cadence: Vec<Vec<CadenceCheckpoint>>,
+    recorders: RecorderTally,
+    health: Vec<ShardHealth>,
+    warnings: Vec<String>,
+}
+
+/// The one merge fold behind every campaign report, in-process and
+/// distributed: per-shard warnings, bus stats (sum, peak as max), monitor
+/// totals, cadence, recorder tally and health over every shard, and the
+/// analysis over the survivors only. The warnings are also printed to
+/// stderr — degradation is never silent.
+///
+/// # Errors
+///
+/// [`CpaMergeError`] when two shards' analyses use different power
+/// models.
+pub fn merge_shards<A: Analysis>(
+    runs: Vec<ShardRun<ShardOutput<A>>>,
+    monitor_interval_s: f64,
+) -> Result<MergedShards<A>, CpaMergeError> {
+    let mut merged = MergedShards {
+        analysis: None,
+        monitor: ThrottleMonitor::new(monitor_interval_s, MONITOR_DEPTH),
+        bus: ChannelStats::default(),
+        produced: 0,
+        shard_cadence: Vec::with_capacity(runs.len()),
+        recorders: RecorderTally::default(),
+        health: Vec::with_capacity(runs.len()),
+        warnings: Vec::new(),
+    };
+    for (i, run) in runs.into_iter().enumerate() {
+        shard_warnings(&mut merged.warnings, i, &run.health, &run.stats, run.recycle_dropped);
+        match run.out {
+            Some(out) => {
+                merged.analysis = Some(match merged.analysis.take() {
+                    None => out.analysis,
+                    Some(acc) => A::merge(acc, out.analysis)?,
+                });
+                merged.shard_cadence.push(out.monitor.checkpoints().copied().collect());
+                merged.monitor = merged.monitor.merged_totals(&out.monitor);
+                merged.produced += run.produced;
+                merged.recorders.absorb(out.recorders);
+            }
+            None => merged.shard_cadence.push(Vec::new()),
+        }
+        merged.bus = add_stats(merged.bus, run.stats);
+        merged.health.push(run.health);
+    }
+    recorder_warning(&mut merged.warnings, &merged.recorders);
+    for w in &merged.warnings {
+        eprintln!("[psc] warning: {w}");
+    }
+    Ok(merged)
+}
+
+impl MergedShards<StreamingTvla> {
+    /// The TVLA report over `keys` (an empty accumulator set when every
+    /// shard failed).
+    #[must_use]
+    pub fn into_report(
+        self,
+        keys: Vec<SmcKey>,
+        shards: usize,
+        metrics: Option<MetricsReport>,
+    ) -> StreamingTvlaReport {
+        StreamingTvlaReport {
+            tvla: self.analysis.unwrap_or_default(),
+            monitor: self.monitor,
+            bus: self.bus,
+            keys,
+            shards,
+            io_errors: self.recorders.io_errors,
+            recorder_error: self.recorders.last_error,
+            shard_cadence: self.shard_cadence,
+            metrics,
+            health: self.health,
+            warnings: self.warnings,
+            io_retries: self.recorders.io_retries,
+        }
+    }
+}
+
+impl MergedShards<StreamingCpa> {
+    /// The CPA report over `keys`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when every shard failed: a CPA report has no empty form.
+    #[must_use]
+    pub fn into_report(
+        self,
+        keys: Vec<SmcKey>,
+        shards: usize,
+        metrics: Option<MetricsReport>,
+    ) -> StreamingCpaReport {
+        StreamingCpaReport {
+            cpa: self.analysis.unwrap_or_else(|| {
+                panic!("every shard failed — nothing to merge: {:?}", self.warnings)
+            }),
+            monitor: self.monitor,
+            bus: self.bus,
+            keys,
+            shards,
+            io_errors: self.recorders.io_errors,
+            recorder_error: self.recorders.last_error,
+            shard_cadence: self.shard_cadence,
+            metrics,
+            health: self.health,
+            warnings: self.warnings,
+            io_retries: self.recorders.io_retries,
+        }
+    }
+}
+
+/// Every shard's outcome from one runner pass.
+struct Runs<A> {
+    shards: Vec<ShardRun<ShardOutput<A>>>,
+    /// An analysis asked to stop ([`Analysis::should_stop`]) — unlike a
+    /// `halt_after` interrupt or an external stop flag.
+    stopped_early: bool,
+    metrics: Option<MetricsReport>,
 }
 
 /// Dispatch one block to a fixed-interval monitor exactly as
-/// [`Pump::dispatch_block`] would: per event, fire any poll ticks due at
-/// or before the event's timestamp, then deliver the event. The poll
-/// clock lives in `next_poll_s` so it can be checkpointed and restored
-/// without shifting the grid.
+/// [`psc_telemetry::processor::Pump::dispatch_block`] would: per event,
+/// fire any poll ticks due at or before the event's timestamp, then
+/// deliver the event. The poll clock lives in `next_poll_s` so it can be
+/// checkpointed and restored without shifting the grid.
 fn dispatch_with_poll(
     monitor: &mut ThrottleMonitor,
     next_poll_s: &mut Option<f64>,
@@ -864,7 +1119,7 @@ fn monitor_payload(monitor: &ThrottleMonitor, next_poll_s: Option<f64>) -> Vec<u
 /// statistics.
 fn restore_consumer(
     carried: Option<&ShardResume>,
-    restore_analysis: impl FnOnce(&mut PayloadReader<'_>) -> Result<(), CheckpointError>,
+    analysis: &mut impl Analysis,
     monitor: &mut ThrottleMonitor,
     next_poll_s: &mut Option<f64>,
     recorders: &mut [ShardRecorder],
@@ -872,7 +1127,8 @@ fn restore_consumer(
     let Some(c) = carried else { return (0, 0) };
     if let Some(bytes) = &c.analysis {
         let mut r = PayloadReader::new(bytes);
-        restore_analysis(&mut r)
+        analysis
+            .restore_state(&mut r)
             .and_then(|()| r.finish())
             .unwrap_or_else(|e| panic!("corrupt checkpoint analysis state: {e}"));
     }
@@ -915,11 +1171,6 @@ struct CheckpointWriter<'a> {
 }
 
 impl CheckpointWriter<'_> {
-    /// Is a snapshot due after `local_blocks` consumed blocks?
-    fn due(&self, local_blocks: u64) -> bool {
-        local_blocks.is_multiple_of(self.cfg.every_blocks)
-    }
-
     /// Flush the recorders (so the snapshot's file counts cover every
     /// recorded trace) and atomically rewrite this shard's frame. A
     /// failed write degrades the shard instead of killing it — the
@@ -933,7 +1184,7 @@ impl CheckpointWriter<'_> {
         analysis: Vec<u8>,
         monitor: Vec<u8>,
         recorders: &mut [ShardRecorder],
-        log: Option<&ShardLog>,
+        log: &ShardLog,
     ) {
         for recorder in recorders.iter_mut() {
             recorder.flush();
@@ -958,9 +1209,7 @@ impl CheckpointWriter<'_> {
             self.shard,
             &checkpoint::encode_snapshot(&snapshot),
         ) {
-            if let Some(log) = log {
-                log.push_note(format!("checkpoint write failed: {e}"));
-            }
+            log.push_note(format!("checkpoint write failed: {e}"));
         }
         self.writes += 1;
     }
@@ -971,20 +1220,15 @@ impl CheckpointWriter<'_> {
 /// the campaign report is assembled.
 struct ProgressHandle {
     done: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    handle: std::thread::JoinHandle<()>,
 }
 
 impl ProgressHandle {
-    fn spawn(
-        registries: Vec<Arc<MetricsRegistry>>,
-        started: Instant,
-        interval_s: f64,
-        expected_obs: u64,
-        tune: TuneConfig,
-    ) -> Self {
+    fn spawn(obs: &Observability, interval_s: f64, expected_obs: u64, tune: TuneConfig) -> Self {
+        let registries = obs.registries.clone();
+        let started = obs.started;
         let done = Arc::new(AtomicBool::new(false));
         let done_flag = Arc::clone(&done);
-        let shards = registries.len();
         let handle = std::thread::spawn(move || {
             let mut next_s = interval_s;
             while !done_flag.load(Ordering::Relaxed) {
@@ -994,14 +1238,7 @@ impl ProgressHandle {
                     continue;
                 }
                 next_s = elapsed_s + interval_s;
-                let report = MetricsReport {
-                    wall_s: elapsed_s,
-                    shards,
-                    simd_backend: pulp::backend_name(),
-                    obs_chunk: tune.obs_chunk,
-                    bus_capacity: tune.bus_capacity,
-                    snapshot: Observability::merged_snapshot(&registries),
-                };
+                let report = metrics_report(&registries, elapsed_s, tune);
                 let observations = report.observations();
                 let rate = report.obs_per_s();
                 let eta = if expected_obs > observations && rate > 0.0 {
@@ -1015,14 +1252,12 @@ impl ProgressHandle {
                 );
             }
         });
-        Self { done, handle: Some(handle) }
+        Self { done, handle }
     }
 
-    fn finish(mut self) {
+    fn finish(self) {
         self.done.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        let _ = self.handle.join();
     }
 }
 
@@ -1066,84 +1301,10 @@ impl Session<'_> {
             .collect()
     }
 
-    /// The spec's checkpoint writer for one shard, when checkpointing.
-    fn checkpoint_writer(
-        &self,
-        kind: u8,
-        fingerprint: u64,
-        shard: usize,
-    ) -> Option<CheckpointWriter<'_>> {
-        self.spec.checkpoint.as_ref().map(|cfg| CheckpointWriter {
-            cfg,
-            kind,
-            fingerprint,
-            shard,
-            shard_count: self.shards,
-            writes: 0,
-        })
-    }
-
-    /// Load every shard's resume frame when [`Campaign::resume_from`] was
-    /// set (`None` otherwise). Shards without a frame resume fresh.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a frame exists but is corrupt or belongs to a
-    /// different campaign — resuming over foreign state would silently
-    /// poison the statistics.
-    fn load_resume(&self, kind: u8, fingerprint: u64) -> Option<Vec<ShardResume>> {
-        let dir = self.spec.resume_dir.as_ref()?;
-        Some(
-            (0..self.shards)
-                .map(|i| {
-                    checkpoint::load_shard(dir, i, kind, fingerprint, self.shards)
-                        .unwrap_or_else(|e| {
-                            panic!("cannot resume shard {i} from {}: {e}", dir.display())
-                        })
-                        .unwrap_or_default()
-                })
-                .collect(),
-        )
-    }
-
-    /// Per-shard metric registries when observability is on (`None`
-    /// otherwise — the off path allocates nothing and reads no clock).
-    fn observability(&self) -> Option<Observability> {
-        let on = self.spec.metrics
-            || self.spec.progress_interval_s.is_some()
-            || self.spec.metrics_hub.is_some();
-        on.then(|| {
-            let registries: Vec<_> =
-                (0..self.shards).map(|_| Arc::new(MetricsRegistry::new())).collect();
-            let _hub = self.spec.metrics_hub.as_ref().map(|hub| hub.attach(registries.clone()));
-            Observability { registries, started: Instant::now(), tune: self.spec.tune, _hub }
-        })
-    }
-
-    /// The campaign-level span (lane 0 of the trace), when tracing.
-    fn campaign_span(&self, name: &'static str) -> Option<psc_telemetry::spans::SpanGuard<'_>> {
-        self.spec.tracer.as_deref().map(|t| {
-            t.name_thread(0, "campaign");
-            t.span(name, "campaign", 0)
-        })
-    }
-
-    /// Start the stderr progress thread when requested.
-    fn progress(&self, obs: Option<&Observability>, expected_obs: u64) -> Option<ProgressHandle> {
-        let interval_s = self.spec.progress_interval_s?;
-        let obs = obs?;
-        Some(ProgressHandle::spawn(
-            obs.registries.clone(),
-            obs.started,
-            interval_s,
-            expected_obs,
-            self.spec.tune,
-        ))
-    }
-
     /// The generic producer/consumer fan-out: one bounded block bus per
     /// shard, the source producing on a scoped thread, `consume` draining
-    /// on the shard's worker thread. A small recycle lane hands processed
+    /// on the shard's worker thread (given the shard's instruments and its
+    /// degradation/offset journal). A small recycle lane hands processed
     /// blocks back to the producer, so the steady state moves columnar
     /// batches back and forth without allocating. When observability is
     /// on, the producer side records source-fill latency, block/obs
@@ -1171,7 +1332,14 @@ impl Session<'_> {
     where
         T: Send,
         FS: Fn(usize) -> Schedule + Sync,
-        FC: Fn(usize, &Receiver<EventBlock>, &Sender<EventBlock>, &ConsumeCtx<'_>) -> T + Sync,
+        FC: Fn(
+                usize,
+                &Receiver<EventBlock>,
+                &Sender<EventBlock>,
+                Option<&ShardInstruments>,
+                &ShardLog,
+            ) -> T
+            + Sync,
     {
         let source = self.source.as_ref();
         let spec = &self.spec;
@@ -1223,21 +1391,14 @@ impl Session<'_> {
                             }
                             // Swap the source's filled block for a
                             // recycled (or fresh) empty one and ship it.
-                            let fresh = match recycle_rx.try_recv() {
-                                Some(recycled) => {
-                                    if let Some(ins) = ins_ref {
-                                        ins.recycle_hits.inc();
-                                    }
-                                    recycled
+                            let recycled = recycle_rx.try_recv();
+                            if let Some(ins) = ins_ref {
+                                match recycled {
+                                    Some(_) => ins.recycle_hits.inc(),
+                                    None => ins.recycle_misses.inc(),
                                 }
-                                None => {
-                                    if let Some(ins) = ins_ref {
-                                        ins.recycle_misses.inc();
-                                    }
-                                    EventBlock::default()
-                                }
-                            };
-                            let filled = std::mem::replace(block, fresh);
+                            }
+                            let filled = std::mem::replace(block, recycled.unwrap_or_default());
                             tx.send(filled).expect("consumer alive");
                             if fill_start.is_some() {
                                 fill_start = Some(Instant::now());
@@ -1246,11 +1407,10 @@ impl Session<'_> {
                         stop,
                     )
                 });
-                let ctx = ConsumeCtx { ins: ins_ref, log: Some(log_ref), faults };
                 let caught = {
                     let _span =
                         tracer.map(|t| t.span(format!("shard{i}/consume"), "stage", consume_tid));
-                    catch_unwind(AssertUnwindSafe(|| consume(i, &rx, &recycle_tx, &ctx)))
+                    catch_unwind(AssertUnwindSafe(|| consume(i, &rx, &recycle_tx, ins_ref, &log)))
                 };
                 if caught.is_err() {
                     // Keep draining so the Block-backpressured producer
@@ -1279,21 +1439,12 @@ impl Session<'_> {
                 }
                 let notes = log.take_notes();
                 let (out, health) = match caught {
-                    Ok(out) => {
-                        let health = if notes.is_empty() {
-                            ShardHealth::Ok
-                        } else {
-                            ShardHealth::Degraded { reason: notes.join("; ") }
-                        };
-                        (Some(out), health)
-                    }
+                    Ok(out) if notes.is_empty() => (Some(out), ShardHealth::Ok),
+                    Ok(out) => (Some(out), ShardHealth::Degraded { reason: notes.join("; ") }),
                     Err(payload) => {
-                        let mut reason = format!("consumer panicked: {}", panic_message(&*payload));
-                        if !notes.is_empty() {
-                            reason.push_str("; ");
-                            reason.push_str(&notes.join("; "));
-                        }
-                        (None, ShardHealth::Failed { reason })
+                        let panicked = format!("consumer panicked: {}", panic_message(&*payload));
+                        let reason = [panicked].into_iter().chain(notes).collect::<Vec<_>>();
+                        (None, ShardHealth::Failed { reason: reason.join("; ") })
                     }
                 };
                 ShardRun { out, stats, produced, recycle_dropped: recycle_stats.dropped, health }
@@ -1302,180 +1453,184 @@ impl Session<'_> {
         runs.into_iter()
             .enumerate()
             .map(|(i, run)| {
-                run.unwrap_or_else(|message| ShardRun {
-                    out: None,
-                    stats: ChannelStats::default(),
-                    produced: 0,
-                    recycle_dropped: 0,
-                    health: ShardHealth::Failed {
-                        reason: format!("shard {i} worker panicked: {message}"),
-                    },
+                run.unwrap_or_else(|message| {
+                    ShardRun::failed(format!("shard {i} worker panicked: {message}"))
                 })
             })
             .collect()
     }
 
-    /// Drain a shard's block bus through `pump`, returning each processed
-    /// block to the producer's recycle lane. With instruments on, each
-    /// block's full dispatch is timed into the `consume.on_block_ns`
-    /// histogram.
-    fn pump_blocks(
-        pump: &mut Pump<'_>,
-        rx: &Receiver<EventBlock>,
-        recycle: &Sender<EventBlock>,
-        ins: Option<&ShardInstruments>,
-    ) {
-        while let Some(block) = rx.recv() {
-            match ins {
-                Some(ins) => {
-                    let t0 = Instant::now();
-                    pump.dispatch_block(&block);
-                    ins.consume_ns.record(elapsed_ns(t0));
-                }
-                None => pump.dispatch_block(&block),
-            }
-            let _ = recycle.send(block);
-        }
-        pump.finish();
-    }
-
-    /// The shared streaming-consumer loop behind [`Session::tvla`] and
-    /// [`Session::cpa`]: restore from a carried checkpoint, drain the bus
-    /// through the analysis + poll-grid monitor + recorders (the same
-    /// dispatch order and poll semantics as [`Pump::dispatch_block`]),
-    /// inject consumer panics when armed, and periodically snapshot the
-    /// full consumer state.
-    #[allow(clippy::too_many_arguments)]
-    fn consume_streaming<A: Processor>(
+    /// The one campaign runner behind every run method. It owns, once,
+    /// the campaign preamble (fingerprint, resume frames, fault arming,
+    /// observability, progress thread, campaign span, stop flag), the
+    /// [`Session::fan_out`] and the per-block consumer loop: fault check →
+    /// timed `on_block` + cadence-poll dispatch + recorders →
+    /// [`Analysis::should_stop`] → recycle → periodic checkpoint and
+    /// `halt_after`. Poll dispatch matches
+    /// [`psc_telemetry::processor::Pump::dispatch_block`].
+    ///
+    /// `kind` is a streaming analysis's checkpoint kind; the retaining
+    /// collectors pass `None` and so neither checkpoint, resume nor
+    /// record. `obs_per_unit` sizes the progress ETA. `schedule` and
+    /// `build` turn a shard's slice of the trace budget into its source
+    /// schedule and a fresh analysis.
+    fn run<A: Analysis>(
         &self,
-        shard: usize,
-        rx: &Receiver<EventBlock>,
-        recycle: &Sender<EventBlock>,
-        ctx: &ConsumeCtx<'_>,
-        stop: &AtomicBool,
-        kind: u8,
-        fingerprint: u64,
-        resume: Option<&[ShardResume]>,
-        analysis: &mut A,
-        restore: impl FnOnce(&mut A, &mut PayloadReader<'_>) -> Result<(), CheckpointError>,
-        encode: impl Fn(&A, &mut PayloadWriter),
-    ) -> (ThrottleMonitor, RecorderTally) {
-        let mut monitor = ThrottleMonitor::new(self.spec.monitor_interval_s, MONITOR_DEPTH);
-        let mut recorders = self.recorders(shard, ctx.faults);
-        let mut next_poll_s = None;
-        let carried = resume.map(|r| &r[shard]);
-        let (base_obs, base_blocks) = restore_consumer(
-            carried,
-            |r| restore(analysis, r),
-            &mut monitor,
-            &mut next_poll_s,
-            &mut recorders,
-        );
-        let mut writer = self.checkpoint_writer(kind, fingerprint, shard);
-        let mut local_blocks = 0u64;
-        let mut local_obs = 0u64;
-        while let Some(block) = rx.recv() {
-            if let Some(f) = ctx.faults {
-                if f.take_consumer_panic(shard, local_blocks) {
-                    panic!("injected consumer panic at shard {shard}, block {local_blocks}");
-                }
-            }
-            let t0 = ctx.ins.map(|_| Instant::now());
-            analysis.on_block(&block);
-            dispatch_with_poll(
-                &mut monitor,
-                &mut next_poll_s,
-                self.spec.monitor_interval_s,
-                &block,
-            );
-            for recorder in &mut recorders {
-                recorder.on_block(&block);
-            }
-            if let (Some(ins), Some(t0)) = (ctx.ins, t0) {
-                ins.consume_ns.record(elapsed_ns(t0));
-            }
-            local_blocks += 1;
-            local_obs += block.len() as u64;
-            let _ = recycle.send(block);
-            if let Some(w) = writer.as_mut() {
-                if w.due(local_blocks) {
-                    let mut aw = PayloadWriter::new();
-                    encode(analysis, &mut aw);
-                    w.write(
-                        base_obs + local_obs,
-                        base_blocks + local_blocks,
-                        ctx.log.and_then(|l| l.offset_after(local_blocks - 1)),
-                        aw.into_payload(),
-                        monitor_payload(&monitor, next_poll_s),
-                        &mut recorders,
-                        ctx.log,
-                    );
-                    if self.spec.halt_after == Some(w.writes) {
+        kind: Option<u8>,
+        span: &'static str,
+        obs_per_unit: u64,
+        schedule: impl Fn(usize) -> Schedule + Sync,
+        build: impl Fn(usize) -> A + Sync,
+    ) -> Runs<A> {
+        let counts = split_counts(self.spec.traces, self.shards);
+        let ckpt = kind.map(|kind| {
+            let tag = self.source.fingerprint_tag();
+            (kind, checkpoint::fingerprint(&self.spec, kind, tag, self.shards))
+        });
+        let spec = &self.spec;
+        // Every shard's resume frame (shards without one resume fresh). A
+        // corrupt or foreign frame panics: resuming over it would silently
+        // poison the statistics.
+        let resume: Option<Vec<ShardResume>> =
+            ckpt.zip(spec.resume_dir.as_ref()).map(|((kind, fingerprint), dir)| {
+                (0..self.shards)
+                    .map(|i| {
+                        checkpoint::load_shard(dir, i, kind, fingerprint, self.shards)
+                            .unwrap_or_else(|e| {
+                                panic!("cannot resume shard {i} from {}: {e}", dir.display())
+                            })
+                            .unwrap_or_default()
+                    })
+                    .collect()
+            });
+        let faults = spec.faults.map(FaultPlan::armed);
+        // Per-shard metric registries only when observability is on: the
+        // off path allocates nothing and reads no clock.
+        let obs =
+            (spec.metrics || spec.progress_interval_s.is_some() || spec.metrics_hub.is_some())
+                .then(|| {
+                    let registries: Vec<_> =
+                        (0..self.shards).map(|_| Arc::new(MetricsRegistry::new())).collect();
+                    let _hub = spec.metrics_hub.as_ref().map(|hub| hub.attach(registries.clone()));
+                    Observability { registries, started: Instant::now(), _hub }
+                });
+        let progress = spec.progress_interval_s.zip(obs.as_ref()).map(|(interval_s, o)| {
+            ProgressHandle::spawn(o, interval_s, spec.traces as u64 * obs_per_unit, spec.tune)
+        });
+        // The campaign-level span is lane 0 of the trace.
+        let span = spec.tracer.as_deref().map(|t| {
+            t.name_thread(0, "campaign");
+            t.span(span, "campaign", 0)
+        });
+        let stop = spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
+        let stopped_early = AtomicBool::new(false);
+        let interval_s = spec.monitor_interval_s;
+        let shards = self.fan_out(
+            obs.as_ref(),
+            &stop,
+            resume.as_deref(),
+            faults.as_ref(),
+            |i| schedule(counts[i]),
+            |i, rx, recycle, ins, log| {
+                let mut analysis = build(counts[i]);
+                let mut monitor = ThrottleMonitor::new(interval_s, MONITOR_DEPTH);
+                let mut recorders =
+                    kind.map_or_else(Vec::new, |_| self.recorders(i, faults.as_ref()));
+                let mut next_poll_s = None;
+                let (base_obs, base_blocks) = restore_consumer(
+                    resume.as_deref().map(|r| &r[i]),
+                    &mut analysis,
+                    &mut monitor,
+                    &mut next_poll_s,
+                    &mut recorders,
+                );
+                let mut writer =
+                    ckpt.zip(spec.checkpoint.as_ref()).map(|((kind, fingerprint), cfg)| {
+                        CheckpointWriter {
+                            cfg,
+                            kind,
+                            fingerprint,
+                            shard: i,
+                            shard_count: self.shards,
+                            writes: 0,
+                        }
+                    });
+                let mut local_blocks = 0u64;
+                let mut local_obs = 0u64;
+                // Blocks end on whole observations (one adaptive round per
+                // block), so checking `should_stop` per block matches the
+                // producers' between-round stop polling.
+                while let Some(block) = rx.recv() {
+                    if let Some(f) = &faults {
+                        if f.take_consumer_panic(i, local_blocks) {
+                            panic!("injected consumer panic at shard {i}, block {local_blocks}");
+                        }
+                    }
+                    let t0 = ins.map(|_| Instant::now());
+                    analysis.on_block(&block);
+                    dispatch_with_poll(&mut monitor, &mut next_poll_s, interval_s, &block);
+                    for recorder in &mut recorders {
+                        recorder.on_block(&block);
+                    }
+                    if let (Some(ins), Some(t0)) = (ins, t0) {
+                        ins.consume_ns.record(elapsed_ns(t0));
+                    }
+                    if !stopped_early.load(Ordering::Relaxed) && analysis.should_stop() {
+                        stopped_early.store(true, Ordering::Relaxed);
                         stop.store(true, Ordering::Relaxed);
                     }
+                    local_blocks += 1;
+                    local_obs += block.len() as u64;
+                    let _ = recycle.send(block);
+                    if let Some(w) = writer.as_mut() {
+                        if local_blocks.is_multiple_of(w.cfg.every_blocks) {
+                            let mut aw = PayloadWriter::new();
+                            analysis.encode_state(&mut aw);
+                            w.write(
+                                base_obs + local_obs,
+                                base_blocks + local_blocks,
+                                log.offset_after(local_blocks - 1),
+                                aw.into_payload(),
+                                monitor_payload(&monitor, next_poll_s),
+                                &mut recorders,
+                                log,
+                            );
+                            if spec.halt_after == Some(w.writes) {
+                                stop.store(true, Ordering::Relaxed);
+                            }
+                        }
+                    }
                 }
-            }
+                analysis.on_finish();
+                monitor.on_finish();
+                for recorder in &mut recorders {
+                    recorder.on_finish();
+                }
+                let tally = RecorderTally::of(&recorders);
+                if let Some(ins) = ins {
+                    ins.denied_reads.add(monitor.denied_reads());
+                    ins.recorder_io_errors.add(tally.io_errors);
+                    ins.recorder_traces.add(tally.traces);
+                }
+                ShardOutput { analysis, monitor, recorders: tally }
+            },
+        );
+        drop(span);
+        if let Some(progress) = progress {
+            progress.finish();
         }
-        analysis.on_finish();
-        Processor::on_finish(&mut monitor);
-        for recorder in &mut recorders {
-            recorder.on_finish();
+        Runs {
+            shards,
+            stopped_early: stopped_early.into_inner(),
+            metrics: obs.map(|o| {
+                metrics_report(&o.registries, o.started.elapsed().as_secs_f64(), spec.tune)
+            }),
         }
-        let tally = RecorderTally::of(&recorders);
-        if let Some(ins) = ctx.ins {
-            ins.denied_reads.add(monitor.denied_reads());
-            ins.recorder_io_errors.add(tally.io_errors);
-            ins.recorder_traces.add(tally.traces);
-        }
-        (monitor, tally)
     }
 
-    fn merge_tvla(
-        &self,
-        results: Vec<ShardRun<(StreamingTvla, ThrottleMonitor, RecorderTally)>>,
-    ) -> (StreamingTvlaReport, usize) {
-        let mut merged_tvla = StreamingTvla::new();
-        let mut merged_monitor = ThrottleMonitor::new(self.spec.monitor_interval_s, MONITOR_DEPTH);
-        let mut bus = ChannelStats::default();
-        let mut produced_total = 0usize;
-        let mut shard_cadence = Vec::with_capacity(results.len());
-        let mut tally_total = RecorderTally::default();
-        let mut health = Vec::with_capacity(results.len());
-        let mut warnings = Vec::new();
-        for (i, run) in results.into_iter().enumerate() {
-            shard_warnings(&mut warnings, i, &run.health, &run.stats, run.recycle_dropped);
-            match run.out {
-                Some((tvla, monitor, tally)) => {
-                    merged_tvla = merged_tvla.merged(tvla);
-                    shard_cadence.push(monitor.checkpoints().copied().collect());
-                    merged_monitor = merged_monitor.merged_totals(&monitor);
-                    produced_total += run.produced;
-                    tally_total.absorb(tally);
-                }
-                None => shard_cadence.push(Vec::new()),
-            }
-            bus = add_stats(bus, run.stats);
-            health.push(run.health);
-        }
-        recorder_warning(&mut warnings, &tally_total);
-        emit_warnings(&warnings);
-        (
-            StreamingTvlaReport {
-                tvla: merged_tvla,
-                monitor: merged_monitor,
-                bus,
-                keys: self.spec.keys.clone(),
-                shards: self.shards,
-                io_errors: tally_total.io_errors,
-                io_retries: tally_total.io_retries,
-                recorder_error: tally_total.last_error,
-                shard_cadence,
-                metrics: None,
-                health,
-                warnings,
-            },
-            produced_total,
-        )
+    /// [`merge_shards`] under this campaign's monitor interval.
+    fn fold<A: Analysis>(&self, shards: Vec<ShardRun<ShardOutput<A>>>) -> MergedShards<A> {
+        merge_shards(shards, self.spec.monitor_interval_s).expect("shards share one model factory")
     }
 
     /// Run a streaming TVLA campaign: each shard collects its slice of
@@ -1487,51 +1642,15 @@ impl Session<'_> {
     /// Panics if the resolved shard count is zero.
     #[must_use]
     pub fn tvla(self) -> StreamingTvlaReport {
-        let counts = split_counts(self.spec.traces, self.shards);
-        let fingerprint = checkpoint::fingerprint(
-            &self.spec,
-            KIND_TVLA,
-            self.source.fingerprint_tag(),
-            self.shards,
-        );
-        let resume = self.load_resume(KIND_TVLA, fingerprint);
-        let faults = self.spec.faults.map(FaultPlan::armed);
-        let obs = self.observability();
         // One TVLA trace is 2 passes × 3 classes observations.
-        let progress = self.progress(obs.as_ref(), self.spec.traces as u64 * 6);
-        let span = self.campaign_span("campaign/tvla");
-        let stop = self.spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-        let results = self.fan_out(
-            obs.as_ref(),
-            &stop,
-            resume.as_deref(),
-            faults.as_ref(),
-            |i| Schedule::Tvla { traces_per_class: counts[i] },
-            |i, rx, recycle, ctx| {
-                let mut tvla = StreamingTvla::new();
-                let (monitor, tally) = self.consume_streaming(
-                    i,
-                    rx,
-                    recycle,
-                    ctx,
-                    &stop,
-                    KIND_TVLA,
-                    fingerprint,
-                    resume.as_deref(),
-                    &mut tvla,
-                    |a, r| a.restore_state(r),
-                    |a, w| a.encode_state(w),
-                );
-                (tvla, monitor, tally)
-            },
+        let runs = self.run(
+            Some(KIND_TVLA),
+            "campaign/tvla",
+            6,
+            |n| Schedule::Tvla { traces_per_class: n },
+            |_| StreamingTvla::new(),
         );
-        drop(span);
-        if let Some(progress) = progress {
-            progress.finish();
-        }
-        let mut report = self.merge_tvla(results).0;
-        report.metrics = obs.map(|o| o.report(self.shards));
-        report
+        self.fold(runs.shards).into_report(self.spec.keys.clone(), self.shards, runs.metrics)
     }
 
     /// Run a TVLA campaign that **stops at the threshold crossing**:
@@ -1549,114 +1668,22 @@ impl Session<'_> {
     pub fn adaptive_tvla(self) -> AdaptiveTvlaReport {
         let early =
             self.spec.early_stop.expect("adaptive campaigns need Campaign::early_stop(watch)");
-        let counts = split_counts(self.spec.traces, self.shards);
-        let fingerprint = checkpoint::fingerprint(
-            &self.spec,
-            KIND_ADAPTIVE,
-            self.source.fingerprint_tag(),
-            self.shards,
-        );
-        let resume = self.load_resume(KIND_ADAPTIVE, fingerprint);
-        let faults = self.spec.faults.map(FaultPlan::armed);
-        let obs = self.observability();
         // Rounds-to-stop is bounded by the budget: one round is 6 obs.
-        let progress = self.progress(obs.as_ref(), self.spec.traces as u64 * 6);
-        let span = self.campaign_span("campaign/adaptive_tvla");
-        let stop = self.spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-        // Leakage detection and a halt_after interrupt both raise `stop`,
-        // but only the former is an *early stop* in the report's sense.
-        let leaked = AtomicBool::new(false);
-        let results = self.fan_out(
-            obs.as_ref(),
-            &stop,
-            resume.as_deref(),
-            faults.as_ref(),
-            |i| Schedule::AdaptiveRounds { max_rounds: counts[i] },
-            |i, rx, recycle, ctx| {
+        let runs = self.run(
+            Some(KIND_ADAPTIVE),
+            "campaign/adaptive_tvla",
+            6,
+            |n| Schedule::AdaptiveRounds { max_rounds: n },
+            |_| {
                 let mut tvla = StreamingTvla::new();
                 tvla.watch(ChannelId::Smc(early.watch), early.min_per_side);
-                let mut monitor = ThrottleMonitor::new(self.spec.monitor_interval_s, MONITOR_DEPTH);
-                let mut recorders = self.recorders(i, ctx.faults);
-                let mut next_poll_s = None;
-                let (base_obs, base_blocks) = restore_consumer(
-                    resume.as_deref().map(|r| &r[i]),
-                    |r| tvla.restore_state(r),
-                    &mut monitor,
-                    &mut next_poll_s,
-                    &mut recorders,
-                );
-                let mut writer = self.checkpoint_writer(KIND_ADAPTIVE, fingerprint, i);
-                let mut local_blocks = 0u64;
-                let mut local_obs = 0u64;
-                // A manual pump loop: the consumer must keep draining
-                // (Block backpressure) while checking the early-stop
-                // signal at every block boundary — blocks end on whole
-                // observations (one adaptive round per block), so the
-                // check granularity matches the producers' between-round
-                // stop polling.
-                while let Some(block) = rx.recv() {
-                    if let Some(f) = ctx.faults {
-                        if f.take_consumer_panic(i, local_blocks) {
-                            panic!("injected consumer panic at shard {i}, block {local_blocks}");
-                        }
-                    }
-                    let t0 = ctx.ins.map(|_| Instant::now());
-                    tvla.on_block(&block);
-                    monitor.on_block(&block);
-                    for recorder in &mut recorders {
-                        recorder.on_block(&block);
-                    }
-                    if let (Some(ins), Some(t0)) = (ctx.ins, t0) {
-                        ins.consume_ns.record(elapsed_ns(t0));
-                    }
-                    if !leaked.load(Ordering::Relaxed) && tvla.leakage_detected() {
-                        leaked.store(true, Ordering::Relaxed);
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    local_blocks += 1;
-                    local_obs += block.len() as u64;
-                    let _ = recycle.send(block);
-                    if let Some(w) = writer.as_mut() {
-                        if w.due(local_blocks) {
-                            let mut aw = PayloadWriter::new();
-                            tvla.encode_state(&mut aw);
-                            w.write(
-                                base_obs + local_obs,
-                                base_blocks + local_blocks,
-                                ctx.log.and_then(|l| l.offset_after(local_blocks - 1)),
-                                aw.into_payload(),
-                                monitor_payload(&monitor, next_poll_s),
-                                &mut recorders,
-                                ctx.log,
-                            );
-                            if self.spec.halt_after == Some(w.writes) {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-                tvla.on_finish();
-                monitor.on_finish();
-                for recorder in &mut recorders {
-                    recorder.on_finish();
-                }
-                let tally = RecorderTally::of(&recorders);
-                if let Some(ins) = ctx.ins {
-                    ins.denied_reads.add(monitor.denied_reads());
-                    ins.recorder_io_errors.add(tally.io_errors);
-                    ins.recorder_traces.add(tally.traces);
-                }
-                (tvla, monitor, tally)
+                tvla
             },
         );
-        drop(span);
-        if let Some(progress) = progress {
-            progress.finish();
-        }
-        let stopped_early = leaked.load(Ordering::Relaxed);
-        let (mut report, rounds_collected) = self.merge_tvla(results);
-        report.metrics = obs.map(|o| o.report(self.shards));
-        AdaptiveTvlaReport { report, stopped_early, rounds_collected }
+        let merged = self.fold(runs.shards);
+        let rounds_collected = merged.produced;
+        let report = merged.into_report(self.spec.keys.clone(), self.shards, runs.metrics);
+        AdaptiveTvlaReport { report, stopped_early: runs.stopped_early, rounds_collected }
     }
 
     /// Run a streaming known-plaintext CPA campaign: each shard
@@ -1666,106 +1693,34 @@ impl Session<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the resolved shard count is zero or `model_factory`
-    /// yields inconsistent models across calls.
+    /// Panics if the resolved shard count is zero, every shard failed, or
+    /// `model_factory` yields inconsistent models across calls.
     #[must_use]
     pub fn cpa(
         self,
         model_factory: impl Fn() -> Box<dyn PowerModel> + Send + Sync,
     ) -> StreamingCpaReport {
-        let counts = split_counts(self.spec.traces, self.shards);
         let model_factory = &model_factory;
         // One guess-major hypothesis table for the whole campaign: shards
         // (and channels within a shard) clone the Arc instead of
         // recomputing the 512 KB table per accumulator.
         let hyp_table = Arc::new(HypTable::for_model(model_factory().as_ref()));
-        let fingerprint = checkpoint::fingerprint(
-            &self.spec,
-            KIND_CPA,
-            self.source.fingerprint_tag(),
-            self.shards,
-        );
-        let resume = self.load_resume(KIND_CPA, fingerprint);
-        let faults = self.spec.faults.map(FaultPlan::armed);
-        let obs = self.observability();
-        let progress = self.progress(obs.as_ref(), self.spec.traces as u64);
-        let span = self.campaign_span("campaign/cpa");
-        let stop = self.spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-        let results = self.fan_out(
-            obs.as_ref(),
-            &stop,
-            resume.as_deref(),
-            faults.as_ref(),
-            |i| Schedule::KnownPlaintext { traces: counts[i] },
-            |i, rx, recycle, ctx| {
+        let runs = self.run(
+            Some(KIND_CPA),
+            "campaign/cpa",
+            1,
+            |n| Schedule::KnownPlaintext { traces: n },
+            |_| {
                 let mut cpa = StreamingCpa::with_table(
                     self.spec.keys.iter().map(|&k| ChannelId::Smc(k)),
                     model_factory,
                     Arc::clone(&hyp_table),
                 );
                 cpa.set_unroll(self.spec.tune.cpa_unroll);
-                let (monitor, tally) = self.consume_streaming(
-                    i,
-                    rx,
-                    recycle,
-                    ctx,
-                    &stop,
-                    KIND_CPA,
-                    fingerprint,
-                    resume.as_deref(),
-                    &mut cpa,
-                    |a, r| a.restore_state(r),
-                    |a, w| a.encode_state(w),
-                );
-                (cpa, monitor, tally)
+                cpa
             },
         );
-        drop(span);
-        if let Some(progress) = progress {
-            progress.finish();
-        }
-
-        let mut merged_cpa: Option<StreamingCpa> = None;
-        let mut merged_monitor = ThrottleMonitor::new(self.spec.monitor_interval_s, MONITOR_DEPTH);
-        let mut bus = ChannelStats::default();
-        let mut shard_cadence = Vec::new();
-        let mut tally_total = RecorderTally::default();
-        let mut health = Vec::with_capacity(results.len());
-        let mut warnings = Vec::new();
-        for (i, run) in results.into_iter().enumerate() {
-            shard_warnings(&mut warnings, i, &run.health, &run.stats, run.recycle_dropped);
-            match run.out {
-                Some((cpa, monitor, tally)) => {
-                    merged_cpa = Some(match merged_cpa.take() {
-                        None => cpa,
-                        Some(acc) => acc.merged(cpa).expect("shards share one model factory"),
-                    });
-                    shard_cadence.push(monitor.checkpoints().copied().collect());
-                    merged_monitor = merged_monitor.merged_totals(&monitor);
-                    tally_total.absorb(tally);
-                }
-                None => shard_cadence.push(Vec::new()),
-            }
-            bus = add_stats(bus, run.stats);
-            health.push(run.health);
-        }
-        recorder_warning(&mut warnings, &tally_total);
-        emit_warnings(&warnings);
-        StreamingCpaReport {
-            cpa: merged_cpa
-                .unwrap_or_else(|| panic!("every shard failed — nothing to merge: {warnings:?}")),
-            monitor: merged_monitor,
-            bus,
-            keys: self.spec.keys.clone(),
-            shards: self.shards,
-            io_errors: tally_total.io_errors,
-            io_retries: tally_total.io_retries,
-            recorder_error: tally_total.last_error,
-            shard_cadence,
-            metrics: obs.map(|o| o.report(self.shards)),
-            health,
-            warnings,
-        }
+        self.fold(runs.shards).into_report(self.spec.keys.clone(), self.shards, runs.metrics)
     }
 
     /// Collect full known-plaintext trace sets per requested key (the
@@ -1777,44 +1732,23 @@ impl Session<'_> {
     /// Panics if the resolved shard count is zero.
     #[must_use]
     pub fn collect(self) -> BTreeMap<SmcKey, TraceSet> {
-        let counts = split_counts(self.spec.traces, self.shards);
-        let faults = self.spec.faults.map(FaultPlan::armed);
-        let obs = self.observability();
-        let progress = self.progress(obs.as_ref(), self.spec.traces as u64);
-        let span = self.campaign_span("campaign/collect");
-        let stop = self.spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-        let results = self.fan_out(
-            obs.as_ref(),
-            &stop,
+        let runs = self.run(
             None,
-            faults.as_ref(),
-            |i| Schedule::KnownPlaintext { traces: counts[i] },
-            |i, rx, recycle, ctx| {
-                let mut collector = TraceCollector::with_capacity_hint(counts[i]);
-                let mut pump = Pump::new();
-                pump.attach(&mut collector);
-                Self::pump_blocks(&mut pump, rx, recycle, ctx.ins);
-                collector
-            },
+            "campaign/collect",
+            1,
+            |n| Schedule::KnownPlaintext { traces: n },
+            TraceCollector::with_capacity_hint,
         );
-        drop(span);
-        if let Some(progress) = progress {
-            progress.finish();
-        }
-
         let mut merged: BTreeMap<SmcKey, TraceSet> = self
             .spec
             .keys
             .iter()
             .map(|&k| (k, TraceSet::with_capacity(k.to_string(), self.spec.traces)))
             .collect();
-        for run in results {
-            let Some(mut collector) = run.out else { continue };
-            for &k in &self.spec.keys {
-                if let Some(set) = collector.take(ChannelId::Smc(k)) {
-                    if let Some(target) = merged.get_mut(&k) {
-                        target.extend(set.iter().copied());
-                    }
+        for mut out in runs.shards.into_iter().filter_map(|run| run.out) {
+            for (&k, target) in &mut merged {
+                if let Some(set) = out.analysis.take(ChannelId::Smc(k)) {
+                    target.extend(set.iter().copied());
                 }
             }
         }
@@ -1829,59 +1763,37 @@ impl Session<'_> {
     /// Panics if the resolved shard count is zero.
     #[must_use]
     pub fn tvla_datasets(self) -> TvlaCampaign {
-        let counts = split_counts(self.spec.traces, self.shards);
-        let faults = self.spec.faults.map(FaultPlan::armed);
-        let obs = self.observability();
-        let progress = self.progress(obs.as_ref(), self.spec.traces as u64 * 6);
-        let span = self.campaign_span("campaign/tvla_datasets");
-        let stop = self.spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-        let results = self.fan_out(
-            obs.as_ref(),
-            &stop,
+        let runs = self.run(
             None,
-            faults.as_ref(),
-            |i| Schedule::Tvla { traces_per_class: counts[i] },
-            |_i, rx, recycle, ctx| {
-                let mut collector = DatasetCollector::new();
-                let mut monitor = ThrottleMonitor::new(self.spec.monitor_interval_s, MONITOR_DEPTH);
-                let mut pump = Pump::new();
-                pump.attach(&mut collector);
-                pump.attach(&mut monitor);
-                Self::pump_blocks(&mut pump, rx, recycle, ctx.ins);
-                (collector, monitor)
-            },
+            "campaign/tvla_datasets",
+            6,
+            |n| Schedule::Tvla { traces_per_class: n },
+            |_| DatasetCollector::new(),
         );
-        drop(span);
-        if let Some(progress) = progress {
-            progress.finish();
-        }
-
         let mut campaign = TvlaCampaign::default();
         for &k in &self.spec.keys {
             campaign.per_key.insert(k, TvlaDatasets::default());
         }
         let mut dropped = 0u64;
-        for run in results {
-            let Some((mut collector, monitor)) = run.out else { continue };
+        for out in runs.shards.into_iter().filter_map(|run| run.out) {
+            let ShardOutput { analysis: mut collector, monitor, .. } = out;
+            // Append this shard's per-class values in shard order.
+            let mut append = |target: &mut TvlaDatasets, channel| {
+                if let Some([first, second]) = collector.take(channel) {
+                    for (acc, values) in target
+                        .first
+                        .iter_mut()
+                        .chain(&mut target.second)
+                        .zip(first.into_iter().chain(second))
+                    {
+                        acc.extend(values);
+                    }
+                }
+            };
             for &k in &self.spec.keys {
-                if let Some([first, second]) = collector.take(ChannelId::Smc(k)) {
-                    let target = campaign.per_key.get_mut(&k).expect("inserted above");
-                    for (acc, shard_values) in target.first.iter_mut().zip(first) {
-                        acc.extend(shard_values);
-                    }
-                    for (acc, shard_values) in target.second.iter_mut().zip(second) {
-                        acc.extend(shard_values);
-                    }
-                }
+                append(campaign.per_key.get_mut(&k).expect("inserted above"), ChannelId::Smc(k));
             }
-            if let Some([first, second]) = collector.take(ChannelId::Pcpu) {
-                for (acc, shard_values) in campaign.pcpu.first.iter_mut().zip(first) {
-                    acc.extend(shard_values);
-                }
-                for (acc, shard_values) in campaign.pcpu.second.iter_mut().zip(second) {
-                    acc.extend(shard_values);
-                }
-            }
+            append(&mut campaign.pcpu, ChannelId::Pcpu);
             dropped +=
                 monitor.denied_reads() + collector.orphan_samples() + collector.residual_samples();
         }

@@ -357,9 +357,26 @@ impl CampaignSpec {
             record: map.get("record").cloned(),
             monitor: map
                 .get("monitor")
-                .map(|s| s.parse::<f64>().map_err(|e| format!("bad monitor: {e}")))
+                .map(|s| parse_monitor_interval(s).map_err(|e| format!("bad monitor: {e}")))
                 .transpose()?,
         })
+    }
+}
+
+/// Parse a cadence-monitor poll interval: a positive number of simulated
+/// seconds (`inf` included). The one check every front end shares, so a
+/// zero, negative or NaN interval is refused at the edge instead of
+/// panicking inside [`Campaign::monitor`].
+///
+/// # Errors
+///
+/// Returns a message for non-numbers and for values that are not `> 0`.
+pub fn parse_monitor_interval(s: &str) -> Result<f64, String> {
+    let interval_s = s.parse::<f64>().map_err(|e| e.to_string())?;
+    if interval_s > 0.0 {
+        Ok(interval_s)
+    } else {
+        Err(format!("interval must be positive, got {interval_s}"))
     }
 }
 
@@ -453,6 +470,10 @@ mod tests {
         assert!(CampaignSpec::parse(&good.replace("device=m2", "device=m9")).is_err());
         assert!(CampaignSpec::parse(&good.replace("every=8", "every=0")).is_err());
         assert!(CampaignSpec::parse(&good.replace("obs_chunk=", "obs_chunk=x")).is_err());
+        for monitor in ["0", "-1", "NaN"] {
+            let text = format!("{good}monitor={monitor}\n");
+            assert!(CampaignSpec::parse(&text).is_err(), "monitor={monitor} must be refused");
+        }
     }
 
     #[test]

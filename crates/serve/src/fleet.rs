@@ -71,7 +71,8 @@ use crate::proto::{
 };
 use psc_core::report::{self, campaign_banner, render_cpa_body, render_tvla_body};
 use psc_core::session::{
-    Campaign, ShardHealth, StreamingCpaReport, StreamingTvlaReport, MONITOR_INTERVAL_S,
+    merge_shards, Analysis, Campaign, MergedShards, RecorderTally, ShardHealth, ShardOutput,
+    ShardRun, MONITOR_DEPTH, MONITOR_INTERVAL_S,
 };
 use psc_core::source::{Fleet, FleetShard};
 use psc_core::spec::{AnalysisMode, CampaignSpec, MitigationSetting};
@@ -81,18 +82,14 @@ use psc_sca::checkpoint::{
 use psc_sca::cpa::HypTable;
 use psc_telemetry::faults::{FaultPlan, FaultState, RetryPolicy};
 use psc_telemetry::ring::ChannelStats;
-use psc_telemetry::{split_counts, ChannelId, StreamingCpa, StreamingTvla, ThrottleMonitor};
+use psc_telemetry::{
+    panic_message, split_counts, ChannelId, StreamingCpa, StreamingTvla, ThrottleMonitor,
+};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Cadence-monitor retention, mirroring the session driver's private
-/// depth: worker-shipped monitor snapshots carry no retained
-/// checkpoints (only totals), so any depth ≥ 0 restores — this keeps
-/// the restored monitors shaped like the in-process ones.
-const MONITOR_DEPTH: usize = 64;
 
 /// Handler-side socket read timeout: short enough that handler threads
 /// notice aggregator completion promptly, well under any sane
@@ -528,41 +525,28 @@ pub fn member_state(
     if let Some(interval_s) = spec.monitor {
         campaign = campaign.monitor(interval_s);
     }
-    Ok(match spec.mode {
+    let session = campaign.session();
+    let (analysis, monitor, bus, io_errors, io_retries, health) = match spec.mode {
         AnalysisMode::Tvla => {
-            let report = campaign.session().tvla();
-            let mut w = PayloadWriter::new();
-            report.tvla.encode_state(&mut w);
-            let analysis = w.into_payload();
-            let mut w = PayloadWriter::new();
-            report.monitor.encode_state(&mut w);
-            MemberFinal {
-                analysis,
-                monitor: w.into_payload(),
-                bus: report.bus,
-                io_errors: report.io_errors,
-                io_retries: report.io_retries,
-                health: report.health[0].clone(),
-            }
+            let r = session.tvla();
+            (encoded(&r.tvla), r.monitor, r.bus, r.io_errors, r.io_retries, r.health)
         }
         AnalysisMode::Cpa => {
-            let report = campaign.session().cpa(report::cpa_model);
-            let mut w = PayloadWriter::new();
-            report.cpa.encode_state(&mut w);
-            let analysis = w.into_payload();
-            let mut w = PayloadWriter::new();
-            report.monitor.encode_state(&mut w);
-            MemberFinal {
-                analysis,
-                monitor: w.into_payload(),
-                bus: report.bus,
-                io_errors: report.io_errors,
-                io_retries: report.io_retries,
-                health: report.health[0].clone(),
-            }
+            let r = session.cpa(report::cpa_model);
+            (encoded(&r.cpa), r.monitor, r.bus, r.io_errors, r.io_retries, r.health)
         }
         AnalysisMode::Adaptive => unreachable!("distributed_members refuses adaptive"),
-    })
+    };
+    let mut w = PayloadWriter::new();
+    monitor.encode_state(&mut w);
+    let monitor = w.into_payload();
+    Ok(MemberFinal { analysis, monitor, bus, io_errors, io_retries, health: health[0].clone() })
+}
+
+fn encoded(analysis: &impl Analysis) -> Vec<u8> {
+    let mut w = PayloadWriter::new();
+    analysis.encode_state(&mut w);
+    w.into_payload()
 }
 
 /// What became of one member, as input to [`merge_survivors`].
@@ -602,43 +586,65 @@ pub struct MergedFleet {
     pub merge_ns: u64,
 }
 
-fn add_stats(a: ChannelStats, b: ChannelStats) -> ChannelStats {
-    ChannelStats {
-        accepted: a.accepted + b.accepted,
-        dropped: a.dropped + b.dropped,
-        delivered: a.delivered + b.delivered,
-        high_water: a.high_water.max(b.high_water),
-    }
-}
-
-fn restore_monitor(interval_s: f64, payload: &[u8]) -> Result<ThrottleMonitor, CheckpointError> {
+/// Decode one member into the shard-run shape [`merge_shards`] takes: a
+/// survivor's analysis (restored into `build()`), cadence monitor, bus
+/// counters and recorder tally; a failed member keeps only its health.
+/// A member that completed after transport reconnects is degraded.
+fn member_run<A: Analysis>(
+    outcome: &MemberOutcome,
+    interval_s: f64,
+    build: impl FnOnce() -> A,
+) -> Result<ShardRun<ShardOutput<A>>, CheckpointError> {
+    let (state, reconnects) = match outcome {
+        MemberOutcome::Completed { state, reconnects } => (state, *reconnects),
+        MemberOutcome::Failed { reason } => return Ok(ShardRun::failed(reason.clone())),
+    };
+    let health = if reconnects > 0 && state.health.is_ok() {
+        ShardHealth::Degraded {
+            reason: format!("completed after {reconnects} transport reconnect(s)"),
+        }
+    } else {
+        state.health.clone()
+    };
+    let mut analysis = build();
+    let mut r = PayloadReader::new(&state.analysis);
+    analysis.restore_state(&mut r)?;
+    r.finish()?;
     let mut monitor = ThrottleMonitor::new(interval_s, MONITOR_DEPTH);
-    let mut r = PayloadReader::new(payload);
+    let mut r = PayloadReader::new(&state.monitor);
     monitor.restore_state(&mut r)?;
     r.finish()?;
-    Ok(monitor)
+    let recorders = RecorderTally {
+        io_errors: state.io_errors,
+        io_retries: state.io_retries,
+        ..RecorderTally::default()
+    };
+    let out = ShardOutput { analysis, monitor, recorders };
+    Ok(ShardRun { out: Some(out), stats: state.bus, produced: 0, recycle_dropped: 0, health })
 }
 
-fn outcome_health(outcome: &MemberOutcome) -> ShardHealth {
-    match outcome {
-        MemberOutcome::Completed { state, reconnects } => {
-            if *reconnects > 0 && state.health.is_ok() {
-                ShardHealth::Degraded {
-                    reason: format!("completed after {reconnects} transport reconnect(s)"),
-                }
-            } else {
-                state.health.clone()
-            }
-        }
-        MemberOutcome::Failed { reason } => ShardHealth::Failed { reason: reason.clone() },
-    }
+/// Decode every member and fold them with [`merge_shards`].
+fn fold_members<A: Analysis>(
+    outcomes: &[MemberOutcome],
+    interval_s: f64,
+    build: impl Fn() -> A,
+) -> Result<MergedShards<A>, FleetError> {
+    let runs = outcomes
+        .iter()
+        .map(|outcome| member_run(outcome, interval_s, &build))
+        .collect::<Result<Vec<_>, _>>()?;
+    merge_shards(runs, interval_s)
+        .map_err(|_| FleetError::Checkpoint(CheckpointError::Corrupt("member channel sets differ")))
 }
 
 /// Merge the surviving members of a distributed fleet campaign, in
-/// member order, with exactly the folds the in-process session driver
-/// uses — so a fault-free merge is byte-identical to the in-process
-/// fleet run, and a degraded merge equals the fault-free run
-/// restricted to the surviving members.
+/// member order, through [`merge_shards`] — the very fold the in-process
+/// session driver uses — so a fault-free merge is byte-identical to the
+/// in-process fleet run, a degraded merge equals the fault-free run
+/// restricted to the surviving members, and the same degradation
+/// warnings reach stderr. Each member's shipped state is decoded into a
+/// fresh accumulator (one shared hypothesis table for CPA, like the
+/// in-process driver) before the fold.
 ///
 /// # Errors
 ///
@@ -656,8 +662,6 @@ pub fn merge_survivors(
             outcomes.len()
         )));
     }
-    let interval_s = spec.monitor.unwrap_or(MONITOR_INTERVAL_S);
-    let health: Vec<ShardHealth> = outcomes.iter().map(outcome_health).collect();
     let survivors =
         outcomes.iter().filter(|o| matches!(o, MemberOutcome::Completed { .. })).count();
     if survivors == 0 {
@@ -665,89 +669,30 @@ pub fn merge_survivors(
     }
 
     let t0 = Instant::now();
-    let mut monitor = ThrottleMonitor::new(interval_s, MONITOR_DEPTH);
-    let mut bus = ChannelStats::default();
-    let mut io_errors = 0u64;
-    let mut io_retries = 0u64;
-    for outcome in outcomes {
-        if let MemberOutcome::Completed { state, .. } = outcome {
-            monitor = monitor.merged_totals(&restore_monitor(interval_s, &state.monitor)?);
-            bus = add_stats(bus, state.bus);
-            io_errors += state.io_errors;
-            io_retries += state.io_retries;
-        }
-    }
-
-    let (text, analysis) = match spec.mode {
+    let interval_s = spec.monitor.unwrap_or(MONITOR_INTERVAL_S);
+    let (text, analysis, health) = match spec.mode {
         AnalysisMode::Tvla => {
-            let mut merged = StreamingTvla::new();
-            for outcome in outcomes {
-                if let MemberOutcome::Completed { state, .. } = outcome {
-                    let mut tvla = StreamingTvla::new();
-                    let mut r = PayloadReader::new(&state.analysis);
-                    tvla.restore_state(&mut r)?;
-                    r.finish()?;
-                    merged = merged.merged(tvla);
-                }
-            }
-            let report = StreamingTvlaReport {
-                tvla: merged,
-                monitor,
-                bus,
-                keys: spec.keys(),
-                shards: members,
-                io_errors,
-                recorder_error: None,
-                shard_cadence: vec![Vec::new(); members],
-                metrics: None,
-                health: health.clone(),
-                warnings: Vec::new(),
-                io_retries,
-            };
-            let mut w = PayloadWriter::new();
-            report.tvla.encode_state(&mut w);
-            (campaign_banner(spec) + &render_tvla_body(&report), w.into_payload())
+            let report = fold_members(outcomes, interval_s, StreamingTvla::new)?.into_report(
+                spec.keys(),
+                members,
+                None,
+            );
+            let text = campaign_banner(spec) + &render_tvla_body(&report);
+            (text, encoded(&report.tvla), report.health)
         }
         AnalysisMode::Cpa => {
-            // One shared hypothesis table, like the in-process driver.
             let table = Arc::new(HypTable::for_model(report::cpa_model().as_ref()));
-            let mut merged: Option<StreamingCpa> = None;
-            for outcome in outcomes {
-                if let MemberOutcome::Completed { state, .. } = outcome {
-                    let mut cpa = StreamingCpa::with_table(
-                        spec.keys().iter().map(|&k| ChannelId::Smc(k)),
-                        report::cpa_model,
-                        Arc::clone(&table),
-                    );
-                    cpa.set_unroll(spec.tune.cpa_unroll);
-                    let mut r = PayloadReader::new(&state.analysis);
-                    cpa.restore_state(&mut r)?;
-                    r.finish()?;
-                    merged = Some(match merged.take() {
-                        None => cpa,
-                        Some(acc) => acc
-                            .merged(cpa)
-                            .map_err(|_| CheckpointError::Corrupt("member channel sets differ"))?,
-                    });
-                }
-            }
-            let report = StreamingCpaReport {
-                cpa: merged.expect("survivors > 0"),
-                monitor,
-                bus,
-                keys: spec.keys(),
-                shards: members,
-                io_errors,
-                recorder_error: None,
-                shard_cadence: vec![Vec::new(); members],
-                metrics: None,
-                health: health.clone(),
-                warnings: Vec::new(),
-                io_retries,
+            let build = || {
+                let channels = spec.keys().into_iter().map(ChannelId::Smc);
+                let mut cpa =
+                    StreamingCpa::with_table(channels, report::cpa_model, Arc::clone(&table));
+                cpa.set_unroll(spec.tune.cpa_unroll);
+                cpa
             };
-            let mut w = PayloadWriter::new();
-            report.cpa.encode_state(&mut w);
-            (campaign_banner(spec) + &render_cpa_body(&report, &spec.key), w.into_payload())
+            let report =
+                fold_members(outcomes, interval_s, build)?.into_report(spec.keys(), members, None);
+            let text = campaign_banner(spec) + &render_cpa_body(&report, &spec.key);
+            (text, encoded(&report.cpa), report.health)
         }
         AnalysisMode::Adaptive => unreachable!("distributed_members refuses adaptive"),
     };
@@ -1010,23 +955,18 @@ pub fn run_worker(
             // torn read (impossible under the atomic rename, but
             // cheap to guard) must never hit the wire.
             if bytes != last_partial && decode_frame(&bytes).is_ok() {
-                let msg = WorkerMsg::Partial {
-                    member: cfg.member as u32,
-                    epoch: link.epoch,
-                    seq: link.next_seq(),
-                    frame: bytes.clone(),
-                };
-                let mut delivered = link.send(&msg, &faults)?;
-                while !delivered {
-                    // Reconnected: re-send under the fresh epoch
-                    // (at-least-once; the dedup gate absorbs it).
+                loop {
                     let msg = WorkerMsg::Partial {
                         member: cfg.member as u32,
                         epoch: link.epoch,
                         seq: link.next_seq(),
                         frame: bytes.clone(),
                     };
-                    delivered = link.send(&msg, &faults)?;
+                    // Not delivered means reconnected: re-send under the
+                    // fresh epoch (at-least-once; the dedup gate absorbs it).
+                    if link.send(&msg, &faults)? {
+                        break;
+                    }
                 }
                 link.summary.partials_sent += 1;
                 last_partial = bytes;
@@ -1043,14 +983,7 @@ pub fn run_worker(
     let state = match handle.join() {
         Ok(Ok(state)) => state,
         Ok(Err(e)) => return Err(e),
-        Err(panic) => {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "campaign panicked".to_owned());
-            return Err(FleetError::WorkerPanicked(msg));
-        }
+        Err(panic) => return Err(FleetError::WorkerPanicked(panic_message(&*panic))),
     };
     loop {
         let rejected_before = link.summary.rejected;

@@ -273,6 +273,14 @@ fn cancel_covers_queued_running_and_finished_jobs() {
         Response::Rejected { reason: RejectReason::BadSpec { .. } } => {}
         other => panic!("expected BadSpec, got {other:?}"),
     }
+    // So is a zero monitor interval: refused at admission, never admitted
+    // as a job that fails later.
+    let zero_monitor = format!("{}monitor=0\n", spec(AnalysisMode::Tvla, 4, 1).render());
+    let mut bad = Client::connect(addr).expect("connect");
+    match bad.submit("t", &zero_monitor, false).expect("submit") {
+        Response::Rejected { reason: RejectReason::BadSpec { .. } } => {}
+        other => panic!("expected BadSpec for monitor=0, got {other:?}"),
+    }
 
     let mut drainer = Client::connect(addr).expect("connect");
     assert!(matches!(drainer.drain().expect("drain"), Response::Drained { .. }));

@@ -28,7 +28,7 @@ use apple_power_sca::core::experiments::screening::{run_table1, run_table2};
 use apple_power_sca::core::experiments::success_rate::run_success_rate;
 use apple_power_sca::core::experiments::throttling::run_throttling_study;
 use apple_power_sca::core::experiments::tvla::{run_table3, run_table5};
-use apple_power_sca::core::spec::parse_key_hex;
+use apple_power_sca::core::spec::{parse_key_hex, parse_monitor_interval};
 use apple_power_sca::core::{report, tune};
 use apple_power_sca::core::{
     AnalysisMode, Campaign, CampaignSpec, Device, ExperimentConfig, MitigationSetting, ShardReplay,
@@ -300,7 +300,7 @@ fn spec_from_args(cfg: &ExperimentConfig, args: &[String]) -> Result<CampaignSpe
         parse_opt(args, "--mitigation").map(|s| MitigationSetting::parse(&s)).transpose()?;
     spec.record = parse_opt(args, "--record");
     spec.monitor = parse_opt(args, "--monitor")
-        .map(|s| s.parse::<f64>().map_err(|e| format!("bad --monitor value {s:?}: {e}")))
+        .map(|s| parse_monitor_interval(&s).map_err(|e| format!("bad --monitor value {s:?}: {e}")))
         .transpose()?;
     if let Some(every) = parse_opt(args, "--checkpoint-every") {
         spec.every = every

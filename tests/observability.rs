@@ -10,6 +10,8 @@
 //!    trace (like the metrics JSON) parses;
 //! 6. in adaptive campaigns `source.units` equals the merged
 //!    rounds-collected figure.
+//! 7. adaptive campaigns poll the cadence monitor on the same grid as
+//!    plain TVLA.
 
 use apple_power_sca::core::{Campaign, Device, VictimKind};
 use apple_power_sca::smc::key::key;
@@ -229,4 +231,26 @@ fn adaptive_units_match_rounds_collected() {
     );
     // Each round is one trace per class per pass: 6 observations.
     assert_eq!(metrics.observations(), report.rounds_collected as u64 * 6);
+}
+
+#[test]
+fn adaptive_cadence_matches_tvla_cadence() {
+    // On the flat PHPS channel the adaptive run never stops early, so it
+    // covers the same simulated timeline as plain TVLA and must poll the
+    // cadence monitor on the same grid.
+    let build = || {
+        Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 7)
+            .keys(&[key("PHPS")])
+            .traces(200)
+            .shards(2)
+            .monitor(16.0)
+    };
+    let tvla = build().session().tvla();
+    let adaptive = build().early_stop(key("PHPS")).session().adaptive_tvla();
+    assert!(!adaptive.stopped_early, "PHPS must not trip the tracker");
+    assert_eq!(adaptive.report.shard_cadence.len(), 2);
+    for (shard, checkpoints) in tvla.shard_cadence.iter().enumerate() {
+        assert!(checkpoints.len() > 1, "shard {shard} polled only {} time(s)", checkpoints.len());
+    }
+    assert_eq!(adaptive.report.shard_cadence, tvla.shard_cadence);
 }
