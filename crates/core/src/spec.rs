@@ -85,22 +85,29 @@ impl MitigationSetting {
     ///
     /// # Errors
     ///
-    /// Returns a message for unknown names or unparsable values.
+    /// Returns a message for unknown names, unparsable values, a `noise`
+    /// σ that is negative or not finite, and a `slow` multiplier that is
+    /// below 1 or not finite.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let (name, value) = match spec.split_once('=') {
             Some((n, v)) => (n, Some(v)),
             None => (spec, None),
         };
-        let parse_value = |default: f64| -> Result<f64, String> {
-            value.map_or(Ok(default), |v| {
+        let parse_value = |default: f64, valid: fn(f64) -> bool, bound: &str| {
+            let v = value.map_or(Ok(default), |v| {
                 v.parse::<f64>().map_err(|e| format!("bad mitigation value {v:?}: {e}"))
-            })
+            })?;
+            if v.is_finite() && valid(v) {
+                Ok(v)
+            } else {
+                Err(format!("bad {name} mitigation value {v}: must be finite and {bound}"))
+            }
         };
         match name {
             "none" => Ok(MitigationSetting::None),
             "restrict" => Ok(MitigationSetting::Restrict),
-            "noise" => Ok(MitigationSetting::Noise(parse_value(0.05)?)),
-            "slow" => Ok(MitigationSetting::Slow(parse_value(3.0)?)),
+            "noise" => Ok(MitigationSetting::Noise(parse_value(0.05, |v| v >= 0.0, ">= 0")?)),
+            "slow" => Ok(MitigationSetting::Slow(parse_value(3.0, |v| v >= 1.0, ">= 1")?)),
             other => Err(format!("unknown mitigation {other:?} (none|restrict|noise|slow)")),
         }
     }
@@ -473,6 +480,27 @@ mod tests {
         for monitor in ["0", "-1", "NaN"] {
             let text = format!("{good}monitor={monitor}\n");
             assert!(CampaignSpec::parse(&text).is_err(), "monitor={monitor} must be refused");
+        }
+        let refused = [
+            "noise=NaN",
+            "noise=inf",
+            "noise=-inf",
+            "noise=-1",
+            "slow=0",
+            "slow=-2",
+            "slow=0.5",
+            "slow=NaN",
+            "slow=inf",
+            "bogus",
+            "noise=x",
+        ];
+        for mitigation in refused {
+            let text = format!("{good}mitigation={mitigation}\n");
+            assert!(CampaignSpec::parse(&text).is_err(), "mitigation={mitigation} must be refused");
+        }
+        for mitigation in ["noise=0", "noise=0.2", "slow=1", "slow=4", "noise", "slow"] {
+            let text = format!("{good}mitigation={mitigation}\n");
+            assert!(CampaignSpec::parse(&text).is_ok(), "mitigation={mitigation} must parse");
         }
     }
 

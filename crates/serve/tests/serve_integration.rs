@@ -281,6 +281,13 @@ fn cancel_covers_queued_running_and_finished_jobs() {
         Response::Rejected { reason: RejectReason::BadSpec { .. } } => {}
         other => panic!("expected BadSpec for monitor=0, got {other:?}"),
     }
+    // And a NaN noise σ, which used to panic inside every shard.
+    let nan_noise = format!("{}mitigation=noise=NaN\n", spec(AnalysisMode::Tvla, 4, 1).render());
+    let mut bad = Client::connect(addr).expect("connect");
+    match bad.submit("t", &nan_noise, false).expect("submit") {
+        Response::Rejected { reason: RejectReason::BadSpec { .. } } => {}
+        other => panic!("expected BadSpec for mitigation=noise=NaN, got {other:?}"),
+    }
 
     let mut drainer = Client::connect(addr).expect("connect");
     assert!(matches!(drainer.drain().expect("drain"), Response::Drained { .. }));

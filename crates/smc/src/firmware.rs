@@ -207,8 +207,41 @@ struct SensorRuntime {
     drift: Option<RandomWalk>,
     /// User-written override of a writable key.
     override_value: Option<f64>,
+    /// Effective noise σ: the sensor's own σ combined with the active
+    /// mitigation's extra σ on power-related keys.
+    sigma: f64,
+    /// The value every publish yields, for a sensor with no noise, no
+    /// drift and a constant or overridden source; `None` when a publish
+    /// must run the pipeline.
+    fixed: Option<f64>,
     /// Last published value.
     published: SmcValue,
+}
+
+impl SensorRuntime {
+    fn quantize(&self, v: f64) -> f64 {
+        if self.quant_step > 0.0 {
+            (v / self.quant_step).round() * self.quant_step
+        } else {
+            v
+        }
+    }
+
+    /// Recompute `sigma` and `fixed` after a mitigation change or a key
+    /// write. `fixed` is what the pipeline yields for that sensor,
+    /// `quantize(gain · v + 0.0)` (the zero drift turns `-0.0` into
+    /// `+0.0`), with no RNG draw.
+    fn refresh(&mut self, extra_noise_sigma_w: f64) {
+        let extra = if self.power_related { extra_noise_sigma_w } else { 0.0 };
+        self.sigma = (self.noise_sigma * self.noise_sigma + extra * extra).sqrt();
+        let source = match (self.override_value, self.source) {
+            (Some(v), _) | (None, SensorSource::Constant(v)) => Some(v),
+            _ => None,
+        };
+        self.fixed = source
+            .filter(|_| self.sigma == 0.0 && self.drift.is_none())
+            .map(|v| self.quantize(self.gain * v + 0.0));
+    }
 }
 
 /// The simulated SMC.
@@ -253,6 +286,8 @@ impl Smc {
                 drift: (s.drift_step_sigma > 0.0)
                     .then(|| RandomWalk::new(s.drift_step_sigma, s.drift_reversion)),
                 override_value: None,
+                sigma: 0.0,
+                fixed: None,
                 published: SmcValue::new(s.data_type, 0.0),
             })
             .collect();
@@ -272,6 +307,7 @@ impl Smc {
             acc: Accumulator::default(),
             update_count: 0,
         };
+        smc.refresh_runtime();
         // Publish an initial idle snapshot so reads before the first window
         // return something, as the real SMC does.
         smc.publish(&WindowReport {
@@ -320,6 +356,13 @@ impl Smc {
     /// Install a mitigation configuration (§5 countermeasures).
     pub fn set_mitigation(&mut self, mitigation: MitigationConfig) {
         self.mitigation = mitigation;
+        self.refresh_runtime();
+    }
+
+    fn refresh_runtime(&mut self) {
+        for rt in &mut self.runtime {
+            rt.refresh(self.mitigation.extra_noise_sigma_w);
+        }
     }
 
     /// The active mitigation configuration.
@@ -458,23 +501,20 @@ impl Smc {
     }
 
     fn publish(&mut self, mean: &WindowReport) {
-        // One dense sweep: the exact floating-point pipeline (and RNG call
-        // order) of the historical per-key BTreeMap walk, minus the map
-        // lookups and the per-publish definition clone.
-        let extra_noise = self.mitigation.extra_noise_sigma_w;
+        // One dense sweep in definition order: the exact floating-point
+        // pipeline and RNG call order of the historical per-key walk.
+        // Sensors that cannot change copy their precomputed value.
         for rt in &mut self.runtime {
-            let source_value = rt.override_value.unwrap_or_else(|| rt.source.sample(mean));
-            let raw = rt.gain * source_value;
-            let drift = rt.drift.as_mut().map_or(0.0, |w| w.step(&mut self.rng));
-            let extra = if rt.power_related { extra_noise } else { 0.0 };
-            let sigma = (rt.noise_sigma * rt.noise_sigma + extra * extra).sqrt();
-            let noisy = gaussian(&mut self.rng, raw + drift, sigma);
-            let quantized = if rt.quant_step > 0.0 {
-                (noisy / rt.quant_step).round() * rt.quant_step
-            } else {
-                noisy
+            let value = match rt.fixed {
+                Some(v) => v,
+                None => {
+                    let source_value = rt.override_value.unwrap_or_else(|| rt.source.sample(mean));
+                    let raw = rt.gain * source_value;
+                    let drift = rt.drift.as_mut().map_or(0.0, |w| w.step(&mut self.rng));
+                    rt.quantize(gaussian(&mut self.rng, raw + drift, rt.sigma))
+                }
             };
-            rt.published = SmcValue::new(rt.data_type, quantized);
+            rt.published = SmcValue::new(rt.data_type, value);
         }
         self.update_count += 1;
     }
@@ -544,6 +584,7 @@ impl Smc {
         }
         rt.override_value = Some(value);
         rt.published = SmcValue::new(rt.data_type, value);
+        rt.refresh(self.mitigation.extra_noise_sigma_w);
         Ok(())
     }
 }

@@ -3,17 +3,21 @@
 //! Measurement noise, rail jitter and SMC quantization dither all draw from
 //! here so the whole simulation stays reproducible from one seed.
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// One sample of `N(mean, sigma²)`.
 ///
 /// `sigma == 0` returns `mean` exactly (useful for "noiseless" configs).
 ///
+/// Generic over the generator so a concrete one (the simulators' ChaCha)
+/// inlines into the draw; `&mut dyn RngCore` callers work unchanged.
+///
 /// # Panics
 ///
 /// Panics if `sigma` is negative or non-finite.
 #[must_use]
-pub fn gaussian(rng: &mut dyn rand::RngCore, mean: f64, sigma: f64) -> f64 {
+#[inline]
+pub fn gaussian<R: RngCore + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> f64 {
     assert!(sigma.is_finite() && sigma >= 0.0, "invalid sigma {sigma}");
     if sigma == 0.0 {
         return mean;
@@ -50,7 +54,7 @@ impl RandomWalk {
     }
 
     /// Advance one step and return the new value.
-    pub fn step(&mut self, rng: &mut dyn rand::RngCore) -> f64 {
+    pub fn step<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> f64 {
         self.value = self.value * (1.0 - self.reversion) + gaussian(rng, 0.0, self.step_sigma);
         self.value
     }

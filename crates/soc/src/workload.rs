@@ -48,13 +48,14 @@ impl SignalPlan {
     /// Draw one window's signal. Bit-identical to the planned workload's
     /// `window_signal_w` at the `reps` the plan was built for.
     #[must_use]
-    pub fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
+    #[inline]
+    pub fn sample<R: rand::RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         self.deterministic_w + gaussian(rng, 0.0, self.sigma_w)
     }
 
     /// Fill `out` with one signal per window, drawing noise in window
     /// order (slot 0 first).
-    pub fn fill(&self, out: &mut [f64], rng: &mut dyn rand::RngCore) {
+    pub fn fill<R: rand::RngCore + ?Sized>(&self, out: &mut [f64], rng: &mut R) {
         for slot in out {
             *slot = self.sample(rng);
         }
