@@ -51,6 +51,16 @@ fn col(bytes: &[u8; 16], c: usize) -> u32 {
     u32::from_be_bytes([bytes[4 * c], bytes[4 * c + 1], bytes[4 * c + 2], bytes[4 * c + 3]])
 }
 
+/// The state whose big-endian column words are `c`.
+#[inline]
+fn columns_to_state(c: [u32; 4]) -> State {
+    let mut out = [0u8; 16];
+    for (chunk, word) in out.chunks_exact_mut(4).zip(c) {
+        chunk.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
 /// Byte `byte` (0 = most significant) of a column word, as a table index.
 #[inline]
 fn b(w: u32, byte: u32) -> usize {
@@ -88,7 +98,7 @@ pub trait RoundObserver {
 }
 
 /// Per-round Hamming weights of one encryption's AddRoundKey outputs (see
-/// [`Aes::round_hw_profile`]). `hw[r]` is meaningful for `r <= rounds`;
+/// [`Aes::encrypt_with_hw_profile`]). `hw[r]` is meaningful for `r <= rounds`;
 /// the array is sized for AES-256's 14 rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundHwProfile {
@@ -229,12 +239,7 @@ impl Aes {
     /// Encrypt one 16-byte block.
     #[must_use]
     pub fn encrypt_block(&self, plaintext: &State) -> State {
-        let c = self.encrypt_columns(plaintext, |_, _| {});
-        let mut out = [0u8; 16];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(c) {
-            chunk.copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        columns_to_state(self.encrypt_columns(plaintext, |_, _| {}))
     }
 
     /// Decrypt one 16-byte block.
@@ -287,23 +292,24 @@ impl Aes {
         s
     }
 
-    /// Hamming weights of every AddRoundKey output (rounds `0..=Nr`) of one
-    /// encryption — the only states the default (HW-only) leakage model
-    /// needs — computed with the fused, table-driven round function that
-    /// never materializes the SubBytes/ShiftRows/MixColumns intermediates
-    /// and performs no heap allocation.
+    /// Encrypt one block and return the ciphertext with the Hamming weights
+    /// of every AddRoundKey output (rounds `0..=Nr`) — the only states the
+    /// default (HW-only) leakage model needs. One pass of the fused,
+    /// table-driven round function yields both; it never materializes the
+    /// SubBytes/ShiftRows/MixColumns intermediates and performs no heap
+    /// allocation.
     ///
     /// The AddRoundKey output states are computed exactly (T-tables are a
     /// pure refactoring of the round algebra), so the profile equals the
     /// per-round `hw_state` of [`Self::encrypt_traced`]'s AddRoundKey
     /// entries; a test pins this for every key size.
     #[must_use]
-    pub fn round_hw_profile(&self, plaintext: &State) -> RoundHwProfile {
+    pub fn encrypt_with_hw_profile(&self, plaintext: &State) -> (State, RoundHwProfile) {
         let mut hw = [0u32; 15];
-        self.encrypt_columns(plaintext, |r, c| {
+        let c = self.encrypt_columns(plaintext, |r, c| {
             hw[r] = c[0].count_ones() + c[1].count_ones() + c[2].count_ones() + c[3].count_ones();
         });
-        RoundHwProfile { hw, rounds: self.schedule.rounds() }
+        (columns_to_state(c), RoundHwProfile { hw, rounds: self.schedule.rounds() })
     }
 
     /// The T-table round function over big-endian column words. Hands
@@ -547,7 +553,8 @@ mod tests {
             for seed in 0u8..8 {
                 let pt: [u8; 16] =
                     core::array::from_fn(|i| (i as u8).wrapping_mul(seed).wrapping_add(seed ^ 3));
-                let profile = aes.round_hw_profile(&pt);
+                let (ciphertext, profile) = aes.encrypt_with_hw_profile(&pt);
+                assert_eq!(ciphertext, aes.encrypt_block(&pt));
                 let trace = aes.encrypt_traced(&pt);
                 assert_eq!(profile.rounds, aes.schedule().rounds());
                 for r in 0..=profile.rounds {

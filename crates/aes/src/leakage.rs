@@ -7,8 +7,10 @@
 //! sum of Hamming weights (and optionally Hamming distances) over the
 //! architectural round states of one encryption.
 //!
-//! The weights in [`LeakageWeights::default`] are calibrated (DESIGN.md §6)
-//! so that the paper's three CPA hypothesis models behave as measured:
+//! The weights in [`LeakageWeights::default`] are calibrated, together with
+//! the per-device signal coupling (`psc_core::Device::aes_signal`) and the
+//! per-key sensor pipelines (`psc_smc::sensors` module docs), so that the
+//! paper's three CPA hypothesis models behave as measured:
 //!
 //! * `Rd0-HW` (state after the initial AddRoundKey) — strongest leakage,
 //!   fastest guessing-entropy convergence (Fig. 1);
@@ -24,10 +26,11 @@
 //!
 //! [`LeakageModel::activity`] — the hot path every simulated trace goes
 //! through — runs a **fused** kernel with zero heap allocation: under the
-//! default HW-only weights it evaluates [`Aes::round_hw_profile`] (a
-//! table-driven round function producing only the AddRoundKey-output
-//! Hamming weights); with an HD term enabled, an accumulator rides along
-//! [`Aes::encrypt_observed`] and folds every intermediate state inline.
+//! default HW-only weights it evaluates [`Aes::encrypt_with_hw_profile`] (a
+//! table-driven round function producing the ciphertext and only the
+//! AddRoundKey-output Hamming weights); with an HD term enabled, an
+//! accumulator rides along [`Aes::encrypt_observed`] and folds every
+//! intermediate state inline.
 //! The **traced** path ([`LeakageModel::activity_traced`] /
 //! [`LeakageModel::activity_of_trace`]) materializes the full
 //! [`EncryptionTrace`] first and remains the ground truth the fused kernel
@@ -82,7 +85,7 @@ impl Default for LeakageWeights {
 
 impl LeakageWeights {
     /// A flat profile where every recorded state leaks equally — useful in
-    /// ablation studies of the calibration in DESIGN.md §6.
+    /// ablation studies of the default calibration (see the module docs).
     #[must_use]
     pub fn uniform(weight: f64) -> Self {
         Self {
@@ -261,7 +264,7 @@ impl LeakageModel {
     ///
     /// Runs the fused kernel with zero heap allocation. Under the default
     /// HW-only weights (`hd_consecutive == 0`), the table-driven
-    /// [`Aes::round_hw_profile`] computes only the AddRoundKey-output
+    /// [`Aes::encrypt_with_hw_profile`] computes only the AddRoundKey-output
     /// Hamming weights the model consumes; with an HD term, the full
     /// observed encryption ([`Aes::encrypt_observed`]) feeds every
     /// intermediate state through the same accumulator. Either way the
@@ -269,17 +272,29 @@ impl LeakageModel {
     /// explain the contract).
     #[must_use]
     pub fn activity(&self, plaintext: &[u8; 16]) -> f64 {
+        self.encrypt_with_activity(plaintext).1
+    }
+
+    /// The ciphertext of `plaintext` together with its
+    /// [`Self::activity`], from one encryption: both fused kernels
+    /// ([`Aes::encrypt_with_hw_profile`], and [`Aes::encrypt_observed`]
+    /// when an HD term is on) produce the ciphertext as they go. The
+    /// ciphertext equals [`Aes::encrypt_block`] and the activity equals
+    /// [`Self::activity`], bit for bit.
+    #[must_use]
+    pub fn encrypt_with_activity(&self, plaintext: &[u8; 16]) -> ([u8; 16], f64) {
         let nr = self.aes.schedule().rounds() as u8;
         let mut acc = ActivityAccumulator::new(&self.weights, nr);
-        if self.weights.hd_consecutive == 0.0 {
-            let profile = self.aes.round_hw_profile(plaintext);
+        let ciphertext = if self.weights.hd_consecutive == 0.0 {
+            let (ciphertext, profile) = self.aes.encrypt_with_hw_profile(plaintext);
             for (r, &hw) in profile.hw.iter().enumerate().take(profile.rounds + 1) {
                 acc.add_round_hw(r as u8, hw);
             }
+            ciphertext
         } else {
-            self.aes.encrypt_observed(plaintext, &mut acc);
-        }
-        acc.finish()
+            self.aes.encrypt_observed(plaintext, &mut acc)
+        };
+        (ciphertext, acc.finish())
     }
 
     /// Activity of an already-recorded trace (the ground-truth computation
@@ -396,6 +411,26 @@ mod tests {
                     let (traced, trace) = m.activity_traced(&pt);
                     assert_eq!(m.activity(&pt).to_bits(), traced.to_bits(), "hd={hd} s={s}");
                     assert_eq!(m.activity_of_trace(&trace).to_bits(), traced.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_encryption_equals_encrypt_block_and_activity() {
+        for hd in [0.0, 0.2] {
+            let weights = LeakageWeights::default().with_hd(hd);
+            for key_len in [16usize, 24, 32] {
+                let key: Vec<u8> = (0..key_len).map(|i| (i * 7 + 3) as u8).collect();
+                let m = LeakageModel::with_weights(&key, weights).unwrap();
+                for s in 0u8..16 {
+                    let pt: [u8; 16] =
+                        core::array::from_fn(|i| (i as u8).wrapping_mul(s ^ 0x5A).wrapping_add(s));
+                    let (ct, activity) = m.encrypt_with_activity(&pt);
+                    assert_eq!(ct, m.cipher().encrypt_block(&pt), "hd={hd} s={s}");
+                    assert_eq!(activity.to_bits(), m.activity(&pt).to_bits(), "hd={hd} s={s}");
+                    let (traced, _) = m.activity_traced(&pt);
+                    assert_eq!(activity.to_bits(), traced.to_bits(), "hd={hd} s={s}");
                 }
             }
         }

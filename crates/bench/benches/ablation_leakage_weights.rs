@@ -1,4 +1,6 @@
-//! Ablation: the leakage-weight calibration of DESIGN.md §6.
+//! Ablation: the leakage-weight calibration of `psc_aes::leakage` (see its
+//! module docs, with `Device::aes_signal` and the `psc_smc::sensors` module
+//! docs for the rest of the calibration).
 //!
 //! Generates synthetic noisy channels under three weight profiles and runs
 //! Rd0-HW CPA on each. Alongside the timing numbers, the bench prints the

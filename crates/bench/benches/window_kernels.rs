@@ -1,15 +1,18 @@
 //! Window-simulation hot-loop bench: the PR-3 batched-engine trajectory.
 //!
-//! Compares the scalar window loop (`Soc::run_window` per window — now a
-//! thin n=1 view over the engine, so it pays the segment setup every
-//! window) against `Soc::run_windows` at several batch sizes, plus the
-//! rig-level per-observation cost of `observe_window` vs the batched
-//! `observe_windows` campaign path. All variants are bit-identical in
-//! output (pinned by `crates/soc/tests/batch_equivalence.rs`), so the
-//! numbers measure pure engine overhead.
+//! Compares the scalar window loop (`Soc::run_window` per window — a thin
+//! n=1 view over the engine) against `Soc::run_windows` at several batch
+//! sizes, plus the rig-level per-observation cost of `observe_window` vs
+//! the batched `observe_windows` campaign path. All variants are
+//! bit-identical in output (pinned by
+//! `crates/soc/tests/batch_equivalence.rs`), so the numbers measure pure
+//! engine overhead.
 //!
-//! Expected shape on the 1-CPU dev container: the engine-level sweep wins
-//! clearly (segment setup amortized over the batch). The rig-level
+//! Expected shape: the engine's segment persists across calls and is
+//! rebuilt only when the operating point, the placements or the window
+//! length change, so a 1-window call pays only the per-call signal-plan
+//! evaluation (one per shared workload input) on top of the window
+//! itself; batches amortize that and the batch bookkeeping. The rig-level
 //! per-observation number is dominated by the SMC *publish* — originally a
 //! per-sensor `BTreeMap` walk that cloned every sensor definition per
 //! publish (~19 µs/observation, recorded as

@@ -8,7 +8,9 @@
 //!   `PSC_TRACES` / `PSC_TVLA_TRACES` / `PSC_SHARDS` / `PSC_SEED`.
 //! * **criterion benches** (`benches/`) — kernel throughput benches (AES,
 //!   TVLA/CPA accumulation, SMC window simulation) plus scaled end-to-end
-//!   experiment benches and the ablation studies backing DESIGN.md §6.
+//!   experiment benches and the ablation studies backing the calibration
+//!   (`psc_aes::leakage` and `psc_smc::sensors` module docs,
+//!   `Device::aes_signal`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

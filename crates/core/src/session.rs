@@ -92,10 +92,6 @@ use std::time::Instant;
 /// one ring synchronization per block instead of per event.
 pub const BUS_CAPACITY: usize = 128;
 
-/// Capacity of the per-shard recycle lane returning processed blocks to
-/// the producer (overflow just deallocates — `DropNewest`).
-const RECYCLE_CAPACITY: usize = 4;
-
 /// Minimum samples per fixed class (per shard) before the adaptive
 /// early-stop check may fire — guards against a spurious low-count
 /// threshold crossing ending a campaign after a handful of traces.
@@ -1304,8 +1300,8 @@ impl Session<'_> {
     /// The generic producer/consumer fan-out: one bounded block bus per
     /// shard, the source producing on a scoped thread, `consume` draining
     /// on the shard's worker thread (given the shard's instruments and its
-    /// degradation/offset journal). A small recycle lane hands processed
-    /// blocks back to the producer, so the steady state moves columnar
+    /// degradation/offset journal). A recycle lane as deep as the bus hands
+    /// processed blocks back to the producer, so the steady state moves columnar
     /// batches back and forth without allocating. When observability is
     /// on, the producer side records source-fill latency, block/obs
     /// throughput and recycle hit/miss into the shard's registry, and
@@ -1348,7 +1344,13 @@ impl Session<'_> {
         let plan_faults: Option<&FaultState> = faults.map(Arc::as_ref);
         let runs = run_sharded_caught(self.shards, |i| {
             let (tx, rx) = channel(spec.tune.bus_capacity, OverflowPolicy::Block);
-            let (recycle_tx, recycle_rx) = channel(RECYCLE_CAPACITY, OverflowPolicy::DropNewest);
+            // The recycle lane holds every block that can be in flight:
+            // the source allocates only when the lane is empty, so at most
+            // a full bus, the consumer's block and the producer's filled
+            // one come back while the source keeps one. Overflow would
+            // only deallocate (`DropNewest`).
+            let recycle_capacity = spec.tune.bus_capacity + 2;
+            let (recycle_tx, recycle_rx) = channel(recycle_capacity, OverflowPolicy::DropNewest);
             let schedule = schedule_for(i);
             let ins = obs.map(|o| ShardInstruments::new(&o.registries[i]));
             let log = ShardLog::new(track_offsets);

@@ -14,9 +14,8 @@
 //!   the paper's explanation for the ≈2× slower GE convergence in Fig. 1(b).
 
 use psc_aes::leakage::LeakageModel;
-use psc_aes::Aes;
 use psc_soc::sched::SchedAttrs;
-use psc_soc::workload::{shared_plaintext, AesSignal, AesWorkload, SharedPlaintext};
+use psc_soc::workload::{shared_plaintext, AesSignal, AesWorkload};
 use psc_soc::{Soc, ThreadId};
 use std::sync::Arc;
 
@@ -55,9 +54,10 @@ impl VictimKind {
 #[derive(Debug)]
 pub struct AesVictim {
     kind: VictimKind,
-    aes: Aes,
     secret_key: [u8; 16],
-    plaintext: SharedPlaintext,
+    /// A replica of the threads' workload: it shares their plaintext and
+    /// activity memo, and runs the service's encryption.
+    workload: AesWorkload,
     thread_ids: Vec<ThreadId>,
 }
 
@@ -87,7 +87,6 @@ impl AesVictim {
         signal: AesSignal,
         threads: usize,
     ) -> Self {
-        let aes = Aes::new(&key).expect("16-byte key is always valid");
         let model = Arc::new(LeakageModel::new(&key).expect("16-byte key is always valid"));
         let plaintext = shared_plaintext([0u8; 16]);
         let effective = AesSignal {
@@ -99,8 +98,7 @@ impl AesVictim {
         // Replicas are clones of one workload, so all victim threads share
         // the per-plaintext activity memo: the fused leakage kernel runs
         // once per window input, not once per thread.
-        let workload =
-            AesWorkload::with_signal(Arc::clone(&model), Arc::clone(&plaintext), effective);
+        let workload = AesWorkload::with_signal(model, plaintext, effective);
         let thread_ids = (0..threads)
             .map(|i| {
                 let name = match kind {
@@ -110,7 +108,7 @@ impl AesVictim {
                 soc.spawn(name, SchedAttrs::realtime_p_core(), Box::new(workload.clone()))
             })
             .collect();
-        Self { kind, aes, secret_key: key, plaintext, thread_ids }
+        Self { kind, secret_key: key, workload, thread_ids }
     }
 
     /// The victim kind.
@@ -129,10 +127,10 @@ impl AesVictim {
     /// loads it into its (repeating) encryption loop and returns the
     /// ciphertext — mirroring the paper's driver that "takes plaintext
     /// from a user application, performs encryption repeatedly, and
-    /// then stores the resulting ciphertext in a buffer".
+    /// then stores the resulting ciphertext in a buffer". The same AES
+    /// pass yields the plaintext's leakage activity for the threads.
     pub fn request_encrypt(&self, plaintext: [u8; 16]) -> [u8; 16] {
-        *self.plaintext.lock().expect("plaintext lock") = plaintext;
-        self.aes.encrypt_block(&plaintext)
+        self.workload.encrypt(plaintext)
     }
 
     /// Ground-truth secret (round-0) key — for *evaluation only*; the
@@ -145,7 +143,7 @@ impl AesVictim {
     /// Ground-truth round-10 key — for evaluating ciphertext-side models.
     #[must_use]
     pub fn round10_key_for_eval(&self) -> [u8; 16] {
-        *self.aes.schedule().round_key(10)
+        *self.workload.model().cipher().schedule().round_key(10)
     }
 
     /// Remove the victim's threads from the SoC.
@@ -159,6 +157,7 @@ impl AesVictim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psc_aes::Aes;
     use psc_soc::{ClusterKind, SocSpec};
 
     fn soc() -> Soc {

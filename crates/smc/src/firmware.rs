@@ -12,23 +12,22 @@ use psc_soc::{SocTick, WindowBatch, WindowReport};
 use pulp::{F64x4, Simd, WithSimd};
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Default update interval in seconds.
 pub const DEFAULT_UPDATE_INTERVAL_S: f64 = 1.0;
 
+/// Running sums of the window fields the sensors sample (the rails, the
+/// estimator's CPU power and the last temperature), time-weighted, since
+/// the last publish. Nothing else of a window reaches a published value,
+/// so nothing else is summed.
 #[derive(Debug, Clone, Copy, Default)]
 struct Accumulator {
     time_s: f64,
-    p_core_util_sum: [f64; 4],
-    e_core_util_sum: [f64; 4],
     rails_sum: psc_soc::PowerRails,
     est_cpu_sum: f64,
-    est_p_sum: f64,
-    est_e_sum: f64,
-    p_freq_sum: f64,
-    e_freq_sum: f64,
     temp_last: f64,
-    reps_sum: f64,
 }
 
 impl Accumulator {
@@ -56,9 +55,6 @@ impl Accumulator {
         if end > start {
             self.temp_last = batch.temperature_c()[end - 1];
         }
-        for v in &batch.p_core_reps()[start..end] {
-            self.reps_sum += v;
-        }
     }
 
     fn add(&mut self, report: &WindowReport) {
@@ -66,44 +62,32 @@ impl Accumulator {
         self.time_s += dt;
         self.rails_sum.accumulate(&report.rails.scaled(dt));
         self.est_cpu_sum += report.estimated_cpu_power_w * dt;
-        self.est_p_sum += report.estimated_p_cluster_w * dt;
-        self.est_e_sum += report.estimated_e_cluster_w * dt;
-        self.p_freq_sum += report.p_freq_ghz * dt;
-        self.e_freq_sum += report.e_freq_ghz * dt;
         self.temp_last = report.temperature_c;
-        self.reps_sum += report.p_core_reps;
-        for i in 0..4 {
-            self.p_core_util_sum[i] += report.p_core_util[i] * dt;
-            self.e_core_util_sum[i] += report.e_core_util[i] * dt;
-        }
     }
 
+    /// The mean window the sensors sample. Only the fields
+    /// [`crate::SensorSource::sample`] reads are filled; the rest keep
+    /// their defaults.
     fn mean_report(&self) -> WindowReport {
         let t = self.time_s.max(1e-12);
         WindowReport {
             duration_s: self.time_s,
             rails: self.rails_sum.scaled(1.0 / t),
             estimated_cpu_power_w: self.est_cpu_sum / t,
-            estimated_p_cluster_w: self.est_p_sum / t,
-            estimated_e_cluster_w: self.est_e_sum / t,
-            p_freq_ghz: self.p_freq_sum / t,
-            e_freq_ghz: self.e_freq_sum / t,
             temperature_c: self.temp_last,
-            p_core_reps: self.reps_sum,
-            p_core_util: core::array::from_fn(|i| self.p_core_util_sum[i] / t),
-            e_core_util: core::array::from_fn(|i| self.e_core_util_sum[i] / t),
+            ..WindowReport::default()
         }
     }
 }
 
 /// Columnar accumulation sweep over rows `start..end` of a batch.
 ///
-/// Twelve power/frequency columns are grouped into three `f64x4` quads and
-/// the per-core utilisation rows ride as natural 4-lane vectors. Each SIMD
-/// lane carries exactly one accumulator's private addition chain in row
-/// order, so the vector sweep performs the same floating-point operations
-/// (in the same order) as the twelve independent scalar column loops it
-/// replaces — the published SMC values are bit-identical on every backend.
+/// The seven rails and the estimator's CPU power ride as two `f64x4`
+/// quads. Each SIMD lane carries exactly one accumulator's private
+/// addition chain in row order, so the vector sweep performs the same
+/// floating-point operations (in the same order) as the eight independent
+/// scalar column loops it replaces — the published SMC values are
+/// bit-identical on every backend.
 struct ColumnSweep<'a> {
     acc: &'a mut Accumulator,
     batch: &'a WindowBatch,
@@ -120,21 +104,11 @@ impl WithSimd for ColumnSweep<'_> {
         let dt = S::f64x4::splat(batch.duration_s());
         let rails = batch.rails();
         let est_cpu = batch.estimated_cpu_power_w();
-        let est_p = batch.estimated_p_cluster_w();
-        let est_e = batch.estimated_e_cluster_w();
-        let p_freq = batch.p_freq_ghz();
-        let e_freq = batch.e_freq_ghz();
-        let p_util = batch.p_core_util();
-        let e_util = batch.e_core_util();
 
         let rs = acc.rails_sum;
         let mut quad_a = S::f64x4::new(rs.p_cluster_w, rs.e_cluster_w, rs.dram_w, rs.uncore_w);
         let mut quad_b = S::f64x4::new(rs.package_w, rs.dc_in_w, rs.system_w, acc.est_cpu_sum);
-        let mut quad_c =
-            S::f64x4::new(acc.est_p_sum, acc.est_e_sum, acc.p_freq_sum, acc.e_freq_sum);
-        let mut p_sum = S::f64x4::from_array(acc.p_core_util_sum);
-        let mut e_sum = S::f64x4::from_array(acc.e_core_util_sum);
-        for i in start..end {
+        for (i, &cpu) in (start..end).zip(&est_cpu[start..end]) {
             quad_a += S::f64x4::new(
                 rails.p_cluster_w[i],
                 rails.e_cluster_w[i],
@@ -142,15 +116,10 @@ impl WithSimd for ColumnSweep<'_> {
                 rails.uncore_w[i],
             ) * dt;
             quad_b +=
-                S::f64x4::new(rails.package_w[i], rails.dc_in_w[i], rails.system_w[i], est_cpu[i])
-                    * dt;
-            quad_c += S::f64x4::new(est_p[i], est_e[i], p_freq[i], e_freq[i]) * dt;
-            p_sum += S::f64x4::from_array(p_util[i]) * dt;
-            e_sum += S::f64x4::from_array(e_util[i]) * dt;
+                S::f64x4::new(rails.package_w[i], rails.dc_in_w[i], rails.system_w[i], cpu) * dt;
         }
         let [pc, ec, dr, un] = quad_a.to_array();
         let [pkg, dc, sys, cpu] = quad_b.to_array();
-        let [ep, ee, pf, ef] = quad_c.to_array();
         acc.rails_sum = psc_soc::PowerRails {
             p_cluster_w: pc,
             e_cluster_w: ec,
@@ -161,12 +130,6 @@ impl WithSimd for ColumnSweep<'_> {
             system_w: sys,
         };
         acc.est_cpu_sum = cpu;
-        acc.est_p_sum = ep;
-        acc.est_e_sum = ee;
-        acc.p_freq_sum = pf;
-        acc.e_freq_sum = ef;
-        acc.p_core_util_sum = p_sum.to_array();
-        acc.e_core_util_sum = e_sum.to_array();
     }
 }
 
@@ -214,8 +177,6 @@ struct SensorRuntime {
     /// drift and a constant or overridden source; `None` when a publish
     /// must run the pipeline.
     fixed: Option<f64>,
-    /// Last published value.
-    published: SmcValue,
 }
 
 impl SensorRuntime {
@@ -244,6 +205,53 @@ impl SensorRuntime {
     }
 }
 
+/// The published key/value table, shared between the firmware and every
+/// IOKit client so that a read takes no lock. Keys, types and which keys
+/// are power-related are fixed at [`Smc::new`]; each value (as `f64`
+/// bits) and the restriction flag are atomics the firmware stores at every
+/// publish, key write and mitigation change. A read sees one key's value
+/// whole, as with the lock it replaces.
+#[derive(Debug)]
+pub(crate) struct PublishedTable {
+    /// Lexicographically sorted keys; parallel `index` maps each to its
+    /// sensor slot for binary-search lookup.
+    sorted_keys: Vec<SmcKey>,
+    index: Vec<usize>,
+    /// Per sensor slot, in definition order.
+    data_types: Vec<SmcDataType>,
+    power_related: Vec<bool>,
+    values: Vec<AtomicU64>,
+    /// The active mitigation's `restrict_power_keys`.
+    restrict_power_keys: AtomicBool,
+}
+
+impl PublishedTable {
+    /// The sensor slot of `k`, if the key exists.
+    fn slot(&self, k: SmcKey) -> Option<usize> {
+        self.sorted_keys.binary_search(&k).ok().map(|i| self.index[i])
+    }
+
+    fn value(&self, slot: usize) -> SmcValue {
+        let bits = self.values[slot].load(Ordering::Acquire);
+        SmcValue::new(self.data_types[slot], f64::from_bits(bits))
+    }
+
+    fn store(&self, slot: usize, value: f64) {
+        self.values[slot].store(value.to_bits(), Ordering::Release);
+    }
+
+    fn restricted(&self, slot: usize) -> bool {
+        self.power_related[slot] && self.restrict_power_keys.load(Ordering::Acquire)
+    }
+
+    /// Everything an IOKit read needs, from one key lookup: the published
+    /// value (with its wire type) and whether the active mitigation denies
+    /// it to unprivileged clients.
+    pub(crate) fn read_entry(&self, k: SmcKey) -> Option<(SmcValue, bool)> {
+        self.slot(k).map(|i| (self.value(i), self.restricted(i)))
+    }
+}
+
 /// The simulated SMC.
 #[derive(Debug)]
 pub struct Smc {
@@ -257,12 +265,10 @@ pub struct Smc {
     current_target_s: f64,
     mitigation: MitigationConfig,
     rng: ChaCha12Rng,
-    /// Per-sensor pipelines in definition order (the publish sweep order).
+    /// Per-sensor pipelines in definition order.
     runtime: Vec<SensorRuntime>,
-    /// Lexicographically sorted keys; parallel `index` maps each to its
-    /// `runtime` slot for binary-search lookup.
-    sorted_keys: Vec<SmcKey>,
-    index: Vec<usize>,
+    /// Published values, indexed by `runtime` slot.
+    table: Arc<PublishedTable>,
     acc: Accumulator,
     update_count: u64,
 }
@@ -288,12 +294,18 @@ impl Smc {
                 override_value: None,
                 sigma: 0.0,
                 fixed: None,
-                published: SmcValue::new(s.data_type, 0.0),
             })
             .collect();
         let mut order: Vec<usize> = (0..runtime.len()).collect();
         order.sort_by_key(|&i| runtime[i].key);
-        let sorted_keys = order.iter().map(|&i| runtime[i].key).collect();
+        let table = Arc::new(PublishedTable {
+            sorted_keys: order.iter().map(|&i| runtime[i].key).collect(),
+            index: order,
+            data_types: runtime.iter().map(|rt| rt.data_type).collect(),
+            power_related: runtime.iter().map(|rt| rt.power_related).collect(),
+            values: runtime.iter().map(|_| AtomicU64::new(0.0f64.to_bits())).collect(),
+            restrict_power_keys: AtomicBool::new(false),
+        });
         let mut smc = Self {
             sensors,
             base_interval_s: DEFAULT_UPDATE_INTERVAL_S,
@@ -302,8 +314,7 @@ impl Smc {
             mitigation: MitigationConfig::none(),
             rng: ChaCha12Rng::seed_from_u64(seed ^ 0x5AC5_AC5A),
             runtime,
-            sorted_keys,
-            index: order,
+            table,
             acc: Accumulator::default(),
             update_count: 0,
         };
@@ -320,7 +331,12 @@ impl Smc {
 
     /// The `runtime` slot for `k`, if the key exists.
     fn lookup(&self, k: SmcKey) -> Option<usize> {
-        self.sorted_keys.binary_search(&k).ok().map(|i| self.index[i])
+        self.table.slot(k)
+    }
+
+    /// The published table IOKit clients read without locking.
+    pub(crate) fn published_table(&self) -> Arc<PublishedTable> {
+        Arc::clone(&self.table)
     }
 
     /// Override the base update interval (default 1 s).
@@ -363,6 +379,8 @@ impl Smc {
         for rt in &mut self.runtime {
             rt.refresh(self.mitigation.extra_noise_sigma_w);
         }
+        let restrict = self.mitigation.restrict_power_keys;
+        self.table.restrict_power_keys.store(restrict, Ordering::Release);
     }
 
     /// The active mitigation configuration.
@@ -504,7 +522,7 @@ impl Smc {
         // One dense sweep in definition order: the exact floating-point
         // pipeline and RNG call order of the historical per-key walk.
         // Sensors that cannot change copy their precomputed value.
-        for rt in &mut self.runtime {
+        for (i, rt) in self.runtime.iter_mut().enumerate() {
             let value = match rt.fixed {
                 Some(v) => v,
                 None => {
@@ -514,7 +532,7 @@ impl Smc {
                     rt.quantize(gaussian(&mut self.rng, raw + drift, rt.sigma))
                 }
             };
-            rt.published = SmcValue::new(rt.data_type, value);
+            self.table.store(i, value);
         }
         self.update_count += 1;
     }
@@ -523,7 +541,7 @@ impl Smc {
     /// client layer).
     #[must_use]
     pub fn read(&self, k: SmcKey) -> Option<SmcValue> {
-        self.lookup(k).map(|i| self.runtime[i].published)
+        self.lookup(k).map(|i| self.table.value(i))
     }
 
     /// All keys in deterministic (lexicographic) order. The slice is
@@ -531,17 +549,7 @@ impl Smc {
     /// per round without allocating.
     #[must_use]
     pub fn keys(&self) -> &[SmcKey] {
-        &self.sorted_keys
-    }
-
-    /// Everything an IOKit read needs, from one key lookup: the published
-    /// value (with its wire type) and whether the active mitigation denies
-    /// it to unprivileged clients.
-    pub(crate) fn read_entry(&self, k: SmcKey) -> Option<(SmcValue, bool)> {
-        self.lookup(k).map(|i| {
-            let rt = &self.runtime[i];
-            (rt.published, self.mitigation.restrict_power_keys && rt.power_related)
-        })
+        &self.table.sorted_keys
     }
 
     /// Type/size info for a key.
@@ -557,8 +565,7 @@ impl Smc {
     /// the active mitigation.
     #[must_use]
     pub fn is_restricted(&self, k: SmcKey) -> bool {
-        self.mitigation.restrict_power_keys
-            && self.lookup(k).is_some_and(|i| self.runtime[i].power_related)
+        self.lookup(k).is_some_and(|i| self.table.restricted(i))
     }
 
     /// Whether user space may write this key.
@@ -583,8 +590,8 @@ impl Smc {
             return Err(WriteKeyError::NotWritable(k));
         }
         rt.override_value = Some(value);
-        rt.published = SmcValue::new(rt.data_type, value);
         rt.refresh(self.mitigation.extra_noise_sigma_w);
+        self.table.store(i, value);
         Ok(())
     }
 }
@@ -825,14 +832,7 @@ mod tests {
             assert_eq!(a.rails.dc_in_w.to_bits(), b.rails.dc_in_w.to_bits());
             assert_eq!(a.rails.system_w.to_bits(), b.rails.system_w.to_bits());
             assert_eq!(a.estimated_cpu_power_w.to_bits(), b.estimated_cpu_power_w.to_bits());
-            assert_eq!(a.estimated_p_cluster_w.to_bits(), b.estimated_p_cluster_w.to_bits());
-            assert_eq!(a.estimated_e_cluster_w.to_bits(), b.estimated_e_cluster_w.to_bits());
-            assert_eq!(a.p_freq_ghz.to_bits(), b.p_freq_ghz.to_bits());
-            assert_eq!(a.e_freq_ghz.to_bits(), b.e_freq_ghz.to_bits());
-            for lane in 0..4 {
-                assert_eq!(a.p_core_util[lane].to_bits(), b.p_core_util[lane].to_bits());
-                assert_eq!(a.e_core_util[lane].to_bits(), b.e_core_util[lane].to_bits());
-            }
+            assert_eq!(a.temperature_c.to_bits(), b.temperature_c.to_bits());
         }
     }
 

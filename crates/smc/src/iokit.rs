@@ -12,16 +12,17 @@
 //!
 //! Reads: [`SmcUserClient::read_key`] and the [`SELECTOR_READ_KEY`] arm of
 //! [`SmcUserClient::call_struct_method`] share one private path. It takes
-//! a single read guard, resolves type, restriction and published value in
-//! one firmware lookup, checks privilege, and wire-encodes into a stack
-//! buffer. `read_key` then decodes those bytes with the key's type, so a
-//! decoded read still carries the wire quantisation (e.g. `flt ` values
-//! are f32-rounded) exactly as an explicit `KEY_INFO` + `READ_KEY` round
-//! trip would.
+//! no lock: the client holds the firmware's published table, whose values
+//! the firmware stores atomically, and resolves type, restriction and
+//! value in one lookup before checking privilege. The selector arm then
+//! wire-encodes the value; `read_key` returns the value a decoder of those
+//! bytes would see, computed directly, so a decoded read still carries the
+//! wire quantisation (e.g. `flt ` values are f32-rounded) exactly as an
+//! explicit `KEY_INFO` + `READ_KEY` round trip would.
 
-use crate::firmware::Smc;
+use crate::firmware::{PublishedTable, Smc};
 use crate::key::SmcKey;
-use crate::types::{SmcDataType, SmcValue, WireBytes};
+use crate::types::{SmcDataType, SmcValue};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -94,6 +95,8 @@ impl std::error::Error for IoKitError {}
 #[derive(Debug, Clone)]
 pub struct SmcUserClient {
     smc: SharedSmc,
+    /// The firmware's published values, read without the lock.
+    table: Arc<PublishedTable>,
     privileged: bool,
 }
 
@@ -101,13 +104,18 @@ impl SmcUserClient {
     /// Open an unprivileged connection (the paper's attacker).
     #[must_use]
     pub fn new(smc: SharedSmc) -> Self {
-        Self { smc, privileged: false }
+        Self::open(smc, false)
     }
 
     /// Open a privileged (root/entitled) connection.
     #[must_use]
     pub fn privileged(smc: SharedSmc) -> Self {
-        Self { smc, privileged: true }
+        Self::open(smc, true)
+    }
+
+    fn open(smc: SharedSmc, privileged: bool) -> Self {
+        let table = smc.read().published_table();
+        Self { smc, table, privileged }
     }
 
     /// Whether this client is privileged.
@@ -156,10 +164,7 @@ impl SmcUserClient {
                 out.put_slice(dtype.code().as_bytes());
                 Ok(out.freeze())
             }
-            SELECTOR_READ_KEY => {
-                let (_, wire) = self.read_wire(parse_key(input)?)?;
-                Ok(Bytes::copy_from_slice(&wire))
-            }
+            SELECTOR_READ_KEY => Ok(self.read_published(parse_key(input)?)?.to_bytes()),
             SELECTOR_WRITE_KEY => {
                 if input.len() < 5 {
                     return Err(IoKitError::BadInput);
@@ -266,21 +271,19 @@ impl SmcUserClient {
     /// [`IoKitError::AccessDenied`] when the access-restriction mitigation
     /// is active and this client is unprivileged.
     pub fn read_key(&self, k: SmcKey) -> Result<SmcValue, IoKitError> {
-        let (dtype, wire) = self.read_wire(k)?;
-        SmcValue::from_bytes(dtype, &wire).map_err(|_| IoKitError::BadInput)
+        let value = self.read_published(k)?;
+        Ok(SmcValue::new(value.data_type, value.data_type.wire_round(value.value)))
     }
 
-    /// The one read path: a single read guard and firmware lookup yield
-    /// the key's type and its published value wire-encoded on the stack,
-    /// after the privilege check. Unknown keys fail `KeyNotFound` before
-    /// any privilege decision.
-    fn read_wire(&self, k: SmcKey) -> Result<(SmcDataType, WireBytes), IoKitError> {
-        let (value, restricted) =
-            self.smc.read().read_entry(k).ok_or(IoKitError::KeyNotFound(k))?;
+    /// The one read path: one lookup in the published table yields the
+    /// key's value, after the privilege check. Unknown keys fail
+    /// `KeyNotFound` before any privilege decision.
+    fn read_published(&self, k: SmcKey) -> Result<SmcValue, IoKitError> {
+        let (value, restricted) = self.table.read_entry(k).ok_or(IoKitError::KeyNotFound(k))?;
         if restricted && !self.privileged {
             return Err(IoKitError::AccessDenied(k));
         }
-        Ok((value.data_type, value.data_type.encode_wire(value.value)))
+        Ok(value)
     }
 
     /// Convenience: read a power key in watts.

@@ -8,7 +8,7 @@
 //!   (`flt `, `sp78`, …) with byte-exact codecs;
 //! * [`sensors`] — per-device sensor populations with the gain /
 //!   quantization / noise / drift pipeline that decides which keys leak
-//!   (DESIGN.md §6);
+//!   (its module docs give the per-key calibration);
 //! * [`firmware`] — the co-processor: integrates SoC windows, publishes at
 //!   the ≈1 s update interval;
 //! * [`iokit`] — the `IOConnectCallStructMethod`-shaped user client with a

@@ -76,28 +76,37 @@ impl SmcDataType {
     /// saturates rather than erroring).
     #[must_use]
     pub fn encode(self, value: f64) -> Bytes {
-        Bytes::copy_from_slice(&self.encode_wire(value))
+        // `wire_round` leaves a value every cast below holds exactly.
+        let v = self.wire_round(value);
+        let bytes: &[u8] = match self {
+            SmcDataType::Flt => &(v as f32).to_le_bytes(),
+            SmcDataType::Ui8 | SmcDataType::Flag => &[v as u8],
+            SmcDataType::Ui16 => &(v as u16).to_be_bytes(),
+            SmcDataType::Ui32 => &(v as u32).to_be_bytes(),
+            SmcDataType::Sp78 => &((v * 256.0) as i16).to_be_bytes(),
+            SmcDataType::Fpe2 => &((v * 4.0) as u16).to_be_bytes(),
+        };
+        Bytes::copy_from_slice(bytes)
     }
 
-    /// [`SmcDataType::encode`] into a stack buffer: the allocation-free
-    /// form the IOKit read path uses.
+    /// The value a reader decodes after a wire round trip — exactly
+    /// `decode(&encode(value))`, computed without the bytes: the type's
+    /// saturation and quantisation. The IOKit read path returns this.
     #[must_use]
-    pub(crate) fn encode_wire(self, value: f64) -> WireBytes {
-        let mut buf = [0u8; 4];
-        let bytes: &[u8] = match self {
-            SmcDataType::Flt => &(value as f32).to_le_bytes(),
-            SmcDataType::Ui8 => &[value.clamp(0.0, 255.0).round() as u8],
-            SmcDataType::Ui16 => &(value.clamp(0.0, 65_535.0).round() as u16).to_be_bytes(),
-            SmcDataType::Ui32 => &(value.clamp(0.0, u32::MAX as f64).round() as u32).to_be_bytes(),
+    pub(crate) fn wire_round(self, value: f64) -> f64 {
+        match self {
+            SmcDataType::Flt => f64::from(value as f32),
+            // The integer casts matter: they send NaN and -0.0 to +0.0.
+            SmcDataType::Ui8 => f64::from(value.clamp(0.0, 255.0).round() as u8),
+            SmcDataType::Ui16 => f64::from(value.clamp(0.0, 65_535.0).round() as u16),
+            SmcDataType::Ui32 => f64::from(value.clamp(0.0, u32::MAX as f64).round() as u32),
             SmcDataType::Sp78 => {
                 let fixed = (value * 256.0).clamp(i16::MIN as f64, i16::MAX as f64).round() as i16;
-                &fixed.to_be_bytes()
+                f64::from(fixed) / 256.0
             }
-            SmcDataType::Fpe2 => &((value * 4.0).clamp(0.0, 65_535.0).round() as u16).to_be_bytes(),
-            SmcDataType::Flag => &[u8::from(value != 0.0)],
-        };
-        buf[..bytes.len()].copy_from_slice(bytes);
-        WireBytes { buf, len: bytes.len() }
+            SmcDataType::Fpe2 => f64::from((value * 4.0).clamp(0.0, 65_535.0).round() as u16) / 4.0,
+            SmcDataType::Flag => f64::from(u8::from(value != 0.0)),
+        }
     }
 
     /// Decode wire bytes into a numeric value.
@@ -119,22 +128,6 @@ impl SmcDataType {
             SmcDataType::Fpe2 => f64::from(buf.get_u16()) / 4.0,
             SmcDataType::Flag => f64::from(buf.get_u8() != 0),
         })
-    }
-}
-
-/// One value's wire bytes, held on the stack (every type encodes to at
-/// most 4 bytes). Dereferences to the encoded byte slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct WireBytes {
-    buf: [u8; 4],
-    len: usize,
-}
-
-impl core::ops::Deref for WireBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.buf[..self.len]
     }
 }
 
@@ -278,13 +271,75 @@ mod tests {
             SmcDataType::Flag,
         ] {
             for v in [-300.5, -1.0, 0.0, 0.4, 1.0, 24.5, 1850.25, 70_000.0, 5.0e9] {
-                let wire = t.encode_wire(v);
-                assert_eq!(wire.len(), t.size(), "{t:?}");
-                assert_eq!(&wire[..], &t.encode(v)[..], "{t:?} {v}");
+                assert_eq!(t.encode(v).len(), t.size(), "{t:?} {v}");
             }
         }
-        assert_eq!(&SmcDataType::Ui16.encode_wire(258.0)[..], &[1, 2], "big-endian");
-        assert_eq!(&SmcDataType::Flt.encode_wire(1.0)[..], &1.0f32.to_le_bytes(), "little-endian");
+        assert_eq!(&SmcDataType::Ui16.encode(258.0)[..], &[1, 2], "big-endian");
+        assert_eq!(&SmcDataType::Flt.encode(1.0)[..], &1.0f32.to_le_bytes(), "little-endian");
+    }
+
+    /// The byte-level encoder `encode` replaced, kept as the reference.
+    fn reference_encode(t: SmcDataType, value: f64) -> Vec<u8> {
+        match t {
+            SmcDataType::Flt => (value as f32).to_le_bytes().to_vec(),
+            SmcDataType::Ui8 => vec![value.clamp(0.0, 255.0).round() as u8],
+            SmcDataType::Ui16 => (value.clamp(0.0, 65_535.0).round() as u16).to_be_bytes().to_vec(),
+            SmcDataType::Ui32 => {
+                (value.clamp(0.0, u32::MAX as f64).round() as u32).to_be_bytes().to_vec()
+            }
+            SmcDataType::Sp78 => {
+                let fixed = (value * 256.0).clamp(i16::MIN as f64, i16::MAX as f64).round() as i16;
+                fixed.to_be_bytes().to_vec()
+            }
+            SmcDataType::Fpe2 => {
+                ((value * 4.0).clamp(0.0, 65_535.0).round() as u16).to_be_bytes().to_vec()
+            }
+            SmcDataType::Flag => vec![u8::from(value != 0.0)],
+        }
+    }
+
+    #[test]
+    fn wire_round_equals_decode_of_encode_bitwise() {
+        let values = [
+            -300.5,
+            -1.0,
+            -0.0,
+            0.0,
+            0.4,
+            0.5,
+            1.0,
+            2.375,
+            24.5,
+            127.998,
+            1850.25,
+            4382.0,
+            70_000.0,
+            5.0e9,
+            1.0e-7,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for t in [
+            SmcDataType::Flt,
+            SmcDataType::Ui8,
+            SmcDataType::Ui16,
+            SmcDataType::Ui32,
+            SmcDataType::Sp78,
+            SmcDataType::Fpe2,
+            SmcDataType::Flag,
+        ] {
+            let mut x = 0.123_456_789f64;
+            for v in values.into_iter().chain((0..200).map(|_| {
+                x = (x * 997.0 + 0.271).fract();
+                (x - 0.3) * 90.0
+            })) {
+                let reference = reference_encode(t, v);
+                assert_eq!(&t.encode(v)[..], &reference[..], "{t:?} {v}");
+                let decoded = t.decode(&reference).unwrap();
+                assert_eq!(t.wire_round(v).to_bits(), decoded.to_bits(), "{t:?} {v}");
+            }
+        }
     }
 
     #[test]

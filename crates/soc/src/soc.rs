@@ -138,14 +138,25 @@ impl Default for WindowReport {
     }
 }
 
-/// Per-batch snapshot of everything that stays constant while the
-/// operating point and the placements do not change: mean cluster powers,
-/// per-core utilization, the window repetition count, and one
-/// [`SignalPlan`] per placement. Rebuilt only when the governor moves the
-/// frequency mid-batch, so a steady-state batch pays the placement walk
-/// and the workload locks once instead of once per window.
+/// Snapshot of everything the window engine holds constant between
+/// operating-point moves, kept across [`Soc::run_windows_into`] calls.
+///
+/// The *operating-point part* — mean cluster powers, per-core utilization,
+/// the repetition count and which placements share a plan — depends only
+/// on the P/E frequencies, the placements and the window length (workload
+/// utilization and intensity are constant for a workload's life). It is
+/// rebuilt only when one of those changes. The *plans* read the workloads'
+/// data inputs, which the attacker may swap between calls, so every call
+/// re-evaluates them: once per [`Workload::plan_source`], not once per
+/// placement.
 #[derive(Debug, Default)]
 struct BatchSegment {
+    /// Whether the operating-point part matches the current placements
+    /// (cleared by spawn/kill/kill_all).
+    valid: bool,
+    duration_s: f64,
+    /// The thermal model's relaxation factor over `duration_s`.
+    thermal_decay: f64,
     p_mean_w: f64,
     e_mean_w: f64,
     util_sum: f64,
@@ -157,6 +168,20 @@ struct BatchSegment {
     /// `(cluster, plan)` per placement, in placement order. `None` falls
     /// back to the thread's scalar `window_signal_w` each window.
     plans: Vec<(ClusterKind, Option<SignalPlan>)>,
+    /// `shared[k]` is an earlier placement whose plan placement `k`
+    /// copies (same [`Workload::plan_source`]).
+    shared: Vec<Option<usize>>,
+}
+
+impl BatchSegment {
+    /// Whether the operating-point part was built for this window length
+    /// and these frequencies.
+    fn holds(&self, duration_s: f64, p_freq_ghz: f64, e_freq_ghz: f64) -> bool {
+        self.valid
+            && self.duration_s == duration_s
+            && self.p_freq_ghz == p_freq_ghz
+            && self.e_freq_ghz == e_freq_ghz
+    }
 }
 
 /// The simulated system.
@@ -288,6 +313,7 @@ impl Soc {
         self.threads.clear();
         self.placements.clear();
         self.placement_threads.clear();
+        self.segment.valid = false;
     }
 
     /// Threads currently alive.
@@ -325,6 +351,7 @@ impl Soc {
                     .expect("placement references live thread")
             })
             .collect();
+        self.segment.valid = false;
     }
 
     /// Mean (data-independent) power of both clusters at current operating
@@ -459,12 +486,14 @@ impl Soc {
         }
     }
 
-    /// Rebuild the batch segment from the current operating point: mean
-    /// cluster powers, per-core utilization, repetition count and one
-    /// signal plan per placement.
-    fn refresh_segment(&mut self, duration_s: f64, seg: &mut BatchSegment) {
+    /// Rebuild the segment's operating-point part: mean cluster powers,
+    /// per-core utilization, repetition count and plan sharing.
+    fn refresh_operating_point(&self, duration_s: f64, seg: &mut BatchSegment) {
         let (p_mean, e_mean, util_sum) = self.mean_cluster_power();
         let (p_core_util, e_core_util) = self.per_core_utilization();
+        seg.valid = true;
+        seg.duration_s = duration_s;
+        seg.thermal_decay = self.thermal.decay(duration_s);
         seg.p_mean_w = p_mean;
         seg.e_mean_w = e_mean;
         seg.util_sum = util_sum;
@@ -474,11 +503,27 @@ impl Soc {
         seg.p_core_util = p_core_util;
         seg.e_core_util = e_core_util;
         seg.plans.clear();
-        for k in 0..self.placements.len() {
-            let cluster = self.placements[k].cluster;
-            let ti = self.placement_threads[k];
-            let plan = self.threads[ti].workload.signal_plan(seg.reps);
-            seg.plans.push((cluster, plan));
+        seg.shared.clear();
+        for (k, pl) in self.placements.iter().enumerate() {
+            seg.plans.push((pl.cluster, None));
+            let source = self.threads[self.placement_threads[k]].workload.plan_source();
+            let twin = source.and_then(|src| {
+                (0..k).find(|&j| {
+                    self.threads[self.placement_threads[j]].workload.plan_source() == Some(src)
+                })
+            });
+            seg.shared.push(twin);
+        }
+    }
+
+    /// Evaluate the segment's signal plans at its repetition count, one
+    /// per plan source, in placement order.
+    fn refresh_plans(&mut self, seg: &mut BatchSegment) {
+        for k in 0..seg.plans.len() {
+            seg.plans[k].1 = match seg.shared[k] {
+                Some(j) => seg.plans[j].1,
+                None => self.threads[self.placement_threads[k]].workload.signal_plan(seg.reps),
+            };
         }
     }
 
@@ -512,10 +557,17 @@ impl Soc {
     /// returned, consuming the simulation RNG in the same order. The
     /// speedup comes from hoisting everything that is constant while the
     /// operating point does not move — the placement walk, the workload
-    /// virtual calls and their plaintext/memo locks, per-core utilization
-    /// and the repetition count — out of the per-window loop into a
-    /// `BatchSegment` that is only rebuilt when the governor changes
-    /// frequency mid-batch.
+    /// virtual calls, per-core utilization and the repetition count — out
+    /// of the per-window loop into a segment.
+    ///
+    /// The segment persists across calls. Its operating-point part is
+    /// rebuilt only when the P- or E-cluster frequency moved (governor
+    /// action or [`Soc::set_power_mode`]), the placements changed
+    /// ([`Soc::spawn`], [`Soc::kill`], [`Soc::kill_all`]) or `duration_s`
+    /// differs from the previous call; a governor move mid-batch rebuilds
+    /// it before the next window. The workloads' signal plans are
+    /// re-evaluated at the start of every call, once per shared workload
+    /// input, so a plaintext swapped between calls is always seen.
     ///
     /// Within one batch the victim plaintext (and any other workload data
     /// input) is treated as constant, which holds by construction for the
@@ -527,8 +579,11 @@ impl Soc {
             return;
         }
         let mut seg = std::mem::take(&mut self.segment);
-        self.refresh_segment(duration_s, &mut seg);
-        for _ in 0..n {
+        if !seg.holds(duration_s, self.p_freq_ghz(), self.e_freq_ghz()) {
+            self.refresh_operating_point(duration_s, &mut seg);
+        }
+        self.refresh_plans(&mut seg);
+        for i in 0..n {
             // Data-dependent / stochastic deviations per placed thread, in
             // placement order (fixing the RNG stream).
             let mut p_sig = 0.0;
@@ -554,7 +609,7 @@ impl Soc {
                 (seg.e_mean_w + e_sig).max(0.0),
                 seg.util_sum,
             );
-            self.thermal.step(rails.package_w, duration_s);
+            self.thermal.step_decayed(rails.package_w, seg.thermal_decay);
             self.time_s += duration_s;
 
             let p_freq_ghz = self.governor.p_freq_ghz(&self.spec);
@@ -576,9 +631,10 @@ impl Soc {
             // The governor may have moved the operating point (power or
             // thermal limit, or recovery): everything derived from the
             // frequency is stale, so rebuild the segment before the next
-            // window.
-            if p_freq_ghz != seg.p_freq_ghz || e_freq_ghz != seg.e_freq_ghz {
-                self.refresh_segment(duration_s, &mut seg);
+            // window (after the last one, the next call does).
+            if i + 1 < n && (p_freq_ghz != seg.p_freq_ghz || e_freq_ghz != seg.e_freq_ghz) {
+                self.refresh_operating_point(duration_s, &mut seg);
+                self.refresh_plans(&mut seg);
             }
         }
         self.segment = seg;
@@ -779,6 +835,92 @@ mod tests {
         let idle = report.p_core_util.iter().filter(|&&u| u == 0.0).count();
         assert_eq!((busy, idle), (2, 2), "{:?}", report.p_core_util);
         assert_eq!(report.e_core_util, [0.0; 4]);
+    }
+
+    /// Run one 1-window call on `soc`, and on `reference` with its segment
+    /// forced stale first, and require bit-identical batches.
+    fn step_pair(soc: &mut Soc, reference: &mut Soc, duration_s: f64, what: &str) {
+        let mut a = WindowBatch::new();
+        let mut b = WindowBatch::new();
+        soc.run_windows_into(1, duration_s, &mut a);
+        reference.segment.valid = false;
+        reference.run_windows_into(1, duration_s, &mut b);
+        let (ra, rb) = (a.report(0), b.report(0));
+        assert_eq!(format!("{ra:?}"), format!("{rb:?}"), "{what}");
+        assert_eq!(ra.rails.p_cluster_w.to_bits(), rb.rails.p_cluster_w.to_bits(), "{what}");
+    }
+
+    #[test]
+    fn persistent_segment_honours_every_invalidation_trigger() {
+        let mut soc = m2();
+        let mut reference = m2();
+        let pt = spawn_aes_threads(&mut soc, 3);
+        let pt_ref = spawn_aes_threads(&mut reference, 3);
+        let step = |soc: &mut Soc, reference: &mut Soc, d: f64, what: &str| {
+            for i in 0..4u8 {
+                *pt.lock().unwrap() = [i.wrapping_mul(37); 16];
+                *pt_ref.lock().unwrap() = [i.wrapping_mul(37); 16];
+                step_pair(soc, reference, d, what);
+            }
+        };
+        step(&mut soc, &mut reference, 1.0, "steady state");
+        // Frequency move between calls.
+        for s in [&mut soc, &mut reference] {
+            s.set_power_mode(PowerMode::LowPower);
+        }
+        step(&mut soc, &mut reference, 1.0, "after a frequency move");
+        // Placement change between calls.
+        let ids: Vec<ThreadId> = [&mut soc, &mut reference]
+            .into_iter()
+            .map(|s| {
+                s.spawn(
+                    "matrix",
+                    SchedAttrs::background_e_core(),
+                    Box::new(MatrixStressor::default()),
+                )
+            })
+            .collect();
+        step(&mut soc, &mut reference, 1.0, "after a spawn");
+        assert!(soc.kill(ids[0]) && reference.kill(ids[1]));
+        step(&mut soc, &mut reference, 1.0, "after a kill");
+        // Window length change between calls.
+        step(&mut soc, &mut reference, 0.25, "after a duration change");
+        // kill_all leaves an idle SoC.
+        for s in [&mut soc, &mut reference] {
+            s.kill_all();
+        }
+        step(&mut soc, &mut reference, 0.25, "after kill_all");
+        // Governor throttling between calls: lowpower, 4 AES threads and 4
+        // E-core stressors cross the 4 W cap.
+        let pt = spawn_aes_threads(&mut soc, 4);
+        let pt_ref = spawn_aes_threads(&mut reference, 4);
+        for s in [&mut soc, &mut reference] {
+            for i in 0..4 {
+                s.spawn(
+                    format!("fmul{i}"),
+                    SchedAttrs::background_e_core(),
+                    Box::new(FmulStressor),
+                );
+            }
+        }
+        let mut freqs = Vec::new();
+        for i in 0..60u8 {
+            *pt.lock().unwrap() = [i; 16];
+            *pt_ref.lock().unwrap() = [i; 16];
+            step_pair(&mut soc, &mut reference, 0.25, "while throttling");
+            freqs.push(soc.p_freq_ghz().to_bits());
+        }
+        freqs.dedup();
+        assert!(freqs.len() > 1, "the governor must move the frequency between calls");
+    }
+
+    #[test]
+    fn replicas_share_one_plan_per_call() {
+        let mut soc = m2();
+        let _pt = spawn_aes_threads(&mut soc, 3);
+        soc.spawn("matrix", SchedAttrs::background_e_core(), Box::new(MatrixStressor::default()));
+        soc.run_window(1.0);
+        assert_eq!(soc.segment.shared, vec![None, Some(0), Some(0), None]);
     }
 
     #[test]

@@ -47,11 +47,23 @@ impl ThermalModel {
 
     /// Advance the model by `dt_s` seconds at `package_w` watts.
     pub fn step(&mut self, package_w: f64, dt_s: f64) {
+        self.step_decayed(package_w, self.decay(dt_s));
+    }
+
+    /// The relaxation factor of a `dt_s`-second step, for
+    /// [`Self::step_decayed`]: callers stepping many times by the same
+    /// `dt_s` compute it once.
+    #[must_use]
+    pub fn decay(&self, dt_s: f64) -> f64 {
         debug_assert!(dt_s >= 0.0);
+        (-dt_s / self.spec.tau_s).exp()
+    }
+
+    /// [`Self::step`] with its relaxation factor `decay(dt_s)` given.
+    pub fn step_decayed(&mut self, package_w: f64, decay: f64) {
         let target = self.steady_state_c(package_w);
         // Exact solution of the first-order ODE over the step.
-        let alpha = (-dt_s / self.spec.tau_s).exp();
-        self.temperature_c = target + (self.temperature_c - target) * alpha;
+        self.temperature_c = target + (self.temperature_c - target) * decay;
     }
 
     /// Reset to ambient.

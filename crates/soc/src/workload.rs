@@ -63,16 +63,23 @@ impl SignalPlan {
 }
 
 /// Behaviour of one simulated thread's computation.
+///
+/// [`Workload::utilization`] and [`Workload::intensity`] must stay
+/// constant for a workload's whole life: the window engine folds them into
+/// the mean cluster powers of its segment, which it rebuilds only when the
+/// operating point, the placements or the window length change.
 pub trait Workload: Send + std::fmt::Debug {
     /// Human-readable name for logs and debugging.
     fn name(&self) -> &str;
 
     /// Fraction of cycles the thread keeps its core busy (0..=1).
+    /// Constant for the workload's life.
     fn utilization(&self) -> f64 {
         1.0
     }
 
     /// Relative switching-activity factor α (1.0 ≈ typical integer code).
+    /// Constant for the workload's life.
     fn intensity(&self) -> f64;
 
     /// Zero-mean power deviation (watts) of this thread over one window in
@@ -89,6 +96,15 @@ pub trait Workload: Send + std::fmt::Debug {
     /// `window_signal_w(reps, rng)` including RNG consumption.
     fn signal_plan(&mut self, reps: f64) -> Option<SignalPlan> {
         let _ = reps;
+        None
+    }
+
+    /// An identity shared by workloads whose [`Workload::signal_plan`]s
+    /// are always equal at equal `reps` — replicas reading one shared
+    /// input. The window engine evaluates one plan per source and copies
+    /// it to the other placements of that source. `None` (the default)
+    /// plans every placement on its own.
+    fn plan_source(&self) -> Option<usize> {
         None
     }
 
@@ -205,7 +221,8 @@ impl Workload for FmulStressor {
 /// known-plaintext model) writes it, every victim thread reads it.
 pub type SharedPlaintext = Arc<Mutex<[u8; 16]>>;
 
-/// Calibration of the AES victim's electrical signature. See DESIGN.md §6.
+/// Calibration of the AES victim's electrical signature. The per-device
+/// values are `psc_core::Device::aes_signal`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AesSignal {
     /// Watts of rail deviation per unit of leakage activity, per thread.
@@ -277,6 +294,24 @@ impl AesWorkload {
         self.signal
     }
 
+    /// The leakage model (and through it the victim's cipher).
+    #[must_use]
+    pub fn model(&self) -> &LeakageModel {
+        &self.model
+    }
+
+    /// Load `plaintext` as the input every replica encrypts from now on
+    /// and return its ciphertext. One encryption yields both the
+    /// ciphertext and the leakage activity, which primes the shared memo,
+    /// so the next window's plan is a memo hit instead of a second AES
+    /// run.
+    pub fn encrypt(&self, plaintext: [u8; 16]) -> [u8; 16] {
+        let (ciphertext, activity) = self.model.encrypt_with_activity(&plaintext);
+        *self.plaintext.lock().expect("plaintext lock") = plaintext;
+        *self.cache.lock().expect("activity cache lock") = Some((plaintext, activity));
+        ciphertext
+    }
+
     /// Memoized leakage activity of `pt`: hit if the cache holds this exact
     /// plaintext, otherwise one fused-kernel evaluation repopulates it.
     fn activity_memoized(&self, pt: &[u8; 16]) -> f64 {
@@ -324,6 +359,12 @@ impl Workload for AesWorkload {
             deterministic_w: self.deterministic_signal_w(),
             sigma_w: self.signal.residual_sigma_w / averaging,
         })
+    }
+
+    fn plan_source(&self) -> Option<usize> {
+        // Clones share the memo, the plaintext and the calibration, so the
+        // memo's address identifies one plan.
+        Some(Arc::as_ptr(&self.cache) as usize)
     }
 
     fn deterministic_signal_w(&self) -> f64 {
@@ -498,6 +539,22 @@ mod tests {
         // Plaintext swap invalidates by key: the replica sees fresh data.
         *pt.lock().unwrap() = [0x78u8; 16];
         assert_ne!(replica.deterministic_signal_w(), first);
+    }
+
+    #[test]
+    fn encrypt_loads_the_plaintext_and_primes_the_memo() {
+        let (w, pt) = aes_workload();
+        let replica = w.clone();
+        let block = [0x6Du8; 16];
+        let ct = w.encrypt(block);
+        assert_eq!(ct, w.model.cipher().encrypt_block(&block));
+        assert_eq!(*pt.lock().unwrap(), block);
+        let primed = (*w.cache.lock().unwrap()).expect("memo primed");
+        assert_eq!(primed.0, block);
+        assert_eq!(primed.1.to_bits(), w.model.activity(&block).to_bits());
+        assert_eq!(replica.plan_source(), w.plan_source());
+        let other = aes_workload().0;
+        assert_ne!(other.plan_source(), w.plan_source(), "separate installs plan apart");
     }
 
     #[test]

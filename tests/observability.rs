@@ -13,7 +13,8 @@
 //! 7. adaptive campaigns poll the cadence monitor on the same grid as
 //!    plain TVLA.
 
-use apple_power_sca::core::{Campaign, Device, VictimKind};
+use apple_power_sca::core::{Campaign, Device, ShardReplay, TuneConfig, VictimKind};
+use apple_power_sca::sca::model::Rd0Hw;
 use apple_power_sca::smc::key::key;
 use apple_power_sca::telemetry::event::ChannelId;
 use apple_power_sca::telemetry::metrics::{names, validate_json};
@@ -149,6 +150,39 @@ fn recorder_io_errors_surface_in_report_and_metrics() {
     // The analysis itself is unharmed: recording is a side channel.
     let acc = report.tvla.accumulator(ChannelId::Smc(key("PHPC"))).expect("channel collected");
     assert_eq!(acc.total_count(), 12 * 6, "2 passes x 3 classes per trace round");
+}
+
+#[test]
+fn recycle_lane_keeps_every_block_of_a_healthy_shard() {
+    // A replayed recording decodes far faster than CPA ingests it, so the
+    // producer runs ahead and the whole bus comes back at once: the
+    // recycle lane must hold every block in flight, not shed them.
+    let keys = [key("PHPC")];
+    let dir =
+        std::env::temp_dir().join(format!("psc_observability_recycle_{}", std::process::id()));
+    let recorded = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 19)
+        .keys(&keys)
+        .traces(2400)
+        .record_to(&dir)
+        .session()
+        .cpa(|| Box::new(Rd0Hw));
+    assert_eq!(recorded.io_errors, 0);
+    let replay = ShardReplay::from_dir(&dir).expect("shard recorded");
+    let tune = TuneConfig { replay_chunk: 48, bus_capacity: 16, ..TuneConfig::default() };
+    let report =
+        Campaign::replay(replay).keys(&keys).tune(tune).metrics().session().cpa(|| Box::new(Rd0Hw));
+    std::fs::remove_dir_all(&dir).ok();
+
+    let metrics = report.metrics.as_ref().expect(".metrics() populates the report");
+    assert_eq!(metrics.shards, 1);
+    let snap = &metrics.snapshot;
+    assert!(snap.counter(names::BUS_BLOCKS) > 2 * 16, "many more blocks than the bus holds");
+    assert_eq!(snap.counter(names::RECYCLE_DROPPED), 0);
+    assert!(
+        report.warnings.iter().all(|w| !w.contains("recycle")),
+        "no recycle warning: {:?}",
+        report.warnings
+    );
 }
 
 #[test]
