@@ -312,6 +312,37 @@ mod tests {
     }
 
     #[test]
+    fn per_channel_replay_frames_are_refused() {
+        // Replay checkpoints used to count per-channel rows ("replay"
+        // tag); resuming one over the merged row stream would land at
+        // the wrong offset, so the replay tag moved and the old frame
+        // must fail the fingerprint check with its typed error.
+        use crate::source::{ShardReplay, TraceSource};
+        let dir = std::env::temp_dir().join(format!("psc-ckpt-replay-tag-{}", std::process::id()));
+        let spec = SessionSpec::default();
+        let tag = ShardReplay::default().fingerprint_tag();
+        assert_ne!(tag, "replay");
+        let old = ShardSnapshot {
+            kind: KIND_CPA,
+            fingerprint: fingerprint(&spec, KIND_CPA, "replay", 4),
+            rng_offset: None,
+            ..snapshot()
+        };
+        write_shard(&dir, old.shard, &encode_snapshot(&old)).unwrap();
+        let current = fingerprint(&spec, KIND_CPA, tag, 4);
+        match load_shard(&dir, 2, KIND_CPA, current, 4) {
+            Err(CheckpointError::Corrupt(reason)) => {
+                assert_eq!(reason, "checkpoint belongs to a different campaign");
+            }
+            other => panic!("old replay frame not refused: {other:?}"),
+        }
+        let fresh = ShardSnapshot { fingerprint: current, ..old };
+        write_shard(&dir, fresh.shard, &encode_snapshot(&fresh)).unwrap();
+        assert!(load_shard(&dir, 2, KIND_CPA, current, 4).unwrap().is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn fingerprint_separates_campaigns() {
         let spec = SessionSpec::default();
         let base = fingerprint(&spec, KIND_TVLA, "live", 2);

@@ -12,8 +12,9 @@
 //! * [`RigSource`] — a borrowed caller-owned rig (single shard; the
 //!   historical `run_tvla_campaign(&mut rig, …)` shape);
 //! * [`ShardReplay`] — recorded `.psct` shards streamed back through the
-//!   telemetry pump in [`REPLAY_CHUNK`]-trace windows (offline replay at
-//!   O(1) memory in recording size);
+//!   telemetry pump, each channel's files in [`REPLAY_CHUNK`]-trace
+//!   windows merged into one row per observation (offline replay at O(1)
+//!   memory in recording size);
 //! * [`Fleet`] — heterogeneous devices, one shard per fleet member, with
 //!   per-device reports sum-merged by the session driver.
 //!
@@ -23,13 +24,13 @@
 
 use crate::rig::{Device, Observation, Rig};
 use crate::victim::VictimKind;
-use psc_sca::codec::{self, RecordingReader};
+use psc_sca::codec::{self, LabeledTrace, RecordingReader};
 use psc_sca::tvla::PlaintextClass;
 use psc_smc::{MitigationConfig, SmcKey};
 use psc_telemetry::block::EventBlock;
 use psc_telemetry::event::{ChannelId, SchedEvent, WindowEvent};
 use psc_telemetry::faults::{FaultState, RetryPolicy};
-use psc_telemetry::replay::{channel_for_label, fill_block};
+use psc_telemetry::replay::{channel_for_label, fill_rows, Lane};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -41,9 +42,11 @@ use std::sync::Mutex;
 /// bus at a fine grain.
 pub const OBS_CHUNK: usize = 32;
 
-/// Recorded traces streamed per codec read in the windowed replay path:
-/// memory stays O(`REPLAY_CHUNK`) per worker regardless of shard file
-/// size, so a single worker can replay million-trace recordings.
+/// Recorded traces streamed per codec read in the windowed replay path,
+/// per channel: a replaying worker buffers one window per recorded
+/// channel, so its memory stays O(channels × `REPLAY_CHUNK`) regardless
+/// of shard file size and a single worker can replay million-trace
+/// recordings.
 pub const REPLAY_CHUNK: usize = 1024;
 
 /// What one shard of a campaign should produce.
@@ -157,7 +160,7 @@ pub struct ShardPlan<'a> {
     /// so a resumed campaign must use the chunk size it was recorded
     /// with — the campaign fingerprint pins it.
     pub obs_chunk: usize,
-    /// Recorded traces per codec read in the replay path (default
+    /// Recorded traces per codec read and channel in the replay path (default
     /// [`REPLAY_CHUNK`]; see [`crate::tune`]).
     pub replay_chunk: usize,
 }
@@ -756,14 +759,18 @@ pub struct ReplayShard {
 }
 
 /// The offline-replay source: recorded `.psct` shards pumped back through
-/// the telemetry pipeline as synthetic events. The recorded TVLA labels
-/// (codec version 2) survive, so a replayed campaign rebuilds the same
-/// TVLA/CPA matrices the live run produced.
+/// the telemetry pipeline as synthetic events. A shard's channels replay
+/// in lockstep, one block row per observation with one column per
+/// channel — the live rig's layout (see [`fill_rows`] for the merge
+/// rule). The recorded TVLA labels (codec version 2) survive and every
+/// channel's samples keep their order, so a replayed campaign rebuilds
+/// the same TVLA/CPA state the live run produced; an aligned CPA
+/// recording even ships the live run's block count.
 ///
 /// Replay ignores the session's trace budget and mitigation — it replays
 /// exactly what was recorded. Unreadable or unmappable files are skipped
 /// with accounting (see [`ShardReplay::skipped_files`]), never panicked
-/// on; the stop flag is honoured between files.
+/// on; the stop flag is honoured between disk-read rounds.
 #[derive(Debug, Default)]
 pub struct ShardReplay {
     shards: Vec<ReplayShard>,
@@ -781,8 +788,9 @@ impl ShardReplay {
     /// `-s{NNN}-` token of the recorder's naming scheme
     /// (`{label}-s{shard:03}-{index:04}.psct`); files without the token
     /// (e.g. a plain `psc collect` output) land in shard 0. Within a
-    /// shard, files replay in lexicographic name order — channel by
-    /// channel, each channel's slices in write order.
+    /// shard, files are listed in lexicographic name order; replay groups
+    /// them by the channel their header names (each channel's slices in
+    /// write order) and merges the channels row by row.
     ///
     /// # Errors
     ///
@@ -839,112 +847,195 @@ impl ShardReplay {
     }
 }
 
+/// One recorded channel's file chain inside a replaying shard: the
+/// reader of the file being streamed, the files still to open (write
+/// order) and the lane state the row merge reads.
+struct ChannelChain {
+    channel: ChannelId,
+    current: Option<(PathBuf, RecordingReader<std::fs::File>)>,
+    queued: std::collections::VecDeque<PathBuf>,
+    /// Head of the unemitted traces in the lane's buffer.
+    pos: usize,
+    /// No file of the chain has traces left.
+    done: bool,
+    /// Traces read from the chain so far.
+    read: u64,
+    /// Traces of this channel placed in finished blocks.
+    emitted: u64,
+}
+
+impl ShardReplay {
+    /// Skip a file the shard cannot use, with accounting.
+    fn skip_file(&self, log: Option<&ShardLog>, note: String) {
+        self.skipped.fetch_add(1, Ordering::Relaxed);
+        if let Some(log) = log {
+            log.push_note(note);
+        }
+    }
+
+    fn open(path: &Path) -> Result<RecordingReader<std::fs::File>, codec::CodecError> {
+        std::fs::File::open(path).map_err(codec::CodecError::Io).and_then(RecordingReader::new)
+    }
+
+    /// Group a shard's files by the channel their header names, keeping
+    /// write order within a channel and first-appearance order across
+    /// channels. Unreadable and unmappable files are skipped here. Only
+    /// each chain's first reader stays open; later files reopen when the
+    /// chain reaches them, so open handles stay O(channels).
+    fn chains(&self, files: &[PathBuf], log: Option<&ShardLog>) -> Vec<ChannelChain> {
+        let mut chains: Vec<ChannelChain> = Vec::new();
+        for path in files {
+            let reader = match Self::open(path) {
+                Ok(r) => r,
+                Err(_) => {
+                    self.skip_file(log, format!("cannot open recorded shard {}", path.display()));
+                    continue;
+                }
+            };
+            let Some(channel) = channel_for_label(reader.label()) else {
+                self.skip_file(
+                    log,
+                    format!("recorded shard {} has no telemetry channel", path.display()),
+                );
+                continue;
+            };
+            match chains.iter_mut().find(|c| c.channel == channel) {
+                Some(chain) => chain.queued.push_back(path.clone()),
+                None => chains.push(ChannelChain {
+                    channel,
+                    current: Some((path.clone(), reader)),
+                    queued: Default::default(),
+                    pos: 0,
+                    done: false,
+                    read: 0,
+                    emitted: 0,
+                }),
+            }
+        }
+        chains
+    }
+
+    /// Read the chain's next window of at most `max` traces into `buf`,
+    /// walking on to the chain's next file at each end of file. A file
+    /// that fails mid-stream (truncation, trailing garbage, a bad class
+    /// byte) is counted as skipped and its failed window dropped; the
+    /// windows read before the failure stay replayed. Marks the chain
+    /// done when no file has traces left.
+    fn refill(
+        &self,
+        chain: &mut ChannelChain,
+        buf: &mut Vec<LabeledTrace>,
+        max: usize,
+        log: Option<&ShardLog>,
+    ) {
+        chain.pos = 0;
+        loop {
+            let Some((path, reader)) = chain.current.as_mut() else {
+                let Some(path) = chain.queued.pop_front() else {
+                    buf.clear();
+                    chain.done = true;
+                    return;
+                };
+                match Self::open(&path) {
+                    Ok(reader) => chain.current = Some((path, reader)),
+                    Err(_) => self
+                        .skip_file(log, format!("cannot open recorded shard {}", path.display())),
+                }
+                continue;
+            };
+            match reader.read_chunk(max, buf) {
+                Ok(0) => chain.current = None,
+                Ok(n) => {
+                    chain.read += n as u64;
+                    return;
+                }
+                Err(_) => {
+                    buf.clear();
+                    self.skip_file(log, format!("replay of {} failed mid-stream", path.display()));
+                    chain.current = None;
+                }
+            }
+        }
+    }
+}
+
 impl TraceSource for ShardReplay {
     fn shard_count(&self, _requested: usize) -> usize {
         self.shards.len()
     }
 
+    /// Replay one recorded shard as a lockstep merge of its channels:
+    /// each channel's file chain streams in `replay_chunk` windows, and
+    /// [`fill_rows`] turns the window heads into one block row per
+    /// observation. Blocks hold `obs_chunk` rows (the last one fewer), so
+    /// the block sequence depends only on the recording — a resumed
+    /// shard regenerates its `skip_obs` prefix and drops it. The stop
+    /// flag and the fault gate are polled once per disk-read round; a
+    /// stopped shard drops its unfinished block.
     fn run_shard(
         &self,
         plan: &ShardPlan<'_>,
         sink: &mut dyn FnMut(&mut EventBlock),
         stop: &AtomicBool,
     ) -> usize {
+        let mut chains = self.chains(&self.shards[plan.shard].files, plan.log);
+        let channels: Vec<ChannelId> = chains.iter().map(|c| c.channel).collect();
+        let mut bufs: Vec<Vec<LabeledTrace>> =
+            chains.iter().map(|_| Vec::with_capacity(plan.replay_chunk)).collect();
+        let mut block = EventBlock::new();
+        block.reset(&channels);
         let mut seq = 0u64;
         let mut skip = plan.skip_obs;
-        // Windows replayed per channel: every channel re-walks the same
-        // observation sequence, so one channel's window count (not the
-        // summed event total) is the shard's schedule-unit basis.
-        let mut windows_per_channel: std::collections::BTreeMap<String, u64> = Default::default();
-        let mut block = EventBlock::new();
-        let mut chunk = Vec::with_capacity(plan.replay_chunk);
-        let mut degraded = false;
-        for path in &self.shards[plan.shard].files {
-            if stop.load(Ordering::Relaxed) || degraded {
+        loop {
+            if stop.load(Ordering::Relaxed) || fill_gate(plan, seq).is_err() {
                 break;
             }
-            // Windowed streaming: the reader holds the header and at most
-            // `replay_chunk` traces at a time — O(1) memory in file size. A
-            // file that fails mid-stream (truncation, bad class byte) is
-            // counted as skipped; the chunks replayed before the failure
-            // stay replayed and counted.
-            let mut reader = match std::fs::File::open(path)
-                .map_err(codec::CodecError::Io)
-                .and_then(RecordingReader::new)
-            {
-                Ok(r) => r,
-                Err(_) => {
-                    self.skipped.fetch_add(1, Ordering::Relaxed);
-                    if let Some(log) = plan.log {
-                        log.push_note(format!("cannot open recorded shard {}", path.display()));
-                    }
-                    continue;
-                }
-            };
-            let Some(channel) = channel_for_label(reader.label()) else {
-                self.skipped.fetch_add(1, Ordering::Relaxed);
-                if let Some(log) = plan.log {
-                    log.push_note(format!(
-                        "recorded shard {} has no telemetry channel",
-                        path.display()
-                    ));
-                }
-                continue;
-            };
-            let label = reader.label().to_owned();
-            let mut replayed = 0u64;
-            loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                if fill_gate(plan, seq).is_err() {
-                    degraded = true;
-                    break;
-                }
-                match reader.read_chunk(plan.replay_chunk, &mut chunk) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        // Re-emit at the live sources' block granularity
-                        // so bus-queued memory stays bounded by capacity ×
-                        // standard block size, while disk reads stay
-                        // amortized at `replay_chunk` traces.
-                        for rows in chunk.chunks(plan.obs_chunk) {
-                            let take = rows.len() as u64;
-                            if skip > 0 {
-                                // Resume prefix: already consumed by the
-                                // interrupted run, advance past it.
-                                assert!(
-                                    skip >= take,
-                                    "resume offset is not on a replay block boundary"
-                                );
-                                skip -= take;
-                                seq += take;
-                            } else {
-                                block.reset(&[channel]);
-                                seq = fill_block(rows, seq, 1.0, &mut block);
-                                sink(&mut block);
-                            }
-                        }
-                        replayed += n as u64;
-                    }
-                    Err(_) => {
-                        self.skipped.fetch_add(1, Ordering::Relaxed);
-                        if let Some(log) = plan.log {
-                            log.push_note(format!(
-                                "replay of {} failed mid-stream",
-                                path.display()
-                            ));
-                        }
-                        break;
-                    }
+            for (chain, buf) in chains.iter_mut().zip(&mut bufs) {
+                if !chain.done && chain.pos == buf.len() {
+                    self.refill(chain, buf, plan.replay_chunk, plan.log);
                 }
             }
-            *windows_per_channel.entry(label).or_default() += replayed;
+            let mut lanes: Vec<Lane<'_>> = chains
+                .iter()
+                .zip(&bufs)
+                .map(|(chain, buf)| Lane { pending: &buf[chain.pos..], last: chain.done })
+                .collect();
+            let finished = loop {
+                let room = plan.obs_chunk - block.len();
+                seq = fill_rows(&mut lanes, seq, 1.0, &mut block, room);
+                let finished = lanes.iter().all(|lane| lane.pending.is_empty() && lane.last);
+                // A block ends at `obs_chunk` rows, the shard's last one
+                // wherever the recording ends.
+                let full = block.len() == plan.obs_chunk || (finished && !block.is_empty());
+                if !full {
+                    break finished;
+                }
+                for (chain, lane) in chains.iter_mut().zip(&lanes) {
+                    chain.emitted = chain.read - lane.pending.len() as u64;
+                }
+                let take = block.len() as u64;
+                if skip > 0 {
+                    // Resume prefix: already consumed by the interrupted
+                    // run, regenerate and drop it.
+                    assert!(skip >= take, "resume offset is not on a replay block boundary");
+                    skip -= take;
+                    block.clear();
+                } else {
+                    sink(&mut block);
+                    block.reset(&channels);
+                }
+            };
+            for ((chain, buf), lane) in chains.iter_mut().zip(&bufs).zip(&lanes) {
+                chain.pos = buf.len() - lane.pending.len();
+            }
+            if finished {
+                break;
+            }
         }
-        let windows = windows_per_channel.values().copied().max().unwrap_or(0);
         // Express the result in the schedule's units, matching the live
         // sources' contract: TVLA budgets count per class per pass,
         // adaptive budgets count trace-major rounds.
+        let windows = chains.iter().map(|c| c.emitted).max().unwrap_or(0);
         let windows_per_round = 2 * PlaintextClass::ALL.len() as u64;
         let produced = match plan.schedule {
             Schedule::KnownPlaintext { .. } => windows,
@@ -954,6 +1045,6 @@ impl TraceSource for ShardReplay {
     }
 
     fn fingerprint_tag(&self) -> &'static str {
-        "replay"
+        "replay-rows"
     }
 }

@@ -255,36 +255,64 @@ fn calibrate_obs_chunk(reps: usize, total: usize) -> usize {
     })
 }
 
-/// Pick the fastest replay read window: each candidate streams a
-/// synthetic recording chunk-wise through the block re-emit loop of the
-/// replay source (codec windows of the candidate size, re-blocked at
-/// `obs_chunk` — the CPU side of [`crate::source::ShardReplay`]; disk
-/// latency is the workload's, not the sweep's, to measure).
+/// Write a synthetic aligned recording into `dir`: one file per channel
+/// (`PCPU` and four SMC keys) of `rows` known-plaintext observations.
+fn synthetic_recording(dir: &std::path::Path, rows: usize) -> Option<crate::source::ShardReplay> {
+    use psc_sca::codec::{self, LabeledTrace};
+    std::fs::create_dir_all(dir).ok()?;
+    for (c, label) in ["PCPU", "PDTR", "PHPC", "PMVC", "PSTR"].into_iter().enumerate() {
+        let traces: Vec<LabeledTrace> = (0..rows)
+            .map(|i| LabeledTrace {
+                trace: Trace {
+                    value: (i * 5 + c) as f64 * 0.001,
+                    plaintext: [i as u8; 16],
+                    ciphertext: [(i >> 8) as u8; 16],
+                },
+                pass: 0,
+                class: None,
+            })
+            .collect();
+        let file = std::fs::File::create(dir.join(format!("{label}-s000-0000.psct"))).ok()?;
+        codec::write_recording(label, &traces, file).ok()?;
+    }
+    crate::source::ShardReplay::from_dir(dir).ok()
+}
+
+/// Pick the fastest replay read window: each candidate replays a
+/// synthetic five-channel recording through the real
+/// [`crate::source::ShardReplay`] lockstep merge (codec windows of the
+/// candidate size merged into `obs_chunk`-row blocks, handed to a sink
+/// that drops them). The files are page-cached after the first read, so
+/// disk latency — the workload's, not the sweep's, to measure — stays
+/// out. Falls back to [`REPLAY_CHUNK`] when no temp file can be written.
 fn calibrate_replay_chunk(reps: usize, obs_chunk: usize) -> usize {
-    use psc_sca::codec::LabeledTrace;
-    use psc_telemetry::block::EventBlock;
-    use psc_telemetry::event::ChannelId;
-    use psc_telemetry::replay::fill_block;
-    let traces: Vec<LabeledTrace> = (0..2048)
-        .map(|i| LabeledTrace {
-            trace: Trace { value: i as f64 * 0.001, plaintext: [i as u8; 16], ciphertext: [0; 16] },
-            pass: 0,
-            class: None,
+    use crate::source::{Schedule, ShardPlan, TraceSource};
+    use psc_telemetry::faults::RetryPolicy;
+    const ROWS: usize = 2048;
+    let dir = std::env::temp_dir().join(format!("psc-tune-replay-{}", std::process::id()));
+    let best = synthetic_recording(&dir, ROWS).map_or(REPLAY_CHUNK, |replay| {
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        fastest(REPLAY_CHUNK_CANDIDATES, |replay_chunk| {
+            let plan = ShardPlan {
+                shard: 0,
+                keys: &[],
+                mitigation: None,
+                schedule: Schedule::KnownPlaintext { traces: ROWS },
+                skip_obs: 0,
+                resume_rng_offset: None,
+                retry: RetryPolicy::default(),
+                faults: None,
+                log: None,
+                obs_chunk,
+                replay_chunk,
+            };
+            median_ns(reps, || {
+                replay.run_shard(&plan, &mut |block| _ = std::hint::black_box(block.len()), &stop);
+            })
         })
-        .collect();
-    let mut block = EventBlock::new();
-    fastest(REPLAY_CHUNK_CANDIDATES, |chunk| {
-        median_ns(reps, || {
-            let mut seq = 0u64;
-            for window in traces.chunks(chunk) {
-                for rows in window.chunks(obs_chunk) {
-                    block.reset(&[ChannelId::Pcpu]);
-                    seq = fill_block(rows, seq, 1.0, &mut block);
-                    std::hint::black_box(block.len());
-                }
-            }
-        })
-    })
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    best
 }
 
 /// Pick the fastest shard-bus depth: each candidate pushes a fixed block

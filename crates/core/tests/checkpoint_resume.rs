@@ -9,12 +9,15 @@
 //! resumed run (`resume_from`), then compares the resumed report to the
 //! baseline down to float bit patterns.
 
-use psc_core::{Campaign, Device, Fleet, FleetMember, ShardHealth, ShardReplay, VictimKind};
+use psc_core::{
+    Campaign, Device, Fleet, FleetMember, ShardHealth, ShardReplay, TuneConfig, VictimKind,
+};
+use psc_sca::codec;
 use psc_sca::model::Rd0Hw;
 use psc_smc::key::key;
 use psc_telemetry::event::ChannelId;
 use psc_telemetry::processors::StreamingTvla;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const SECRET: [u8; 16] = [0x2B; 16];
 const SEED: u64 = 4242;
@@ -187,6 +190,114 @@ fn replay_tvla_resumes_bit_identically() {
     assert_eq!(baseline.bus.accepted, resumed.bus.accepted);
     cleanup(&ckpt);
     cleanup(&record);
+}
+
+/// Rewrite a recording's files as recorder-named slices of `slice(label)`
+/// traces each, so file boundaries fall inside bus blocks.
+fn reslice(from: &Path, to: &Path, slice: impl Fn(&str) -> usize) {
+    let mut files: Vec<PathBuf> =
+        std::fs::read_dir(from).unwrap().map(|e| e.unwrap().path()).collect();
+    files.sort();
+    for path in files {
+        let name = path.file_name().unwrap().to_str().unwrap().to_owned();
+        let prefix = name.rsplit_once('-').expect("recorder file name").0;
+        let recording =
+            codec::read_recording(std::fs::File::open(&path).unwrap()).expect("recorded file");
+        let parts = recording.traces.chunks(slice(&recording.label));
+        for (index, part) in parts.enumerate() {
+            let file = std::fs::File::create(to.join(format!("{prefix}-{index:04}.psct"))).unwrap();
+            codec::write_recording(&recording.label, part, file).unwrap();
+        }
+    }
+}
+
+/// Record a 2-shard campaign of 150 rows per shard, then re-slice it so
+/// PHPC files hold 80 traces and PCPU files 70: the checkpoint at block 3
+/// (rows 64..96 of 32-row blocks, the only checkpoint of a 5-block shard)
+/// straddles both channels' first file boundary.
+fn straddling_recording(tag: &str, cpa: bool) -> (PathBuf, PathBuf) {
+    let keys = [key("PHPC")];
+    let live = temp_dir(&format!("{tag}_live"));
+    let sliced = temp_dir(&format!("{tag}_sliced"));
+    let campaign = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED)
+        .keys(&keys)
+        .shards(2)
+        .record_to(&live);
+    if cpa {
+        let _ = campaign.traces(300).session().cpa(|| Box::new(Rd0Hw));
+    } else {
+        let _ = campaign.traces(50).session().tvla();
+    }
+    reslice(&live, &sliced, |label| if label == "PCPU" { 70 } else { 80 });
+    (live, sliced)
+}
+
+#[test]
+fn replay_cpa_resumes_bit_identically_across_a_file_boundary() {
+    let keys = [key("PHPC")];
+    let (live, record) = straddling_recording("replay_cpa", true);
+    let ckpt = temp_dir("replay_cpa_ckpt");
+    let replay = || ShardReplay::from_dir(&record).expect("shards recorded");
+    // Rows depend only on the recording, not on the read window: the
+    // interrupted and resumed runs read in other windows than the
+    // baseline.
+    let window = |replay_chunk| TuneConfig { replay_chunk, ..TuneConfig::default() };
+    let baseline = Campaign::replay(replay()).keys(&keys).session().cpa(|| Box::new(Rd0Hw));
+    let _interrupted = Campaign::replay(replay())
+        .keys(&keys)
+        .tune(window(16))
+        .checkpoint_to(&ckpt, 3)
+        .halt_after(1)
+        .session()
+        .cpa(|| Box::new(Rd0Hw));
+    let resumed = Campaign::replay(replay())
+        .keys(&keys)
+        .tune(window(50))
+        .resume_from(&ckpt)
+        .session()
+        .cpa(|| Box::new(Rd0Hw));
+    assert_all_ok(&resumed.health);
+
+    let channel = ChannelId::Smc(keys[0]);
+    let a = baseline.cpa.cpa(channel).expect("baseline channel");
+    let b = resumed.cpa.cpa(channel).expect("resumed channel");
+    assert_eq!(a.trace_count(), 300);
+    assert_eq!(a.raw_state(), b.raw_state());
+    assert_eq!(baseline.cpa.unregistered_samples(), resumed.cpa.unregistered_samples());
+    assert_eq!(baseline.ranks(keys[0], &SECRET), resumed.ranks(keys[0], &SECRET));
+    assert_eq!(baseline.bus.accepted, resumed.bus.accepted);
+    assert_eq!(baseline.bus.accepted, 10, "5 blocks of merged rows per shard");
+    cleanup(&ckpt);
+    cleanup(&record);
+    cleanup(&live);
+}
+
+#[test]
+fn replay_tvla_resumes_bit_identically_across_a_file_boundary() {
+    let keys = [key("PHPC")];
+    let (live, record) = straddling_recording("replay_tvla", false);
+    let ckpt = temp_dir("replay_tvla_straddle_ckpt");
+    let replay = || ShardReplay::from_dir(&record).expect("shards recorded");
+    let baseline = Campaign::replay(replay()).keys(&keys).session().tvla();
+    let _interrupted = Campaign::replay(replay())
+        .keys(&keys)
+        .checkpoint_to(&ckpt, 3)
+        .halt_after(1)
+        .session()
+        .tvla();
+    let resumed = Campaign::replay(replay()).keys(&keys).resume_from(&ckpt).session().tvla();
+    assert_all_ok(&resumed.health);
+
+    let channels = [ChannelId::Smc(keys[0]), ChannelId::Pcpu];
+    assert_tvla_bit_identical(&baseline.tvla, &resumed.tvla, &channels);
+    for channel in channels {
+        assert_eq!(baseline.tvla.accumulator(channel), resumed.tvla.accumulator(channel));
+    }
+    assert_eq!(baseline.monitor.observations(), resumed.monitor.observations());
+    assert_eq!(baseline.bus.accepted, resumed.bus.accepted);
+    cleanup(&ckpt);
+    cleanup(&record);
+    cleanup(&live);
 }
 
 #[test]

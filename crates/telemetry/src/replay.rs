@@ -1,14 +1,27 @@
 //! Synthetic event sources: feed recorded campaigns back through the pump.
 //!
 //! A [`crate::processors::ShardRecorder`] persists one channel's slice of
-//! a campaign as labeled `.psct` shards; this module turns such a
-//! [`Recording`] back into the exact event
-//! stream a live rig would have produced — window marker (with the
-//! recorded TVLA pass/class and known-plaintext record), the channel
-//! sample, and a cadence record — so every streaming processor
+//! a campaign as labeled `.psct` shards; this module turns such
+//! recordings back into the event stream a live rig would have produced,
+//! so every streaming processor
 //! ([`StreamingTvla`](crate::processors::StreamingTvla),
 //! [`StreamingCpa`](crate::processors::StreamingCpa), monitors, even a
 //! re-recording recorder) runs unchanged over offline data.
+//!
+//! * [`replay_recording`] pumps one [`Recording`] as scalar events: a
+//!   window marker (with the recorded TVLA pass/class and known-plaintext
+//!   record), the channel sample and a cadence record per trace.
+//! * [`fill_rows`] is the columnar row emitter: it merges the recorded
+//!   channels of one shard in lockstep into [`EventBlock`] rows, one row
+//!   per observation with one column per channel — the layout the live
+//!   rig emits. A row's window is the head of the first channel that
+//!   still has traces; every channel whose head carries the same
+//!   `(pass, class, plaintext, ciphertext)` adds its sample and
+//!   advances, every other channel leaves its slot `None`. Each
+//!   channel's samples therefore keep their order and their own labels,
+//!   so per-channel accumulators end bit-identical to replaying each
+//!   channel alone, on aligned and misaligned recordings alike.
+//! * [`fill_block`] is the one-channel case of [`fill_rows`].
 
 use crate::block::EventBlock;
 use crate::event::{ChannelId, Event, SampleEvent, SchedEvent, WindowEvent};
@@ -63,13 +76,96 @@ pub fn replay_recording(
     seq
 }
 
-/// Append recorded traces to an [`EventBlock`] as replayed observations —
-/// the columnar form of [`replay_recording`], used by the windowed shard
-/// replay to stream chunks of a recording through the block bus. The
-/// block must hold exactly one sample column (the recording's channel);
-/// rows land on the same synthetic `window_s` timeline and yield the
-/// same event sequence as the scalar replay. Returns the sequence number
-/// after the last appended row.
+/// One recorded channel's buffered traces in a [`fill_rows`] merge.
+#[derive(Debug, Clone, Copy)]
+pub struct Lane<'a> {
+    /// Traces not yet emitted, head first. [`fill_rows`] advances it
+    /// past every trace it emits.
+    pub pending: &'a [LabeledTrace],
+    /// Whether `pending` holds everything the channel has left. A lane
+    /// with `last == false` stalls the merge once it runs dry, because
+    /// its next (unread) head may belong to the next row.
+    pub last: bool,
+}
+
+/// Whether two recorded traces belong to the same observation window.
+fn same_window(a: &LabeledTrace, b: &LabeledTrace) -> bool {
+    a.pass == b.pass
+        && a.class == b.class
+        && a.trace.plaintext == b.trace.plaintext
+        && a.trace.ciphertext == b.trace.ciphertext
+}
+
+/// Merge recorded channels in lockstep into at most `max_rows`
+/// [`EventBlock`] rows (see the module docs for the merge rule). Lane
+/// `c` feeds block column `c`; rows land on the synthetic `window_s`
+/// timeline starting at `seq_start`, each with a one-window cadence
+/// record. Stops early when every lane is empty, or when a lane that is
+/// not `last` runs dry and must be refilled first. Returns the sequence
+/// number after the last appended row.
+///
+/// # Panics
+///
+/// Panics if `lanes` and the block's columns differ in number.
+pub fn fill_rows(
+    lanes: &mut [Lane<'_>],
+    seq_start: u64,
+    window_s: f64,
+    block: &mut EventBlock,
+    max_rows: usize,
+) -> u64 {
+    assert_eq!(block.channels().len(), lanes.len(), "one replay lane per block column");
+    let mut seq = seq_start;
+    let mut left = max_rows;
+    while left > 0 {
+        // A lane advances at most one trace per row, so for this many rows
+        // no lane that may still be refilled can run dry.
+        let safe = lanes
+            .iter()
+            .filter(|lane| !lane.last)
+            .map(|lane| lane.pending.len())
+            .fold(left, usize::min);
+        if safe == 0 {
+            break;
+        }
+        for _ in 0..safe {
+            let Some(lead) = lanes.iter().position(|lane| !lane.pending.is_empty()) else {
+                return seq;
+            };
+            let (&head, rest) = lanes[lead].pending.split_first().expect("lead lane has a head");
+            lanes[lead].pending = rest;
+            let time_s = (seq + 1) as f64 * window_s;
+            block.begin(WindowEvent {
+                seq,
+                time_s,
+                pass: head.pass,
+                class: head.class,
+                plaintext: head.trace.plaintext,
+                ciphertext: head.trace.ciphertext,
+            });
+            block.sample(lead, head.trace.value);
+            for (col, lane) in lanes.iter_mut().enumerate().skip(lead + 1) {
+                if let Some((t, rest)) = lane.pending.split_first() {
+                    if same_window(t, &head) {
+                        block.sample(col, t.trace.value);
+                        lane.pending = rest;
+                    }
+                }
+            }
+            block.commit(SchedEvent { time_s, windows_consumed: 1, window_s, denied_reads: 0 });
+            seq += 1;
+        }
+        left -= safe;
+    }
+    seq
+}
+
+/// Append one channel's recorded traces to an [`EventBlock`] as replayed
+/// observations — the one-channel case of [`fill_rows`], and the
+/// columnar form of [`replay_recording`]: rows land on the same
+/// synthetic `window_s` timeline and yield the same event sequence as
+/// the scalar replay. Returns the sequence number after the last
+/// appended row.
 ///
 /// # Panics
 ///
@@ -80,23 +176,7 @@ pub fn fill_block(
     window_s: f64,
     block: &mut EventBlock,
 ) -> u64 {
-    assert_eq!(block.channels().len(), 1, "replay blocks carry one recorded channel");
-    let mut seq = seq_start;
-    for t in traces {
-        let time_s = (seq + 1) as f64 * window_s;
-        block.begin(WindowEvent {
-            seq,
-            time_s,
-            pass: t.pass,
-            class: t.class,
-            plaintext: t.trace.plaintext,
-            ciphertext: t.trace.ciphertext,
-        });
-        block.sample(0, t.trace.value);
-        block.commit(SchedEvent { time_s, windows_consumed: 1, window_s, denied_reads: 0 });
-        seq += 1;
-    }
-    seq
+    fill_rows(&mut [Lane { pending: traces, last: true }], seq_start, window_s, block, usize::MAX)
 }
 
 #[cfg(test)]
@@ -178,6 +258,50 @@ mod tests {
 
         assert_eq!(end_scalar, end_block);
         assert_eq!(scalar, blocked, "block replay must re-emit the exact scalar stream");
+    }
+
+    fn labeled(i: u8, value: f64) -> LabeledTrace {
+        LabeledTrace {
+            trace: Trace { value, plaintext: [i; 16], ciphertext: [!i; 16] },
+            pass: 0,
+            class: None,
+        }
+    }
+
+    #[test]
+    fn fill_rows_merges_channels_into_one_row_per_observation() {
+        let pcpu: Vec<_> = (0..5).map(|i| labeled(i, f64::from(i))).collect();
+        // PHPC lost row 2 (a denied read).
+        let phpc: Vec<_> =
+            [0u8, 1, 3, 4].iter().map(|&i| labeled(i, 10.0 + f64::from(i))).collect();
+        let mut block = EventBlock::new();
+        block.reset(&[ChannelId::Pcpu, ChannelId::Smc(key("PHPC"))]);
+        let mut lanes = [Lane { pending: &pcpu, last: true }, Lane { pending: &phpc, last: true }];
+        let end = fill_rows(&mut lanes, 7, 1.0, &mut block, usize::MAX);
+        assert_eq!(end, 12);
+        assert!(lanes.iter().all(|l| l.pending.is_empty()));
+        let pts: Vec<u8> = block.windows().iter().map(|w| w.plaintext[0]).collect();
+        assert_eq!(pts, [0, 1, 2, 3, 4]);
+        assert_eq!(block.column(0), &[Some(0.0), Some(1.0), Some(2.0), Some(3.0), Some(4.0)]);
+        assert_eq!(block.column(1), &[Some(10.0), Some(11.0), None, Some(13.0), Some(14.0)]);
+    }
+
+    #[test]
+    fn fill_rows_stalls_on_a_dry_lane_and_honours_the_row_cap() {
+        let a: Vec<_> = (0..4).map(|i| labeled(i, 0.0)).collect();
+        let b: Vec<_> = (0..2).map(|i| labeled(i, 1.0)).collect();
+        let mut block = EventBlock::new();
+        block.reset(&[ChannelId::Pcpu, ChannelId::Timing]);
+        let mut lanes = [Lane { pending: &a, last: true }, Lane { pending: &b, last: false }];
+        assert_eq!(fill_rows(&mut lanes, 0, 1.0, &mut block, 1), 1, "row cap");
+        // `b` runs dry after its second trace and may have more on disk:
+        // the merge waits rather than guess that row 2 lacks it.
+        assert_eq!(fill_rows(&mut lanes, 1, 1.0, &mut block, usize::MAX), 2);
+        assert!(lanes[1].pending.is_empty());
+        assert_eq!(lanes[0].pending.len(), 2);
+        lanes[1].last = true;
+        assert_eq!(fill_rows(&mut lanes, 2, 1.0, &mut block, usize::MAX), 4);
+        assert_eq!(block.column(1), &[Some(1.0), Some(1.0), None, None]);
     }
 
     #[test]

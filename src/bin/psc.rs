@@ -423,12 +423,19 @@ fn cmd_replay(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
+    let cpa = parse_flag(args, "--cpa");
+    if cpa && keys.is_empty() {
+        return Err(format!(
+            "{dir} holds no SMC-key recording to correlate; CPA needs one \
+             (TVLA over PCPU runs without --cpa)"
+        ));
+    }
     let key_names: Vec<String> = keys.iter().map(ToString::to_string).collect();
     println!(
         "replaying {shard_count} recorded shard group(s) from {dir} (keys: {})",
         key_names.join(" ")
     );
-    if parse_flag(args, "--cpa") {
+    if cpa {
         let secret = match parse_opt(args, "--key") {
             Some(hex) => parse_key_hex(&hex)?,
             None => cfg.secret_key,

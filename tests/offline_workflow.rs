@@ -55,3 +55,41 @@ fn full_offline_attack_with_enumeration_endgame() {
     let (recovered_key, _tried) = found.expect("key recoverable at this trace count");
     assert_eq!(recovered_key, SECRET, "offline attack recovers the exact key");
 }
+
+#[test]
+fn cli_replay_refuses_cpa_without_an_smc_key_recording() {
+    // A directory holding only PCPU recordings has nothing for CPA to
+    // correlate: `psc replay --cpa` must fail loudly instead of printing
+    // an empty report, while TVLA over PCPU stays a valid replay.
+    let dir = std::env::temp_dir().join(format!("psc_replay_pcpu_only_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let _ = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x0FF3)
+        .keys(&[key("PHPC")])
+        .traces(12)
+        .shards(1)
+        .record_to(&dir)
+        .session()
+        .tvla();
+    for entry in std::fs::read_dir(&dir).expect("recorded") {
+        let path = entry.expect("dir entry").path();
+        if !path.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("PCPU")) {
+            std::fs::remove_file(path).expect("drop SMC-key recording");
+        }
+    }
+    let psc = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_psc"))
+            .arg("replay")
+            .arg(&dir)
+            .args(args)
+            .output()
+            .expect("run psc")
+    };
+    let cpa = psc(&["--cpa"]);
+    assert_eq!(cpa.status.code(), Some(1));
+    assert!(cpa.stdout.is_empty(), "no report: {}", String::from_utf8_lossy(&cpa.stdout));
+    assert!(String::from_utf8_lossy(&cpa.stderr).contains("no SMC-key recording"));
+    let tvla = psc(&[]);
+    assert!(tvla.status.success());
+    assert!(String::from_utf8_lossy(&tvla.stdout).contains("PCPU"));
+    std::fs::remove_dir_all(&dir).ok();
+}
