@@ -5,8 +5,8 @@
 //! entropy at each multiplier.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use psc_core::experiments::cpa::rd0_ranks;
 use psc_core::{Campaign, Device, VictimKind};
+use psc_sca::model::Rd0Hw;
 use psc_sca::rank::guessing_entropy;
 use psc_smc::key::key;
 use psc_smc::MitigationConfig;
@@ -17,14 +17,14 @@ const KEY: [u8; 16] = [
 
 fn run_with_multiplier(multiplier: f64, wall_clock_windows: usize) -> f64 {
     let traces = (wall_clock_windows as f64 / multiplier) as usize;
-    let sets = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, KEY, 51)
+    let report = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, KEY, 51)
         .keys(&[key("PHPC")])
         .traces(traces)
         .shards(2)
         .mitigation(MitigationConfig::slow_updates(multiplier))
         .session()
-        .collect();
-    guessing_entropy(&rd0_ranks(&sets[&key("PHPC")], &KEY))
+        .cpa(|| Box::new(Rd0Hw));
+    guessing_entropy(&report.ranks(key("PHPC"), &KEY).expect("registered"))
 }
 
 fn bench_interval(c: &mut Criterion) {

@@ -6,9 +6,10 @@
 //! against each, printing the resulting guessing entropy.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use psc_core::experiments::cpa::rd0_ranks;
 use psc_core::rig::Device;
 use psc_core::victim::{AesVictim, VictimKind};
+use psc_sca::cpa::Cpa;
+use psc_sca::model::Rd0Hw;
 use psc_sca::rank::guessing_entropy;
 use psc_sca::trace::{Trace, TraceSet};
 use psc_smc::iokit::{share, SmcUserClient};
@@ -58,7 +59,9 @@ fn bench_threads(c: &mut Criterion) {
     group.sample_size(10);
     for threads in [1usize, 2, 3] {
         let set = collect_with_threads(threads, n);
-        let ge = guessing_entropy(&rd0_ranks(&set, &KEY));
+        let mut cpa = Cpa::new(Box::new(Rd0Hw));
+        cpa.add_set(&set);
+        let ge = guessing_entropy(&cpa.ranks(&KEY));
         eprintln!("[ablation_victim_threads] {threads} thread(s): GE = {ge:.1} bits at {n} traces");
         group.bench_function(format!("collect_{threads}_threads"), |b| {
             b.iter(|| black_box(collect_with_threads(threads, 500)));

@@ -47,7 +47,7 @@ use psc_smc::key::key;
 use psc_telemetry::block::EventBlock;
 use psc_telemetry::event::{ChannelId, Event, SampleEvent, SchedEvent, WindowEvent};
 use psc_telemetry::metrics::{names, MetricsRegistry};
-use psc_telemetry::processor::Pump;
+use psc_telemetry::processor::Processor;
 use psc_telemetry::processors::StreamingTvla;
 use psc_telemetry::ring::{channel, OverflowPolicy};
 use std::sync::Arc;
@@ -125,14 +125,12 @@ fn blocks() -> Vec<EventBlock> {
 fn per_obs_ns(name: &str, prebuilt: &[EventBlock]) -> f64 {
     let (tx, rx) = channel(prebuilt.len(), OverflowPolicy::Block);
     let mut tvla = StreamingTvla::new();
-    let mut pump = Pump::new();
-    pump.attach(&mut tvla);
     let total = measure_ns(BENCH, name, || {
         for block in prebuilt {
             tx.send(block.clone()).expect("receiver alive");
         }
         while let Some(block) = rx.try_recv() {
-            pump.dispatch_block(&block);
+            tvla.on_block(&block);
         }
     });
     total / OBS as f64
@@ -143,14 +141,12 @@ fn main() {
     let events = scalar_events();
     let (tx, rx) = channel(events.len(), OverflowPolicy::Block);
     let mut tvla = StreamingTvla::new();
-    let mut pump = Pump::new();
-    pump.attach(&mut tvla);
     let per_event_total = measure_ns(BENCH, "pipeline/per_event_512obs", || {
         for event in &events {
             tx.send(*event).expect("receiver alive");
         }
         while let Some(event) = rx.try_recv() {
-            pump.dispatch(&event);
+            tvla.on_event(&event);
         }
     });
     let per_event = per_event_total / OBS as f64;
@@ -170,8 +166,6 @@ fn main() {
     let consume_ns = registry.histogram(names::CONSUME_BLOCK_NS);
     let (tx, rx) = channel(prebuilt.len(), OverflowPolicy::Block);
     let mut tvla = StreamingTvla::new();
-    let mut pump = Pump::new();
-    pump.attach(&mut tvla);
     let per_block_metrics_total = measure_ns(BENCH, "pipeline/per_block_metrics_512obs", || {
         for block in &prebuilt {
             tx.send(block.clone()).expect("receiver alive");
@@ -180,7 +174,7 @@ fn main() {
             blocks_ctr.inc();
             obs_ctr.add(block.len() as u64);
             let started = Instant::now();
-            pump.dispatch_block(&block);
+            tvla.on_block(&block);
             consume_ns.record(started.elapsed().as_nanos() as u64);
         }
     });

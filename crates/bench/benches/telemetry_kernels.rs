@@ -118,26 +118,28 @@ fn bench_online_accumulators(c: &mut Criterion) {
     group.finish();
 }
 
-/// The acceptance-criteria comparison: one synchronous batch loop vs the
-/// sharded streaming pipeline collecting the same 10k-trace campaign.
+/// One shard over a borrowed rig vs the sharded streaming pipeline
+/// correlating the same 10k-trace campaign.
 fn bench_batch_vs_sharded(c: &mut Criterion) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "collection_10k: {cores} core(s) available — the sharded streaming \
-         variants need >1 core to beat the batch loop on wall-clock"
+         variants need >1 core to beat the single shard on wall-clock"
     );
     let mut group = c.benchmark_group("collection_10k");
     group.sample_size(10);
     let keys = [key("PHPC")];
     let n = 10_000;
 
-    group.bench_function("batch_single_thread", |b| {
+    group.bench_function("single_shard", |b| {
         b.iter(|| {
             let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42);
-            let sets = Campaign::over_rig(&mut rig).keys(&keys).traces(n).session().collect();
-            let mut cpa = psc_sca::cpa::Cpa::new(Box::new(Rd0Hw));
-            cpa.add_set(&sets[&keys[0]]);
-            black_box(cpa.ranks(&SECRET))
+            let report = Campaign::over_rig(&mut rig)
+                .keys(&keys)
+                .traces(n)
+                .session()
+                .cpa(|| Box::new(Rd0Hw));
+            black_box(report.ranks(keys[0], &SECRET))
         });
     });
 
@@ -163,12 +165,11 @@ fn bench_sharded_tvla(c: &mut Criterion) {
     group.sample_size(10);
     let keys = [key("PHPC")];
 
-    group.bench_function("batch_single_thread", |b| {
+    group.bench_function("single_shard", |b| {
         b.iter(|| {
             let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42);
-            let campaign =
-                Campaign::over_rig(&mut rig).keys(&keys).traces(1_000).session().tvla_datasets();
-            black_box(campaign.per_key[&keys[0]].matrix("PHPC"))
+            let report = Campaign::over_rig(&mut rig).keys(&keys).traces(1_000).session().tvla();
+            black_box(report.matrix(keys[0]))
         });
     });
 

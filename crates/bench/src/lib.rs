@@ -2,15 +2,16 @@
 //!
 //! Two kinds of targets live in this crate:
 //!
-//! * **`repro_*` binaries** (`src/bin/`) — one per table/figure of the
-//!   paper; each regenerates its artifact at the configured scale and
-//!   prints the same rows/series the paper reports. Scale with
-//!   `PSC_TRACES` / `PSC_TVLA_TRACES` / `PSC_SHARDS` / `PSC_SEED`.
+//! * **`repro_all`** (`src/bin/`) — regenerates every table/figure of the
+//!   paper at the configured scale, prints the same rows/series the paper
+//!   reports and writes them to `REPORT.md` (plus `fig1a.csv` /
+//!   `fig1b.csv` for plotting); `repro_all --only <target>` runs one.
+//!   Scale with `PSC_TRACES` / `PSC_TVLA_TRACES` / `PSC_SHARDS` /
+//!   `PSC_SEED`.
 //! * **criterion benches** (`benches/`) — kernel throughput benches (AES,
-//!   TVLA/CPA accumulation, SMC window simulation) plus scaled end-to-end
-//!   experiment benches and the ablation studies backing the calibration
-//!   (`psc_aes::leakage` and `psc_smc::sensors` module docs,
-//!   `Device::aes_signal`).
+//!   TVLA/CPA accumulation, SMC window simulation, bus, serve, fleet) and
+//!   the ablation studies backing the calibration (`psc_aes::leakage` and
+//!   `psc_smc::sensors` module docs, `Device::aes_signal`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,7 +20,7 @@ pub mod measure;
 
 use psc_core::experiments::ExperimentConfig;
 
-/// The configuration repro binaries run with: environment-scaled defaults.
+/// The configuration `repro_all` runs with: environment-scaled defaults.
 #[must_use]
 pub fn repro_config() -> ExperimentConfig {
     ExperimentConfig::from_env()
@@ -38,7 +39,7 @@ pub fn bench_config() -> ExperimentConfig {
     cfg
 }
 
-/// Standard banner printed by every repro binary.
+/// Standard banner printed before every `repro_all` section.
 #[must_use]
 pub fn banner(artifact: &str) -> String {
     format!(

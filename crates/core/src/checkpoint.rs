@@ -44,6 +44,8 @@ pub(crate) const KIND_CPA: u8 = 1;
 /// META `kind` for
 /// [`Session::adaptive_tvla`](crate::session::Session::adaptive_tvla).
 pub(crate) const KIND_ADAPTIVE: u8 = 2;
+/// META `kind` for [`Session::analyze`](crate::session::Session::analyze).
+pub(crate) const KIND_ANALYSIS: u8 = 3;
 
 /// Where and how often a campaign checkpoints.
 #[derive(Debug, Clone)]

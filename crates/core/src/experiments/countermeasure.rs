@@ -11,13 +11,14 @@
 //!   (and hence recovery) drops.
 
 use crate::experiments::config::ExperimentConfig;
-use crate::experiments::cpa::rd0_ranks;
 use crate::rig::Device;
 use crate::session::Campaign;
 use crate::victim::VictimKind;
+use psc_sca::model::Rd0Hw;
 use psc_sca::rank::{guessing_entropy, recovery_tally};
 use psc_smc::key::key;
 use psc_smc::MitigationConfig;
+use psc_telemetry::event::ChannelId;
 
 /// Result of one mitigation scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +50,7 @@ fn scenario(
 ) -> CountermeasureRow {
     // The interval multiplier divides the trace rate at fixed wall clock.
     let traces = (wall_clock_windows as f64 / mitigation.update_interval_multiplier) as usize;
-    let sets = Campaign::live(
+    let report = Campaign::live(
         Device::MacbookAirM2,
         VictimKind::UserSpace,
         cfg.secret_key,
@@ -60,9 +61,9 @@ fn scenario(
     .shards(cfg.shards)
     .mitigation(mitigation)
     .session()
-    .collect();
-    let set = &sets[&key("PHPC")];
-    if set.is_empty() {
+    .cpa(|| Box::new(Rd0Hw));
+    let cpa = report.cpa.cpa(ChannelId::Smc(key("PHPC"))).expect("registered");
+    if cpa.trace_count() == 0 {
         return CountermeasureRow {
             name: name.to_owned(),
             traces_collected: 0,
@@ -71,10 +72,10 @@ fn scenario(
             recovered_bytes: 0,
         };
     }
-    let ranks = rd0_ranks(set, &cfg.secret_key);
+    let ranks = cpa.ranks(&cfg.secret_key);
     CountermeasureRow {
         name: name.to_owned(),
-        traces_collected: set.len(),
+        traces_collected: cpa.trace_count() as usize,
         readable: true,
         ge: Some(guessing_entropy(&ranks)),
         recovered_bytes: recovery_tally(&ranks).0,

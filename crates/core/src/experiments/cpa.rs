@@ -1,17 +1,14 @@
 //! Table 4: CPA key-byte ranks and Guessing Entropy with the Rd0-HW model,
-//! and the shared trace-collection entry points reused by Figure 1.
+//! and the shared campaign builders reused by Figure 1.
 
 use crate::experiments::config::ExperimentConfig;
 use crate::rig::Device;
-use crate::session::Campaign;
+use crate::session::{Campaign, StreamingCpaReport};
 use crate::victim::VictimKind;
-use psc_sca::cpa::Cpa;
 use psc_sca::model::Rd0Hw;
 use psc_sca::rank::{guessing_entropy, recovery_tally};
-use psc_sca::trace::TraceSet;
 use psc_smc::key::key;
-use psc_smc::SmcKey;
-use std::collections::BTreeMap;
+use psc_telemetry::event::ChannelId;
 
 /// One column of Table 4: ranks per key byte for one channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,21 +43,20 @@ pub struct Table4 {
     pub columns: Vec<Table4Column>,
 }
 
-/// Collect the M2 user-space CPA trace sets (also reused by Fig. 1a).
+/// The M2 user-space known-plaintext campaign over every CPA key (Table
+/// 4's M2 columns; Fig. 1(a)).
 #[must_use]
-pub fn collect_m2_user_traces(cfg: &ExperimentConfig) -> BTreeMap<SmcKey, TraceSet> {
+pub fn m2_user_campaign(cfg: &ExperimentConfig) -> Campaign<'static> {
     Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, cfg.secret_key, cfg.seed)
         .keys(&Device::MacbookAirM2.cpa_keys())
         .traces(cfg.cpa_traces_m2)
         .shards(cfg.shards)
-        .session()
-        .collect()
 }
 
-/// Collect the M1 user-space `PHPC` trace set.
+/// The M1 user-space `PHPC` campaign (Table 4's M1 column; Fig. 1(a)).
 #[must_use]
-pub fn collect_m1_phpc_traces(cfg: &ExperimentConfig) -> TraceSet {
-    let mut sets = Campaign::live(
+pub fn m1_phpc_campaign(cfg: &ExperimentConfig) -> Campaign<'static> {
+    Campaign::live(
         Device::MacMiniM1,
         VictimKind::UserSpace,
         cfg.secret_key,
@@ -69,14 +65,11 @@ pub fn collect_m1_phpc_traces(cfg: &ExperimentConfig) -> TraceSet {
     .keys(&[key("PHPC")])
     .traces(cfg.cpa_traces_m1)
     .shards(cfg.shards)
-    .session()
-    .collect();
-    sets.remove(&key("PHPC")).expect("PHPC collected")
 }
 
-/// Collect the M2 kernel-module trace sets (used by Fig. 1b).
+/// The M2 kernel-module campaign over every CPA key (Fig. 1(b)).
 #[must_use]
-pub fn collect_m2_kernel_traces(cfg: &ExperimentConfig) -> BTreeMap<SmcKey, TraceSet> {
+pub fn m2_kernel_campaign(cfg: &ExperimentConfig) -> Campaign<'static> {
     Campaign::live(
         Device::MacbookAirM2,
         VictimKind::KernelModule,
@@ -86,36 +79,23 @@ pub fn collect_m2_kernel_traces(cfg: &ExperimentConfig) -> BTreeMap<SmcKey, Trac
     .keys(&Device::MacbookAirM2.cpa_keys())
     .traces(cfg.cpa_traces_kernel)
     .shards(cfg.shards)
-    .session()
-    .collect()
 }
 
-/// Run Rd0-HW CPA over one trace set and rank against the secret key.
-#[must_use]
-pub fn rd0_ranks(traces: &TraceSet, secret_key: &[u8; 16]) -> [usize; 16] {
-    let mut cpa = Cpa::new(Box::new(Rd0Hw));
-    cpa.add_set(traces);
-    cpa.ranks(secret_key)
-}
-
-/// Regenerate Table 4.
+/// Regenerate Table 4: streaming Rd0-HW CPA, ranked against the secret
+/// key.
 #[must_use]
 pub fn run_table4(cfg: &ExperimentConfig) -> Table4 {
-    let m2 = collect_m2_user_traces(cfg);
-    let paper_order = [key("PHPC"), key("PDTR"), key("PMVC"), key("PSTR")];
-    let mut columns: Vec<Table4Column> = paper_order
-        .iter()
-        .map(|k| {
-            let set = &m2[k];
-            Table4Column::new(k.to_string(), rd0_ranks(set, &cfg.secret_key), set.len())
-        })
+    let column = |label: String, report: &StreamingCpaReport, k| {
+        let cpa = report.cpa.cpa(ChannelId::Smc(k)).expect("registered");
+        Table4Column::new(label, cpa.ranks(&cfg.secret_key), cpa.trace_count() as usize)
+    };
+    let m2 = m2_user_campaign(cfg).session().cpa(|| Box::new(Rd0Hw));
+    let mut columns: Vec<Table4Column> = [key("PHPC"), key("PDTR"), key("PMVC"), key("PSTR")]
+        .into_iter()
+        .map(|k| column(k.to_string(), &m2, k))
         .collect();
-    let m1_phpc = collect_m1_phpc_traces(cfg);
-    columns.push(Table4Column::new(
-        "PHPC (M1)",
-        rd0_ranks(&m1_phpc, &cfg.secret_key),
-        m1_phpc.len(),
-    ));
+    let m1 = m1_phpc_campaign(cfg).session().cpa(|| Box::new(Rd0Hw));
+    columns.push(column("PHPC (M1)".to_owned(), &m1, key("PHPC")));
     Table4 { columns }
 }
 

@@ -9,15 +9,17 @@
 //! the kernel victim converges ≈2× slower than the user-space victim.
 
 use crate::experiments::config::ExperimentConfig;
-use crate::experiments::cpa::{
-    collect_m1_phpc_traces, collect_m2_kernel_traces, collect_m2_user_traces,
-};
+use crate::experiments::cpa::{m1_phpc_campaign, m2_kernel_campaign, m2_user_campaign};
+use crate::session::Campaign;
+use crate::source::Schedule;
 use psc_aes::Aes;
 use psc_sca::cpa::Cpa;
-use psc_sca::model::{paper_models, RecoveredRound};
-use psc_sca::rank::{ge_curve, log_checkpoints, GeCurve};
-use psc_sca::trace::TraceSet;
+use psc_sca::model::{Rd0Hw, Rd10Hd, Rd10Hw, RecoveredRound};
+use psc_sca::rank::{guessing_entropy, log_checkpoints, GeCurve, GePoint};
 use psc_smc::key::key;
+use psc_telemetry::event::ChannelId;
+use psc_telemetry::processors::cpa::ModelFactory;
+use psc_telemetry::processors::CpaGrid;
 
 /// One figure's worth of curves.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,23 +30,56 @@ pub struct Fig1 {
     pub curves: Vec<GeCurve>,
 }
 
-/// Compute the GE curves of one trace set under all three paper models.
+/// The paper's three power models, in figure order.
+const MODELS: [ModelFactory; 3] = [|| Box::new(Rd0Hw), || Box::new(Rd10Hw), || Box::new(Rd10Hd)];
+
+/// Run `campaign` and compute the GE curves of its `PHPC` channel under
+/// all three paper models, at log-spaced trace counts (counted over the
+/// first *n* traces in shard order).
+///
+/// # Panics
+///
+/// Panics if every campaign shard failed.
 #[must_use]
-pub fn curves_for(traces: &TraceSet, secret_key: &[u8; 16], channel: &str) -> Vec<GeCurve> {
-    let aes = Aes::new(secret_key).expect("valid key");
-    let k10 = *aes.schedule().round_key(10);
-    let max = traces.len().max(2);
+pub fn curves_for(campaign: Campaign<'_>, secret_key: &[u8; 16], channel: &str) -> Vec<GeCurve> {
+    let k10 = *Aes::new(secret_key).expect("valid key").schedule().round_key(10);
+    let session = campaign.session();
+    let total = session.spec().traces;
+    let max = total.max(2);
     let checkpoints = log_checkpoints((max / 100).max(50).min(max), max, 4);
-    paper_models()
-        .into_iter()
-        .map(|model| {
+    let grid = session
+        .analyze(
+            |n| Schedule::KnownPlaintext { traces: n },
+            |slice| CpaGrid::new(ChannelId::Smc(key("PHPC")), &MODELS, &checkpoints, slice),
+        )
+        .into_analysis()
+        .expect("at least one campaign shard survives");
+    let mut points: Vec<(usize, &[Cpa])> =
+        grid.points().iter().map(|(n, cpas)| (*n, cpas.as_slice())).collect();
+    // A trailing point at the full campaign size when the grid lacks one.
+    if total > 0 && points.last().is_none_or(|&(n, _)| n != total) {
+        points.push((total, grid.cpas()));
+    }
+    MODELS
+        .iter()
+        .enumerate()
+        .map(|(m, model)| {
+            let model = model();
             let true_key = match model.recovered_round() {
                 RecoveredRound::Round0 => *secret_key,
                 RecoveredRound::Round10 => k10,
             };
-            let mut labelled = traces.clone();
-            labelled.label = channel.to_owned();
-            ge_curve(Cpa::new(model), &labelled, &true_key, &checkpoints)
+            GeCurve {
+                channel: channel.to_owned(),
+                model: model.name().to_owned(),
+                points: points
+                    .iter()
+                    .map(|(n, cpas)| GePoint {
+                        traces: *n,
+                        ge: guessing_entropy(&cpas[m].ranks(&true_key)),
+                    })
+                    .collect(),
+            }
         })
         .collect()
 }
@@ -52,19 +87,15 @@ pub fn curves_for(traces: &TraceSet, secret_key: &[u8; 16], channel: &str) -> Ve
 /// Fig. 1(a): user-space victim, M2 and M1.
 #[must_use]
 pub fn run_fig1a(cfg: &ExperimentConfig) -> Fig1 {
-    let mut curves = Vec::new();
-    let m2 = collect_m2_user_traces(cfg);
-    curves.extend(curves_for(&m2[&key("PHPC")], &cfg.secret_key, "PHPC (M2 user)"));
-    let m1 = collect_m1_phpc_traces(cfg);
-    curves.extend(curves_for(&m1, &cfg.secret_key, "PHPC (M1 user)"));
+    let mut curves = curves_for(m2_user_campaign(cfg), &cfg.secret_key, "PHPC (M2 user)");
+    curves.extend(curves_for(m1_phpc_campaign(cfg), &cfg.secret_key, "PHPC (M1 user)"));
     Fig1 { label: "Fig 1(a)".to_owned(), curves }
 }
 
 /// Fig. 1(b): kernel-module victim, M2.
 #[must_use]
 pub fn run_fig1b(cfg: &ExperimentConfig) -> Fig1 {
-    let kernel = collect_m2_kernel_traces(cfg);
-    let curves = curves_for(&kernel[&key("PHPC")], &cfg.secret_key, "PHPC (M2 kernel)");
+    let curves = curves_for(m2_kernel_campaign(cfg), &cfg.secret_key, "PHPC (M2 kernel)");
     Fig1 { label: "Fig 1(b)".to_owned(), curves }
 }
 

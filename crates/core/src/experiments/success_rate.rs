@@ -8,11 +8,14 @@
 use crate::experiments::config::ExperimentConfig;
 use crate::rig::{Device, Rig};
 use crate::session::Campaign;
+use crate::source::Schedule;
 use crate::victim::VictimKind;
-use psc_sca::cpa::Cpa;
 use psc_sca::model::Rd0Hw;
 use psc_sca::rank::{bounded_rank_rate, full_recovery_rate, guessing_entropy, NEAR_RECOVERY_RANK};
 use psc_smc::key::key;
+use psc_telemetry::event::ChannelId;
+use psc_telemetry::processors::cpa::ModelFactory;
+use psc_telemetry::processors::CpaGrid;
 
 /// Success statistics at one trace budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,6 +39,8 @@ pub struct SuccessRateStudy {
     pub points: Vec<SuccessRatePoint>,
 }
 
+const RD0_HW: [ModelFactory; 1] = [|| Box::new(Rd0Hw)];
+
 /// Run `repetitions` independent attacks, checkpointing at `trace_counts`
 /// (ascending). Each repetition is a fresh collection session (fresh
 /// seeds for device, victim noise and attacker plaintexts).
@@ -54,25 +59,24 @@ pub fn run_success_rate(
     for rep in 0..repetitions {
         let seed = cfg.seed.wrapping_add(90_000 + 131 * rep as u64);
         let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, cfg.secret_key, seed);
-        let sets = Campaign::over_rig(&mut rig)
+        let grid = Campaign::over_rig(&mut rig)
             .keys(&[key("PHPC")])
             .traces(max_traces)
             .session()
-            .collect();
-        let set = &sets[&key("PHPC")];
-        let mut cpa = Cpa::new(Box::new(Rd0Hw));
-        let mut next = 0usize;
-        for (i, trace) in set.iter().enumerate() {
-            cpa.add_trace(trace);
-            while next < trace_counts.len() && trace_counts[next] == i + 1 {
-                ranks_per_point[next].push(cpa.ranks(&cfg.secret_key));
-                next += 1;
-            }
-        }
-        // Cover checkpoints beyond the collected count (defensive).
-        while next < trace_counts.len() {
-            ranks_per_point[next].push(cpa.ranks(&cfg.secret_key));
-            next += 1;
+            .analyze(
+                |n| Schedule::KnownPlaintext { traces: n },
+                |slice| CpaGrid::new(ChannelId::Smc(key("PHPC")), &RD0_HW, trace_counts, slice),
+            )
+            .into_analysis()
+            .expect("the borrowed rig's one shard survives");
+        for (ranks, &count) in ranks_per_point.iter_mut().zip(trace_counts) {
+            // A count the campaign never reached ranks over every trace.
+            let cpas = grid
+                .points()
+                .iter()
+                .find(|(n, _)| *n == count)
+                .map_or(grid.cpas(), |(_, cpas)| cpas.as_slice());
+            ranks.push(cpas[0].ranks(&cfg.secret_key));
         }
     }
 

@@ -8,11 +8,12 @@
 //!   `PHPS` estimator).
 
 use crate::experiments::config::ExperimentConfig;
-use crate::experiments::throttling::timing_tvla_datasets;
+use crate::experiments::throttling::timing_tvla;
 use crate::rig::{Device, Rig};
 use crate::session::Campaign;
 use crate::victim::VictimKind;
 use psc_sca::tvla::TvlaMatrix;
+use psc_telemetry::event::ChannelId;
 
 /// The reproduced Table 6.
 #[derive(Debug, Clone)]
@@ -29,12 +30,12 @@ pub fn run_table6(cfg: &ExperimentConfig) -> Table6 {
     // Left column: PCPU channel while the user-space victim encrypts.
     let mut rig =
         Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, cfg.secret_key, cfg.seed ^ 0x6666);
-    let campaign =
-        Campaign::over_rig(&mut rig).traces(cfg.tvla_traces_per_class).session().tvla_datasets();
-    let pcpu = campaign.pcpu.matrix("PCPU (IOReport)");
+    let report = Campaign::over_rig(&mut rig).traces(cfg.tvla_traces_per_class).session().tvla();
+    let pcpu = report.tvla.accumulator(ChannelId::Pcpu).copied().unwrap_or_default();
+    let pcpu = pcpu.matrix("PCPU (IOReport)");
 
     // Right column: timing under lowpowermode throttling.
-    let timing = timing_tvla_datasets(cfg).matrix("Time (during throttling)");
+    let timing = timing_tvla(cfg).matrix("Time (during throttling)");
 
     Table6 { pcpu, timing }
 }

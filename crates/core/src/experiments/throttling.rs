@@ -13,11 +13,10 @@
 //!    fed by the data-blind estimator (the `PHPS` signal), timing shows no
 //!    data dependence (Table 6, right column).
 
-use crate::campaign::TvlaDatasets;
 use crate::experiments::config::ExperimentConfig;
 use crate::rig::Device;
 use psc_aes::leakage::LeakageModel;
-use psc_sca::tvla::PlaintextClass;
+use psc_sca::tvla::{PlaintextClass, TvlaAccumulator};
 use psc_soc::noise::gaussian;
 use psc_soc::sched::SchedAttrs;
 use psc_soc::workload::{
@@ -265,10 +264,11 @@ impl ThrottlingStudy {
     }
 }
 
-/// Stage 3: the timing side-channel attempt — execution-time datasets for
-/// the TVLA plaintext classes while the system throttles at the 4 W cap.
+/// Stage 3: the timing side-channel attempt — the TVLA accumulator of
+/// execution times for the plaintext classes while the system throttles
+/// at the 4 W cap.
 #[must_use]
-pub fn timing_tvla_datasets(cfg: &ExperimentConfig) -> TvlaDatasets {
+pub fn timing_tvla(cfg: &ExperimentConfig) -> TvlaAccumulator {
     timing_tvla_with_feed(cfg, psc_soc::GovernorFeed::Estimator, 1.0)
 }
 
@@ -283,7 +283,20 @@ pub fn timing_tvla_with_feed(
     cfg: &ExperimentConfig,
     feed: psc_soc::GovernorFeed,
     signal_boost: f64,
-) -> TvlaDatasets {
+) -> TvlaAccumulator {
+    let mut acc = TvlaAccumulator::new();
+    timing_samples(cfg, feed, signal_boost, |pass, class, t| acc.push(pass, class, t));
+    acc
+}
+
+/// Measure one AES batch time per (pass, class, trace) of the TVLA
+/// schedule under throttling, handing each to `sink` as it is taken.
+fn timing_samples(
+    cfg: &ExperimentConfig,
+    feed: psc_soc::GovernorFeed,
+    signal_boost: f64,
+    mut sink: impl FnMut(usize, PlaintextClass, f64),
+) {
     let mut soc = Soc::new(Device::MacbookAirM2.soc_spec(), cfg.seed ^ 0x7180_771E);
     soc.set_power_mode(PowerMode::LowPower);
     soc.set_governor_feed(feed);
@@ -297,7 +310,6 @@ pub fn timing_tvla_with_feed(
     let spec = soc.spec().clone();
     let blocks_per_batch = 1.968e9 / spec.aes_cycles_per_block; // ≈1 s of work
     let mut rng = ChaCha12Rng::seed_from_u64(cfg.seed ^ 0x7171_7171);
-    let mut datasets = TvlaDatasets::default();
 
     let batch_time = |soc: &mut Soc, rng: &mut ChaCha12Rng| -> f64 {
         let dt = 0.05;
@@ -319,7 +331,7 @@ pub fn timing_tvla_with_feed(
     };
 
     for pass in 0..2 {
-        for (class_idx, class) in PlaintextClass::ALL.iter().enumerate() {
+        for class in PlaintextClass::ALL {
             for _ in 0..cfg.timing_traces_per_class {
                 let pt = class.fixed_plaintext().unwrap_or_else(|| {
                     let mut pt = [0u8; 16];
@@ -327,13 +339,10 @@ pub fn timing_tvla_with_feed(
                     pt
                 });
                 *plaintext.lock().expect("plaintext lock") = pt;
-                let t = batch_time(&mut soc, &mut rng);
-                let target = if pass == 0 { &mut datasets.first } else { &mut datasets.second };
-                target[class_idx].push(t);
+                sink(pass, class, batch_time(&mut soc, &mut rng));
             }
         }
     }
-    datasets
 }
 
 #[cfg(test)]
@@ -407,11 +416,19 @@ mod tests {
     fn timing_datasets_have_expected_shape_and_scale() {
         let mut cfg = ExperimentConfig::quick();
         cfg.timing_traces_per_class = 12;
-        let data = timing_tvla_datasets(&cfg);
-        for class in 0..3 {
-            assert_eq!(data.first[class].len(), 12);
-            assert_eq!(data.second[class].len(), 12);
-            for &t in &data.first[class] {
+        let mut data: [[Vec<f64>; 3]; 2] = Default::default();
+        timing_samples(&cfg, psc_soc::GovernorFeed::Estimator, 1.0, |pass, class, t| {
+            data[pass][class.index()].push(t);
+        });
+        let acc = timing_tvla(&cfg);
+        for (class, (first, second)) in
+            PlaintextClass::ALL.into_iter().zip(data[0].iter().zip(&data[1]))
+        {
+            assert_eq!(first.len(), 12);
+            assert_eq!(second.len(), 12);
+            assert_eq!(acc.count(0, class), 12);
+            assert_eq!(acc.count(1, class), 12);
+            for &t in first {
                 // Throttled: must take LONGER than the unthrottled ≈1 s.
                 assert!(t > 0.9 && t < 3.0, "batch time {t}s");
             }

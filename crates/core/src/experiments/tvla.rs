@@ -5,10 +5,13 @@
 use crate::experiments::config::ExperimentConfig;
 use crate::rig::{Device, Rig};
 use crate::session::Campaign;
+use crate::source::Schedule;
 use crate::victim::VictimKind;
-use psc_sca::tvla::TvlaMatrix;
+use psc_sca::tvla::{SecondOrderAccumulator, TvlaAccumulator, TvlaMatrix};
 use psc_smc::key::key;
 use psc_smc::SmcKey;
+use psc_telemetry::event::ChannelId;
+use psc_telemetry::processors::SecondOrderTvla;
 
 /// Result of one TVLA table (3 or 5).
 #[derive(Debug, Clone)]
@@ -37,17 +40,26 @@ pub fn table3_key_order() -> Vec<SmcKey> {
 fn run_tvla_table(cfg: &ExperimentConfig, victim: VictimKind) -> TvlaTable {
     let keys = table3_key_order();
     let mut rig = Rig::new(Device::MacbookAirM2, victim, cfg.secret_key, cfg.seed);
-    let campaign = Campaign::over_rig(&mut rig)
+    let tvla = Campaign::over_rig(&mut rig)
         .keys(&keys)
         .traces(cfg.tvla_traces_per_class)
         .session()
-        .tvla_datasets();
-    let matrices = keys.iter().map(|k| campaign.per_key[k].matrix(k.to_string())).collect();
+        .analyze(|n| Schedule::Tvla { traces_per_class: n }, |_| SecondOrderTvla::new())
+        .into_analysis()
+        .expect("the borrowed rig's one shard survives");
+    // A channel whose every read was denied keeps an empty (all-zero) matrix.
+    let matrices = keys
+        .iter()
+        .map(|&k| {
+            let acc = tvla.first_order().accumulator(ChannelId::Smc(k));
+            acc.copied().unwrap_or_default().matrix(k.to_string())
+        })
+        .collect();
     let second_order = keys
         .iter()
-        .map(|k| {
-            let sets = &campaign.per_key[k];
-            TvlaMatrix::compute_second_order(k.to_string(), &sets.first, &sets.second)
+        .map(|&k| {
+            tvla.second_order_matrix(ChannelId::Smc(k), k.to_string())
+                .unwrap_or_else(|| SecondOrderAccumulator::default().matrix(k.to_string()))
         })
         .collect();
     TvlaTable { victim, matrices, second_order, traces_per_class: cfg.tvla_traces_per_class }
@@ -70,15 +82,15 @@ pub fn run_table5(cfg: &ExperimentConfig) -> TvlaTable {
 /// on that system as well".
 #[must_use]
 pub fn run_m1_phpc_tvla(cfg: &ExperimentConfig) -> TvlaMatrix {
-    let keys = vec![key("PHPC")];
     let mut rig =
         Rig::new(Device::MacMiniM1, VictimKind::UserSpace, cfg.secret_key, cfg.seed ^ 0x0117);
-    let campaign = Campaign::over_rig(&mut rig)
-        .keys(&keys)
+    let report = Campaign::over_rig(&mut rig)
+        .keys(&[key("PHPC")])
         .traces(cfg.tvla_traces_per_class)
         .session()
-        .tvla_datasets();
-    campaign.per_key[&key("PHPC")].matrix("PHPC (M1)")
+        .tvla();
+    let acc = report.tvla.accumulator(ChannelId::Smc(key("PHPC")));
+    acc.copied().unwrap_or_else(TvlaAccumulator::new).matrix("PHPC (M1)")
 }
 
 impl TvlaTable {

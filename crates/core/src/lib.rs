@@ -14,8 +14,6 @@
 //! * [`source`] — the pluggable trace sources: live rigs, a borrowed
 //!   rig, recorded-shard replay ([`ShardReplay`]) and heterogeneous
 //!   device fleets ([`Fleet`]);
-//! * [`campaign`] — the retained-dataset shapes ([`TvlaDatasets`],
-//!   [`TvlaCampaign`]) returned by the batch collection runs;
 //! * [`checkpoint`] — campaign checkpoint frames: atomic per-shard
 //!   snapshots behind [`Campaign::checkpoint_to`] /
 //!   [`Campaign::resume_from`];
@@ -40,30 +38,14 @@
 //! assert!(table2.rows[1].varying_keys.iter().any(|k| k.to_string() == "PHPC"));
 //! ```
 //!
-//! ## Migrating from the removed legacy driver functions
+//! ## Composition
 //!
-//! The nine historical free-function drivers spent one release as
-//! deprecated shims over the builder and have now been removed; each
-//! produced results identical to its builder equivalent, so migration is
-//! purely mechanical. The mapping:
-//!
-//! | Legacy call | Builder equivalent |
-//! |---|---|
-//! | `run_tvla_campaign(&mut rig, keys, n)` | `Campaign::over_rig(&mut rig).keys(keys).traces(n).session().tvla_datasets()` |
-//! | `collect_known_plaintext(&mut rig, keys, n)` | `Campaign::over_rig(&mut rig).keys(keys).traces(n).session().collect()` |
-//! | `collect_known_plaintext_parallel(dev, kind, key, seed, keys, n, s)` | `Campaign::live(dev, kind, key, seed).keys(keys).traces(n).shards(s).session().collect()` |
-//! | `collect_known_plaintext_parallel_with(…, m)` | `Campaign::live(…).mitigation(m)….session().collect()` |
-//! | `stream_tvla_campaign(dev, kind, key, seed, keys, n, s)` | `Campaign::live(dev, kind, key, seed).keys(keys).traces(n).shards(s).session().tvla()` |
-//! | `stream_tvla_campaign_with(…, m)` | `Campaign::live(…).mitigation(m)….session().tvla()` |
-//! | `stream_tvla_adaptive(…, watch, max, s, m)` | `Campaign::live(…).traces(max).shards(s).mitigation(m).early_stop(watch).session().adaptive_tvla()` |
-//! | `stream_known_plaintext(…, factory)` | `Campaign::live(…)….session().cpa(factory)` |
-//! | `stream_known_plaintext_with(…, m, factory)` | `Campaign::live(…).mitigation(m)….session().cpa(factory)` |
-//!
-//! What the legacy matrix could **not** express now composes for free:
-//! swap `Campaign::live(…)` for [`Campaign::replay`] (offline re-analysis
+//! Swap `Campaign::live(…)` for [`Campaign::replay`] (offline re-analysis
 //! of recorded shards) or [`Campaign::fleet`] (multi-device campaigns),
-//! add `.record_to(dir)` to persist any streaming campaign, and
-//! `.early_stop(watch)` works with every source.
+//! add `.record_to(dir)` to persist any campaign, and `.early_stop(watch)`
+//! works with every source. Every paper runner in [`experiments`] runs
+//! through these streaming sessions, so its memory stays flat in the
+//! trace budget.
 //!
 //! ## Failure semantics & recovery
 //!
@@ -124,7 +106,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod campaign;
 pub mod checkpoint;
 pub mod experiments;
 pub mod pmset;
@@ -136,7 +117,6 @@ pub mod spec;
 pub mod tune;
 pub mod victim;
 
-pub use campaign::{TvlaCampaign, TvlaDatasets};
 pub use checkpoint::CheckpointConfig;
 pub use experiments::ExperimentConfig;
 pub use report::CampaignOutcome;

@@ -36,8 +36,9 @@
 //!
 //! Every run method is a thin wrapper over one private runner driven by
 //! the [`Analysis`] trait ([`StreamingTvla`] for TVLA and adaptive TVLA,
-//! [`StreamingCpa`] for CPA, the retaining collectors for
-//! [`Session::collect`] and [`Session::tvla_datasets`]). The runner owns
+//! [`StreamingCpa`] for CPA, and any caller-built analysis through
+//! [`Session::analyze`] — the paper runners' GE grids ([`CpaGrid`]) and
+//! second-order TVLA ([`SecondOrderTvla`])). The runner owns
 //! the campaign preamble (fingerprint, resume frames, fault arming,
 //! observability, progress, span, stop flag), the fan-out and the single
 //! per-block consumer loop, so every analysis gets the same cadence-poll
@@ -46,9 +47,9 @@
 //! the distributed fleet aggregator (`psc_serve::fleet`) also uses on
 //! its members' decoded state.
 
-use crate::campaign::{TvlaCampaign, TvlaDatasets};
 use crate::checkpoint::{
-    self, CheckpointConfig, ShardResume, ShardSnapshot, KIND_ADAPTIVE, KIND_CPA, KIND_TVLA,
+    self, CheckpointConfig, ShardResume, ShardSnapshot, KIND_ADAPTIVE, KIND_ANALYSIS, KIND_CPA,
+    KIND_TVLA,
 };
 use crate::rig::{Device, Rig};
 use crate::source::{
@@ -59,7 +60,6 @@ use crate::victim::VictimKind;
 use psc_sca::checkpoint::{CheckpointError, PayloadReader, PayloadWriter};
 use psc_sca::cpa::{CpaMergeError, HypTable};
 use psc_sca::model::PowerModel;
-use psc_sca::trace::TraceSet;
 use psc_sca::tvla::TvlaMatrix;
 use psc_smc::{MitigationConfig, SmcKey};
 use psc_telemetry::block::EventBlock;
@@ -68,15 +68,15 @@ use psc_telemetry::faults::{FaultPlan, FaultState, RetryPolicy};
 use psc_telemetry::metrics::{
     names, Counter, Gauge, Histogram, MetricsHub, MetricsRegistry, MetricsReport, MetricsSnapshot,
 };
-use psc_telemetry::processor::Processor;
+use psc_telemetry::processor::{dispatch_with_poll, Processor};
 use psc_telemetry::processors::{
-    CadenceCheckpoint, DatasetCollector, RecorderState, ShardRecorder, StreamingCpa, StreamingTvla,
-    ThrottleMonitor, TraceCollector,
+    CadenceCheckpoint, CpaGrid, RecorderState, SecondOrderTvla, ShardRecorder, StreamingCpa,
+    StreamingTvla, ThrottleMonitor,
 };
 use psc_telemetry::ring::{channel, ChannelStats, OverflowPolicy, Receiver, Sender};
 use psc_telemetry::spans::SpanTracer;
 use psc_telemetry::{panic_message, run_sharded_caught, split_counts};
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -124,7 +124,7 @@ pub struct SessionSpec {
     /// SMC keys to read per observation, in request order.
     pub keys: Vec<SmcKey>,
     /// Trace budget: per class per shard-sum for TVLA analyses, total
-    /// known-plaintext traces for CPA/collection.
+    /// known-plaintext traces for CPA.
     pub traces: usize,
     /// Requested worker count (sources with inherent structure override
     /// it — a fleet runs one shard per member, a replay one per recorded
@@ -257,8 +257,7 @@ impl<'s> Campaign<'s> {
     }
 
     /// A single-shard campaign over a borrowed caller-owned rig,
-    /// continuing its RNG and mitigation state (the legacy
-    /// `run_tvla_campaign(&mut rig, …)` shape).
+    /// continuing its RNG and mitigation state.
     #[must_use]
     pub fn over_rig(rig: &'s mut Rig) -> Campaign<'s> {
         Campaign::from_source(RigSource::new(rig))
@@ -392,9 +391,7 @@ impl<'s> Campaign<'s> {
     /// emission), so the completed run's report is bit-identical to an
     /// uninterrupted one. Shards without a frame start fresh. Combine
     /// with [`Campaign::checkpoint_to`] to keep checkpointing across
-    /// resumes. The streaming analyses honour this; the retaining batch
-    /// collectors ([`Session::collect`], [`Session::tvla_datasets`]) do
-    /// not checkpoint.
+    /// resumes. Every run method honours this.
     #[must_use]
     pub fn resume_from(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spec.resume_dir = Some(dir.into());
@@ -912,28 +909,33 @@ impl Analysis for StreamingCpa {
     }
 }
 
-/// The retaining collectors ride the same runner, but their runs carry no
-/// checkpoint kind and assemble their own results, so the runner never
-/// asks them to checkpoint, restore or merge.
-macro_rules! retaining_collector {
-    ($collector:ty) => {
-        impl Analysis for $collector {
-            fn encode_state(&self, _: &mut PayloadWriter) {
-                unreachable!("collector runs never checkpoint")
-            }
+impl Analysis for SecondOrderTvla {
+    fn encode_state(&self, w: &mut PayloadWriter) {
+        SecondOrderTvla::encode_state(self, w);
+    }
 
-            fn restore_state(&mut self, _: &mut PayloadReader<'_>) -> Result<(), CheckpointError> {
-                unreachable!("collector runs never resume")
-            }
+    fn restore_state(&mut self, r: &mut PayloadReader<'_>) -> Result<(), CheckpointError> {
+        SecondOrderTvla::restore_state(self, r)
+    }
 
-            fn merge(self, _: Self) -> Result<Self, CpaMergeError> {
-                unreachable!("collector runs assemble their own results")
-            }
-        }
-    };
+    fn merge(self, other: Self) -> Result<Self, CpaMergeError> {
+        Ok(self.merged(other))
+    }
 }
-retaining_collector!(TraceCollector);
-retaining_collector!(DatasetCollector);
+
+impl Analysis for CpaGrid {
+    fn encode_state(&self, w: &mut PayloadWriter) {
+        CpaGrid::encode_state(self, w);
+    }
+
+    fn restore_state(&mut self, r: &mut PayloadReader<'_>) -> Result<(), CheckpointError> {
+        CpaGrid::restore_state(self, r)
+    }
+
+    fn merge(self, other: Self) -> Result<Self, CpaMergeError> {
+        self.merged(other)
+    }
+}
 
 /// A campaign folded over its shards by [`merge_shards`]: the surviving
 /// shards' analysis (`None` when every shard failed) plus the accounting
@@ -997,6 +999,15 @@ pub fn merge_shards<A: Analysis>(
         eprintln!("[psc] warning: {w}");
     }
     Ok(merged)
+}
+
+impl<A> MergedShards<A> {
+    /// The surviving shards' merged analysis (`None` when every shard
+    /// failed).
+    #[must_use]
+    pub fn into_analysis(self) -> Option<A> {
+        self.analysis
+    }
 }
 
 impl MergedShards<StreamingTvla> {
@@ -1065,28 +1076,6 @@ struct Runs<A> {
     /// `halt_after` interrupt or an external stop flag.
     stopped_early: bool,
     metrics: Option<MetricsReport>,
-}
-
-/// Dispatch one block to a fixed-interval monitor exactly as
-/// [`psc_telemetry::processor::Pump::dispatch_block`] would: per event,
-/// fire any poll ticks due at or before the event's timestamp, then
-/// deliver the event. The poll clock lives in `next_poll_s` so it can be
-/// checkpointed and restored without shifting the grid.
-fn dispatch_with_poll(
-    monitor: &mut ThrottleMonitor,
-    next_poll_s: &mut Option<f64>,
-    interval_s: f64,
-    block: &EventBlock,
-) {
-    block.for_each_event(&mut |event| {
-        let now_s = event.time_s();
-        let next = next_poll_s.get_or_insert(now_s + interval_s);
-        while *next <= now_s {
-            Processor::on_poll(monitor, *next);
-            *next += interval_s;
-        }
-        Processor::on_event(monitor, event);
-    });
 }
 
 /// The checkpointed monitor payload: the consumer's poll-grid clock (so
@@ -1468,43 +1457,46 @@ impl Session<'_> {
     /// [`Session::fan_out`] and the per-block consumer loop: fault check →
     /// timed `on_block` + cadence-poll dispatch + recorders →
     /// [`Analysis::should_stop`] → recycle → periodic checkpoint and
-    /// `halt_after`. Poll dispatch matches
-    /// [`psc_telemetry::processor::Pump::dispatch_block`].
+    /// `halt_after`. Polls fire through [`dispatch_with_poll`].
     ///
-    /// `kind` is a streaming analysis's checkpoint kind; the retaining
-    /// collectors pass `None` and so neither checkpoint, resume nor
-    /// record. `obs_per_unit` sizes the progress ETA. `schedule` and
-    /// `build` turn a shard's slice of the trace budget into its source
-    /// schedule and a fresh analysis.
+    /// `kind` is the analysis's checkpoint kind (part of the campaign
+    /// fingerprint). `obs_per_unit` sizes the progress ETA. `schedule`
+    /// turns a shard's count of the trace budget into its source
+    /// schedule; `build` turns the shard's slice of the campaign's trace
+    /// order (`start..end`, shards in order) into a fresh analysis.
     fn run<A: Analysis>(
         &self,
-        kind: Option<u8>,
+        kind: u8,
         span: &'static str,
         obs_per_unit: u64,
         schedule: impl Fn(usize) -> Schedule + Sync,
-        build: impl Fn(usize) -> A + Sync,
+        build: impl Fn(Range<usize>) -> A + Sync,
     ) -> Runs<A> {
         let counts = split_counts(self.spec.traces, self.shards);
-        let ckpt = kind.map(|kind| {
-            let tag = self.source.fingerprint_tag();
-            (kind, checkpoint::fingerprint(&self.spec, kind, tag, self.shards))
-        });
+        let starts: Vec<usize> = counts
+            .iter()
+            .scan(0, |start, &n| {
+                *start += n;
+                Some(*start - n)
+            })
+            .collect();
+        let fingerprint =
+            checkpoint::fingerprint(&self.spec, kind, self.source.fingerprint_tag(), self.shards);
         let spec = &self.spec;
         // Every shard's resume frame (shards without one resume fresh). A
         // corrupt or foreign frame panics: resuming over it would silently
         // poison the statistics.
-        let resume: Option<Vec<ShardResume>> =
-            ckpt.zip(spec.resume_dir.as_ref()).map(|((kind, fingerprint), dir)| {
-                (0..self.shards)
-                    .map(|i| {
-                        checkpoint::load_shard(dir, i, kind, fingerprint, self.shards)
-                            .unwrap_or_else(|e| {
-                                panic!("cannot resume shard {i} from {}: {e}", dir.display())
-                            })
-                            .unwrap_or_default()
-                    })
-                    .collect()
-            });
+        let resume: Option<Vec<ShardResume>> = spec.resume_dir.as_ref().map(|dir| {
+            (0..self.shards)
+                .map(|i| {
+                    checkpoint::load_shard(dir, i, kind, fingerprint, self.shards)
+                        .unwrap_or_else(|e| {
+                            panic!("cannot resume shard {i} from {}: {e}", dir.display())
+                        })
+                        .unwrap_or_default()
+                })
+                .collect()
+        });
         let faults = spec.faults.map(FaultPlan::armed);
         // Per-shard metric registries only when observability is on: the
         // off path allocates nothing and reads no clock.
@@ -1534,10 +1526,9 @@ impl Session<'_> {
             faults.as_ref(),
             |i| schedule(counts[i]),
             |i, rx, recycle, ins, log| {
-                let mut analysis = build(counts[i]);
+                let mut analysis = build(starts[i]..starts[i] + counts[i]);
                 let mut monitor = ThrottleMonitor::new(interval_s, MONITOR_DEPTH);
-                let mut recorders =
-                    kind.map_or_else(Vec::new, |_| self.recorders(i, faults.as_ref()));
+                let mut recorders = self.recorders(i, faults.as_ref());
                 let mut next_poll_s = None;
                 let (base_obs, base_blocks) = restore_consumer(
                     resume.as_deref().map(|r| &r[i]),
@@ -1546,17 +1537,14 @@ impl Session<'_> {
                     &mut next_poll_s,
                     &mut recorders,
                 );
-                let mut writer =
-                    ckpt.zip(spec.checkpoint.as_ref()).map(|((kind, fingerprint), cfg)| {
-                        CheckpointWriter {
-                            cfg,
-                            kind,
-                            fingerprint,
-                            shard: i,
-                            shard_count: self.shards,
-                            writes: 0,
-                        }
-                    });
+                let mut writer = spec.checkpoint.as_ref().map(|cfg| CheckpointWriter {
+                    cfg,
+                    kind,
+                    fingerprint,
+                    shard: i,
+                    shard_count: self.shards,
+                    writes: 0,
+                });
                 let mut local_blocks = 0u64;
                 let mut local_obs = 0u64;
                 // Blocks end on whole observations (one adaptive round per
@@ -1646,7 +1634,7 @@ impl Session<'_> {
     pub fn tvla(self) -> StreamingTvlaReport {
         // One TVLA trace is 2 passes × 3 classes observations.
         let runs = self.run(
-            Some(KIND_TVLA),
+            KIND_TVLA,
             "campaign/tvla",
             6,
             |n| Schedule::Tvla { traces_per_class: n },
@@ -1672,7 +1660,7 @@ impl Session<'_> {
             self.spec.early_stop.expect("adaptive campaigns need Campaign::early_stop(watch)");
         // Rounds-to-stop is bounded by the budget: one round is 6 obs.
         let runs = self.run(
-            Some(KIND_ADAPTIVE),
+            KIND_ADAPTIVE,
             "campaign/adaptive_tvla",
             6,
             |n| Schedule::AdaptiveRounds { max_rounds: n },
@@ -1708,7 +1696,7 @@ impl Session<'_> {
         // recomputing the 512 KB table per accumulator.
         let hyp_table = Arc::new(HypTable::for_model(model_factory().as_ref()));
         let runs = self.run(
-            Some(KIND_CPA),
+            KIND_CPA,
             "campaign/cpa",
             1,
             |n| Schedule::KnownPlaintext { traces: n },
@@ -1725,82 +1713,33 @@ impl Session<'_> {
         self.fold(runs.shards).into_report(self.spec.keys.clone(), self.shards, runs.metrics)
     }
 
-    /// Collect full known-plaintext trace sets per requested key (the
-    /// retaining batch shape of the legacy `collect_known_plaintext*`
-    /// family), concatenated in shard order.
+    /// Run a caller-built streaming analysis over the campaign — the
+    /// paper runners' one door to analyses beyond TVLA and CPA reports
+    /// (GE grids with [`CpaGrid`], second-order TVLA with
+    /// [`SecondOrderTvla`]). `schedule` turns a shard's count of the trace
+    /// budget into its source schedule (e.g. `|n| Schedule::Tvla {
+    /// traces_per_class: n }`); `build` gets the shard's slice of the
+    /// campaign's trace order (`start..end`, shards in order) and returns
+    /// a fresh analysis. Shards fold in order through
+    /// [`Analysis::merge`]. Checkpoint/resume, recording, faults and
+    /// observability work as for every run method.
     ///
     /// # Panics
     ///
-    /// Panics if the resolved shard count is zero.
+    /// Panics if the resolved shard count is zero or two shards'
+    /// analyses fail to merge.
     #[must_use]
-    pub fn collect(self) -> BTreeMap<SmcKey, TraceSet> {
-        let runs = self.run(
-            None,
-            "campaign/collect",
-            1,
-            |n| Schedule::KnownPlaintext { traces: n },
-            TraceCollector::with_capacity_hint,
-        );
-        let mut merged: BTreeMap<SmcKey, TraceSet> = self
-            .spec
-            .keys
-            .iter()
-            .map(|&k| (k, TraceSet::with_capacity(k.to_string(), self.spec.traces)))
-            .collect();
-        for mut out in runs.shards.into_iter().filter_map(|run| run.out) {
-            for (&k, target) in &mut merged {
-                if let Some(set) = out.analysis.take(ChannelId::Smc(k)) {
-                    target.extend(set.iter().copied());
-                }
-            }
-        }
-        merged
-    }
-
-    /// Collect retained TVLA datasets per requested key plus PCPU (the
-    /// legacy `run_tvla_campaign` shape), concatenated in shard order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the resolved shard count is zero.
-    #[must_use]
-    pub fn tvla_datasets(self) -> TvlaCampaign {
-        let runs = self.run(
-            None,
-            "campaign/tvla_datasets",
-            6,
-            |n| Schedule::Tvla { traces_per_class: n },
-            |_| DatasetCollector::new(),
-        );
-        let mut campaign = TvlaCampaign::default();
-        for &k in &self.spec.keys {
-            campaign.per_key.insert(k, TvlaDatasets::default());
-        }
-        let mut dropped = 0u64;
-        for out in runs.shards.into_iter().filter_map(|run| run.out) {
-            let ShardOutput { analysis: mut collector, monitor, .. } = out;
-            // Append this shard's per-class values in shard order.
-            let mut append = |target: &mut TvlaDatasets, channel| {
-                if let Some([first, second]) = collector.take(channel) {
-                    for (acc, values) in target
-                        .first
-                        .iter_mut()
-                        .chain(&mut target.second)
-                        .zip(first.into_iter().chain(second))
-                    {
-                        acc.extend(values);
-                    }
-                }
-            };
-            for &k in &self.spec.keys {
-                append(campaign.per_key.get_mut(&k).expect("inserted above"), ChannelId::Smc(k));
-            }
-            append(&mut campaign.pcpu, ChannelId::Pcpu);
-            dropped +=
-                monitor.denied_reads() + collector.orphan_samples() + collector.residual_samples();
-        }
-        campaign.dropped_samples = dropped;
-        campaign
+    pub fn analyze<A: Analysis>(
+        self,
+        schedule: fn(usize) -> Schedule,
+        build: impl Fn(Range<usize>) -> A + Sync,
+    ) -> MergedShards<A> {
+        let per_unit = match schedule(1) {
+            Schedule::KnownPlaintext { .. } => 1,
+            _ => 6,
+        };
+        let runs = self.run(KIND_ANALYSIS, "campaign/analyze", per_unit, schedule, build);
+        self.fold(runs.shards)
     }
 }
 

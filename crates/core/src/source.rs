@@ -19,8 +19,8 @@
 //!   per-device reports sum-merged by the session driver.
 //!
 //! Sources compose orthogonally with every analysis the session runs:
-//! streaming TVLA, adaptive early-stop TVLA, streaming CPA, and the
-//! retaining batch collectors.
+//! streaming TVLA, adaptive early-stop TVLA, streaming CPA, and any
+//! analysis run through [`Session::analyze`](crate::session::Session::analyze).
 
 use crate::rig::{Device, Observation, Rig};
 use crate::victim::VictimKind;
@@ -499,9 +499,8 @@ impl TraceSource for LiveRig {
 }
 
 /// A borrowed caller-owned rig: single shard, existing RNG/mitigation
-/// state preserved (the legacy `run_tvla_campaign(&mut rig, …)` /
-/// `collect_known_plaintext(&mut rig, …)` shape — repeated campaigns over
-/// one rig continue its plaintext stream).
+/// state preserved (repeated campaigns over one rig continue its
+/// plaintext stream).
 #[derive(Debug)]
 pub struct RigSource<'a> {
     rig: Mutex<&'a mut Rig>,
@@ -833,6 +832,24 @@ impl ShardReplay {
     #[must_use]
     pub fn shards(&self) -> &[ReplayShard] {
         &self.shards
+    }
+
+    /// Read one channel's recorded traces back in the campaign's trace
+    /// order: shards in order, each shard's files in write order. The
+    /// TVLA labels are kept. An offline-analysis and test convenience —
+    /// unlike replay, it holds the whole channel in memory.
+    ///
+    /// # Errors
+    ///
+    /// The first file that cannot be opened or decoded.
+    pub fn read_channel(&self, label: &str) -> Result<codec::Recording, codec::CodecError> {
+        let mut out = codec::Recording { label: label.to_owned(), traces: Vec::new() };
+        for path in self.shards.iter().flat_map(|s| &s.files) {
+            if codec::read_label(std::fs::File::open(path)?)? == label {
+                out.traces.extend(codec::read_recording(std::fs::File::open(path)?)?.traces);
+            }
+        }
+        Ok(out)
     }
 
     /// Files flagged so far because they could not be opened, decoded,

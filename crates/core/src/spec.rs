@@ -355,7 +355,7 @@ impl CampaignSpec {
             kernel: flag("kernel"),
             fleet: flag("fleet"),
             traces: parse_num("traces")? as usize,
-            shards: (parse_num("shards")? as usize).max(1),
+            shards: parse_shards(&get("shards")?).map_err(|e| format!("bad shards: {e}"))?,
             seed: parse_num("seed")?,
             key: parse_key_hex(&get("key")?)?,
             every,
@@ -384,6 +384,27 @@ pub fn parse_monitor_interval(s: &str) -> Result<f64, String> {
         Ok(interval_s)
     } else {
         Err(format!("interval must be positive, got {interval_s}"))
+    }
+}
+
+/// The most shards one campaign may request: each shard runs a producer
+/// and a consumer thread.
+pub const MAX_SHARDS: usize = 256;
+
+/// Parse a shard count: an integer in `1..=`[`MAX_SHARDS`]. The one check
+/// every front end shares (`psc` flags, spec files, `psc serve`), so a
+/// typo is refused instead of silently falling back to a default, and a
+/// huge count never spawns thousands of threads.
+///
+/// # Errors
+///
+/// Returns a message for non-integers and out-of-range counts.
+pub fn parse_shards(s: &str) -> Result<usize, String> {
+    let shards = s.parse::<usize>().map_err(|e| e.to_string())?;
+    if (1..=MAX_SHARDS).contains(&shards) {
+        Ok(shards)
+    } else {
+        Err(format!("shard count must be in 1..={MAX_SHARDS}, got {shards}"))
     }
 }
 
@@ -477,6 +498,19 @@ mod tests {
         assert!(CampaignSpec::parse(&good.replace("device=m2", "device=m9")).is_err());
         assert!(CampaignSpec::parse(&good.replace("every=8", "every=0")).is_err());
         assert!(CampaignSpec::parse(&good.replace("obs_chunk=", "obs_chunk=x")).is_err());
+        let counted = CampaignSpec { traces: 40, shards: 2, ..sample() }.render();
+        for shards in ["0", "257", "3000", "abc", "-1", ""] {
+            let text = counted.replace("shards=2\n", &format!("shards={shards}\n"));
+            assert!(CampaignSpec::parse(&text).is_err(), "shards={shards} must be refused");
+        }
+        for shards in ["1", "256"] {
+            let text = counted.replace("shards=2\n", &format!("shards={shards}\n"));
+            assert!(CampaignSpec::parse(&text).is_ok(), "shards={shards} must parse");
+        }
+        for traces in ["abc", "-5", "1e3", ""] {
+            let text = counted.replace("traces=40\n", &format!("traces={traces}\n"));
+            assert!(CampaignSpec::parse(&text).is_err(), "traces={traces} must be refused");
+        }
         for monitor in ["0", "-1", "NaN"] {
             let text = format!("{good}monitor={monitor}\n");
             assert!(CampaignSpec::parse(&text).is_err(), "monitor={monitor} must be refused");

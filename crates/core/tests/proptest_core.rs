@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use psc_core::rig::{Device, Rig};
 use psc_core::session::Campaign;
 use psc_core::victim::{AesVictim, VictimKind};
+use psc_core::ShardReplay;
 use psc_smc::key::key;
 use psc_soc::workload::AesSignal;
 use psc_soc::{Soc, SocSpec};
@@ -25,20 +26,26 @@ proptest! {
     #[test]
     fn collection_shape_invariants(seed in any::<u64>(), secret in any::<[u8; 16]>()) {
         let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, secret, seed);
-        let sets = Campaign::over_rig(&mut rig)
+        let dir = std::env::temp_dir()
+            .join(format!("psc_proptest_core_{}_{seed:016x}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let _ = Campaign::over_rig(&mut rig)
             .keys(&[key("PHPC"), key("PSTR")])
             .traces(12)
+            .record_to(&dir)
             .session()
-            .collect();
+            .cpa(|| Box::new(psc_sca::model::Rd0Hw));
+        let replay = ShardReplay::from_dir(&dir).unwrap();
         let aes = psc_aes::Aes::new(&secret).unwrap();
         for k in [key("PHPC"), key("PSTR")] {
-            let set = &sets[&k];
+            let set = replay.read_channel(&k.to_string()).unwrap().into_trace_set();
             prop_assert_eq!(set.len(), 12);
             for t in set.iter() {
                 prop_assert!(t.value.is_finite());
                 prop_assert_eq!(t.ciphertext, aes.encrypt_block(&t.plaintext));
             }
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Observations are reproducible per seed and sensitive to the seed.

@@ -116,6 +116,91 @@ impl RunningMoments {
     }
 }
 
+/// One-pass central moments up to 4th order (Pébay's update and merge):
+/// `n`, the mean and `Mₖ = Σ(x − mean)ᵏ` for k = 2, 3, 4. Mergeable like
+/// [`RunningMoments`], so shards accumulate independently.
+///
+/// Its use is second-order TVLA: the centred squares `(x − mean)²` have
+/// mean `M₂/n` and sample variance `(M₄ − M₂²/n)/(n − 1)`, which
+/// [`Self::second_order`] packs as a [`RunningMoments`] — no pass over
+/// retained samples is needed.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+pub struct CentralMoments {
+    n: u64,
+    mean: f64,
+    m2: f64,
+    m3: f64,
+    m4: f64,
+}
+
+impl CentralMoments {
+    /// Add one observation.
+    pub fn push(&mut self, x: f64) {
+        let n1 = self.n as f64;
+        self.n += 1;
+        let n = self.n as f64;
+        let delta = x - self.mean;
+        let delta_n = delta / n;
+        let delta_n2 = delta_n * delta_n;
+        let term1 = delta * delta_n * n1;
+        self.mean += delta_n;
+        self.m4 += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * self.m2
+            - 4.0 * delta_n * self.m3;
+        self.m3 += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * self.m2;
+        self.m2 += term1;
+    }
+
+    /// Merge two accumulators (parallel collection shards).
+    #[must_use]
+    pub fn merged(self, other: Self) -> Self {
+        if self.n == 0 {
+            return other;
+        }
+        if other.n == 0 {
+            return self;
+        }
+        let (na, nb) = (self.n as f64, other.n as f64);
+        let n = na + nb;
+        let delta = other.mean - self.mean;
+        let delta2 = delta * delta;
+        let m2 = self.m2 + other.m2 + delta2 * na * nb / n;
+        let m3 = self.m3
+            + other.m3
+            + delta2 * delta * na * nb * (na - nb) / (n * n)
+            + 3.0 * delta * (na * other.m2 - nb * self.m2) / n;
+        let m4 = self.m4
+            + other.m4
+            + delta2 * delta2 * na * nb * (na * na - na * nb + nb * nb) / (n * n * n)
+            + 6.0 * delta2 * (na * na * other.m2 + nb * nb * self.m2) / (n * n)
+            + 4.0 * delta * (na * other.m3 - nb * self.m3) / n;
+        Self { n: self.n + other.n, mean: self.mean + delta * nb / n, m2, m3, m4 }
+    }
+
+    /// The moments of the centred squares `(x − mean)²`: mean `M₂/n`,
+    /// Welford sum of squares `M₄ − M₂²/n` — the input of a second-order
+    /// Welch t-test.
+    #[must_use]
+    pub fn second_order(&self) -> RunningMoments {
+        if self.n == 0 {
+            return RunningMoments::new();
+        }
+        let n = self.n as f64;
+        RunningMoments::from_raw(self.n, self.m2 / n, self.m4 - self.m2 * self.m2 / n)
+    }
+
+    /// The raw state `(n, mean, M₂, M₃, M₄)`, for checkpoints.
+    #[must_use]
+    pub fn raw(&self) -> (u64, [f64; 4]) {
+        (self.n, [self.mean, self.m2, self.m3, self.m4])
+    }
+
+    /// Rebuild an accumulator from state captured by [`Self::raw`].
+    #[must_use]
+    pub fn from_raw(n: u64, [mean, m2, m3, m4]: [f64; 4]) -> Self {
+        Self { n, mean, m2, m3, m4 }
+    }
+}
+
 /// Four independent Welford chains advanced in lockstep — the vector form
 /// of four [`RunningMoments`] (e.g. four telemetry channels' TVLA cells
 /// ingesting one columnar block together).
@@ -470,6 +555,32 @@ mod tests {
         let mut one = RunningMoments::new();
         one.push(3.0);
         assert_eq!(one.variance(), 0.0);
+    }
+
+    #[test]
+    fn central_moments_match_textbook_and_merge() {
+        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
+        let mut whole = CentralMoments::default();
+        data.iter().for_each(|&x| whole.push(x));
+        // Deviations from the mean 5: -3 -1 -1 -1 0 0 2 4.
+        let (n, [mean, m2, m3, m4]) = whole.raw();
+        assert_eq!(n, 8);
+        assert!((mean - 5.0).abs() < 1e-12);
+        assert!((m2 - 32.0).abs() < 1e-12);
+        assert!((m3 - 42.0).abs() < 1e-12);
+        assert!((m4 - 356.0).abs() < 1e-12);
+        let (mut left, mut right) = (CentralMoments::default(), CentralMoments::default());
+        data[..3].iter().for_each(|&x| left.push(x));
+        data[3..].iter().for_each(|&x| right.push(x));
+        let (_, merged) = left.merged(right).raw();
+        for (a, b) in merged.iter().zip([mean, m2, m3, m4]) {
+            assert!((a - b).abs() < 1e-9, "{merged:?}");
+        }
+        // Centred squares 9 1 1 1 0 0 4 16: mean 4, sum of squares 356 - 32²/8.
+        let so = whole.second_order();
+        assert!((so.mean() - 4.0).abs() < 1e-12);
+        assert!((so.variance() - (356.0 - 128.0) / 7.0).abs() < 1e-12);
+        assert_eq!(CentralMoments::default().second_order(), RunningMoments::new());
     }
 
     #[test]

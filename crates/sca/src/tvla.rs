@@ -6,7 +6,7 @@
 //! pair. |t| ≥ 4.5 means statistically distinguishable at 99.999%
 //! confidence. The color coding becomes the four outcome classes below.
 
-use crate::stats::{welch_t, welch_t_x4, RunningMoments};
+use crate::stats::{welch_t, welch_t_x4, CentralMoments, RunningMoments};
 use serde::{Deserialize, Serialize};
 
 // (TvlaTracker below relies on RunningMoments being mergeable; see
@@ -148,68 +148,20 @@ impl TvlaMatrix {
     ///
     /// `first[i]` and `second[i]` are the unprimed/primed value sets for
     /// `PlaintextClass::ALL[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than 3 datasets are supplied on either side.
     #[must_use]
     pub fn compute(
         label: impl Into<String>,
         first: &[Vec<f64>; 3],
         second: &[Vec<f64>; 3],
     ) -> Self {
-        let moments = |xs: &Vec<f64>| {
-            let mut m = RunningMoments::new();
-            m.extend_slice(xs);
-            m
+        let moments = |sets: &[Vec<f64>; 3]| {
+            core::array::from_fn(|i| {
+                let mut m = RunningMoments::new();
+                m.extend_slice(&sets[i]);
+                m
+            })
         };
-        let first_m: [RunningMoments; 3] = core::array::from_fn(|i| moments(&first[i]));
-        let second_m: [RunningMoments; 3] = core::array::from_fn(|i| moments(&second[i]));
-        let t_scores = welch_t_matrix(&second_m, &first_m);
-
-        let mut cells = Vec::with_capacity(9);
-        for (ri, row) in PlaintextClass::ALL.iter().enumerate() {
-            for (ci, column) in PlaintextClass::ALL.iter().enumerate() {
-                let t_score = t_scores[ri * 3 + ci];
-                // Ground truth: same class (diagonal) means same data —
-                // except Random vs Random, where the *data* differs per
-                // trace but the distributions are identical, so the
-                // expected result is still "indistinguishable".
-                let truly_different = row != column;
-                cells.push(TvlaCell {
-                    row: *row,
-                    column: *column,
-                    t_score,
-                    outcome: TvlaOutcome::classify(t_score, truly_different),
-                });
-            }
-        }
-        Self { label: label.into(), cells }
-    }
-
-    /// Second-order TVLA: the same matrix computed over *centered squared*
-    /// samples, detecting leakage that manifests in the variance rather
-    /// than the mean (e.g. a masked implementation, or a channel whose
-    /// mean is scrubbed by a countermeasure). Standard practice from the
-    /// TVLA methodology the paper cites.
-    #[must_use]
-    pub fn compute_second_order(
-        label: impl Into<String>,
-        first: &[Vec<f64>; 3],
-        second: &[Vec<f64>; 3],
-    ) -> Self {
-        let center_square = |xs: &Vec<f64>| -> Vec<f64> {
-            if xs.is_empty() {
-                return Vec::new();
-            }
-            let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-            xs.iter().map(|x| (x - mean) * (x - mean)).collect()
-        };
-        let first_sq: [Vec<f64>; 3] =
-            [center_square(&first[0]), center_square(&first[1]), center_square(&first[2])];
-        let second_sq: [Vec<f64>; 3] =
-            [center_square(&second[0]), center_square(&second[1]), center_square(&second[2])];
-        Self::compute(label, &first_sq, &second_sq)
+        TvlaAccumulator::from_raw([moments(first), moments(second)]).matrix(label)
     }
 
     /// The cell for (row, column).
@@ -469,6 +421,58 @@ impl TvlaAccumulator {
     }
 }
 
+/// Second-order counterpart of [`TvlaAccumulator`]: six 4th-order
+/// central-moment accumulators (see [`CentralMoments`]), whose
+/// centred-square moments give the variance (second-order) TVLA matrix
+/// in one mergeable pass instead of two passes over retained samples.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct SecondOrderAccumulator {
+    /// `moments[pass][class]`, indexed like [`PlaintextClass::ALL`].
+    moments: [[CentralMoments; 3]; 2],
+}
+
+impl SecondOrderAccumulator {
+    /// Add one observation for (`pass`, `class`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pass > 1`.
+    pub fn push(&mut self, pass: usize, class: PlaintextClass, value: f64) {
+        self.moments[pass][class.index()].push(value);
+    }
+
+    /// Merge two accumulators (parallel collection shards).
+    #[must_use]
+    pub fn merged(self, other: Self) -> Self {
+        let mut out = self;
+        for (pass, other_pass) in out.moments.iter_mut().zip(other.moments) {
+            for (m, o) in pass.iter_mut().zip(other_pass) {
+                *m = m.merged(o);
+            }
+        }
+        out
+    }
+
+    /// The six raw accumulators in `[pass][class]` order.
+    #[must_use]
+    pub fn raw(&self) -> [[CentralMoments; 3]; 2] {
+        self.moments
+    }
+
+    /// Rebuild an accumulator from [`Self::raw`] output.
+    #[must_use]
+    pub fn from_raw(moments: [[CentralMoments; 3]; 2]) -> Self {
+        Self { moments }
+    }
+
+    /// The 3×3 second-order matrix: Welch t over the centred squares.
+    #[must_use]
+    pub fn matrix(&self, label: impl Into<String>) -> TvlaMatrix {
+        TvlaAccumulator::from_raw(self.moments.map(|pass| pass.map(|m| m.second_order())))
+            .matrix(label)
+    }
+}
+
 /// Outcome tallies of one matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct TvlaCounts {
@@ -496,6 +500,20 @@ mod tests {
                 mean + spread * (x - 0.5)
             })
             .collect()
+    }
+
+    fn second_order_matrix(
+        label: &str,
+        first: &[Vec<f64>; 3],
+        second: &[Vec<f64>; 3],
+    ) -> TvlaMatrix {
+        let mut acc = SecondOrderAccumulator::default();
+        for (pass, sets) in [first, second].into_iter().enumerate() {
+            for (class, xs) in PlaintextClass::ALL.into_iter().zip(sets) {
+                xs.iter().for_each(|&x| acc.push(pass, class, x));
+            }
+        }
+        acc.matrix(label)
     }
 
     fn leaky_matrix() -> TvlaMatrix {
@@ -669,7 +687,7 @@ mod tests {
         let first = spread_sets([0.05, 0.12, 0.08], 100);
         let second = spread_sets([0.05, 0.12, 0.08], 200);
         let first_order = TvlaMatrix::compute("var-chan", &first, &second);
-        let second_order = TvlaMatrix::compute_second_order("var-chan", &first, &second);
+        let second_order = second_order_matrix("var-chan", &first, &second);
         assert!(
             first_order.shows_no_leakage(),
             "means are equal — first order must stay silent: {}",
@@ -694,7 +712,7 @@ mod tests {
             gaussian_like(3000, 1.0, 0.05, 35),
             gaussian_like(3000, 1.0, 0.05, 36),
         ];
-        let m = TvlaMatrix::compute_second_order("null", &first, &second);
+        let m = second_order_matrix("null", &first, &second);
         assert!(m.shows_no_leakage(), "{}", m.render());
     }
 

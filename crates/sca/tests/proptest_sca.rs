@@ -6,7 +6,7 @@ use psc_sca::model::{paper_models, Rd0Hw};
 use psc_sca::rank::{guessing_entropy, log_checkpoints};
 use psc_sca::stats::{pearson, welch_t, Correlation, RunningMoments};
 use psc_sca::trace::{Trace, TraceSet};
-use psc_sca::tvla::{TvlaMatrix, TvlaOutcome};
+use psc_sca::tvla::{PlaintextClass, SecondOrderAccumulator, TvlaMatrix, TvlaOutcome};
 
 proptest! {
     #[test]
@@ -130,6 +130,69 @@ proptest! {
         guesses.sort_unstable();
         let expected: Vec<u8> = (0..=255).collect();
         prop_assert_eq!(guesses, expected);
+    }
+
+    /// Second-order TVLA from one-pass mergeable central moments equals
+    /// the two-pass reference (centre each dataset on its mean, square,
+    /// then first-order TVLA) within 1e-9 relative, however the input is
+    /// split into shards and in whatever order the shards merge.
+    #[test]
+    fn second_order_moments_match_two_pass_centred_squares(
+        seed in any::<u64>(),
+        offset in -1.0e3f64..1.0e3,
+        shards in 1usize..6,
+    ) {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // Six datasets (pass × class) of different sizes and spreads.
+        let mut sets: [[Vec<f64>; 3]; 2] = Default::default();
+        for (i, set) in sets.iter_mut().flatten().enumerate() {
+            let n = 2 + (next() % 300) as usize;
+            let spread = 0.5 + (i % 3) as f64 * 0.4;
+            *set = (0..n)
+                .map(|_| {
+                    let u = (next() >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+                    offset + spread * u * u * u
+                })
+                .collect();
+        }
+        let reference = {
+            let centre_square = |xs: &Vec<f64>| -> Vec<f64> {
+                let mean = xs.iter().sum::<f64>() / xs.len() as f64;
+                xs.iter().map(|x| (x - mean) * (x - mean)).collect()
+            };
+            let [first, second] = &sets;
+            TvlaMatrix::compute("ref", &first.clone().map(|xs| centre_square(&xs)), &second.clone().map(|xs| centre_square(&xs)))
+        };
+        // Deal every sample to a random shard, then merge the shards in a
+        // random order.
+        let mut parts = vec![SecondOrderAccumulator::default(); shards];
+        for (pass, classes) in sets.iter().enumerate() {
+            for (class, xs) in PlaintextClass::ALL.into_iter().zip(classes) {
+                for &x in xs {
+                    parts[(next() % shards as u64) as usize].push(pass, class, x);
+                }
+            }
+        }
+        let mut merged = SecondOrderAccumulator::default();
+        while !parts.is_empty() {
+            let pick = (next() % parts.len() as u64) as usize;
+            merged = merged.merged(parts.swap_remove(pick));
+        }
+        let streamed = merged.matrix("streamed");
+        for (r, s) in reference.cells.iter().zip(&streamed.cells) {
+            let tol = 1e-9 * r.t_score.abs().max(1.0);
+            prop_assert!(
+                (r.t_score - s.t_score).abs() <= tol,
+                "cell ({:?}, {:?}): reference {} vs streamed {}",
+                r.row, r.column, r.t_score, s.t_score
+            );
+        }
     }
 
     #[test]

@@ -281,6 +281,17 @@ fn cancel_covers_queued_running_and_finished_jobs() {
         Response::Rejected { reason: RejectReason::BadSpec { .. } } => {}
         other => panic!("expected BadSpec for monitor=0, got {other:?}"),
     }
+    // So is a shard count beyond MAX_SHARDS (one producer and one worker
+    // thread per shard) or one that does not parse.
+    for shards in ["3000", "abc"] {
+        let text = spec(AnalysisMode::Tvla, 4, 1).render();
+        let text = text.replace("shards=1\n", &format!("shards={shards}\n"));
+        let mut bad = Client::connect(addr).expect("connect");
+        match bad.submit("t", &text, false).expect("submit") {
+            Response::Rejected { reason: RejectReason::BadSpec { .. } } => {}
+            other => panic!("expected BadSpec for shards={shards}, got {other:?}"),
+        }
+    }
     // And a NaN noise σ, which used to panic inside every shard.
     let nan_noise = format!("{}mitigation=noise=NaN\n", spec(AnalysisMode::Tvla, 4, 1).render());
     let mut bad = Client::connect(addr).expect("connect");

@@ -18,15 +18,14 @@
 //! * [`ring`] — bounded ring buffers and the blocking MPSC channel built
 //!   on them, with explicit [`OverflowPolicy`] and
 //!   exact drop accounting;
-//! * [`processor`] — the [`Processor`] trait
-//!   (event-driven or fixed-interval polling against simulated time) and
-//!   the [`Pump`] that dispatches a bus to processors;
+//! * [`processor`] — the [`Processor`] trait and
+//!   [`dispatch_with_poll`], which fires a polling processor's ticks on a
+//!   fixed simulated-time grid;
 //! * [`processors`] — streaming consumers with **O(1) memory in trace
 //!   count**: online TVLA (Welford accumulators →
 //!   the same 3×3 `TvlaMatrix` as the batch path), incremental CPA
 //!   (running per-guess/byte sums), a shard-persisting trace recorder
-//!   over `psc_sca::codec`, and a throttling/cadence monitor — plus
-//!   retaining batch-compat collectors for the legacy APIs;
+//!   over `psc_sca::codec`, and a throttling/cadence monitor;
 //! * [`replay`] — synthetic event sources: recorded `.psct` campaigns
 //!   pumped back through the same processors as offline replays;
 //! * [`campaign`] — work splitting and the scoped thread fan-out that
@@ -49,7 +48,7 @@
 //! fallback — same accumulator streams, same drop/orphan counters — a
 //! contract pinned by the workspace `tests/block_equivalence.rs` suite.
 //! Fixed-interval (polling) processors are always driven per event by
-//! [`Pump::dispatch_block`] so their poll grid never shifts.
+//! [`dispatch_with_poll`] so their poll grid never shifts.
 //!
 //! ## Observability
 //!
@@ -86,34 +85,34 @@
 //! ## Example
 //!
 //! ```
-//! use psc_telemetry::event::{ChannelId, Event, SampleEvent, WindowEvent};
-//! use psc_telemetry::processor::Pump;
+//! use psc_telemetry::block::EventBlock;
+//! use psc_telemetry::event::{ChannelId, SchedEvent, WindowEvent};
+//! use psc_telemetry::processor::Processor;
 //! use psc_telemetry::processors::StreamingTvla;
-//! use psc_telemetry::ring::{channel, OverflowPolicy};
 //! use psc_sca::tvla::PlaintextClass;
 //!
-//! let (tx, rx) = channel(256, OverflowPolicy::Block);
-//! let producer = std::thread::spawn(move || {
-//!     for pass in 0..2u8 {
-//!         for class in PlaintextClass::ALL {
-//!             for i in 0..100u64 {
-//!                 tx.send(Event::Window(WindowEvent {
-//!                     seq: i, time_s: i as f64, pass, class: Some(class),
-//!                     plaintext: [0; 16], ciphertext: [0; 16],
-//!                 })).unwrap();
-//!                 tx.send(Event::Sample(SampleEvent {
-//!                     time_s: i as f64, channel: ChannelId::Pcpu,
-//!                     value: 1.0 + (i % 7) as f64 * 0.01,
-//!                 })).unwrap();
-//!             }
-//!         }
-//!     }
-//! });
+//! // One columnar block per (pass, class) segment: a window record and a
+//! // PCPU sample per observation row.
 //! let mut tvla = StreamingTvla::new();
-//! let mut pump = Pump::new();
-//! pump.attach(&mut tvla);
-//! pump.run(&rx);
-//! producer.join().unwrap();
+//! let mut block = EventBlock::new();
+//! for pass in 0..2u8 {
+//!     for class in PlaintextClass::ALL {
+//!         block.reset(&[ChannelId::Pcpu]);
+//!         for i in 0..100u64 {
+//!             let time_s = i as f64;
+//!             block.begin(WindowEvent {
+//!                 seq: i, time_s, pass, class: Some(class),
+//!                 plaintext: [0; 16], ciphertext: [0; 16],
+//!             });
+//!             block.sample(0, 1.0 + (i % 7) as f64 * 0.01);
+//!             block.commit(SchedEvent {
+//!                 time_s, windows_consumed: 1, window_s: 1.0, denied_reads: 0,
+//!             });
+//!         }
+//!         tvla.on_block(&block);
+//!     }
+//! }
+//! tvla.on_finish();
 //! let matrix = tvla.matrix(ChannelId::Pcpu, "PCPU").unwrap();
 //! assert_eq!(matrix.cells.len(), 9);
 //! ```
@@ -137,9 +136,9 @@ pub use campaign::{panic_message, run_sharded, run_sharded_caught, split_counts}
 pub use event::{ChannelId, Event, SampleEvent, SchedEvent, WindowEvent};
 pub use faults::{FaultPlan, FaultState, RetryPolicy};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsReport, MetricsSnapshot};
-pub use processor::{PollMode, Processor, Pump};
+pub use processor::{dispatch_with_poll, Processor};
 pub use processors::{
-    DatasetCollector, ShardRecorder, StreamingCpa, StreamingTvla, ThrottleMonitor, TraceCollector,
+    CpaGrid, SecondOrderTvla, ShardRecorder, StreamingCpa, StreamingTvla, ThrottleMonitor,
 };
 pub use replay::{channel_for_label, replay_recording};
 pub use ring::{channel, ChannelStats, OverflowPolicy, Receiver, RingBuffer, Sender};

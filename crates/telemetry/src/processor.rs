@@ -1,37 +1,20 @@
-//! The processor abstraction and the event pump.
+//! The processor abstraction and the poll-grid dispatcher.
 //!
 //! Mirrors the event-driven/polling split of embedded input pipelines:
-//! an *event-driven* processor reacts to every bus event; a *polling*
-//! processor also gets `on_poll` callbacks on a fixed simulated-time grid
-//! (the cadence an attacker's sampling loop would use). Poll scheduling is
-//! driven by event timestamps, not wall clock, so pipelines stay fully
+//! every processor reacts to bus traffic; a *polling* processor (the
+//! cadence monitor) also gets `on_poll` callbacks on a fixed
+//! simulated-time grid (the cadence an attacker's sampling loop would
+//! use), fired by [`dispatch_with_poll`]. Poll scheduling is driven by
+//! event timestamps, not wall clock, so pipelines stay fully
 //! deterministic and replayable.
 
 use crate::block::EventBlock;
 use crate::event::Event;
-use crate::ring::Receiver;
-
-/// How a processor wants to be driven.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PollMode {
-    /// `on_event` only.
-    EventDriven,
-    /// `on_event` plus `on_poll` every `interval_s` of simulated time.
-    FixedInterval {
-        /// Poll period in simulated seconds.
-        interval_s: f64,
-    },
-}
 
 /// A streaming consumer of telemetry events.
 pub trait Processor {
     /// Short identifier for reports.
     fn name(&self) -> &'static str;
-
-    /// Driving mode; defaults to event-driven.
-    fn mode(&self) -> PollMode {
-        PollMode::EventDriven
-    }
 
     /// Handle one bus event.
     fn on_event(&mut self, event: &Event);
@@ -49,8 +32,8 @@ pub trait Processor {
         block.for_each_event(&mut |event| self.on_event(event));
     }
 
-    /// Fixed-interval callback at simulated time `time_s` (only for
-    /// [`PollMode::FixedInterval`] processors).
+    /// Fixed-interval callback at simulated time `time_s` (fired by
+    /// [`dispatch_with_poll`]).
     fn on_poll(&mut self, time_s: f64) {
         let _ = time_s;
     }
@@ -59,104 +42,33 @@ pub trait Processor {
     fn on_finish(&mut self) {}
 }
 
-struct Entry<'a> {
-    processor: &'a mut dyn Processor,
-    next_poll_s: Option<f64>,
+/// Deliver one block to a fixed-interval polling processor: per event,
+/// fire any poll ticks due at or before the event's timestamp, then
+/// deliver the event. The poll clock lives in `next_poll_s` (armed at the
+/// first event, one interval later) so a caller can checkpoint and
+/// restore it without shifting the grid; the grid is the same however
+/// the stream is cut into blocks.
+pub fn dispatch_with_poll(
+    processor: &mut impl Processor,
+    next_poll_s: &mut Option<f64>,
     interval_s: f64,
-}
-
-/// Dispatches events from a bus to attached processors, scheduling
-/// fixed-interval polls against simulated time.
-#[derive(Default)]
-pub struct Pump<'a> {
-    entries: Vec<Entry<'a>>,
-}
-
-impl<'a> Pump<'a> {
-    /// Empty pump.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { entries: Vec::new() }
-    }
-
-    /// Attach a processor (borrowed, so the caller keeps typed access to
-    /// its accumulated state after the pump finishes).
-    pub fn attach(&mut self, processor: &'a mut dyn Processor) -> &mut Self {
-        let interval_s = match processor.mode() {
-            PollMode::EventDriven => 0.0,
-            PollMode::FixedInterval { interval_s } => {
-                assert!(interval_s > 0.0, "poll interval must be positive");
-                interval_s
-            }
-        };
-        self.entries.push(Entry { processor, next_poll_s: None, interval_s });
-        self
-    }
-
-    /// Deliver one event, firing any poll ticks that fall due at or
-    /// before the event's timestamp.
-    pub fn dispatch(&mut self, event: &Event) {
+    block: &EventBlock,
+) {
+    block.for_each_event(&mut |event| {
         let now_s = event.time_s();
-        for entry in &mut self.entries {
-            if entry.interval_s > 0.0 {
-                let next = entry.next_poll_s.get_or_insert(now_s + entry.interval_s);
-                while *next <= now_s {
-                    entry.processor.on_poll(*next);
-                    *next += entry.interval_s;
-                }
-            }
-            entry.processor.on_event(event);
+        let next = next_poll_s.get_or_insert(now_s + interval_s);
+        while *next <= now_s {
+            processor.on_poll(*next);
+            *next += interval_s;
         }
-    }
-
-    /// Deliver one block. Event-driven processors take the columnar fast
-    /// path ([`Processor::on_block`]); fixed-interval processors walk the
-    /// block's scalar event sequence so their poll ticks fire at exactly
-    /// the timestamps the per-event bus would have produced.
-    pub fn dispatch_block(&mut self, block: &EventBlock) {
-        for entry in &mut self.entries {
-            if entry.interval_s > 0.0 {
-                let interval_s = entry.interval_s;
-                let next_poll_s = &mut entry.next_poll_s;
-                let processor = &mut entry.processor;
-                block.for_each_event(&mut |event| {
-                    let now_s = event.time_s();
-                    let next = next_poll_s.get_or_insert(now_s + interval_s);
-                    while *next <= now_s {
-                        processor.on_poll(*next);
-                        *next += interval_s;
-                    }
-                    processor.on_event(event);
-                });
-            } else {
-                entry.processor.on_block(block);
-            }
-        }
-    }
-
-    /// Drain `receiver` until every sender is gone, then finish.
-    /// (Block buses are drained with a caller-owned `recv` +
-    /// [`Pump::dispatch_block`] loop, so the caller decides what happens
-    /// to each processed block — e.g. recycling it to the producer.)
-    pub fn run(&mut self, receiver: &Receiver<Event>) {
-        while let Some(event) = receiver.recv() {
-            self.dispatch(&event);
-        }
-        self.finish();
-    }
-
-    /// Signal end of stream to all processors.
-    pub fn finish(&mut self) {
-        for entry in &mut self.entries {
-            entry.processor.on_finish();
-        }
-    }
+        processor.on_event(event);
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ChannelId, SampleEvent};
+    use crate::event::{ChannelId, SchedEvent, WindowEvent};
     use crate::ring::{channel, OverflowPolicy};
 
     #[derive(Default)]
@@ -164,20 +76,11 @@ mod tests {
         events: usize,
         polls: Vec<f64>,
         finished: bool,
-        interval_s: f64,
     }
 
     impl Processor for Counter {
         fn name(&self) -> &'static str {
             "counter"
-        }
-
-        fn mode(&self) -> PollMode {
-            if self.interval_s > 0.0 {
-                PollMode::FixedInterval { interval_s: self.interval_s }
-            } else {
-                PollMode::EventDriven
-            }
         }
 
         fn on_event(&mut self, _event: &Event) {
@@ -193,47 +96,12 @@ mod tests {
         }
     }
 
-    fn sample(t: f64) -> Event {
-        Event::Sample(SampleEvent { time_s: t, channel: ChannelId::Pcpu, value: 1.0 })
-    }
-
-    #[test]
-    fn event_driven_gets_every_event() {
-        let mut p = Counter::default();
-        let mut pump = Pump::new();
-        pump.attach(&mut p);
-        for i in 0..5 {
-            pump.dispatch(&sample(f64::from(i)));
-        }
-        pump.finish();
-        assert_eq!(p.events, 5);
-        assert!(p.polls.is_empty());
-        assert!(p.finished);
-    }
-
-    #[test]
-    fn polling_fires_on_simulated_grid() {
-        let mut p = Counter { interval_s: 1.0, ..Counter::default() };
-        let mut pump = Pump::new();
-        pump.attach(&mut p);
-        // Events at t = 0.5, 1.0, ..., 4.0.
-        for i in 1..=8 {
-            pump.dispatch(&sample(f64::from(i) * 0.5));
-        }
-        pump.finish();
-        assert_eq!(p.events, 8);
-        // First event at 0.5 arms the clock at 1.5; ticks then fire at
-        // 1.5, 2.5, 3.5 as later events pass those times.
-        assert_eq!(p.polls, vec![1.5, 2.5, 3.5]);
-    }
-
-    #[test]
-    fn block_dispatch_fires_polls_like_event_dispatch() {
-        use crate::block::EventBlock;
-        use crate::event::{SchedEvent, WindowEvent};
+    /// One block of `rows` observations at t = 0.5, 1.0, …: a window, one
+    /// sample and one sched event each.
+    fn block(rows: u64) -> EventBlock {
         let mut block = EventBlock::new();
         block.reset(&[ChannelId::Pcpu]);
-        for i in 1..=8u64 {
+        for i in 1..=rows {
             let t = i as f64 * 0.5;
             block.begin(WindowEvent {
                 seq: i,
@@ -251,37 +119,73 @@ mod tests {
                 denied_reads: 0,
             });
         }
+        block
+    }
 
-        let mut scalar = Counter { interval_s: 1.0, ..Counter::default() };
-        let mut scalar_pump = Pump::new();
-        scalar_pump.attach(&mut scalar);
-        block.for_each_event(&mut |e| scalar_pump.dispatch(e));
-        scalar_pump.finish();
+    #[test]
+    fn event_driven_gets_every_event() {
+        let mut p = Counter::default();
+        p.on_block(&block(5));
+        p.on_finish();
+        assert_eq!(p.events, 15, "window + sample + sched per row");
+        assert!(p.polls.is_empty());
+        assert!(p.finished);
+    }
 
-        let mut blocked = Counter { interval_s: 1.0, ..Counter::default() };
-        let mut block_pump = Pump::new();
-        block_pump.attach(&mut blocked);
-        block_pump.dispatch_block(&block);
-        block_pump.finish();
+    #[test]
+    fn polling_fires_on_simulated_grid() {
+        let mut p = Counter::default();
+        let mut next_poll_s = None;
+        // Rows at t = 0.5, 1.0, ..., 4.0.
+        dispatch_with_poll(&mut p, &mut next_poll_s, 1.0, &block(8));
+        assert_eq!(p.events, 24);
+        // The first event at 0.5 arms the clock at 1.5; ticks then fire at
+        // 1.5, 2.5, 3.5 as later events pass those times.
+        assert_eq!(p.polls, vec![1.5, 2.5, 3.5]);
+        assert_eq!(next_poll_s, Some(4.5));
+    }
 
-        assert_eq!(scalar.events, blocked.events);
-        assert_eq!(scalar.polls, blocked.polls, "poll grid must not shift under block dispatch");
+    #[test]
+    fn block_dispatch_fires_polls_like_event_dispatch() {
+        // The same stream cut into one block or into single-row blocks
+        // must fire the same ticks: the grid never depends on chunking.
+        let whole = block(8);
+        let mut one = Counter::default();
+        let mut one_clock = None;
+        dispatch_with_poll(&mut one, &mut one_clock, 1.0, &whole);
+
+        let mut rows = Counter::default();
+        let mut rows_clock = None;
+        let mut single = EventBlock::new();
+        single.reset(&[ChannelId::Pcpu]);
+        for (w, s) in whole.windows().iter().zip(whole.scheds()) {
+            single.clear();
+            single.begin(*w);
+            single.sample(0, 1.0);
+            single.commit(*s);
+            dispatch_with_poll(&mut rows, &mut rows_clock, 1.0, &single);
+        }
+        assert_eq!(one.events, rows.events);
+        assert_eq!(one.polls, rows.polls, "poll grid must not shift with block size");
+        assert_eq!(one_clock, rows_clock);
     }
 
     #[test]
     fn run_drains_channel_to_completion() {
         let (tx, rx) = channel(4, OverflowPolicy::Block);
-        let mut p = Counter::default();
         let producer = std::thread::spawn(move || {
-            for i in 0..100 {
-                tx.send(sample(f64::from(i))).expect("receiver alive");
+            for _ in 0..100 {
+                tx.send(block(1)).expect("receiver alive");
             }
         });
-        let mut pump = Pump::new();
-        pump.attach(&mut p);
-        pump.run(&rx);
+        let mut p = Counter::default();
+        let mut next_poll_s = None;
+        while let Some(b) = rx.recv() {
+            dispatch_with_poll(&mut p, &mut next_poll_s, 1.0, &b);
+        }
+        p.on_finish();
         producer.join().expect("producer ok");
-        assert_eq!(p.events, 100);
+        assert_eq!(p.events, 300);
         assert!(p.finished);
     }
 }

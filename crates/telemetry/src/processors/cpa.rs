@@ -9,6 +9,7 @@ use psc_sca::cpa::{Cpa, CpaMergeError, HypTable};
 use psc_sca::model::PowerModel;
 use psc_sca::trace::Trace;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Streaming CPA over a fixed set of channels. Each channel gets its own
@@ -247,11 +248,268 @@ impl Processor for StreamingCpa {
     }
 }
 
+/// A power-model constructor: [`CpaGrid`] builds one accumulator per
+/// model, and a fresh one per snapshot.
+pub type ModelFactory = fn() -> Box<dyn PowerModel>;
+
+/// Streaming CPA on one channel under several power models, with the
+/// accumulators kept at a grid of trace counts — the shape of GE curves
+/// (the paper's Fig. 1) and of success-rate studies.
+///
+/// A campaign shard covers traces `slice.start..slice.end` of the
+/// campaign's trace order. It snapshots its accumulators once it has
+/// consumed the first `g - slice.start` of its rows, for every grid point
+/// `g` with `slice.start < g <= slice.end`, splitting a block at that row
+/// when needed. [`CpaGrid::merged`] folds shards in order and adds the
+/// earlier shards' full state to each later snapshot, so every point
+/// holds exactly the first `g` traces in shard order — a prefix of the
+/// concatenated campaign, at O(grid) memory instead of O(traces). Rows
+/// count the schedule's observations: a denied read on the channel adds
+/// nothing to the accumulators but still counts as a row.
+#[derive(Debug)]
+pub struct CpaGrid {
+    channel: ChannelId,
+    models: Vec<ModelFactory>,
+    cpas: Vec<Cpa>,
+    /// Grid points this shard still has to snapshot, ascending.
+    pending: Vec<usize>,
+    /// Global index of the next row (`slice.start` + rows consumed).
+    row: usize,
+    /// `(trace count, one accumulator per model)`, ascending.
+    points: Vec<(usize, Vec<Cpa>)>,
+    current: Option<([u8; 16], [u8; 16])>,
+    scratch_pts: Vec<[u8; 16]>,
+    scratch_cts: Vec<[u8; 16]>,
+    scratch_vals: Vec<f64>,
+}
+
+impl CpaGrid {
+    /// A shard's grid processor over `channel`, correlating under each of
+    /// `models`, snapshotting at the points of `grid` inside `slice`.
+    #[must_use]
+    pub fn new(
+        channel: ChannelId,
+        models: &[ModelFactory],
+        grid: &[usize],
+        slice: Range<usize>,
+    ) -> Self {
+        let mut pending: Vec<usize> =
+            grid.iter().copied().filter(|&g| slice.start < g && g <= slice.end).collect();
+        pending.sort_unstable();
+        pending.dedup();
+        Self {
+            channel,
+            models: models.to_vec(),
+            cpas: models.iter().map(|m| Cpa::new(m())).collect(),
+            pending,
+            row: slice.start,
+            points: Vec::new(),
+            current: None,
+            scratch_pts: Vec::new(),
+            scratch_cts: Vec::new(),
+            scratch_vals: Vec::new(),
+        }
+    }
+
+    /// The accumulators over every trace consumed, one per model.
+    #[must_use]
+    pub fn cpas(&self) -> &[Cpa] {
+        &self.cpas
+    }
+
+    /// The snapshots taken so far: `(trace count, one accumulator per
+    /// model)`, ascending in trace count. Grid points past the end of the
+    /// campaign have none (see [`Self::cpas`] for the full state).
+    #[must_use]
+    pub fn points(&self) -> &[(usize, Vec<Cpa>)] {
+        &self.points
+    }
+
+    /// Copies of the current accumulators (sharing their hypothesis
+    /// tables).
+    fn fork(&self) -> Vec<Cpa> {
+        self.cpas
+            .iter()
+            .zip(&self.models)
+            .map(|(cpa, model)| {
+                let mut copy = Cpa::with_table(model(), Arc::clone(cpa.shared_table()));
+                copy.merge(cpa).expect("same model");
+                copy
+            })
+            .collect()
+    }
+
+    /// Take the due snapshot, if the rows consumed reached the next grid
+    /// point. Called before each new row and at the end of the stream,
+    /// so a row is always complete when its snapshot is taken.
+    fn snapshot_if_due(&mut self) {
+        if self.pending.first() == Some(&self.row) {
+            let point = self.pending.remove(0);
+            let copy = self.fork();
+            self.points.push((point, copy));
+        }
+    }
+
+    /// Merge the next shard into this one (shards fold in order): each of
+    /// its snapshots gains this side's full state, then the full states
+    /// add.
+    ///
+    /// # Errors
+    ///
+    /// [`CpaMergeError`] when the two sides use different power models.
+    pub fn merged(mut self, other: Self) -> Result<Self, CpaMergeError> {
+        for (point, snapshot) in &other.points {
+            let mut prefix = self.fork();
+            for (mine, theirs) in prefix.iter_mut().zip(snapshot) {
+                mine.merge(theirs)?;
+            }
+            self.points.push((*point, prefix));
+        }
+        for (mine, theirs) in self.cpas.iter_mut().zip(&other.cpas) {
+            mine.merge(theirs)?;
+        }
+        self.row = other.row;
+        self.pending = other.pending;
+        Ok(self)
+    }
+
+    /// Serialize the full state (accumulators, snapshots, row position
+    /// and pending grid points) into a campaign checkpoint payload.
+    pub fn encode_state(&self, w: &mut PayloadWriter) {
+        let put_cpas = |w: &mut PayloadWriter, cpas: &[Cpa]| {
+            for cpa in cpas {
+                checkpoint::put_cpa_state(w, &cpa.raw_state());
+            }
+        };
+        w.put_u32(self.cpas.len() as u32);
+        put_cpas(w, &self.cpas);
+        w.put_u64(self.row as u64);
+        w.put_u32(self.pending.len() as u32);
+        self.pending.iter().for_each(|&g| w.put_u64(g as u64));
+        w.put_u32(self.points.len() as u32);
+        for (point, cpas) in &self.points {
+            w.put_u64(*point as u64);
+            put_cpas(w, cpas);
+        }
+        match self.current {
+            None => w.put_u8(0),
+            Some((pt, ct)) => {
+                w.put_u8(1);
+                w.put_bytes(&pt);
+                w.put_bytes(&ct);
+            }
+        }
+    }
+
+    /// Restore state written by [`Self::encode_state`] into a processor
+    /// built with the same channel and models.
+    ///
+    /// # Errors
+    ///
+    /// Truncated payloads and model mismatches.
+    pub fn restore_state(&mut self, r: &mut PayloadReader<'_>) -> Result<(), CheckpointError> {
+        if r.get_u32()? as usize != self.models.len() {
+            return Err(CheckpointError::Corrupt("snapshot model count differs"));
+        }
+        let models = self.models.clone();
+        let tables: Vec<_> = self.cpas.iter().map(|c| Arc::clone(c.shared_table())).collect();
+        let get_cpas = |r: &mut PayloadReader<'_>| -> Result<Vec<Cpa>, CheckpointError> {
+            models
+                .iter()
+                .zip(&tables)
+                .map(|(model, table)| {
+                    let mut cpa = Cpa::with_table(model(), Arc::clone(table));
+                    cpa.restore_raw(&checkpoint::get_cpa_state(r)?)
+                        .map_err(|_| CheckpointError::Corrupt("snapshot power model mismatch"))?;
+                    Ok(cpa)
+                })
+                .collect()
+        };
+        self.cpas = get_cpas(r)?;
+        self.row = r.get_u64()? as usize;
+        self.pending =
+            (0..r.get_u32()?).map(|_| r.get_u64().map(|g| g as usize)).collect::<Result<_, _>>()?;
+        self.points = (0..r.get_u32()?)
+            .map(|_| Ok((r.get_u64()? as usize, get_cpas(r)?)))
+            .collect::<Result<_, CheckpointError>>()?;
+        self.current = match r.get_u8()? {
+            0 => None,
+            1 => Some((r.get_bytes::<16>()?, r.get_bytes::<16>()?)),
+            _ => return Err(CheckpointError::Corrupt("bad window-record flag")),
+        };
+        Ok(())
+    }
+}
+
+impl Processor for CpaGrid {
+    fn name(&self) -> &'static str {
+        "cpa-grid"
+    }
+
+    fn on_event(&mut self, event: &Event) {
+        match event {
+            Event::Window(w) => {
+                self.snapshot_if_due();
+                self.row += 1;
+                self.current = Some((w.plaintext, w.ciphertext));
+            }
+            Event::Sample(s) if s.channel == self.channel => {
+                if let Some((plaintext, ciphertext)) = self.current {
+                    let trace = Trace { value: s.value, plaintext, ciphertext };
+                    self.cpas.iter_mut().for_each(|cpa| cpa.add_trace(&trace));
+                }
+            }
+            Event::Sample(_) | Event::Sched(_) => {}
+        }
+    }
+
+    /// Columnar path: the block is cut at the rows where grid points fall,
+    /// and each run of rows is binned with one [`Cpa::add_block`] per
+    /// model — bit-identical to the per-event stream.
+    fn on_block(&mut self, block: &EventBlock) {
+        let windows = block.windows();
+        let column =
+            block.channels().iter().position(|&c| c == self.channel).map(|c| block.column(c));
+        let mut from = 0;
+        while from < windows.len() {
+            self.snapshot_if_due();
+            let rows = windows.len() - from;
+            let take = self.pending.first().map_or(rows, |&g| (g - self.row).min(rows));
+            let to = from + take;
+            if let Some(column) = column {
+                self.scratch_pts.clear();
+                self.scratch_cts.clear();
+                self.scratch_vals.clear();
+                for (w, v) in windows[from..to].iter().zip(&column[from..to]) {
+                    if let Some(value) = *v {
+                        self.scratch_pts.push(w.plaintext);
+                        self.scratch_cts.push(w.ciphertext);
+                        self.scratch_vals.push(value);
+                    }
+                }
+                for cpa in &mut self.cpas {
+                    cpa.add_block(&self.scratch_pts, &self.scratch_cts, &self.scratch_vals);
+                }
+            }
+            self.row += take;
+            from = to;
+        }
+        if let Some(w) = windows.last() {
+            self.current = Some((w.plaintext, w.ciphertext));
+        }
+    }
+
+    fn on_finish(&mut self) {
+        self.snapshot_if_due();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{SampleEvent, WindowEvent};
     use psc_aes::Aes;
+    use psc_sca::checkpoint::{PayloadReader, PayloadWriter};
     use psc_sca::model::Rd0Hw;
     use psc_sca::trace::TraceSet;
 
@@ -370,6 +628,81 @@ mod tests {
                 assert_eq!(sc[g].to_bits(), fc[g].to_bits(), "byte {b} guess {g}");
             }
         }
+    }
+
+    /// `traces` as one block on the `Pcpu` channel.
+    fn block_of(traces: &[Trace]) -> EventBlock {
+        let mut block = EventBlock::new();
+        block.reset(&[ChannelId::Pcpu]);
+        for (i, t) in traces.iter().enumerate() {
+            block.begin(WindowEvent {
+                seq: i as u64,
+                time_s: i as f64,
+                pass: 0,
+                class: None,
+                plaintext: t.plaintext,
+                ciphertext: t.ciphertext,
+            });
+            block.sample(0, t.value);
+            block.commit(crate::event::SchedEvent {
+                time_s: i as f64,
+                windows_consumed: 1,
+                window_s: 1.0,
+                denied_reads: 0,
+            });
+        }
+        block
+    }
+
+    fn grid_states(grid: &CpaGrid) -> Vec<(usize, Vec<psc_sca::cpa::CpaState>)> {
+        let states = |cpas: &[Cpa]| cpas.iter().map(Cpa::raw_state).collect::<Vec<_>>();
+        grid.points()
+            .iter()
+            .map(|(n, cpas)| (*n, states(cpas)))
+            .chain([(usize::MAX, states(grid.cpas()))])
+            .collect()
+    }
+
+    #[test]
+    fn grid_block_event_and_resume_paths_agree() {
+        let key = [0x5Au8; 16];
+        let set = synthetic(&key, 40, 3);
+        let models: [ModelFactory; 2] = [|| Box::new(Rd0Hw), || Box::new(psc_sca::model::Rd10Hd)];
+        let grid = [7, 16, 17, 40, 99];
+        let fresh = || CpaGrid::new(ChannelId::Pcpu, &models, &grid, 0..40);
+
+        // One 40-row block, cut at the grid rows inside on_block.
+        let whole = block_of(set.traces());
+        let mut blocked = fresh();
+        blocked.on_block(&whole);
+        blocked.on_finish();
+
+        let mut events = fresh();
+        whole.for_each_event(&mut |e| events.on_event(e));
+        events.on_finish();
+
+        // Checkpoint after 16 rows (a grid point still due), restore into a
+        // fresh processor and finish there, three rows per block.
+        let mut first = fresh();
+        set.traces()[..16].chunks(3).for_each(|c| first.on_block(&block_of(c)));
+        let mut w = PayloadWriter::new();
+        first.encode_state(&mut w);
+        let section = w.into_section(1);
+        let mut resumed = fresh();
+        let mut r = PayloadReader::new(&section.payload);
+        resumed.restore_state(&mut r).unwrap();
+        r.finish().unwrap();
+        set.traces()[16..].chunks(3).for_each(|c| resumed.on_block(&block_of(c)));
+        resumed.on_finish();
+
+        let want = grid_states(&blocked);
+        assert_eq!(want.len(), 5, "points 7, 16, 17, 40 plus the full state");
+        assert_eq!(grid_states(&events), want);
+        assert_eq!(grid_states(&resumed), want);
+        // The point at 16 holds exactly the first 16 traces.
+        let mut prefix = Cpa::new(Box::new(Rd0Hw));
+        set.iter().take(16).for_each(|t| prefix.add_trace(t));
+        assert_eq!(want[1].1[0], prefix.raw_state());
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Streaming processors: the consumers on the telemetry bus.
 
-pub mod collect;
 pub mod cpa;
 pub mod monitor;
 pub mod recorder;
 pub mod tvla;
 
-pub use collect::{DatasetCollector, TraceCollector};
-pub use cpa::StreamingCpa;
+pub use cpa::{CpaGrid, StreamingCpa};
 pub use monitor::{CadenceCheckpoint, ThrottleMonitor};
 pub use recorder::{RecorderState, ShardRecorder};
-pub use tvla::StreamingTvla;
+pub use tvla::{SecondOrderTvla, StreamingTvla};

@@ -1,7 +1,7 @@
 //! Fixed-interval throttling/cadence monitor.
 
 use crate::event::Event;
-use crate::processor::{PollMode, Processor};
+use crate::processor::Processor;
 use psc_sca::checkpoint::{CheckpointError, PayloadReader, PayloadWriter};
 use std::collections::VecDeque;
 
@@ -59,6 +59,14 @@ impl ThrottleMonitor {
             tick_windows: 0,
             last_time_s: 0.0,
         }
+    }
+
+    /// The poll interval, simulated seconds (the grid
+    /// [`dispatch_with_poll`](crate::processor::dispatch_with_poll) fires
+    /// this monitor's ticks on).
+    #[must_use]
+    pub fn interval_s(&self) -> f64 {
+        self.interval_s
     }
 
     /// Retained checkpoints, oldest first.
@@ -177,10 +185,6 @@ impl Processor for ThrottleMonitor {
         "throttle-monitor"
     }
 
-    fn mode(&self) -> PollMode {
-        PollMode::FixedInterval { interval_s: self.interval_s }
-    }
-
     fn on_event(&mut self, event: &Event) {
         if let Event::Sched(s) = event {
             self.observations += 1;
@@ -209,28 +213,43 @@ impl Processor for ThrottleMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::SchedEvent;
-    use crate::processor::Pump;
+    use crate::block::EventBlock;
+    use crate::event::{SchedEvent, WindowEvent};
+    use crate::processor::dispatch_with_poll;
 
-    fn sched(t: f64, windows: u32) -> Event {
-        Event::Sched(SchedEvent {
-            time_s: t,
-            windows_consumed: windows,
-            window_s: 1.0,
-            denied_reads: 0,
-        })
+    /// Observations at `f(i)` seconds for `i in 0..n`, each consuming
+    /// `windows` SoC windows, fed through the runner's poll dispatcher.
+    fn feed(m: &mut ThrottleMonitor, n: u32, f: impl Fn(u32) -> f64, windows: u32) {
+        let mut block = EventBlock::new();
+        block.reset(&[]);
+        for i in 0..n {
+            let time_s = f(i);
+            block.begin(WindowEvent {
+                seq: u64::from(i),
+                time_s,
+                pass: 0,
+                class: None,
+                plaintext: [0; 16],
+                ciphertext: [0; 16],
+            });
+            block.commit(SchedEvent {
+                time_s,
+                windows_consumed: windows,
+                window_s: 1.0,
+                denied_reads: 0,
+            });
+        }
+        let mut next_poll_s = None;
+        let interval_s = m.interval_s();
+        dispatch_with_poll(m, &mut next_poll_s, interval_s, &block);
     }
 
     #[test]
     fn stretch_reflects_mitigation() {
         let mut m = ThrottleMonitor::new(10.0, 8);
-        let mut pump = Pump::new();
-        pump.attach(&mut m);
-        for i in 0..30 {
-            // Three windows consumed per observation: slow_updates(3.0).
-            pump.dispatch(&sched(f64::from(i) * 3.0, 3));
-        }
-        pump.finish();
+        // Three windows consumed per observation: slow_updates(3.0).
+        feed(&mut m, 30, |i| f64::from(i) * 3.0, 3);
+        m.on_finish();
         assert_eq!(m.observations(), 30);
         assert!((m.overall_stretch() - 3.0).abs() < 1e-12);
         assert!(m.checkpoints().count() >= 2);
@@ -244,12 +263,8 @@ mod tests {
         // Campaign much shorter than one poll interval: without the
         // finish flush there would be zero checkpoints.
         let mut m = ThrottleMonitor::new(1000.0, 8);
-        let mut pump = Pump::new();
-        pump.attach(&mut m);
-        for i in 0..5 {
-            pump.dispatch(&sched(f64::from(i) * 3.0, 3));
-        }
-        pump.finish();
+        feed(&mut m, 5, |i| f64::from(i) * 3.0, 3);
+        m.on_finish();
         let checkpoints: Vec<_> = m.checkpoints().copied().collect();
         assert_eq!(checkpoints.len(), 1);
         assert_eq!(checkpoints[0].observations, 5);
@@ -260,11 +275,7 @@ mod tests {
     #[test]
     fn state_round_trips_through_checkpoint_payload() {
         let mut m = ThrottleMonitor::new(10.0, 4);
-        let mut pump = Pump::new();
-        pump.attach(&mut m);
-        for i in 0..37 {
-            pump.dispatch(&sched(f64::from(i) * 3.0, 2));
-        }
+        feed(&mut m, 37, |i| f64::from(i) * 3.0, 2);
         // No finish: snapshot mid-campaign with a partial tick pending.
         let mut w = PayloadWriter::new();
         m.encode_state(&mut w);
@@ -290,12 +301,8 @@ mod tests {
     #[test]
     fn checkpoint_window_is_bounded() {
         let mut m = ThrottleMonitor::new(1.0, 4);
-        let mut pump = Pump::new();
-        pump.attach(&mut m);
-        for i in 0..100 {
-            pump.dispatch(&sched(f64::from(i), 1));
-        }
-        pump.finish();
+        feed(&mut m, 100, f64::from, 1);
+        m.on_finish();
         assert_eq!(m.checkpoints().count(), 4, "bounded retention");
     }
 }

@@ -5,8 +5,10 @@ use crate::event::{ChannelId, Event};
 use crate::processor::Processor;
 use crate::replay::channel_for_label;
 use psc_sca::checkpoint::{self, CheckpointError, PayloadReader, PayloadWriter};
-use psc_sca::stats::MomentsQuad;
-use psc_sca::tvla::{PlaintextClass, TvlaAccumulator, TvlaMatrix, TvlaTracker};
+use psc_sca::stats::{CentralMoments, MomentsQuad};
+use psc_sca::tvla::{
+    PlaintextClass, SecondOrderAccumulator, TvlaAccumulator, TvlaMatrix, TvlaTracker,
+};
 use std::collections::BTreeMap;
 
 /// Early-stop watch on one channel: a two-dataset [`TvlaTracker`] over the
@@ -295,6 +297,156 @@ impl Processor for StreamingTvla {
             }
         }
         self.current = windows.last().map(|w| (w.pass, w.class));
+    }
+}
+
+/// First- and second-order streaming TVLA (the paper's Tables 3/5 plus
+/// the variance extension): a [`StreamingTvla`] for the first-order
+/// cells and one [`SecondOrderAccumulator`] per channel for the
+/// second-order cells. The higher moments live here rather than in
+/// [`StreamingTvla`], whose per-sample path and checkpoint bytes stay as
+/// they are.
+#[derive(Debug, Clone, Default)]
+pub struct SecondOrderTvla {
+    first: StreamingTvla,
+    second: BTreeMap<ChannelId, SecondOrderAccumulator>,
+    current: Option<(u8, Option<PlaintextClass>)>,
+}
+
+impl SecondOrderTvla {
+    /// Empty processor.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The first-order processor (matrices, counts, orphans).
+    #[must_use]
+    pub fn first_order(&self) -> &StreamingTvla {
+        &self.first
+    }
+
+    /// The second-order (variance) matrix for `channel` (None if the
+    /// channel was never seen).
+    #[must_use]
+    pub fn second_order_matrix(
+        &self,
+        channel: ChannelId,
+        label: impl Into<String>,
+    ) -> Option<TvlaMatrix> {
+        self.second.get(&channel).map(|a| a.matrix(label))
+    }
+
+    fn push(&mut self, channel: ChannelId, pass: u8, class: PlaintextClass, value: f64) {
+        self.second.entry(channel).or_default().push(usize::from(pass), class, value);
+    }
+
+    /// Merge a shard's state into this one.
+    #[must_use]
+    pub fn merged(mut self, other: Self) -> Self {
+        self.first = self.first.merged(other.first);
+        for (channel, acc) in other.second {
+            let entry = self.second.entry(channel).or_default();
+            *entry = entry.merged(acc);
+        }
+        self
+    }
+
+    /// Serialize the full state into a campaign checkpoint payload: the
+    /// first-order processor's payload, then every channel's central
+    /// moments and the in-flight window labels.
+    pub fn encode_state(&self, w: &mut PayloadWriter) {
+        self.first.encode_state(w);
+        w.put_u32(self.second.len() as u32);
+        for (channel, acc) in &self.second {
+            w.put_str(&channel.to_string());
+            for m in acc.raw().iter().flatten() {
+                let (n, words) = m.raw();
+                w.put_u64(n);
+                words.iter().for_each(|&x| w.put_f64(x));
+            }
+        }
+        match self.current {
+            None => w.put_u8(0),
+            Some((pass, class)) => {
+                w.put_u8(1);
+                w.put_u8(pass);
+                w.put_u8(class.map_or(3, |c| c.index() as u8));
+            }
+        }
+    }
+
+    /// Restore state written by [`Self::encode_state`].
+    ///
+    /// # Errors
+    ///
+    /// Truncated payloads and unknown channel labels.
+    pub fn restore_state(&mut self, r: &mut PayloadReader<'_>) -> Result<(), CheckpointError> {
+        self.first.restore_state(r)?;
+        self.second.clear();
+        for _ in 0..r.get_u32()? {
+            let label = r.get_str()?;
+            let channel = channel_for_label(&label)
+                .ok_or(CheckpointError::Corrupt("unknown channel label"))?;
+            let mut moments = [[CentralMoments::default(); 3]; 2];
+            for m in moments.iter_mut().flatten() {
+                let n = r.get_u64()?;
+                let mut words = [0.0; 4];
+                for x in &mut words {
+                    *x = r.get_f64()?;
+                }
+                *m = CentralMoments::from_raw(n, words);
+            }
+            self.second.insert(channel, SecondOrderAccumulator::from_raw(moments));
+        }
+        self.current = match r.get_u8()? {
+            0 => None,
+            1 => {
+                let pass = r.get_u8()?;
+                let class = match r.get_u8()? {
+                    i @ 0..=2 => Some(PlaintextClass::ALL[usize::from(i)]),
+                    3 => None,
+                    _ => return Err(CheckpointError::Corrupt("bad plaintext class index")),
+                };
+                Some((pass, class))
+            }
+            _ => return Err(CheckpointError::Corrupt("bad window-label flag")),
+        };
+        Ok(())
+    }
+}
+
+impl Processor for SecondOrderTvla {
+    fn name(&self) -> &'static str {
+        "tvla-second-order"
+    }
+
+    fn on_event(&mut self, event: &Event) {
+        self.first.on_event(event);
+        match event {
+            Event::Window(w) => self.current = Some((w.pass, w.class)),
+            Event::Sample(s) => {
+                if let Some((pass, Some(class))) = self.current {
+                    self.push(s.channel, pass, class, s.value);
+                }
+            }
+            Event::Sched(_) => {}
+        }
+    }
+
+    fn on_block(&mut self, block: &EventBlock) {
+        self.first.on_block(block);
+        let windows = block.windows();
+        for (col, &channel) in block.channels().iter().enumerate() {
+            for (w, v) in windows.iter().zip(block.column(col)) {
+                if let (Some(class), Some(value)) = (w.class, *v) {
+                    self.push(channel, w.pass, class, value);
+                }
+            }
+        }
+        if let Some(w) = windows.last() {
+            self.current = Some((w.pass, w.class));
+        }
     }
 }
 

@@ -43,7 +43,7 @@ pub fn channel_for_label(label: &str) -> Option<ChannelId> {
     }
 }
 
-/// Pump one recording into `sink` as a synthetic event stream.
+/// Feed one recording into `sink` as a synthetic event stream.
 ///
 /// Each recorded trace becomes a `Window` event (carrying the recorded
 /// pass/class/plaintext/ciphertext), one `Sample` on `channel`, and a

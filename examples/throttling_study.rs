@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example throttling_study`
 
-use apple_power_sca::core::experiments::throttling::{run_throttling_study, timing_tvla_datasets};
+use apple_power_sca::core::experiments::throttling::{run_throttling_study, timing_tvla};
 use apple_power_sca::core::ExperimentConfig;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
     println!("{}", study.render());
 
     println!("== Timing side-channel attempt under throttling ==");
-    let matrix = timing_tvla_datasets(&cfg).matrix("Time (during throttling)");
+    let matrix = timing_tvla(&cfg).matrix("Time (during throttling)");
     println!("{}", matrix.render());
     println!(
         "no data dependence: {} (the governor follows the PHPS estimator,\n\

@@ -28,7 +28,7 @@ use apple_power_sca::core::experiments::screening::{run_table1, run_table2};
 use apple_power_sca::core::experiments::success_rate::run_success_rate;
 use apple_power_sca::core::experiments::throttling::run_throttling_study;
 use apple_power_sca::core::experiments::tvla::{run_table3, run_table5};
-use apple_power_sca::core::spec::{parse_key_hex, parse_monitor_interval};
+use apple_power_sca::core::spec::{parse_key_hex, parse_monitor_interval, parse_shards};
 use apple_power_sca::core::{report, tune};
 use apple_power_sca::core::{
     AnalysisMode, Campaign, CampaignSpec, Device, ExperimentConfig, MitigationSetting, ShardReplay,
@@ -45,6 +45,7 @@ use apple_power_sca::serve::{
     AdmissionConfig, Client, Response, Server, ServerConfig, DEFAULT_ADDR,
 };
 use apple_power_sca::smc::key::key;
+use apple_power_sca::telemetry::event::ChannelId;
 use apple_power_sca::telemetry::faults::RetryPolicy;
 use apple_power_sca::telemetry::metrics::{validate_json, MetricsReport};
 use apple_power_sca::telemetry::spans::SpanTracer;
@@ -173,24 +174,33 @@ fn parse_opt(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
-fn cmd_cpa(cfg: &ExperimentConfig, args: &[String]) {
-    let traces =
-        parse_opt(args, "--traces").and_then(|s| s.parse().ok()).unwrap_or(cfg.cpa_traces_m2);
+/// `--traces N`, refusing a malformed count instead of falling back.
+fn traces_opt(args: &[String], default: usize) -> Result<usize, String> {
+    parse_opt(args, "--traces")
+        .map(|s| s.parse::<usize>().map_err(|e| format!("bad --traces value {s:?}: {e}")))
+        .transpose()
+        .map(|n| n.unwrap_or(default))
+}
+
+fn cmd_cpa(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
+    let traces = traces_opt(args, cfg.cpa_traces_m2)?;
     let kind =
         if parse_flag(args, "--kernel") { VictimKind::KernelModule } else { VictimKind::UserSpace };
     println!("collecting {traces} PHPC traces ({kind:?} victim)...");
-    let sets = Campaign::live(Device::MacbookAirM2, kind, cfg.secret_key, cfg.seed)
+    let report = Campaign::live(Device::MacbookAirM2, kind, cfg.secret_key, cfg.seed)
         .keys(&[key("PHPC")])
         .traces(traces)
         .shards(cfg.shards)
         .session()
-        .collect();
-    report_cpa(&sets[&key("PHPC")], Some(cfg.secret_key));
+        .cpa(|| Box::new(Rd0Hw));
+    report_cpa(
+        report.cpa.cpa(ChannelId::Smc(key("PHPC"))).expect("registered"),
+        Some(cfg.secret_key),
+    );
+    Ok(())
 }
 
-fn report_cpa(set: &apple_power_sca::sca::trace::TraceSet, secret: Option<[u8; 16]>) {
-    let mut cpa = Cpa::new(Box::new(Rd0Hw));
-    cpa.add_set(set);
+fn report_cpa(cpa: &Cpa, secret: Option<[u8; 16]>) {
     let n = cpa.trace_count();
     println!("\n#byte  best-guess     corr        95% CI");
     for b in 0..16 {
@@ -289,11 +299,9 @@ fn spec_from_args(cfg: &ExperimentConfig, args: &[String]) -> Result<CampaignSpe
     let mut spec = CampaignSpec::new(mode, device, cfg);
     spec.kernel = parse_flag(args, "--kernel");
     spec.fleet = parse_flag(args, "--fleet");
-    spec.traces = parse_opt(args, "--traces")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| CampaignSpec::default_traces(mode, device, cfg));
+    spec.traces = traces_opt(args, CampaignSpec::default_traces(mode, device, cfg))?;
     if let Some(s) = parse_opt(args, "--shards") {
-        spec.shards = s.parse::<usize>().map(|n| n.max(1)).unwrap_or(spec.shards);
+        spec.shards = parse_shards(&s).map_err(|e| format!("bad --shards value {s:?}: {e}"))?;
     }
     spec.tune = parse_tune(args)?;
     spec.mitigation =
@@ -453,21 +461,29 @@ fn cmd_replay(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
 
 fn cmd_collect(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
     let out = parse_opt(args, "--out").ok_or("--out FILE is required")?;
-    let traces =
-        parse_opt(args, "--traces").and_then(|s| s.parse().ok()).unwrap_or(cfg.cpa_traces_m2);
+    let traces = traces_opt(args, cfg.cpa_traces_m2)?;
     let secret = match parse_opt(args, "--key") {
         Some(hex) => parse_key_hex(&hex)?,
         None => cfg.secret_key,
     };
     println!("collecting {traces} PHPC traces to {out} ...");
-    let sets = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, secret, cfg.seed)
+    // Record the shards, then concatenate them in shard order into one file.
+    let dir = std::env::temp_dir().join(format!("psc-collect-{}", std::process::id()));
+    let _ = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, secret, cfg.seed)
         .keys(&[key("PHPC")])
         .traces(traces)
         .shards(cfg.shards)
+        .record_to(&dir)
         .session()
-        .collect();
+        .cpa(|| Box::new(Rd0Hw));
+    let set = ShardReplay::from_dir(&dir)
+        .map_err(|e| e.to_string())?
+        .read_channel("PHPC")
+        .map_err(|e| e.to_string())?
+        .into_trace_set();
+    let _ = std::fs::remove_dir_all(&dir);
     let file = std::fs::File::create(&out).map_err(|e| e.to_string())?;
-    write_trace_set(&sets[&key("PHPC")], file).map_err(|e| e.to_string())?;
+    write_trace_set(&set, file).map_err(|e| e.to_string())?;
     println!("wrote {} traces.", traces);
     Ok(())
 }
@@ -487,7 +503,9 @@ fn cmd_analyze(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
         Some(hex) => Some(parse_key_hex(&hex)?),
         None => Some(cfg.secret_key),
     };
-    report_cpa(&set, secret);
+    let mut cpa = Cpa::new(Box::new(Rd0Hw));
+    cpa.add_set(&set);
+    report_cpa(&cpa, secret);
     Ok(())
 }
 
@@ -788,10 +806,7 @@ fn main() -> ExitCode {
             println!("{}", table.render());
             Ok(())
         }
-        "cpa" => {
-            cmd_cpa(&cfg, rest);
-            Ok(())
-        }
+        "cpa" => cmd_cpa(&cfg, rest),
         "throttle" => {
             println!("{}", run_throttling_study(&cfg).render());
             Ok(())
@@ -800,14 +815,10 @@ fn main() -> ExitCode {
             println!("{}", run_countermeasures(&cfg).render());
             Ok(())
         }
-        "success" => {
-            let max = parse_opt(rest, "--traces")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(cfg.cpa_traces_m2);
+        "success" => traces_opt(rest, cfg.cpa_traces_m2).map(|max| {
             let counts = [max / 8, max / 4, max / 2, max];
             println!("{}", run_success_rate(&cfg, &counts, 5).render());
-            Ok(())
-        }
+        }),
         "campaign" | "stream" => cmd_campaign(&cfg, rest),
         "tune" => cmd_tune(rest),
         "resume" => cmd_resume(rest),

@@ -5,9 +5,12 @@
 //! same IOReport `PCPU` deltas, same simulated clock — and the chunked
 //! campaign drivers must therefore reproduce trace sets exactly.
 
+mod common;
+
 use apple_power_sca::core::{Campaign, Device, Observation, Rig, VictimKind};
 use apple_power_sca::smc::key::key;
 use apple_power_sca::smc::MitigationConfig;
+use common::Recorded;
 
 fn assert_obs_bits(a: &Observation, b: &Observation, context: &str) {
     assert_eq!(a.plaintext, b.plaintext, "{context}: plaintext");
@@ -88,16 +91,15 @@ fn batched_equals_sequential_under_publish_jitter() {
 
 #[test]
 fn chunked_campaign_reproduces_per_trace_loop() {
-    // collect_known_plaintext chunks plaintexts through observe_windows;
+    // A known-plaintext campaign chunks plaintexts through observe_windows;
     // a hand-rolled per-trace loop over an identically seeded rig must
     // yield the same (plaintext, value) sequence.
     let keys = [key("PHPC")];
     let n = 70; // spans multiple OBS_CHUNK slices
-    let sets = {
+    let set = &{
         let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 77);
-        Campaign::over_rig(&mut rig).keys(&keys).traces(n).session().collect()
+        Recorded::cpa(Campaign::over_rig(&mut rig).keys(&keys).traces(n)).0.traces("PHPC")
     };
-    let set = &sets[&key("PHPC")];
     assert_eq!(set.len(), n);
 
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 77);

@@ -3,12 +3,15 @@
 //! an extension showing the paper's per-channel analysis leaves SNR on the
 //! table.
 
+mod common;
+
 use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
 use apple_power_sca::sca::cpa::Cpa;
 use apple_power_sca::sca::fusion::fuse_z;
 use apple_power_sca::sca::model::Rd0Hw;
 use apple_power_sca::sca::rank::guessing_entropy;
 use apple_power_sca::smc::key::key;
+use common::Recorded;
 
 const SECRET: [u8; 16] = [
     0xB7, 0x6F, 0xEB, 0x3E, 0xD5, 0x9D, 0x77, 0xFA, 0xCE, 0xBB, 0x67, 0xF3, 0x5E, 0xAD, 0xD9, 0x7C,
@@ -25,11 +28,11 @@ fn fused_channels_beat_each_input() {
     // A budget where PHPC alone is clearly mid-convergence.
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0xF0F0);
     let keys = [key("PHPC"), key("PDTR"), key("PMVC")];
-    let sets = Campaign::over_rig(&mut rig).keys(&keys).traces(5_000).session().collect();
+    let (sets, _) = Recorded::cpa(Campaign::over_rig(&mut rig).keys(&keys).traces(5_000));
 
-    let phpc = &sets[&key("PHPC")];
-    let pdtr = &sets[&key("PDTR")];
-    let pmvc = &sets[&key("PMVC")];
+    let phpc = &sets.traces("PHPC");
+    let pdtr = &sets.traces("PDTR");
+    let pmvc = &sets.traces("PMVC");
     let fused = fuse_z(&[phpc, pdtr, pmvc]).expect("same campaign");
 
     let (ge_phpc, ge_pdtr, ge_pmvc, ge_fused) =
@@ -46,10 +49,10 @@ fn fused_channels_beat_each_input() {
 fn fusion_rejects_sets_from_different_campaigns() {
     let collect = |seed: u64| {
         let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, seed);
-        Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(30).session().collect()
+        Recorded::cpa(Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(30)).0.traces("PHPC")
     };
     let a = collect(1);
     let b = collect(2); // different plaintext sequence
-    let err = fuse_z(&[&a[&key("PHPC")], &b[&key("PHPC")]]).unwrap_err();
+    let err = fuse_z(&[&a, &b]).unwrap_err();
     assert!(matches!(err, apple_power_sca::sca::fusion::FusionError::RecordMismatch { .. }));
 }

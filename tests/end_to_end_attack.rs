@@ -6,10 +6,10 @@
 use apple_power_sca::core::experiments::screening::screen_device;
 use apple_power_sca::core::experiments::ExperimentConfig;
 use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
-use apple_power_sca::sca::cpa::Cpa;
 use apple_power_sca::sca::model::Rd0Hw;
 use apple_power_sca::sca::rank::{guessing_entropy, recovery_tally};
 use apple_power_sca::smc::key::key;
+use apple_power_sca::telemetry::ChannelId;
 
 const SECRET: [u8; 16] = [
     0xB7, 0x6F, 0xEB, 0x3E, 0xD5, 0x9D, 0x77, 0xFA, 0xCE, 0xBB, 0x67, 0xF3, 0x5E, 0xAD, 0xD9, 0x7C,
@@ -28,10 +28,12 @@ fn screening_surfaces_phpc() {
 #[test]
 fn cpa_extracts_key_material_from_user_victim() {
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0xE2E);
-    let sets = Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(8_000).session().collect();
-    let mut cpa = Cpa::new(Box::new(Rd0Hw));
-    cpa.add_set(&sets[&key("PHPC")]);
-    let ranks = cpa.ranks(&SECRET);
+    let report = Campaign::over_rig(&mut rig)
+        .keys(&[key("PHPC")])
+        .traces(8_000)
+        .session()
+        .cpa(|| Box::new(Rd0Hw));
+    let ranks = report.ranks(key("PHPC"), &SECRET).expect("registered");
     let ge = guessing_entropy(&ranks);
     let (recovered, near) = recovery_tally(&ranks);
     assert!(recovered >= 4, "expected substantial recovery, ranks {ranks:?}");
@@ -47,10 +49,12 @@ fn kernel_victim_leaks_but_slower() {
     let n = 8_000;
     let ge_of = |kind: VictimKind| {
         let mut rig = Rig::new(Device::MacbookAirM2, kind, SECRET, 0x5E5E);
-        let sets = Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(n).session().collect();
-        let mut cpa = Cpa::new(Box::new(Rd0Hw));
-        cpa.add_set(&sets[&key("PHPC")]);
-        guessing_entropy(&cpa.ranks(&SECRET))
+        let report = Campaign::over_rig(&mut rig)
+            .keys(&[key("PHPC")])
+            .traces(n)
+            .session()
+            .cpa(|| Box::new(Rd0Hw));
+        guessing_entropy(&report.ranks(key("PHPC"), &SECRET).expect("registered"))
     };
     let user = ge_of(VictimKind::UserSpace);
     let kernel = ge_of(VictimKind::KernelModule);
@@ -64,6 +68,11 @@ fn kernel_victim_leaks_but_slower() {
 fn restricted_access_breaks_the_pipeline() {
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0xACCE);
     rig.set_mitigation(apple_power_sca::smc::MitigationConfig::restrict_access());
-    let sets = Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(50).session().collect();
-    assert!(sets[&key("PHPC")].is_empty(), "no traces under restriction");
+    let report = Campaign::over_rig(&mut rig)
+        .keys(&[key("PHPC")])
+        .traces(50)
+        .session()
+        .cpa(|| Box::new(Rd0Hw));
+    let cpa = report.cpa.cpa(ChannelId::Smc(key("PHPC"))).expect("registered");
+    assert_eq!(cpa.trace_count(), 0, "no traces under restriction");
 }

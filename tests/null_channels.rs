@@ -3,10 +3,14 @@
 //! timing never show data dependence, no matter how the attacker drives
 //! the victim.
 
-use apple_power_sca::core::experiments::throttling::timing_tvla_datasets;
+mod common;
+
+use apple_power_sca::core::experiments::throttling::timing_tvla;
 use apple_power_sca::core::experiments::ExperimentConfig;
 use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
+use apple_power_sca::sca::tvla::TvlaMatrix;
 use apple_power_sca::smc::key::key;
+use common::Recorded;
 
 const SECRET: [u8; 16] = [
     0xB7, 0x6F, 0xEB, 0x3E, 0xD5, 0x9D, 0x77, 0xFA, 0xCE, 0xBB, 0x67, 0xF3, 0x5E, 0xAD, 0xD9, 0x7C,
@@ -15,21 +19,22 @@ const SECRET: [u8; 16] = [
 #[test]
 fn phps_and_pcpu_never_leak() {
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x9011);
-    let campaign = Campaign::over_rig(&mut rig)
-        .keys(&[key("PHPS"), key("PHPC")])
-        .traces(300)
-        .session()
-        .tvla_datasets();
+    let (campaign, _) =
+        Recorded::tvla(Campaign::over_rig(&mut rig).keys(&[key("PHPS"), key("PHPC")]).traces(300));
+    let matrix = |label: &str| {
+        let (first, second) = campaign.datasets(label);
+        TvlaMatrix::compute(label, &first, &second)
+    };
 
-    let phps = campaign.per_key[&key("PHPS")].matrix("PHPS");
+    let phps = matrix("PHPS");
     assert!(phps.shows_no_leakage(), "{}", phps.render());
 
-    let pcpu = campaign.pcpu.matrix("PCPU");
+    let pcpu = matrix("PCPU");
     assert!(pcpu.shows_no_leakage(), "{}", pcpu.render());
 
     // Control: the same windows DO leak through PHPC, so the nulls above
     // are meaningful (the victim was really encrypting distinct classes).
-    let phpc = campaign.per_key[&key("PHPC")].matrix("PHPC");
+    let phpc = matrix("PHPC");
     assert!(phpc.is_data_dependent(), "{}", phpc.render());
 }
 
@@ -37,7 +42,7 @@ fn phps_and_pcpu_never_leak() {
 fn throttled_timing_never_leaks() {
     let mut cfg = ExperimentConfig::quick();
     cfg.timing_traces_per_class = 60;
-    let matrix = timing_tvla_datasets(&cfg).matrix("timing");
+    let matrix = timing_tvla(&cfg).matrix("timing");
     assert!(matrix.shows_no_leakage(), "{}", matrix.render());
 }
 

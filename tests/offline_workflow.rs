@@ -3,12 +3,15 @@
 //! (fast, off-target). The persisted campaign must yield bit-identical
 //! analysis results.
 
+mod common;
+
 use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
 use apple_power_sca::sca::codec::{read_trace_set, write_trace_set};
 use apple_power_sca::sca::cpa::Cpa;
 use apple_power_sca::sca::enumerate::{verify_with_pair, KeyEnumerator};
 use apple_power_sca::sca::model::Rd0Hw;
 use apple_power_sca::smc::key::key;
+use common::Recorded;
 
 const SECRET: [u8; 16] = [
     0xB7, 0x6F, 0xEB, 0x3E, 0xD5, 0x9D, 0x77, 0xFA, 0xCE, 0xBB, 0x67, 0xF3, 0x5E, 0xAD, 0xD9, 0x7C,
@@ -17,8 +20,8 @@ const SECRET: [u8; 16] = [
 #[test]
 fn persisted_campaign_analyzes_identically() {
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x0FF1);
-    let sets = Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(4_000).session().collect();
-    let original = &sets[&key("PHPC")];
+    let (sets, _) = Recorded::cpa(Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(4_000));
+    let original = &sets.traces("PHPC");
 
     // Round-trip through the on-disk format.
     let mut bytes = Vec::new();
@@ -41,9 +44,9 @@ fn full_offline_attack_with_enumeration_endgame() {
     // Enough traces that every byte ranks near the top, then the
     // enumeration endgame confirms the exact key from the recording alone.
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x0FF2);
-    let sets = Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(25_000).session().collect();
+    let (sets, _) = Recorded::cpa(Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(25_000));
     let mut bytes = Vec::new();
-    write_trace_set(&sets[&key("PHPC")], &mut bytes).expect("serialize");
+    write_trace_set(&sets.traces("PHPC"), &mut bytes).expect("serialize");
 
     // "Another machine": only the recording is available.
     let recording = read_trace_set(&bytes[..]).expect("deserialize");
@@ -92,4 +95,27 @@ fn cli_replay_refuses_cpa_without_an_smc_key_recording() {
     assert!(tvla.status.success());
     assert!(String::from_utf8_lossy(&tvla.stdout).contains("PCPU"));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cli_refuses_bad_shard_and_trace_counts() {
+    // A typo must not fall back to the default budget, and a huge shard
+    // count must not spawn a producer and a worker thread per shard.
+    for args in [
+        &["--traces", "abc"][..],
+        &["--shards", "abc"],
+        &["--shards", "3000"],
+        &["--shards", "0"],
+        &["--cpa", "--traces", "-5"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_psc"))
+            .arg("campaign")
+            .args(args)
+            .output()
+            .expect("run psc");
+        assert_eq!(out.status.code(), Some(1), "psc campaign {args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "no campaign ran for {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(args[args.len() - 2]), "{args:?} names the flag: {stderr}");
+    }
 }

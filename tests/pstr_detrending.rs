@@ -5,6 +5,8 @@
 //! The traces must be collected *serially* (single session) so the drift
 //! is a continuous random walk the high-pass filter can remove.
 
+mod common;
+
 use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
 use apple_power_sca::sca::cpa::Cpa;
 use apple_power_sca::sca::filter::detrend_trace_set;
@@ -25,13 +27,11 @@ fn ge_of(set: &apple_power_sca::sca::trace::TraceSet) -> f64 {
 #[test]
 fn detrending_recovers_much_of_the_pstr_channel() {
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0xD7D7);
-    let sets = Campaign::over_rig(&mut rig)
-        .keys(&[key("PSTR"), key("PHPC")])
-        .traces(10_000)
-        .session()
-        .collect();
+    let (sets, _) = common::Recorded::cpa(
+        Campaign::over_rig(&mut rig).keys(&[key("PSTR"), key("PHPC")]).traces(10_000),
+    );
 
-    let pstr_raw = &sets[&key("PSTR")];
+    let pstr_raw = &sets.traces("PSTR");
     let ge_raw = ge_of(pstr_raw);
     // A short window beats the drift: the walk moves ≈σ·√w within a
     // window, so smaller windows leave less residual drift; w = 7 is near
@@ -48,7 +48,7 @@ fn detrending_recovers_much_of_the_pstr_channel() {
 
     // Sanity: the filter does not help an already-clean channel much, nor
     // does it destroy it.
-    let phpc_raw = &sets[&key("PHPC")];
+    let phpc_raw = &sets.traces("PHPC");
     let phpc_filtered = detrend_trace_set(phpc_raw, 7);
     let (clean_raw, clean_filtered) = (ge_of(phpc_raw), ge_of(&phpc_filtered));
     assert!(

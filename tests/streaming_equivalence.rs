@@ -2,11 +2,12 @@
 //! must reproduce the batch analyses on identical seeded trace sets —
 //! single-shard and sharded-then-merged — within 1e-9.
 //!
-//! The batch comparators are the retaining collectors
-//! (`Session::tvla_datasets` / `Session::collect`), driven through the
-//! same builder the streaming analyses use, so this suite pins the
-//! streaming O(1)-memory accumulators against whole-dataset
-//! recomputation on the exact same observation streams.
+//! The batch comparators recompute over the raw traces each campaign
+//! recorded (`Campaign::record_to`, read back from the `.psct` shards),
+//! so this suite pins the streaming O(1)-memory accumulators against
+//! whole-dataset recomputation on the exact same observation streams.
+
+mod common;
 
 use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
 use apple_power_sca::sca::cpa::Cpa;
@@ -14,6 +15,7 @@ use apple_power_sca::sca::model::Rd0Hw;
 use apple_power_sca::sca::tvla::TvlaMatrix;
 use apple_power_sca::smc::key::key;
 use apple_power_sca::telemetry::split_counts;
+use common::Recorded;
 
 const SECRET: [u8; 16] = [0x2B; 16];
 const SEED: u64 = 1234;
@@ -39,7 +41,7 @@ fn assert_matrices_close(batch: &TvlaMatrix, streaming: &TvlaMatrix, tol: f64) {
 fn single_shard_tvla_matches_batch_exactly() {
     let keys = [key("PHPC"), key("PSTR")];
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED);
-    let batch = Campaign::over_rig(&mut rig).keys(&keys).traces(120).session().tvla_datasets();
+    let (batch, _) = Recorded::tvla(Campaign::over_rig(&mut rig).keys(&keys).traces(120));
     let streaming = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED)
         .keys(&keys)
         .traces(120)
@@ -47,13 +49,15 @@ fn single_shard_tvla_matches_batch_exactly() {
         .session()
         .tvla();
     for k in keys {
-        let batch_m = batch.per_key[&k].matrix(k.to_string());
+        let (first, second) = batch.datasets(&k.to_string());
+        let batch_m = TvlaMatrix::compute(k.to_string(), &first, &second);
         let stream_m = streaming.matrix(k).expect("channel collected");
         // One shard, same seed, same event order: identical Welford stream.
         assert_matrices_close(&batch_m, &stream_m, 1e-9);
     }
+    let (first, second) = batch.datasets("PCPU");
     assert_matrices_close(
-        &batch.pcpu.matrix("PCPU"),
+        &TvlaMatrix::compute("PCPU", &first, &second),
         &streaming.pcpu_matrix().expect("pcpu collected"),
         1e-9,
     );
@@ -77,12 +81,11 @@ fn sharded_tvla_matches_concatenated_batch_shards() {
             SECRET,
             SEED.wrapping_add(shard as u64),
         );
-        let campaign =
-            Campaign::over_rig(&mut rig).keys(&keys).traces(count).session().tvla_datasets();
-        let sets = &campaign.per_key[&keys[0]];
+        let (recorded, _) = Recorded::tvla(Campaign::over_rig(&mut rig).keys(&keys).traces(count));
+        let (shard_first, shard_second) = recorded.datasets("PHPC");
         for class in 0..3 {
-            first[class].extend_from_slice(&sets.first[class]);
-            second[class].extend_from_slice(&sets.second[class]);
+            first[class].extend_from_slice(&shard_first[class]);
+            second[class].extend_from_slice(&shard_second[class]);
         }
     }
     let batch_matrix = TvlaMatrix::compute("PHPC", &first, &second);
@@ -104,14 +107,14 @@ fn sharded_cpa_matches_batch_on_identical_traces() {
     let shards = 4;
     let n = 1200;
 
-    let batch_sets = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED)
-        .keys(&keys)
-        .traces(n)
-        .shards(shards)
-        .session()
-        .collect();
+    let (batch_sets, _) = Recorded::cpa(
+        Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED)
+            .keys(&keys)
+            .traces(n)
+            .shards(shards),
+    );
     let mut batch = Cpa::new(Box::new(Rd0Hw));
-    batch.add_set(&batch_sets[&keys[0]]);
+    batch.add_set(&batch_sets.traces("PHPC"));
 
     let streaming = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED)
         .keys(&keys)
