@@ -11,7 +11,6 @@ use crate::state::{
     add_round_key, inv_mix_columns, inv_shift_rows, inv_sub_bytes, mix_columns, shift_rows,
     sub_bytes, State,
 };
-use serde::{Deserialize, Serialize};
 
 /// `xtime` (multiplication by 2 in GF(2⁸)) for const table construction.
 const fn mul2(x: u8) -> u8 {
@@ -68,7 +67,7 @@ fn b(w: u32, byte: u32) -> usize {
 }
 
 /// Which transformation produced a recorded state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AesOp {
     /// State after an AddRoundKey.
     AddRoundKey,
@@ -109,7 +108,7 @@ pub struct RoundHwProfile {
 }
 
 /// One recorded intermediate state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundState {
     /// Round number: 0 for the initial AddRoundKey, 1..=Nr for cipher rounds.
     pub round: u8,
@@ -121,7 +120,7 @@ pub struct RoundState {
 
 /// A fully-traced single-block encryption: plaintext, ciphertext and every
 /// intermediate state in execution order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncryptionTrace {
     /// The input block.
     pub plaintext: State,

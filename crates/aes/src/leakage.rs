@@ -47,10 +47,9 @@ use crate::cipher::{Aes, AesOp, EncryptionTrace, RoundObserver};
 use crate::hamming::{hd_state, hw_state};
 use crate::key_schedule::InvalidKeyLength;
 use crate::state::State;
-use serde::{Deserialize, Serialize};
 
 /// Weights of the deterministic leakage components.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeakageWeights {
     /// Weight on `HW(state after round-0 AddRoundKey)` — the paper's
     /// `Rd0-HW` target.

@@ -18,7 +18,7 @@
 //! smoke the bench in quick mode. Writes `BENCH_fleet.json` at the
 //! workspace root (override with `PSC_BENCH_OUT`).
 
-use psc_bench::measure::{json_field, json_header, json_string_field, measure_ns, write_artifact};
+use psc_bench::measure::{json_field, json_header, measure_ns, write_artifact};
 use psc_core::spec::{AnalysisMode, CampaignSpec};
 use psc_core::{Device, ExperimentConfig};
 use psc_serve::fleet::{
@@ -120,7 +120,7 @@ fn main() {
     );
 
     let mut json = json_header(BENCH);
-    json_string_field(&mut json, "mode", "tvla");
+    json.string("mode", "tvla");
     json_field(&mut json, "traces_per_class", TRACES_PER_CLASS as f64);
     json_field(&mut json, "partial_frame_bytes", frame_len as f64);
     json_field(&mut json, "partial_roundtrip_ns", partial_ns);

@@ -21,8 +21,7 @@
 use criterion::black_box;
 use psc_aes::leakage::LeakageModel;
 use psc_bench::measure::{
-    json_field, json_header, json_string_field, measure_ns, write_artifact,
-    CPA_CORRELATIONS_BEFORE_BRANCHFREE_NS,
+    json_field, json_header, measure_ns, write_artifact, CPA_CORRELATIONS_BEFORE_BRANCHFREE_NS,
 };
 use psc_sca::cpa::{Cpa, HypTable};
 use psc_sca::model::Rd0Hw;
@@ -139,7 +138,7 @@ fn main() {
         CPA_CORRELATIONS_BEFORE_BRANCHFREE_NS,
     );
     json_field(&mut json, "correlations_branchfree_speedup", correlations_speedup);
-    json_string_field(&mut json, "simd_backend", pulp::backend_name());
+    json.string("simd_backend", pulp::backend_name());
     json_field(&mut json, "cpa_correlations_simd_ns", correlations_into);
     json_field(&mut json, "cpa_correlations_scalar_ns", correlations_scalar);
     json_field(&mut json, "simd_speedup", simd_speedup);

@@ -24,7 +24,7 @@
 //! smoke the bench in quick mode. Writes `BENCH_serve.json` at the
 //! workspace root (override with `PSC_BENCH_OUT`).
 
-use psc_bench::measure::{budget, json_field, json_header, json_string_field, write_artifact};
+use psc_bench::measure::{budget, json_field, json_header, write_artifact};
 use psc_core::spec::{AnalysisMode, CampaignSpec};
 use psc_core::{Device, ExperimentConfig};
 use psc_serve::proto::Response;
@@ -113,7 +113,7 @@ fn main() {
     );
 
     let mut json = json_header(BENCH);
-    json_string_field(&mut json, "mode", "tvla");
+    json.string("mode", "tvla");
     json_field(&mut json, "workers", WORKERS as f64);
     json_field(&mut json, "burst_jobs", BURST as f64);
     json_field(&mut json, "traces_per_class", TRACES_PER_CLASS as f64);

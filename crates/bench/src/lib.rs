@@ -26,19 +26,6 @@ pub fn repro_config() -> ExperimentConfig {
     ExperimentConfig::from_env()
 }
 
-/// A reduced configuration for criterion experiment benches (keeps
-/// `cargo bench` minutes, not hours).
-#[must_use]
-pub fn bench_config() -> ExperimentConfig {
-    let mut cfg = ExperimentConfig::quick();
-    cfg.tvla_traces_per_class = 300;
-    cfg.cpa_traces_m2 = 6_000;
-    cfg.cpa_traces_m1 = 2_000;
-    cfg.cpa_traces_kernel = 6_000;
-    cfg.timing_traces_per_class = 30;
-    cfg
-}
-
 /// Standard banner printed before every `repro_all` section.
 #[must_use]
 pub fn banner(artifact: &str) -> String {
@@ -52,14 +39,6 @@ pub fn banner(artifact: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_config_smaller_than_repro_defaults() {
-        let bench = bench_config();
-        let repro = ExperimentConfig::default();
-        assert!(bench.cpa_traces_m2 <= repro.cpa_traces_m2);
-        assert!(bench.tvla_traces_per_class <= repro.tvla_traces_per_class);
-    }
 
     #[test]
     fn banner_mentions_artifact() {

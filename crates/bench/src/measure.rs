@@ -3,6 +3,7 @@
 //! methodology (same budget handling, same iteration sizing, same median
 //! estimator) and the numbers stay comparable across benches.
 
+use psc_telemetry::json::{JsonWriter, Layout};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Samples per kernel measurement (the reported value is their median).
@@ -52,43 +53,37 @@ pub fn measure_ns(bench: &str, name: &str, mut f: impl FnMut()) -> f64 {
 }
 
 /// Start a `BENCH_*.json` object: bench name, timestamp, CPU count and
-/// the active budget. Append fields with [`json_field`], then close and
-/// persist with [`write_artifact`].
+/// the active budget. Append fields with [`json_field`] (or
+/// [`JsonWriter::string`]), then close and persist with
+/// [`write_artifact`].
 #[must_use]
-pub fn json_header(bench: &str) -> String {
+pub fn json_header(bench: &str) -> JsonWriter {
     let epoch_s = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
     let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"bench\": \"{bench}\",\n"));
-    json.push_str(&format!("  \"unix_time_s\": {epoch_s},\n"));
-    json.push_str(&format!("  \"cpus\": {cpus},\n"));
-    json.push_str(&format!("  \"budget_ms\": {},\n", budget().as_millis()));
+    let mut json = JsonWriter::object(Layout::Lines(0));
+    json.string("bench", bench)
+        .field("unix_time_s", epoch_s)
+        .field("cpus", cpus)
+        .field("budget_ms", budget().as_millis());
     json
 }
 
-/// Append one `"key": value,` line to an in-progress JSON object.
-pub fn json_field(out: &mut String, key: &str, value: f64) {
-    out.push_str(&format!("  \"{key}\": {value:.3},\n"));
+/// Append one `"key": value` member, the value to three decimals.
+pub fn json_field(json: &mut JsonWriter, key: &str, value: f64) {
+    json.field(key, format_args!("{value:.3}"));
 }
 
-/// Append one `"key": "value",` line to an in-progress JSON object. The
-/// value must not need escaping (bench labels and backend names don't).
-pub fn json_string_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&format!("  \"{key}\": \"{value}\",\n"));
-}
-
-/// Close the JSON object (trimming the trailing comma) and write it to
-/// `PSC_BENCH_OUT` if set, else `default_path`. Returns the path written.
+/// Close the JSON object and write it to `PSC_BENCH_OUT` if set, else
+/// `default_path`. Returns the path written.
 ///
 /// # Panics
 ///
 /// Panics if the artifact cannot be written (a CI failure, not a
 /// recoverable condition for a bench run).
-pub fn write_artifact(mut json: String, default_path: &str) -> String {
+pub fn write_artifact(json: JsonWriter, default_path: &str) -> String {
     let out_path = std::env::var("PSC_BENCH_OUT").unwrap_or_else(|_| default_path.to_owned());
-    json.truncate(json.len() - 2);
-    json.push_str("\n}\n");
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
+    std::fs::write(&out_path, json.finish() + "\n")
+        .unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     out_path
 }
 
@@ -100,6 +95,7 @@ mod tests {
     fn header_and_fields_form_valid_shape() {
         let mut json = json_header("unit_test");
         json_field(&mut json, "alpha_ns", 12.3456);
+        json.string("mode", "a\"b");
         let path = std::env::temp_dir().join("psc_bench_measure_test.json");
         std::env::remove_var("PSC_BENCH_OUT");
         let written = write_artifact(json, path.to_str().unwrap());
@@ -108,7 +104,9 @@ mod tests {
         assert!(content.ends_with("\n}\n"));
         assert!(content.contains("\"bench\": \"unit_test\""));
         assert!(content.contains("\"alpha_ns\": 12.346"));
-        assert!(!content.contains(",\n}"), "trailing comma must be trimmed");
+        assert!(content.contains("\"mode\": \"a\\\"b\""), "string values are escaped");
+        assert!(!content.contains(",\n}"), "no trailing comma");
+        psc_telemetry::json::validate_json(&content).expect("artifact parses");
         let _ = std::fs::remove_file(written);
     }
 

@@ -24,6 +24,7 @@ use crate::source::{OBS_CHUNK, REPLAY_CHUNK};
 use psc_sca::cpa::Cpa;
 use psc_sca::model::Rd0Hw;
 use psc_sca::trace::Trace;
+use psc_telemetry::json::{validate_json, JsonWriter, Layout};
 use std::time::Instant;
 
 /// Tuned pipeline constants (see the module docs for what each controls).
@@ -67,15 +68,13 @@ impl TuneConfig {
     /// informational and ignored by [`TuneConfig::from_json`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"cpa_unroll\": {}, \"obs_chunk\": {}, \"replay_chunk\": {}, \
-             \"bus_capacity\": {}, \"simd_backend\": \"{}\"}}",
-            self.cpa_unroll,
-            self.obs_chunk,
-            self.replay_chunk,
-            self.bus_capacity,
-            pulp::backend_name()
-        )
+        let mut out = JsonWriter::object(Layout::Inline);
+        out.field("cpa_unroll", self.cpa_unroll)
+            .field("obs_chunk", self.obs_chunk)
+            .field("replay_chunk", self.replay_chunk)
+            .field("bus_capacity", self.bus_capacity)
+            .string("simd_backend", pulp::backend_name());
+        out.finish()
     }
 
     /// Parse a config previously written by [`TuneConfig::to_json`].
@@ -88,7 +87,7 @@ impl TuneConfig {
     /// when a known key has a non-integer value, or when a parsed value
     /// fails [`TuneConfig::validate`].
     pub fn from_json(input: &str) -> Result<Self, String> {
-        psc_telemetry::metrics::validate_json(input)?;
+        validate_json(input)?;
         let mut cfg = Self::default();
         for (key, field) in [
             ("cpa_unroll", &mut cfg.cpa_unroll as &mut usize),
@@ -162,8 +161,12 @@ fn json_usize_field(input: &str, key: &str) -> Result<Option<usize>, String> {
         .strip_prefix(':')
         .ok_or_else(|| format!("{key} is not followed by a value"))?
         .trim_start();
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().map(Some).map_err(|_| format!("{key} is not a non-negative integer"))
+    let end = rest.find(|c: char| c == ',' || c == '}' || c.is_whitespace()).unwrap_or(rest.len());
+    let value = &rest[..end];
+    match value.parse() {
+        Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => Ok(Some(n)),
+        _ => Err(format!("{key} is not a non-negative integer")),
+    }
 }
 
 /// Median wall time of `f` over `reps` runs, in nanoseconds.
@@ -403,7 +406,7 @@ mod tests {
     fn json_round_trip_is_lossless_and_valid() {
         let cfg = TuneConfig { cpa_unroll: 8, obs_chunk: 64, replay_chunk: 512, bus_capacity: 256 };
         let json = cfg.to_json();
-        psc_telemetry::metrics::validate_json(&json).expect("emitted JSON is valid");
+        validate_json(&json).expect("emitted JSON is valid");
         assert!(json.contains("\"simd_backend\""));
         assert_eq!(TuneConfig::from_json(&json).expect("round trip"), cfg);
     }
@@ -417,6 +420,9 @@ mod tests {
         assert!(TuneConfig::from_json("{\"obs_chunk\": 0}").is_err(), "zero chunk");
         assert!(TuneConfig::from_json("{\"cpa_unroll\": 3}").is_err(), "bad unroll");
         assert!(TuneConfig::from_json("{\"obs_chunk\": \"x\"}").is_err(), "non-integer");
+        assert!(TuneConfig::from_json("{\"obs_chunk\": 16.5}").is_err(), "fraction");
+        assert!(TuneConfig::from_json("{\"bus_capacity\": 1e3}").is_err(), "exponent");
+        assert!(TuneConfig::from_json("{\"obs_chunk\": -16}").is_err(), "negative");
     }
 
     #[test]

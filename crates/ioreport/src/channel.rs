@@ -14,11 +14,10 @@
 //! and reads and writes through [`IoReport::value`] and
 //! [`IoReport::accumulate_slot`] without hashing or comparing strings.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Identifies a channel within a group.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChannelId {
     /// Group name, e.g. `"Energy Model"`.
     pub group: String,
@@ -41,7 +40,7 @@ impl core::fmt::Display for ChannelId {
 }
 
 /// Unit of a channel's value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChannelUnit {
     /// Millijoules (cumulative energy).
     Millijoules,
@@ -52,7 +51,7 @@ pub enum ChannelUnit {
 }
 
 /// One channel's current (cumulative) reading.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelValue {
     /// Cumulative value since boot, in `unit`s.
     pub value: f64,
@@ -61,7 +60,7 @@ pub struct ChannelValue {
 }
 
 /// A point-in-time capture of every channel.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     /// Capture time (simulation seconds).
     pub time_s: f64,
@@ -98,7 +97,7 @@ impl Snapshot {
 ///
 /// Two registries compare equal when they registered the same channels in
 /// the same order and hold the same values.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IoReport {
     time_s: f64,
     /// Name → slot, for the by-name API only.

@@ -16,9 +16,9 @@
 //! ([`read_trace_set`] drops the labels, [`read_recording`] keeps them)
 //! and reject bad magic, unknown versions and truncated payloads.
 
+use crate::checkpoint::PayloadWriter;
 use crate::trace::{Trace, TraceSet};
 use crate::tvla::PlaintextClass;
-use bytes::{Buf, BufMut, BytesMut};
 use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"PSCT";
@@ -75,33 +75,52 @@ impl From<std::io::Error> for CodecError {
     }
 }
 
-/// Serialize a trace set to a writer (pass `&mut file` for files).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_trace_set<W: Write>(set: &TraceSet, mut writer: W) -> Result<(), CodecError> {
-    let label = set.label.as_bytes();
-    let mut header = BytesMut::with_capacity(4 + 2 + 2 + label.len() + 8);
-    header.put_slice(MAGIC);
-    header.put_u16_le(VERSION);
-    header.put_u16_le(label.len().min(u16::MAX as usize) as u16);
-    header.put_slice(&label[..label.len().min(u16::MAX as usize)]);
-    header.put_u64_le(set.len() as u64);
-    writer.write_all(&header)?;
+/// Records are buffered and written in batches of about this many bytes.
+const FLUSH_BYTES: usize = 32 * 1024;
 
-    let mut buf = BytesMut::with_capacity(40 * 1024);
-    for t in set.iter() {
-        buf.put_f64_le(t.value);
-        buf.put_slice(&t.plaintext);
-        buf.put_slice(&t.ciphertext);
-        if buf.len() >= 32 * 1024 {
+/// Write one file: the header, then one record per item as `put` lays
+/// it out.
+fn write_file<W: Write, I: ExactSizeIterator>(
+    mut writer: W,
+    version: u16,
+    label: &str,
+    records: I,
+    put: impl Fn(&mut Vec<u8>, I::Item),
+) -> Result<(), CodecError> {
+    let label = &label.as_bytes()[..label.len().min(usize::from(u16::MAX))];
+    let mut header = PayloadWriter::new();
+    header.put_bytes(MAGIC);
+    header.put_u16(version);
+    header.put_u16(label.len() as u16);
+    header.put_bytes(label);
+    header.put_u64(records.len() as u64);
+    writer.write_all(&header.into_payload())?;
+
+    let mut buf = Vec::with_capacity(FLUSH_BYTES + V2_TRACE_BYTES);
+    for record in records {
+        put(&mut buf, record);
+        if buf.len() >= FLUSH_BYTES {
             writer.write_all(&buf)?;
             buf.clear();
         }
     }
     writer.write_all(&buf)?;
     Ok(())
+}
+
+fn put_trace(buf: &mut Vec<u8>, t: &Trace) {
+    buf.extend_from_slice(&t.value.to_le_bytes());
+    buf.extend_from_slice(&t.plaintext);
+    buf.extend_from_slice(&t.ciphertext);
+}
+
+/// Serialize a trace set to a writer (pass `&mut file` for files).
+///
+/// # Errors
+///
+/// Propagates I/O errors.
+pub fn write_trace_set<W: Write>(set: &TraceSet, writer: W) -> Result<(), CodecError> {
+    write_file(writer, VERSION, &set.label, set.iter(), put_trace)
 }
 
 /// One recorded trace with its TVLA labels (version-2 payload unit).
@@ -147,80 +166,92 @@ impl Recording {
 pub fn write_recording<W: Write>(
     label: &str,
     traces: &[LabeledTrace],
-    mut writer: W,
+    writer: W,
 ) -> Result<(), CodecError> {
-    let label = label.as_bytes();
-    let mut header = BytesMut::with_capacity(4 + 2 + 2 + label.len() + 8);
-    header.put_slice(MAGIC);
-    header.put_u16_le(VERSION_LABELED);
-    header.put_u16_le(label.len().min(u16::MAX as usize) as u16);
-    header.put_slice(&label[..label.len().min(u16::MAX as usize)]);
-    header.put_u64_le(traces.len() as u64);
-    writer.write_all(&header)?;
-
-    let mut buf = BytesMut::with_capacity(V2_TRACE_BYTES * 1024);
-    for t in traces {
-        buf.put_f64_le(t.trace.value);
-        buf.put_slice(&t.trace.plaintext);
-        buf.put_slice(&t.trace.ciphertext);
-        buf.put_u8(t.pass);
-        buf.put_u8(t.class.map_or(CLASS_NONE, |c| c.index() as u8));
-        if buf.len() >= 32 * 1024 {
-            writer.write_all(&buf)?;
-            buf.clear();
-        }
-    }
-    writer.write_all(&buf)?;
-    Ok(())
+    write_file(writer, VERSION_LABELED, label, traces.iter(), |buf, t| {
+        put_trace(buf, &t.trace);
+        buf.push(t.pass);
+        buf.push(t.class.map_or(CLASS_NONE, |c| c.index() as u8));
+    })
 }
 
-/// Parsed header: label plus trace count, with `buf` advanced to the
-/// first trace record.
-fn read_header(buf: &mut &[u8]) -> Result<(String, usize, u16), CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+/// A parsed file header.
+struct Header {
+    label: String,
+    /// Bytes per trace record: [`V1_TRACE_BYTES`] or [`V2_TRACE_BYTES`].
+    width: usize,
+    /// Declared trace count.
+    count: u64,
+    /// Declared payload size, `count × width`.
+    payload_len: u64,
+}
+
+/// The one header parser: reads magic, version, label and trace count,
+/// leaving `reader` at the first trace record. A count whose payload
+/// size overflows `u64` is [`CodecError::Truncated`] (no file holds it);
+/// nothing is allocated from the declared count.
+fn read_header<R: Read>(reader: &mut R) -> Result<Header, CodecError> {
+    let mut head = [0u8; 8];
+    read_exact(reader, &mut head)?;
+    if &head[..4] != MAGIC {
         return Err(CodecError::BadMagic);
     }
-    let version = buf.get_u16_le();
-    if version != VERSION && version != VERSION_LABELED {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let label_len = buf.get_u16_le() as usize;
-    if buf.remaining() < label_len + 8 {
-        return Err(CodecError::Truncated);
-    }
-    let label =
-        core::str::from_utf8(&buf[..label_len]).map_err(|_| CodecError::BadLabel)?.to_owned();
-    buf.advance(label_len);
-    let count = buf.get_u64_le() as usize;
-    let trace_bytes = if version == VERSION { V1_TRACE_BYTES } else { V2_TRACE_BYTES };
-    if buf.remaining() != count * trace_bytes {
-        return Err(CodecError::Truncated);
-    }
-    Ok((label, count, version))
+    let width = match u16::from_le_bytes([head[4], head[5]]) {
+        VERSION => V1_TRACE_BYTES,
+        VERSION_LABELED => V2_TRACE_BYTES,
+        other => return Err(CodecError::UnsupportedVersion(other)),
+    };
+    let mut label = vec![0u8; usize::from(u16::from_le_bytes([head[6], head[7]]))];
+    read_exact(reader, &mut label)?;
+    let label = String::from_utf8(label).map_err(|_| CodecError::BadLabel)?;
+    let mut count = [0u8; 8];
+    read_exact(reader, &mut count)?;
+    let count = u64::from_le_bytes(count);
+    let payload_len = count.checked_mul(width as u64).ok_or(CodecError::Truncated)?;
+    Ok(Header { label, width, count, payload_len })
 }
 
-fn read_one(buf: &mut &[u8], version: u16) -> Result<LabeledTrace, CodecError> {
-    let value = buf.get_f64_le();
-    let mut plaintext = [0u8; 16];
-    buf.copy_to_slice(&mut plaintext);
-    let mut ciphertext = [0u8; 16];
-    buf.copy_to_slice(&mut ciphertext);
-    let (pass, class) = if version == VERSION_LABELED {
-        let pass = buf.get_u8();
-        let class = match buf.get_u8() {
-            CLASS_NONE => None,
-            idx => Some(*PlaintextClass::ALL.get(idx as usize).ok_or(CodecError::BadClass(idx))?),
-        };
-        (pass, class)
-    } else {
-        (0, None)
+/// `read_exact`, with an early end of input reported as truncation.
+fn read_exact<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<(), CodecError> {
+    reader.read_exact(buf).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            CodecError::Truncated
+        } else {
+            CodecError::Io(e)
+        }
+    })
+}
+
+/// Read a whole file: its header and a payload of exactly the declared
+/// size.
+fn read_file<R: Read>(mut reader: R) -> Result<(Header, Vec<u8>), CodecError> {
+    let header = read_header(&mut reader)?;
+    let mut payload = Vec::new();
+    reader.read_to_end(&mut payload)?;
+    if payload.len() as u64 != header.payload_len {
+        return Err(CodecError::Truncated);
+    }
+    Ok((header, payload))
+}
+
+/// Decode one trace record; a version-2 record carries two label bytes
+/// after the trace.
+fn decode_record(record: &[u8]) -> Result<LabeledTrace, CodecError> {
+    let (value, rest) = record.split_first_chunk::<8>().ok_or(CodecError::Truncated)?;
+    let (plaintext, rest) = rest.split_first_chunk::<16>().ok_or(CodecError::Truncated)?;
+    let (ciphertext, labels) = rest.split_first_chunk::<16>().ok_or(CodecError::Truncated)?;
+    let (pass, class) = match *labels {
+        [pass, CLASS_NONE] => (pass, None),
+        [pass, idx] => {
+            let class =
+                PlaintextClass::ALL.get(usize::from(idx)).ok_or(CodecError::BadClass(idx))?;
+            (pass, Some(*class))
+        }
+        _ => (0, None),
     };
-    Ok(LabeledTrace { trace: Trace { value, plaintext, ciphertext }, pass, class })
+    let trace =
+        Trace { value: f64::from_le_bytes(*value), plaintext: *plaintext, ciphertext: *ciphertext };
+    Ok(LabeledTrace { trace, pass, class })
 }
 
 /// Deserialize a trace set from a reader. Accepts both format versions;
@@ -230,14 +261,11 @@ fn read_one(buf: &mut &[u8], version: u16) -> Result<LabeledTrace, CodecError> {
 /// # Errors
 ///
 /// See [`CodecError`] for the failure modes.
-pub fn read_trace_set<R: Read>(mut reader: R) -> Result<TraceSet, CodecError> {
-    let mut raw = Vec::new();
-    reader.read_to_end(&mut raw)?;
-    let mut buf = &raw[..];
-    let (label, count, version) = read_header(&mut buf)?;
-    let mut set = TraceSet::with_capacity(label, count);
-    for _ in 0..count {
-        set.push(read_one(&mut buf, version)?.trace);
+pub fn read_trace_set<R: Read>(reader: R) -> Result<TraceSet, CodecError> {
+    let (header, payload) = read_file(reader)?;
+    let mut set = TraceSet::with_capacity(header.label, payload.len() / header.width);
+    for record in payload.chunks_exact(header.width) {
+        set.push(decode_record(record)?.trace);
     }
     Ok(set)
 }
@@ -250,25 +278,7 @@ pub fn read_trace_set<R: Read>(mut reader: R) -> Result<TraceSet, CodecError> {
 ///
 /// See [`CodecError`] for the failure modes.
 pub fn read_label<R: Read>(mut reader: R) -> Result<String, CodecError> {
-    let eof_is_truncation = |e: std::io::Error| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            CodecError::Truncated
-        } else {
-            CodecError::Io(e)
-        }
-    };
-    let mut head = [0u8; 8];
-    reader.read_exact(&mut head).map_err(eof_is_truncation)?;
-    if &head[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u16::from_le_bytes([head[4], head[5]]);
-    if version != VERSION && version != VERSION_LABELED {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let mut label = vec![0u8; u16::from_le_bytes([head[6], head[7]]) as usize];
-    reader.read_exact(&mut label).map_err(eof_is_truncation)?;
-    String::from_utf8(label).map_err(|_| CodecError::BadLabel)
+    Ok(read_header(&mut reader)?.label)
 }
 
 /// Deserialize a recording, keeping the per-trace TVLA labels. Version-1
@@ -277,16 +287,10 @@ pub fn read_label<R: Read>(mut reader: R) -> Result<String, CodecError> {
 /// # Errors
 ///
 /// See [`CodecError`] for the failure modes.
-pub fn read_recording<R: Read>(mut reader: R) -> Result<Recording, CodecError> {
-    let mut raw = Vec::new();
-    reader.read_to_end(&mut raw)?;
-    let mut buf = &raw[..];
-    let (label, count, version) = read_header(&mut buf)?;
-    let mut traces = Vec::with_capacity(count);
-    for _ in 0..count {
-        traces.push(read_one(&mut buf, version)?);
-    }
-    Ok(Recording { label, traces })
+pub fn read_recording<R: Read>(reader: R) -> Result<Recording, CodecError> {
+    let (header, payload) = read_file(reader)?;
+    let traces = payload.chunks_exact(header.width).map(decode_record).collect::<Result<_, _>>()?;
+    Ok(Recording { label: header.label, traces })
 }
 
 /// Incremental reader over one recording: the header is parsed eagerly,
@@ -300,7 +304,7 @@ pub fn read_recording<R: Read>(mut reader: R) -> Result<Recording, CodecError> {
 pub struct RecordingReader<R: Read> {
     reader: R,
     label: String,
-    version: u16,
+    width: usize,
     remaining: u64,
     end_checked: bool,
     buf: Vec<u8>,
@@ -313,29 +317,8 @@ impl<R: Read> RecordingReader<R> {
     ///
     /// See [`CodecError`] for the failure modes.
     pub fn new(mut reader: R) -> Result<Self, CodecError> {
-        let eof_is_truncation = |e: std::io::Error| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                CodecError::Truncated
-            } else {
-                CodecError::Io(e)
-            }
-        };
-        let mut head = [0u8; 8];
-        reader.read_exact(&mut head).map_err(eof_is_truncation)?;
-        if &head[..4] != MAGIC {
-            return Err(CodecError::BadMagic);
-        }
-        let version = u16::from_le_bytes([head[4], head[5]]);
-        if version != VERSION && version != VERSION_LABELED {
-            return Err(CodecError::UnsupportedVersion(version));
-        }
-        let mut label = vec![0u8; u16::from_le_bytes([head[6], head[7]]) as usize];
-        reader.read_exact(&mut label).map_err(eof_is_truncation)?;
-        let label = String::from_utf8(label).map_err(|_| CodecError::BadLabel)?;
-        let mut count = [0u8; 8];
-        reader.read_exact(&mut count).map_err(eof_is_truncation)?;
-        let remaining = u64::from_le_bytes(count);
-        Ok(Self { reader, label, version, remaining, end_checked: false, buf: Vec::new() })
+        let Header { label, width, count, .. } = read_header(&mut reader)?;
+        Ok(Self { reader, label, width, remaining: count, end_checked: false, buf: Vec::new() })
     }
 
     /// The recording's channel label.
@@ -365,7 +348,6 @@ impl<R: Read> RecordingReader<R> {
         out: &mut Vec<LabeledTrace>,
     ) -> Result<usize, CodecError> {
         out.clear();
-        let take = usize::try_from(self.remaining).unwrap_or(usize::MAX).min(max.max(1));
         if self.remaining == 0 {
             if !self.end_checked {
                 self.end_checked = true;
@@ -375,19 +357,12 @@ impl<R: Read> RecordingReader<R> {
             }
             return Ok(0);
         }
-        let trace_bytes = if self.version == VERSION { V1_TRACE_BYTES } else { V2_TRACE_BYTES };
-        self.buf.resize(take * trace_bytes, 0);
-        self.reader.read_exact(&mut self.buf).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                CodecError::Truncated
-            } else {
-                CodecError::Io(e)
-            }
-        })?;
-        let mut slice = &self.buf[..];
+        let take = usize::try_from(self.remaining).unwrap_or(usize::MAX).min(max.max(1));
+        self.buf.resize(take * self.width, 0);
+        read_exact(&mut self.reader, &mut self.buf)?;
         out.reserve(take);
-        for _ in 0..take {
-            out.push(read_one(&mut slice, self.version)?);
+        for record in self.buf.chunks_exact(self.width) {
+            out.push(decode_record(record)?);
         }
         self.remaining -= take as u64;
         Ok(take)
@@ -622,6 +597,66 @@ mod tests {
 
         assert!(matches!(RecordingReader::new(&b"XXXXXXXXXX"[..]), Err(CodecError::BadMagic)));
         assert!(matches!(RecordingReader::new(&bytes[..6]), Err(CodecError::Truncated)));
+    }
+
+    #[test]
+    fn byte_layout_is_pinned() {
+        let trace = LabeledTrace {
+            trace: Trace { value: 2.5, plaintext: [0x11; 16], ciphertext: [0x22; 16] },
+            pass: 1,
+            class: Some(PlaintextClass::Random),
+        };
+        let mut expected = b"PSCT\x02\x00\x04\x00PHPC".to_vec();
+        expected.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0]);
+        expected.extend_from_slice(&[0, 0, 0, 0, 0, 0, 0x04, 0x40]);
+        expected.extend_from_slice(&[0x11; 16]);
+        expected.extend_from_slice(&[0x22; 16]);
+        expected.extend_from_slice(&[1, PlaintextClass::Random.index() as u8]);
+        let mut bytes = Vec::new();
+        write_recording("PHPC", &[trace], &mut bytes).unwrap();
+        assert_eq!(bytes, expected);
+
+        let mut v1 = Vec::new();
+        let mut set = TraceSet::new("PHPC");
+        set.push(trace.trace);
+        write_trace_set(&set, &mut v1).unwrap();
+        expected[4] = 1;
+        expected.truncate(expected.len() - 2);
+        assert_eq!(v1, expected);
+    }
+
+    /// A bare header: `PSCT`, `version`, an empty label and `count`.
+    fn header_only(version: u16, count: u64) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&version.to_le_bytes());
+        bytes.extend_from_slice(&0u16.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn crafted_counts_are_truncation_not_panics() {
+        for version in [VERSION, VERSION_LABELED] {
+            // count × record width overflows u64.
+            let bytes = header_only(version, 1 << 61);
+            assert_eq!(bytes.len(), 16);
+            let r = read_trace_set(&bytes[..]);
+            assert!(matches!(r, Err(CodecError::Truncated)), "v{version}: {r:?}");
+            let r = read_recording(&bytes[..]);
+            assert!(matches!(r, Err(CodecError::Truncated)), "v{version}: {r:?}");
+            let r = RecordingReader::new(&bytes[..]);
+            assert!(matches!(r, Err(CodecError::Truncated)), "v{version}: {r:?}");
+            assert!(matches!(read_label(&bytes[..]), Err(CodecError::Truncated)), "v{version}");
+
+            // A huge count that fits but has no payload behind it.
+            let bytes = header_only(version, 1 << 40);
+            assert!(matches!(read_trace_set(&bytes[..]), Err(CodecError::Truncated)));
+            assert!(matches!(read_recording(&bytes[..]), Err(CodecError::Truncated)));
+            let mut reader = RecordingReader::new(&bytes[..]).expect("header parses");
+            assert_eq!(reader.remaining(), 1 << 40);
+            let r = reader.read_chunk(64, &mut Vec::new());
+            assert!(matches!(r, Err(CodecError::Truncated)), "v{version}: {r:?}");
+        }
     }
 
     #[test]

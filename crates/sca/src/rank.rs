@@ -13,7 +13,6 @@
 
 use crate::cpa::Cpa;
 use crate::trace::TraceSet;
-use serde::{Deserialize, Serialize};
 
 /// Rank threshold the paper highlights red (recovered).
 pub const RECOVERED_RANK: usize = 1;
@@ -83,7 +82,7 @@ pub fn bounded_rank_rate(rank_sets: &[[usize; 16]], max_rank: usize) -> f64 {
 }
 
 /// One point of a GE-vs-trace-count curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GePoint {
     /// Number of traces consumed.
     pub traces: usize,
@@ -93,7 +92,7 @@ pub struct GePoint {
 
 /// A GE convergence curve for one (channel, model) pair — the content of
 /// the paper's Figure 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GeCurve {
     /// Channel label (e.g. `PHPC (M2)`).
     pub channel: String,

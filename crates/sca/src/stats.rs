@@ -5,10 +5,9 @@
 //! with Welford-style updates.
 
 use pulp::{F64x4, Simd, WithSimd};
-use serde::{Deserialize, Serialize};
 
 /// Welford running mean/variance accumulator.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningMoments {
     n: u64,
     mean: f64,
@@ -124,7 +123,7 @@ impl RunningMoments {
 /// mean `M₂/n` and sample variance `(M₄ − M₂²/n)/(n − 1)`, which
 /// [`Self::second_order`] packs as a [`RunningMoments`] — no pass over
 /// retained samples is needed.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CentralMoments {
     n: u64,
     mean: f64,
@@ -390,7 +389,7 @@ pub fn welch_df(a: &RunningMoments, b: &RunningMoments) -> f64 {
 
 /// One-pass Pearson correlation accumulator between a hypothesis stream
 /// `h` and a trace stream `t`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Correlation {
     n: u64,
     sum_h: f64,

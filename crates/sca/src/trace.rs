@@ -6,10 +6,8 @@
 //! the plaintext, the generated ciphertext, and the corresponding SMC key
 //! values right after the encryption").
 
-use serde::{Deserialize, Serialize};
-
 /// One observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Trace {
     /// The side-channel value (watts for power keys, seconds for timing).
     pub value: f64,
@@ -20,7 +18,7 @@ pub struct Trace {
 }
 
 /// A labelled collection of traces.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TraceSet {
     /// Human-readable label (e.g. the SMC key name).
     pub label: String,

@@ -7,7 +7,6 @@
 //! confidence. The color coding becomes the four outcome classes below.
 
 use crate::stats::{welch_t, welch_t_x4, CentralMoments, RunningMoments};
-use serde::{Deserialize, Serialize};
 
 // (TvlaTracker below relies on RunningMoments being mergeable; see
 // `stats::RunningMoments::merged`.)
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 pub const TVLA_THRESHOLD: f64 = 4.5;
 
 /// The fixed plaintext classes of the paper's TVLA campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlaintextClass {
     /// 16 bytes of `0x00`.
     AllZeros,
@@ -71,7 +70,7 @@ impl core::fmt::Display for PlaintextClass {
 
 /// Outcome classification of one TVLA cell, given ground truth about
 /// whether the two datasets really used different data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TvlaOutcome {
     /// Different data, |t| ≥ threshold: leakage correctly detected.
     TruePositive,
@@ -122,7 +121,7 @@ pub fn welch_t_matrix(second: &[RunningMoments; 3], first: &[RunningMoments; 3])
 }
 
 /// One cell of the 3×3 TVLA matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TvlaCell {
     /// Row class (the primed second collection).
     pub row: PlaintextClass,
@@ -135,7 +134,7 @@ pub struct TvlaCell {
 }
 
 /// The full 3×3 matrix for one channel (one SMC key / one probe).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TvlaMatrix {
     /// Channel label (e.g. `PHPC`).
     pub label: String,
@@ -240,7 +239,7 @@ impl TvlaMatrix {
 /// }
 /// assert!(tracker.leakage_detected());
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TvlaTracker {
     a: RunningMoments,
     b: RunningMoments,
@@ -309,7 +308,7 @@ impl TvlaTracker {
 /// per-trace vectors.
 ///
 /// [`merged`]: TvlaAccumulator::merged
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TvlaAccumulator {
     /// `moments[pass][class]`, indexed like [`PlaintextClass::ALL`].
     moments: [[RunningMoments; 3]; 2],
@@ -425,7 +424,7 @@ impl TvlaAccumulator {
 /// central-moment accumulators (see [`CentralMoments`]), whose
 /// centred-square moments give the variance (second-order) TVLA matrix
 /// in one mergeable pass instead of two passes over retained samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SecondOrderAccumulator {
     /// `moments[pass][class]`, indexed like [`PlaintextClass::ALL`].
     moments: [[CentralMoments; 3]; 2],
@@ -474,7 +473,7 @@ impl SecondOrderAccumulator {
 }
 
 /// Outcome tallies of one matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TvlaCounts {
     /// |t| ≥ 4.5 across different data.
     pub true_positive: usize,

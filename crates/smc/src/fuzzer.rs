@@ -7,11 +7,10 @@
 
 use crate::iokit::{IoKitError, SmcUserClient};
 use crate::key::SmcKey;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A snapshot of key values at one moment.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KeyDump {
     values: BTreeMap<SmcKey, f64>,
 }
@@ -43,7 +42,7 @@ impl KeyDump {
 }
 
 /// One key that moved between the idle and busy dumps.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VaryingKey {
     /// The key.
     pub key: SmcKey,

@@ -23,9 +23,7 @@
 use crate::firmware::{PublishedTable, Smc};
 use crate::key::SmcKey;
 use crate::types::{SmcDataType, SmcValue};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{self, Arc, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
 /// Selector: number of keys → `u32`.
 pub const SELECTOR_KEY_COUNT: u32 = 0;
@@ -50,8 +48,35 @@ pub const KEY_ATTR_WRITABLE: u8 = 0x40;
 pub const KEY_ATTR_PRIVILEGED: u8 = 0x01;
 
 /// A shareable SMC handle (firmware written by the simulator, read by any
-/// number of user clients).
+/// number of user clients). `read()` and `write()` return guards
+/// directly and never fail: see [`RwLock`].
 pub type SharedSmc = Arc<RwLock<Smc>>;
+
+/// A non-poisoning reader-writer lock over [`std::sync::RwLock`]:
+/// `read()` and `write()` return the guard itself, not a `Result`.
+///
+/// If a thread panics while holding the write guard, later callers
+/// still get their guards and see the firmware as that writer left it.
+/// One failed shard thus cannot lock every other client out of the SMC.
+#[derive(Debug)]
+pub struct RwLock<T>(sync::RwLock<T>);
+
+impl<T> RwLock<T> {
+    /// Wrap `value` in a new lock.
+    pub fn new(value: T) -> Self {
+        Self(sync::RwLock::new(value))
+    }
+
+    /// Acquire a shared read guard.
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Acquire an exclusive write guard.
+    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 /// Wrap firmware for sharing.
 #[must_use]
@@ -130,39 +155,32 @@ impl SmcUserClient {
     /// # Errors
     ///
     /// See [`IoKitError`] for the failure modes of each selector.
-    pub fn call_struct_method(&self, selector: u32, input: &[u8]) -> Result<Bytes, IoKitError> {
+    pub fn call_struct_method(&self, selector: u32, input: &[u8]) -> Result<Vec<u8>, IoKitError> {
         match selector {
             SELECTOR_KEY_COUNT => {
                 if !input.is_empty() {
                     return Err(IoKitError::BadInput);
                 }
                 let count = self.smc.read().keys().len() as u32;
-                let mut out = BytesMut::with_capacity(4);
-                out.put_u32(count);
-                Ok(out.freeze())
+                Ok(count.to_be_bytes().to_vec())
             }
             SELECTOR_KEY_BY_INDEX => {
-                if input.len() != 4 {
-                    return Err(IoKitError::BadInput);
-                }
-                let mut buf = input;
-                let index = buf.get_u32();
+                let index = u32::from_be_bytes(input.try_into().map_err(|_| IoKitError::BadInput)?);
                 let smc = self.smc.read();
                 let k = smc
                     .keys()
                     .get(index as usize)
                     .copied()
                     .ok_or(IoKitError::IndexOutOfRange(index))?;
-                Ok(Bytes::copy_from_slice(k.as_bytes()))
+                Ok(k.as_bytes().to_vec())
             }
             SELECTOR_KEY_INFO => {
                 let k = parse_key(input)?;
                 let smc = self.smc.read();
                 let (dtype, size) = smc.key_info(k).ok_or(IoKitError::KeyNotFound(k))?;
-                let mut out = BytesMut::with_capacity(8);
-                out.put_u32(size as u32);
-                out.put_slice(dtype.code().as_bytes());
-                Ok(out.freeze())
+                let mut out = (size as u32).to_be_bytes().to_vec();
+                out.extend_from_slice(dtype.code().as_bytes());
+                Ok(out)
             }
             SELECTOR_READ_KEY => Ok(self.read_published(parse_key(input)?)?.to_bytes()),
             SELECTOR_WRITE_KEY => {
@@ -177,7 +195,7 @@ impl SmcUserClient {
                     crate::firmware::WriteKeyError::KeyNotFound(k) => IoKitError::KeyNotFound(k),
                     crate::firmware::WriteKeyError::NotWritable(k) => IoKitError::NotWritable(k),
                 })?;
-                Ok(Bytes::new())
+                Ok(Vec::new())
             }
             SELECTOR_KEY_ATTRIBUTES => {
                 let k = parse_key(input)?;
@@ -192,7 +210,7 @@ impl SmcUserClient {
                 if smc.is_restricted(k) {
                     attrs |= KEY_ATTR_PRIVILEGED;
                 }
-                Ok(Bytes::copy_from_slice(&[attrs]))
+                Ok(vec![attrs])
             }
             other => Err(IoKitError::BadSelector(other)),
         }
@@ -216,9 +234,8 @@ impl SmcUserClient {
     /// [`IoKitError::KeyNotFound`] for unknown keys.
     pub fn write_key(&self, k: SmcKey, value: f64) -> Result<(), IoKitError> {
         let (dtype, _) = self.key_info(k)?;
-        let mut input = BytesMut::with_capacity(4 + dtype.size());
-        input.put_slice(k.as_bytes());
-        input.put_slice(&dtype.encode(value));
+        let mut input = k.as_bytes().to_vec();
+        input.extend_from_slice(&dtype.encode(value));
         self.call_struct_method(SELECTOR_WRITE_KEY, &input).map(|_| ())
     }
 
@@ -229,8 +246,7 @@ impl SmcUserClient {
     /// Propagates protocol errors (none in practice for this selector).
     pub fn key_count(&self) -> Result<u32, IoKitError> {
         let out = self.call_struct_method(SELECTOR_KEY_COUNT, &[])?;
-        let mut buf = &out[..];
-        Ok(buf.get_u32())
+        Ok(u32::from_be_bytes(out[..].try_into().map_err(|_| IoKitError::BadInput)?))
     }
 
     /// The `index`-th key.
@@ -239,9 +255,7 @@ impl SmcUserClient {
     ///
     /// [`IoKitError::IndexOutOfRange`] past the end of the list.
     pub fn key_by_index(&self, index: u32) -> Result<SmcKey, IoKitError> {
-        let mut input = BytesMut::with_capacity(4);
-        input.put_u32(index);
-        let out = self.call_struct_method(SELECTOR_KEY_BY_INDEX, &input)?;
+        let out = self.call_struct_method(SELECTOR_KEY_BY_INDEX, &index.to_be_bytes())?;
         let bytes: [u8; 4] = out[..].try_into().map_err(|_| IoKitError::BadInput)?;
         SmcKey::new(bytes).map_err(|_| IoKitError::BadInput)
     }
@@ -256,8 +270,7 @@ impl SmcUserClient {
         if out.len() != 8 {
             return Err(IoKitError::BadInput);
         }
-        let mut buf = &out[..];
-        let size = buf.get_u32() as usize;
+        let size = u32::from_be_bytes([out[0], out[1], out[2], out[3]]) as usize;
         let code = core::str::from_utf8(&out[4..8]).map_err(|_| IoKitError::BadInput)?;
         let dtype = SmcDataType::from_code(code).map_err(|_| IoKitError::BadInput)?;
         Ok((dtype, size))
@@ -426,9 +439,7 @@ mod tests {
     #[test]
     fn wire_format_key_by_index_is_four_raw_bytes() {
         let client = SmcUserClient::new(shared_smc());
-        let mut input = BytesMut::new();
-        input.put_u32(0);
-        let out = client.call_struct_method(SELECTOR_KEY_BY_INDEX, &input).unwrap();
+        let out = client.call_struct_method(SELECTOR_KEY_BY_INDEX, &0u32.to_be_bytes()).unwrap();
         assert_eq!(out.len(), 4);
     }
 

@@ -1,8 +1,6 @@
 //! SMC key codes: the 4-character alphanumeric identifiers of Apple's
 //! System Management Controller key/value store.
 
-use serde::{Deserialize, Serialize};
-
 /// A four-character SMC key (e.g. `PHPC`, `TC0P`).
 ///
 /// # Examples
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SmcKey([u8; 4]);
 
 impl SmcKey {

@@ -5,10 +5,8 @@
 //! added a filtering mode that blends random energy noise and stretches the
 //! update interval. The same three knobs apply to SMC keys:
 
-use serde::{Deserialize, Serialize};
-
 /// Active mitigation configuration of the SMC firmware / driver stack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationConfig {
     /// Deny unprivileged reads of power-related keys (the "remove user
     /// space access" countermeasure).

@@ -15,10 +15,9 @@
 use crate::key::{key, SmcKey};
 use crate::types::SmcDataType;
 use psc_soc::WindowReport;
-use serde::{Deserialize, Serialize};
 
 /// What physical (or model) quantity a key samples.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SensorSource {
     /// P-cluster power rail, watts.
     PClusterPower,
@@ -71,7 +70,7 @@ impl SensorSource {
 }
 
 /// Full definition of one SMC key's sensor pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorDef {
     /// The SMC key.
     pub key: SmcKey,
@@ -171,7 +170,7 @@ impl SensorDef {
 }
 
 /// The sensor population of one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorSet {
     sensors: Vec<SensorDef>,
 }

@@ -5,11 +5,8 @@
 //! population uses, with byte-exact encode/decode so the IOKit-style
 //! client can ship raw bytes like `IOConnectCallStructMethod` does.
 
-use bytes::{Buf, Bytes};
-use serde::{Deserialize, Serialize};
-
 /// SMC data type codes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SmcDataType {
     /// `flt `: IEEE-754 single-precision, little-endian.
     Flt,
@@ -75,7 +72,7 @@ impl SmcDataType {
     /// Values are clamped/quantized into the representable range (the SMC
     /// saturates rather than erroring).
     #[must_use]
-    pub fn encode(self, value: f64) -> Bytes {
+    pub fn encode(self, value: f64) -> Vec<u8> {
         // `wire_round` leaves a value every cast below holds exactly.
         let v = self.wire_round(value);
         let bytes: &[u8] = match self {
@@ -86,7 +83,7 @@ impl SmcDataType {
             SmcDataType::Sp78 => &((v * 256.0) as i16).to_be_bytes(),
             SmcDataType::Fpe2 => &((v * 4.0) as u16).to_be_bytes(),
         };
-        Bytes::copy_from_slice(bytes)
+        bytes.to_vec()
     }
 
     /// The value a reader decodes after a wire round trip — exactly
@@ -118,21 +115,24 @@ impl SmcDataType {
         if bytes.len() != self.size() {
             return Err(CodecError::WrongSize { expected: self.size(), got: bytes.len() });
         }
-        let mut buf = bytes;
+        // The size check above leaves 1, 2 or 4 bytes; pad them to a word.
+        let mut word = [0u8; 4];
+        word[..bytes.len()].copy_from_slice(bytes);
+        let [b0, b1, ..] = word;
         Ok(match self {
-            SmcDataType::Flt => f64::from(buf.get_f32_le()),
-            SmcDataType::Ui8 => f64::from(buf.get_u8()),
-            SmcDataType::Ui16 => f64::from(buf.get_u16()),
-            SmcDataType::Ui32 => f64::from(buf.get_u32()),
-            SmcDataType::Sp78 => f64::from(buf.get_i16()) / 256.0,
-            SmcDataType::Fpe2 => f64::from(buf.get_u16()) / 4.0,
-            SmcDataType::Flag => f64::from(buf.get_u8() != 0),
+            SmcDataType::Flt => f64::from(f32::from_le_bytes(word)),
+            SmcDataType::Ui8 => f64::from(b0),
+            SmcDataType::Ui16 => f64::from(u16::from_be_bytes([b0, b1])),
+            SmcDataType::Ui32 => f64::from(u32::from_be_bytes(word)),
+            SmcDataType::Sp78 => f64::from(i16::from_be_bytes([b0, b1])) / 256.0,
+            SmcDataType::Fpe2 => f64::from(u16::from_be_bytes([b0, b1])) / 4.0,
+            SmcDataType::Flag => f64::from(b0 != 0),
         })
     }
 }
 
 /// A typed SMC value (numeric interpretation plus wire type).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmcValue {
     /// Declared wire type.
     pub data_type: SmcDataType,
@@ -149,7 +149,7 @@ impl SmcValue {
 
     /// Wire-encode.
     #[must_use]
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         self.data_type.encode(self.value)
     }
 

@@ -1,10 +1,9 @@
 //! Device specifications: the two systems of the paper's Table 1.
 
 use crate::dvfs::{ladder, OppTable};
-use serde::{Deserialize, Serialize};
 
 /// Core cluster type on Apple silicon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ClusterKind {
     /// "Firestorm"/"Avalanche"-class performance cores.
     Performance,
@@ -22,7 +21,7 @@ impl core::fmt::Display for ClusterKind {
 }
 
 /// Specification of one core cluster.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// Performance or efficiency cluster.
     pub kind: ClusterKind,
@@ -45,7 +44,7 @@ impl ClusterSpec {
 }
 
 /// Thermal parameters of the lumped RC package model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalSpec {
     /// Ambient temperature in °C.
     pub ambient_c: f64,
@@ -58,7 +57,7 @@ pub struct ThermalSpec {
 }
 
 /// Platform power-delivery parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformSpec {
     /// Package power not attributable to CPU clusters or DRAM (fabric,
     /// display engine, SSD controller…), watts.
@@ -83,7 +82,7 @@ pub struct PlatformSpec {
 
 /// Full device specification (Table 1 of the paper plus the simulation
 /// parameters the paper's hardware provides implicitly).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SocSpec {
     /// Marketing name, e.g. "Mac Mini M1".
     pub name: String,

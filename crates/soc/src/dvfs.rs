@@ -6,10 +6,8 @@
 //! time, which is how the paper observes P-core frequencies settle at
 //! distinct plateaus (e.g. 1.968 GHz in `lowpowermode`).
 
-use serde::{Deserialize, Serialize};
-
 /// One DVFS operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Core clock in GHz.
     pub freq_ghz: f64,
@@ -18,7 +16,7 @@ pub struct OperatingPoint {
 }
 
 /// An ordered (ascending frequency) table of operating points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OppTable {
     points: Vec<OperatingPoint>,
 }

@@ -13,10 +13,9 @@
 //!    E-cluster keeps its frequency (§4: E-cores stayed at 2.424 GHz).
 
 use crate::config::SocSpec;
-use serde::{Deserialize, Serialize};
 
 /// System power mode (the `pmset` setting the paper toggles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PowerMode {
     /// Default mode: generous package limit; heavy loads hit the *thermal*
     /// limit first (§4's initial observation).
@@ -31,7 +30,7 @@ pub enum PowerMode {
 ///
 /// Deliberately blind to data-dependent switching activity: it sees only
 /// which cores are busy and at what operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerEstimator {
     smoothed_w: f64,
     alpha: f64,
@@ -75,7 +74,7 @@ impl PowerEstimator {
 }
 
 /// Why the governor last throttled (if it did).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThrottleReason {
     /// Estimated package power exceeded the reactive limit.
     PowerLimit,
@@ -85,7 +84,7 @@ pub enum ThrottleReason {
 
 /// The reactive-limit governor: walks the P-cluster OPP ladder in response
 /// to the estimator and thermal state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LimitGovernor {
     mode: PowerMode,
     /// Current index into the P-cluster OPP table.

@@ -4,10 +4,8 @@
 //! [`PowerRails`] is the snapshot the SMC/IOReport layers sample. All values
 //! are watts.
 
-use serde::{Deserialize, Serialize};
-
 /// Instantaneous (or window-averaged) power broken down by rail.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PowerRails {
     /// P-cluster rail (`PHPC`'s source).
     pub p_cluster_w: f64,

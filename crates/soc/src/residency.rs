@@ -6,11 +6,10 @@
 //! cluster spends at each operating point so experiments can report those
 //! plateaus quantitatively.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Time spent per frequency (binned at kHz resolution).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FreqResidency {
     /// kHz → seconds.
     bins: BTreeMap<u64, f64>,

@@ -7,10 +7,9 @@
 //! preferences are honoured when capacity allows.
 
 use crate::config::ClusterKind;
-use serde::{Deserialize, Serialize};
 
 /// Opaque thread identifier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadId(pub u64);
 
 impl core::fmt::Display for ThreadId {
@@ -20,7 +19,7 @@ impl core::fmt::Display for ThreadId {
 }
 
 /// Scheduling policy (macOS exposes these through `pthread` APIs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedPolicy {
     /// Default timeshare policy.
     #[default]
@@ -32,7 +31,7 @@ pub enum SchedPolicy {
 
 /// Placement preference a workload may express (macOS QoS classes behave
 /// similarly: background QoS lands on E-cores).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CorePreference {
     /// No preference: scheduler decides by priority.
     #[default]
@@ -44,7 +43,7 @@ pub enum CorePreference {
 }
 
 /// Scheduling attributes of a simulated thread.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedAttrs {
     /// Priority, 0 (lowest) ..= 47 (highest realtime-ish band).
     pub priority: u8,
@@ -76,7 +75,7 @@ impl SchedAttrs {
 }
 
 /// Where one thread landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// The placed thread.
     pub thread: ThreadId,

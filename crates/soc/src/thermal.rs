@@ -5,10 +5,9 @@
 //! default power limit, while a 4 W-capped lowpowermode stays cold".
 
 use crate::config::ThermalSpec;
-use serde::{Deserialize, Serialize};
 
 /// Thermal state of the package.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalModel {
     spec: ThermalSpec,
     temperature_c: f64,

@@ -11,10 +11,9 @@
 
 use psc_sca::tvla::PlaintextClass;
 use psc_smc::SmcKey;
-use serde::{Deserialize, Serialize};
 
 /// Identifies one telemetry channel (one time series).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ChannelId {
     /// An SMC key read through the unprivileged IOKit client.
     Smc(SmcKey),
@@ -35,7 +34,7 @@ impl core::fmt::Display for ChannelId {
 }
 
 /// Start-of-window marker carrying the attacker's known-plaintext record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowEvent {
     /// Monotone per-shard window sequence number.
     pub seq: u64,
@@ -53,7 +52,7 @@ pub struct WindowEvent {
 }
 
 /// One scalar reading on one channel, inside the current window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleEvent {
     /// Simulated time of the reading, seconds.
     pub time_s: f64,
@@ -64,7 +63,7 @@ pub struct SampleEvent {
 }
 
 /// Scheduler/cadence metadata for one observation window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedEvent {
     /// Simulated time at the end of the observation, seconds.
     pub time_s: f64,
@@ -78,7 +77,7 @@ pub struct SchedEvent {
 }
 
 /// The telemetry event union flowing over the bus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// Start-of-window marker (precedes its samples on the bus).
     Window(WindowEvent),

@@ -31,7 +31,9 @@
 //! * [`campaign`] — work splitting and the scoped thread fan-out that
 //!   `psc_core`'s session driver uses to shard collection across workers
 //!   and sum-merge the accumulator shards;
-//! * [`metrics`] / [`spans`] — the observability layer (see below).
+//! * [`metrics`] / [`spans`] — the observability layer (see below);
+//! * [`json`] — the one JSON writer every emitted artifact goes
+//!   through, and the validator that checks it.
 //!
 //! ## The block fast path
 //!
@@ -78,9 +80,9 @@
 //! no clock is read, and the pipeline's analysis output stays
 //! bit-identical (metrics only observe — they never steer), with the
 //! overhead of the *on* path measured in `BENCH_bus.json`. The
-//! workspace is air-gapped, so reports and traces are emitted as
-//! hand-rolled JSON and checked with the minimal
-//! [`metrics::validate_json`] parser.
+//! workspace is air-gapped, so reports and traces are emitted through
+//! the one [`json::JsonWriter`] and checked with the minimal
+//! [`json::validate_json`] parser.
 //!
 //! ## Example
 //!
@@ -124,6 +126,7 @@ pub mod block;
 pub mod campaign;
 pub mod event;
 pub mod faults;
+pub mod json;
 pub mod metrics;
 pub mod processor;
 pub mod processors;

@@ -30,15 +30,15 @@
 //! registry, reads a clock, or touches an atomic (bit-identical outputs,
 //! measured in `BENCH_bus.json`).
 //!
-//! There is no JSON dependency in the air-gapped workspace, so
-//! snapshots emit JSON by hand ([`MetricsReport::to_json`]) and
-//! [`validate_json`] provides a minimal parser for tests, examples and
-//! CI to check the artifacts actually parse.
+//! [`MetricsReport::to_json`] renders a report through the one
+//! [`crate::json::JsonWriter`]; [`crate::json::validate_json`] checks
+//! that it parses.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::json::{JsonWriter, Layout};
 use psc_sca::checkpoint::{CheckpointError, PayloadReader, PayloadWriter};
 
 /// Number of histogram buckets: bucket 0 holds zero, bucket `i`
@@ -677,240 +677,50 @@ impl MetricsReport {
     /// `[lo, hi, count]` bucket triples plus count/sum/mean).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"wall_s\": {:.6},\n", self.wall_s));
-        out.push_str(&format!("  \"shards\": {},\n", self.shards));
-        out.push_str(&format!("  \"simd_backend\": \"{}\",\n", escape_json(self.simd_backend)));
-        out.push_str(&format!("  \"obs_chunk\": {},\n", self.obs_chunk));
-        out.push_str(&format!("  \"bus_capacity\": {},\n", self.bus_capacity));
-        out.push_str(&format!("  \"observations\": {},\n", self.observations()));
-        out.push_str(&format!("  \"obs_per_s\": {:.3},\n", self.obs_per_s()));
-        out.push_str(&format!("  \"blocks_per_s\": {:.3},\n", self.blocks_per_s()));
-        out.push_str(&format!("  \"drop_rate\": {:.6},\n", self.drop_rate()));
-        out.push_str("  \"metrics\": {");
-        let mut first = true;
+        let mut metrics = JsonWriter::object(Layout::Lines(1));
         for (name, value) in &self.snapshot.metrics {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{}\": ", escape_json(name)));
+            let mut metric = JsonWriter::object(Layout::Inline);
             match value {
-                MetricValue::Counter(n) => {
-                    out.push_str(&format!("{{\"type\": \"counter\", \"value\": {n}}}"));
-                }
-                MetricValue::Gauge(n) => {
-                    out.push_str(&format!("{{\"type\": \"gauge\", \"value\": {n}}}"));
-                }
+                MetricValue::Counter(n) => metric.string("type", "counter").field("value", n),
+                MetricValue::Gauge(n) => metric.string("type", "gauge").field("value", n),
                 MetricValue::Histogram(h) => {
-                    out.push_str(&format!(
-                        "{{\"type\": \"histogram\", \"count\": {}, \"sum\": {}, \"mean\": {:.3}, \
-                         \"buckets\": [",
-                        h.count(),
-                        h.sum,
-                        h.mean()
-                    ));
-                    for (i, &(bucket, count)) in h.buckets.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
+                    let mut buckets = JsonWriter::array(Layout::Inline);
+                    for &(bucket, count) in &h.buckets {
                         let (lo, hi) = bucket_bounds(bucket);
                         let hi = hi.map_or_else(|| "null".to_owned(), |h| h.to_string());
-                        out.push_str(&format!("[{lo}, {hi}, {count}]"));
+                        let mut triple = JsonWriter::array(Layout::Inline);
+                        triple.item(lo).item(hi).item(count);
+                        buckets.item(triple.finish());
                     }
-                    out.push_str("]}");
+                    metric
+                        .string("type", "histogram")
+                        .field("count", h.count())
+                        .field("sum", h.sum)
+                        .field("mean", format_args!("{:.3}", h.mean()))
+                        .field("buckets", buckets.finish())
                 }
-            }
+            };
+            metrics.field(name, metric.finish());
         }
-        out.push_str("\n  }\n}\n");
-        out
-    }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Check that `input` is one syntactically valid JSON value (the
-/// air-gapped workspace has no JSON dependency, so emitted artifacts —
-/// metrics reports, Chrome trace files — are validated with this minimal
-/// recursive-descent parser in tests, examples and CI).
-///
-/// # Errors
-///
-/// Returns a byte offset + message for the first syntax error.
-pub fn validate_json(input: &str) -> Result<(), String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing data at byte {pos}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    match bytes.get(*pos) {
-        None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => parse_string(bytes, pos),
-        Some(b't') => parse_literal(bytes, pos, b"true"),
-        Some(b'f') => parse_literal(bytes, pos, b"false"),
-        Some(b'n') => parse_literal(bytes, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
-        Some(c) => Err(format!("unexpected byte {c:?} at {pos}")),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if bytes[*pos..].starts_with(lit) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {pos}"))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits = |bytes: &[u8], pos: &mut usize| {
-        let from = *pos;
-        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
-            *pos += 1;
-        }
-        *pos > from
-    };
-    if !digits(bytes, pos) {
-        return Err(format!("bad number at byte {start}"));
-    }
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        if !digits(bytes, pos) {
-            return Err(format!("bad fraction at byte {start}"));
-        }
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        if !digits(bytes, pos) {
-            return Err(format!("bad exponent at byte {start}"));
-        }
-    }
-    Ok(())
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    let start = *pos;
-    *pos += 1; // opening quote
-    while let Some(&c) = bytes.get(*pos) {
-        match c {
-            b'"' => {
-                *pos += 1;
-                return Ok(());
-            }
-            b'\\' => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        let hex = bytes.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
-                        if !hex.iter().all(u8::is_ascii_hexdigit) {
-                            return Err(format!("bad \\u escape at byte {pos}"));
-                        }
-                        *pos += 5;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-            }
-            _ => *pos += 1,
-        }
-    }
-    Err(format!("unterminated string starting at byte {start}"))
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '{'
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}"));
-        }
-        parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}"));
-        }
-        *pos += 1;
-        skip_ws(bytes, pos);
-        parse_value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
-    *pos += 1; // '['
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(());
-    }
-    loop {
-        skip_ws(bytes, pos);
-        parse_value(bytes, pos)?;
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(());
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-        }
+        let mut out = JsonWriter::object(Layout::Lines(0));
+        out.field("wall_s", format_args!("{:.6}", self.wall_s))
+            .field("shards", self.shards)
+            .string("simd_backend", self.simd_backend)
+            .field("obs_chunk", self.obs_chunk)
+            .field("bus_capacity", self.bus_capacity)
+            .field("observations", self.observations())
+            .field("obs_per_s", format_args!("{:.3}", self.obs_per_s()))
+            .field("blocks_per_s", format_args!("{:.3}", self.blocks_per_s()))
+            .field("drop_rate", format_args!("{:.6}", self.drop_rate()))
+            .field("metrics", metrics.finish());
+        out.finish() + "\n"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::validate_json;
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
@@ -1091,16 +901,5 @@ mod tests {
         assert_eq!(hub.merged().counter("n"), 10);
         drop(guard_a);
         assert_eq!(hub.merged(), MetricsSnapshot::default());
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        validate_json("{\"a\": [1, 2.5, -3e4, \"x\\n\", null, true, {}]}").unwrap();
-        validate_json("[]").unwrap();
-        assert!(validate_json("{\"a\": }").is_err());
-        assert!(validate_json("[1, 2").is_err());
-        assert!(validate_json("{} extra").is_err());
-        assert!(validate_json("\"unterminated").is_err());
-        assert!(validate_json("01abc").is_err());
     }
 }

@@ -160,7 +160,7 @@ impl StreamingCpa {
         }
         self.current = match r.get_u8()? {
             0 => None,
-            1 => Some((r.get_bytes::<16>()?, r.get_bytes::<16>()?)),
+            1 => Some((r.get_bytes()?, r.get_bytes()?)),
             _ => return Err(CheckpointError::Corrupt("bad window-record flag")),
         };
         self.unregistered_samples = r.get_u64()?;
@@ -434,7 +434,7 @@ impl CpaGrid {
             .collect::<Result<_, CheckpointError>>()?;
         self.current = match r.get_u8()? {
             0 => None,
-            1 => Some((r.get_bytes::<16>()?, r.get_bytes::<16>()?)),
+            1 => Some((r.get_bytes()?, r.get_bytes()?)),
             _ => return Err(CheckpointError::Corrupt("bad window-record flag")),
         };
         Ok(())

@@ -14,6 +14,7 @@
 //! ([`SpanTracer::span`]). Like the metrics registry it is entirely
 //! opt-in — an untraced campaign never constructs one.
 
+use crate::json::{JsonWriter, Layout};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -103,57 +104,35 @@ impl SpanTracer {
     pub fn to_chrome_json(&self) -> String {
         let spans = self.spans();
         let threads = self.threads.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out = String::from("{\"traceEvents\": [");
-        let mut first = true;
+        let mut events = JsonWriter::array(Layout::Lines(0));
         for (tid, name) in threads.iter() {
-            push_event(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": {tid}, \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                    escape(name)
-                ),
-            );
+            let mut args = JsonWriter::object(Layout::Inline);
+            args.string("name", name);
+            let mut event = JsonWriter::object(Layout::Inline);
+            event
+                .string("name", "thread_name")
+                .string("ph", "M")
+                .field("pid", 0)
+                .field("tid", tid)
+                .field("args", args.finish());
+            events.item(event.finish());
         }
         for s in &spans {
-            push_event(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"pid\": 0, \
-                 \"tid\": {}, \"ts\": {}, \"dur\": {}}}",
-                    escape(&s.name),
-                    escape(s.cat),
-                    s.tid,
-                    s.ts_us,
-                    s.dur_us
-                ),
-            );
+            let mut event = JsonWriter::object(Layout::Inline);
+            event
+                .string("name", &s.name)
+                .string("cat", s.cat)
+                .string("ph", "X")
+                .field("pid", 0)
+                .field("tid", s.tid)
+                .field("ts", s.ts_us)
+                .field("dur", s.dur_us);
+            events.item(event.finish());
         }
-        out.push_str("\n]}\n");
-        out
+        let mut out = JsonWriter::object(Layout::Inline);
+        out.field("traceEvents", events.finish());
+        out.finish() + "\n"
     }
-}
-
-fn push_event(out: &mut String, first: &mut bool, event: &str) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    out.push_str("\n  ");
-    out.push_str(event);
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// RAII timer from [`SpanTracer::span`]: records the span on drop.
@@ -184,7 +163,7 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::validate_json;
+    use crate::json::validate_json;
 
     #[test]
     fn guard_records_on_drop() {
@@ -241,6 +220,23 @@ mod tests {
         }
         assert_eq!(tracer.spans().len(), 4);
         validate_json(&tracer.to_chrome_json()).unwrap();
+    }
+
+    #[test]
+    fn control_characters_in_names_are_escaped() {
+        let tracer = SpanTracer::new();
+        tracer.name_thread(0, "a\tb\rc");
+        tracer.record(SpanRecord {
+            name: "x\u{1}\"y\\".into(),
+            cat: "stage",
+            tid: 0,
+            ts_us: 0,
+            dur_us: 1,
+        });
+        let json = tracer.to_chrome_json();
+        validate_json(&json).expect("escaped names parse");
+        assert!(json.contains("\"a\\tb\\rc\""), "{json}");
+        assert!(json.contains("\"x\\u0001\\\"y\\\\\""), "{json}");
     }
 
     #[test]

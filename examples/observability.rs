@@ -12,7 +12,8 @@
 
 use apple_power_sca::core::{Campaign, Device, VictimKind};
 use apple_power_sca::smc::key::key;
-use apple_power_sca::telemetry::metrics::{names, validate_json};
+use apple_power_sca::telemetry::json::validate_json;
+use apple_power_sca::telemetry::metrics::names;
 use apple_power_sca::telemetry::spans::SpanTracer;
 use std::sync::Arc;
 

@@ -47,7 +47,8 @@ use apple_power_sca::serve::{
 use apple_power_sca::smc::key::key;
 use apple_power_sca::telemetry::event::ChannelId;
 use apple_power_sca::telemetry::faults::RetryPolicy;
-use apple_power_sca::telemetry::metrics::{validate_json, MetricsReport};
+use apple_power_sca::telemetry::json::{validate_json, JsonWriter, Layout};
+use apple_power_sca::telemetry::metrics::MetricsReport;
 use apple_power_sca::telemetry::spans::SpanTracer;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -695,18 +696,14 @@ fn cmd_aggregate(args: &[String]) -> Result<(), String> {
         outcome.merged.merge_ns
     );
     if let Some(path) = stats_out {
-        let json = format!(
-            "{{\n  \"survivors\": {},\n  \"partials_accepted\": {},\n  \
-             \"partials_rejected\": {},\n  \"corrupt_frames\": {},\n  \"reconnects\": {},\n  \
-             \"merge_ns\": {}\n}}\n",
-            outcome.merged.survivors,
-            outcome.stats.partials_accepted,
-            outcome.stats.partials_rejected,
-            outcome.stats.corrupt_frames,
-            outcome.stats.reconnects,
-            outcome.merged.merge_ns
-        );
-        std::fs::write(&path, json).map_err(|e| format!("{path}: {e}"))?;
+        let mut json = JsonWriter::object(Layout::Lines(0));
+        json.field("survivors", outcome.merged.survivors)
+            .field("partials_accepted", outcome.stats.partials_accepted)
+            .field("partials_rejected", outcome.stats.partials_rejected)
+            .field("corrupt_frames", outcome.stats.corrupt_frames)
+            .field("reconnects", outcome.stats.reconnects)
+            .field("merge_ns", outcome.merged.merge_ns);
+        std::fs::write(&path, json.finish() + "\n").map_err(|e| format!("{path}: {e}"))?;
         eprintln!("[psc] wrote aggregation stats to {path}");
     }
     Ok(())

@@ -17,7 +17,8 @@ use apple_power_sca::core::{Campaign, Device, ShardReplay, TuneConfig, VictimKin
 use apple_power_sca::sca::model::Rd0Hw;
 use apple_power_sca::smc::key::key;
 use apple_power_sca::telemetry::event::ChannelId;
-use apple_power_sca::telemetry::metrics::{names, validate_json};
+use apple_power_sca::telemetry::json::validate_json;
+use apple_power_sca::telemetry::metrics::names;
 use apple_power_sca::telemetry::processors::StreamingTvla;
 use apple_power_sca::telemetry::spans::SpanTracer;
 use proptest::prelude::*;
