@@ -16,7 +16,7 @@ use psc_sca::codec;
 use psc_sca::model::Rd0Hw;
 use psc_smc::key::key;
 use psc_telemetry::event::ChannelId;
-use psc_telemetry::processors::StreamingTvla;
+use psc_telemetry::processors::{CadenceCheckpoint, StreamingTvla};
 use std::path::{Path, PathBuf};
 
 const SECRET: [u8; 16] = [0x2B; 16];
@@ -56,6 +56,15 @@ fn assert_tvla_bit_identical(a: &StreamingTvla, b: &StreamingTvla, keys: &[Chann
     }
 }
 
+/// The resumed run's cadence grid is the uninterrupted one: same tick
+/// times, same per-tick counts. Observations land about one simulated
+/// second apart, so a 3 s poll grid ticks every few observations — on
+/// both sides of the mid-stream checkpoint frame.
+fn assert_cadence_resumed(baseline: &[Vec<CadenceCheckpoint>], resumed: &[Vec<CadenceCheckpoint>]) {
+    assert!(baseline.iter().all(|ticks| ticks.len() >= 8), "grid too coarse: {baseline:?}");
+    assert_eq!(baseline, resumed);
+}
+
 fn assert_all_ok(health: &[ShardHealth]) {
     for (i, h) in health.iter().enumerate() {
         assert_eq!(*h, ShardHealth::Ok, "shard {i} not healthy: {h:?}");
@@ -71,6 +80,7 @@ fn live_tvla_resumes_bit_identically() {
             .keys(&keys)
             .traces(24)
             .shards(2)
+            .monitor(3.0)
     };
 
     let baseline = campaign().session().tvla();
@@ -99,6 +109,7 @@ fn live_tvla_resumes_bit_identically() {
     assert_tvla_bit_identical(&baseline.tvla, &resumed.tvla, &channels);
     assert_eq!(baseline.monitor.observations(), resumed.monitor.observations());
     assert_eq!(baseline.monitor.denied_reads(), resumed.monitor.denied_reads());
+    assert_cadence_resumed(&baseline.shard_cadence, &resumed.shard_cadence);
     // The consumed prefix is credited back to the bus counters, so even
     // the block totals diff clean against the uninterrupted run.
     assert_eq!(baseline.bus.accepted, resumed.bus.accepted, "prefix blocks credited");
@@ -114,6 +125,7 @@ fn live_cpa_resumes_bit_identically() {
             .keys(&keys)
             .traces(96)
             .shards(2)
+            .monitor(3.0)
     };
 
     let baseline = campaign().session().cpa(|| Box::new(Rd0Hw));
@@ -134,6 +146,7 @@ fn live_cpa_resumes_bit_identically() {
     }
     assert_eq!(baseline.ranks(keys[0], &SECRET), resumed.ranks(keys[0], &SECRET));
     assert_eq!(baseline.bus.accepted, resumed.bus.accepted);
+    assert_cadence_resumed(&baseline.shard_cadence, &resumed.shard_cadence);
     cleanup(&dir);
 }
 
