@@ -1,15 +1,15 @@
 //! Telemetry-bus kernel bench: the PR-5 columnar-pipeline trajectory.
 //!
-//! Compares the two transports end to end — scalar events (one bounded
-//! ring push/pop and one `Processor` dispatch per event, ~(2 + C) events
-//! per observation) versus columnar [`EventBlock`]s (one synchronization
-//! and one dispatch per `OBS_CHUNK`-row block, processors updating per
-//! column) — over the same observation stream into the same streaming
-//! TVLA consumer. Both paths produce bit-identical accumulators
-//! (`tests/block_equivalence.rs`), so the numbers measure pure pipeline
-//! overhead. The block path here clones each block into the bus; the
-//! real campaign drivers recycle processed blocks back to the producer,
-//! so live pipelines do strictly better than the benched figure.
+//! Compares one-row [`EventBlock`]s (one bounded ring push/pop and one
+//! `Processor` dispatch per observation) with `OBS_CHUNK`-row blocks
+//! (one synchronization and one dispatch per block, processors updating
+//! per column) over the same observation stream into the same streaming
+//! TVLA consumer. The accumulators do not depend on how the stream is
+//! cut into blocks (`tests/block_equivalence.rs`), so the numbers
+//! measure pure pipeline overhead. The bench clones each block into the
+//! bus; the real campaign drivers recycle processed blocks back to the
+//! producer, so live pipelines do strictly better than the benched
+//! figure.
 //!
 //! Also measures the observability tax: the same per-block pipeline
 //! with the campaign drivers' consume-side instrumentation (two clock
@@ -44,7 +44,7 @@ use psc_sca::trace::Trace;
 use psc_sca::tvla::PlaintextClass;
 use psc_smc::key::key;
 use psc_telemetry::block::EventBlock;
-use psc_telemetry::event::{ChannelId, Event, SampleEvent, SchedEvent, WindowEvent};
+use psc_telemetry::event::{ChannelId, SchedEvent, WindowEvent};
 use psc_telemetry::metrics::{names, MetricsRegistry};
 use psc_telemetry::processor::Processor;
 use psc_telemetry::processors::StreamingTvla;
@@ -80,20 +80,6 @@ fn observation(i: usize) -> (WindowEvent, [f64; 3], SchedEvent) {
     let values = [5.0 + (i % 11) as f64 * 0.01, 1.2 + (i % 5) as f64 * 0.02, 900.0 + i as f64];
     let sched = SchedEvent { time_s, windows_consumed: 1, window_s: 1.0, denied_reads: 0 };
     (window, values, sched)
-}
-
-fn scalar_events() -> Vec<Event> {
-    let chans = channels();
-    let mut events = Vec::with_capacity(OBS * (2 + chans.len()));
-    for i in 0..OBS {
-        let (window, values, sched) = observation(i);
-        events.push(Event::Window(window));
-        for (&channel, &value) in chans.iter().zip(&values) {
-            events.push(Event::Sample(SampleEvent { time_s: window.time_s, channel, value }));
-        }
-        events.push(Event::Sched(sched));
-    }
-    events
 }
 
 fn blocks_of(rows: usize) -> Vec<EventBlock> {
@@ -136,20 +122,9 @@ fn per_obs_ns(name: &str, prebuilt: &[EventBlock]) -> f64 {
 }
 
 fn main() {
-    // --- Pipeline: scalar events vs columnar blocks ------------------------
-    let events = scalar_events();
-    let (tx, rx) = channel(events.len(), OverflowPolicy::Block);
-    let mut tvla = StreamingTvla::new();
-    let per_event_total = measure_ns(BENCH, "pipeline/per_event_512obs", || {
-        for event in &events {
-            tx.send(*event).expect("receiver alive");
-        }
-        while let Some(event) = rx.try_recv() {
-            tvla.on_event(&event);
-        }
-    });
-    let per_event = per_event_total / OBS as f64;
-    println!("{BENCH}/pipeline/per_event{:<16} per obs:    {per_event:>10.1} ns", "");
+    // --- Pipeline: one-row blocks vs OBS_CHUNK-row blocks -----------------
+    let per_row = per_obs_ns("pipeline/per_block_rows1_512obs", &blocks_of(1));
+    println!("{BENCH}/pipeline/per_block_rows1{:<10} per obs:    {per_row:>10.1} ns", "");
 
     let prebuilt = blocks();
     let per_block = per_obs_ns("pipeline/per_block_512obs", &prebuilt);
@@ -238,11 +213,11 @@ fn main() {
         black_box(corr[0]);
     });
 
-    let pipeline_speedup = per_event / per_block;
+    let pipeline_speedup = per_row / per_block;
     let correlations_speedup = CPA_CORRELATIONS_BEFORE_BRANCHFREE_NS / correlations;
     let tvla_simd_speedup = tvla_ingest_scalar / tvla_ingest_simd;
     println!();
-    println!("per-block vs per-event pipeline: {pipeline_speedup:.2}x");
+    println!("{BLOCK_ROWS}-row vs one-row blocks:   {pipeline_speedup:.2}x");
     println!("metrics-on per-block overhead:   {metrics_overhead_pct:+.1}%");
     println!("tvla quad ingest simd ({}) vs scalar: {tvla_simd_speedup:.2}x", pulp::backend_name());
     println!("autotuned block rows:            {autotune_rows} ({autotune_ns:.1} ns/obs)");
@@ -253,7 +228,7 @@ fn main() {
 
     // --- BENCH_bus.json ----------------------------------------------------
     let mut json = json_header(BENCH);
-    json_field(&mut json, "per_event_pipeline_ns_per_obs", per_event);
+    json_field(&mut json, "per_block_rows1_ns_per_obs", per_row);
     json_field(&mut json, "per_block_pipeline_ns_per_obs", per_block);
     json_field(&mut json, "per_block_pipeline_metrics_ns_per_obs", per_block_metrics);
     json_field(&mut json, "metrics_overhead_pct", metrics_overhead_pct);

@@ -1,4 +1,4 @@
-//! Telemetry-subsystem kernels: event-bus throughput, online accumulator
+//! Telemetry-subsystem kernels: block-bus throughput, online accumulator
 //! updates, and the headline comparison — single-threaded batch collection
 //! vs the sharded streaming pipeline at 10k+ traces.
 
@@ -10,12 +10,52 @@ use psc_sca::model::Rd0Hw;
 use psc_sca::trace::Trace;
 use psc_sca::tvla::PlaintextClass;
 use psc_smc::key::key;
-use psc_telemetry::event::{ChannelId, Event, SampleEvent, WindowEvent};
+use psc_telemetry::block::EventBlock;
+use psc_telemetry::event::{ChannelId, SchedEvent, WindowEvent};
 use psc_telemetry::processor::Processor;
 use psc_telemetry::processors::{StreamingCpa, StreamingTvla};
 use psc_telemetry::ring::{channel, OverflowPolicy, RingBuffer};
 
 const SECRET: [u8; 16] = [0x2B; 16];
+/// Rows per block — the campaign drivers' default `OBS_CHUNK`.
+const BLOCK_ROWS: usize = 32;
+
+/// A deterministic 10k-row PCPU stream in `BLOCK_ROWS`-row blocks, TVLA
+/// labels cycling through passes and classes row by row.
+fn tape() -> Vec<EventBlock> {
+    let mut state = 0x1234_5678_9ABC_DEF0u64;
+    let mut blocks = Vec::new();
+    let mut block = EventBlock::new();
+    block.reset(&[ChannelId::Pcpu]);
+    for i in 0..10_000u64 {
+        let mut pt = [0u8; 16];
+        for byte in pt.iter_mut() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            *byte = (state >> 32) as u8;
+        }
+        let time_s = i as f64;
+        block.begin(WindowEvent {
+            seq: i,
+            time_s,
+            pass: (i % 2) as u8,
+            class: Some(PlaintextClass::ALL[(i % 3) as usize]),
+            plaintext: pt,
+            ciphertext: pt,
+        });
+        block.sample(0, (state >> 40) as f64);
+        block.commit(SchedEvent { time_s, windows_consumed: 1, window_s: 1.0, denied_reads: 0 });
+        if block.len() == BLOCK_ROWS {
+            blocks.push(block.clone());
+            block.clear();
+        }
+    }
+    if !block.is_empty() {
+        blocks.push(block);
+    }
+    blocks
+}
 
 fn bench_bus(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_bus");
@@ -35,25 +75,24 @@ fn bench_bus(c: &mut Criterion) {
         });
     });
 
-    group.bench_function("channel_throughput_10k_events", |b| {
+    let blocks = tape();
+    group.bench_function("channel_throughput_10k_rows", |b| {
         b.iter(|| {
-            let (tx, rx) = channel(1024, OverflowPolicy::Block);
-            let producer = std::thread::spawn(move || {
-                for i in 0..10_000u64 {
-                    tx.send(Event::Sample(SampleEvent {
-                        time_s: i as f64,
-                        channel: ChannelId::Pcpu,
-                        value: i as f64,
-                    }))
-                    .expect("receiver alive");
+            let (tx, rx) = channel(128, OverflowPolicy::Block);
+            let delivered = std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for block in &blocks {
+                        tx.send(block.clone()).expect("receiver alive");
+                    }
+                    drop(tx);
+                });
+                let mut rows = 0usize;
+                while let Some(block) = rx.recv() {
+                    rows += block.len();
                 }
+                rows
             });
-            let mut count = 0u64;
-            while rx.recv().is_some() {
-                count += 1;
-            }
-            producer.join().expect("producer");
-            black_box(count)
+            black_box(delivered)
         });
     });
     group.finish();
@@ -63,38 +102,14 @@ fn bench_online_accumulators(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_accumulators");
     group.sample_size(10);
 
-    // Pre-build a deterministic event tape once.
-    let mut tape = Vec::with_capacity(20_000);
-    let mut state = 0x1234_5678_9ABC_DEF0u64;
-    for i in 0..10_000u64 {
-        let mut pt = [0u8; 16];
-        for byte in pt.iter_mut() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            *byte = (state >> 32) as u8;
-        }
-        let class = PlaintextClass::ALL[(i % 3) as usize];
-        tape.push(Event::Window(WindowEvent {
-            seq: i,
-            time_s: i as f64,
-            pass: (i % 2) as u8,
-            class: Some(class),
-            plaintext: pt,
-            ciphertext: pt,
-        }));
-        tape.push(Event::Sample(SampleEvent {
-            time_s: i as f64,
-            channel: ChannelId::Pcpu,
-            value: (state >> 40) as f64,
-        }));
-    }
+    // Pre-build the deterministic block tape once.
+    let tape = tape();
 
     group.bench_function("streaming_tvla_10k_samples", |b| {
         b.iter(|| {
             let mut tvla = StreamingTvla::new();
-            for event in &tape {
-                tvla.on_event(event);
+            for block in &tape {
+                tvla.on_block(block);
             }
             black_box(tvla.matrix(ChannelId::Pcpu, "PCPU"))
         });
@@ -103,8 +118,8 @@ fn bench_online_accumulators(c: &mut Criterion) {
     group.bench_function("streaming_cpa_10k_traces", |b| {
         b.iter(|| {
             let mut cpa = StreamingCpa::new([ChannelId::Pcpu], || Box::new(Rd0Hw));
-            for event in &tape {
-                cpa.on_event(event);
+            for block in &tape {
+                cpa.on_block(block);
             }
             black_box(cpa.cpa(ChannelId::Pcpu).expect("registered").ranks(&SECRET))
         });

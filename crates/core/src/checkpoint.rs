@@ -32,7 +32,7 @@ pub(crate) const TAG_META: u16 = 1;
 pub(crate) const TAG_RNG: u16 = 2;
 /// The analysis accumulator payload (TVLA or CPA — META's kind says).
 pub(crate) const TAG_ANALYSIS: u16 = 3;
-/// Cadence monitor state plus the consumer's poll-grid clock.
+/// Cadence monitor state, its poll clock first.
 pub(crate) const TAG_MONITOR: u16 = 4;
 /// Per-channel recorder progress.
 pub(crate) const TAG_RECORDER: u16 = 5;

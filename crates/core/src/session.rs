@@ -28,8 +28,8 @@
 //! [`EventBlock`]s with `Block` backpressure — one synchronization and
 //! one dispatch per block of observations, not per event), and shard
 //! accumulators are sum-merged — O(1) memory in trace count on the
-//! streaming paths, with results bit-identical to the historical
-//! per-event pipeline (see `tests/block_equivalence.rs` and
+//! streaming paths, with results bit-identical to a per-row scalar
+//! reference (see `tests/block_equivalence.rs` and
 //! `tests/campaign_builder.rs`).
 //!
 //! ## One runner, one fold
@@ -68,7 +68,7 @@ use psc_telemetry::faults::{FaultPlan, FaultState, RetryPolicy};
 use psc_telemetry::metrics::{
     names, Counter, Gauge, Histogram, MetricsHub, MetricsRegistry, MetricsReport, MetricsSnapshot,
 };
-use psc_telemetry::processor::{dispatch_with_poll, Processor};
+use psc_telemetry::processor::Processor;
 use psc_telemetry::processors::{
     CadenceCheckpoint, CpaGrid, RecorderState, SecondOrderTvla, ShardRecorder, StreamingCpa,
     StreamingTvla, ThrottleMonitor,
@@ -1078,22 +1078,6 @@ struct Runs<A> {
     metrics: Option<MetricsReport>,
 }
 
-/// The checkpointed monitor payload: the consumer's poll-grid clock (so
-/// a resume never shifts the cadence grid) followed by the monitor's own
-/// state.
-fn monitor_payload(monitor: &ThrottleMonitor, next_poll_s: Option<f64>) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    match next_poll_s {
-        Some(t) => {
-            w.put_u8(1);
-            w.put_f64(t);
-        }
-        None => w.put_u8(0),
-    }
-    monitor.encode_state(&mut w);
-    w.into_payload()
-}
-
 /// Restore a consumer's analysis/monitor/recorder state from a carried
 /// checkpoint (no-op for a fresh shard). Returns the `(consumed_obs,
 /// blocks)` base counters of the restored prefix.
@@ -1106,7 +1090,6 @@ fn restore_consumer(
     carried: Option<&ShardResume>,
     analysis: &mut impl Analysis,
     monitor: &mut ThrottleMonitor,
-    next_poll_s: &mut Option<f64>,
     recorders: &mut [ShardRecorder],
 ) -> (u64, u64) {
     let Some(c) = carried else { return (0, 0) };
@@ -1119,15 +1102,10 @@ fn restore_consumer(
     }
     if let Some(bytes) = &c.monitor {
         let mut r = PayloadReader::new(bytes);
-        let mut inner = |r: &mut PayloadReader<'_>| -> Result<(), CheckpointError> {
-            *next_poll_s = match r.get_u8()? {
-                0 => None,
-                _ => Some(r.get_f64()?),
-            };
-            monitor.restore_state(r)?;
-            r.finish()
-        };
-        inner(&mut r).unwrap_or_else(|e| panic!("corrupt checkpoint monitor state: {e}"));
+        monitor
+            .restore_state(&mut r)
+            .and_then(|()| r.finish())
+            .unwrap_or_else(|e| panic!("corrupt checkpoint monitor state: {e}"));
     }
     if let Some(bytes) = &c.recorders {
         let states = checkpoint::decode_recorders(bytes)
@@ -1455,9 +1433,9 @@ impl Session<'_> {
     /// the campaign preamble (fingerprint, resume frames, fault arming,
     /// observability, progress thread, campaign span, stop flag), the
     /// [`Session::fan_out`] and the per-block consumer loop: fault check →
-    /// timed `on_block` + cadence-poll dispatch + recorders →
-    /// [`Analysis::should_stop`] → recycle → periodic checkpoint and
-    /// `halt_after`. Polls fire through [`dispatch_with_poll`].
+    /// timed `on_block` to the analysis, the cadence monitor and the
+    /// recorders → [`Analysis::should_stop`] → recycle → periodic
+    /// checkpoint and `halt_after`.
     ///
     /// `kind` is the analysis's checkpoint kind (part of the campaign
     /// fingerprint). `obs_per_unit` sizes the progress ETA. `schedule`
@@ -1529,12 +1507,10 @@ impl Session<'_> {
                 let mut analysis = build(starts[i]..starts[i] + counts[i]);
                 let mut monitor = ThrottleMonitor::new(interval_s, MONITOR_DEPTH);
                 let mut recorders = self.recorders(i, faults.as_ref());
-                let mut next_poll_s = None;
                 let (base_obs, base_blocks) = restore_consumer(
                     resume.as_deref().map(|r| &r[i]),
                     &mut analysis,
                     &mut monitor,
-                    &mut next_poll_s,
                     &mut recorders,
                 );
                 let mut writer = spec.checkpoint.as_ref().map(|cfg| CheckpointWriter {
@@ -1558,7 +1534,7 @@ impl Session<'_> {
                     }
                     let t0 = ins.map(|_| Instant::now());
                     analysis.on_block(&block);
-                    dispatch_with_poll(&mut monitor, &mut next_poll_s, interval_s, &block);
+                    monitor.on_block(&block);
                     for recorder in &mut recorders {
                         recorder.on_block(&block);
                     }
@@ -1576,12 +1552,14 @@ impl Session<'_> {
                         if local_blocks.is_multiple_of(w.cfg.every_blocks) {
                             let mut aw = PayloadWriter::new();
                             analysis.encode_state(&mut aw);
+                            let mut mw = PayloadWriter::new();
+                            monitor.encode_state(&mut mw);
                             w.write(
                                 base_obs + local_obs,
                                 base_blocks + local_blocks,
                                 log.offset_after(local_blocks - 1),
                                 aw.into_payload(),
-                                monitor_payload(&monitor, next_poll_s),
+                                mw.into_payload(),
                                 &mut recorders,
                                 log,
                             );

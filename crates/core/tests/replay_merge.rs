@@ -7,9 +7,14 @@
 //!   one block per `obs_chunk` rows.
 //! * On misaligned recordings (denied reads, a lost recorder batch, a
 //!   file truncated mid-stream, unusable files) every channel still ends
-//!   bit-identical to that channel's files replayed alone, with the same
-//!   skipped-file accounting and health notes.
+//!   bit-identical to that channel's files replayed alone through the
+//!   per-row scalar oracle, with the same skipped-file accounting and
+//!   health notes.
 
+#[path = "../../../tests/common/oracle.rs"]
+mod oracle;
+
+use oracle::{replay_recording, CpaOracle, TvlaOracle};
 use psc_core::report::{cpa_model, render_cpa_body};
 use psc_core::source::ShardPlan;
 use psc_core::{Campaign, Device, ShardHealth, ShardReplay, TraceSource, TuneConfig, VictimKind};
@@ -19,9 +24,8 @@ use psc_sca::tvla::PlaintextClass;
 use psc_smc::key::key;
 use psc_smc::SmcKey;
 use psc_telemetry::block::EventBlock;
+use psc_telemetry::channel_for_label;
 use psc_telemetry::event::ChannelId;
-use psc_telemetry::processors::{StreamingCpa, StreamingTvla};
-use psc_telemetry::{channel_for_label, replay_recording, Processor};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 
@@ -224,22 +228,22 @@ fn replayed_alone(files: &[PathBuf], chunk: usize) -> Vec<Recording> {
 }
 
 /// Feed each channel's files alone, channel after channel, through the
-/// scalar replay into fresh TVLA and CPA processors.
-fn reference(dir: &Path, chunk: usize, keys: &[SmcKey]) -> (StreamingTvla, StreamingCpa) {
+/// scalar replay into fresh TVLA and CPA oracles.
+fn reference(dir: &Path, chunk: usize, keys: &[SmcKey]) -> (TvlaOracle, CpaOracle) {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|e| e == "psct"))
         .collect();
     files.sort();
-    let mut tvla = StreamingTvla::new();
-    let mut cpa = StreamingCpa::new(keys.iter().map(|&k| ChannelId::Smc(k)), cpa_model);
+    let mut tvla = TvlaOracle::default();
+    let mut cpa = CpaOracle::new(keys.iter().map(|&k| ChannelId::Smc(k)), cpa_model);
     let mut seq = 0;
     for recording in replayed_alone(&files, chunk) {
         let Some(channel) = channel_for_label(&recording.label) else { continue };
-        seq = replay_recording(&recording, channel, seq, 1.0, &mut |e| {
-            tvla.on_event(&e);
-            cpa.on_event(&e);
+        seq = replay_recording(&recording, channel, seq, 1.0, &mut |w, c, v| {
+            tvla.sample(w, c, v);
+            cpa.sample(w, c, v);
         });
     }
     (tvla, cpa)
@@ -320,7 +324,7 @@ fn misaligned_recording_keeps_every_channel_bit_identical() {
         for channel in channels {
             assert_eq!(
                 tvla.tvla.accumulator(channel),
-                tvla_ref.accumulator(channel),
+                tvla_ref.accs.get(&channel),
                 "TVLA {channel} in {}",
                 dir.display()
             );
@@ -337,10 +341,10 @@ fn misaligned_recording_keeps_every_channel_bit_identical() {
         for &k in &keys {
             let channel = ChannelId::Smc(k);
             let got = cpa.cpa.cpa(channel).expect("registered").raw_state();
-            let want = cpa_ref.cpa(channel).expect("registered").raw_state();
+            let want = cpa_ref.cpas[&channel].raw_state();
             assert_eq!(got, want, "CPA {channel} in {}", dir.display());
         }
-        assert_eq!(cpa.cpa.unregistered_samples(), cpa_ref.unregistered_samples());
+        assert_eq!(cpa.cpa.unregistered_samples(), cpa_ref.unregistered_samples);
         assert!(cpa.cpa.unregistered_samples() > 0, "PCPU/PMVC/PSTR samples are unregistered");
     }
     cleanup(&a);

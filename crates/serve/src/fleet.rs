@@ -219,8 +219,8 @@ pub struct MemberFinal {
     /// `StreamingTvla::encode_state` / `StreamingCpa::encode_state`
     /// payload for the member's single shard.
     pub analysis: Vec<u8>,
-    /// `ThrottleMonitor::encode_state` payload (totals only — worker
-    /// merge folds retain no cadence checkpoints).
+    /// `ThrottleMonitor::encode_state` payload (poll clock first; the
+    /// merge folds totals only and retains no cadence checkpoints).
     pub monitor: Vec<u8>,
     /// The member's bus counters.
     pub bus: ChannelStats,

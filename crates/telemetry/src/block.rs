@@ -1,27 +1,18 @@
-//! Columnar event blocks: the bus's batched unit of traffic.
+//! Columnar event blocks: the bus's one unit of traffic.
 //!
-//! The scalar event stream costs one synchronized ring push/pop and one
-//! `Processor` dispatch per event — and every observation fans out into
-//! ~(2 + C) events (a window marker, one sample per channel, a sched
-//! record). An [`EventBlock`] carries N whole observations as a
-//! struct-of-arrays instead: one window-record column, one sample column
-//! **per channel** (`Option<f64>` — `None` is a denied read, i.e. the
-//! scalar stream's missing sample event), and one sched column. One
-//! block is one channel synchronization and one dispatch, and columnar
-//! consumers ([`Processor::on_block`](crate::processor::Processor::on_block))
-//! update their accumulators with per-column tight loops instead of
-//! per-event pattern matches.
-//!
-//! Blocks are **loss-free re-encodings** of the scalar stream:
-//! [`EventBlock::for_each_event`] re-emits the exact event sequence a
-//! scalar producer would have sent (window, samples in column order,
-//! sched — denied reads emit nothing), which is both the compatibility
-//! fallback for event-driven processors and the anchor of the
-//! bit-identity equivalence suite. Buffers are reused across
-//! [`EventBlock::clear`]/[`EventBlock::reset`] calls, so the steady
-//! state of a producer loop is allocation-free.
+//! An [`EventBlock`] carries N whole observations as a struct-of-arrays:
+//! one window-record column, one sample column **per channel**
+//! (`Option<f64>` — `None` is a denied read), and one sched column. One
+//! block is one channel synchronization and one
+//! [`Processor::on_block`](crate::processor::Processor::on_block)
+//! dispatch, and processors update their accumulators with per-column
+//! tight loops. Rows are whole observations in producer order, so a
+//! processor sees each channel's samples in the order they were read,
+//! however the stream is cut into blocks. Buffers are reused across
+//! [`EventBlock::clear`]/[`EventBlock::reset`] calls, so the steady state
+//! of a producer loop is allocation-free.
 
-use crate::event::{ChannelId, Event, SampleEvent, SchedEvent, WindowEvent};
+use crate::event::{ChannelId, SchedEvent, WindowEvent};
 
 /// A columnar batch of whole observations (see the module docs).
 #[derive(Debug, Clone, Default)]
@@ -136,28 +127,6 @@ impl EventBlock {
     pub fn column(&self, col: usize) -> &[Option<f64>] {
         &self.columns[col]
     }
-
-    /// Re-emit the block as the exact scalar event sequence a per-event
-    /// producer would have sent: per row, the window marker, one sample
-    /// per readable channel in column order, then the sched record. This
-    /// is the compatibility fallback of
-    /// [`Processor::on_block`](crate::processor::Processor::on_block)
-    /// and the anchor of the block/event bit-identity tests.
-    pub fn for_each_event(&self, sink: &mut dyn FnMut(&Event)) {
-        for (row, (window, sched)) in self.windows.iter().zip(&self.scheds).enumerate() {
-            sink(&Event::Window(*window));
-            for (channel, col) in self.channels.iter().zip(&self.columns) {
-                if let Some(value) = col[row] {
-                    sink(&Event::Sample(SampleEvent {
-                        time_s: window.time_s,
-                        channel: *channel,
-                        value,
-                    }));
-                }
-            }
-            sink(&Event::Sched(*sched));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn block_reemits_the_scalar_stream_in_order() {
+    fn rows_keep_denied_reads_as_empty_column_slots() {
         let channels = [ChannelId::Smc(key("PHPC")), ChannelId::Pcpu];
         let mut block = EventBlock::new();
         block.reset(&channels);
@@ -194,20 +163,12 @@ mod tests {
             block.commit(sched(row));
         }
         assert_eq!(block.len(), 3);
-        let mut events = Vec::new();
-        block.for_each_event(&mut |e| events.push(*e));
-        // Rows 0 and 2 fan out into 4 events, row 1 (denied) into 3.
-        assert_eq!(events.len(), 11);
-        assert!(matches!(events[0], Event::Window(w) if w.seq == 0));
-        assert!(
-            matches!(events[1], Event::Sample(s) if s.channel == channels[0] && s.value == 0.5)
-        );
-        assert!(matches!(events[2], Event::Sample(s) if s.channel == ChannelId::Pcpu));
-        assert!(matches!(events[3], Event::Sched(_)));
-        // Denied row: window, PCPU sample, sched only.
-        assert!(matches!(events[4], Event::Window(w) if w.seq == 1));
-        assert!(matches!(events[5], Event::Sample(s) if s.channel == ChannelId::Pcpu));
-        assert!(matches!(events[6], Event::Sched(_)));
+        assert_eq!(block.channels(), &channels);
+        let seqs: Vec<u64> = block.windows().iter().map(|w| w.seq).collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        assert_eq!(block.scheds().len(), 3);
+        assert_eq!(block.column(0), &[Some(0.5), None, Some(2.5)]);
+        assert_eq!(block.column(1), &[Some(0.0), Some(10.0), Some(20.0)]);
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Typed telemetry events.
+//! The record types of one observation row.
 //!
-//! The attacker's measurement loop is event-shaped: every observation
-//! window opens with the submitted plaintext / returned ciphertext
-//! (§3.4's known-plaintext record), then yields one scalar sample per
-//! polled channel, plus scheduler metadata (how many SoC windows the SMC
-//! consumed before publishing — >1 under the interval-stretching
-//! mitigation). Producers push these events into bounded
-//! [`ring`](crate::ring) channels; [`Processor`](crate::processor::Processor)s
-//! consume them.
+//! Every window of the attacker's measurement loop (§3.4) yields the
+//! submitted plaintext / returned ciphertext ([`WindowEvent`]), one
+//! scalar reading per polled channel ([`SampleEvent`]), and scheduler
+//! metadata ([`SchedEvent`]: how many SoC windows the SMC consumed before
+//! publishing — >1 under the interval-stretching mitigation). An
+//! [`EventBlock`](crate::block::EventBlock) stores these as one row per
+//! observation.
 
 use psc_sca::tvla::PlaintextClass;
 use psc_smc::SmcKey;
@@ -76,29 +75,6 @@ pub struct SchedEvent {
     pub denied_reads: u32,
 }
 
-/// The telemetry event union flowing over the bus.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Event {
-    /// Start-of-window marker (precedes its samples on the bus).
-    Window(WindowEvent),
-    /// One channel reading.
-    Sample(SampleEvent),
-    /// Scheduler/cadence metadata (closes the window's event group).
-    Sched(SchedEvent),
-}
-
-impl Event {
-    /// Simulated timestamp of the event, seconds.
-    #[must_use]
-    pub fn time_s(&self) -> f64 {
-        match self {
-            Event::Window(w) => w.time_s,
-            Event::Sample(s) => s.time_s,
-            Event::Sched(s) => s.time_s,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,11 +88,5 @@ mod tests {
         assert_eq!(a.to_string(), "PHPC");
         assert_eq!(ChannelId::Pcpu.to_string(), "PCPU");
         assert_eq!(ChannelId::Timing.to_string(), "TIME");
-    }
-
-    #[test]
-    fn event_time_passthrough() {
-        let e = Event::Sample(SampleEvent { time_s: 2.5, channel: ChannelId::Pcpu, value: 1.0 });
-        assert!((e.time_s() - 2.5).abs() < 1e-12);
     }
 }

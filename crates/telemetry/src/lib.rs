@@ -6,28 +6,26 @@
 //! This crate turns trace collection from "fill `Vec`s, analyze later"
 //! into a publish/subscribe pipeline:
 //!
-//! * [`event`] — the typed events: [`WindowEvent`]
-//!   (plaintext/ciphertext window markers), [`SampleEvent`]
-//!   (one scalar per channel per window), [`SchedEvent`]
-//!   (cadence metadata: windows consumed, denied reads);
+//! * [`event`] — the record types of one observation row: [`WindowEvent`]
+//!   (plaintext/ciphertext and TVLA labels), [`SampleEvent`] (one scalar
+//!   per channel per window), [`SchedEvent`] (cadence metadata: windows
+//!   consumed, denied reads);
 //! * [`block`] — columnar [`EventBlock`]s: whole observations as
 //!   struct-of-arrays (window records, one `Option<f64>` sample column
-//!   per channel, sched records), the bus's batched unit of traffic —
-//!   one ring synchronization and one dispatch per *block* instead of
-//!   per event;
+//!   per channel, sched records), the bus's one unit of traffic — one
+//!   ring synchronization and one dispatch per *block*;
 //! * [`ring`] — bounded ring buffers and the blocking MPSC channel built
 //!   on them, with explicit [`OverflowPolicy`] and
 //!   exact drop accounting;
-//! * [`processor`] — the [`Processor`] trait and
-//!   [`dispatch_with_poll`], which fires a polling processor's ticks on a
-//!   fixed simulated-time grid;
+//! * [`processor`] — the [`Processor`] trait: `name`, `on_block` and
+//!   `on_finish`;
 //! * [`processors`] — streaming consumers with **O(1) memory in trace
 //!   count**: online TVLA (Welford accumulators →
 //!   the same 3×3 `TvlaMatrix` as the batch path), incremental CPA
 //!   (running per-guess/byte sums), a shard-persisting trace recorder
 //!   over `psc_sca::codec`, and a throttling/cadence monitor;
-//! * [`replay`] — synthetic event sources: recorded `.psct` campaigns
-//!   pumped back through the same processors as offline replays;
+//! * [`replay`] — replay sources: recorded `.psct` campaigns merged back
+//!   into block rows for the same processors;
 //! * [`campaign`] — work splitting and the scoped thread fan-out that
 //!   `psc_core`'s session driver uses to shard collection across workers
 //!   and sum-merge the accumulator shards;
@@ -35,22 +33,22 @@
 //! * [`json`] — the one JSON writer every emitted artifact goes
 //!   through, and the validator that checks it.
 //!
-//! ## The block fast path
+//! ## One ingest path
 //!
-//! Producers should batch observations into [`EventBlock`]s and send
-//! those over the bus; per-event channels remain for fine-grained or
-//! irregular streams. Every [`Processor`] works on a block bus out of
-//! the box — the default [`Processor::on_block`] replays the block as
-//! its exact scalar event sequence through `on_event` — and a processor
-//! should *override* `on_block` when it is hot enough for per-event
-//! dispatch to matter: resolve per-channel state once per column, then
-//! update accumulators in a tight loop over the column slice (see
-//! [`StreamingTvla`], [`StreamingCpa`] and [`ShardRecorder`] for the
-//! pattern). Overrides must stay **bit-identical** to the per-event
-//! fallback — same accumulator streams, same drop/orphan counters — a
-//! contract pinned by the workspace `tests/block_equivalence.rs` suite.
-//! Fixed-interval (polling) processors are always driven per event by
-//! [`dispatch_with_poll`] so their poll grid never shifts.
+//! Every producer — the live rig, recorded-shard replay, the benchmark —
+//! batches observations into [`EventBlock`] rows and sends those over
+//! the bus, and [`Processor::on_block`] is the only way data enters a
+//! processor. A processor resolves its per-channel state once per
+//! column, then updates its accumulators in a tight loop over the column
+//! slice (see [`StreamingTvla`], [`StreamingCpa`] and [`ShardRecorder`]
+//! for the pattern). Its state must not depend on how the stream is cut
+//! into blocks: the workspace `tests/block_equivalence.rs` suite checks
+//! the processors against a per-row scalar oracle built on the
+//! `psc_sca` primitives, and this crate's `golden_processors` test pins
+//! every processor's checkpoint bytes. The cadence monitor
+//! ([`ThrottleMonitor`]) keeps its own poll clock, advanced by the rows'
+//! simulated timestamps and checkpointed with its state, so its grid
+//! never shifts with block size or across a resume.
 //!
 //! ## Observability
 //!
@@ -136,13 +134,13 @@ pub mod spans;
 
 pub use block::EventBlock;
 pub use campaign::{panic_message, run_sharded, run_sharded_caught, split_counts};
-pub use event::{ChannelId, Event, SampleEvent, SchedEvent, WindowEvent};
+pub use event::{ChannelId, SampleEvent, SchedEvent, WindowEvent};
 pub use faults::{FaultPlan, FaultState, RetryPolicy};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsReport, MetricsSnapshot};
-pub use processor::{dispatch_with_poll, Processor};
+pub use processor::Processor;
 pub use processors::{
     CpaGrid, SecondOrderTvla, ShardRecorder, StreamingCpa, StreamingTvla, ThrottleMonitor,
 };
-pub use replay::{channel_for_label, replay_recording};
+pub use replay::channel_for_label;
 pub use ring::{channel, ChannelStats, OverflowPolicy, Receiver, RingBuffer, Sender};
 pub use spans::{SpanRecord, SpanTracer};

@@ -1,13 +1,12 @@
 //! Incremental CPA processor: running per-guess/byte sums, O(1) memory.
 
 use crate::block::EventBlock;
-use crate::event::{ChannelId, Event};
+use crate::event::ChannelId;
 use crate::processor::Processor;
 use crate::replay::channel_for_label;
 use psc_sca::checkpoint::{self, CheckpointError, PayloadReader, PayloadWriter};
 use psc_sca::cpa::{Cpa, CpaMergeError, HypTable};
 use psc_sca::model::PowerModel;
-use psc_sca::trace::Trace;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -19,9 +18,9 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct StreamingCpa {
     cpas: BTreeMap<ChannelId, Cpa>,
+    /// The last row's known-plaintext record (a checkpoint slot).
     current: Option<([u8; 16], [u8; 16])>,
     unregistered_samples: u64,
-    orphan_samples: u64,
     /// Reused per-block staging columns for [`Cpa::add_block`] (denied
     /// rows filtered out), so the block fast path is allocation-free in
     /// steady state.
@@ -64,7 +63,6 @@ impl StreamingCpa {
                 .collect(),
             current: None,
             unregistered_samples: 0,
-            orphan_samples: 0,
             scratch_pts: Vec::new(),
             scratch_cts: Vec::new(),
             scratch_vals: Vec::new(),
@@ -108,15 +106,11 @@ impl StreamingCpa {
         self.unregistered_samples
     }
 
-    /// Samples that arrived before any window marker.
-    #[must_use]
-    pub fn orphan_samples(&self) -> u64 {
-        self.orphan_samples
-    }
-
-    /// Serialize the full processor state — per-channel CPA bins, drop
-    /// counters and the in-flight window record — into a campaign
-    /// checkpoint payload (~64 KB per channel).
+    /// Serialize the full processor state — per-channel CPA bins, the
+    /// unregistered-sample counter and the last window record — into a
+    /// campaign checkpoint payload (~64 KB per channel). A zero fills the
+    /// slot of a retired counter (samples outside any window, which a
+    /// block row cannot carry), keeping the frame layout.
     pub fn encode_state(&self, w: &mut PayloadWriter) {
         w.put_u32(self.cpas.len() as u32);
         for (channel, cpa) in &self.cpas {
@@ -132,7 +126,7 @@ impl StreamingCpa {
             }
         }
         w.put_u64(self.unregistered_samples);
-        w.put_u64(self.orphan_samples);
+        w.put_u64(0);
     }
 
     /// Restore state written by [`Self::encode_state`] into a processor
@@ -164,7 +158,7 @@ impl StreamingCpa {
             _ => return Err(CheckpointError::Corrupt("bad window-record flag")),
         };
         self.unregistered_samples = r.get_u64()?;
-        self.orphan_samples = r.get_u64()?;
+        r.get_u64()?; // the retired counter's slot
         Ok(())
     }
 
@@ -189,7 +183,6 @@ impl StreamingCpa {
             self.cpas.get_mut(channel).expect("checked above").merge(theirs)?;
         }
         self.unregistered_samples += other.unregistered_samples;
-        self.orphan_samples += other.orphan_samples;
         Ok(self)
     }
 }
@@ -199,28 +192,10 @@ impl Processor for StreamingCpa {
         "cpa"
     }
 
-    fn on_event(&mut self, event: &Event) {
-        match event {
-            Event::Window(w) => self.current = Some((w.plaintext, w.ciphertext)),
-            Event::Sample(s) => {
-                let Some((plaintext, ciphertext)) = self.current else {
-                    self.orphan_samples += 1;
-                    return;
-                };
-                if let Some(cpa) = self.cpas.get_mut(&s.channel) {
-                    cpa.add_trace(&Trace { value: s.value, plaintext, ciphertext });
-                } else {
-                    self.unregistered_samples += 1;
-                }
-            }
-            Event::Sched(_) => {}
-        }
-    }
-
-    /// Columnar fast path: each registered channel's column is staged
-    /// (denied rows dropped) and binned in one [`Cpa::add_block`] call —
-    /// one map lookup and one columnar bin sweep per channel per block,
-    /// bit-identical to per-event [`Cpa::add_trace`] dispatch.
+    /// Each registered channel's column is staged (denied rows dropped)
+    /// and binned in one [`Cpa::add_block`] call — one map lookup and one
+    /// columnar bin sweep per channel per block, bit-identical to one
+    /// [`Cpa::add_trace`] per present sample in row order.
     fn on_block(&mut self, block: &EventBlock) {
         let windows = block.windows();
         if windows.is_empty() {
@@ -277,6 +252,7 @@ pub struct CpaGrid {
     row: usize,
     /// `(trace count, one accumulator per model)`, ascending.
     points: Vec<(usize, Vec<Cpa>)>,
+    /// The last row's known-plaintext record (a checkpoint slot).
     current: Option<([u8; 16], [u8; 16])>,
     scratch_pts: Vec<[u8; 16]>,
     scratch_cts: Vec<[u8; 16]>,
@@ -446,26 +422,9 @@ impl Processor for CpaGrid {
         "cpa-grid"
     }
 
-    fn on_event(&mut self, event: &Event) {
-        match event {
-            Event::Window(w) => {
-                self.snapshot_if_due();
-                self.row += 1;
-                self.current = Some((w.plaintext, w.ciphertext));
-            }
-            Event::Sample(s) if s.channel == self.channel => {
-                if let Some((plaintext, ciphertext)) = self.current {
-                    let trace = Trace { value: s.value, plaintext, ciphertext };
-                    self.cpas.iter_mut().for_each(|cpa| cpa.add_trace(&trace));
-                }
-            }
-            Event::Sample(_) | Event::Sched(_) => {}
-        }
-    }
-
-    /// Columnar path: the block is cut at the rows where grid points fall,
-    /// and each run of rows is binned with one [`Cpa::add_block`] per
-    /// model — bit-identical to the per-event stream.
+    /// The block is cut at the rows where grid points fall, and each run
+    /// of rows is binned with one [`Cpa::add_block`] per model, so every
+    /// snapshot holds exactly the rows before its grid point.
     fn on_block(&mut self, block: &EventBlock) {
         let windows = block.windows();
         let column =
@@ -507,11 +466,11 @@ impl Processor for CpaGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{SampleEvent, WindowEvent};
+    use crate::event::{SchedEvent, WindowEvent};
     use psc_aes::Aes;
     use psc_sca::checkpoint::{PayloadReader, PayloadWriter};
     use psc_sca::model::Rd0Hw;
-    use psc_sca::trace::TraceSet;
+    use psc_sca::trace::{Trace, TraceSet};
 
     fn synthetic(key: &[u8; 16], n: usize, salt: u64) -> TraceSet {
         let aes = Aes::new(key).unwrap();
@@ -536,22 +495,9 @@ mod tests {
         set
     }
 
+    /// `set` as 7-row blocks on the `Pcpu` channel.
     fn feed(p: &mut StreamingCpa, set: &TraceSet) {
-        for (i, t) in set.iter().enumerate() {
-            p.on_event(&Event::Window(WindowEvent {
-                seq: i as u64,
-                time_s: i as f64,
-                pass: 0,
-                class: None,
-                plaintext: t.plaintext,
-                ciphertext: t.ciphertext,
-            }));
-            p.on_event(&Event::Sample(SampleEvent {
-                time_s: i as f64,
-                channel: ChannelId::Pcpu,
-                value: t.value,
-            }));
-        }
+        set.traces().chunks(7).for_each(|c| p.on_block(&block_of(c)));
     }
 
     #[test]
@@ -644,7 +590,7 @@ mod tests {
                 ciphertext: t.ciphertext,
             });
             block.sample(0, t.value);
-            block.commit(crate::event::SchedEvent {
+            block.commit(SchedEvent {
                 time_s: i as f64,
                 windows_consumed: 1,
                 window_s: 1.0,
@@ -665,6 +611,8 @@ mod tests {
 
     #[test]
     fn grid_block_event_and_resume_paths_agree() {
+        // Three ingest shapes: one block, one block per row, and a
+        // checkpoint/restore split into three-row blocks.
         let key = [0x5Au8; 16];
         let set = synthetic(&key, 40, 3);
         let models: [ModelFactory; 2] = [|| Box::new(Rd0Hw), || Box::new(psc_sca::model::Rd10Hd)];
@@ -677,9 +625,9 @@ mod tests {
         blocked.on_block(&whole);
         blocked.on_finish();
 
-        let mut events = fresh();
-        whole.for_each_event(&mut |e| events.on_event(e));
-        events.on_finish();
+        let mut rows = fresh();
+        set.traces().chunks(1).for_each(|c| rows.on_block(&block_of(c)));
+        rows.on_finish();
 
         // Checkpoint after 16 rows (a grid point still due), restore into a
         // fresh processor and finish there, three rows per block.
@@ -697,7 +645,7 @@ mod tests {
 
         let want = grid_states(&blocked);
         assert_eq!(want.len(), 5, "points 7, 16, 17, 40 plus the full state");
-        assert_eq!(grid_states(&events), want);
+        assert_eq!(grid_states(&rows), want);
         assert_eq!(grid_states(&resumed), want);
         // The point at 16 holds exactly the first 16 traces.
         let mut prefix = Cpa::new(Box::new(Rd0Hw));
@@ -708,27 +656,32 @@ mod tests {
     #[test]
     fn drop_accounting() {
         let mut p = StreamingCpa::new([ChannelId::Pcpu], || Box::new(Rd0Hw));
-        // Sample before any window: orphan.
-        p.on_event(&Event::Sample(SampleEvent {
-            time_s: 0.0,
-            channel: ChannelId::Pcpu,
-            value: 1.0,
-        }));
-        assert_eq!(p.orphan_samples(), 1);
-        // Sample on an unregistered channel: counted, not panicking.
-        p.on_event(&Event::Window(WindowEvent {
-            seq: 0,
-            time_s: 0.0,
-            pass: 0,
-            class: None,
-            plaintext: [0; 16],
-            ciphertext: [0; 16],
-        }));
-        p.on_event(&Event::Sample(SampleEvent {
-            time_s: 0.0,
-            channel: ChannelId::Timing,
-            value: 1.0,
-        }));
-        assert_eq!(p.unregistered_samples(), 1);
+        // Samples on an unregistered channel: counted, not panicking;
+        // denied reads count nowhere.
+        let mut block = EventBlock::new();
+        block.reset(&[ChannelId::Timing, ChannelId::Pcpu]);
+        for (i, timing) in [Some(1.0), None, Some(3.0)].into_iter().enumerate() {
+            block.begin(WindowEvent {
+                seq: i as u64,
+                time_s: 0.0,
+                pass: 0,
+                class: None,
+                plaintext: [i as u8; 16],
+                ciphertext: [0; 16],
+            });
+            if let Some(v) = timing {
+                block.sample(0, v);
+            }
+            block.sample(1, 1.0);
+            block.commit(SchedEvent {
+                time_s: 0.0,
+                windows_consumed: 1,
+                window_s: 1.0,
+                denied_reads: 0,
+            });
+        }
+        p.on_block(&block);
+        assert_eq!(p.unregistered_samples(), 2);
+        assert_eq!(p.cpa(ChannelId::Pcpu).unwrap().trace_count(), 3);
     }
 }

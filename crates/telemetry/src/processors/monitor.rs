@@ -1,6 +1,6 @@
 //! Fixed-interval throttling/cadence monitor.
 
-use crate::event::Event;
+use crate::block::EventBlock;
 use crate::processor::Processor;
 use psc_sca::checkpoint::{CheckpointError, PayloadReader, PayloadWriter};
 use std::collections::VecDeque;
@@ -20,13 +20,22 @@ pub struct CadenceCheckpoint {
     pub stretch: f64,
 }
 
-/// Polling-mode processor that watches collection cadence: how many SoC
+/// Polling processor that watches collection cadence: how many SoC
 /// windows each observation really costs (mitigation stretch), and how
 /// many SMC reads were denied. Keeps only a bounded window of
 /// checkpoints — it is a monitor, not a log.
+///
+/// The monitor owns its poll clock. It arms one interval after the first
+/// row's window time, then walks every row: ticks due at or before the
+/// row's window time fire, then those due at or before its cadence
+/// record's time, then the record is counted. The clock is part of the
+/// checkpointed state, so the grid depends neither on how the stream is
+/// cut into blocks nor on where a campaign was interrupted.
 #[derive(Debug, Clone)]
 pub struct ThrottleMonitor {
     interval_s: f64,
+    /// Simulated time of the next poll tick; `None` until the first row.
+    next_poll_s: Option<f64>,
     max_checkpoints: usize,
     checkpoints: VecDeque<CadenceCheckpoint>,
     observations: u64,
@@ -50,6 +59,7 @@ impl ThrottleMonitor {
         assert!(max_checkpoints > 0, "need at least one checkpoint slot");
         Self {
             interval_s,
+            next_poll_s: None,
             max_checkpoints,
             checkpoints: VecDeque::with_capacity(max_checkpoints),
             observations: 0,
@@ -62,8 +72,7 @@ impl ThrottleMonitor {
     }
 
     /// The poll interval, simulated seconds (the grid
-    /// [`dispatch_with_poll`](crate::processor::dispatch_with_poll) fires
-    /// this monitor's ticks on).
+    /// [`Processor::on_block`] fires this monitor's ticks on).
     #[must_use]
     pub fn interval_s(&self) -> f64 {
         self.interval_s
@@ -106,11 +115,18 @@ impl ThrottleMonitor {
         self
     }
 
-    /// Serialize the accumulated cadence state (retained checkpoints,
-    /// totals, and the in-progress tick) into a campaign checkpoint
-    /// payload. Configuration (interval, retention) is not serialized —
-    /// the resuming campaign rebuilds it from its own spec.
+    /// Serialize the accumulated cadence state (poll clock, retained
+    /// checkpoints, totals, and the in-progress tick) into a campaign
+    /// checkpoint payload. Configuration (interval, retention) is not
+    /// serialized — the resuming campaign rebuilds it from its own spec.
     pub fn encode_state(&self, w: &mut PayloadWriter) {
+        match self.next_poll_s {
+            Some(t) => {
+                w.put_u8(1);
+                w.put_f64(t);
+            }
+            None => w.put_u8(0),
+        }
         w.put_u32(self.checkpoints.len() as u32);
         for c in &self.checkpoints {
             w.put_f64(c.time_s);
@@ -134,6 +150,10 @@ impl ThrottleMonitor {
     /// Truncated payloads and snapshots holding more checkpoints than
     /// this monitor retains come back as [`CheckpointError`].
     pub fn restore_state(&mut self, r: &mut PayloadReader<'_>) -> Result<(), CheckpointError> {
+        self.next_poll_s = match r.get_u8()? {
+            0 => None,
+            _ => Some(r.get_f64()?),
+        };
         let n = r.get_u32()? as usize;
         if n > self.max_checkpoints {
             return Err(CheckpointError::Corrupt("snapshot exceeds checkpoint retention"));
@@ -158,6 +178,17 @@ impl ThrottleMonitor {
         self.tick_windows = r.get_u64()?;
         self.last_time_s = r.get_f64()?;
         Ok(())
+    }
+
+    /// Fire every tick due at or before `now_s`, arming the clock one
+    /// interval after `now_s` if no row has been seen yet.
+    fn poll_until(&mut self, now_s: f64) {
+        let mut next = *self.next_poll_s.get_or_insert(now_s + self.interval_s);
+        while next <= now_s {
+            self.push_checkpoint(next);
+            next += self.interval_s;
+        }
+        self.next_poll_s = Some(next);
     }
 
     fn push_checkpoint(&mut self, time_s: f64) {
@@ -185,8 +216,10 @@ impl Processor for ThrottleMonitor {
         "throttle-monitor"
     }
 
-    fn on_event(&mut self, event: &Event) {
-        if let Event::Sched(s) = event {
+    fn on_block(&mut self, block: &EventBlock) {
+        for (window, s) in block.windows().iter().zip(block.scheds()) {
+            self.poll_until(window.time_s);
+            self.poll_until(s.time_s);
             self.observations += 1;
             self.windows += u64::from(s.windows_consumed);
             self.denied_reads += u64::from(s.denied_reads);
@@ -194,10 +227,6 @@ impl Processor for ThrottleMonitor {
             self.tick_windows += u64::from(s.windows_consumed);
             self.last_time_s = s.time_s;
         }
-    }
-
-    fn on_poll(&mut self, time_s: f64) {
-        self.push_checkpoint(time_s);
     }
 
     fn on_finish(&mut self) {
@@ -213,15 +242,13 @@ impl Processor for ThrottleMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::EventBlock;
-    use crate::event::{SchedEvent, WindowEvent};
-    use crate::processor::dispatch_with_poll;
+    use crate::event::{ChannelId, SchedEvent, WindowEvent};
 
-    /// Observations at `f(i)` seconds for `i in 0..n`, each consuming
-    /// `windows` SoC windows, fed through the runner's poll dispatcher.
-    fn feed(m: &mut ThrottleMonitor, n: u32, f: impl Fn(u32) -> f64, windows: u32) {
+    /// One block of observations at `f(i)` seconds for `i in 0..n`, each
+    /// consuming `windows` SoC windows.
+    fn rows(n: u32, f: impl Fn(u32) -> f64, windows: u32) -> EventBlock {
         let mut block = EventBlock::new();
-        block.reset(&[]);
+        block.reset(&[ChannelId::Pcpu]);
         for i in 0..n {
             let time_s = f(i);
             block.begin(WindowEvent {
@@ -232,6 +259,7 @@ mod tests {
                 plaintext: [0; 16],
                 ciphertext: [0; 16],
             });
+            block.sample(0, 1.0);
             block.commit(SchedEvent {
                 time_s,
                 windows_consumed: windows,
@@ -239,9 +267,67 @@ mod tests {
                 denied_reads: 0,
             });
         }
-        let mut next_poll_s = None;
-        let interval_s = m.interval_s();
-        dispatch_with_poll(m, &mut next_poll_s, interval_s, &block);
+        block
+    }
+
+    fn feed(m: &mut ThrottleMonitor, n: u32, f: impl Fn(u32) -> f64, windows: u32) {
+        m.on_block(&rows(n, f, windows));
+    }
+
+    fn tick_times(m: &ThrottleMonitor) -> Vec<f64> {
+        m.checkpoints().map(|c| c.time_s).collect()
+    }
+
+    #[test]
+    fn polling_fires_on_simulated_grid() {
+        let mut m = ThrottleMonitor::new(1.0, 64);
+        // Rows at t = 0.5, 1.0, ..., 4.0. The first row arms the clock at
+        // 1.5; ticks then fire at 1.5, 2.5, 3.5 as later rows pass them.
+        feed(&mut m, 8, |i| f64::from(i + 1) * 0.5, 1);
+        assert_eq!(tick_times(&m), [1.5, 2.5, 3.5]);
+        assert_eq!(m.next_poll_s, Some(4.5));
+        let per_tick: Vec<u64> = m.checkpoints().map(|c| c.observations).collect();
+        assert_eq!(per_tick, [2, 2, 2], "a row on a tick counts after the tick");
+    }
+
+    #[test]
+    fn block_cuts_do_not_shift_the_poll_grid() {
+        // The same stream in one block or in single-row blocks fires the
+        // same ticks: the grid never depends on chunking.
+        let whole = rows(8, |i| f64::from(i + 1) * 0.5, 1);
+        let mut one = ThrottleMonitor::new(1.0, 64);
+        one.on_block(&whole);
+        let mut single = ThrottleMonitor::new(1.0, 64);
+        let mut row = EventBlock::new();
+        row.reset(whole.channels());
+        for (w, s) in whole.windows().iter().zip(whole.scheds()) {
+            row.clear();
+            row.begin(*w);
+            row.sample(0, 1.0);
+            row.commit(*s);
+            single.on_block(&row);
+        }
+        assert_eq!(one.observations(), single.observations());
+        assert_eq!(tick_times(&one), tick_times(&single));
+        assert_eq!(one.next_poll_s, single.next_poll_s);
+    }
+
+    #[test]
+    fn late_cadence_record_fires_ticks_before_it_counts() {
+        let on_time = rows(2, |i| f64::from(i) * 0.25, 1);
+        // Row 1's window closes at 0.25 but its cadence record lands at
+        // 2.75: the ticks at 1.0 and 2.0 fire first, then it counts.
+        let mut late = EventBlock::new();
+        late.reset(on_time.channels());
+        late.begin(on_time.windows()[0]);
+        late.commit(on_time.scheds()[0]);
+        late.begin(on_time.windows()[1]);
+        late.commit(SchedEvent { time_s: 2.75, ..on_time.scheds()[1] });
+        let mut m = ThrottleMonitor::new(1.0, 8);
+        m.on_block(&late);
+        let ticks: Vec<(f64, u64)> = m.checkpoints().map(|c| (c.time_s, c.observations)).collect();
+        assert_eq!(ticks, [(1.0, 1), (2.0, 0)]);
+        assert_eq!(m.observations(), 2);
     }
 
     #[test]
@@ -269,7 +355,7 @@ mod tests {
         assert_eq!(checkpoints.len(), 1);
         assert_eq!(checkpoints[0].observations, 5);
         assert!((checkpoints[0].stretch - 3.0).abs() < 1e-12);
-        assert!((checkpoints[0].time_s - 12.0).abs() < 1e-12, "stamped at the last event");
+        assert!((checkpoints[0].time_s - 12.0).abs() < 1e-12, "stamped at the last row");
     }
 
     #[test]
@@ -287,15 +373,19 @@ mod tests {
         assert_eq!(restored.observations(), m.observations());
         assert_eq!(restored.denied_reads(), m.denied_reads());
         assert_eq!(restored.overall_stretch().to_bits(), m.overall_stretch().to_bits());
+        assert_eq!(restored.next_poll_s, m.next_poll_s, "the poll clock is checkpointed");
         let a: Vec<_> = m.checkpoints().copied().collect();
         let b: Vec<_> = restored.checkpoints().copied().collect();
         assert_eq!(a, b);
-        // The pending tick continues identically on both.
+        // Both continue on the same grid, and the pending tick flushes
+        // identically.
+        feed(&mut restored, 9, |i| 111.0 + f64::from(i) * 3.0, 2);
+        feed(&mut m, 9, |i| 111.0 + f64::from(i) * 3.0, 2);
         Processor::on_finish(&mut restored);
         Processor::on_finish(&mut m);
         let a: Vec<_> = m.checkpoints().copied().collect();
         let b: Vec<_> = restored.checkpoints().copied().collect();
-        assert_eq!(a, b, "partial tick flushed identically after restore");
+        assert_eq!(a, b, "grid and partial tick continue identically after restore");
     }
 
     #[test]

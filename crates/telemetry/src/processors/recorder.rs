@@ -1,24 +1,13 @@
 //! Shard-persisting trace recorder.
 
 use crate::block::EventBlock;
-use crate::event::{ChannelId, Event};
+use crate::event::ChannelId;
 use crate::faults::{FaultState, RetryPolicy};
 use crate::processor::Processor;
 use psc_sca::codec::{self, LabeledTrace};
-use psc_sca::trace::{Trace, TraceSet};
-use psc_sca::tvla::PlaintextClass;
+use psc_sca::trace::Trace;
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// The window context a sample inherits: TVLA labels plus the
-/// known-plaintext record.
-#[derive(Debug, Clone, Copy)]
-struct WindowLabels {
-    pass: u8,
-    class: Option<PlaintextClass>,
-    plaintext: [u8; 16],
-    ciphertext: [u8; 16],
-}
 
 /// A [`ShardRecorder`]'s durable counters, as captured into (and
 /// restored from) a campaign checkpoint.
@@ -52,7 +41,6 @@ pub struct ShardRecorder {
     shard: usize,
     capacity: usize,
     buffer: Vec<LabeledTrace>,
-    current: Option<WindowLabels>,
     files: Vec<PathBuf>,
     traces_recorded: u64,
     io_errors: u64,
@@ -86,7 +74,6 @@ impl ShardRecorder {
             shard,
             capacity: shard_capacity,
             buffer: Vec::with_capacity(shard_capacity),
-            current: None,
             files: Vec::new(),
             traces_recorded: 0,
             io_errors: 0,
@@ -236,25 +223,6 @@ impl ShardRecorder {
         self.io_errors = state.io_errors;
         self.io_retries = state.io_retries;
     }
-
-    /// Read every written shard back, concatenated in write order (test
-    /// and offline-analysis convenience).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first codec/IO failure.
-    pub fn read_back(files: &[PathBuf]) -> Result<TraceSet, codec::CodecError> {
-        let mut merged = TraceSet::default();
-        for path in files {
-            let set = codec::read_trace_set(std::fs::File::open(path)?)?;
-            if merged.is_empty() {
-                merged = set;
-            } else {
-                merged.extend(set.iter().copied());
-            }
-        }
-        Ok(merged)
-    }
 }
 
 impl Processor for ShardRecorder {
@@ -262,46 +230,12 @@ impl Processor for ShardRecorder {
         "recorder"
     }
 
-    fn on_event(&mut self, event: &Event) {
-        match event {
-            Event::Window(w) => {
-                self.current = Some(WindowLabels {
-                    pass: w.pass,
-                    class: w.class,
-                    plaintext: w.plaintext,
-                    ciphertext: w.ciphertext,
-                });
-            }
-            Event::Sample(s) if s.channel == self.channel => {
-                if let Some(w) = self.current {
-                    self.buffer.push(LabeledTrace {
-                        trace: Trace {
-                            value: s.value,
-                            plaintext: w.plaintext,
-                            ciphertext: w.ciphertext,
-                        },
-                        pass: w.pass,
-                        class: w.class,
-                    });
-                    self.traces_recorded += 1;
-                    if self.buffer.len() >= self.capacity {
-                        self.flush();
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Columnar fast path: only this recorder's channel column is
-    /// walked — other channels' samples are never even inspected. Shard
-    /// files come out byte-identical to the per-event path (same traces,
-    /// same flush boundaries).
+    /// Only this recorder's channel column is walked — other channels'
+    /// samples are never even inspected. Each present sample is buffered
+    /// with its row's labels, and a full buffer flushes mid-block, so
+    /// shard files do not depend on how the stream is cut into blocks.
     fn on_block(&mut self, block: &EventBlock) {
         let windows = block.windows();
-        if windows.is_empty() {
-            return;
-        }
         if let Some(col) = block.channels().iter().position(|&c| c == self.channel) {
             for (w, v) in windows.iter().zip(block.column(col)) {
                 if let Some(value) = *v {
@@ -317,12 +251,6 @@ impl Processor for ShardRecorder {
                 }
             }
         }
-        self.current = windows.last().map(|w| WindowLabels {
-            pass: w.pass,
-            class: w.class,
-            plaintext: w.plaintext,
-            ciphertext: w.ciphertext,
-        });
     }
 
     fn on_finish(&mut self) {
@@ -333,7 +261,44 @@ impl Processor for ShardRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{SampleEvent, WindowEvent};
+    use crate::event::{SchedEvent, WindowEvent};
+    use psc_sca::trace::TraceSet;
+    use psc_sca::tvla::PlaintextClass;
+
+    /// Read every written shard back, concatenated in write order.
+    fn read_back(files: &[PathBuf]) -> Result<TraceSet, codec::CodecError> {
+        let mut merged = TraceSet::default();
+        for path in files {
+            let set = codec::read_trace_set(std::fs::File::open(path)?)?;
+            if merged.is_empty() {
+                merged = set;
+            } else {
+                merged.extend(set.iter().copied());
+            }
+        }
+        Ok(merged)
+    }
+
+    /// One block holding one PCPU row per `(pass, class, plaintext,
+    /// ciphertext, value)`.
+    fn block(
+        rows: impl IntoIterator<Item = (u8, Option<PlaintextClass>, [u8; 16], [u8; 16], f64)>,
+    ) -> EventBlock {
+        let mut block = EventBlock::new();
+        block.reset(&[ChannelId::Pcpu]);
+        for (i, (pass, class, plaintext, ciphertext, value)) in rows.into_iter().enumerate() {
+            let time_s = i as f64;
+            block.begin(WindowEvent { seq: i as u64, time_s, pass, class, plaintext, ciphertext });
+            block.sample(0, value);
+            block.commit(SchedEvent {
+                time_s,
+                windows_consumed: 1,
+                window_s: 1.0,
+                denied_reads: 0,
+            });
+        }
+        block
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("psc_recorder_{tag}_{}", std::process::id()));
@@ -342,23 +307,11 @@ mod tests {
     }
 
     fn feed(rec: &mut ShardRecorder, n: usize) {
-        for i in 0..n {
+        rec.on_block(&block((0..n).map(|i| {
             let pt = core::array::from_fn(|b| (i + b) as u8);
             let ct = core::array::from_fn(|b| (i * 3 + b) as u8);
-            rec.on_event(&Event::Window(WindowEvent {
-                seq: i as u64,
-                time_s: i as f64,
-                pass: 0,
-                class: None,
-                plaintext: pt,
-                ciphertext: ct,
-            }));
-            rec.on_event(&Event::Sample(SampleEvent {
-                time_s: i as f64,
-                channel: ChannelId::Pcpu,
-                value: i as f64 * 0.5,
-            }));
-        }
+            (0, None, pt, ct, i as f64 * 0.5)
+        })));
         rec.on_finish();
     }
 
@@ -371,7 +324,7 @@ mod tests {
         assert_eq!(rec.io_errors(), 0);
         // 100 traces at capacity 40 → shards of 40/40/20.
         assert_eq!(rec.files().len(), 3);
-        let back = ShardRecorder::read_back(rec.files()).unwrap();
+        let back = read_back(rec.files()).unwrap();
         assert_eq!(back.len(), 100);
         assert!((back.traces()[99].value - 49.5).abs() < 1e-12);
         for f in rec.files() {
@@ -431,7 +384,7 @@ mod tests {
         assert_eq!(rec.io_retries(), 2);
         assert_eq!(rec.io_errors(), 0);
         assert_eq!(rec.files().len(), 3);
-        assert_eq!(ShardRecorder::read_back(rec.files()).unwrap().len(), 25);
+        assert_eq!(read_back(rec.files()).unwrap().len(), 25);
         for f in rec.files() {
             std::fs::remove_file(f).ok();
         }
@@ -450,7 +403,7 @@ mod tests {
         assert_eq!(rec.io_errors(), 1, "first batch lost");
         assert_eq!(rec.io_retries(), 3, "two on the lost batch, one recovering the second");
         assert_eq!(rec.files().len(), 2);
-        assert_eq!(ShardRecorder::read_back(rec.files()).unwrap().len(), 15);
+        assert_eq!(read_back(rec.files()).unwrap().len(), 15);
         for f in rec.files() {
             std::fs::remove_file(f).ok();
         }
@@ -470,7 +423,7 @@ mod tests {
         assert_eq!(resumed.traces_recorded(), 20);
         feed(&mut resumed, 10);
         assert_eq!(resumed.files().len(), 3, "numbering continues after restored shards");
-        assert_eq!(ShardRecorder::read_back(resumed.files()).unwrap().len(), 30);
+        assert_eq!(read_back(resumed.files()).unwrap().len(), 30);
         for f in resumed.files() {
             std::fs::remove_file(f).ok();
         }
@@ -479,24 +432,14 @@ mod tests {
 
     #[test]
     fn tvla_labels_survive_the_recording() {
-        use psc_sca::tvla::PlaintextClass;
         let dir = temp_dir("labels");
         let mut rec = ShardRecorder::new(&dir, "PHPC", ChannelId::Pcpu, 2, 8);
-        for (i, class) in PlaintextClass::ALL.iter().enumerate() {
-            rec.on_event(&Event::Window(WindowEvent {
-                seq: i as u64,
-                time_s: i as f64,
-                pass: 1,
-                class: Some(*class),
-                plaintext: [i as u8; 16],
-                ciphertext: [0; 16],
-            }));
-            rec.on_event(&Event::Sample(SampleEvent {
-                time_s: i as f64,
-                channel: ChannelId::Pcpu,
-                value: i as f64,
-            }));
-        }
+        rec.on_block(&block(
+            PlaintextClass::ALL
+                .iter()
+                .enumerate()
+                .map(|(i, class)| (1, Some(*class), [i as u8; 16], [0; 16], i as f64)),
+        ));
         rec.on_finish();
         let recording =
             psc_sca::codec::read_recording(std::fs::File::open(&rec.files()[0]).unwrap()).unwrap();

@@ -1,7 +1,7 @@
 //! Online TVLA processor: O(1) memory per channel.
 
 use crate::block::EventBlock;
-use crate::event::{ChannelId, Event};
+use crate::event::ChannelId;
 use crate::processor::Processor;
 use crate::replay::channel_for_label;
 use psc_sca::checkpoint::{self, CheckpointError, PayloadReader, PayloadWriter};
@@ -31,6 +31,7 @@ struct WatchState {
 #[derive(Debug, Clone, Default)]
 pub struct StreamingTvla {
     accs: BTreeMap<ChannelId, TvlaAccumulator>,
+    /// The last row's `(pass, class)` labels (a checkpoint slot).
     current: Option<(u8, Option<PlaintextClass>)>,
     orphan_samples: u64,
     watched: BTreeMap<ChannelId, WatchState>,
@@ -61,8 +62,8 @@ impl StreamingTvla {
         self.accs.get(&channel).map(|a| a.matrix(label))
     }
 
-    /// Samples that arrived outside any window or in a window without a
-    /// TVLA class (e.g. known-plaintext CPA windows).
+    /// Samples in rows without a TVLA class (e.g. known-plaintext CPA
+    /// windows).
     #[must_use]
     pub fn orphan_samples(&self) -> u64 {
         self.orphan_samples
@@ -167,9 +168,9 @@ impl StreamingTvla {
     /// lands in one TVLA cell. Channels are ingested four at a time
     /// through [`MomentsQuad`] — four independent Welford chains in SIMD
     /// lockstep, denied reads masked per lane — with the 1–3 channel
-    /// remainder taking the scalar slice path. Bit-identical to the
-    /// per-event stream: each accumulator sees its present samples in row
-    /// order, and all-`None` columns create no accumulator entry.
+    /// remainder taking the scalar slice path. Bit-identical to pushing
+    /// each present sample in row order, and all-`None` columns create no
+    /// accumulator entry.
     fn ingest_uniform_block(&mut self, block: &EventBlock, pass: usize, class: PlaintextClass) {
         let active: Vec<(usize, ChannelId)> = block
             .channels()
@@ -227,32 +228,13 @@ impl Processor for StreamingTvla {
         "tvla"
     }
 
-    fn on_event(&mut self, event: &Event) {
-        match event {
-            Event::Window(w) => self.current = Some((w.pass, w.class)),
-            Event::Sample(s) => match self.current {
-                Some((pass, Some(class))) => {
-                    self.accs.entry(s.channel).or_default().push(usize::from(pass), class, s.value);
-                    if let Some(w) = self.watched.get_mut(&s.channel) {
-                        match class {
-                            PlaintextClass::AllZeros => w.tracker.push_a(s.value),
-                            PlaintextClass::AllOnes => w.tracker.push_b(s.value),
-                            PlaintextClass::Random => {}
-                        }
-                    }
-                }
-                _ => self.orphan_samples += 1,
-            },
-            Event::Sched(_) => {}
-        }
-    }
-
-    /// Columnar fast path: one accumulator resolution per channel column
-    /// instead of one map lookup per sample. Chunked TVLA schedules ship
-    /// label-uniform blocks, which take the SIMD lockstep quad path (see
-    /// `StreamingTvla::ingest_uniform_block`); mixed blocks (the
-    /// adaptive trace-major rounds) fall back to per-row label indexing.
-    /// Bit-identical to the per-event stream either way.
+    /// One accumulator resolution per channel column instead of one map
+    /// lookup per sample. Chunked TVLA schedules ship label-uniform
+    /// blocks, which take the SIMD lockstep quad path (see
+    /// `StreamingTvla::ingest_uniform_block`); mixed blocks (the adaptive
+    /// trace-major rounds) index labels per row. Either way each
+    /// accumulator sees its channel's present samples in row order, so
+    /// the state does not depend on how the stream is cut into blocks.
     fn on_block(&mut self, block: &EventBlock) {
         let windows = block.windows();
         if windows.is_empty() {
@@ -304,12 +286,13 @@ impl Processor for StreamingTvla {
 /// the variance extension): a [`StreamingTvla`] for the first-order
 /// cells and one [`SecondOrderAccumulator`] per channel for the
 /// second-order cells. The higher moments live here rather than in
-/// [`StreamingTvla`], whose per-sample path and checkpoint bytes stay as
+/// [`StreamingTvla`], whose ingest path and checkpoint bytes stay as
 /// they are.
 #[derive(Debug, Clone, Default)]
 pub struct SecondOrderTvla {
     first: StreamingTvla,
     second: BTreeMap<ChannelId, SecondOrderAccumulator>,
+    /// The last row's `(pass, class)` labels (a checkpoint slot).
     current: Option<(u8, Option<PlaintextClass>)>,
 }
 
@@ -421,19 +404,6 @@ impl Processor for SecondOrderTvla {
         "tvla-second-order"
     }
 
-    fn on_event(&mut self, event: &Event) {
-        self.first.on_event(event);
-        match event {
-            Event::Window(w) => self.current = Some((w.pass, w.class)),
-            Event::Sample(s) => {
-                if let Some((pass, Some(class))) = self.current {
-                    self.push(s.channel, pass, class, s.value);
-                }
-            }
-            Event::Sched(_) => {}
-        }
-    }
-
     fn on_block(&mut self, block: &EventBlock) {
         self.first.on_block(block);
         let windows = block.windows();
@@ -453,21 +423,34 @@ impl Processor for SecondOrderTvla {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{SampleEvent, WindowEvent};
+    use crate::event::{SchedEvent, WindowEvent};
 
-    fn window(pass: u8, class: PlaintextClass) -> Event {
-        Event::Window(WindowEvent {
-            seq: 0,
-            time_s: 0.0,
-            pass,
-            class: Some(class),
-            plaintext: [0; 16],
-            ciphertext: [0; 16],
-        })
+    /// One label-uniform block of PCPU samples, one row per value.
+    fn block(pass: u8, class: Option<PlaintextClass>, values: &[f64]) -> EventBlock {
+        let mut block = EventBlock::new();
+        block.reset(&[ChannelId::Pcpu]);
+        for &value in values {
+            block.begin(WindowEvent {
+                seq: 0,
+                time_s: 0.0,
+                pass,
+                class,
+                plaintext: [0; 16],
+                ciphertext: [0; 16],
+            });
+            block.sample(0, value);
+            block.commit(SchedEvent {
+                time_s: 0.0,
+                windows_consumed: 1,
+                window_s: 1.0,
+                denied_reads: 0,
+            });
+        }
+        block
     }
 
-    fn sample(value: f64) -> Event {
-        Event::Sample(SampleEvent { time_s: 0.0, channel: ChannelId::Pcpu, value })
+    fn push(p: &mut StreamingTvla, pass: u8, class: PlaintextClass, values: &[f64]) {
+        p.on_block(&block(pass, Some(class), values));
     }
 
     #[test]
@@ -475,10 +458,9 @@ mod tests {
         let mut p = StreamingTvla::new();
         for pass in 0..2u8 {
             for (ci, class) in PlaintextClass::ALL.iter().enumerate() {
-                p.on_event(&window(pass, *class));
-                for i in 0..10 {
-                    p.on_event(&sample(f64::from(i) + f64::from(ci as u32) * 100.0));
-                }
+                let values: Vec<f64> =
+                    (0..10).map(|i| f64::from(i) + f64::from(ci as u32) * 100.0).collect();
+                push(&mut p, pass, *class, &values);
             }
         }
         let acc = p.accumulator(ChannelId::Pcpu).expect("seen");
@@ -493,15 +475,7 @@ mod tests {
     #[test]
     fn classless_windows_count_as_orphans() {
         let mut p = StreamingTvla::new();
-        p.on_event(&Event::Window(WindowEvent {
-            seq: 0,
-            time_s: 0.0,
-            pass: 0,
-            class: None,
-            plaintext: [0; 16],
-            ciphertext: [0; 16],
-        }));
-        p.on_event(&sample(1.0));
+        p.on_block(&block(0, None, &[1.0]));
         assert_eq!(p.orphan_samples(), 1);
         assert!(p.accumulator(ChannelId::Pcpu).is_none());
     }
@@ -512,13 +486,10 @@ mod tests {
         p.watch(ChannelId::Pcpu, 20);
         for i in 0..40 {
             let jitter = f64::from(i % 5) * 0.01;
-            p.on_event(&window(0, PlaintextClass::AllZeros));
-            p.on_event(&sample(1.0 + jitter));
-            p.on_event(&window(0, PlaintextClass::AllOnes));
-            p.on_event(&sample(1.5 + jitter));
+            push(&mut p, 0, PlaintextClass::AllZeros, &[1.0 + jitter]);
+            push(&mut p, 0, PlaintextClass::AllOnes, &[1.5 + jitter]);
             // Random-class samples must not feed the tracker.
-            p.on_event(&window(0, PlaintextClass::Random));
-            p.on_event(&sample(100.0));
+            push(&mut p, 0, PlaintextClass::Random, &[100.0]);
         }
         assert!(p.leakage_detected());
         assert_eq!(p.tracker(ChannelId::Pcpu).unwrap().counts(), (40, 40));
@@ -529,10 +500,8 @@ mod tests {
         let mut p = StreamingTvla::new();
         p.watch(ChannelId::Pcpu, 50);
         for _ in 0..10 {
-            p.on_event(&window(0, PlaintextClass::AllZeros));
-            p.on_event(&sample(1.0));
-            p.on_event(&window(0, PlaintextClass::AllOnes));
-            p.on_event(&sample(9.0));
+            push(&mut p, 0, PlaintextClass::AllZeros, &[1.0]);
+            push(&mut p, 0, PlaintextClass::AllOnes, &[9.0]);
         }
         assert!(
             !p.leakage_detected(),
@@ -545,10 +514,8 @@ mod tests {
         let mut p = StreamingTvla::new();
         p.watch(ChannelId::Pcpu, 10);
         for _ in 0..100 {
-            p.on_event(&window(0, PlaintextClass::AllZeros));
-            p.on_event(&sample(1.0));
-            p.on_event(&window(0, PlaintextClass::AllOnes));
-            p.on_event(&sample(1.0));
+            push(&mut p, 0, PlaintextClass::AllZeros, &[1.0]);
+            push(&mut p, 0, PlaintextClass::AllOnes, &[1.0]);
         }
         assert!(!p.leakage_detected(), "identical class means must not trip the tracker");
     }
@@ -558,10 +525,8 @@ mod tests {
         let feed = |p: &mut StreamingTvla| {
             for i in 0..30 {
                 let jitter = f64::from(i % 3) * 0.01;
-                p.on_event(&window(0, PlaintextClass::AllZeros));
-                p.on_event(&sample(1.0 + jitter));
-                p.on_event(&window(0, PlaintextClass::AllOnes));
-                p.on_event(&sample(1.4 + jitter));
+                push(p, 0, PlaintextClass::AllZeros, &[1.0 + jitter]);
+                push(p, 0, PlaintextClass::AllOnes, &[1.4 + jitter]);
             }
         };
         let mut a = StreamingTvla::new();
@@ -581,12 +546,13 @@ mod tests {
         let feed = |p: &mut StreamingTvla, salt: u64| {
             for pass in 0..2u8 {
                 for class in PlaintextClass::ALL {
-                    p.on_event(&window(pass, class));
-                    for i in 0..50u64 {
-                        let x = ((i.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(salt))
-                            >> 33) as f64;
-                        p.on_event(&sample(x));
-                    }
+                    let values: Vec<f64> = (0..50u64)
+                        .map(|i| {
+                            ((i.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(salt)) >> 33)
+                                as f64
+                        })
+                        .collect();
+                    push(p, pass, class, &values);
                 }
             }
         };

@@ -1,17 +1,14 @@
-//! Synthetic event sources: feed recorded campaigns back through the pump.
+//! Replay sources: turn recorded campaigns back into block rows.
 //!
 //! A [`crate::processors::ShardRecorder`] persists one channel's slice of
 //! a campaign as labeled `.psct` shards; this module turns such
-//! recordings back into the event stream a live rig would have produced,
+//! recordings back into the block rows a live rig would have produced,
 //! so every streaming processor
 //! ([`StreamingTvla`](crate::processors::StreamingTvla),
 //! [`StreamingCpa`](crate::processors::StreamingCpa), monitors, even a
 //! re-recording recorder) runs unchanged over offline data.
 //!
-//! * [`replay_recording`] pumps one [`Recording`] as scalar events: a
-//!   window marker (with the recorded TVLA pass/class and known-plaintext
-//!   record), the channel sample and a cadence record per trace.
-//! * [`fill_rows`] is the columnar row emitter: it merges the recorded
+//! * [`fill_rows`] is the row emitter: it merges the recorded
 //!   channels of one shard in lockstep into [`EventBlock`] rows, one row
 //!   per observation with one column per channel — the layout the live
 //!   rig emits. A row's window is the head of the first channel that
@@ -21,11 +18,13 @@
 //!   channel's samples therefore keep their order and their own labels,
 //!   so per-channel accumulators end bit-identical to replaying each
 //!   channel alone, on aligned and misaligned recordings alike.
+//!   Each row carries the recorded TVLA pass/class and known-plaintext
+//!   record, and a one-window cadence record on a synthetic timeline.
 //! * [`fill_block`] is the one-channel case of [`fill_rows`].
 
 use crate::block::EventBlock;
-use crate::event::{ChannelId, Event, SampleEvent, SchedEvent, WindowEvent};
-use psc_sca::codec::{LabeledTrace, Recording};
+use crate::event::{ChannelId, SchedEvent, WindowEvent};
+use psc_sca::codec::LabeledTrace;
 use psc_smc::SmcKey;
 
 /// Map a recording's channel label back to its [`ChannelId`]: `PCPU` and
@@ -41,39 +40,6 @@ pub fn channel_for_label(label: &str) -> Option<ChannelId> {
             SmcKey::new(bytes).ok().map(ChannelId::Smc)
         }
     }
-}
-
-/// Feed one recording into `sink` as a synthetic event stream.
-///
-/// Each recorded trace becomes a `Window` event (carrying the recorded
-/// pass/class/plaintext/ciphertext), one `Sample` on `channel`, and a
-/// `Sched` record on a synthetic `window_s` timeline starting at
-/// `seq_start`. Returns the sequence number after the last emitted
-/// window, so multiple recordings (e.g. one per shard file) chain into
-/// one monotone stream.
-pub fn replay_recording(
-    recording: &Recording,
-    channel: ChannelId,
-    seq_start: u64,
-    window_s: f64,
-    sink: &mut dyn FnMut(Event),
-) -> u64 {
-    let mut seq = seq_start;
-    for t in &recording.traces {
-        let time_s = (seq + 1) as f64 * window_s;
-        sink(Event::Window(WindowEvent {
-            seq,
-            time_s,
-            pass: t.pass,
-            class: t.class,
-            plaintext: t.trace.plaintext,
-            ciphertext: t.trace.ciphertext,
-        }));
-        sink(Event::Sample(SampleEvent { time_s, channel, value: t.trace.value }));
-        sink(Event::Sched(SchedEvent { time_s, windows_consumed: 1, window_s, denied_reads: 0 }));
-        seq += 1;
-    }
-    seq
 }
 
 /// One recorded channel's buffered traces in a [`fill_rows`] merge.
@@ -161,11 +127,10 @@ pub fn fill_rows(
 }
 
 /// Append one channel's recorded traces to an [`EventBlock`] as replayed
-/// observations — the one-channel case of [`fill_rows`], and the
-/// columnar form of [`replay_recording`]: rows land on the same
-/// synthetic `window_s` timeline and yield the same event sequence as
-/// the scalar replay. Returns the sequence number after the last
-/// appended row.
+/// observations — the one-channel case of [`fill_rows`]: trace `i` becomes
+/// row `seq_start + i` at time `(seq_start + i + 1) × window_s`, carrying
+/// the trace's labels and value. Returns the sequence number after the
+/// last appended row.
 ///
 /// # Panics
 ///
@@ -216,11 +181,13 @@ mod tests {
                 }
             }
         }
-        let recording = Recording { label: "PHPC".into(), traces };
-        let channel = channel_for_label(&recording.label).unwrap();
-        let mut tvla = StreamingTvla::new();
-        let next = replay_recording(&recording, channel, 0, 1.0, &mut |e| tvla.on_event(&e));
+        let channel = channel_for_label("PHPC").unwrap();
+        let mut block = EventBlock::new();
+        block.reset(&[channel]);
+        let next = fill_block(&traces, 0, 1.0, &mut block);
         assert_eq!(next, 30);
+        let mut tvla = StreamingTvla::new();
+        tvla.on_block(&block);
         let acc = tvla.accumulator(channel).expect("replayed");
         for pass in 0..2 {
             for class in PlaintextClass::ALL {
@@ -242,22 +209,33 @@ mod tests {
                 class: Some(PlaintextClass::ALL[(i % 3) as usize]),
             })
             .collect();
-        let recording = Recording { label: "PHPC".into(), traces };
-        let channel = channel_for_label(&recording.label).unwrap();
-
-        let mut scalar = Vec::new();
-        let end_scalar = replay_recording(&recording, channel, 3, 2.0, &mut |e| scalar.push(e));
 
         let mut block = EventBlock::new();
-        block.reset(&[channel]);
+        block.reset(&[ChannelId::Pcpu]);
         // Two chunks, continuing the sequence across them.
-        let mid = fill_block(&recording.traces[..4], 3, 2.0, &mut block);
-        let end_block = fill_block(&recording.traces[4..], mid, 2.0, &mut block);
-        let mut blocked = Vec::new();
-        block.for_each_event(&mut |e| blocked.push(*e));
+        let mid = fill_block(&traces[..4], 3, 2.0, &mut block);
+        let end = fill_block(&traces[4..], mid, 2.0, &mut block);
+        assert_eq!((mid, end), (7, 10));
 
-        assert_eq!(end_scalar, end_block);
-        assert_eq!(scalar, blocked, "block replay must re-emit the exact scalar stream");
+        // Trace i replays as row 3 + i at (3 + i + 1) x 2 s, one window
+        // per row, with the trace's labels and value.
+        assert_eq!(block.len(), traces.len());
+        for (i, t) in traces.iter().enumerate() {
+            let seq = 3 + i as u64;
+            let time_s = (seq + 1) as f64 * 2.0;
+            let want = WindowEvent {
+                seq,
+                time_s,
+                pass: t.pass,
+                class: t.class,
+                plaintext: t.trace.plaintext,
+                ciphertext: t.trace.ciphertext,
+            };
+            assert_eq!(block.windows()[i], want);
+            assert_eq!(block.column(0)[i], Some(t.trace.value));
+            let sched = SchedEvent { time_s, windows_consumed: 1, window_s: 2.0, denied_reads: 0 };
+            assert_eq!(block.scheds()[i], sched);
+        }
     }
 
     fn labeled(i: u8, value: f64) -> LabeledTrace {
@@ -306,25 +284,13 @@ mod tests {
 
     #[test]
     fn seq_chains_across_recordings() {
-        let recording = Recording {
-            label: "PCPU".into(),
-            traces: vec![LabeledTrace {
-                trace: Trace { value: 1.0, plaintext: [0; 16], ciphertext: [0; 16] },
-                pass: 0,
-                class: None,
-            }],
-        };
-        let mut events = Vec::new();
-        let mid = replay_recording(&recording, ChannelId::Pcpu, 0, 1.0, &mut |e| events.push(e));
-        let end = replay_recording(&recording, ChannelId::Pcpu, mid, 1.0, &mut |e| events.push(e));
+        let one = [labeled(0, 1.0)];
+        let mut block = EventBlock::new();
+        block.reset(&[ChannelId::Pcpu]);
+        let mid = fill_block(&one, 0, 1.0, &mut block);
+        let end = fill_block(&one, mid, 1.0, &mut block);
         assert_eq!((mid, end), (1, 2));
-        let seqs: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Window(w) => Some(w.seq),
-                _ => None,
-            })
-            .collect();
+        let seqs: Vec<u64> = block.windows().iter().map(|w| w.seq).collect();
         assert_eq!(seqs, vec![0, 1]);
     }
 }

@@ -24,7 +24,7 @@ use psc_sca::tvla::PlaintextClass;
 use psc_smc::key::key;
 use psc_telemetry::block::EventBlock;
 use psc_telemetry::event::{ChannelId, SchedEvent, WindowEvent};
-use psc_telemetry::processor::{dispatch_with_poll, Processor};
+use psc_telemetry::processor::Processor;
 use psc_telemetry::processors::cpa::ModelFactory;
 use psc_telemetry::processors::{
     CpaGrid, SecondOrderTvla, ShardRecorder, StreamingCpa, StreamingTvla, ThrottleMonitor,
@@ -266,79 +266,63 @@ fn cadence_rows() -> Vec<Row> {
     with_samples(rows, 1, 4, &mut rng)
 }
 
-/// The cadence monitor as the session runner drives and checkpoints it:
-/// the poll clock rides in front of the monitor's own state.
-struct Monitor {
-    monitor: ThrottleMonitor,
-    next_poll_s: Option<f64>,
+/// Cadence rows whose records disagree with their windows: the first
+/// row's record is later than its window (the clock arms from the window
+/// time, and a tick between the two fires before the row counts), and a
+/// later row's record is earlier than its window (ticks up to the window
+/// time still fire before that row counts).
+fn skewed_cadence_rows() -> Vec<Row> {
+    let mut rng = Rng(0x5CE3_0005);
+    let times: [(f64, f64); 6] =
+        [(0.5, 1.7), (1.8, 1.8), (2.9, 2.9), (5.2, 4.1), (5.3, 5.3), (6.6, 6.6)];
+    let rows = times
+        .iter()
+        .enumerate()
+        .map(|(i, &(w, s))| {
+            let mut r = row(i as u64, w, 0, None, &mut rng);
+            r.sched.time_s = s;
+            r
+        })
+        .collect();
+    with_samples(rows, 1, 4, &mut rng)
 }
 
-impl Monitor {
-    fn new(interval_s: f64, depth: usize) -> Self {
-        Self { monitor: ThrottleMonitor::new(interval_s, depth), next_poll_s: None }
-    }
+fn payload(m: &ThrottleMonitor) -> Vec<u8> {
+    let mut w = PayloadWriter::new();
+    m.encode_state(&mut w);
+    w.into_payload()
+}
 
-    fn on_block(&mut self, block: &EventBlock) {
-        let interval_s = self.monitor.interval_s();
-        dispatch_with_poll(&mut self.monitor, &mut self.next_poll_s, interval_s, block);
-    }
-
-    fn payload(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
-        match self.next_poll_s {
-            Some(t) => {
-                w.put_u8(1);
-                w.put_f64(t);
-            }
-            None => w.put_u8(0),
-        }
-        self.monitor.encode_state(&mut w);
-        w.into_payload()
-    }
-
-    fn restore(&mut self, payload: &[u8]) {
-        let mut r = PayloadReader::new(payload);
-        self.next_poll_s = match r.get_u8().unwrap() {
-            0 => None,
-            _ => Some(r.get_f64().unwrap()),
-        };
-        self.monitor.restore_state(&mut r).unwrap();
-        r.finish().unwrap();
-    }
-
-    fn finish(&mut self) {
-        self.monitor.on_finish();
-    }
-
-    fn monitor(&self) -> &ThrottleMonitor {
-        &self.monitor
-    }
+fn restore(m: &mut ThrottleMonitor, payload: &[u8]) {
+    let mut r = PayloadReader::new(payload);
+    m.restore_state(&mut r).unwrap();
+    r.finish().unwrap();
 }
 
 /// Digest a monitor run: the checkpoint payload after every block, then
 /// the retained checkpoints and totals after the trailing flush.
 fn monitor_digest(blocks: &[EventBlock], interval_s: f64, depth: usize) -> u64 {
-    let mut m = Monitor::new(interval_s, depth);
+    let mut m = ThrottleMonitor::new(interval_s, depth);
     let mut h = FNV_OFFSET;
     for block in blocks {
         m.on_block(block);
-        h = fold_payload(h, &m.payload());
+        h = fold_payload(h, &payload(&m));
     }
-    m.finish();
+    m.on_finish();
     monitor_final(h, &m)
 }
 
-fn monitor_final(mut h: u64, m: &Monitor) -> u64 {
-    h = fold_payload(h, &m.payload());
-    for c in m.monitor().checkpoints() {
+fn monitor_final(mut h: u64, m: &ThrottleMonitor) -> u64 {
+    h = fold_payload(h, &payload(m));
+    for c in m.checkpoints() {
         h = fold(h, c.time_s.to_bits());
         h = fold(h, c.observations);
         h = fold(h, c.windows);
         h = fold(h, c.stretch.to_bits());
     }
-    h = fold(h, m.monitor().observations());
-    h = fold(h, m.monitor().denied_reads());
-    fold(h, m.monitor().overall_stretch().to_bits())
+    h = fold(h, m.observations());
+    h = fold(h, m.denied_reads());
+    fold(h, m.overall_stretch().to_bits())
 }
 
 /// Run `blocks` through `p`, folding `encode` after every block and once
@@ -417,7 +401,7 @@ fn recorder_digest(blocks: &[EventBlock], tag: &str) -> u64 {
 }
 
 /// The recorded digests, in the order the test prints them.
-const WANT: [(&str, u64); 15] = [
+const WANT: [(&str, u64); 16] = [
     ("tvla/first-order", 0x92a8_43f9_d87a_4d0a),
     ("tvla/second-order", 0x15ac_4be3_c819_3f2e),
     ("tvla/monitor", 0x56a4_94c1_06ee_335a),
@@ -433,6 +417,7 @@ const WANT: [(&str, u64); 15] = [
     ("cadence/blocks-of-3", 0x78a6_1742_fc60_9680),
     ("cadence/one-block", 0x43e6_256d_330d_e0a9),
     ("cadence/depth-3", 0x425e_fe01_7bb8_d155),
+    ("cadence/skewed", 0xa294_8de0_f62e_5c7f),
 ];
 
 #[test]
@@ -465,6 +450,7 @@ fn processor_states_match_the_recorded_digests() {
         monitor_digest(&rows_of_3, 1.0, 64),
         monitor_digest(&one_block, 1.0, 64),
         monitor_digest(&single_rows, 1.0, 3),
+        monitor_digest(&cut(&channel, &skewed_cadence_rows(), &[2]), 1.0, 64),
     ];
     let moved: Vec<String> = WANT
         .iter()
@@ -485,25 +471,25 @@ fn cadence_grid_is_independent_of_block_cuts_and_resumes() {
     let finals: Vec<u64> = [1, 2, 3, 5, cadence.len()]
         .into_iter()
         .map(|n| {
-            let mut m = Monitor::new(1.0, 64);
+            let mut m = ThrottleMonitor::new(1.0, 64);
             cut(&channel, &cadence, &[n]).iter().for_each(|b| m.on_block(b));
-            m.finish();
+            m.on_finish();
             monitor_final(FNV_OFFSET, &m)
         })
         .collect();
     assert!(finals.windows(2).all(|w| w[0] == w[1]), "{finals:x?}");
 
     let blocks = cut(&channel, &cadence, &[4]);
-    let mut whole = Monitor::new(1.0, 64);
+    let mut whole = ThrottleMonitor::new(1.0, 64);
     blocks.iter().for_each(|b| whole.on_block(b));
-    whole.finish();
+    whole.on_finish();
     for split in 1..blocks.len() {
-        let mut first = Monitor::new(1.0, 64);
+        let mut first = ThrottleMonitor::new(1.0, 64);
         blocks[..split].iter().for_each(|b| first.on_block(b));
-        let mut resumed = Monitor::new(1.0, 64);
-        resumed.restore(&first.payload());
+        let mut resumed = ThrottleMonitor::new(1.0, 64);
+        restore(&mut resumed, &payload(&first));
         blocks[split..].iter().for_each(|b| resumed.on_block(b));
-        resumed.finish();
+        resumed.on_finish();
         assert_eq!(
             monitor_final(FNV_OFFSET, &resumed),
             monitor_final(FNV_OFFSET, &whole),
@@ -512,6 +498,6 @@ fn cadence_grid_is_independent_of_block_cuts_and_resumes() {
     }
     // The grid arms one interval after the first row's window time and
     // fires ticks on row times, across gaps and late cadence records.
-    let times: Vec<f64> = whole.monitor().checkpoints().map(|c| c.time_s).collect();
+    let times: Vec<f64> = whole.checkpoints().map(|c| c.time_s).collect();
     assert_eq!(&times[..8], &[1.25, 2.25, 3.25, 4.25, 5.25, 6.25, 7.25, 8.25]);
 }

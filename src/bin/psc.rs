@@ -490,14 +490,24 @@ fn cmd_collect(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_analyze(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("analyze needs a FILE argument")?;
-    let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
+    let path =
+        args.first().filter(|a| !a.starts_with("--")).ok_or("analyze needs a FILE argument")?;
+    let detrend = parse_flag(args, "--detrend")
+        .then(|| {
+            let s = parse_opt(args, "--detrend").unwrap_or_default();
+            s.parse::<usize>()
+                .ok()
+                .filter(|&w| w >= 1)
+                .ok_or(format!("bad --detrend value {s:?}: expected a window of at least 1"))
+        })
+        .transpose()?;
+    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let mut set = read_trace_set(file).map_err(|e| e.to_string())?;
     println!("loaded {} traces labelled {:?} from {path}", set.len(), set.label);
-    if let Some(w) = parse_opt(args, "--detrend").and_then(|s| s.parse::<usize>().ok()) {
+    if let Some(w) = detrend {
         // High-pass the series to strip slow drift (useful on PSTR-class
         // channels); see tests/pstr_detrending.rs.
-        set = apple_power_sca::sca::filter::detrend_trace_set(&set, w.max(1));
+        set = apple_power_sca::sca::filter::detrend_trace_set(&set, w);
         println!("applied moving-average detrend, window {w}");
     }
     let secret = match parse_opt(args, "--key") {

@@ -1,9 +1,11 @@
-//! Block-vs-event bit-identity: the columnar fast paths
-//! (`Processor::on_block` overrides, `Cpa::add_block`,
-//! `Cpa::correlations_into`) must reproduce the scalar per-event
-//! pipeline exactly — same accumulator bits, same counters, same bytes
-//! on disk — across random blocks, shard counts, mitigations and ring
-//! overflow policies.
+//! Block-path bit-identity: the columnar processors
+//! (`Processor::on_block`, `Cpa::add_block`, `Cpa::correlations_into`)
+//! must reproduce the per-row scalar oracle of `tests/common/oracle.rs`
+//! exactly — same accumulator bits, same counters, same bytes on disk —
+//! across random blocks, shard counts, mitigations and ring overflow
+//! policies.
+
+mod common;
 
 use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
 use apple_power_sca::sca::cpa::Cpa;
@@ -12,10 +14,11 @@ use apple_power_sca::sca::tvla::PlaintextClass;
 use apple_power_sca::smc::key::key;
 use apple_power_sca::smc::MitigationConfig;
 use apple_power_sca::telemetry::block::EventBlock;
-use apple_power_sca::telemetry::event::{ChannelId, Event, SampleEvent, SchedEvent, WindowEvent};
+use apple_power_sca::telemetry::event::{ChannelId, SchedEvent, WindowEvent};
 use apple_power_sca::telemetry::processors::{ShardRecorder, StreamingCpa, StreamingTvla};
 use apple_power_sca::telemetry::ring::{channel, OverflowPolicy};
 use apple_power_sca::telemetry::Processor;
+use common::oracle::{CpaOracle, RecorderOracle, TvlaOracle};
 use proptest::prelude::*;
 
 /// One synthetic observation row: TVLA labels, a plaintext seed, and one
@@ -125,10 +128,10 @@ fn policy_strategy() -> impl Strategy<Value = OverflowPolicy> {
     ]
 }
 
-fn assert_tvla_identical(a: &StreamingTvla, b: &StreamingTvla, channels: &[ChannelId]) {
-    assert_eq!(a.orphan_samples(), b.orphan_samples());
+fn assert_tvla_identical(a: &StreamingTvla, b: &TvlaOracle, channels: &[ChannelId]) {
+    assert_eq!(a.orphan_samples(), b.orphan_samples);
     for &ch in channels {
-        match (a.accumulator(ch), b.accumulator(ch)) {
+        match (a.accumulator(ch), b.accs.get(&ch)) {
             (None, None) => {}
             (Some(aa), Some(ba)) => {
                 for pass in 0..2 {
@@ -136,15 +139,15 @@ fn assert_tvla_identical(a: &StreamingTvla, b: &StreamingTvla, channels: &[Chann
                         assert_eq!(aa.count(pass, class), ba.count(pass, class));
                     }
                 }
-                let am = a.matrix(ch, "x").unwrap();
-                let bm = b.matrix(ch, "x").unwrap();
+                let am = aa.matrix("x");
+                let bm = ba.matrix("x");
                 for (ac, bc) in am.cells.iter().zip(&bm.cells) {
                     assert_eq!(ac.t_score.to_bits(), bc.t_score.to_bits());
                 }
             }
             (aa, ba) => panic!("{ch}: accumulator presence diverged: {aa:?} vs {ba:?}"),
         }
-        match (a.tracker(ch), b.tracker(ch)) {
+        match (a.tracker(ch), b.trackers.get(&ch)) {
             (None, None) => {}
             (Some(at), Some(bt)) => {
                 assert_eq!(at.counts(), bt.counts());
@@ -156,10 +159,10 @@ fn assert_tvla_identical(a: &StreamingTvla, b: &StreamingTvla, channels: &[Chann
 }
 
 proptest! {
-    /// Streaming TVLA: the columnar `on_block` override (slice ingestion
-    /// on uniform blocks, per-row labels on mixed ones, watch trackers,
-    /// orphan accounting) is bit-identical to the per-event fallback for
-    /// any delivered block sequence under any overflow policy.
+    /// Streaming TVLA: `on_block` (SIMD quad ingestion on uniform blocks,
+    /// per-row labels on mixed ones, watch trackers, orphan accounting)
+    /// is bit-identical to the scalar oracle for any delivered block
+    /// sequence under any overflow policy.
     #[test]
     fn tvla_block_path_is_bit_identical(
         n_channels in 1usize..4,
@@ -174,17 +177,17 @@ proptest! {
 
         let mut blocked = StreamingTvla::new();
         blocked.watch(channels[0], 4);
-        let mut scalar = StreamingTvla::new();
-        scalar.watch(channels[0], 4);
+        let mut scalar = TvlaOracle::default();
+        scalar.watch(channels[0]);
         for block in &delivered {
             blocked.on_block(block);
-            block.for_each_event(&mut |e| scalar.on_event(e));
+            scalar.block(block);
         }
         assert_tvla_identical(&blocked, &scalar, &channels);
     }
 
     /// Streaming CPA: `on_block` (column staging + `Cpa::add_block`) is
-    /// bit-identical to per-event `add_trace` dispatch, including the
+    /// bit-identical to one `add_trace` per sample, including the
     /// unregistered-channel accounting.
     #[test]
     fn cpa_block_path_is_bit_identical(
@@ -199,17 +202,15 @@ proptest! {
         let reg: Vec<ChannelId> = channels.iter().copied().take(registered.min(n_channels)).collect();
 
         let mut blocked = StreamingCpa::new(reg.iter().copied(), || Box::new(Rd0Hw));
-        let table = std::sync::Arc::clone(blocked.cpa(reg[0]).unwrap().shared_table());
-        let mut scalar = StreamingCpa::with_table(reg.iter().copied(), || Box::new(Rd0Hw), table);
+        let mut scalar = CpaOracle::new(reg.iter().copied(), || Box::new(Rd0Hw));
         for block in &blocks {
             blocked.on_block(block);
-            block.for_each_event(&mut |e| scalar.on_event(e));
+            scalar.block(block);
         }
-        assert_eq!(blocked.unregistered_samples(), scalar.unregistered_samples());
-        assert_eq!(blocked.orphan_samples(), scalar.orphan_samples());
+        assert_eq!(blocked.unregistered_samples(), scalar.unregistered_samples);
         for &ch in &reg {
             let bc = blocked.cpa(ch).unwrap();
-            let sc = scalar.cpa(ch).unwrap();
+            let sc = &scalar.cpas[&ch];
             assert_eq!(bc.trace_count(), sc.trace_count());
             let mut bbuf = [0.0f64; 256];
             let mut sbuf = [0.0f64; 256];
@@ -223,8 +224,8 @@ proptest! {
         }
     }
 
-    /// The recorder's block path writes byte-identical shard files (same
-    /// traces, same flush boundaries) as the per-event path.
+    /// The recorder writes the shard files the oracle's codec calls write
+    /// (same traces, same flush boundaries), byte for byte.
     #[test]
     fn recorder_block_path_writes_identical_shards(
         rows in proptest::collection::vec(row_strategy(2), 0..40),
@@ -238,26 +239,19 @@ proptest! {
             std::process::id(),
             rows.len() * 1000 + chunk * 16 + shard_capacity,
         ));
-        let dir_a = base.join("block");
-        let dir_b = base.join("event");
-        std::fs::create_dir_all(&dir_a).unwrap();
-        std::fs::create_dir_all(&dir_b).unwrap();
-
-        let mut blocked = ShardRecorder::new(&dir_a, "PHPC", channels[0], 0, shard_capacity);
-        let mut scalar = ShardRecorder::new(&dir_b, "PHPC", channels[0], 0, shard_capacity);
+        let mut blocked = ShardRecorder::new(&base, "PHPC", channels[0], 0, shard_capacity);
+        let mut scalar = RecorderOracle::new(channels[0]);
         for block in &blocks {
             blocked.on_block(block);
-            block.for_each_event(&mut |e| scalar.on_event(e));
+            scalar.block(block);
         }
         blocked.on_finish();
-        scalar.on_finish();
 
-        assert_eq!(blocked.traces_recorded(), scalar.traces_recorded());
-        assert_eq!(blocked.files().len(), scalar.files().len());
-        for (fa, fb) in blocked.files().iter().zip(scalar.files()) {
-            let a = std::fs::read(fa).unwrap();
-            let b = std::fs::read(fb).unwrap();
-            assert_eq!(a, b, "shard bytes diverged: {} vs {}", fa.display(), fb.display());
+        assert_eq!(blocked.traces_recorded(), scalar.traces.len() as u64);
+        let want = scalar.files("PHPC", shard_capacity);
+        assert_eq!(blocked.files().len(), want.len());
+        for (path, bytes) in blocked.files().iter().zip(&want) {
+            assert_eq!(&std::fs::read(path).unwrap(), bytes, "shard bytes diverged: {}", path.display());
         }
         std::fs::remove_dir_all(&base).ok();
     }
@@ -302,8 +296,8 @@ proptest! {
 
 /// Campaign-level anchor: the full block pipeline (sources building
 /// blocks, the block bus, columnar processors, shard merge) reproduces a
-/// hand-driven scalar event loop bit-for-bit, across shard counts and
-/// every mitigation family.
+/// hand-driven scalar loop over the rig's observations bit-for-bit,
+/// across shard counts and every mitigation family.
 #[test]
 fn live_tvla_campaign_matches_manual_scalar_event_loop() {
     let secret = [0x2Bu8; 16];
@@ -329,10 +323,10 @@ fn live_tvla_campaign_matches_manual_scalar_event_loop() {
             let report = campaign.session().tvla();
 
             // Manual comparator: same seed layout and schedule, scalar
-            // observe_window loop, hand-built events, shard merge in
-            // order.
+            // observe_window loop, one oracle push per sample, shard
+            // merge in order.
             let counts = apple_power_sca::telemetry::split_counts(traces_per_class, shards);
-            let mut merged = StreamingTvla::new();
+            let mut merged = TvlaOracle::default();
             for (shard, &count) in counts.iter().enumerate() {
                 let mut rig = Rig::new(
                     Device::MacbookAirM2,
@@ -341,47 +335,39 @@ fn live_tvla_campaign_matches_manual_scalar_event_loop() {
                     seed.wrapping_add(shard as u64),
                 );
                 rig.set_mitigation(mitigation.unwrap_or_else(MitigationConfig::none));
-                let mut tvla = StreamingTvla::new();
+                let mut tvla = TvlaOracle::default();
                 for pass in 0..2u8 {
                     for class in PlaintextClass::ALL {
                         for _ in 0..count {
                             let pt =
                                 class.fixed_plaintext().unwrap_or_else(|| rig.random_plaintext());
                             let obs = rig.observe_window(pt, &keys);
-                            tvla.on_event(&Event::Window(WindowEvent {
+                            let window = WindowEvent {
                                 seq: 0,
                                 time_s: obs.time_s,
                                 pass,
                                 class: Some(class),
                                 plaintext: obs.plaintext,
                                 ciphertext: obs.ciphertext,
-                            }));
+                            };
                             for (k, value) in &obs.smc {
                                 if let Some(v) = value {
-                                    tvla.on_event(&Event::Sample(SampleEvent {
-                                        time_s: obs.time_s,
-                                        channel: ChannelId::Smc(*k),
-                                        value: *v,
-                                    }));
+                                    tvla.sample(&window, ChannelId::Smc(*k), *v);
                                 }
                             }
-                            tvla.on_event(&Event::Sample(SampleEvent {
-                                time_s: obs.time_s,
-                                channel: ChannelId::Pcpu,
-                                value: obs.pcpu_delta_mj,
-                            }));
+                            tvla.sample(&window, ChannelId::Pcpu, obs.pcpu_delta_mj);
                         }
                     }
                 }
-                merged = merged.merged(tvla);
+                merged.merge(tvla);
             }
 
             for ch in keys.iter().map(|&k| ChannelId::Smc(k)).chain([ChannelId::Pcpu]) {
-                match (report.tvla.accumulator(ch), merged.accumulator(ch)) {
+                match (report.tvla.accumulator(ch), merged.accs.get(&ch)) {
                     (None, None) => {}
-                    (Some(_), Some(_)) => {
-                        let am = report.tvla.matrix(ch, "x").unwrap();
-                        let bm = merged.matrix(ch, "x").unwrap();
+                    (Some(a), Some(b)) => {
+                        let am = a.matrix("x");
+                        let bm = b.matrix("x");
                         for (ac, bc) in am.cells.iter().zip(&bm.cells) {
                             assert_eq!(
                                 ac.t_score.to_bits(),

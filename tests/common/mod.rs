@@ -1,7 +1,11 @@
 //! Shared by the integration tests: a campaign's raw traces, read back
-//! from the `.psct` recording the campaign itself wrote.
+//! from the `.psct` recording the campaign itself wrote, and the
+//! per-row scalar [`oracle`] the streaming processors are checked
+//! against.
 
 #![allow(dead_code)]
+
+pub mod oracle;
 
 use apple_power_sca::core::{Campaign, ShardReplay, StreamingCpaReport, StreamingTvlaReport};
 use apple_power_sca::sca::model::Rd0Hw;

@@ -99,23 +99,38 @@ fn cli_replay_refuses_cpa_without_an_smc_key_recording() {
 
 #[test]
 fn cli_refuses_bad_shard_and_trace_counts() {
-    // A typo must not fall back to the default budget, and a huge shard
-    // count must not spawn a producer and a worker thread per shard.
-    for args in [
-        &["--traces", "abc"][..],
-        &["--shards", "abc"],
-        &["--shards", "3000"],
-        &["--shards", "0"],
-        &["--cpa", "--traces", "-5"],
+    // A small valid trace file, so `analyze` fails on its flags alone.
+    let file = std::env::temp_dir().join(format!("psc_cli_refuses_{}.psct", std::process::id()));
+    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x0FF1);
+    let (sets, _) = Recorded::cpa(Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(20));
+    write_trace_set(&sets.traces("PHPC"), std::fs::File::create(&file).expect("create"))
+        .expect("write");
+    let file = file.to_str().expect("utf-8 temp path");
+
+    // A typo must not fall back to the default budget (or to no
+    // detrending), and a huge shard count must not spawn a producer and a
+    // worker thread per shard. Each refusal exits 1 before any output and
+    // names what was wrong.
+    for (args, named) in [
+        (&["campaign", "--traces", "abc"][..], "--traces"),
+        (&["campaign", "--shards", "abc"], "--shards"),
+        (&["campaign", "--shards", "3000"], "--shards"),
+        (&["campaign", "--shards", "0"], "--shards"),
+        (&["campaign", "--cpa", "--traces", "-5"], "--traces"),
+        (&["analyze", file, "--detrend", "abc"], "--detrend"),
+        (&["analyze", file, "--detrend", "-3"], "--detrend"),
+        (&["analyze", file, "--detrend", "0"], "--detrend"),
+        (&["analyze", file, "--detrend"], "--detrend"),
+        (&["analyze", "--key", "00112233445566778899aabbccddeeff", file], "FILE"),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_psc"))
-            .arg("campaign")
             .args(args)
             .output()
             .expect("run psc");
-        assert_eq!(out.status.code(), Some(1), "psc campaign {args:?} must exit 1");
-        assert!(out.stdout.is_empty(), "no campaign ran for {args:?}");
+        assert_eq!(out.status.code(), Some(1), "psc {args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "nothing ran for {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(args[args.len() - 2]), "{args:?} names the flag: {stderr}");
+        assert!(stderr.contains(named), "{args:?} names {named}: {stderr}");
     }
+    std::fs::remove_file(file).ok();
 }
