@@ -37,7 +37,7 @@ use criterion::black_box;
 use psc_bench::measure::{
     json_field, json_header, measure_ns, write_artifact, CPA_CORRELATIONS_BEFORE_BRANCHFREE_NS,
 };
-use psc_sca::cpa::{Cpa, HypTable};
+use psc_sca::cpa::Cpa;
 use psc_sca::model::Rd0Hw;
 use psc_sca::stats::{MomentsQuad, RunningMoments};
 use psc_sca::trace::Trace;
@@ -49,7 +49,6 @@ use psc_telemetry::metrics::{names, MetricsRegistry};
 use psc_telemetry::processor::Processor;
 use psc_telemetry::processors::StreamingTvla;
 use psc_telemetry::ring::{channel, OverflowPolicy};
-use std::sync::Arc;
 use std::time::Instant;
 
 const BENCH: &str = "bus_kernels";
@@ -193,8 +192,7 @@ fn main() {
         sweep.iter().copied().min_by(|a, b| a.1.total_cmp(&b.1)).expect("non-empty sweep");
 
     // --- Correlations: branch-free sweep vs recorded baseline -------------
-    let table = Arc::new(HypTable::for_model(&Rd0Hw));
-    let mut cpa = Cpa::with_table(Box::new(Rd0Hw), Arc::clone(&table));
+    let mut cpa = Cpa::new(Box::new(Rd0Hw));
     let mut state = 0x1234_5678_9ABC_DEF0u64;
     for _ in 0..4096 {
         let mut pt = [0u8; 16];

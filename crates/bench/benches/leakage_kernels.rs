@@ -51,9 +51,9 @@ fn main() {
 
     // --- CPA table construction ------------------------------------------
     let table_rebuild = measure_ns(BENCH, "cpa/accumulator_rebuilt_table", || {
-        black_box(Cpa::new(Box::new(Rd0Hw)));
+        black_box(Cpa::with_table(Box::new(Rd0Hw), Arc::new(HypTable::for_model(&Rd0Hw))));
     });
-    let table = Arc::new(HypTable::for_model(&Rd0Hw));
+    let table = HypTable::shared(&Rd0Hw);
     let table_shared = measure_ns(BENCH, "cpa/accumulator_shared_table", || {
         black_box(Cpa::with_table(Box::new(Rd0Hw), Arc::clone(&table)));
     });

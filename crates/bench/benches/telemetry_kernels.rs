@@ -6,6 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use psc_core::rig::{Device, Rig};
 use psc_core::victim::VictimKind;
 use psc_core::Campaign;
+use psc_sca::codec::{write_recording, LabeledTrace, RecordingReader};
 use psc_sca::model::Rd0Hw;
 use psc_sca::trace::Trace;
 use psc_sca::tvla::PlaintextClass;
@@ -20,13 +21,13 @@ const SECRET: [u8; 16] = [0x2B; 16];
 /// Rows per block — the campaign drivers' default `OBS_CHUNK`.
 const BLOCK_ROWS: usize = 32;
 
-/// A deterministic 10k-row PCPU stream in `BLOCK_ROWS`-row blocks, TVLA
-/// labels cycling through passes and classes row by row.
-fn tape() -> Vec<EventBlock> {
+/// A deterministic 10k-row stream over `channels` in `BLOCK_ROWS`-row
+/// blocks, TVLA labels cycling through passes and classes row by row.
+fn tape(channels: &[ChannelId]) -> Vec<EventBlock> {
     let mut state = 0x1234_5678_9ABC_DEF0u64;
     let mut blocks = Vec::new();
     let mut block = EventBlock::new();
-    block.reset(&[ChannelId::Pcpu]);
+    block.reset(channels);
     for i in 0..10_000u64 {
         let mut pt = [0u8; 16];
         for byte in pt.iter_mut() {
@@ -44,7 +45,9 @@ fn tape() -> Vec<EventBlock> {
             plaintext: pt,
             ciphertext: pt,
         });
-        block.sample(0, (state >> 40) as f64);
+        for col in 0..channels.len() {
+            block.sample(col, ((state >> 40) + col as u64) as f64);
+        }
         block.commit(SchedEvent { time_s, windows_consumed: 1, window_s: 1.0, denied_reads: 0 });
         if block.len() == BLOCK_ROWS {
             blocks.push(block.clone());
@@ -75,7 +78,7 @@ fn bench_bus(c: &mut Criterion) {
         });
     });
 
-    let blocks = tape();
+    let blocks = tape(&[ChannelId::Pcpu]);
     group.bench_function("channel_throughput_10k_rows", |b| {
         b.iter(|| {
             let (tx, rx) = channel(128, OverflowPolicy::Block);
@@ -102,8 +105,12 @@ fn bench_online_accumulators(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_accumulators");
     group.sample_size(10);
 
-    // Pre-build the deterministic block tape once.
-    let tape = tape();
+    // Pre-build the deterministic block tapes once; the 5-channel one has
+    // the `cpa-replay` layout: the M2's four CPA keys, then PCPU.
+    let smc: Vec<ChannelId> =
+        Device::MacbookAirM2.cpa_keys().into_iter().map(ChannelId::Smc).collect();
+    let tape_5ch = tape(&[&smc[..], &[ChannelId::Pcpu]].concat());
+    let tape = tape(&[ChannelId::Pcpu]);
 
     group.bench_function("streaming_tvla_10k_samples", |b| {
         b.iter(|| {
@@ -122,6 +129,37 @@ fn bench_online_accumulators(c: &mut Criterion) {
                 cpa.on_block(block);
             }
             black_box(cpa.cpa(ChannelId::Pcpu).expect("registered").ranks(&SECRET))
+        });
+    });
+
+    // One model-input pass per block feeds the four key columns.
+    group.bench_function("streaming_cpa_10k_traces_5ch", |b| {
+        b.iter(|| {
+            let mut cpa = StreamingCpa::new(smc.iter().copied(), || Box::new(Rd0Hw));
+            tape_5ch.iter().for_each(|block| cpa.on_block(block));
+            black_box(cpa.cpa(smc[0]).expect("registered").ranks(&SECRET))
+        });
+    });
+
+    // An in-memory 10k-trace recording decoded in replay-sized chunks.
+    group.bench_function("codec_read_chunk_10k", |b| {
+        let traces: Vec<LabeledTrace> = (0..10_000u32)
+            .map(|i| LabeledTrace {
+                trace: Trace { value: f64::from(i), plaintext: [i as u8; 16], ciphertext: [7; 16] },
+                pass: 0,
+                class: None,
+            })
+            .collect();
+        let mut bytes = Vec::new();
+        write_recording("PHPC", &traces, &mut bytes).expect("in memory");
+        let mut chunk = Vec::with_capacity(1024);
+        b.iter(|| {
+            let mut reader = RecordingReader::new(&bytes[..]).expect("valid recording");
+            let mut n = 0;
+            while reader.read_chunk(1024, &mut chunk).expect("valid recording") > 0 {
+                n += chunk.len();
+            }
+            black_box(n)
         });
     });
 

@@ -58,7 +58,7 @@ use crate::source::{
 use crate::tune::TuneConfig;
 use crate::victim::VictimKind;
 use psc_sca::checkpoint::{CheckpointError, PayloadReader, PayloadWriter};
-use psc_sca::cpa::{CpaMergeError, HypTable};
+use psc_sca::cpa::CpaMergeError;
 use psc_sca::model::PowerModel;
 use psc_sca::tvla::TvlaMatrix;
 use psc_smc::{MitigationConfig, SmcKey};
@@ -1656,8 +1656,8 @@ impl Session<'_> {
 
     /// Run a streaming known-plaintext CPA campaign: each shard
     /// correlates its slice of the trace budget into incremental
-    /// accumulators under a model from `model_factory` (one shared
-    /// guess-major hypothesis table for the whole campaign), sum-merged.
+    /// accumulators under a model from `model_factory` (on the model's
+    /// process-wide hypothesis table), sum-merged.
     ///
     /// # Panics
     ///
@@ -1669,20 +1669,15 @@ impl Session<'_> {
         model_factory: impl Fn() -> Box<dyn PowerModel> + Send + Sync,
     ) -> StreamingCpaReport {
         let model_factory = &model_factory;
-        // One guess-major hypothesis table for the whole campaign: shards
-        // (and channels within a shard) clone the Arc instead of
-        // recomputing the 512 KB table per accumulator.
-        let hyp_table = Arc::new(HypTable::for_model(model_factory().as_ref()));
         let runs = self.run(
             KIND_CPA,
             "campaign/cpa",
             1,
             |n| Schedule::KnownPlaintext { traces: n },
             |_| {
-                let mut cpa = StreamingCpa::with_table(
+                let mut cpa = StreamingCpa::new(
                     self.spec.keys.iter().map(|&k| ChannelId::Smc(k)),
                     model_factory,
-                    Arc::clone(&hyp_table),
                 );
                 cpa.set_unroll(self.spec.tune.cpa_unroll);
                 cpa

@@ -222,36 +222,37 @@ fn read_exact<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<(), CodecError>
     })
 }
 
-/// Read a whole file: its header and a payload of exactly the declared
-/// size.
-fn read_file<R: Read>(mut reader: R) -> Result<(Header, Vec<u8>), CodecError> {
-    let header = read_header(&mut reader)?;
-    let mut payload = Vec::new();
-    reader.read_to_end(&mut payload)?;
-    if payload.len() as u64 != header.payload_len {
-        return Err(CodecError::Truncated);
-    }
-    Ok((header, payload))
-}
-
-/// Decode one trace record; a version-2 record carries two label bytes
-/// after the trace.
-fn decode_record(record: &[u8]) -> Result<LabeledTrace, CodecError> {
-    let (value, rest) = record.split_first_chunk::<8>().ok_or(CodecError::Truncated)?;
-    let (plaintext, rest) = rest.split_first_chunk::<16>().ok_or(CodecError::Truncated)?;
-    let (ciphertext, labels) = rest.split_first_chunk::<16>().ok_or(CodecError::Truncated)?;
-    let (pass, class) = match *labels {
-        [pass, CLASS_NONE] => (pass, None),
-        [pass, idx] => {
-            let class =
-                PlaintextClass::ALL.get(usize::from(idx)).ok_or(CodecError::BadClass(idx))?;
-            (pass, Some(*class))
-        }
-        _ => (0, None),
-    };
-    let trace =
-        Trace { value: f64::from_le_bytes(*value), plaintext: *plaintext, ciphertext: *ciphertext };
-    Ok(LabeledTrace { trace, pass, class })
+/// The one record decoder: append every whole `width`-byte record of
+/// `payload` to `out`, each field a fixed-offset copy. A version-2 record
+/// carries two label bytes after the trace; a class byte that is neither
+/// a [`PlaintextClass`] index nor [`CLASS_NONE`] makes the whole call
+/// [`CodecError::BadClass`] with the first bad record's byte.
+fn decode_records(
+    payload: &[u8],
+    width: usize,
+    out: &mut Vec<LabeledTrace>,
+) -> Result<(), CodecError> {
+    let mut first_bad = None;
+    out.extend(payload.chunks_exact(width).map(|record| {
+        let field = |at: usize| -> [u8; 16] { record[at..at + 16].try_into().expect("16 bytes") };
+        let trace = Trace {
+            value: f64::from_le_bytes(record[..8].try_into().expect("8 bytes")),
+            plaintext: field(8),
+            ciphertext: field(24),
+        };
+        let (pass, class) =
+            if width == V2_TRACE_BYTES { (record[40], record[41]) } else { (0, CLASS_NONE) };
+        let class = match PlaintextClass::ALL.get(usize::from(class)) {
+            Some(&c) => Some(c),
+            None if class == CLASS_NONE => None,
+            None => {
+                first_bad.get_or_insert(class);
+                None
+            }
+        };
+        LabeledTrace { trace, pass, class }
+    }));
+    first_bad.map_or(Ok(()), |c| Err(CodecError::BadClass(c)))
 }
 
 /// Deserialize a trace set from a reader. Accepts both format versions;
@@ -262,12 +263,7 @@ fn decode_record(record: &[u8]) -> Result<LabeledTrace, CodecError> {
 ///
 /// See [`CodecError`] for the failure modes.
 pub fn read_trace_set<R: Read>(reader: R) -> Result<TraceSet, CodecError> {
-    let (header, payload) = read_file(reader)?;
-    let mut set = TraceSet::with_capacity(header.label, payload.len() / header.width);
-    for record in payload.chunks_exact(header.width) {
-        set.push(decode_record(record)?.trace);
-    }
-    Ok(set)
+    read_recording(reader).map(Recording::into_trace_set)
 }
 
 /// Read only the channel label from a trace-file header (the cheap probe
@@ -287,9 +283,15 @@ pub fn read_label<R: Read>(mut reader: R) -> Result<String, CodecError> {
 /// # Errors
 ///
 /// See [`CodecError`] for the failure modes.
-pub fn read_recording<R: Read>(reader: R) -> Result<Recording, CodecError> {
-    let (header, payload) = read_file(reader)?;
-    let traces = payload.chunks_exact(header.width).map(decode_record).collect::<Result<_, _>>()?;
+pub fn read_recording<R: Read>(mut reader: R) -> Result<Recording, CodecError> {
+    let header = read_header(&mut reader)?;
+    let mut payload = Vec::new();
+    reader.read_to_end(&mut payload)?;
+    if payload.len() as u64 != header.payload_len {
+        return Err(CodecError::Truncated);
+    }
+    let mut traces = Vec::new();
+    decode_records(&payload, header.width, &mut traces)?;
     Ok(Recording { label: header.label, traces })
 }
 
@@ -360,10 +362,7 @@ impl<R: Read> RecordingReader<R> {
         let take = usize::try_from(self.remaining).unwrap_or(usize::MAX).min(max.max(1));
         self.buf.resize(take * self.width, 0);
         read_exact(&mut self.reader, &mut self.buf)?;
-        out.reserve(take);
-        for record in self.buf.chunks_exact(self.width) {
-            out.push(decode_record(record)?);
-        }
+        decode_records(&self.buf, self.width, out)?;
         self.remaining -= take as u64;
         Ok(take)
     }
@@ -521,6 +520,21 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] = 7;
         assert!(matches!(read_recording(&bytes[..]), Err(CodecError::BadClass(7))));
+    }
+
+    #[test]
+    fn bad_class_mid_chunk_reports_the_first_bad_record() {
+        let traces = sample_recording(6);
+        let mut bytes = Vec::new();
+        write_recording("PHPC", &traces, &mut bytes).unwrap();
+        let class_byte = |record: usize| bytes.len() - V2_TRACE_BYTES * (6 - record) + 41;
+        let (second, fourth) = (class_byte(2), class_byte(4));
+        bytes[second] = 9;
+        bytes[fourth] = 7;
+        assert!(matches!(read_recording(&bytes[..]), Err(CodecError::BadClass(9))));
+        let mut reader = RecordingReader::new(&bytes[..]).unwrap();
+        let r = reader.read_chunk(6, &mut Vec::new());
+        assert!(matches!(r, Err(CodecError::BadClass(9))), "{r:?}");
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! ## Implementation note — class binning
 //!
 //! All of the paper's models depend on attacker data only through one byte
-//! ([`PowerModel::input_byte`]). The accumulator therefore keeps, per key
-//! byte, 256 bins of `(count, Σ value)` keyed by that input byte — adding a
-//! trace is O(16), not O(16 × 256) — and reconstructs every guess's Pearson
-//! correlation exactly from the bins:
+//! per key byte ([`PowerModel::input_bytes`]). The accumulator therefore
+//! keeps, per key byte, 256 bins of `(count, Σ value)` keyed by that input
+//! byte — adding a trace is O(16), not O(16 × 256) — and reconstructs
+//! every guess's Pearson correlation exactly from the bins:
 //!
 //! ```text
 //! Σh   = Σ_v count(v)·H(v,g)        Σh²  = Σ_v count(v)·H(v,g)²
@@ -21,7 +21,7 @@
 use crate::model::PowerModel;
 use crate::trace::{Trace, TraceSet};
 use pulp::{F64x2, F64x4, Simd, WithSimd};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Bin {
@@ -30,13 +30,13 @@ struct Bin {
 }
 
 /// Precomputed hypothesis table for one power model, in **guess-major**
-/// layout: `row(g)[v]` is the hypothetical leakage of input byte `v` under
-/// guess `g`.
+/// layout: `rows[g][v]` is the hypothetical leakage of input byte `v`
+/// under guess `g`.
 ///
 /// The table is 256 × 256 f64 (512 KB) — expensive to rebuild and identical
-/// for every [`Cpa`] instance of the same model, so build it once per model
-/// ([`HypTable::for_model`]) and share it via `Arc` across channels and
-/// shards ([`Cpa::with_table`]). Guess-major rows also make
+/// for every [`Cpa`] instance of the same model, so it is built once per
+/// model per process ([`HypTable::shared`]) and shared via `Arc` by every
+/// channel, shard and job. Guess-major rows also make
 /// [`Cpa::correlations`] walk memory with unit stride (the inner loop runs
 /// over `v` for a fixed `g`), instead of the 2 KB strides a value-major
 /// `hyp[v][g]` layout forces.
@@ -47,7 +47,25 @@ pub struct HypTable {
 }
 
 impl HypTable {
-    /// Build the table for `model`.
+    /// The process-wide table for `model`, built on first use. Tables are
+    /// keyed by [`PowerModel::name`], the identity [`Cpa::with_table`]
+    /// checks.
+    #[must_use]
+    pub fn shared(model: &dyn PowerModel) -> Arc<Self> {
+        static TABLES: Mutex<Vec<Arc<HypTable>>> = Mutex::new(Vec::new());
+        // The list only ever gains a finished table, so a panic while the
+        // lock was held cannot have left it invalid.
+        let mut tables = TABLES.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(table) = tables.iter().find(|t| t.model_name == model.name()) {
+            return Arc::clone(table);
+        }
+        let table = Arc::new(Self::for_model(model));
+        tables.push(Arc::clone(&table));
+        table
+    }
+
+    /// Build a fresh table for `model`, shared with nothing; analysis
+    /// code wants [`Self::shared`].
     #[must_use]
     pub fn for_model(model: &dyn PowerModel) -> Self {
         let mut rows = vec![[0.0f64; 256]; 256];
@@ -57,18 +75,6 @@ impl HypTable {
             }
         }
         Self { model_name: model.name(), rows }
-    }
-
-    /// Name of the model this table was built for.
-    #[must_use]
-    pub fn model_name(&self) -> &'static str {
-        self.model_name
-    }
-
-    /// The 256 hypothesis values of `guess`, indexed by input byte.
-    #[must_use]
-    pub fn row(&self, guess: u8) -> &[f64; 256] {
-        &self.rows[guess as usize]
     }
 }
 
@@ -321,17 +327,15 @@ impl WithSimd for CorrSweepAll<'_> {
 }
 
 impl Cpa {
-    /// New accumulator for `model`, building a private hypothesis table.
-    /// When many accumulators share one model (per-channel, per-shard),
-    /// prefer [`Self::with_table`] with one [`HypTable`] built up front.
+    /// New accumulator for `model`, on the process-wide hypothesis table
+    /// of [`HypTable::shared`].
     #[must_use]
     pub fn new(model: Box<dyn PowerModel>) -> Self {
-        let table = Arc::new(HypTable::for_model(model.as_ref()));
+        let table = HypTable::shared(model.as_ref());
         Self::with_table(model, table)
     }
 
-    /// New accumulator reusing a prebuilt hypothesis table, skipping the
-    /// 512 KB table construction of [`Self::new`].
+    /// New accumulator on a given hypothesis table.
     ///
     /// # Panics
     ///
@@ -341,7 +345,7 @@ impl Cpa {
     pub fn with_table(model: Box<dyn PowerModel>, table: Arc<HypTable>) -> Self {
         assert_eq!(
             model.name(),
-            table.model_name(),
+            table.model_name,
             "hypothesis table model mismatch: accumulator model vs table model"
         );
         Self {
@@ -380,12 +384,6 @@ impl Cpa {
         self.unroll = unroll;
     }
 
-    /// The active correlation sweep unroll width.
-    #[must_use]
-    pub fn unroll(&self) -> usize {
-        self.unroll
-    }
-
     /// The hypothesis table, shareable with further accumulators of the
     /// same model (clone the `Arc`, not the table).
     #[must_use]
@@ -410,8 +408,8 @@ impl Cpa {
         self.n += 1;
         self.sum_t += trace.value;
         self.sum_tt += trace.value * trace.value;
-        for (byte_index, bins) in self.bins.iter_mut().enumerate() {
-            let v = self.model.input_byte(&trace.plaintext, &trace.ciphertext, byte_index);
+        let inputs = self.model.input_bytes(&trace.plaintext, &trace.ciphertext);
+        for (bins, &v) in self.bins.iter_mut().zip(&inputs) {
             let bin = &mut bins[v as usize];
             bin.count += 1;
             bin.sum_t += trace.value;
@@ -425,29 +423,26 @@ impl Cpa {
         }
     }
 
-    /// Add one columnar block of observations: `values[i]` was observed
-    /// for `(plaintexts[i], ciphertexts[i])`. **Bit-identical** to calling
-    /// [`Self::add_trace`] once per row in order — every accumulator (the
-    /// trace moments and each bin) receives the same terms in the same
-    /// order — but evaluated column-major: one sweep over the value column
-    /// accumulates the moments, then each key byte bins the whole
-    /// plaintext/ciphertext column in its own tight loop. This is the
-    /// block fast path behind `psc-telemetry`'s streaming CPA processor.
+    /// Add one column of rows: `values[i]` was observed for the row whose
+    /// [`PowerModel::input_bytes`] are `inputs[i]`; `None` rows (denied
+    /// reads) are skipped. **Bit-identical** to calling
+    /// [`Self::add_trace`] once per present row in order — every
+    /// accumulator (the trace moments and each bin) receives the same
+    /// terms in the same order. The inputs are the caller's, so one pass
+    /// over a block's rows serves every channel binned under the same
+    /// model.
     ///
     /// # Panics
     ///
-    /// Panics if the three slices differ in length.
-    pub fn add_block(&mut self, plaintexts: &[[u8; 16]], ciphertexts: &[[u8; 16]], values: &[f64]) {
-        assert_eq!(plaintexts.len(), values.len(), "one plaintext per value");
-        assert_eq!(ciphertexts.len(), values.len(), "one ciphertext per value");
-        self.n += values.len() as u64;
-        for &t in values {
+    /// Panics if the two slices differ in length.
+    pub fn add_rows(&mut self, inputs: &[[u8; 16]], values: &[Option<f64>]) {
+        assert_eq!(inputs.len(), values.len(), "one input row per value");
+        for (input, value) in inputs.iter().zip(values) {
+            let Some(t) = *value else { continue };
+            self.n += 1;
             self.sum_t += t;
             self.sum_tt += t * t;
-        }
-        for (byte_index, bins) in self.bins.iter_mut().enumerate() {
-            for ((pt, ct), &t) in plaintexts.iter().zip(ciphertexts).zip(values) {
-                let v = self.model.input_byte(pt, ct, byte_index);
+            for (bins, &v) in self.bins.iter_mut().zip(input) {
                 let bin = &mut bins[v as usize];
                 bin.count += 1;
                 bin.sum_t += t;
@@ -756,7 +751,7 @@ impl Cpa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{PowerModel, Rd0Hw, Rd10Hw};
+    use crate::model::{PowerModel, Rd0Hw, Rd10Hd, Rd10Hw};
     use psc_aes::Aes;
 
     /// A noiseless synthetic channel: value = HW(pt ⊕ key) summed over all
@@ -904,11 +899,13 @@ mod tests {
     fn shared_table_matches_private_table_exactly() {
         let key = [0x6Bu8; 16];
         let set = synthetic_rd0_traces(&key, 600);
-        let mut private = Cpa::new(Box::new(Rd0Hw));
+        let mut private = Cpa::with_table(Box::new(Rd0Hw), Arc::new(HypTable::for_model(&Rd0Hw)));
         private.add_set(&set);
-        let table = std::sync::Arc::clone(private.shared_table());
-        let mut shared = Cpa::with_table(Box::new(Rd0Hw), table);
+        let mut shared = Cpa::new(Box::new(Rd0Hw));
         shared.add_set(&set);
+        // One table per model per process, whoever asks for it.
+        assert!(Arc::ptr_eq(shared.shared_table(), &HypTable::shared(&Rd0Hw)));
+        assert!(!Arc::ptr_eq(shared.shared_table(), private.shared_table()));
         for b in 0..16 {
             let pc = private.correlations(b);
             let sc = shared.correlations(b);
@@ -922,8 +919,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "hypothesis table model mismatch")]
     fn foreign_table_is_rejected() {
-        let table = std::sync::Arc::new(HypTable::for_model(&Rd0Hw));
-        let _ = Cpa::with_table(Box::new(Rd10Hw), table);
+        let _ = Cpa::with_table(Box::new(Rd10Hw), HypTable::shared(&Rd0Hw));
     }
 
     #[test]
@@ -961,35 +957,41 @@ mod tests {
     }
 
     #[test]
-    fn add_block_matches_sequential_add_trace_bitwise() {
+    fn add_rows_matches_sequential_add_trace_bitwise() {
         let key = [0x5Du8; 16];
         let set = synthetic_rd0_traces(&key, 777);
-        let mut sequential = Cpa::new(Box::new(Rd0Hw));
-        sequential.add_set(&set);
-        let table = std::sync::Arc::clone(sequential.shared_table());
-        let mut blocked = Cpa::with_table(Box::new(Rd0Hw), table);
-        let pts: Vec<[u8; 16]> = set.iter().map(|t| t.plaintext).collect();
-        let cts: Vec<[u8; 16]> = set.iter().map(|t| t.ciphertext).collect();
-        let vals: Vec<f64> = set.iter().map(|t| t.value).collect();
-        // Uneven chunks, including an empty one.
-        let mut offset = 0;
-        for chunk in [300usize, 0, 256, 221] {
-            blocked.add_block(
-                &pts[offset..offset + chunk],
-                &cts[offset..offset + chunk],
-                &vals[offset..offset + chunk],
-            );
-            offset += chunk;
-        }
-        assert_eq!(blocked.trace_count(), sequential.trace_count());
-        for b in 0..16 {
-            let sc = sequential.correlations(b);
-            let bc = blocked.correlations(b);
-            for g in 0..256 {
-                assert_eq!(sc[g].to_bits(), bc[g].to_bits(), "byte {b} guess {g}");
+        // Every fifth row is a denied read.
+        let values: Vec<Option<f64>> =
+            set.iter().enumerate().map(|(i, t)| (i % 5 != 3).then_some(t.value)).collect();
+        let models: [fn() -> Box<dyn PowerModel>; 3] =
+            [|| Box::new(Rd0Hw), || Box::new(Rd10Hw), || Box::new(Rd10Hd)];
+        for model in models {
+            let mut sequential = Cpa::new(model());
+            for (t, v) in set.iter().zip(&values) {
+                if v.is_some() {
+                    sequential.add_trace(t);
+                }
+            }
+            let mut blocked = Cpa::new(model());
+            let inputs: Vec<[u8; 16]> =
+                set.iter().map(|t| model().input_bytes(&t.plaintext, &t.ciphertext)).collect();
+            // Uneven chunks, including an empty one.
+            let mut offset = 0;
+            for chunk in [300usize, 0, 256, 221] {
+                let rows = offset..offset + chunk;
+                blocked.add_rows(&inputs[rows.clone()], &values[rows]);
+                offset += chunk;
+            }
+            let name = model().name();
+            assert_eq!(blocked.raw_state(), sequential.raw_state(), "{name}");
+            for b in 0..16 {
+                let sc = sequential.correlations(b);
+                let bc = blocked.correlations(b);
+                for g in 0..256 {
+                    assert_eq!(sc[g].to_bits(), bc[g].to_bits(), "{name} byte {b} guess {g}");
+                }
             }
         }
-        assert_eq!(blocked.ranks(&key), sequential.ranks(&key));
     }
 
     #[test]

@@ -37,6 +37,8 @@ pub fn moving_average(xs: &[f64], window: usize) -> Vec<f64> {
 }
 
 /// Subtract the centered moving average from each element (high-pass).
+/// Window 1 yields all zeros (each element is its own average); the
+/// smallest useful window is 2, which rounds up to 3.
 ///
 /// # Panics
 ///

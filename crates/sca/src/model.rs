@@ -20,14 +20,16 @@ use psc_aes::sbox::inv_sub_byte;
 /// All of the paper's models share a crucial structure that
 /// [`crate::cpa::Cpa`] exploits: the hypothesis for `(byte_index, guess)`
 /// depends on attacker-visible data only through a **single byte**
-/// ([`Self::input_byte`]). The accumulator can therefore bin traces by that
-/// byte value (256 bins) instead of evaluating all 256 guesses per trace.
+/// (`input_bytes(pt, ct)[byte_index]`, see [`Self::input_bytes`]). The
+/// accumulator can therefore bin traces by that byte value (256 bins)
+/// instead of evaluating all 256 guesses per trace.
 pub trait PowerModel: Send + Sync + core::fmt::Debug {
     /// Short identifier (used in reports: `Rd0-HW`, `Rd10-HW`, `Rd10-HD`).
     fn name(&self) -> &'static str;
 
-    /// The attacker-visible byte the hypothesis for `byte_index` depends on.
-    fn input_byte(&self, plaintext: &[u8; 16], ciphertext: &[u8; 16], byte_index: usize) -> u8;
+    /// The attacker-visible bytes the hypotheses depend on: entry `b` is
+    /// the one byte the hypothesis for key byte `b` reads.
+    fn input_bytes(&self, plaintext: &[u8; 16], ciphertext: &[u8; 16]) -> [u8; 16];
 
     /// Hypothetical leakage as a function of that input byte and the guess.
     fn hypothesis_value(&self, input: u8, guess: u8) -> f64;
@@ -40,7 +42,7 @@ pub trait PowerModel: Send + Sync + core::fmt::Debug {
         byte_index: usize,
         guess: u8,
     ) -> f64 {
-        self.hypothesis_value(self.input_byte(plaintext, ciphertext, byte_index), guess)
+        self.hypothesis_value(self.input_bytes(plaintext, ciphertext)[byte_index], guess)
     }
 
     /// Which actual key byte a correct guess corresponds to: the round-0
@@ -67,8 +69,8 @@ impl PowerModel for Rd0Hw {
         "Rd0-HW"
     }
 
-    fn input_byte(&self, pt: &[u8; 16], _ct: &[u8; 16], byte_index: usize) -> u8 {
-        pt[byte_index]
+    fn input_bytes(&self, pt: &[u8; 16], _ct: &[u8; 16]) -> [u8; 16] {
+        *pt
     }
 
     fn hypothesis_value(&self, input: u8, guess: u8) -> f64 {
@@ -89,8 +91,8 @@ impl PowerModel for Rd10Hw {
         "Rd10-HW"
     }
 
-    fn input_byte(&self, _pt: &[u8; 16], ct: &[u8; 16], byte_index: usize) -> u8 {
-        ct[byte_index]
+    fn input_bytes(&self, _pt: &[u8; 16], ct: &[u8; 16]) -> [u8; 16] {
+        *ct
     }
 
     fn hypothesis_value(&self, input: u8, guess: u8) -> f64 {
@@ -111,8 +113,8 @@ impl PowerModel for Rd10Hd {
         "Rd10-HD"
     }
 
-    fn input_byte(&self, _pt: &[u8; 16], ct: &[u8; 16], byte_index: usize) -> u8 {
-        ct[byte_index]
+    fn input_bytes(&self, _pt: &[u8; 16], ct: &[u8; 16]) -> [u8; 16] {
+        *ct
     }
 
     fn hypothesis_value(&self, input: u8, guess: u8) -> f64 {

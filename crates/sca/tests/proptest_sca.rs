@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use psc_sca::cpa::Cpa;
-use psc_sca::model::{paper_models, Rd0Hw};
+use psc_sca::model::{paper_models, Rd0Hw, RecoveredRound};
 use psc_sca::rank::{guessing_entropy, log_checkpoints};
 use psc_sca::stats::{pearson, welch_t, Correlation, RunningMoments};
 use psc_sca::trace::{Trace, TraceSet};
@@ -90,10 +90,22 @@ proptest! {
         guess in any::<u8>(),
     ) {
         for model in paper_models() {
+            let inputs = model.input_bytes(&pt, &ct);
             let direct = model.hypothesis(&pt, &ct, byte_index, guess);
-            let via_input =
-                model.hypothesis_value(model.input_byte(&pt, &ct, byte_index), guess);
+            let via_input = model.hypothesis_value(inputs[byte_index], guess);
             prop_assert_eq!(direct, via_input, "{}", model.name());
+            // The input byte is the known byte of the recovered round's side.
+            let side = match model.recovered_round() {
+                RecoveredRound::Round0 => pt,
+                RecoveredRound::Round10 => ct,
+            };
+            prop_assert_eq!(inputs, side, "{}", model.name());
+            // Every other plaintext and ciphertext byte leaves it alone.
+            let flip = |xs: [u8; 16]| -> [u8; 16] {
+                core::array::from_fn(|i| if i == byte_index { xs[i] } else { !xs[i] })
+            };
+            let moved = model.input_bytes(&flip(pt), &flip(ct));
+            prop_assert_eq!(moved[byte_index], inputs[byte_index], "{}", model.name());
         }
     }
 

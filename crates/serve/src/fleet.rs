@@ -79,7 +79,6 @@ use psc_core::spec::{AnalysisMode, CampaignSpec, MitigationSetting};
 use psc_sca::checkpoint::{
     decode_frame, encode_frame, CheckpointError, PayloadReader, PayloadWriter,
 };
-use psc_sca::cpa::HypTable;
 use psc_telemetry::faults::{FaultPlan, FaultState, RetryPolicy};
 use psc_telemetry::ring::ChannelStats;
 use psc_telemetry::{
@@ -681,11 +680,9 @@ pub fn merge_survivors(
             (text, encoded(&report.tvla), report.health)
         }
         AnalysisMode::Cpa => {
-            let table = Arc::new(HypTable::for_model(report::cpa_model().as_ref()));
             let build = || {
                 let channels = spec.keys().into_iter().map(ChannelId::Smc);
-                let mut cpa =
-                    StreamingCpa::with_table(channels, report::cpa_model, Arc::clone(&table));
+                let mut cpa = StreamingCpa::new(channels, report::cpa_model);
                 cpa.set_unroll(spec.tune.cpa_unroll);
                 cpa
             };

@@ -2,11 +2,11 @@
 //!
 //! Every window of the attacker's measurement loop (§3.4) yields the
 //! submitted plaintext / returned ciphertext ([`WindowEvent`]), one
-//! scalar reading per polled channel ([`SampleEvent`]), and scheduler
-//! metadata ([`SchedEvent`]: how many SoC windows the SMC consumed before
+//! scalar reading per polled channel, and scheduler metadata
+//! ([`SchedEvent`]: how many SoC windows the SMC consumed before
 //! publishing — >1 under the interval-stretching mitigation). An
 //! [`EventBlock`](crate::block::EventBlock) stores these as one row per
-//! observation.
+//! observation, the readings as one `Option<f64>` column per channel.
 
 use psc_sca::tvla::PlaintextClass;
 use psc_smc::SmcKey;
@@ -48,17 +48,6 @@ pub struct WindowEvent {
     pub plaintext: [u8; 16],
     /// Ciphertext the victim returned.
     pub ciphertext: [u8; 16],
-}
-
-/// One scalar reading on one channel, inside the current window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampleEvent {
-    /// Simulated time of the reading, seconds.
-    pub time_s: f64,
-    /// Which channel produced the value.
-    pub channel: ChannelId,
-    /// The reading (watts for SMC power keys, mJ for PCPU, s for timing).
-    pub value: f64,
 }
 
 /// Scheduler/cadence metadata for one observation window.

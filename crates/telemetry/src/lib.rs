@@ -7,9 +7,9 @@
 //! into a publish/subscribe pipeline:
 //!
 //! * [`event`] — the record types of one observation row: [`WindowEvent`]
-//!   (plaintext/ciphertext and TVLA labels), [`SampleEvent`] (one scalar
-//!   per channel per window), [`SchedEvent`] (cadence metadata: windows
-//!   consumed, denied reads);
+//!   (plaintext/ciphertext and TVLA labels), [`SchedEvent`] (cadence
+//!   metadata: windows consumed, denied reads) and the [`ChannelId`] of
+//!   each sample column;
 //! * [`block`] — columnar [`EventBlock`]s: whole observations as
 //!   struct-of-arrays (window records, one `Option<f64>` sample column
 //!   per channel, sched records), the bus's one unit of traffic — one
@@ -134,7 +134,7 @@ pub mod spans;
 
 pub use block::EventBlock;
 pub use campaign::{panic_message, run_sharded, run_sharded_caught, split_counts};
-pub use event::{ChannelId, SampleEvent, SchedEvent, WindowEvent};
+pub use event::{ChannelId, SchedEvent, WindowEvent};
 pub use faults::{FaultPlan, FaultState, RetryPolicy};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsReport, MetricsSnapshot};
 pub use processor::Processor;

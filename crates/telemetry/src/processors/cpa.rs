@@ -1,15 +1,20 @@
-//! Incremental CPA processor: running per-guess/byte sums, O(1) memory.
+//! Incremental CPA processors: running per-guess/byte sums, O(1) memory.
+//!
+//! A block is ingested in two passes. The model's
+//! [`PowerModel::input_bytes`] are computed once per row, then each
+//! registered channel's sample column is binned against them with
+//! [`Cpa::add_rows`], which skips denied reads. So a row costs one model
+//! call however many channels share the model, and no column is copied.
 
 use crate::block::EventBlock;
-use crate::event::ChannelId;
+use crate::event::{ChannelId, WindowEvent};
 use crate::processor::Processor;
 use crate::replay::channel_for_label;
 use psc_sca::checkpoint::{self, CheckpointError, PayloadReader, PayloadWriter};
-use psc_sca::cpa::{Cpa, CpaMergeError, HypTable};
+use psc_sca::cpa::{Cpa, CpaMergeError};
 use psc_sca::model::PowerModel;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Streaming CPA over a fixed set of channels. Each channel gets its own
 /// [`Cpa`] accumulator (256-bin running sums per key byte — memory is
@@ -21,52 +26,30 @@ pub struct StreamingCpa {
     /// The last row's known-plaintext record (a checkpoint slot).
     current: Option<([u8; 16], [u8; 16])>,
     unregistered_samples: u64,
-    /// Reused per-block staging columns for [`Cpa::add_block`] (denied
-    /// rows filtered out), so the block fast path is allocation-free in
-    /// steady state.
-    scratch_pts: Vec<[u8; 16]>,
-    scratch_cts: Vec<[u8; 16]>,
-    scratch_vals: Vec<f64>,
+    /// The current block's per-row model inputs, reused across blocks.
+    inputs: Vec<[u8; 16]>,
 }
 
 impl StreamingCpa {
     /// New processor correlating `channels`, each under a fresh model from
-    /// `model_factory`. The 512 KB hypothesis table is built **once** and
-    /// shared across all channels; sharded drivers that already hold a
-    /// table should use [`Self::with_table`] to share it across shards too.
+    /// `model_factory`, all on the process-wide hypothesis table of that
+    /// model ([`psc_sca::cpa::HypTable::shared`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `model_factory` yields models of different names: every
+    /// channel is binned against one row pass of model inputs.
     #[must_use]
     pub fn new(
         channels: impl IntoIterator<Item = ChannelId>,
         model_factory: impl Fn() -> Box<dyn PowerModel>,
     ) -> Self {
-        let table = Arc::new(HypTable::for_model(model_factory().as_ref()));
-        Self::with_table(channels, model_factory, table)
-    }
-
-    /// As [`Self::new`], reusing a prebuilt hypothesis table instead of
-    /// recomputing it per processor (and hence per shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table` was built for a different model than the ones
-    /// `model_factory` yields (see [`Cpa::with_table`]).
-    #[must_use]
-    pub fn with_table(
-        channels: impl IntoIterator<Item = ChannelId>,
-        model_factory: impl Fn() -> Box<dyn PowerModel>,
-        table: Arc<HypTable>,
-    ) -> Self {
-        Self {
-            cpas: channels
-                .into_iter()
-                .map(|c| (c, Cpa::with_table(model_factory(), Arc::clone(&table))))
-                .collect(),
-            current: None,
-            unregistered_samples: 0,
-            scratch_pts: Vec::new(),
-            scratch_cts: Vec::new(),
-            scratch_vals: Vec::new(),
-        }
+        let cpas: BTreeMap<_, _> =
+            channels.into_iter().map(|c| (c, Cpa::new(model_factory()))).collect();
+        let mut names = cpas.values().map(|cpa| cpa.model().name());
+        let first = names.next();
+        assert!(names.all(|n| Some(n) == first), "one model factory must yield one model");
+        Self { cpas, current: None, unregistered_samples: 0, inputs: Vec::new() }
     }
 
     /// The accumulator for `channel`.
@@ -92,12 +75,6 @@ impl StreamingCpa {
     #[must_use]
     pub fn cpas(&self) -> &BTreeMap<ChannelId, Cpa> {
         &self.cpas
-    }
-
-    /// Consume the processor, yielding the accumulators.
-    #[must_use]
-    pub fn into_cpas(self) -> BTreeMap<ChannelId, Cpa> {
-        self.cpas
     }
 
     /// Samples on channels this processor was not registered for.
@@ -192,35 +169,33 @@ impl Processor for StreamingCpa {
         "cpa"
     }
 
-    /// Each registered channel's column is staged (denied rows dropped)
-    /// and binned in one [`Cpa::add_block`] call — one map lookup and one
-    /// columnar bin sweep per channel per block, bit-identical to one
+    /// The model inputs of the block's rows are computed once, then each
+    /// registered channel's column is binned straight from the block with
+    /// one [`Cpa::add_rows`] call — bit-identical to one
     /// [`Cpa::add_trace`] per present sample in row order.
     fn on_block(&mut self, block: &EventBlock) {
         let windows = block.windows();
         if windows.is_empty() {
             return;
         }
-        for (col, &channel) in block.channels().iter().enumerate() {
+        if let Some(cpa) = self.cpas.values().next() {
+            model_inputs(cpa.model(), windows, &mut self.inputs);
+        }
+        for (col, channel) in block.channels().iter().enumerate() {
             let column = block.column(col);
-            let Some(cpa) = self.cpas.get_mut(&channel) else {
-                self.unregistered_samples += column.iter().flatten().count() as u64;
-                continue;
-            };
-            self.scratch_pts.clear();
-            self.scratch_cts.clear();
-            self.scratch_vals.clear();
-            for (w, v) in windows.iter().zip(column) {
-                if let Some(value) = *v {
-                    self.scratch_pts.push(w.plaintext);
-                    self.scratch_cts.push(w.ciphertext);
-                    self.scratch_vals.push(value);
-                }
+            match self.cpas.get_mut(channel) {
+                Some(cpa) => cpa.add_rows(&self.inputs, column),
+                None => self.unregistered_samples += column.iter().flatten().count() as u64,
             }
-            cpa.add_block(&self.scratch_pts, &self.scratch_cts, &self.scratch_vals);
         }
         self.current = windows.last().map(|w| (w.plaintext, w.ciphertext));
     }
+}
+
+/// Fill `inputs` with `model`'s [`PowerModel::input_bytes`] of each row.
+fn model_inputs(model: &dyn PowerModel, windows: &[WindowEvent], inputs: &mut Vec<[u8; 16]>) {
+    inputs.clear();
+    inputs.extend(windows.iter().map(|w| model.input_bytes(&w.plaintext, &w.ciphertext)));
 }
 
 /// A power-model constructor: [`CpaGrid`] builds one accumulator per
@@ -254,9 +229,8 @@ pub struct CpaGrid {
     points: Vec<(usize, Vec<Cpa>)>,
     /// The last row's known-plaintext record (a checkpoint slot).
     current: Option<([u8; 16], [u8; 16])>,
-    scratch_pts: Vec<[u8; 16]>,
-    scratch_cts: Vec<[u8; 16]>,
-    scratch_vals: Vec<f64>,
+    /// One model's inputs for the current run of rows.
+    inputs: Vec<[u8; 16]>,
 }
 
 impl CpaGrid {
@@ -281,9 +255,7 @@ impl CpaGrid {
             row: slice.start,
             points: Vec::new(),
             current: None,
-            scratch_pts: Vec::new(),
-            scratch_cts: Vec::new(),
-            scratch_vals: Vec::new(),
+            inputs: Vec::new(),
         }
     }
 
@@ -301,14 +273,13 @@ impl CpaGrid {
         &self.points
     }
 
-    /// Copies of the current accumulators (sharing their hypothesis
-    /// tables).
+    /// Copies of the current accumulators.
     fn fork(&self) -> Vec<Cpa> {
         self.cpas
             .iter()
             .zip(&self.models)
             .map(|(cpa, model)| {
-                let mut copy = Cpa::with_table(model(), Arc::clone(cpa.shared_table()));
+                let mut copy = Cpa::new(model());
                 copy.merge(cpa).expect("same model");
                 copy
             })
@@ -388,13 +359,11 @@ impl CpaGrid {
             return Err(CheckpointError::Corrupt("snapshot model count differs"));
         }
         let models = self.models.clone();
-        let tables: Vec<_> = self.cpas.iter().map(|c| Arc::clone(c.shared_table())).collect();
         let get_cpas = |r: &mut PayloadReader<'_>| -> Result<Vec<Cpa>, CheckpointError> {
             models
                 .iter()
-                .zip(&tables)
-                .map(|(model, table)| {
-                    let mut cpa = Cpa::with_table(model(), Arc::clone(table));
+                .map(|model| {
+                    let mut cpa = Cpa::new(model());
                     cpa.restore_raw(&checkpoint::get_cpa_state(r)?)
                         .map_err(|_| CheckpointError::Corrupt("snapshot power model mismatch"))?;
                     Ok(cpa)
@@ -422,8 +391,9 @@ impl Processor for CpaGrid {
         "cpa-grid"
     }
 
-    /// The block is cut at the rows where grid points fall, and each run
-    /// of rows is binned with one [`Cpa::add_block`] per model, so every
+    /// The block is cut at the rows where grid points fall. For each run
+    /// of rows, each model's inputs are computed once and the channel's
+    /// column is binned against them with one [`Cpa::add_rows`], so every
     /// snapshot holds exactly the rows before its grid point.
     fn on_block(&mut self, block: &EventBlock) {
         let windows = block.windows();
@@ -436,18 +406,9 @@ impl Processor for CpaGrid {
             let take = self.pending.first().map_or(rows, |&g| (g - self.row).min(rows));
             let to = from + take;
             if let Some(column) = column {
-                self.scratch_pts.clear();
-                self.scratch_cts.clear();
-                self.scratch_vals.clear();
-                for (w, v) in windows[from..to].iter().zip(&column[from..to]) {
-                    if let Some(value) = *v {
-                        self.scratch_pts.push(w.plaintext);
-                        self.scratch_cts.push(w.ciphertext);
-                        self.scratch_vals.push(value);
-                    }
-                }
                 for cpa in &mut self.cpas {
-                    cpa.add_block(&self.scratch_pts, &self.scratch_cts, &self.scratch_vals);
+                    model_inputs(cpa.model(), &windows[from..to], &mut self.inputs);
+                    cpa.add_rows(&self.inputs, &column[from..to]);
                 }
             }
             self.row += take;
@@ -546,34 +507,26 @@ mod tests {
     #[test]
     fn channels_share_one_hypothesis_table() {
         let p = StreamingCpa::new([ChannelId::Pcpu, ChannelId::Timing], || Box::new(Rd0Hw));
-        let a = p.cpa(ChannelId::Pcpu).unwrap().shared_table();
-        let b = p.cpa(ChannelId::Timing).unwrap().shared_table();
-        assert!(std::sync::Arc::ptr_eq(a, b), "one table per processor, not per channel");
+        let q = StreamingCpa::new([ChannelId::Pcpu], || Box::new(Rd0Hw));
+        let shared = psc_sca::cpa::HypTable::shared(&Rd0Hw);
+        for cpa in [p.cpa(ChannelId::Pcpu), p.cpa(ChannelId::Timing), q.cpa(ChannelId::Pcpu)] {
+            let table = cpa.unwrap().shared_table();
+            assert!(std::sync::Arc::ptr_eq(table, &shared), "one table per model per process");
+        }
     }
 
     #[test]
-    fn with_table_matches_new_exactly() {
-        let key = [0x44u8; 16];
-        let set = synthetic(&key, 500, 9);
-        let table = std::sync::Arc::new(psc_sca::cpa::HypTable::for_model(&Rd0Hw));
-        let mut shared = StreamingCpa::with_table(
-            [ChannelId::Pcpu],
-            || Box::new(Rd0Hw),
-            std::sync::Arc::clone(&table),
-        );
-        let mut fresh = StreamingCpa::new([ChannelId::Pcpu], || Box::new(Rd0Hw));
-        feed(&mut shared, &set);
-        feed(&mut fresh, &set);
-        let s = shared.cpa(ChannelId::Pcpu).unwrap();
-        let f = fresh.cpa(ChannelId::Pcpu).unwrap();
-        assert!(std::sync::Arc::ptr_eq(s.shared_table(), &table));
-        for b in 0..16 {
-            let sc = s.correlations(b);
-            let fc = f.correlations(b);
-            for g in 0..256 {
-                assert_eq!(sc[g].to_bits(), fc[g].to_bits(), "byte {b} guess {g}");
+    #[should_panic(expected = "one model factory must yield one model")]
+    fn mixed_model_factory_is_rejected() {
+        let flip = std::cell::Cell::new(false);
+        let _ = StreamingCpa::new([ChannelId::Pcpu, ChannelId::Timing], || {
+            flip.set(!flip.get());
+            if flip.get() {
+                Box::new(Rd0Hw)
+            } else {
+                Box::new(psc_sca::model::Rd10Hw)
             }
-        }
+        });
     }
 
     /// `traces` as one block on the `Pcpu` channel.

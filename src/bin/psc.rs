@@ -497,8 +497,10 @@ fn cmd_analyze(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
             let s = parse_opt(args, "--detrend").unwrap_or_default();
             s.parse::<usize>()
                 .ok()
-                .filter(|&w| w >= 1)
-                .ok_or(format!("bad --detrend value {s:?}: expected a window of at least 1"))
+                // A window-1 moving average is the trace itself, so
+                // detrending by it zeroes every trace.
+                .filter(|&w| w >= 2)
+                .ok_or(format!("bad --detrend value {s:?}: expected a window of at least 2"))
         })
         .transpose()?;
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;

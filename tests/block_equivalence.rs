@@ -1,5 +1,5 @@
 //! Block-path bit-identity: the columnar processors
-//! (`Processor::on_block`, `Cpa::add_block`, `Cpa::correlations_into`)
+//! (`Processor::on_block`, `Cpa::add_rows`, `Cpa::correlations_into`)
 //! must reproduce the per-row scalar oracle of `tests/common/oracle.rs`
 //! exactly — same accumulator bits, same counters, same bytes on disk —
 //! across random blocks, shard counts, mitigations and ring overflow
@@ -9,7 +9,7 @@ mod common;
 
 use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
 use apple_power_sca::sca::cpa::Cpa;
-use apple_power_sca::sca::model::Rd0Hw;
+use apple_power_sca::sca::model::{paper_models, Rd0Hw};
 use apple_power_sca::sca::tvla::PlaintextClass;
 use apple_power_sca::smc::key::key;
 use apple_power_sca::smc::MitigationConfig;
@@ -186,7 +186,7 @@ proptest! {
         assert_tvla_identical(&blocked, &scalar, &channels);
     }
 
-    /// Streaming CPA: `on_block` (column staging + `Cpa::add_block`) is
+    /// Streaming CPA: `on_block` (one model-input pass + `Cpa::add_rows`) is
     /// bit-identical to one `add_trace` per sample, including the
     /// unregistered-channel accounting.
     #[test]
@@ -224,6 +224,35 @@ proptest! {
         }
     }
 
+    /// The `cpa-replay` layout — four SMC keys and PCPU registered, the
+    /// timing channel not — under each paper model: one model-input pass
+    /// per block feeds all five columns, denied reads included, and every
+    /// accumulator ends bit-identical to the per-row oracle.
+    #[test]
+    fn cpa_five_channel_block_path_matches_oracle(
+        rows in proptest::collection::vec(row_strategy(6), 0..60),
+        chunk in 1usize..20,
+        model in 0usize..3,
+    ) {
+        let model = || paper_models().swap_remove(model);
+        let mut channels: Vec<ChannelId> =
+            ["PHPC", "PDTR", "PMVC", "PSTR"].iter().map(|k| ChannelId::Smc(key(k))).collect();
+        channels.extend([ChannelId::Pcpu, ChannelId::Timing]);
+        let registered = &channels[..5];
+        let blocks = build_blocks(&rows, &channels, chunk);
+
+        let mut blocked = StreamingCpa::new(registered.iter().copied(), model);
+        let mut scalar = CpaOracle::new(registered.iter().copied(), model);
+        for block in &blocks {
+            blocked.on_block(block);
+            scalar.block(block);
+        }
+        prop_assert_eq!(blocked.unregistered_samples(), scalar.unregistered_samples);
+        for ch in registered {
+            prop_assert_eq!(blocked.cpa(*ch).unwrap().raw_state(), scalar.cpas[ch].raw_state());
+        }
+    }
+
     /// The recorder writes the shard files the oracle's codec calls write
     /// (same traces, same flush boundaries), byte for byte.
     #[test]
@@ -256,31 +285,38 @@ proptest! {
         std::fs::remove_dir_all(&base).ok();
     }
 
-    /// `Cpa::add_block` == sequential `add_trace` and
-    /// `correlations_into` == `correlations`, bit for bit, on random
-    /// accumulator contents.
+    /// `Cpa::add_rows` == sequential `add_trace` over the present rows
+    /// and `correlations_into` == `correlations`, bit for bit, on random
+    /// accumulator contents with denied reads.
     #[test]
     fn cpa_block_and_into_are_bit_identical(
-        traces in proptest::collection::vec((any::<u64>(), -5_000i32..5_000), 0..200),
+        traces in proptest::collection::vec((any::<u64>(), any::<bool>(), -5_000i32..5_000), 0..200),
         split in 0usize..200,
+        model in 0usize..3,
     ) {
-        let mut sequential = Cpa::new(Box::new(Rd0Hw));
-        let table = std::sync::Arc::clone(sequential.shared_table());
-        let mut blocked = Cpa::with_table(Box::new(Rd0Hw), table);
+        let model = || paper_models().swap_remove(model);
+        let mut sequential = Cpa::new(model());
+        let mut blocked = Cpa::new(model());
 
-        let pts: Vec<[u8; 16]> = traces.iter().map(|(s, _)| bytes16(*s)).collect();
-        let cts: Vec<[u8; 16]> = traces.iter().map(|(s, _)| bytes16(s.wrapping_add(7))).collect();
-        let vals: Vec<f64> = traces.iter().map(|(_, v)| f64::from(*v) * 0.01).collect();
+        let pts: Vec<[u8; 16]> = traces.iter().map(|(s, ..)| bytes16(*s)).collect();
+        let cts: Vec<[u8; 16]> = traces.iter().map(|(s, ..)| bytes16(s.wrapping_add(7))).collect();
+        let vals: Vec<Option<f64>> =
+            traces.iter().map(|(_, some, v)| some.then(|| f64::from(*v) * 0.01)).collect();
         for ((pt, ct), v) in pts.iter().zip(&cts).zip(&vals) {
-            sequential.add_trace(&apple_power_sca::sca::trace::Trace {
-                value: *v,
-                plaintext: *pt,
-                ciphertext: *ct,
-            });
+            if let Some(value) = *v {
+                sequential.add_trace(&apple_power_sca::sca::trace::Trace {
+                    value,
+                    plaintext: *pt,
+                    ciphertext: *ct,
+                });
+            }
         }
+        let inputs: Vec<[u8; 16]> =
+            pts.iter().zip(&cts).map(|(pt, ct)| model().input_bytes(pt, ct)).collect();
         let mid = split.min(pts.len());
-        blocked.add_block(&pts[..mid], &cts[..mid], &vals[..mid]);
-        blocked.add_block(&pts[mid..], &cts[mid..], &vals[mid..]);
+        blocked.add_rows(&inputs[..mid], &vals[..mid]);
+        blocked.add_rows(&inputs[mid..], &vals[mid..]);
+        prop_assert_eq!(sequential.raw_state(), blocked.raw_state());
 
         assert_eq!(sequential.trace_count(), blocked.trace_count());
         let mut buf = [0.0f64; 256];

@@ -120,6 +120,7 @@ fn cli_refuses_bad_shard_and_trace_counts() {
         (&["analyze", file, "--detrend", "abc"], "--detrend"),
         (&["analyze", file, "--detrend", "-3"], "--detrend"),
         (&["analyze", file, "--detrend", "0"], "--detrend"),
+        (&["analyze", file, "--detrend", "1"], "--detrend"),
         (&["analyze", file, "--detrend"], "--detrend"),
         (&["analyze", "--key", "00112233445566778899aabbccddeeff", file], "FILE"),
     ] {
