@@ -91,9 +91,13 @@ fn bench_sca(c: &mut Criterion) {
     });
 
     c.bench_function("sca/codec_roundtrip_10k", |b| {
+        let records: Vec<psc_sca::codec::LabeledTrace> = traces
+            .iter()
+            .map(|&trace| psc_sca::codec::LabeledTrace { trace, pass: 0, class: None })
+            .collect();
         b.iter(|| {
-            let mut bytes = Vec::with_capacity(traces.len() * 40 + 64);
-            psc_sca::codec::write_trace_set(&traces, &mut bytes).expect("write");
+            let mut bytes = Vec::with_capacity(traces.len() * 42 + 64);
+            psc_sca::codec::write_recording(&traces.label, &records, &mut bytes).expect("write");
             black_box(psc_sca::codec::read_trace_set(&bytes[..]).expect("read"))
         });
     });

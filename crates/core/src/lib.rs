@@ -21,7 +21,8 @@
 //!   width and block/chunk sizes with the real kernels and returns the
 //!   winning [`TuneConfig`] for [`Campaign::tune`];
 //! * [`experiments`] — a runner per table/figure of the paper, with
-//!   paper-format rendering.
+//!   paper-format rendering, listed in the [`experiments::TARGETS`]
+//!   table `psc repro` runs.
 //!
 //! ## Quickstart
 //!

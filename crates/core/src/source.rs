@@ -25,6 +25,7 @@
 use crate::rig::{Device, Observation, Rig};
 use crate::victim::VictimKind;
 use psc_sca::codec::{self, LabeledTrace, RecordingReader};
+use psc_sca::filter::Detrender;
 use psc_sca::tvla::PlaintextClass;
 use psc_smc::{MitigationConfig, SmcKey};
 use psc_telemetry::block::EventBlock;
@@ -774,19 +775,36 @@ pub struct ReplayShard {
 pub struct ShardReplay {
     shards: Vec<ReplayShard>,
     skipped: AtomicU64,
+    detrend: Option<usize>,
 }
 
 impl ShardReplay {
     /// A replay source over explicit shard file groups.
     #[must_use]
     pub fn new(shards: Vec<ReplayShard>) -> Self {
-        Self { shards, skipped: AtomicU64::new(0) }
+        Self { shards, skipped: AtomicU64::new(0), detrend: None }
+    }
+
+    /// High-pass every channel as it replays: each recorded value loses
+    /// its centered moving average over `window` records
+    /// ([`Detrender`], bit for bit [`psc_sca::filter::detrend`]). Each
+    /// shard's channel detrends on its own, since every shard is an
+    /// independent rig with its own drift walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window == 0`.
+    #[must_use]
+    pub fn detrend(mut self, window: usize) -> Self {
+        assert!(window > 0, "window must be positive");
+        self.detrend = Some(window);
+        self
     }
 
     /// Scan `dir` for `.psct` files and group them into shards by the
     /// `-s{NNN}-` token of the recorder's naming scheme
     /// (`{label}-s{shard:03}-{index:04}.psct`); files without the token
-    /// (e.g. a plain `psc collect` output) land in shard 0. Within a
+    /// (e.g. a lone single-file recording) land in shard 0. Within a
     /// shard, files are listed in lexicographic name order; replay groups
     /// them by the channel their header names (each channel's slices in
     /// write order) and merges the channels row by row.
@@ -879,6 +897,9 @@ struct ChannelChain {
     read: u64,
     /// Traces of this channel placed in finished blocks.
     emitted: u64,
+    /// The streaming high-pass stage and its raw-read buffer, when the
+    /// replay detrends.
+    detrend: Option<(Detrender, Vec<LabeledTrace>)>,
 }
 
 impl ShardReplay {
@@ -926,6 +947,7 @@ impl ShardReplay {
                     done: false,
                     read: 0,
                     emitted: 0,
+                    detrend: self.detrend.map(|w| (Detrender::new(w), Vec::new())),
                 }),
             }
         }
@@ -936,7 +958,9 @@ impl ShardReplay {
     /// walking on to the chain's next file at each end of file. A file
     /// that fails mid-stream (truncation, trailing garbage, a bad class
     /// byte) is counted as skipped and its failed window dropped; the
-    /// windows read before the failure stay replayed. Marks the chain
+    /// windows read before the failure stay replayed. A detrending chain
+    /// reads into its own buffer and passes the records its detrender
+    /// lets out, draining the detrender at chain end. Marks the chain
     /// done when no file has traces left.
     fn refill(
         &self,
@@ -946,11 +970,15 @@ impl ShardReplay {
         log: Option<&ShardLog>,
     ) {
         chain.pos = 0;
+        buf.clear();
         loop {
             let Some((path, reader)) = chain.current.as_mut() else {
                 let Some(path) = chain.queued.pop_front() else {
-                    buf.clear();
-                    chain.done = true;
+                    if let Some((detrender, _)) = &mut chain.detrend {
+                        detrender.finish(buf);
+                    }
+                    chain.read += buf.len() as u64;
+                    chain.done = buf.is_empty();
                     return;
                 };
                 match Self::open(&path) {
@@ -960,11 +988,20 @@ impl ShardReplay {
                 }
                 continue;
             };
-            match reader.read_chunk(max, buf) {
+            let read = match &mut chain.detrend {
+                None => reader.read_chunk(max, buf),
+                Some((_, raw)) => reader.read_chunk(max, raw),
+            };
+            match read {
                 Ok(0) => chain.current = None,
-                Ok(n) => {
-                    chain.read += n as u64;
-                    return;
+                Ok(_) => {
+                    if let Some((detrender, raw)) = &mut chain.detrend {
+                        detrender.push(raw, buf);
+                    }
+                    if !buf.is_empty() {
+                        chain.read += buf.len() as u64;
+                        return;
+                    }
                 }
                 Err(_) => {
                     buf.clear();

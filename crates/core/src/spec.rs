@@ -412,9 +412,14 @@ pub fn parse_shards(s: &str) -> Result<usize, String> {
 ///
 /// # Errors
 ///
-/// Returns a message for wrong lengths or non-hex bytes.
+/// Returns a message for non-hex characters and wrong lengths.
 pub fn parse_key_hex(hex: &str) -> Result<[u8; 16], String> {
     let hex: String = hex.chars().filter(|c| !c.is_whitespace()).collect();
+    // Only ASCII hex digits, so the two-byte slices below fall on
+    // character boundaries (and `+f` is no byte).
+    if let Some(c) = hex.chars().find(|c| !c.is_ascii_hexdigit()) {
+        return Err(format!("key holds non-hex character {c:?}"));
+    }
     if hex.len() != 32 {
         return Err(format!("key must be 32 hex chars, got {}", hex.len()));
     }

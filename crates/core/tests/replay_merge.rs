@@ -10,15 +10,19 @@
 //!   bit-identical to that channel's files replayed alone through the
 //!   per-row scalar oracle, with the same skipped-file accounting and
 //!   health notes.
+//! * A detrending replay high-passes each shard's channels on their own,
+//!   bit for bit as the batch filter over that shard's recording.
 
 #[path = "../../../tests/common/oracle.rs"]
 mod oracle;
 
 use oracle::{replay_recording, CpaOracle, TvlaOracle};
 use psc_core::report::{cpa_model, render_cpa_body};
-use psc_core::source::ShardPlan;
+use psc_core::source::{Schedule, ShardPlan};
 use psc_core::{Campaign, Device, ShardHealth, ShardReplay, TraceSource, TuneConfig, VictimKind};
 use psc_sca::codec::{self, LabeledTrace, Recording, RecordingReader};
+use psc_sca::cpa::Cpa;
+use psc_sca::filter::{detrend, detrend_trace_set};
 use psc_sca::trace::Trace;
 use psc_sca::tvla::PlaintextClass;
 use psc_smc::key::key;
@@ -26,6 +30,7 @@ use psc_smc::SmcKey;
 use psc_telemetry::block::EventBlock;
 use psc_telemetry::channel_for_label;
 use psc_telemetry::event::ChannelId;
+use psc_telemetry::faults::RetryPolicy;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 
@@ -349,4 +354,102 @@ fn misaligned_recording_keeps_every_channel_bit_identical() {
     }
     cleanup(&a);
     cleanup(&b);
+}
+
+// ------------------------------------------------------ detrended replay
+
+/// A replay plan for `shard` with `replay_chunk`-trace reads.
+fn plan(shard: usize, replay_chunk: usize) -> ShardPlan<'static> {
+    ShardPlan {
+        shard,
+        keys: &[],
+        mitigation: None,
+        schedule: Schedule::KnownPlaintext { traces: 0 },
+        skip_obs: 0,
+        resume_rng_offset: None,
+        retry: RetryPolicy::default(),
+        faults: None,
+        log: None,
+        obs_chunk: TuneConfig::default().obs_chunk,
+        replay_chunk,
+    }
+}
+
+#[test]
+fn detrended_replay_filters_each_shard_on_its_own() {
+    let dir = temp_dir("detrend_shards");
+    let keys = [key("PSTR"), key("PHPC")];
+    let _ = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED)
+        .keys(&keys)
+        .traces(400)
+        .shards(2)
+        .record_to(&dir)
+        .session()
+        .cpa(cpa_model);
+    let raw = ShardReplay::from_dir(&dir).expect("shards recorded");
+    assert_eq!(raw.shards().len(), 2);
+    let stop = AtomicBool::new(false);
+    // Reads shorter than the half window, one window per few blocks, and
+    // the default.
+    for replay_chunk in [2, 16, TuneConfig::default().replay_chunk] {
+        let replay = ShardReplay::from_dir(&dir).expect("shards recorded").detrend(7);
+        for (s, shard) in raw.shards().iter().enumerate() {
+            let mut columns: Vec<(ChannelId, Vec<u64>)> = Vec::new();
+            replay.run_shard(
+                &plan(s, replay_chunk),
+                &mut |block| {
+                    for (c, &channel) in block.channels().iter().enumerate() {
+                        let values = block.column(c).iter().flatten().map(|v| v.to_bits());
+                        match columns.iter_mut().find(|(ch, _)| *ch == channel) {
+                            Some((_, column)) => column.extend(values),
+                            None => columns.push((channel, values.collect())),
+                        }
+                    }
+                },
+                &stop,
+            );
+            let alone = ShardReplay::new(vec![shard.clone()]);
+            for label in ["PSTR", "PHPC", "PCPU"] {
+                let values = alone.read_channel(label).expect("readable").into_trace_set().values();
+                assert_eq!(values.len(), 200, "{label} shard {s}");
+                let want: Vec<u64> = detrend(&values, 7).iter().map(|v| v.to_bits()).collect();
+                let channel = channel_for_label(label).expect("a channel");
+                let got = columns.iter().find(|(ch, _)| *ch == channel).map(|(_, col)| col);
+                assert_eq!(got, Some(&want), "{label} shard {s}, chunk {replay_chunk}");
+            }
+        }
+        assert_eq!(replay.skipped_files(), 0);
+    }
+    cleanup(&dir);
+}
+
+#[test]
+fn detrended_cpa_replay_matches_the_batch_filter() {
+    let dir = temp_dir("detrend_cpa");
+    let phpc = key("PHPC");
+    let _ = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED)
+        .keys(&[phpc])
+        .traces(1_500)
+        .shards(1)
+        .record_to(&dir)
+        .session()
+        .cpa(cpa_model);
+    let replay = ShardReplay::from_dir(&dir).expect("recorded");
+    let set =
+        detrend_trace_set(&replay.read_channel("PHPC").expect("readable").into_trace_set(), 7);
+    let mut batch = Cpa::new(cpa_model());
+    batch.add_set(&set);
+
+    let streamed = Campaign::replay(replay.detrend(7)).keys(&[phpc]).session().cpa(cpa_model);
+    let streamed = streamed.cpa.cpa(ChannelId::Smc(phpc)).expect("registered");
+    assert_eq!(streamed.trace_count(), 1_500);
+    assert_eq!(streamed.raw_state(), batch.raw_state());
+    for byte in 0..16 {
+        assert_eq!(
+            streamed.correlations(byte).map(f64::to_bits),
+            batch.correlations(byte).map(f64::to_bits),
+            "byte {byte}"
+        );
+    }
+    cleanup(&dir);
 }

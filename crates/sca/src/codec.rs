@@ -12,8 +12,10 @@
 //! Version 2 appends two label bytes per trace — the TVLA pass and the
 //! plaintext class (`0xFF` = unclassed, i.e. a known-plaintext CPA
 //! window) — so recorded campaigns replay with their full TVLA structure
-//! intact. All integers little-endian. Readers accept both versions
-//! ([`read_trace_set`] drops the labels, [`read_recording`] keeps them)
+//! intact. All integers little-endian. [`write_recording`] is the one
+//! writer and writes version 2; readers accept both versions, so
+//! label-free version-1 files from older tools still load
+//! ([`read_trace_set`] drops the labels, [`read_recording`] keeps them),
 //! and reject bad magic, unknown versions and truncated payloads.
 
 use crate::checkpoint::PayloadWriter;
@@ -78,51 +80,6 @@ impl From<std::io::Error> for CodecError {
 /// Records are buffered and written in batches of about this many bytes.
 const FLUSH_BYTES: usize = 32 * 1024;
 
-/// Write one file: the header, then one record per item as `put` lays
-/// it out.
-fn write_file<W: Write, I: ExactSizeIterator>(
-    mut writer: W,
-    version: u16,
-    label: &str,
-    records: I,
-    put: impl Fn(&mut Vec<u8>, I::Item),
-) -> Result<(), CodecError> {
-    let label = &label.as_bytes()[..label.len().min(usize::from(u16::MAX))];
-    let mut header = PayloadWriter::new();
-    header.put_bytes(MAGIC);
-    header.put_u16(version);
-    header.put_u16(label.len() as u16);
-    header.put_bytes(label);
-    header.put_u64(records.len() as u64);
-    writer.write_all(&header.into_payload())?;
-
-    let mut buf = Vec::with_capacity(FLUSH_BYTES + V2_TRACE_BYTES);
-    for record in records {
-        put(&mut buf, record);
-        if buf.len() >= FLUSH_BYTES {
-            writer.write_all(&buf)?;
-            buf.clear();
-        }
-    }
-    writer.write_all(&buf)?;
-    Ok(())
-}
-
-fn put_trace(buf: &mut Vec<u8>, t: &Trace) {
-    buf.extend_from_slice(&t.value.to_le_bytes());
-    buf.extend_from_slice(&t.plaintext);
-    buf.extend_from_slice(&t.ciphertext);
-}
-
-/// Serialize a trace set to a writer (pass `&mut file` for files).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_trace_set<W: Write>(set: &TraceSet, writer: W) -> Result<(), CodecError> {
-    write_file(writer, VERSION, &set.label, set.iter(), put_trace)
-}
-
 /// One recorded trace with its TVLA labels (version-2 payload unit).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LabeledTrace {
@@ -166,13 +123,31 @@ impl Recording {
 pub fn write_recording<W: Write>(
     label: &str,
     traces: &[LabeledTrace],
-    writer: W,
+    mut writer: W,
 ) -> Result<(), CodecError> {
-    write_file(writer, VERSION_LABELED, label, traces.iter(), |buf, t| {
-        put_trace(buf, &t.trace);
+    let label = &label.as_bytes()[..label.len().min(usize::from(u16::MAX))];
+    let mut header = PayloadWriter::new();
+    header.put_bytes(MAGIC);
+    header.put_u16(VERSION_LABELED);
+    header.put_u16(label.len() as u16);
+    header.put_bytes(label);
+    header.put_u64(traces.len() as u64);
+    writer.write_all(&header.into_payload())?;
+
+    let mut buf = Vec::with_capacity(FLUSH_BYTES + V2_TRACE_BYTES);
+    for t in traces {
+        buf.extend_from_slice(&t.trace.value.to_le_bytes());
+        buf.extend_from_slice(&t.trace.plaintext);
+        buf.extend_from_slice(&t.trace.ciphertext);
         buf.push(t.pass);
         buf.push(t.class.map_or(CLASS_NONE, |c| c.index() as u8));
-    })
+        if buf.len() >= FLUSH_BYTES {
+            writer.write_all(&buf)?;
+            buf.clear();
+        }
+    }
+    writer.write_all(&buf)?;
+    Ok(())
 }
 
 /// A parsed file header.
@@ -384,11 +359,34 @@ mod tests {
         set
     }
 
+    /// `set` as a version-2 file of unclassed (CPA) records.
+    fn v2_file(set: &TraceSet) -> Vec<u8> {
+        let traces: Vec<LabeledTrace> =
+            set.iter().map(|&trace| LabeledTrace { trace, pass: 0, class: None }).collect();
+        let mut bytes = Vec::new();
+        write_recording(&set.label, &traces, &mut bytes).unwrap();
+        bytes
+    }
+
+    /// `set` as a label-free version-1 file, the layout older tools wrote.
+    fn v1_file(set: &TraceSet) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&(set.label.len() as u16).to_le_bytes());
+        bytes.extend_from_slice(set.label.as_bytes());
+        bytes.extend_from_slice(&(set.len() as u64).to_le_bytes());
+        for t in set.iter() {
+            bytes.extend_from_slice(&t.value.to_le_bytes());
+            bytes.extend_from_slice(&t.plaintext);
+            bytes.extend_from_slice(&t.ciphertext);
+        }
+        bytes
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
         let set = sample_set(257);
-        let mut bytes = Vec::new();
-        write_trace_set(&set, &mut bytes).unwrap();
+        let bytes = v2_file(&set);
         let back = read_trace_set(&bytes[..]).unwrap();
         assert_eq!(back, set);
         assert_eq!(back.label, "PHPC");
@@ -397,8 +395,7 @@ mod tests {
     #[test]
     fn empty_set_roundtrips() {
         let set = TraceSet::new("empty");
-        let mut bytes = Vec::new();
-        write_trace_set(&set, &mut bytes).unwrap();
+        let bytes = v2_file(&set);
         let back = read_trace_set(&bytes[..]).unwrap();
         assert!(back.is_empty());
         assert_eq!(back.label, "empty");
@@ -406,24 +403,21 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut bytes = Vec::new();
-        write_trace_set(&sample_set(3), &mut bytes).unwrap();
+        let mut bytes = v2_file(&sample_set(3));
         bytes[0] = b'X';
         assert!(matches!(read_trace_set(&bytes[..]), Err(CodecError::BadMagic)));
     }
 
     #[test]
     fn rejects_unknown_version() {
-        let mut bytes = Vec::new();
-        write_trace_set(&sample_set(3), &mut bytes).unwrap();
+        let mut bytes = v2_file(&sample_set(3));
         bytes[4] = 99;
         assert!(matches!(read_trace_set(&bytes[..]), Err(CodecError::UnsupportedVersion(99))));
     }
 
     #[test]
     fn rejects_truncation_anywhere() {
-        let mut bytes = Vec::new();
-        write_trace_set(&sample_set(5), &mut bytes).unwrap();
+        let bytes = v2_file(&sample_set(5));
         for cut in [1usize, 7, 9, bytes.len() - 1] {
             let r = read_trace_set(&bytes[..cut]);
             assert!(
@@ -435,8 +429,7 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut bytes = Vec::new();
-        write_trace_set(&sample_set(2), &mut bytes).unwrap();
+        let mut bytes = v2_file(&sample_set(2));
         bytes.extend_from_slice(&[0u8; 8]);
         assert!(matches!(read_trace_set(&bytes[..]), Err(CodecError::Truncated)));
     }
@@ -447,7 +440,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("traces.psct");
         let set = sample_set(100);
-        write_trace_set(&set, std::fs::File::create(&path).unwrap()).unwrap();
+        std::fs::write(&path, v2_file(&set)).unwrap();
         let back = read_trace_set(std::fs::File::open(&path).unwrap()).unwrap();
         assert_eq!(back, set);
         std::fs::remove_file(&path).ok();
@@ -504,8 +497,7 @@ mod tests {
     #[test]
     fn v1_files_read_as_unlabeled_recordings() {
         let set = sample_set(7);
-        let mut bytes = Vec::new();
-        write_trace_set(&set, &mut bytes).unwrap();
+        let bytes = v1_file(&set);
         let recording = read_recording(&bytes[..]).unwrap();
         assert_eq!(recording.traces.len(), 7);
         assert!(recording.traces.iter().all(|t| t.pass == 0 && t.class.is_none()));
@@ -543,8 +535,7 @@ mod tests {
         write_recording("PHPC", &sample_recording(3), &mut bytes).unwrap();
         assert_eq!(read_label(&bytes[..]).unwrap(), "PHPC");
         // v1 files probe the same way.
-        let mut v1 = Vec::new();
-        write_trace_set(&sample_set(2), &mut v1).unwrap();
+        let v1 = v1_file(&sample_set(2));
         assert_eq!(read_label(&v1[..]).unwrap(), "PHPC");
         assert!(matches!(read_label(&bytes[..6]), Err(CodecError::Truncated)));
         assert!(matches!(read_label(&b"XXXXXXXXXX"[..]), Err(CodecError::BadMagic)));
@@ -573,9 +564,7 @@ mod tests {
 
     #[test]
     fn windowed_reader_reads_v1_files() {
-        let set = sample_set(9);
-        let mut bytes = Vec::new();
-        write_trace_set(&set, &mut bytes).unwrap();
+        let bytes = v1_file(&sample_set(9));
         let mut reader = RecordingReader::new(&bytes[..]).unwrap();
         let mut chunk = Vec::new();
         let mut n = 0;
@@ -630,13 +619,14 @@ mod tests {
         write_recording("PHPC", &[trace], &mut bytes).unwrap();
         assert_eq!(bytes, expected);
 
-        let mut v1 = Vec::new();
-        let mut set = TraceSet::new("PHPC");
-        set.push(trace.trace);
-        write_trace_set(&set, &mut v1).unwrap();
+        // Version 1 is the same record without the two label bytes.
         expected[4] = 1;
         expected.truncate(expected.len() - 2);
-        assert_eq!(v1, expected);
+        let mut set = TraceSet::new("PHPC");
+        set.push(trace.trace);
+        assert_eq!(v1_file(&set), expected);
+        let back = read_recording(&expected[..]).unwrap();
+        assert_eq!(back.traces, [LabeledTrace { pass: 0, class: None, ..trace }]);
     }
 
     /// A bare header: `PSCT`, `version`, an empty label and `count`.

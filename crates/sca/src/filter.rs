@@ -7,8 +7,12 @@
 //! trace series — a high-pass filter — and recover much of the channel.
 //! [`detrend_trace_set`] implements exactly that (traces must be kept in
 //! collection order, which [`crate::trace::TraceSet`] preserves).
+//! [`Detrender`] is its streaming form: the same bits in O(window)
+//! memory, for recordings replayed chunk by chunk.
 
+use crate::codec::LabeledTrace;
 use crate::trace::{Trace, TraceSet};
+use std::collections::VecDeque;
 
 /// Centered moving average with window `window` (forced odd by rounding
 /// up); edges use the available neighbourhood.
@@ -63,6 +67,89 @@ pub fn detrend_trace_set(set: &TraceSet, window: usize) -> TraceSet {
         out.push(Trace { value: v, plaintext: t.plaintext, ciphertext: t.ciphertext });
     }
     out
+}
+
+/// Streaming [`detrend`]: records go in one chunk at a time and come
+/// out detrended, in order and bit for bit as `detrend` over the whole
+/// series would give them, with the labels and texts untouched.
+///
+/// A record leaves once the half window after it has arrived, so output
+/// lags input by `window / 2` records; [`Detrender::finish`] flushes the
+/// tail with the shrunken edge windows. The running prefix sums are the
+/// ones [`moving_average`] builds, kept in a ring of the last
+/// `2 × (window / 2) + 2` entries, so memory is O(window), not O(series).
+#[derive(Debug, Clone)]
+pub struct Detrender {
+    half: u64,
+    /// Prefix sums `P[base..=seen]`, `P[k]` = sum of the first `k` values.
+    prefix: VecDeque<f64>,
+    base: u64,
+    /// Records that have not left yet; the front one has index `seen -
+    /// pending.len()`.
+    pending: VecDeque<LabeledTrace>,
+    seen: u64,
+}
+
+impl Detrender {
+    /// A detrender for a centered moving-average window of `window`
+    /// (rounded up to odd, as in [`moving_average`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window == 0`.
+    #[must_use]
+    pub fn new(window: usize) -> Self {
+        assert!(window > 0, "window must be positive");
+        let half = window / 2;
+        Self {
+            half: half as u64,
+            prefix: VecDeque::from([0.0]),
+            base: 0,
+            pending: VecDeque::with_capacity(half + 1),
+            seen: 0,
+        }
+    }
+
+    /// Take `input` in, appending to `out` every record whose window is
+    /// now complete.
+    pub fn push(&mut self, input: &[LabeledTrace], out: &mut Vec<LabeledTrace>) {
+        for &t in input {
+            let last = *self.prefix.back().expect("the ring keeps P[seen]");
+            self.prefix.push_back(last + t.trace.value);
+            self.pending.push_back(t);
+            self.seen += 1;
+            if self.pending.len() as u64 > self.half {
+                self.emit(out);
+            }
+        }
+    }
+
+    /// Flush the records still waiting, each over the window the end of
+    /// the series leaves it, and start over as a fresh detrender.
+    pub fn finish(&mut self, out: &mut Vec<LabeledTrace>) {
+        while !self.pending.is_empty() {
+            self.emit(out);
+        }
+        *self = Self::new(2 * self.half as usize + 1);
+    }
+
+    /// Emit the front pending record, index `i`, over the values
+    /// `lo..hi`: its half window each side, cut at the series start and
+    /// at the last value seen (the series end when called from `finish`).
+    fn emit(&mut self, out: &mut Vec<LabeledTrace>) {
+        let mut t = self.pending.pop_front().expect("a pending record");
+        let i = self.seen - self.pending.len() as u64 - 1;
+        let (lo, hi) = (i.saturating_sub(self.half), self.seen);
+        let at = |k: u64| self.prefix[(k - self.base) as usize];
+        let mean = (at(hi) - at(lo)) / (hi - lo) as f64;
+        t.trace.value -= mean;
+        out.push(t);
+        // The next record's window starts one later.
+        while self.base < (i + 1).saturating_sub(self.half) {
+            self.prefix.pop_front();
+            self.base += 1;
+        }
+    }
 }
 
 #[cfg(test)]

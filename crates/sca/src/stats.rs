@@ -490,33 +490,6 @@ pub fn p_value_two_sided(t_score: f64) -> f64 {
     erfc(t_score.abs() / core::f64::consts::SQRT_2)
 }
 
-/// Fisher-z confidence interval for a Pearson correlation estimated from
-/// `n` pairs: `tanh(atanh(r) ± z/√(n−3))`. Attackers use this to decide
-/// whether a top-ranked guess is significantly separated from the runner-up
-/// before spending enumeration effort.
-///
-/// Returns `(low, high)`; degenerate inputs (`n ≤ 3`, `|r| = 1`) return the
-/// widest/narrowest sensible interval.
-///
-/// # Examples
-///
-/// ```
-/// use psc_sca::stats::fisher_interval;
-/// let (lo, hi) = fisher_interval(0.5, 100, 1.96);
-/// assert!(lo < 0.5 && 0.5 < hi);
-/// assert!(lo > 0.3 && hi < 0.65);
-/// ```
-#[must_use]
-pub fn fisher_interval(r: f64, n: u64, z: f64) -> (f64, f64) {
-    if n <= 3 {
-        return (-1.0, 1.0);
-    }
-    let r = r.clamp(-0.999_999, 0.999_999);
-    let fz = r.atanh();
-    let se = 1.0 / ((n - 3) as f64).sqrt();
-    ((fz - z * se).tanh(), (fz + z * se).tanh())
-}
-
 /// Batch Pearson correlation of two equal-length slices.
 ///
 /// # Panics
@@ -807,31 +780,5 @@ mod tests {
         // |t| ≥ 4.5 ⇒ distinguishable with 99.999% confidence (§3.3).
         let p = p_value_two_sided(4.5);
         assert!(p < 1.0e-5, "p at threshold {p}");
-    }
-
-    #[test]
-    fn fisher_interval_contains_r_and_shrinks_with_n() {
-        let (lo_small, hi_small) = fisher_interval(0.3, 20, 1.96);
-        let (lo_large, hi_large) = fisher_interval(0.3, 2000, 1.96);
-        assert!(lo_small < 0.3 && 0.3 < hi_small);
-        assert!(lo_large < 0.3 && 0.3 < hi_large);
-        assert!(hi_large - lo_large < hi_small - lo_small, "more data → tighter");
-    }
-
-    #[test]
-    fn fisher_interval_degenerate_inputs() {
-        assert_eq!(fisher_interval(0.5, 2, 1.96), (-1.0, 1.0));
-        let (lo, hi) = fisher_interval(1.0, 100, 1.96);
-        assert!(lo > 0.99 && hi <= 1.0);
-        let (lo, hi) = fisher_interval(-1.0, 100, 1.96);
-        assert!(hi < -0.99 && lo >= -1.0);
-    }
-
-    #[test]
-    fn fisher_interval_symmetric_in_sign() {
-        let (lo_p, hi_p) = fisher_interval(0.4, 50, 1.96);
-        let (lo_n, hi_n) = fisher_interval(-0.4, 50, 1.96);
-        assert!((lo_p + hi_n).abs() < 1e-12);
-        assert!((hi_p + lo_n).abs() < 1e-12);
     }
 }

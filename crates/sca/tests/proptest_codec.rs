@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use psc_sca::codec::{
-    read_recording, read_trace_set, write_recording, write_trace_set, CodecError, LabeledTrace,
-    Recording, RecordingReader,
+    read_recording, read_trace_set, write_recording, CodecError, LabeledTrace, Recording,
+    RecordingReader,
 };
 use psc_sca::trace::{Trace, TraceSet};
 use psc_sca::tvla::PlaintextClass;
@@ -35,15 +35,23 @@ fn recording() -> impl Strategy<Value = Recording> {
     )
 }
 
-/// `recording` encoded as a labeled (version 2) or plain (version 1) file.
+/// `recording` encoded as a labeled (version 2) file, or as the plain
+/// version-1 layout older tools wrote (no writer produces it any more, so
+/// it is laid out here: the version-2 header and records without the two
+/// label bytes).
 fn encode(recording: &Recording, labeled: bool) -> Vec<u8> {
     let mut bytes = Vec::new();
+    write_recording(&recording.label, &recording.traces, &mut bytes).expect("in memory");
     if labeled {
-        write_recording(&recording.label, &recording.traces, &mut bytes).expect("in memory");
-    } else {
-        write_trace_set(&recording.clone().into_trace_set(), &mut bytes).expect("in memory");
+        return bytes;
     }
-    bytes
+    let header = bytes.len() - 42 * recording.traces.len();
+    let mut v1 = bytes[..header].to_vec();
+    v1[4] = 1;
+    for record in bytes[header..].chunks_exact(42) {
+        v1.extend_from_slice(&record[..40]);
+    }
+    v1
 }
 
 /// Inputs: raw bytes, or a valid file with one of four damages applied.

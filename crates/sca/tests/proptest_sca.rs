@@ -1,7 +1,9 @@
 //! Property-based tests for the analysis toolkit.
 
 use proptest::prelude::*;
+use psc_sca::codec::LabeledTrace;
 use psc_sca::cpa::Cpa;
+use psc_sca::filter::{detrend, Detrender};
 use psc_sca::model::{paper_models, Rd0Hw, RecoveredRound};
 use psc_sca::rank::{guessing_entropy, log_checkpoints};
 use psc_sca::stats::{pearson, welch_t, Correlation, RunningMoments};
@@ -546,6 +548,54 @@ mod checkpoint_props {
             let cut = section.payload.len() / 2;
             let mut r = PayloadReader::new(&section.payload[..cut]);
             prop_assert!(get_cpa_state(&mut r).is_err());
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The streaming detrender gives `filter::detrend`'s bits, whatever
+    /// the chunking, including windows wider than the series, lags by
+    /// exactly half a window, and starts over clean after `finish`.
+    #[test]
+    fn streaming_detrend_matches_the_batch_filter_bit_for_bit(
+        xs in proptest::collection::vec(-1.0e6f64..1.0e6, 0..=300),
+        window in 2usize..=65,
+        cuts in proptest::collection::vec(1usize..=40, 1..20),
+    ) {
+        let records: Vec<LabeledTrace> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &value)| LabeledTrace {
+                trace: Trace { value, plaintext: [i as u8; 16], ciphertext: [(i >> 8) as u8; 16] },
+                pass: (i % 2) as u8,
+                class: PlaintextClass::ALL.get(i % 4).copied(),
+            })
+            .collect();
+        let want: Vec<u64> = detrend(&xs, window).iter().map(|v| v.to_bits()).collect();
+        let mut detrender = Detrender::new(window);
+        for _ in 0..2 {
+            let mut out = Vec::new();
+            let (mut rest, mut pushed) = (&records[..], 0usize);
+            for &cut in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(cut.min(rest.len()));
+                detrender.push(chunk, &mut out);
+                (rest, pushed) = (tail, pushed + chunk.len());
+                prop_assert_eq!(out.len(), pushed.saturating_sub(window / 2));
+            }
+            detrender.finish(&mut out);
+            let got: Vec<u64> = out.iter().map(|t| t.trace.value.to_bits()).collect();
+            prop_assert_eq!(&got, &want, "window {}", window);
+            for (got, record) in out.iter().zip(&records) {
+                prop_assert_eq!(
+                    (got.trace.plaintext, got.trace.ciphertext, got.pass, got.class),
+                    (record.trace.plaintext, record.trace.ciphertext, record.pass, record.class)
+                );
+            }
         }
     }
 }

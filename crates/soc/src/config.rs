@@ -122,8 +122,9 @@ impl SocSpec {
     /// Note: the paper's Table 1 prints the E-core maxima of the two devices
     /// as M1 = 2.4 GHz / M2 = 2.06 GHz, but §4 reports M2 E-cores running at
     /// 2.424 GHz — consistent with the actual silicon (M1 E-max 2.064 GHz,
-    /// M2 E-max 2.424 GHz). We follow the silicon values; EXPERIMENTS.md
-    /// records the discrepancy.
+    /// M2 E-max 2.424 GHz). We follow the silicon values, so the
+    /// reproduced Table 1 (`psc repro --only table1`) prints 2.064 GHz
+    /// (M1) and 2.424 GHz (M2) in the E-core column.
     #[must_use]
     pub fn mac_mini_m1() -> Self {
         Self {

@@ -139,6 +139,8 @@ fn escape(out: &mut String, s: &str) {
 /// metrics reports, Chrome trace files — are validated with this minimal
 /// recursive-descent parser in tests, examples and CI). Strings must not
 /// hold raw control characters (U+0000–U+001F), as RFC 8259 requires.
+/// Arrays and objects may nest at most 128 deep, so a hostile input
+/// cannot overflow the stack.
 ///
 /// # Errors
 ///
@@ -147,7 +149,7 @@ pub fn validate_json(input: &str) -> Result<(), String> {
     let bytes = input.as_bytes();
     let mut pos = 0usize;
     skip_ws(bytes, &mut pos);
-    parse_value(bytes, &mut pos)?;
+    parse_value(bytes, &mut pos, MAX_JSON_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -161,11 +163,18 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
+/// The deepest array/object nesting [`validate_json`] accepts.
+const MAX_JSON_DEPTH: usize = 128;
+
+/// Parse one value; `depth` is how many more arrays/objects may open.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
     match bytes.get(*pos) {
         None => Err(format!("unexpected end of input at byte {pos}")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == 0 => {
+            Err(format!("nesting deeper than {MAX_JSON_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth - 1),
+        Some(b'[') => parse_array(bytes, pos, depth - 1),
         Some(b'"') => parse_string(bytes, pos),
         Some(b't') => parse_literal(bytes, pos, b"true"),
         Some(b'f') => parse_literal(bytes, pos, b"false"),
@@ -247,7 +256,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     Err(format!("unterminated string starting at byte {start}"))
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
     *pos += 1; // '{'
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
@@ -266,7 +275,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
         }
         *pos += 1;
         skip_ws(bytes, pos);
-        parse_value(bytes, pos)?;
+        parse_value(bytes, pos, depth)?;
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -279,7 +288,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
     *pos += 1; // '['
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b']') {
@@ -288,7 +297,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
     }
     loop {
         skip_ws(bytes, pos);
-        parse_value(bytes, pos)?;
+        parse_value(bytes, pos, depth)?;
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -318,6 +327,10 @@ mod tests {
             assert!(validate_json(raw).is_err(), "raw control character in {raw:?}");
         }
         validate_json("\"a\\tb\\u001f\"").unwrap();
+        let nested = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        validate_json(&nested(MAX_JSON_DEPTH)).unwrap();
+        assert!(validate_json(&nested(MAX_JSON_DEPTH + 1)).unwrap_err().contains("nesting"));
+        assert!(validate_json(&"[".repeat(1 << 20)).is_err(), "no stack overflow");
     }
 
     #[test]

@@ -30,9 +30,9 @@ pub struct RecorderState {
 /// in-flight buffer fills, it is written out as one `.psct` shard file and
 /// cleared. Shards are written in the labeled version-2 format (TVLA pass
 /// and plaintext class recorded per trace), so a recorded campaign can be
-/// replayed through the pump with its full TVLA structure intact. Offline
-/// analysis re-reads the shards with [`codec::read_trace_set`] (labels
-/// dropped) or [`codec::read_recording`] (labels kept) in any order.
+/// replayed through the pump with its full TVLA structure intact: offline
+/// analysis (`psc replay DIR`) streams the shards back in flat memory,
+/// and [`codec::read_recording`] reads one whole, labels kept.
 #[derive(Debug)]
 pub struct ShardRecorder {
     dir: PathBuf,

@@ -3,55 +3,44 @@
 //! Subcommands map onto the paper's workflow:
 //!
 //! ```text
-//! psc fuzz                         # §3.2 screening (Table 2)
-//! psc tvla [--kernel]              # §3.3/§3.5 TVLA (Tables 3/5)
-//! psc cpa [--traces N]             # §3.4 CPA ranks + GE (Table 4 style)
-//! psc throttle                     # §4 throttling study
-//! psc success [--traces N]         # success-rate extension
-//! psc campaign [--cpa|--adaptive] [--fleet] [--record DIR]
+//! psc repro [--only <target>]      # every paper table/figure → REPORT.md
+//! psc campaign [--cpa|--adaptive] [--fleet] [--record DIR] [--key HEX32]
 //!              [--checkpoint DIR [--checkpoint-every N]]
 //!                                  # the Campaign-builder drivers
-//!                                  # (`psc stream` is an alias)
 //! psc resume DIR                   # resume a checkpointed campaign
-//! psc replay DIR [--cpa]           # replay recorded .psct shards
-//! psc collect --out FILE [--traces N] [--key HEX32]
-//!                                  # record a PHPC campaign to disk
-//! psc analyze FILE [--key HEX32]   # offline CPA over a recorded campaign
+//! psc replay DIR [--cpa] [--key HEX32] [--detrend W]
+//!                                  # offline analysis of recorded shards
 //! psc tune [--out FILE]            # calibrate SIMD/chunk constants
 //! psc serve [--workers N]          # multi-tenant campaign daemon
 //! psc submit FILE [--wait]         # send a campaign.cfg to the daemon
+//! psc worker | aggregate           # one process per fleet member
 //! psc jobs | cancel ID | drain     # inspect / steer the daemon
 //! ```
+//!
+//! The offline attack is record-then-replay: `psc campaign --cpa
+//! --record DIR` keeps every channel's traces, and `psc replay DIR --cpa`
+//! streams them back through the same analysis in flat memory.
 
-use apple_power_sca::core::experiments::countermeasure::run_countermeasures;
-use apple_power_sca::core::experiments::screening::{run_table1, run_table2};
-use apple_power_sca::core::experiments::success_rate::run_success_rate;
-use apple_power_sca::core::experiments::throttling::run_throttling_study;
-use apple_power_sca::core::experiments::tvla::{run_table3, run_table5};
+use apple_power_sca::core::experiments::{banner, TARGETS};
 use apple_power_sca::core::spec::{parse_key_hex, parse_monitor_interval, parse_shards};
 use apple_power_sca::core::{report, tune};
 use apple_power_sca::core::{
     AnalysisMode, Campaign, CampaignSpec, Device, ExperimentConfig, MitigationSetting, ShardReplay,
-    TuneConfig, VictimKind,
+    TuneConfig,
 };
-use apple_power_sca::sca::codec::{read_trace_set, write_trace_set};
-use apple_power_sca::sca::cpa::Cpa;
-use apple_power_sca::sca::model::Rd0Hw;
-use apple_power_sca::sca::rank::{guessing_entropy, recovery_tally};
-use apple_power_sca::sca::stats::fisher_interval;
 use apple_power_sca::serve::fleet::{run_worker, Aggregator, AggregatorConfig, WorkerConfig};
 use apple_power_sca::serve::server::names as serve_names;
 use apple_power_sca::serve::{
     AdmissionConfig, Client, Response, Server, ServerConfig, DEFAULT_ADDR,
 };
-use apple_power_sca::smc::key::key;
-use apple_power_sca::telemetry::event::ChannelId;
 use apple_power_sca::telemetry::faults::RetryPolicy;
 use apple_power_sca::telemetry::json::{validate_json, JsonWriter, Layout};
 use apple_power_sca::telemetry::metrics::MetricsReport;
 use apple_power_sca::telemetry::spans::SpanTracer;
+use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 const USAGE: &str = "\
 psc — software power side-channel reproduction toolkit
@@ -60,14 +49,17 @@ USAGE:
     psc <command> [options]
 
 COMMANDS:
-    fuzz                      Table 1/2: device specs + idle-vs-busy screening
-    tvla [--kernel]           Table 3/5: TVLA t-score matrices
-    cpa [--traces N]          Table 4 style: CPA ranks + guessing entropy
-    throttle                  Section 4: throttling study
-    countermeasures           Section 5: mitigation efficacy
-    success [--traces N]      Extension: success rate vs trace budget
+    repro [--only <target>]   Regenerate the paper's tables and figures
+                              (Tables 1-6, Fig 1(a)/(b), the Section 4
+                              throttling study, the Section 5
+                              countermeasures and the success-rate
+                              extension), print them and write REPORT.md
+                              plus fig1a.csv/fig1b.csv to the working
+                              directory; --only runs one target
+                              (table1..table6, fig1a, fig1b, throttling,
+                              countermeasures, success_rate).
     campaign [--cpa|--adaptive] [--traces N] [--shards N] [--device m1|m2]
-             [--fleet] [--record DIR] [--kernel]
+             [--fleet] [--record DIR] [--kernel] [--key HEX32]
              [--mitigation none|restrict|noise[=SIGMA]|slow[=MULT]]
              [--metrics FILE] [--trace FILE] [--progress [SECS]]
              [--monitor SECS] [--tune FILE]
@@ -77,6 +69,7 @@ COMMANDS:
                               TVLA threshold crossing; --fleet fans shards
                               across the M2+M1 device fleet; --record
                               persists labeled .psct shards for replay;
+                              --key sets the victim's AES key;
                               --metrics writes the pipeline MetricsReport
                               as JSON, --trace writes campaign spans as
                               Chrome trace-event JSON for Perfetto,
@@ -88,22 +81,21 @@ COMMANDS:
                               finish the campaign bit-identically;
                               --halt-after stops the run after K
                               checkpoints, a deterministic interrupt).
-                              `stream` is accepted as an alias.
     resume DIR                Resume an interrupted `campaign --checkpoint
                               DIR` run from its frames: accumulators
                               restore, sources fast-forward, and the
                               completed report matches an uninterrupted
                               run. Extra flags pass through (e.g.
                               --halt-after to re-interrupt).
-    replay DIR [--cpa] [--key HEX32]
-                              Replay recorded .psct shards through the
-                              streaming TVLA (default) or CPA analysis
-                              (--key: the recording's true key, as in
-                              analyze)
-    collect --out FILE [--traces N] [--key HEX32]
-                              Record a PHPC campaign to FILE (.psct)
-    analyze FILE [--key HEX32] [--detrend W]
-                              Offline CPA over a recorded campaign
+    replay DIR [--cpa] [--key HEX32] [--detrend W]
+                              Replay recorded .psct shards (from
+                              `campaign --record DIR`) through the
+                              streaming TVLA (default) or CPA analysis,
+                              in memory independent of the recording's
+                              size. --key: the recording's true key;
+                              --detrend: subtract each channel's centered
+                              moving average over W >= 2 traces, shard by
+                              shard, to strip slow drift (PSTR).
     tune [--out FILE]         Calibrate the SIMD/chunk-size constants on
                               this machine (CPA unroll width, block rows,
                               replay chunk, bus depth) and print the
@@ -183,40 +175,50 @@ fn traces_opt(args: &[String], default: usize) -> Result<usize, String> {
         .map(|n| n.unwrap_or(default))
 }
 
-fn cmd_cpa(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
-    let traces = traces_opt(args, cfg.cpa_traces_m2)?;
-    let kind =
-        if parse_flag(args, "--kernel") { VictimKind::KernelModule } else { VictimKind::UserSpace };
-    println!("collecting {traces} PHPC traces ({kind:?} victim)...");
-    let report = Campaign::live(Device::MacbookAirM2, kind, cfg.secret_key, cfg.seed)
-        .keys(&[key("PHPC")])
-        .traces(traces)
-        .shards(cfg.shards)
-        .session()
-        .cpa(|| Box::new(Rd0Hw));
-    report_cpa(
-        report.cpa.cpa(ChannelId::Smc(key("PHPC"))).expect("registered"),
-        Some(cfg.secret_key),
-    );
-    Ok(())
+/// `--key HEX32`, the victim's (or the recording's true) AES key.
+fn key_opt(args: &[String], default: [u8; 16]) -> Result<[u8; 16], String> {
+    parse_opt(args, "--key")
+        .map(|hex| parse_key_hex(&hex).map_err(|e| format!("bad --key value {hex:?}: {e}")))
+        .transpose()
+        .map(|k| k.unwrap_or(default))
 }
 
-fn report_cpa(cpa: &Cpa, secret: Option<[u8; 16]>) {
-    let n = cpa.trace_count();
-    println!("\n#byte  best-guess     corr        95% CI");
-    for b in 0..16 {
-        let (guess, corr) = cpa.best_guess(b);
-        let (lo, hi) = fisher_interval(corr, n, 1.96);
-        println!("{b:>5}     0x{guess:02X}     {corr:>8.4}   [{lo:>7.4}, {hi:>7.4}]");
+/// `psc repro [--only <target>]`: run every reproduction target (or the
+/// one named) in report order, echo each section to stdout and write the
+/// consolidated `REPORT.md` to the working directory.
+fn cmd_repro(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
+    let names = || TARGETS.map(|(name, ..)| name).join(", ");
+    let only = match args {
+        [] => None,
+        [flag, name] if flag == "--only" => match TARGETS.iter().find(|(n, ..)| n == name) {
+            Some(target) => Some(target.0),
+            None => return Err(format!("unknown target {name:?}; valid targets: {}", names())),
+        },
+        _ => return Err(format!("usage: psc repro [--only <target>]\ntargets: {}", names())),
+    };
+    let started = Instant::now();
+    let mut report = String::new();
+    let _ = writeln!(
+        report,
+        "# apple-power-sca — consolidated reproduction report\n\n\
+         Configuration: seed {}, CPA traces {} (M2) / {} (M1), TVLA {} per\n\
+         class per pass, {} shards.\n",
+        cfg.seed, cfg.cpa_traces_m2, cfg.cpa_traces_m1, cfg.tvla_traces_per_class, cfg.shards
+    );
+    for (name, title, run) in TARGETS {
+        if only.is_some_and(|o| o != name) {
+            continue;
+        }
+        let body = run(cfg);
+        println!("{}", banner(title));
+        println!("{body}");
+        let _ = writeln!(report, "## {title}\n\n```text\n{body}\n```\n");
     }
-    if let Some(secret) = secret {
-        let ranks = cpa.ranks(&secret);
-        let (recovered, near) = recovery_tally(&ranks);
-        println!(
-            "\nevaluation vs true key: GE {:.1} bits, {recovered}/16 recovered, {near}/16 nearly",
-            guessing_entropy(&ranks)
-        );
-    }
+    let elapsed = started.elapsed().as_secs_f64();
+    let _ = writeln!(report, "---\nTotal wall-clock: {elapsed:.1} s");
+    std::fs::write("REPORT.md", &report).map_err(|e| format!("could not write REPORT.md: {e}"))?;
+    println!("\nwrote REPORT.md ({elapsed:.1} s total)");
+    Ok(())
 }
 
 fn parse_device(args: &[String]) -> Result<Device, String> {
@@ -308,6 +310,7 @@ fn spec_from_args(cfg: &ExperimentConfig, args: &[String]) -> Result<CampaignSpe
     spec.mitigation =
         parse_opt(args, "--mitigation").map(|s| MitigationSetting::parse(&s)).transpose()?;
     spec.record = parse_opt(args, "--record");
+    spec.key = key_opt(args, spec.key)?;
     spec.monitor = parse_opt(args, "--monitor")
         .map(|s| parse_monitor_interval(&s).map_err(|e| format!("bad --monitor value {s:?}: {e}")))
         .transpose()?;
@@ -412,13 +415,27 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     run_campaign(&spec, &args[1..], Some(&dir), Some(&dir))
 }
 
+/// `psc replay DIR`: stream a recording back through the TVLA or (with
+/// `--cpa`) the CPA analysis, optionally high-passed by `--detrend W`.
 fn cmd_replay(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
     let dir = args.first().filter(|a| !a.starts_with("--")).ok_or("replay needs a DIR argument")?;
-    let replay = ShardReplay::from_dir(dir).map_err(|e| e.to_string())?;
+    let detrend = parse_flag(args, "--detrend")
+        .then(|| {
+            let s = parse_opt(args, "--detrend").unwrap_or_default();
+            s.parse::<usize>()
+                .ok()
+                // A window-1 moving average is the trace itself, so
+                // detrending by it zeroes every trace.
+                .filter(|&w| w >= 2)
+                .ok_or(format!("bad --detrend value {s:?}: expected a window of at least 2"))
+        })
+        .transpose()?;
+    let secret = key_opt(args, cfg.secret_key)?;
+    let mut replay = ShardReplay::from_dir(dir).map_err(|e| e.to_string())?;
     let shard_count = replay.shards().len();
     // Discover the recorded SMC channels from the authoritative header
-    // labels (filenames are just the recorder's convention — a plain
-    // `psc collect` output carries its label only in the header).
+    // labels (filenames are just the recorder's convention — a lone
+    // single-file recording carries its label only in the header).
     let keys: Vec<_> = replay
         .shards()
         .iter()
@@ -444,11 +461,13 @@ fn cmd_replay(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
         "replaying {shard_count} recorded shard group(s) from {dir} (keys: {})",
         key_names.join(" ")
     );
+    if let Some(w) = detrend {
+        // High-pass each shard's series to strip slow drift (useful on
+        // PSTR-class channels); see tests/pstr_detrending.rs.
+        replay = replay.detrend(w);
+        println!("applied moving-average detrend, window {w}, per shard");
+    }
     if cpa {
-        let secret = match parse_opt(args, "--key") {
-            Some(hex) => parse_key_hex(&hex)?,
-            None => cfg.secret_key,
-        };
         let rep = Campaign::replay(replay).keys(&keys).session().cpa(report::cpa_model);
         print!("{}", report::render_cpa_body(&rep, &secret));
         print!("{}", report::render_metrics_summary(rep.metrics.as_ref()));
@@ -457,68 +476,6 @@ fn cmd_replay(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
         print!("{}", report::render_tvla_body(&rep));
         print!("{}", report::render_metrics_summary(rep.metrics.as_ref()));
     }
-    Ok(())
-}
-
-fn cmd_collect(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
-    let out = parse_opt(args, "--out").ok_or("--out FILE is required")?;
-    let traces = traces_opt(args, cfg.cpa_traces_m2)?;
-    let secret = match parse_opt(args, "--key") {
-        Some(hex) => parse_key_hex(&hex)?,
-        None => cfg.secret_key,
-    };
-    println!("collecting {traces} PHPC traces to {out} ...");
-    // Record the shards, then concatenate them in shard order into one file.
-    let dir = std::env::temp_dir().join(format!("psc-collect-{}", std::process::id()));
-    let _ = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, secret, cfg.seed)
-        .keys(&[key("PHPC")])
-        .traces(traces)
-        .shards(cfg.shards)
-        .record_to(&dir)
-        .session()
-        .cpa(|| Box::new(Rd0Hw));
-    let set = ShardReplay::from_dir(&dir)
-        .map_err(|e| e.to_string())?
-        .read_channel("PHPC")
-        .map_err(|e| e.to_string())?
-        .into_trace_set();
-    let _ = std::fs::remove_dir_all(&dir);
-    let file = std::fs::File::create(&out).map_err(|e| e.to_string())?;
-    write_trace_set(&set, file).map_err(|e| e.to_string())?;
-    println!("wrote {} traces.", traces);
-    Ok(())
-}
-
-fn cmd_analyze(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
-    let path =
-        args.first().filter(|a| !a.starts_with("--")).ok_or("analyze needs a FILE argument")?;
-    let detrend = parse_flag(args, "--detrend")
-        .then(|| {
-            let s = parse_opt(args, "--detrend").unwrap_or_default();
-            s.parse::<usize>()
-                .ok()
-                // A window-1 moving average is the trace itself, so
-                // detrending by it zeroes every trace.
-                .filter(|&w| w >= 2)
-                .ok_or(format!("bad --detrend value {s:?}: expected a window of at least 2"))
-        })
-        .transpose()?;
-    let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let mut set = read_trace_set(file).map_err(|e| e.to_string())?;
-    println!("loaded {} traces labelled {:?} from {path}", set.len(), set.label);
-    if let Some(w) = detrend {
-        // High-pass the series to strip slow drift (useful on PSTR-class
-        // channels); see tests/pstr_detrending.rs.
-        set = apple_power_sca::sca::filter::detrend_trace_set(&set, w);
-        println!("applied moving-average detrend, window {w}");
-    }
-    let secret = match parse_opt(args, "--key") {
-        Some(hex) => Some(parse_key_hex(&hex)?),
-        None => Some(cfg.secret_key),
-    };
-    let mut cpa = Cpa::new(Box::new(Rd0Hw));
-    cpa.add_set(&set);
-    report_cpa(&cpa, secret);
     Ok(())
 }
 
@@ -804,36 +761,11 @@ fn main() -> ExitCode {
     };
     let rest = &args[1..];
     let result: Result<(), String> = match command.as_str() {
-        "fuzz" => {
-            println!("{}", run_table1().render());
-            println!("{}", run_table2(&cfg).render());
-            Ok(())
-        }
-        "tvla" => {
-            let table =
-                if parse_flag(rest, "--kernel") { run_table5(&cfg) } else { run_table3(&cfg) };
-            println!("{}", table.render());
-            Ok(())
-        }
-        "cpa" => cmd_cpa(&cfg, rest),
-        "throttle" => {
-            println!("{}", run_throttling_study(&cfg).render());
-            Ok(())
-        }
-        "countermeasures" => {
-            println!("{}", run_countermeasures(&cfg).render());
-            Ok(())
-        }
-        "success" => traces_opt(rest, cfg.cpa_traces_m2).map(|max| {
-            let counts = [max / 8, max / 4, max / 2, max];
-            println!("{}", run_success_rate(&cfg, &counts, 5).render());
-        }),
-        "campaign" | "stream" => cmd_campaign(&cfg, rest),
+        "repro" => cmd_repro(&cfg, rest),
+        "campaign" => cmd_campaign(&cfg, rest),
         "tune" => cmd_tune(rest),
         "resume" => cmd_resume(rest),
         "replay" => cmd_replay(&cfg, rest),
-        "collect" => cmd_collect(&cfg, rest),
-        "analyze" => cmd_analyze(&cfg, rest),
         "serve" => cmd_serve(rest),
         "submit" => cmd_submit(rest),
         "worker" => cmd_worker(rest),

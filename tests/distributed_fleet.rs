@@ -8,9 +8,10 @@ use apple_power_sca::core::report;
 use apple_power_sca::core::spec::{AnalysisMode, CampaignSpec};
 use apple_power_sca::core::{Device, TuneConfig};
 use apple_power_sca::serve::fleet::{member_state, merge_survivors, MemberOutcome};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, Output, Stdio};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn spec(traces: usize) -> CampaignSpec {
@@ -65,26 +66,51 @@ impl Drop for Scratch {
     }
 }
 
-/// Reserve a loopback port by binding and dropping an ephemeral
-/// listener; the aggregator rebinds it an instant later.
-fn reserve_addr() -> String {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
-    listener.local_addr().expect("local addr").to_string()
-}
-
 fn psc() -> Command {
     Command::new(env!("CARGO_BIN_EXE_psc"))
 }
 
-fn spawn_aggregator(addr: &str, scratch: &Scratch, extra: &[&str]) -> Child {
-    psc()
-        .args(["aggregate", "--listen", addr, "--spec", &scratch.spec_file()])
+/// A running `psc aggregate` and the thread draining its stderr.
+struct Aggregate {
+    child: Child,
+    addr: String,
+    drain: JoinHandle<std::io::Result<u64>>,
+}
+
+impl Aggregate {
+    /// Wait for the process, then for its stderr drain.
+    fn finish(self) -> Output {
+        let output = self.child.wait_with_output().expect("wait aggregator");
+        self.drain.join().expect("drain thread").expect("drain aggregator stderr");
+        output
+    }
+}
+
+/// Start `psc aggregate` on an ephemeral loopback port, learning the
+/// address it bound from its `[psc] aggregating on ADDR ...` line: the
+/// listener is up before any worker connects, and no other process can
+/// take the port in between. The rest of its stderr is drained on a
+/// thread, since the aggregator's `eprintln!` panics on a closed pipe.
+fn spawn_aggregator(scratch: &Scratch, extra: &[&str]) -> Aggregate {
+    let mut child = psc()
+        .args(["aggregate", "--listen", "127.0.0.1:0", "--spec", &scratch.spec_file()])
         .args(["--stats", &scratch.stats_file().display().to_string()])
         .args(extra)
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
-        .expect("spawn aggregator")
+        .expect("spawn aggregator");
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped stderr"));
+    let mut line = String::new();
+    stderr.read_line(&mut line).expect("read aggregator stderr");
+    let addr = line
+        .trim_end()
+        .strip_prefix("[psc] aggregating on ")
+        .and_then(|rest| rest.strip_suffix(" ..."))
+        .unwrap_or_else(|| panic!("no bound address in {line:?}"))
+        .to_owned();
+    let drain = std::thread::spawn(move || std::io::copy(&mut stderr, &mut std::io::sink()));
+    Aggregate { child, addr, drain }
 }
 
 fn spawn_worker(addr: &str, scratch: &Scratch, member: usize, extra: &[&str]) -> Child {
@@ -111,14 +137,14 @@ fn stats_field(stats: &Path, field: &str) -> u64 {
 fn worker_processes_reproduce_the_inline_fleet_run_byte_for_byte() {
     let spec = spec(48);
     let scratch = Scratch::new("clean", &spec);
-    let addr = reserve_addr();
 
-    let aggregator = spawn_aggregator(&addr, &scratch, &[]);
-    let workers: Vec<Child> = (0..2).map(|m| spawn_worker(&addr, &scratch, m, &[])).collect();
+    let aggregator = spawn_aggregator(&scratch, &[]);
+    let addr = &aggregator.addr;
+    let workers: Vec<Child> = (0..2).map(|m| spawn_worker(addr, &scratch, m, &[])).collect();
     for mut worker in workers {
         assert!(worker.wait().expect("wait worker").success(), "worker process failed");
     }
-    let output = aggregator.wait_with_output().expect("wait aggregator");
+    let output = aggregator.finish();
     assert!(output.status.success(), "aggregator process failed");
 
     let inline = report::run_spec(&spec);
@@ -136,18 +162,17 @@ fn worker_processes_reproduce_the_inline_fleet_run_byte_for_byte() {
 fn a_sigkilled_worker_is_demoted_and_survivors_match_the_restricted_run() {
     let spec = spec(2_000);
     let scratch = Scratch::new("sigkill", &spec);
-    let addr = reserve_addr();
 
     let aggregator = spawn_aggregator(
-        &addr,
         &scratch,
         &["--heartbeat-timeout-ms", "1500", "--straggler-timeout-ms", "2500"],
     );
-    let mut survivor = spawn_worker(&addr, &scratch, 0, &[]);
+    let addr = &aggregator.addr;
+    let mut survivor = spawn_worker(addr, &scratch, 0, &[]);
     // Every frame member 1 sends after its hello waits a minute, so
     // however fast its campaign runs, it cannot deliver `Done` (or exit)
     // before the kill: it is provably still running when the kill lands.
-    let mut casualty = spawn_worker(&addr, &scratch, 1, &["--frame-delay-us", "60000000"]);
+    let mut casualty = spawn_worker(addr, &scratch, 1, &["--frame-delay-us", "60000000"]);
     // Its campaign, and so its checkpoint file, starts only after the
     // aggregator accepted its hello: kill a member the aggregator knows.
     let ckpt = Path::new(&scratch.workdir(1)).join("shard-000.ckpt");
@@ -162,7 +187,7 @@ fn a_sigkilled_worker_is_demoted_and_survivors_match_the_restricted_run() {
     casualty.wait().expect("reap worker 1");
 
     assert!(survivor.wait().expect("wait worker 0").success(), "surviving worker failed");
-    let output = aggregator.wait_with_output().expect("wait aggregator");
+    let output = aggregator.finish();
     assert!(output.status.success(), "the aggregator must complete despite the kill");
 
     assert_eq!(stats_field(&scratch.stats_file(), "survivors"), 1, "member 1 was demoted");

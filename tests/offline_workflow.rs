@@ -1,21 +1,32 @@
 //! Cross-crate integration: the record-then-analyze-offline workflow — a
 //! real attacker collects once (slow, on-target) and analyzes many times
 //! (fast, off-target). The persisted campaign must yield bit-identical
-//! analysis results.
+//! analysis results, and the `psc` front door must refuse bad offline
+//! flags before doing any work.
 
 mod common;
 
 use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
-use apple_power_sca::sca::codec::{read_trace_set, write_trace_set};
+use apple_power_sca::sca::codec::{read_trace_set, write_recording, LabeledTrace};
 use apple_power_sca::sca::cpa::Cpa;
 use apple_power_sca::sca::enumerate::{verify_with_pair, KeyEnumerator};
 use apple_power_sca::sca::model::Rd0Hw;
+use apple_power_sca::sca::trace::TraceSet;
 use apple_power_sca::smc::key::key;
 use common::Recorded;
 
 const SECRET: [u8; 16] = [
     0xB7, 0x6F, 0xEB, 0x3E, 0xD5, 0x9D, 0x77, 0xFA, 0xCE, 0xBB, 0x67, 0xF3, 0x5E, 0xAD, 0xD9, 0x7C,
 ];
+
+/// `set` written in the on-disk recording format (unclassed CPA records).
+fn persist(set: &TraceSet) -> Vec<u8> {
+    let records: Vec<LabeledTrace> =
+        set.iter().map(|&trace| LabeledTrace { trace, pass: 0, class: None }).collect();
+    let mut bytes = Vec::new();
+    write_recording(&set.label, &records, &mut bytes).expect("serialize");
+    bytes
+}
 
 #[test]
 fn persisted_campaign_analyzes_identically() {
@@ -24,14 +35,13 @@ fn persisted_campaign_analyzes_identically() {
     let original = &sets.traces("PHPC");
 
     // Round-trip through the on-disk format.
-    let mut bytes = Vec::new();
-    write_trace_set(original, &mut bytes).expect("serialize");
+    let bytes = persist(original);
     let restored = read_trace_set(&bytes[..]).expect("deserialize");
     assert_eq!(&restored, original);
 
     // Analysis over the restored set matches analysis over the original,
     // bit for bit.
-    let ranks_of = |set: &apple_power_sca::sca::trace::TraceSet| {
+    let ranks_of = |set: &TraceSet| {
         let mut cpa = Cpa::new(Box::new(Rd0Hw));
         cpa.add_set(set);
         (cpa.ranks(&SECRET), cpa.correlations(0).map(f64::to_bits))
@@ -45,8 +55,7 @@ fn full_offline_attack_with_enumeration_endgame() {
     // enumeration endgame confirms the exact key from the recording alone.
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x0FF2);
     let (sets, _) = Recorded::cpa(Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(25_000));
-    let mut bytes = Vec::new();
-    write_trace_set(&sets.traces("PHPC"), &mut bytes).expect("serialize");
+    let bytes = persist(&sets.traces("PHPC"));
 
     // "Another machine": only the recording is available.
     let recording = read_trace_set(&bytes[..]).expect("deserialize");
@@ -99,31 +108,51 @@ fn cli_replay_refuses_cpa_without_an_smc_key_recording() {
 
 #[test]
 fn cli_refuses_bad_shard_and_trace_counts() {
-    // A small valid trace file, so `analyze` fails on its flags alone.
-    let file = std::env::temp_dir().join(format!("psc_cli_refuses_{}.psct", std::process::id()));
+    // A small valid recording, so `replay` fails on its flags alone.
+    let dir = std::env::temp_dir().join(format!("psc_cli_refuses_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x0FF1);
-    let (sets, _) = Recorded::cpa(Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(20));
-    write_trace_set(&sets.traces("PHPC"), std::fs::File::create(&file).expect("create"))
-        .expect("write");
-    let file = file.to_str().expect("utf-8 temp path");
+    let _ = Campaign::over_rig(&mut rig)
+        .keys(&[key("PHPC")])
+        .traces(20)
+        .record_to(&dir)
+        .session()
+        .cpa(|| Box::new(Rd0Hw));
+    let dir_arg = dir.to_str().expect("utf-8 temp path");
 
-    // A typo must not fall back to the default budget (or to no
-    // detrending), and a huge shard count must not spawn a producer and a
-    // worker thread per shard. Each refusal exits 1 before any output and
-    // names what was wrong.
-    for (args, named) in [
+    // A typo must not fall back to the default budget, key or target (or
+    // to no detrending), and a huge shard count must not spawn a producer
+    // and a worker thread per shard. Each refusal exits 1 before any
+    // output and names what was wrong. The subcommands that `repro`,
+    // `campaign --record` and `replay` replaced are unknown commands.
+    let gone = [
+        "fuzz",
+        "tvla",
+        "cpa",
+        "throttle",
+        "countermeasures",
+        "success",
+        "stream",
+        "collect",
+        "analyze",
+    ];
+    let refusals = [
         (&["campaign", "--traces", "abc"][..], "--traces"),
         (&["campaign", "--shards", "abc"], "--shards"),
         (&["campaign", "--shards", "3000"], "--shards"),
         (&["campaign", "--shards", "0"], "--shards"),
         (&["campaign", "--cpa", "--traces", "-5"], "--traces"),
-        (&["analyze", file, "--detrend", "abc"], "--detrend"),
-        (&["analyze", file, "--detrend", "-3"], "--detrend"),
-        (&["analyze", file, "--detrend", "0"], "--detrend"),
-        (&["analyze", file, "--detrend", "1"], "--detrend"),
-        (&["analyze", file, "--detrend"], "--detrend"),
-        (&["analyze", "--key", "00112233445566778899aabbccddeeff", file], "FILE"),
-    ] {
+        (&["campaign", "--key", "zz"], "--key"),
+        (&["repro", "--only", "nope"], "nope"),
+        (&["replay", dir_arg, "--detrend", "abc"], "--detrend"),
+        (&["replay", dir_arg, "--detrend", "-3"], "--detrend"),
+        (&["replay", dir_arg, "--detrend", "0"], "--detrend"),
+        (&["replay", dir_arg, "--detrend", "1"], "--detrend"),
+        (&["replay", dir_arg, "--detrend"], "--detrend"),
+        (&["replay", "--key", "00112233445566778899aabbccddeeff", dir_arg], "DIR"),
+    ];
+    let unknown = gone.iter().map(|g| (std::slice::from_ref(g), "unknown command"));
+    for (args, named) in refusals.into_iter().chain(unknown) {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_psc"))
             .args(args)
             .output()
@@ -133,5 +162,5 @@ fn cli_refuses_bad_shard_and_trace_counts() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(named), "{args:?} names {named}: {stderr}");
     }
-    std::fs::remove_file(file).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
