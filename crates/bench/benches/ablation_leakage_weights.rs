@@ -3,9 +3,9 @@
 //! docs for the rest of the calibration).
 //!
 //! Generates synthetic noisy channels under three weight profiles and runs
-//! Rd0-HW CPA on each. Alongside the timing numbers, the bench prints the
-//! resulting guessing entropy once per profile so the quality effect of
-//! the calibration is visible:
+//! Rd0-HW CPA on each. Alongside the timing numbers, the bench prints and
+//! records (`<profile>/ge_bits`) the resulting guessing entropy once per
+//! profile so the quality effect of the calibration is visible:
 //!
 //! * `paper-calibrated` — round-0 dominant (the default): Rd0-HW recovers;
 //! * `uniform` — all rounds equal: round-0 share of the signal shrinks,
@@ -13,8 +13,8 @@
 //! * `hd-enabled` — register-overwrite leakage added: Rd10-HD would start
 //!   to work (counterfactual to the paper's datapath).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use psc_aes::leakage::{LeakageModel, LeakageWeights};
+use psc_bench::measure::Run;
 use psc_sca::cpa::Cpa;
 use psc_sca::model::Rd0Hw;
 use psc_sca::rank::guessing_entropy;
@@ -22,6 +22,7 @@ use psc_sca::trace::{Trace, TraceSet};
 use psc_soc::noise::gaussian;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
+use std::hint::black_box;
 
 const KEY: [u8; 16] = [
     0xB7, 0x6F, 0xEB, 0x3E, 0xD5, 0x9D, 0x77, 0xFA, 0xCE, 0xBB, 0x67, 0xF3, 0x5E, 0xAD, 0xD9, 0x7C,
@@ -50,7 +51,7 @@ fn ge_of(set: &TraceSet) -> f64 {
     guessing_entropy(&cpa.ranks(&KEY))
 }
 
-fn bench_ablation(c: &mut Criterion) {
+fn main() {
     let n = 5_000;
     let noise = 25.0; // activity units
     let profiles: [(&str, LeakageWeights); 3] = [
@@ -59,20 +60,16 @@ fn bench_ablation(c: &mut Criterion) {
         ("hd-enabled", LeakageWeights::default().with_hd(0.3)),
     ];
 
-    let mut group = c.benchmark_group("ablation_leakage_weights");
-    group.sample_size(10);
+    let mut run = Run::start("ablation_leakage_weights");
+    run.field("traces", n as f64);
     for (name, weights) in profiles {
         let set = synthetic_channel(weights, n, noise);
-        eprintln!(
-            "[ablation_leakage_weights] {name}: Rd0-HW GE = {:.1} bits at {n} traces",
-            ge_of(&set)
-        );
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(ge_of(&set)));
+        let ge = ge_of(&set);
+        eprintln!("[ablation_leakage_weights] {name}: Rd0-HW GE = {ge:.1} bits at {n} traces");
+        run.field(&format!("{name}/ge_bits"), ge);
+        run.measure_ns(name, || {
+            black_box(ge_of(&set));
         });
     }
-    group.finish();
+    run.finish();
 }
-
-criterion_group!(benches, bench_ablation);
-criterion_main!(benches);

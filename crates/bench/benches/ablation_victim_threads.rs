@@ -3,9 +3,10 @@
 //! The paper replicates the victim across three P-cores with identical
 //! input "therefore the data-dependent power consumption is amplified".
 //! This bench installs 1/2/3-thread victims and runs the same CPA budget
-//! against each, printing the resulting guessing entropy.
+//! against each, printing and recording (`collect_<n>_threads/ge_bits`)
+//! the resulting guessing entropy.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use psc_bench::measure::Run;
 use psc_core::rig::Device;
 use psc_core::victim::{AesVictim, VictimKind};
 use psc_sca::cpa::Cpa;
@@ -16,6 +17,7 @@ use psc_smc::iokit::{share, SmcUserClient};
 use psc_smc::key::key;
 use psc_smc::Smc;
 use psc_soc::Soc;
+use std::hint::black_box;
 use std::sync::Arc;
 
 const KEY: [u8; 16] = [
@@ -53,22 +55,20 @@ fn collect_with_threads(threads: usize, n: usize) -> TraceSet {
     set
 }
 
-fn bench_threads(c: &mut Criterion) {
+fn main() {
     let n = 4_000;
-    let mut group = c.benchmark_group("ablation_victim_threads");
-    group.sample_size(10);
+    let mut run = Run::start("ablation_victim_threads");
+    run.field("traces", n as f64);
     for threads in [1usize, 2, 3] {
         let set = collect_with_threads(threads, n);
         let mut cpa = Cpa::new(Box::new(Rd0Hw));
         cpa.add_set(&set);
         let ge = guessing_entropy(&cpa.ranks(&KEY));
         eprintln!("[ablation_victim_threads] {threads} thread(s): GE = {ge:.1} bits at {n} traces");
-        group.bench_function(format!("collect_{threads}_threads"), |b| {
-            b.iter(|| black_box(collect_with_threads(threads, 500)));
+        run.field(&format!("collect_{threads}_threads/ge_bits"), ge);
+        run.measure_ns(&format!("collect_{threads}_threads"), || {
+            black_box(collect_with_threads(threads, 500));
         });
     }
-    group.finish();
+    run.finish();
 }
-
-criterion_group!(benches, bench_threads);
-criterion_main!(benches);

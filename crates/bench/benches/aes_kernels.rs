@@ -1,42 +1,38 @@
 //! Kernel benches: the AES substrate (block throughput, tracing overhead,
-//! ARMv8 instruction path, leakage evaluation, key expansion).
+//! ARMv8 instruction path, key expansion). The leakage evaluation is
+//! timed in `leakage_kernels`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use psc_aes::armv8::Armv8Aes;
-use psc_aes::leakage::LeakageModel;
 use psc_aes::{Aes, KeySchedule};
+use psc_bench::measure::Run;
+use std::hint::black_box;
 
-fn bench_aes(c: &mut Criterion) {
+fn main() {
     let key = [0x2Bu8; 16];
     let aes = Aes::new(&key).expect("valid key");
     let hw = Armv8Aes::new(&key).expect("valid key");
-    let model = LeakageModel::new(&key).expect("valid key");
     let pt = [0xA5u8; 16];
+    let ct = aes.encrypt_block(&pt);
+    let key256 = [7u8; 32];
 
-    c.bench_function("aes/encrypt_block", |b| {
-        b.iter(|| aes.encrypt_block(black_box(&pt)));
+    let mut run = Run::start("aes_kernels");
+    run.measure_ns("aes/encrypt_block", || {
+        black_box(aes.encrypt_block(black_box(&pt)));
     });
-    c.bench_function("aes/decrypt_block", |b| {
-        let ct = aes.encrypt_block(&pt);
-        b.iter(|| aes.decrypt_block(black_box(&ct)));
+    run.measure_ns("aes/decrypt_block", || {
+        black_box(aes.decrypt_block(black_box(&ct)));
     });
-    c.bench_function("aes/encrypt_traced", |b| {
-        b.iter(|| aes.encrypt_traced(black_box(&pt)));
+    run.measure_ns("aes/encrypt_traced", || {
+        black_box(aes.encrypt_traced(black_box(&pt)));
     });
-    c.bench_function("aes/armv8_encrypt_block", |b| {
-        b.iter(|| hw.encrypt_block(black_box(&pt)));
+    run.measure_ns("aes/armv8_encrypt_block", || {
+        black_box(hw.encrypt_block(black_box(&pt)));
     });
-    c.bench_function("aes/leakage_activity", |b| {
-        b.iter(|| model.activity(black_box(&pt)));
+    run.measure_ns("aes/key_schedule_128", || {
+        black_box(KeySchedule::new(black_box(&key)).expect("valid"));
     });
-    c.bench_function("aes/key_schedule_128", |b| {
-        b.iter(|| KeySchedule::new(black_box(&key)).expect("valid"));
+    run.measure_ns("aes/key_schedule_256", || {
+        black_box(KeySchedule::new(black_box(&key256)).expect("valid"));
     });
-    c.bench_function("aes/key_schedule_256", |b| {
-        let key256 = [7u8; 32];
-        b.iter(|| KeySchedule::new(black_box(&key256)).expect("valid"));
-    });
+    run.finish();
 }
-
-criterion_group!(benches, bench_aes);
-criterion_main!(benches);

@@ -15,10 +15,10 @@
 //!   jittered retry delay and the re-handshake).
 //!
 //! `PSC_BENCH_BUDGET_MS` scales the measured iteration counts so CI can
-//! smoke the bench in quick mode. Writes `BENCH_fleet.json` at the
-//! workspace root (override with `PSC_BENCH_OUT`).
+//! smoke the bench in quick mode. The run appends one line to the bench
+//! history (`psc_bench::measure`).
 
-use psc_bench::measure::{json_field, json_header, measure_ns, write_artifact};
+use psc_bench::measure::Run;
 use psc_core::spec::{AnalysisMode, CampaignSpec};
 use psc_core::{Device, ExperimentConfig};
 use psc_serve::fleet::{
@@ -27,7 +27,6 @@ use psc_serve::fleet::{
 };
 use std::time::Duration;
 
-const BENCH: &str = "fleet_kernels";
 const TRACES_PER_CLASS: usize = 48;
 
 fn fleet_spec() -> CampaignSpec {
@@ -80,6 +79,7 @@ fn measure_recovery(spec: &CampaignSpec) -> Duration {
 
 fn main() {
     let spec = fleet_spec();
+    let mut run = Run::start("fleet_kernels");
 
     // Real partial payload: member 0's final checkpoint state from an
     // actual (socket-free) campaign run.
@@ -89,7 +89,7 @@ fn main() {
 
     let mut gate = DedupGate::default();
     let mut seq = 0u64;
-    let partial_ns = measure_ns(BENCH, "partial_encode_decode_admit", || {
+    let partial_ns = run.measure_ns("partial_encode_decode_admit", || {
         let wire = partial.encode();
         let decoded = WorkerMsg::decode(&wire).expect("decode");
         let WorkerMsg::Partial { epoch, .. } = decoded else { panic!("partial") };
@@ -108,26 +108,21 @@ fn main() {
             reconnects: 0,
         },
     ];
-    let merge_ns = measure_ns(BENCH, "merge_survivors_2_members", || {
+    let merge_ns = run.measure_ns("merge_survivors_2_members", || {
         let merged = merge_survivors(&spec, &outcomes).expect("merge");
         assert_eq!(merged.survivors, 2);
     });
 
-    let recovery = measure_recovery(&spec);
+    let recovery_ms = measure_recovery(&spec).as_secs_f64() * 1e3;
     println!(
-        "{BENCH}/disconnect_recovery                                    {:>12.1} ms",
-        recovery.as_secs_f64() * 1e3
+        "fleet_kernels/disconnect_recovery                                    {recovery_ms:>12.1} ms"
     );
 
-    let mut json = json_header(BENCH);
-    json.string("mode", "tvla");
-    json_field(&mut json, "traces_per_class", TRACES_PER_CLASS as f64);
-    json_field(&mut json, "partial_frame_bytes", frame_len as f64);
-    json_field(&mut json, "partial_roundtrip_ns", partial_ns);
-    json_field(&mut json, "partials_per_s", partials_per_s);
-    json_field(&mut json, "merge_latency_us", merge_ns / 1e3);
-    json_field(&mut json, "recovery_ms", recovery.as_secs_f64() * 1e3);
-    let path =
-        write_artifact(json, &format!("{}/../../BENCH_fleet.json", env!("CARGO_MANIFEST_DIR")));
-    println!("{BENCH}: wrote {path}");
+    run.string("mode", "tvla")
+        .field("traces_per_class", TRACES_PER_CLASS as f64)
+        .field("partial_frame_bytes", frame_len as f64)
+        .field("partials_per_s", partials_per_s)
+        .field("merge_latency_us", merge_ns / 1e3)
+        .field("recovery_ms", recovery_ms);
+    run.finish();
 }

@@ -9,9 +9,12 @@
 //!
 //! Reported figures:
 //!
-//! * `campaigns_per_s` — burst size over the wall-clock time from first
-//!   submit to last report, the service's effective throughput when the
-//!   queue stays warm (8 jobs over 2 workers);
+//! * `burst8x120tr` — the wall-clock time from first submit to last
+//!   report of one burst, timed like every kernel (an estimation burst
+//!   that also warms the pool, then one burst per sample);
+//! * `campaigns_per_s` — burst size over that median, the service's
+//!   effective throughput when the queue stays warm (8 jobs over 2
+//!   workers);
 //! * `p99_report_latency_ms` / `mean_report_latency_ms` — accepted → report
 //!   latency from the server's own `serve.report_latency_ns` histogram,
 //!   i.e. what a tenant actually waits including time spent queued;
@@ -19,20 +22,18 @@
 //!   `serve.dispatch_wait_ns`, the admission controller's saturation
 //!   signal.
 //!
-//! Trace budgets stay fixed (throughput here is jobs/s, not traces/s) and
-//! `PSC_BENCH_BUDGET_MS` scales how many bursts are averaged, so CI can
-//! smoke the bench in quick mode. Writes `BENCH_serve.json` at the
-//! workspace root (override with `PSC_BENCH_OUT`).
+//! Trace budgets stay fixed (throughput here is jobs/s, not traces/s), so
+//! a burst outlasts any per-sample budget and each sample is one burst.
+//! The run appends one line to the bench history (`psc_bench::measure`).
 
-use psc_bench::measure::{budget, json_field, json_header, write_artifact};
+use psc_bench::measure::Run;
 use psc_core::spec::{AnalysisMode, CampaignSpec};
 use psc_core::{Device, ExperimentConfig};
 use psc_serve::proto::Response;
 use psc_serve::server::names;
 use psc_serve::{submit_and_wait, AdmissionConfig, Client, Server, ServerConfig};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-const BENCH: &str = "serve_kernels";
 const WORKERS: usize = 2;
 const BURST: usize = 8;
 const TRACES_PER_CLASS: usize = 120;
@@ -46,11 +47,10 @@ fn burst_spec() -> String {
     spec.render()
 }
 
-/// Run one 8-job burst against `addr`; returns first-submit → last-report
-/// wall time. Panics on any non-report outcome — a rejection here means
-/// the bench configuration is wrong, not that the service is slow.
-fn run_burst(addr: std::net::SocketAddr, spec: &str) -> Duration {
-    let start = Instant::now();
+/// Run one 8-job burst against `addr`. Panics on any non-report
+/// outcome — a rejection here means the bench configuration is wrong, not
+/// that the service is slow.
+fn run_burst(addr: std::net::SocketAddr, spec: &str) {
     std::thread::scope(|scope| {
         for job in 0..BURST {
             scope.spawn(move || match submit_and_wait(addr, &format!("bench-{job}"), spec) {
@@ -59,7 +59,6 @@ fn run_burst(addr: std::net::SocketAddr, spec: &str) -> Duration {
             });
         }
     });
-    start.elapsed()
 }
 
 fn main() {
@@ -75,23 +74,13 @@ fn main() {
     .expect("bind loopback");
     let addr = server.addr();
 
-    // One warm-up burst (thread pool, allocator, listener), then as many
-    // measured bursts as the budget allows, minimum one.
-    run_burst(addr, &spec);
-    let mut wall = Vec::new();
-    let deadline = Instant::now() + budget();
-    loop {
-        wall.push(run_burst(addr, &spec).as_secs_f64());
-        if Instant::now() >= deadline || wall.len() >= 9 {
-            break;
-        }
-    }
-    let bursts = wall.len();
-    let mean_wall = wall.iter().sum::<f64>() / bursts as f64;
-    let campaigns_per_s = BURST as f64 / mean_wall;
+    let mut run = Run::start("serve_kernels");
+    let burst_ns =
+        run.measure_ns(&format!("burst{BURST}x{TRACES_PER_CLASS}tr"), || run_burst(addr, &spec));
+    let campaigns_per_s = BURST as f64 / (burst_ns / 1e9);
 
     // Latency distributions from the server's own histograms — these
-    // cover the warm-up burst too, which only widens the tails.
+    // cover the estimation burst too, which only widens the tails.
     let metrics = server.metrics();
     let report_hist =
         metrics.histogram(names::REPORT_LATENCY_NS).expect("report latency histogram");
@@ -108,24 +97,19 @@ fn main() {
     server.join();
 
     println!(
-        "{BENCH}/burst{BURST}x{TRACES_PER_CLASS}tr  {campaigns_per_s:>8.2} campaigns/s  \
-         p99 report {p99_report_ms:>8.1} ms  ({bursts} burst(s))"
+        "serve_kernels/burst{BURST}x{TRACES_PER_CLASS}tr  {campaigns_per_s:>8.2} campaigns/s  \
+         p99 report {p99_report_ms:>8.1} ms"
     );
 
-    let mut json = json_header(BENCH);
-    json.string("mode", "tvla");
-    json_field(&mut json, "workers", WORKERS as f64);
-    json_field(&mut json, "burst_jobs", BURST as f64);
-    json_field(&mut json, "traces_per_class", TRACES_PER_CLASS as f64);
-    json_field(&mut json, "shards_per_job", SHARDS as f64);
-    json_field(&mut json, "bursts_measured", bursts as f64);
-    json_field(&mut json, "campaigns_per_s", campaigns_per_s);
-    json_field(&mut json, "mean_burst_wall_s", mean_wall);
-    json_field(&mut json, "p99_report_latency_ms", p99_report_ms);
-    json_field(&mut json, "mean_report_latency_ms", mean_report_ms);
-    json_field(&mut json, "p99_dispatch_wait_us", p99_dispatch_us);
-    json_field(&mut json, "campaigns_completed", completed);
-    let path =
-        write_artifact(json, &format!("{}/../../BENCH_serve.json", env!("CARGO_MANIFEST_DIR")));
-    println!("{BENCH}: wrote {path}");
+    run.string("mode", "tvla")
+        .field("workers", WORKERS as f64)
+        .field("burst_jobs", BURST as f64)
+        .field("traces_per_class", TRACES_PER_CLASS as f64)
+        .field("shards_per_job", SHARDS as f64)
+        .field("campaigns_per_s", campaigns_per_s)
+        .field("p99_report_latency_ms", p99_report_ms)
+        .field("mean_report_latency_ms", mean_report_ms)
+        .field("p99_dispatch_wait_us", p99_dispatch_us)
+        .field("campaigns_completed", completed);
+    run.finish();
 }

@@ -1,52 +1,55 @@
-//! Kernel benches: the simulation substrate (SoC window evaluation, SMC
-//! publish pipeline, IOKit read path, fuzzer dump).
+//! Kernel benches: the simulation substrate (SoC step, SMC publish
+//! pipeline, IOKit read path, fuzzer dump, one full observation). The
+//! SoC window loop is timed in `window_kernels`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use psc_bench::measure::Run;
 use psc_core::{Device, Rig, VictimKind};
 use psc_smc::fuzzer::dump_keys;
 use psc_smc::key::key;
+use std::hint::black_box;
 
-fn bench_substrate(c: &mut Criterion) {
-    c.bench_function("substrate/soc_run_window", |b| {
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 9);
-        b.iter(|| black_box(rig.soc.run_window(1.0)));
-    });
-
-    c.bench_function("substrate/soc_step", |b| {
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 9);
-        b.iter(|| black_box(rig.soc.step(0.05)));
-    });
-
-    c.bench_function("substrate/smc_observe_window", |b| {
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 9);
-        let report = rig.soc.run_window(1.0);
-        b.iter(|| black_box(rig.smc.write().observe_window(black_box(&report))));
-    });
-
-    c.bench_function("substrate/iokit_read_key", |b| {
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 9);
-        let report = rig.soc.run_window(1.0);
-        rig.smc.write().observe_window(&report);
-        let phpc = key("PHPC");
-        b.iter(|| black_box(rig.client.read_key(black_box(phpc)).expect("readable")));
-    });
-
-    c.bench_function("substrate/fuzzer_dump_p_keys", |b| {
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 9);
-        let report = rig.soc.run_window(1.0);
-        rig.smc.write().observe_window(&report);
-        b.iter(|| black_box(dump_keys(&rig.client, Some('P')).expect("enumeration")));
-    });
-
-    c.bench_function("substrate/end_to_end_observation", |b| {
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 9);
-        let keys = [key("PHPC"), key("PDTR"), key("PMVC"), key("PSTR")];
-        b.iter(|| {
-            let pt = rig.random_plaintext();
-            black_box(rig.observe_window(pt, &keys))
-        });
-    });
+fn rig() -> Rig {
+    Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 9)
 }
 
-criterion_group!(benches, bench_substrate);
-criterion_main!(benches);
+/// A rig whose SMC has published one window, so every key reads.
+fn published_rig() -> Rig {
+    let mut rig = rig();
+    let report = rig.soc.run_window(1.0);
+    rig.smc.write().observe_window(&report);
+    rig
+}
+
+fn main() {
+    let mut run = Run::start("smc_kernels");
+
+    let mut stepped = rig();
+    run.measure_ns("substrate/soc_step", || {
+        black_box(stepped.soc.step(0.05));
+    });
+
+    let mut observer = rig();
+    let report = observer.soc.run_window(1.0);
+    run.measure_ns("substrate/smc_observe_window", || {
+        black_box(observer.smc.write().observe_window(black_box(&report)));
+    });
+
+    let reader = published_rig();
+    let phpc = key("PHPC");
+    run.measure_ns("substrate/iokit_read_key", || {
+        black_box(reader.client.read_key(black_box(phpc)).expect("readable"));
+    });
+
+    let fuzzed = published_rig();
+    run.measure_ns("substrate/fuzzer_dump_p_keys", || {
+        black_box(dump_keys(&fuzzed.client, Some('P')).expect("enumeration"));
+    });
+
+    let mut observed = rig();
+    let keys = [key("PHPC"), key("PDTR"), key("PMVC"), key("PSTR")];
+    run.measure_ns("substrate/end_to_end_observation", || {
+        let pt = observed.random_plaintext();
+        black_box(observed.observe_window(pt, &keys));
+    });
+    run.finish();
+}

@@ -2,7 +2,7 @@
 //! updates, and the headline comparison — single-threaded batch collection
 //! vs the sharded streaming pipeline at 10k+ traces.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use psc_bench::measure::Run;
 use psc_core::rig::{Device, Rig};
 use psc_core::victim::VictimKind;
 use psc_core::Campaign;
@@ -16,6 +16,7 @@ use psc_telemetry::event::{ChannelId, SchedEvent, WindowEvent};
 use psc_telemetry::processor::Processor;
 use psc_telemetry::processors::{StreamingCpa, StreamingTvla};
 use psc_telemetry::ring::{channel, OverflowPolicy, RingBuffer};
+use std::hint::black_box;
 
 const SECRET: [u8; 16] = [0x2B; 16];
 /// Rows per block — the campaign drivers' default `OBS_CHUNK`.
@@ -60,51 +61,40 @@ fn tape(channels: &[ChannelId]) -> Vec<EventBlock> {
     blocks
 }
 
-fn bench_bus(c: &mut Criterion) {
-    let mut group = c.benchmark_group("telemetry_bus");
-    group.sample_size(10);
-
-    group.bench_function("ring_push_pop_1k", |b| {
-        b.iter(|| {
-            let mut ring = RingBuffer::new(256, OverflowPolicy::DropOldest);
-            for i in 0..1000u64 {
-                ring.push(black_box(i));
-            }
-            let mut sum = 0u64;
-            while let Some(v) = ring.pop() {
-                sum += v;
-            }
-            black_box(sum)
-        });
+fn bench_bus(run: &mut Run) {
+    run.measure_ns("telemetry_bus/ring_push_pop_1k", || {
+        let mut ring = RingBuffer::new(256, OverflowPolicy::DropOldest);
+        for i in 0..1000u64 {
+            ring.push(black_box(i));
+        }
+        let mut sum = 0u64;
+        while let Some(v) = ring.pop() {
+            sum += v;
+        }
+        black_box(sum);
     });
 
     let blocks = tape(&[ChannelId::Pcpu]);
-    group.bench_function("channel_throughput_10k_rows", |b| {
-        b.iter(|| {
-            let (tx, rx) = channel(128, OverflowPolicy::Block);
-            let delivered = std::thread::scope(|scope| {
-                scope.spawn(|| {
-                    for block in &blocks {
-                        tx.send(block.clone()).expect("receiver alive");
-                    }
-                    drop(tx);
-                });
-                let mut rows = 0usize;
-                while let Some(block) = rx.recv() {
-                    rows += block.len();
+    run.measure_ns("telemetry_bus/channel_throughput_10k_rows", || {
+        let (tx, rx) = channel(128, OverflowPolicy::Block);
+        let delivered = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for block in &blocks {
+                    tx.send(block.clone()).expect("receiver alive");
                 }
-                rows
+                drop(tx);
             });
-            black_box(delivered)
+            let mut rows = 0usize;
+            while let Some(block) = rx.recv() {
+                rows += block.len();
+            }
+            rows
         });
+        black_box(delivered);
     });
-    group.finish();
 }
 
-fn bench_online_accumulators(c: &mut Criterion) {
-    let mut group = c.benchmark_group("telemetry_accumulators");
-    group.sample_size(10);
-
+fn bench_online_accumulators(run: &mut Run) {
     // Pre-build the deterministic block tapes once; the 5-channel one has
     // the `cpa-replay` layout: the M2's four CPA keys, then PCPU.
     let smc: Vec<ChannelId> =
@@ -112,139 +102,112 @@ fn bench_online_accumulators(c: &mut Criterion) {
     let tape_5ch = tape(&[&smc[..], &[ChannelId::Pcpu]].concat());
     let tape = tape(&[ChannelId::Pcpu]);
 
-    group.bench_function("streaming_tvla_10k_samples", |b| {
-        b.iter(|| {
-            let mut tvla = StreamingTvla::new();
-            for block in &tape {
-                tvla.on_block(block);
-            }
-            black_box(tvla.matrix(ChannelId::Pcpu, "PCPU"))
-        });
+    run.measure_ns("telemetry_accumulators/streaming_tvla_10k_samples", || {
+        let mut tvla = StreamingTvla::new();
+        for block in &tape {
+            tvla.on_block(block);
+        }
+        black_box(tvla.matrix(ChannelId::Pcpu, "PCPU"));
     });
 
-    group.bench_function("streaming_cpa_10k_traces", |b| {
-        b.iter(|| {
-            let mut cpa = StreamingCpa::new([ChannelId::Pcpu], || Box::new(Rd0Hw));
-            for block in &tape {
-                cpa.on_block(block);
-            }
-            black_box(cpa.cpa(ChannelId::Pcpu).expect("registered").ranks(&SECRET))
-        });
+    run.measure_ns("telemetry_accumulators/streaming_cpa_10k_traces", || {
+        let mut cpa = StreamingCpa::new([ChannelId::Pcpu], || Box::new(Rd0Hw));
+        for block in &tape {
+            cpa.on_block(block);
+        }
+        black_box(cpa.cpa(ChannelId::Pcpu).expect("registered").ranks(&SECRET));
     });
 
     // One model-input pass per block feeds the four key columns.
-    group.bench_function("streaming_cpa_10k_traces_5ch", |b| {
-        b.iter(|| {
-            let mut cpa = StreamingCpa::new(smc.iter().copied(), || Box::new(Rd0Hw));
-            tape_5ch.iter().for_each(|block| cpa.on_block(block));
-            black_box(cpa.cpa(smc[0]).expect("registered").ranks(&SECRET))
-        });
+    run.measure_ns("telemetry_accumulators/streaming_cpa_10k_traces_5ch", || {
+        let mut cpa = StreamingCpa::new(smc.iter().copied(), || Box::new(Rd0Hw));
+        tape_5ch.iter().for_each(|block| cpa.on_block(block));
+        black_box(cpa.cpa(smc[0]).expect("registered").ranks(&SECRET));
     });
 
     // An in-memory 10k-trace recording decoded in replay-sized chunks.
-    group.bench_function("codec_read_chunk_10k", |b| {
-        let traces: Vec<LabeledTrace> = (0..10_000u32)
-            .map(|i| LabeledTrace {
-                trace: Trace { value: f64::from(i), plaintext: [i as u8; 16], ciphertext: [7; 16] },
-                pass: 0,
-                class: None,
-            })
-            .collect();
-        let mut bytes = Vec::new();
-        write_recording("PHPC", &traces, &mut bytes).expect("in memory");
-        let mut chunk = Vec::with_capacity(1024);
-        b.iter(|| {
-            let mut reader = RecordingReader::new(&bytes[..]).expect("valid recording");
-            let mut n = 0;
-            while reader.read_chunk(1024, &mut chunk).expect("valid recording") > 0 {
-                n += chunk.len();
-            }
-            black_box(n)
-        });
+    let traces: Vec<LabeledTrace> = (0..10_000u32)
+        .map(|i| LabeledTrace {
+            trace: Trace { value: f64::from(i), plaintext: [i as u8; 16], ciphertext: [7; 16] },
+            pass: 0,
+            class: None,
+        })
+        .collect();
+    let mut bytes = Vec::new();
+    write_recording("PHPC", &traces, &mut bytes).expect("in memory");
+    let mut chunk = Vec::with_capacity(1024);
+    run.measure_ns("telemetry_accumulators/codec_read_chunk_10k", || {
+        let mut reader = RecordingReader::new(&bytes[..]).expect("valid recording");
+        let mut n = 0;
+        while reader.read_chunk(1024, &mut chunk).expect("valid recording") > 0 {
+            n += chunk.len();
+        }
+        black_box(n);
     });
 
-    group.bench_function("cpa_add_trace_single", |b| {
-        let mut cpa = psc_sca::cpa::Cpa::new(Box::new(Rd0Hw));
-        let trace = Trace { value: 1.5, plaintext: [7; 16], ciphertext: [9; 16] };
-        b.iter(|| cpa.add_trace(black_box(&trace)));
+    let mut cpa = psc_sca::cpa::Cpa::new(Box::new(Rd0Hw));
+    let trace = Trace { value: 1.5, plaintext: [7; 16], ciphertext: [9; 16] };
+    run.measure_ns("telemetry_accumulators/cpa_add_trace_single", || {
+        cpa.add_trace(black_box(&trace));
     });
-    group.finish();
 }
 
 /// One shard over a borrowed rig vs the sharded streaming pipeline
 /// correlating the same 10k-trace campaign.
-fn bench_batch_vs_sharded(c: &mut Criterion) {
+fn bench_batch_vs_sharded(run: &mut Run) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "collection_10k: {cores} core(s) available — the sharded streaming \
          variants need >1 core to beat the single shard on wall-clock"
     );
-    let mut group = c.benchmark_group("collection_10k");
-    group.sample_size(10);
     let keys = [key("PHPC")];
     let n = 10_000;
 
-    group.bench_function("single_shard", |b| {
-        b.iter(|| {
-            let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42);
-            let report = Campaign::over_rig(&mut rig)
-                .keys(&keys)
-                .traces(n)
-                .session()
-                .cpa(|| Box::new(Rd0Hw));
-            black_box(report.ranks(keys[0], &SECRET))
-        });
+    run.measure_ns("collection_10k/single_shard", || {
+        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42);
+        let report =
+            Campaign::over_rig(&mut rig).keys(&keys).traces(n).session().cpa(|| Box::new(Rd0Hw));
+        black_box(report.ranks(keys[0], &SECRET));
     });
 
     for shards in [2usize, 4, 8] {
-        group.bench_function(format!("streaming_sharded_x{shards}"), |b| {
-            b.iter(|| {
-                let report =
-                    Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42)
-                        .keys(&keys)
-                        .traces(n)
-                        .shards(shards)
-                        .session()
-                        .cpa(|| Box::new(Rd0Hw));
-                black_box(report.ranks(keys[0], &SECRET))
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_sharded_tvla(c: &mut Criterion) {
-    let mut group = c.benchmark_group("tvla_collection_1k_per_class");
-    group.sample_size(10);
-    let keys = [key("PHPC")];
-
-    group.bench_function("single_shard", |b| {
-        b.iter(|| {
-            let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42);
-            let report = Campaign::over_rig(&mut rig).keys(&keys).traces(1_000).session().tvla();
-            black_box(report.matrix(keys[0]))
-        });
-    });
-
-    group.bench_function("streaming_sharded_x4", |b| {
-        b.iter(|| {
+        run.measure_ns(&format!("collection_10k/streaming_sharded_x{shards}"), || {
             let report = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42)
                 .keys(&keys)
-                .traces(1_000)
-                .shards(4)
+                .traces(n)
+                .shards(shards)
                 .session()
-                .tvla();
-            black_box(report.matrix(keys[0]))
+                .cpa(|| Box::new(Rd0Hw));
+            black_box(report.ranks(keys[0], &SECRET));
         });
-    });
-    group.finish();
+    }
 }
 
-criterion_group!(
-    benches,
-    bench_bus,
-    bench_online_accumulators,
-    bench_batch_vs_sharded,
-    bench_sharded_tvla
-);
-criterion_main!(benches);
+fn bench_sharded_tvla(run: &mut Run) {
+    let keys = [key("PHPC")];
+
+    run.measure_ns("tvla_collection_1k_per_class/single_shard", || {
+        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42);
+        let report = Campaign::over_rig(&mut rig).keys(&keys).traces(1_000).session().tvla();
+        black_box(report.matrix(keys[0]));
+    });
+
+    run.measure_ns("tvla_collection_1k_per_class/streaming_sharded_x4", || {
+        let report = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42)
+            .keys(&keys)
+            .traces(1_000)
+            .shards(4)
+            .session()
+            .tvla();
+        black_box(report.matrix(keys[0]));
+    });
+}
+
+fn main() {
+    let mut run = Run::start("telemetry_kernels");
+    bench_bus(&mut run);
+    bench_online_accumulators(&mut run);
+    bench_batch_vs_sharded(&mut run);
+    bench_sharded_tvla(&mut run);
+    run.finish();
+}

@@ -1,11 +1,13 @@
 //! # psc-bench — kernel and ablation benches
 //!
-//! The criterion benches (`benches/`) time the kernels (AES, TVLA/CPA
+//! The benches (`benches/`) time the kernels (AES, TVLA/CPA
 //! accumulation, SMC window simulation, bus, serve, fleet) and run the
 //! ablation studies backing the calibration (`psc_aes::leakage` and
 //! `psc_smc::sensors` module docs, `Device::aes_signal`). [`measure`] is
-//! the timing and JSON-artifact helper they share. The paper's tables
-//! and figures are regenerated by `psc repro`, not here.
+//! their one timing harness: each bench run appends one JSON line —
+//! environment, then median and IQR per kernel — to the bench history.
+//! The paper's tables and figures are regenerated by `psc repro`, not
+//! here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -71,7 +71,7 @@ pub fn full_recovery_rate(rank_sets: &[[usize; 16]]) -> f64 {
 }
 
 /// o-th order success rate: fraction of repetitions where *every* byte
-/// ranked within `max_rank` (the enumeration-feasibility criterion).
+/// ranked within `max_rank` (the enumeration-feasibility test).
 #[must_use]
 pub fn bounded_rank_rate(rank_sets: &[[usize; 16]], max_rank: usize) -> f64 {
     if rank_sets.is_empty() {

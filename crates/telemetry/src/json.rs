@@ -1,8 +1,8 @@
 //! The one JSON writer, and the validator that checks its output.
 //!
 //! The workspace has no JSON dependency, so every artifact the pipeline
-//! emits — metrics reports, Chrome traces, tune files, `BENCH_*.json`,
-//! fleet aggregation stats — is built with [`JsonWriter`]. It writes
+//! emits — metrics reports, Chrome traces, tune files, bench-history
+//! lines, fleet aggregation stats — is built with [`JsonWriter`]. It writes
 //! keys in call order, escapes every key and string value with the one
 //! escape rule (RFC 8259: `"`, `\` and U+0000–U+001F), and leaves number
 //! formatting to the caller, so each artifact keeps its own precision.

@@ -77,7 +77,8 @@
 //! handles: with observability off, no registry or tracer is allocated,
 //! no clock is read, and the pipeline's analysis output stays
 //! bit-identical (metrics only observe — they never steer), with the
-//! overhead of the *on* path measured in `BENCH_bus.json`. The
+//! overhead of the *on* path measured by the `bus_kernels` bench
+//! (`metrics_overhead_pct` in its bench-history line). The
 //! workspace is air-gapped, so reports and traces are emitted through
 //! the one [`json::JsonWriter`] and checked with the minimal
 //! [`json::validate_json`] parser.

@@ -27,8 +27,9 @@
 //!
 //! Instrumentation is **zero-cost when off**: the campaign driver holds
 //! `Option<…>` handles and the uninstrumented path never allocates a
-//! registry, reads a clock, or touches an atomic (bit-identical outputs,
-//! measured in `BENCH_bus.json`).
+//! registry, reads a clock, or touches an atomic (bit-identical outputs;
+//! the *on* path's cost is the `bus_kernels` bench's
+//! `metrics_overhead_pct`).
 //!
 //! [`MetricsReport::to_json`] renders a report through the one
 //! [`crate::json::JsonWriter`]; [`crate::json::validate_json`] checks

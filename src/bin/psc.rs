@@ -325,25 +325,53 @@ fn spec_from_args(cfg: &ExperimentConfig, args: &[String]) -> Result<CampaignSpe
     Ok(spec)
 }
 
-/// Run a campaign spec with the runtime-only options (observability,
-/// checkpointing, resume) parsed from `args`, printing the banner, the
-/// deterministic report body, and — separately, because it carries
-/// wall-clock rates — the metrics summary line.
+/// The runtime-only options of `psc campaign` and `psc resume`: they
+/// shape how a run is observed and interrupted, not what it computes.
+struct RunOpts {
+    metrics_out: Option<String>,
+    trace_out: Option<String>,
+    progress_s: Option<f64>,
+    halt_after: Option<u64>,
+}
+
+impl RunOpts {
+    /// Parse and check the options before the run prints anything.
+    fn parse(args: &[String]) -> Result<Self, String> {
+        // `--progress` alone defaults to one line per second; a value
+        // that follows it overrides the interval.
+        let progress_s = parse_flag(args, "--progress")
+            .then(|| match parse_opt(args, "--progress").filter(|s| !s.starts_with("--")) {
+                None => Ok(1.0),
+                Some(s) => parse_monitor_interval(&s)
+                    .map_err(|e| format!("bad --progress value {s:?}: {e}")),
+            })
+            .transpose()?;
+        let halt_after = parse_opt(args, "--halt-after")
+            .map(|s| match s.parse::<u64>() {
+                Ok(0) => Err("--halt-after must be positive".to_owned()),
+                Ok(n) => Ok(n),
+                Err(e) => Err(format!("bad --halt-after value {s:?}: {e}")),
+            })
+            .transpose()?;
+        Ok(Self {
+            metrics_out: parse_opt(args, "--metrics"),
+            trace_out: parse_opt(args, "--trace"),
+            progress_s,
+            halt_after,
+        })
+    }
+}
+
+/// Run a campaign spec with its runtime-only options, printing the
+/// banner, the deterministic report body, and — separately, because it
+/// carries wall-clock rates — the metrics summary line.
 fn run_campaign(
     spec: &CampaignSpec,
-    args: &[String],
+    opts: RunOpts,
     ckpt_dir: Option<&str>,
     resume_dir: Option<&str>,
 ) -> Result<(), String> {
-    let metrics_out = parse_opt(args, "--metrics");
-    let trace_out = parse_opt(args, "--trace");
-    // `--progress` alone defaults to one line per second; an optional
-    // numeric value overrides the interval.
-    let progress_s = parse_flag(args, "--progress")
-        .then(|| parse_opt(args, "--progress").and_then(|s| s.parse::<f64>().ok()).unwrap_or(1.0));
-    let halt_after = parse_opt(args, "--halt-after")
-        .map(|s| s.parse::<u64>().map_err(|e| format!("bad --halt-after value {s:?}: {e}")))
-        .transpose()?;
+    let RunOpts { metrics_out, trace_out, progress_s, halt_after } = opts;
     let tracer = trace_out.is_some().then(|| Arc::new(SpanTracer::new()));
 
     print!("{}", report::campaign_banner(spec));
@@ -379,8 +407,12 @@ fn run_campaign(
 
 fn cmd_campaign(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
     let spec = spec_from_args(cfg, args)?;
+    let opts = RunOpts::parse(args)?;
     let ckpt_dir = parse_opt(args, "--checkpoint");
     let resume_dir = parse_opt(args, "--resume-from");
+    if opts.halt_after.is_some() && ckpt_dir.is_none() {
+        return Err("--halt-after counts checkpoints, so it needs --checkpoint DIR".into());
+    }
     if let Some(dir) = &ckpt_dir {
         // A fresh checkpointed run records its spec next to the frames so
         // `psc resume DIR` can reconstruct the exact campaign; a resumed
@@ -392,7 +424,7 @@ fn cmd_campaign(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
         }
         eprintln!("[psc] checkpointing to {dir} every {} block(s)", spec.every);
     }
-    run_campaign(&spec, args, ckpt_dir.as_deref(), resume_dir.as_deref())
+    run_campaign(&spec, opts, ckpt_dir.as_deref(), resume_dir.as_deref())
 }
 
 /// `psc resume DIR`: rebuild the campaign described by `DIR/campaign.cfg`
@@ -411,8 +443,9 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
         format!("{}: {e} (was this campaign run with --checkpoint?)", path.display())
     })?;
     let spec = CampaignSpec::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let opts = RunOpts::parse(&args[1..])?;
     eprintln!("[psc] resuming {} campaign from {dir}", spec.mode.token());
-    run_campaign(&spec, &args[1..], Some(&dir), Some(&dir))
+    run_campaign(&spec, opts, Some(&dir), Some(&dir))
 }
 
 /// `psc replay DIR`: stream a recording back through the TVLA or (with

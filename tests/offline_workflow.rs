@@ -119,10 +119,13 @@ fn cli_refuses_bad_shard_and_trace_counts() {
         .session()
         .cpa(|| Box::new(Rd0Hw));
     let dir_arg = dir.to_str().expect("utf-8 temp path");
+    let ckpt = dir.join("ckpt");
+    let ckpt_arg = ckpt.to_str().expect("utf-8 temp path");
 
-    // A typo must not fall back to the default budget, key or target (or
-    // to no detrending), and a huge shard count must not spawn a producer
-    // and a worker thread per shard. Each refusal exits 1 before any
+    // A typo must not fall back to the default budget, key, target or
+    // progress interval (or to no detrending), a huge shard count must not
+    // spawn a producer and a worker thread per shard, and an interrupt
+    // that can never fire is an error. Each refusal exits 1 before any
     // output and names what was wrong. The subcommands that `repro`,
     // `campaign --record` and `replay` replaced are unknown commands.
     let gone = [
@@ -143,6 +146,13 @@ fn cli_refuses_bad_shard_and_trace_counts() {
         (&["campaign", "--shards", "0"], "--shards"),
         (&["campaign", "--cpa", "--traces", "-5"], "--traces"),
         (&["campaign", "--key", "zz"], "--key"),
+        (&["campaign", "--progress", "0"], "--progress"),
+        (&["campaign", "--progress", "-1"], "--progress"),
+        (&["campaign", "--progress", "nan"], "--progress"),
+        (&["campaign", "--progress", "abc"], "--progress"),
+        (&["campaign", "--checkpoint", ckpt_arg, "--halt-after", "0"], "--halt-after"),
+        (&["campaign", "--checkpoint", ckpt_arg, "--halt-after", "abc"], "--halt-after"),
+        (&["campaign", "--halt-after", "1"], "--halt-after"),
         (&["repro", "--only", "nope"], "nope"),
         (&["replay", dir_arg, "--detrend", "abc"], "--detrend"),
         (&["replay", dir_arg, "--detrend", "-3"], "--detrend"),
@@ -161,6 +171,21 @@ fn cli_refuses_bad_shard_and_trace_counts() {
         assert!(out.stdout.is_empty(), "nothing ran for {args:?}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(named), "{args:?} names {named}: {stderr}");
+    }
+    assert!(!ckpt.exists(), "a refused campaign writes no checkpoint directory");
+
+    // Bare `--progress` keeps its one-second default, whatever follows it.
+    for args in [
+        &["campaign", "--traces", "8", "--progress"][..],
+        &["campaign", "--progress", "--traces", "8"],
+        &["campaign", "--traces", "8", "--progress", "0.5"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_psc"))
+            .args(args)
+            .output()
+            .expect("run psc");
+        assert!(out.status.success(), "psc {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(!out.stdout.is_empty(), "psc {args:?} prints its report");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
