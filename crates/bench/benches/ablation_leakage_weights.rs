@@ -61,7 +61,6 @@ fn main() {
     ];
 
     let mut run = Run::start("ablation_leakage_weights");
-    run.field("traces", n as f64);
     for (name, weights) in profiles {
         let set = synthetic_channel(weights, n, noise);
         let ge = ge_of(&set);

@@ -31,7 +31,6 @@ fn run_with_multiplier(multiplier: f64, wall_clock_windows: usize) -> f64 {
 fn main() {
     let budget = 6_000;
     let mut run = Run::start("ablation_smc_interval");
-    run.field("window_budget", budget as f64);
     for multiplier in [1.0f64, 2.0, 4.0] {
         let ge = run_with_multiplier(multiplier, budget);
         eprintln!(

@@ -58,7 +58,6 @@ fn collect_with_threads(threads: usize, n: usize) -> TraceSet {
 fn main() {
     let n = 4_000;
     let mut run = Run::start("ablation_victim_threads");
-    run.field("traces", n as f64);
     for threads in [1usize, 2, 3] {
         let set = collect_with_threads(threads, n);
         let mut cpa = Cpa::new(Box::new(Rd0Hw));
