@@ -72,7 +72,7 @@ impl Run {
         Self::new(bench, budget())
     }
 
-    fn new(bench: &'static str, budget: Duration) -> Self {
+    pub(crate) fn new(bench: &'static str, budget: Duration) -> Self {
         let epoch_s = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
         let cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         let mut json = JsonWriter::object(Layout::Inline);
@@ -164,16 +164,32 @@ mod tests {
     }
 
     #[test]
+    fn header_and_fields_form_valid_shape() {
+        let mut run = Run::new("unit_test", Duration::from_millis(5));
+        run.field("alpha_ns", 12.3456).string("mode", "a\"b");
+        let line = run.json.finish();
+        assert!(!line.contains('\n'), "one line per run: {line}");
+        assert!(line.starts_with("{\"bench\": \"unit_test\", \"unix_time_s\": "), "{line}");
+        assert!(line.ends_with("\"alpha_ns\": 12.346, \"mode\": \"a\\\"b\"}"), "{line}");
+        for member in [
+            ", \"cpus\": ",
+            &format!(", \"simd_backend\": \"{}\"", pulp::backend_name()),
+            ", \"budget_ms\": 5, \"samples\": 9, ",
+        ] {
+            assert!(line.contains(member), "{member:?} in {line}");
+        }
+        psc_telemetry::json::validate_json(&line).expect("the line parses");
+    }
+
+    #[test]
     fn runs_append_one_valid_json_line_each() {
         let path =
             std::env::temp_dir().join(format!("psc_bench_history_{}.jsonl", std::process::id()));
         std::fs::remove_file(&path).ok();
         for kernel in ["alpha", "beta"] {
             let mut run = Run::new("unit_test", Duration::from_millis(5));
-            let mut calls = 0u64;
-            run.measure_ns(kernel, || calls += 1);
-            assert!(calls > SAMPLES as u64, "an estimation pass, then every sample");
-            run.field("derived", 12.3456).string("mode", "a\"b");
+            run.measure_ns(kernel, || {});
+            run.field("derived", 12.3456);
             run.append_to(&path);
         }
         let history = std::fs::read_to_string(&path).unwrap();
@@ -184,13 +200,10 @@ mod tests {
             psc_telemetry::json::validate_json(line).expect("each line parses");
             for member in [
                 "{\"bench\": \"unit_test\", \"unix_time_s\": ",
-                ", \"cpus\": ",
-                &format!(", \"simd_backend\": \"{}\"", pulp::backend_name()),
                 ", \"budget_ms\": 5, \"samples\": 9, ",
                 &format!("\"{kernel}\": {{\"median_ns\": "),
                 ", \"iqr_ns\": ",
-                "\"derived\": 12.346",
-                "\"mode\": \"a\\\"b\"}",
+                "\"derived\": 12.346}",
             ] {
                 assert!(line.contains(member), "{member:?} in {line}");
             }
