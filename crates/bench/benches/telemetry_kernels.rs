@@ -3,7 +3,7 @@
 //! vs the sharded streaming pipeline at 10k+ traces.
 
 use psc_bench::measure::Run;
-use psc_core::rig::{Device, Rig};
+use psc_core::rig::Device;
 use psc_core::victim::VictimKind;
 use psc_core::Campaign;
 use psc_sca::codec::{write_recording, LabeledTrace, RecordingReader};
@@ -152,7 +152,7 @@ fn bench_online_accumulators(run: &mut Run) {
     });
 }
 
-/// One shard over a borrowed rig vs the sharded streaming pipeline
+/// One live shard vs the sharded streaming pipeline
 /// correlating the same 10k-trace campaign.
 fn bench_batch_vs_sharded(run: &mut Run) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -164,9 +164,11 @@ fn bench_batch_vs_sharded(run: &mut Run) {
     let n = 10_000;
 
     run.measure_ns("collection_10k/single_shard", || {
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42);
-        let report =
-            Campaign::over_rig(&mut rig).keys(&keys).traces(n).session().cpa(|| Box::new(Rd0Hw));
+        let report = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42)
+            .keys(&keys)
+            .traces(n)
+            .session()
+            .cpa(|| Box::new(Rd0Hw));
         black_box(report.ranks(keys[0], &SECRET));
     });
 
@@ -187,8 +189,11 @@ fn bench_sharded_tvla(run: &mut Run) {
     let keys = [key("PHPC")];
 
     run.measure_ns("tvla_collection_1k_per_class/single_shard", || {
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42);
-        let report = Campaign::over_rig(&mut rig).keys(&keys).traces(1_000).session().tvla();
+        let report = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 42)
+            .keys(&keys)
+            .traces(1_000)
+            .session()
+            .tvla();
         black_box(report.matrix(keys[0]));
     });
 

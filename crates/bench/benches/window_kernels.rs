@@ -3,10 +3,11 @@
 //! Compares the scalar window loop (`Soc::run_window` per window — a thin
 //! n=1 view over the engine; the one place the workspace times it)
 //! against `Soc::run_windows` at several batch sizes, plus the rig-level
-//! per-observation cost of `observe_window` vs the batched
-//! `observe_windows` campaign path. All variants are bit-identical in
-//! output (pinned by `crates/soc/tests/batch_equivalence.rs`), so the
-//! numbers measure pure engine overhead.
+//! per-observation cost of `observe_window` vs the streaming
+//! `observe_windows_with` campaign path. All variants are bit-identical
+//! in output (pinned by `crates/soc/tests/batch_equivalence.rs` and
+//! `tests/batched_rig_equivalence.rs`), so the numbers measure pure
+//! engine overhead.
 //!
 //! Expected shape: the engine's segment persists across calls and is
 //! rebuilt only when the operating point, the placements or the window
@@ -77,19 +78,8 @@ fn main() {
         black_box(rig.observe_window(black_box(pt), &keys));
     });
 
-    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [0x2Bu8; 16], 7);
-    let rig_batched_total = run.measure_ns("rig/observe_windows_32", || {
-        let pts: Vec<[u8; 16]> = (0..RIG_CHUNK).map(|_| rig.random_plaintext()).collect();
-        black_box(rig.observe_windows(black_box(&pts), &keys));
-    });
-    let rig_batched = rig_batched_total / RIG_CHUNK as f64;
-    println!("window_kernels/rig/observe_windows_32{:<9} per obs:    {rig_batched:>10.1} ns", "");
-
-    // The streaming form the block-building campaign drivers actually
-    // use: one reused Observation staging buffer, no output Vec. This is
-    // what closed the `rig_batched_speedup < 1` regression the
-    // Vec-returning form showed at chunk 32 (its two allocations per
-    // observation outweighed the batching win on this container).
+    // The streaming form the block-building campaign drivers use: one
+    // reused Observation staging buffer, no output Vec.
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [0x2Bu8; 16], 7);
     let mut pts: Vec<[u8; 16]> = Vec::with_capacity(RIG_CHUNK);
     let rig_stream_total = run.measure_ns("rig/observe_windows_stream_32", || {
@@ -117,7 +107,6 @@ fn main() {
         run.field(&format!("batched_window_ns_b{n}"), per_window);
     }
     run.field("batched_engine_speedup", engine_speedup)
-        .field("rig_observe_windows32_per_obs_ns", rig_batched)
         .field("rig_observe_windows_stream32_per_obs_ns", rig_stream)
         .field("rig_batched_speedup", rig_speedup);
     run.finish();

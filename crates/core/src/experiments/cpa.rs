@@ -46,7 +46,7 @@ pub struct Table4 {
 /// The M2 user-space known-plaintext campaign over every CPA key (Table
 /// 4's M2 columns; Fig. 1(a)).
 #[must_use]
-pub fn m2_user_campaign(cfg: &ExperimentConfig) -> Campaign<'static> {
+pub fn m2_user_campaign(cfg: &ExperimentConfig) -> Campaign {
     Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, cfg.secret_key, cfg.seed)
         .keys(&Device::MacbookAirM2.cpa_keys())
         .traces(cfg.cpa_traces_m2)
@@ -55,7 +55,7 @@ pub fn m2_user_campaign(cfg: &ExperimentConfig) -> Campaign<'static> {
 
 /// The M1 user-space `PHPC` campaign (Table 4's M1 column; Fig. 1(a)).
 #[must_use]
-pub fn m1_phpc_campaign(cfg: &ExperimentConfig) -> Campaign<'static> {
+pub fn m1_phpc_campaign(cfg: &ExperimentConfig) -> Campaign {
     Campaign::live(
         Device::MacMiniM1,
         VictimKind::UserSpace,
@@ -69,7 +69,7 @@ pub fn m1_phpc_campaign(cfg: &ExperimentConfig) -> Campaign<'static> {
 
 /// The M2 kernel-module campaign over every CPA key (Fig. 1(b)).
 #[must_use]
-pub fn m2_kernel_campaign(cfg: &ExperimentConfig) -> Campaign<'static> {
+pub fn m2_kernel_campaign(cfg: &ExperimentConfig) -> Campaign {
     Campaign::live(
         Device::MacbookAirM2,
         VictimKind::KernelModule,

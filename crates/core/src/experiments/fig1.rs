@@ -41,7 +41,7 @@ const MODELS: [ModelFactory; 3] = [|| Box::new(Rd0Hw), || Box::new(Rd10Hw), || B
 ///
 /// Panics if every campaign shard failed.
 #[must_use]
-pub fn curves_for(campaign: Campaign<'_>, secret_key: &[u8; 16], channel: &str) -> Vec<GeCurve> {
+pub fn curves_for(campaign: Campaign, secret_key: &[u8; 16], channel: &str) -> Vec<GeCurve> {
     let k10 = *Aes::new(secret_key).expect("valid key").schedule().round_key(10);
     let session = campaign.session();
     let total = session.spec().traces;

@@ -6,7 +6,7 @@
 //! recovering all key bytes".
 
 use crate::experiments::config::ExperimentConfig;
-use crate::rig::{Device, Rig};
+use crate::rig::Device;
 use crate::session::Campaign;
 use crate::source::Schedule;
 use crate::victim::VictimKind;
@@ -58,17 +58,17 @@ pub fn run_success_rate(
 
     for rep in 0..repetitions {
         let seed = cfg.seed.wrapping_add(90_000 + 131 * rep as u64);
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, cfg.secret_key, seed);
-        let grid = Campaign::over_rig(&mut rig)
-            .keys(&[key("PHPC")])
-            .traces(max_traces)
-            .session()
-            .analyze(
-                |n| Schedule::KnownPlaintext { traces: n },
-                |slice| CpaGrid::new(ChannelId::Smc(key("PHPC")), &RD0_HW, trace_counts, slice),
-            )
-            .into_analysis()
-            .expect("the borrowed rig's one shard survives");
+        let grid =
+            Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, cfg.secret_key, seed)
+                .keys(&[key("PHPC")])
+                .traces(max_traces)
+                .session()
+                .analyze(
+                    |n| Schedule::KnownPlaintext { traces: n },
+                    |slice| CpaGrid::new(ChannelId::Smc(key("PHPC")), &RD0_HW, trace_counts, slice),
+                )
+                .into_analysis()
+                .expect("the campaign's one shard survives");
         for (ranks, &count) in ranks_per_point.iter_mut().zip(trace_counts) {
             // A count the campaign never reached ranks over every trace.
             let cpas = grid

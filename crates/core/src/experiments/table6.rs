@@ -9,7 +9,7 @@
 
 use crate::experiments::config::ExperimentConfig;
 use crate::experiments::throttling::timing_tvla;
-use crate::rig::{Device, Rig};
+use crate::rig::Device;
 use crate::session::Campaign;
 use crate::victim::VictimKind;
 use psc_sca::tvla::TvlaMatrix;
@@ -28,9 +28,11 @@ pub struct Table6 {
 #[must_use]
 pub fn run_table6(cfg: &ExperimentConfig) -> Table6 {
     // Left column: PCPU channel while the user-space victim encrypts.
-    let mut rig =
-        Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, cfg.secret_key, cfg.seed ^ 0x6666);
-    let report = Campaign::over_rig(&mut rig).traces(cfg.tvla_traces_per_class).session().tvla();
+    let seed = cfg.seed ^ 0x6666;
+    let report = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, cfg.secret_key, seed)
+        .traces(cfg.tvla_traces_per_class)
+        .session()
+        .tvla();
     let pcpu = report.tvla.accumulator(ChannelId::Pcpu).copied().unwrap_or_default();
     let pcpu = pcpu.matrix("PCPU (IOReport)");
 

@@ -3,7 +3,7 @@
 //! (Table 5), both on the MacBook Air M2.
 
 use crate::experiments::config::ExperimentConfig;
-use crate::rig::{Device, Rig};
+use crate::rig::Device;
 use crate::session::Campaign;
 use crate::source::Schedule;
 use crate::victim::VictimKind;
@@ -39,14 +39,13 @@ pub fn table3_key_order() -> Vec<SmcKey> {
 
 fn run_tvla_table(cfg: &ExperimentConfig, victim: VictimKind) -> TvlaTable {
     let keys = table3_key_order();
-    let mut rig = Rig::new(Device::MacbookAirM2, victim, cfg.secret_key, cfg.seed);
-    let tvla = Campaign::over_rig(&mut rig)
+    let tvla = Campaign::live(Device::MacbookAirM2, victim, cfg.secret_key, cfg.seed)
         .keys(&keys)
         .traces(cfg.tvla_traces_per_class)
         .session()
         .analyze(|n| Schedule::Tvla { traces_per_class: n }, |_| SecondOrderTvla::new())
         .into_analysis()
-        .expect("the borrowed rig's one shard survives");
+        .expect("the campaign's one shard survives");
     // A channel whose every read was denied keeps an empty (all-zero) matrix.
     let matrices = keys
         .iter()
@@ -82,9 +81,8 @@ pub fn run_table5(cfg: &ExperimentConfig) -> TvlaTable {
 /// on that system as well".
 #[must_use]
 pub fn run_m1_phpc_tvla(cfg: &ExperimentConfig) -> TvlaMatrix {
-    let mut rig =
-        Rig::new(Device::MacMiniM1, VictimKind::UserSpace, cfg.secret_key, cfg.seed ^ 0x0117);
-    let report = Campaign::over_rig(&mut rig)
+    let seed = cfg.seed ^ 0x0117;
+    let report = Campaign::live(Device::MacMiniM1, VictimKind::UserSpace, cfg.secret_key, seed)
         .keys(&[key("PHPC")])
         .traces(cfg.tvla_traces_per_class)
         .session()

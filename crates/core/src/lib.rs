@@ -11,9 +11,9 @@
 //!   describing {TVLA, CPA, adaptive TVLA} × {keys, budget, shards,
 //!   mitigation, recording}, executed by a [`Session`] over any
 //!   [`source::TraceSource`];
-//! * [`source`] — the pluggable trace sources: live rigs, a borrowed
-//!   rig, recorded-shard replay ([`ShardReplay`]) and heterogeneous
-//!   device fleets ([`Fleet`]);
+//! * [`source`] — the pluggable trace sources: live rigs,
+//!   recorded-shard replay ([`ShardReplay`]) and heterogeneous device
+//!   fleets ([`Fleet`]);
 //! * [`checkpoint`] — campaign checkpoint frames: atomic per-shard
 //!   snapshots behind [`Campaign::checkpoint_to`] /
 //!   [`Campaign::resume_from`];
@@ -127,8 +127,7 @@ pub use session::{
     StreamingTvlaReport,
 };
 pub use source::{
-    Fleet, FleetMember, FleetShard, LiveRig, MemberFeed, RemoteFleet, ReplayShard, RigSource,
-    ShardLog, ShardReplay, TraceSource,
+    Fleet, FleetMember, FleetShard, LiveRig, ReplayShard, ShardLog, ShardReplay, TraceSource,
 };
 pub use spec::{AnalysisMode, CampaignSpec, MitigationSetting};
 pub use tune::TuneConfig;

@@ -209,7 +209,7 @@ pub fn cpa_model() -> Box<dyn PowerModel> {
 /// runtime-only builder calls) so checkpointing, metrics hubs and stop
 /// flags compose freely without touching the rendered bytes.
 #[must_use]
-pub fn run_session(session: Session<'_>, spec: &CampaignSpec) -> CampaignOutcome {
+pub fn run_session(session: Session, spec: &CampaignSpec) -> CampaignOutcome {
     match spec.mode {
         AnalysisMode::Tvla => {
             let report = session.tvla();

@@ -166,41 +166,25 @@ impl Rig {
 
     /// Run one measurement window with `plaintext` loaded into the victim,
     /// reading `keys` through the unprivileged client afterwards — the
-    /// paper's per-trace collection loop. A single-plaintext view over the
-    /// batched pipeline of [`Rig::observe_windows`].
+    /// paper's per-trace collection loop. A single-plaintext view over
+    /// [`Rig::observe_windows_with`].
     pub fn observe_window(&mut self, plaintext: [u8; 16], keys: &[SmcKey]) -> Observation {
-        let mut batch = std::mem::take(&mut self.batch);
-        let obs = self.observe_one(plaintext, keys, &mut batch);
-        self.batch = batch;
-        obs
+        let mut out = None;
+        self.observe_windows_with(&[plaintext], keys, |obs| out = Some(obs.clone()));
+        out.expect("one plaintext yields one observation")
     }
 
-    /// Run one observation per plaintext, amortizing the whole layer stack:
-    /// each plaintext's windows run as **one** [`Soc::run_windows_into`]
-    /// batch sized by [`psc_smc::Smc::windows_until_publish`] (so the SMC
-    /// publishes exactly at the batch's last window, interval-stretching
-    /// mitigation included), IOReport and SMC integrate the batch in one
-    /// columnar pass each, and the batch buffers are reused across
-    /// plaintexts. Observations are **bit-identical** to calling
-    /// [`Rig::observe_window`] once per plaintext.
-    pub fn observe_windows(
-        &mut self,
-        plaintexts: &[[u8; 16]],
-        keys: &[SmcKey],
-    ) -> Vec<Observation> {
-        let mut batch = std::mem::take(&mut self.batch);
-        let out = plaintexts.iter().map(|&pt| self.observe_one(pt, keys, &mut batch)).collect();
-        self.batch = batch;
-        out
-    }
-
-    /// Stream one observation per plaintext through `visit`, reusing a
-    /// single [`Observation`] buffer across the whole call — the
-    /// allocation-free form of [`Rig::observe_windows`] behind the
-    /// block-building campaign drivers (no output `Vec<Observation>`, no
-    /// per-observation `smc` vector). Each visited observation is
-    /// **bit-identical** to the one [`Rig::observe_windows`] would return
-    /// at the same position.
+    /// Run one observation per plaintext and stream each through `visit`,
+    /// amortizing the whole layer stack: each plaintext's windows run as
+    /// **one** [`Soc::run_windows_into`] batch sized by
+    /// [`psc_smc::Smc::windows_until_publish`] (so the SMC publishes
+    /// exactly at the batch's last window, interval-stretching mitigation
+    /// included), IOReport and SMC integrate the batch in one columnar
+    /// pass each, and the batch buffers and a single [`Observation`] are
+    /// reused across plaintexts — the allocation-free loop behind the
+    /// block-building campaign drivers. Observations are
+    /// **bit-identical** to calling [`Rig::observe_window`] once per
+    /// plaintext.
     pub fn observe_windows_with(
         &mut self,
         plaintexts: &[[u8; 16]],
@@ -221,24 +205,6 @@ impl Rig {
             visit(&obs);
         }
         self.batch = batch;
-    }
-
-    fn observe_one(
-        &mut self,
-        plaintext: [u8; 16],
-        keys: &[SmcKey],
-        batch: &mut WindowBatch,
-    ) -> Observation {
-        let mut obs = Observation {
-            plaintext: [0; 16],
-            ciphertext: [0; 16],
-            smc: Vec::with_capacity(keys.len()),
-            pcpu_delta_mj: 0.0,
-            time_s: 0.0,
-            windows: 0,
-        };
-        self.observe_one_into(plaintext, keys, batch, &mut obs);
-        obs
     }
 
     fn observe_one_into(
@@ -340,7 +306,8 @@ mod tests {
         let mut seq = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [9u8; 16], 3);
         let mut bat = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [9u8; 16], 3);
         let pts: Vec<[u8; 16]> = (0..6).map(|_| seq.random_plaintext()).collect();
-        let batched = bat.observe_windows(&pts, &keys);
+        let mut batched = Vec::new();
+        bat.observe_windows_with(&pts, &keys, |obs| batched.push(obs.clone()));
         assert_eq!(batched.len(), pts.len());
         for (pt, b) in pts.iter().zip(&batched) {
             let s = seq.observe_window(*pt, &keys);
@@ -354,33 +321,6 @@ mod tests {
                 assert_eq!(va.map(f64::to_bits), vb.map(f64::to_bits));
             }
         }
-    }
-
-    #[test]
-    fn streaming_observe_matches_vec_returning_form_bitwise() {
-        let keys = [key("PHPC"), key("PSTR")];
-        let mut vec_rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [9u8; 16], 5);
-        let mut stream_rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [9u8; 16], 5);
-        let pts: Vec<[u8; 16]> = (0..8).map(|_| vec_rig.random_plaintext()).collect();
-        for _ in 0..8 {
-            stream_rig.random_plaintext(); // keep RNG streams aligned
-        }
-        let expected = vec_rig.observe_windows(&pts, &keys);
-        let mut i = 0;
-        stream_rig.observe_windows_with(&pts, &keys, |obs| {
-            let e = &expected[i];
-            assert_eq!(obs.plaintext, e.plaintext);
-            assert_eq!(obs.ciphertext, e.ciphertext);
-            assert_eq!(obs.windows, e.windows);
-            assert_eq!(obs.time_s.to_bits(), e.time_s.to_bits());
-            assert_eq!(obs.pcpu_delta_mj.to_bits(), e.pcpu_delta_mj.to_bits());
-            for ((ka, va), (kb, vb)) in obs.smc.iter().zip(&e.smc) {
-                assert_eq!(ka, kb);
-                assert_eq!(va.map(f64::to_bits), vb.map(f64::to_bits));
-            }
-            i += 1;
-        });
-        assert_eq!(i, 8);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! shard counts} — and this module is its single entry point. A
 //! [`Campaign`] describes *what* to run (keys, trace budget, shard count,
 //! mitigation, early-stop policy, optional recording) over a pluggable
-//! [`TraceSource`] (*where* observations come from: live rigs, a borrowed
-//! rig, recorded shards, a device fleet); [`Campaign::session`] freezes
+//! [`TraceSource`] (*where* observations come from: live rigs, recorded
+//! shards, a device fleet); [`Campaign::session`] freezes
 //! the description into a [`Session`] whose typed run methods execute it:
 //!
 //! ```
@@ -51,10 +51,8 @@ use crate::checkpoint::{
     self, CheckpointConfig, ShardResume, ShardSnapshot, KIND_ADAPTIVE, KIND_ANALYSIS, KIND_CPA,
     KIND_TVLA,
 };
-use crate::rig::{Device, Rig};
-use crate::source::{
-    Fleet, LiveRig, RigSource, Schedule, ShardLog, ShardPlan, ShardReplay, TraceSource,
-};
+use crate::rig::Device;
+use crate::source::{Fleet, LiveRig, Schedule, ShardLog, ShardPlan, ShardReplay, TraceSource};
 use crate::tune::TuneConfig;
 use crate::victim::VictimKind;
 use psc_sca::checkpoint::{CheckpointError, PayloadReader, PayloadWriter};
@@ -104,6 +102,13 @@ pub const RECORD_SHARD_CAPACITY: usize = 4096;
 /// Default cadence-monitor poll interval (simulated seconds); override
 /// with [`Campaign::monitor`].
 pub const MONITOR_INTERVAL_S: f64 = 64.0;
+/// The shortest cadence-monitor poll interval, in simulated seconds. The
+/// monitor polls once per interval of simulated time, so each 1 s
+/// observation window costs up to `1 / interval` polls: at most 100 here.
+/// Far below it the poll clock's `next += interval` stops moving once the
+/// interval drops under `next`·2⁻⁵³, and the run never finishes. The
+/// finest grid any caller in this workspace uses is 0.5 s.
+pub const MIN_MONITOR_INTERVAL_S: f64 = 0.01;
 /// Cadence-monitor retention (checkpoints per shard).
 pub const MONITOR_DEPTH: usize = 64;
 
@@ -130,10 +135,8 @@ pub struct SessionSpec {
     /// it — a fleet runs one shard per member, a replay one per recorded
     /// shard group).
     pub shards: usize,
-    /// Countermeasure to install on every shard's SMC stack. `None`
-    /// leaves each source's existing state alone (live sources default to
-    /// no mitigation; a borrowed rig keeps whatever the caller
-    /// installed). [`ShardReplay`] cannot honor it — replay reproduces
+    /// Countermeasure to install on every shard's SMC stack (`None`: no
+    /// mitigation). [`ShardReplay`] cannot honor it — replay reproduces
     /// the recorded condition.
     pub mitigation: Option<MitigationConfig>,
     /// Early-stop policy for [`Session::adaptive_tvla`].
@@ -142,8 +145,6 @@ pub struct SessionSpec {
     /// traces (with TVLA labels) as `.psct` shards under this directory,
     /// ready for [`ShardReplay`].
     pub record_dir: Option<PathBuf>,
-    /// Traces per recorder shard file.
-    pub record_shard_capacity: usize,
     /// Collect pipeline metrics (one [`MetricsRegistry`] per shard,
     /// merged into the report's [`MetricsReport`]). Off by default: the
     /// uninstrumented path allocates no registry and reads no clock.
@@ -197,7 +198,6 @@ impl Default for SessionSpec {
             mitigation: None,
             early_stop: None,
             record_dir: None,
-            record_shard_capacity: RECORD_SHARD_CAPACITY,
             metrics: false,
             monitor_interval_s: MONITOR_INTERVAL_S,
             progress_interval_s: None,
@@ -216,15 +216,16 @@ impl Default for SessionSpec {
 
 /// Builder for a campaign over a pluggable [`TraceSource`].
 ///
-/// Construct with one of [`Campaign::live`], [`Campaign::over_rig`],
-/// [`Campaign::replay`], [`Campaign::fleet`] or [`Campaign::from_source`],
-/// chain the spec methods, then [`Campaign::session`] to run.
-pub struct Campaign<'s> {
+/// Construct with one of [`Campaign::live`], [`Campaign::fleet`],
+/// [`Campaign::replay`] or [`Campaign::from_source`], chain the spec
+/// methods, then [`Campaign::session`] to run. Every source owns what it
+/// reads from: a rig-backed source builds each shard's rig itself.
+pub struct Campaign {
     spec: SessionSpec,
-    source: Box<dyn TraceSource + 's>,
+    source: Box<dyn TraceSource>,
 }
 
-impl Campaign<'static> {
+impl Campaign {
     /// A campaign over fresh live rigs: shard `i` simulates `device` with
     /// a victim of `kind` holding `secret_key`, seeded `seed + i`.
     #[must_use]
@@ -247,20 +248,11 @@ impl Campaign<'static> {
     pub fn fleet(fleet: Fleet) -> Self {
         Self::from_source(fleet)
     }
-}
 
-impl<'s> Campaign<'s> {
     /// A campaign over any custom source.
     #[must_use]
-    pub fn from_source(source: impl TraceSource + 's) -> Campaign<'s> {
-        Campaign { spec: SessionSpec::default(), source: Box::new(source) }
-    }
-
-    /// A single-shard campaign over a borrowed caller-owned rig,
-    /// continuing its RNG and mitigation state.
-    #[must_use]
-    pub fn over_rig(rig: &'s mut Rig) -> Campaign<'s> {
-        Campaign::from_source(RigSource::new(rig))
+    pub fn from_source(source: impl TraceSource + 'static) -> Self {
+        Self { spec: SessionSpec::default(), source: Box::new(source) }
     }
 
     /// SMC keys to read per observation.
@@ -286,28 +278,21 @@ impl<'s> Campaign<'s> {
     }
 
     /// Install a countermeasure on every shard's SMC stack. Honored by
-    /// every rig-backed source, including a borrowed
-    /// [`Campaign::over_rig`] rig (which otherwise keeps the caller's
-    /// state); [`ShardReplay`] cannot honor it — replay reproduces the
-    /// recorded condition.
+    /// every rig-backed source (which otherwise runs unmitigated);
+    /// [`ShardReplay`] cannot honor it — replay reproduces the recorded
+    /// condition.
     #[must_use]
     pub fn mitigation(mut self, mitigation: MitigationConfig) -> Self {
         self.spec.mitigation = Some(mitigation);
         self
     }
 
-    /// Arm adaptive early stopping on `watch` with the default
-    /// [`ADAPTIVE_MIN_TRACES`] minimum.
+    /// Arm adaptive early stopping on `watch`, requiring
+    /// [`ADAPTIVE_MIN_TRACES`] samples per fixed class before the tracker
+    /// may fire.
     #[must_use]
-    pub fn early_stop(self, watch: SmcKey) -> Self {
-        self.early_stop_min(watch, ADAPTIVE_MIN_TRACES)
-    }
-
-    /// Arm adaptive early stopping on `watch`, requiring `min_per_side`
-    /// samples per fixed class before the tracker may fire.
-    #[must_use]
-    pub fn early_stop_min(mut self, watch: SmcKey, min_per_side: u64) -> Self {
-        self.spec.early_stop = Some(EarlyStop { watch, min_per_side });
+    pub fn early_stop(mut self, watch: SmcKey) -> Self {
+        self.spec.early_stop = Some(EarlyStop { watch, min_per_side: ADAPTIVE_MIN_TRACES });
         self
     }
 
@@ -338,10 +323,13 @@ impl<'s> Campaign<'s> {
     ///
     /// # Panics
     ///
-    /// Panics if `interval_s <= 0`.
+    /// Panics if `interval_s` is below [`MIN_MONITOR_INTERVAL_S`] or NaN.
     #[must_use]
     pub fn monitor(mut self, interval_s: f64) -> Self {
-        assert!(interval_s > 0.0, "monitor interval must be positive");
+        assert!(
+            interval_s >= MIN_MONITOR_INTERVAL_S,
+            "monitor interval must be at least {MIN_MONITOR_INTERVAL_S} s, got {interval_s}"
+        );
         self.spec.monitor_interval_s = interval_s;
         self
     }
@@ -469,7 +457,7 @@ impl<'s> Campaign<'s> {
 
     /// Freeze the description into a runnable [`Session`].
     #[must_use]
-    pub fn session(self) -> Session<'s> {
+    pub fn session(self) -> Session {
         let shards = self.source.shard_count(self.spec.shards);
         Session { spec: self.spec, source: self.source, shards }
     }
@@ -477,9 +465,9 @@ impl<'s> Campaign<'s> {
 
 /// A frozen, runnable campaign. Each `run` method consumes the session
 /// and executes the full producer/consumer fan-out for one analysis.
-pub struct Session<'s> {
+pub struct Session {
     spec: SessionSpec,
-    source: Box<dyn TraceSource + 's>,
+    source: Box<dyn TraceSource>,
     shards: usize,
 }
 
@@ -1224,7 +1212,7 @@ impl ProgressHandle {
     }
 }
 
-impl Session<'_> {
+impl Session {
     /// The frozen campaign description.
     #[must_use]
     pub fn spec(&self) -> &SessionSpec {
@@ -1248,14 +1236,9 @@ impl Session<'_> {
             .map(|&k| ChannelId::Smc(k))
             .chain([ChannelId::Pcpu])
             .map(|c| {
-                let recorder = ShardRecorder::new(
-                    dir,
-                    c.to_string(),
-                    c,
-                    shard,
-                    self.spec.record_shard_capacity,
-                )
-                .with_retry_policy(self.spec.retry);
+                let recorder =
+                    ShardRecorder::new(dir, c.to_string(), c, shard, RECORD_SHARD_CAPACITY)
+                        .with_retry_policy(self.spec.retry);
                 match faults {
                     Some(f) => recorder.with_faults(Arc::clone(f)),
                     None => recorder,

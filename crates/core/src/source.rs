@@ -9,8 +9,6 @@
 //! * [`LiveRig`] — one independently seeded simulated [`Rig`] per shard
 //!   (collection loops over the allocation-free
 //!   [`Rig::observe_windows_with`] path, filling blocks directly);
-//! * [`RigSource`] — a borrowed caller-owned rig (single shard; the
-//!   historical `run_tvla_campaign(&mut rig, …)` shape);
 //! * [`ShardReplay`] — recorded `.psct` shards streamed back through the
 //!   telemetry pump, each channel's files in [`REPLAY_CHUNK`]-trace
 //!   windows merged into one row per observation (offline replay at O(1)
@@ -134,9 +132,9 @@ pub struct ShardPlan<'a> {
     /// SMC keys to read per observation, in request order.
     pub keys: &'a [SmcKey],
     /// Countermeasure to install, if the spec set one explicitly.
-    /// `None` leaves each source's existing state alone ([`RigSource`]
-    /// keeps whatever the borrowed rig already has); [`ShardReplay`]
-    /// reproduces the recorded condition either way.
+    /// Rig-backed sources build each shard's rig with it, or with no
+    /// mitigation when `None`; [`ShardReplay`] reproduces the recorded
+    /// condition either way.
     pub mitigation: Option<MitigationConfig>,
     /// The collection schedule.
     pub schedule: Schedule,
@@ -328,8 +326,8 @@ fn log_offset(rig: &Rig, plan: &ShardPlan<'_>) {
 }
 
 /// Drive one rig through a schedule, filling one block per observation
-/// chunk. Shared by every rig-backed source so live, borrowed and fleet
-/// shards produce bit-identical streams for the same rig state. The
+/// chunk. Shared by every rig-backed source so live and fleet shards
+/// produce bit-identical streams for the same rig state. The
 /// inner loop is allocation-free in steady state: plaintexts, the block
 /// and the observation staging buffer are all reused
 /// ([`Rig::observe_windows_with`]). The stop flag is honoured at chunk
@@ -499,47 +497,6 @@ impl TraceSource for LiveRig {
     }
 }
 
-/// A borrowed caller-owned rig: single shard, existing RNG/mitigation
-/// state preserved (repeated campaigns over one rig continue its
-/// plaintext stream).
-#[derive(Debug)]
-pub struct RigSource<'a> {
-    rig: Mutex<&'a mut Rig>,
-}
-
-impl<'a> RigSource<'a> {
-    /// Wrap a caller-owned rig.
-    #[must_use]
-    pub fn new(rig: &'a mut Rig) -> Self {
-        Self { rig: Mutex::new(rig) }
-    }
-}
-
-impl TraceSource for RigSource<'_> {
-    fn shard_count(&self, _requested: usize) -> usize {
-        1
-    }
-
-    fn run_shard(
-        &self,
-        plan: &ShardPlan<'_>,
-        sink: &mut dyn FnMut(&mut EventBlock),
-        stop: &AtomicBool,
-    ) -> usize {
-        let mut rig = self.rig.lock().expect("rig lock poisoned");
-        // The caller's mitigation state stands unless the spec set one
-        // explicitly.
-        if let Some(mitigation) = plan.mitigation {
-            rig.set_mitigation(mitigation);
-        }
-        drive_rig(&mut rig, plan, sink, stop)
-    }
-
-    fn fingerprint_tag(&self) -> &'static str {
-        "rig"
-    }
-}
-
 /// One device of a [`Fleet`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetMember {
@@ -552,7 +509,7 @@ pub struct FleetMember {
 /// A heterogeneous device fleet: shard `i` runs on member `i`'s device
 /// (seeded `seed + i`), and the session sum-merges the per-device
 /// reports — the multi-device campaign of the ROADMAP, built on the same
-/// allocation-free [`Rig::observe_windows`] inner loop as [`LiveRig`].
+/// allocation-free [`Rig::observe_windows_with`] inner loop as [`LiveRig`].
 #[derive(Debug, Clone)]
 pub struct Fleet {
     members: Vec<FleetMember>,
@@ -591,15 +548,10 @@ impl TraceSource for Fleet {
         sink: &mut dyn FnMut(&mut EventBlock),
         stop: &AtomicBool,
     ) -> usize {
+        // Member `i` is shard `i` of a live source on its own device.
         let member = self.members[plan.shard];
-        let mut rig = Rig::new(
-            member.device,
-            member.kind,
-            self.secret_key,
-            self.seed.wrapping_add(plan.shard as u64),
-        );
-        rig.set_mitigation(plan.mitigation.unwrap_or_else(MitigationConfig::none));
-        drive_rig(&mut rig, plan, sink, stop)
+        LiveRig::new(member.device, member.kind, self.secret_key, self.seed)
+            .run_shard(plan, sink, stop)
     }
 
     fn fingerprint_tag(&self) -> &'static str {
@@ -658,95 +610,6 @@ impl TraceSource for FleetShard {
 
     fn fingerprint_tag(&self) -> &'static str {
         "fleet-shard"
-    }
-}
-
-/// One remote member's block feed: produce the member's observation
-/// blocks into the sink (exactly the [`TraceSource::run_shard`]
-/// contract), returning the schedule units produced.
-pub type MemberFeed = Box<
-    dyn Fn(&ShardPlan<'_>, &mut dyn FnMut(&mut EventBlock), &AtomicBool) -> usize + Send + Sync,
->;
-
-/// A fleet whose members live somewhere else: one boxed feed per
-/// member, each pumped on its own shard thread by the session fan-out.
-/// The distributed aggregation layer uses this to drive a [`Campaign`]
-/// over member streams arriving from worker processes; anything that
-/// can produce a member's blocks (a network drain, a decoded spool, a
-/// local [`Fleet`] delegate in tests) plugs in. A feed that panics is
-/// caught at the producer boundary like any shard producer — the
-/// member lands in
-/// [`ShardHealth::Degraded`](crate::session::ShardHealth::Degraded)
-/// (whatever it produced before dying is kept) and the survivors still
-/// merge.
-///
-/// [`Campaign`]: crate::session::Campaign
-pub struct RemoteFleet {
-    feeds: Vec<MemberFeed>,
-}
-
-impl std::fmt::Debug for RemoteFleet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteFleet").field("members", &self.feeds.len()).finish()
-    }
-}
-
-impl Default for RemoteFleet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RemoteFleet {
-    /// An empty remote fleet; add members with [`RemoteFleet::member`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self { feeds: Vec::new() }
-    }
-
-    /// Append one member's feed (members run in insertion order as
-    /// shards 0, 1, …).
-    #[must_use]
-    pub fn member(
-        mut self,
-        feed: impl Fn(&ShardPlan<'_>, &mut dyn FnMut(&mut EventBlock), &AtomicBool) -> usize
-            + Send
-            + Sync
-            + 'static,
-    ) -> Self {
-        self.feeds.push(Box::new(feed));
-        self
-    }
-
-    /// Member count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.feeds.len()
-    }
-
-    /// Whether no members have been added yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.feeds.is_empty()
-    }
-}
-
-impl TraceSource for RemoteFleet {
-    fn shard_count(&self, _requested: usize) -> usize {
-        self.feeds.len()
-    }
-
-    fn run_shard(
-        &self,
-        plan: &ShardPlan<'_>,
-        sink: &mut dyn FnMut(&mut EventBlock),
-        stop: &AtomicBool,
-    ) -> usize {
-        (self.feeds[plan.shard])(plan, sink, stop)
-    }
-
-    fn fingerprint_tag(&self) -> &'static str {
-        "remote-fleet"
     }
 }
 

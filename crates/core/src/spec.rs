@@ -20,12 +20,13 @@
 
 use crate::experiments::ExperimentConfig;
 use crate::rig::Device;
-use crate::session::Campaign;
+use crate::session::{Campaign, MIN_MONITOR_INTERVAL_S};
 use crate::source::{Fleet, FleetMember};
 use crate::tune::TuneConfig;
 use crate::victim::VictimKind;
 use psc_smc::key::key;
 use psc_smc::{MitigationConfig, SmcKey};
+use std::ops::RangeInclusive;
 
 /// Which streaming analysis a campaign runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +65,20 @@ impl AnalysisMode {
     }
 }
 
+/// The largest `noise=` σ, in watts: about 20× the ~5 W the victim's
+/// three AES threads draw on `PHPC`, so far past the point where any
+/// rail's data dependence drowns, and far below where blending it with a
+/// sensor's own σ (`sqrt(σ² + extra²)`) overflows to an infinite σ that
+/// every producer panics on.
+pub const MAX_NOISE_SIGMA_W: f64 = 100.0;
+
+/// The largest `slow=` multiplier of the sensor update interval. Every
+/// observation runs SoC windows until the SMC publishes, so its cost
+/// grows with the multiplier; ×1000 (about 17 simulated minutes per
+/// sample) is already useless to an attacker and costs ~1000 windows per
+/// observation, where ×1e300 would never finish.
+pub const MAX_SLOW_MULTIPLIER: f64 = 1000.0;
+
 /// A countermeasure selection in the CLI/cfg grammar
 /// (`none|restrict|noise[=SIGMA]|slow[=MULT]`), kept symbolic so it
 /// round-trips through `campaign.cfg` exactly.
@@ -86,28 +101,30 @@ impl MitigationSetting {
     /// # Errors
     ///
     /// Returns a message for unknown names, unparsable values, a `noise`
-    /// σ that is negative or not finite, and a `slow` multiplier that is
-    /// below 1 or not finite.
+    /// σ outside `0..=`[`MAX_NOISE_SIGMA_W`] and a `slow` multiplier
+    /// outside `1..=`[`MAX_SLOW_MULTIPLIER`] (NaN and infinities
+    /// included).
     pub fn parse(spec: &str) -> Result<Self, String> {
         let (name, value) = match spec.split_once('=') {
             Some((n, v)) => (n, Some(v)),
             None => (spec, None),
         };
-        let parse_value = |default: f64, valid: fn(f64) -> bool, bound: &str| {
+        let parse_value = |default: f64, range: RangeInclusive<f64>| {
             let v = value.map_or(Ok(default), |v| {
                 v.parse::<f64>().map_err(|e| format!("bad mitigation value {v:?}: {e}"))
             })?;
-            if v.is_finite() && valid(v) {
+            if range.contains(&v) {
                 Ok(v)
             } else {
-                Err(format!("bad {name} mitigation value {v}: must be finite and {bound}"))
+                let (lo, hi) = range.into_inner();
+                Err(format!("bad {name} mitigation value {v:?}: must be in {lo}..={hi}"))
             }
         };
         match name {
             "none" => Ok(MitigationSetting::None),
             "restrict" => Ok(MitigationSetting::Restrict),
-            "noise" => Ok(MitigationSetting::Noise(parse_value(0.05, |v| v >= 0.0, ">= 0")?)),
-            "slow" => Ok(MitigationSetting::Slow(parse_value(3.0, |v| v >= 1.0, ">= 1")?)),
+            "noise" => Ok(MitigationSetting::Noise(parse_value(0.05, 0.0..=MAX_NOISE_SIGMA_W)?)),
+            "slow" => Ok(MitigationSetting::Slow(parse_value(3.0, 1.0..=MAX_SLOW_MULTIPLIER)?)),
             other => Err(format!("unknown mitigation {other:?} (none|restrict|noise|slow)")),
         }
     }
@@ -370,20 +387,23 @@ impl CampaignSpec {
     }
 }
 
-/// Parse a cadence-monitor poll interval: a positive number of simulated
-/// seconds (`inf` included). The one check every front end shares, so a
-/// zero, negative or NaN interval is refused at the edge instead of
-/// panicking inside [`Campaign::monitor`].
+/// Parse a cadence-monitor poll interval: at least
+/// [`MIN_MONITOR_INTERVAL_S`] simulated seconds (`inf` included). The one
+/// check every front end shares (`psc` flags, spec files, `psc serve`),
+/// so a zero, negative, NaN or vanishing interval is refused at the edge
+/// instead of panicking or spinning inside [`Campaign::monitor`].
+/// `psc campaign --progress` reads its wall-clock interval through it
+/// too, so it prints at most 100 progress lines a second.
 ///
 /// # Errors
 ///
-/// Returns a message for non-numbers and for values that are not `> 0`.
+/// Returns a message for non-numbers and for values below the floor.
 pub fn parse_monitor_interval(s: &str) -> Result<f64, String> {
     let interval_s = s.parse::<f64>().map_err(|e| e.to_string())?;
-    if interval_s > 0.0 {
+    if interval_s >= MIN_MONITOR_INTERVAL_S {
         Ok(interval_s)
     } else {
-        Err(format!("interval must be positive, got {interval_s}"))
+        Err(format!("interval must be at least {MIN_MONITOR_INTERVAL_S} s, got {interval_s:?}"))
     }
 }
 
@@ -431,7 +451,7 @@ pub fn parse_key_hex(hex: &str) -> Result<[u8; 16], String> {
     Ok(out)
 }
 
-impl Campaign<'static> {
+impl Campaign {
     /// Build the [`Campaign`] a spec describes: source topology (live
     /// rig or fleet), keys, budgets, mitigation, tuned constants,
     /// recording, monitor cadence, and the adaptive early-stop policy.
@@ -516,9 +536,13 @@ mod tests {
             let text = counted.replace("traces=40\n", &format!("traces={traces}\n"));
             assert!(CampaignSpec::parse(&text).is_err(), "traces={traces} must be refused");
         }
-        for monitor in ["0", "-1", "NaN"] {
+        for monitor in ["0", "-1", "NaN", "1e-300", "0.000001"] {
             let text = format!("{good}monitor={monitor}\n");
             assert!(CampaignSpec::parse(&text).is_err(), "monitor={monitor} must be refused");
+        }
+        for monitor in ["0.01", "0.5", "inf"] {
+            let text = format!("{good}monitor={monitor}\n");
+            assert!(CampaignSpec::parse(&text).is_ok(), "monitor={monitor} must parse");
         }
         let refused = [
             "noise=NaN",
@@ -530,6 +554,10 @@ mod tests {
             "slow=0.5",
             "slow=NaN",
             "slow=inf",
+            "noise=1e300",
+            "noise=100.5",
+            "slow=1e300",
+            "slow=1001",
             "bogus",
             "noise=x",
         ];
@@ -537,7 +565,9 @@ mod tests {
             let text = format!("{good}mitigation={mitigation}\n");
             assert!(CampaignSpec::parse(&text).is_err(), "mitigation={mitigation} must be refused");
         }
-        for mitigation in ["noise=0", "noise=0.2", "slow=1", "slow=4", "noise", "slow"] {
+        for mitigation in
+            ["noise=0", "noise=0.2", "noise=100", "slow=1", "slow=4", "slow=1000", "noise", "slow"]
+        {
             let text = format!("{good}mitigation={mitigation}\n");
             assert!(CampaignSpec::parse(&text).is_ok(), "mitigation={mitigation} must parse");
         }

@@ -1,24 +1,23 @@
 //! Campaign shapes through the streaming runner: per-class counts,
 //! recorded known-plaintext pairs, denied-read accounting, sharded trace
-//! counts, single-shard equivalence and the zero-shard refusal.
+//! counts and the zero-shard refusal.
 
-use psc_core::session::{Campaign, StreamingCpaReport};
-use psc_core::{Device, Rig, ShardReplay, VictimKind};
+use psc_core::session::Campaign;
+use psc_core::{Device, ShardReplay, VictimKind};
 use psc_sca::model::Rd0Hw;
 use psc_sca::tvla::PlaintextClass;
 use psc_smc::key::key;
 use psc_smc::MitigationConfig;
 use psc_telemetry::event::ChannelId;
 
-fn rig() -> Rig {
-    Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [0x3Cu8; 16], 21)
+fn live() -> Campaign {
+    Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, [0x3Cu8; 16], 21)
 }
 
 #[test]
 fn tvla_campaign_shapes() {
-    let mut rig = rig();
     let keys = [key("PHPC"), key("PHPS")];
-    let report = Campaign::over_rig(&mut rig).keys(&keys).traces(40).session().tvla();
+    let report = live().keys(&keys).traces(40).session().tvla();
     for channel in keys.map(ChannelId::Smc).into_iter().chain([ChannelId::Pcpu]) {
         let acc = report.tvla.accumulator(channel).expect("collected");
         for pass in 0..2 {
@@ -34,15 +33,10 @@ fn tvla_campaign_shapes() {
 
 #[test]
 fn known_plaintext_collection_records_pairs() {
-    let mut rig = rig();
     let dir = std::env::temp_dir().join(format!("psc_session_pairs_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let _ = Campaign::over_rig(&mut rig)
-        .keys(&[key("PHPC")])
-        .traces(25)
-        .record_to(&dir)
-        .session()
-        .cpa(|| Box::new(Rd0Hw));
+    let _ =
+        live().keys(&[key("PHPC")]).traces(25).record_to(&dir).session().cpa(|| Box::new(Rd0Hw));
     let set = ShardReplay::from_dir(&dir).unwrap().read_channel("PHPC").unwrap();
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(set.traces.len(), 25);
@@ -58,9 +52,12 @@ fn known_plaintext_collection_records_pairs() {
 
 #[test]
 fn denied_reads_are_counted_not_panicked() {
-    let mut rig = rig();
-    rig.set_mitigation(MitigationConfig::restrict_access());
-    let report = Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(5).session().tvla();
+    let report = live()
+        .keys(&[key("PHPC")])
+        .traces(5)
+        .mitigation(MitigationConfig::restrict_access())
+        .session()
+        .tvla();
     // Every read denied: no PHPC accumulator, drops are accounted.
     assert!(report.tvla.accumulator(ChannelId::Smc(key("PHPC"))).is_none());
     assert_eq!(report.monitor.denied_reads(), 30, "2 passes x 3 classes x 5 traces");
@@ -81,29 +78,6 @@ fn parallel_collection_matches_requested_count() {
     for k in keys {
         assert_eq!(report.cpa.cpa(ChannelId::Smc(k)).expect("registered").trace_count(), 53);
     }
-}
-
-#[test]
-fn parallel_single_shard_equals_serial() {
-    let keys = [key("PHPC")];
-    let cpa_state = |report: StreamingCpaReport| {
-        report.cpa.cpa(ChannelId::Smc(keys[0])).expect("registered").raw_state()
-    };
-    let serial = {
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 77);
-        cpa_state(
-            Campaign::over_rig(&mut rig).keys(&keys).traces(10).session().cpa(|| Box::new(Rd0Hw)),
-        )
-    };
-    let parallel = cpa_state(
-        Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 77)
-            .keys(&keys)
-            .traces(10)
-            .shards(1)
-            .session()
-            .cpa(|| Box::new(Rd0Hw)),
-    );
-    assert_eq!(serial, parallel);
 }
 
 #[test]

@@ -62,7 +62,7 @@ fn assert_tvla_bit_identical(a: &StreamingTvla, b: &StreamingTvla, keys: &[Chann
     }
 }
 
-fn live(traces: usize, shards: usize) -> Campaign<'static> {
+fn live(traces: usize, shards: usize) -> Campaign {
     Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED)
         .keys(&[key("PHPC")])
         .traces(traces)

@@ -25,11 +25,10 @@ proptest! {
     /// pairs and finite values, for any seed/secret.
     #[test]
     fn collection_shape_invariants(seed in any::<u64>(), secret in any::<[u8; 16]>()) {
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, secret, seed);
         let dir = std::env::temp_dir()
             .join(format!("psc_proptest_core_{}_{seed:016x}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let _ = Campaign::over_rig(&mut rig)
+        let _ = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, secret, seed)
             .keys(&[key("PHPC"), key("PSTR")])
             .traces(12)
             .record_to(&dir)

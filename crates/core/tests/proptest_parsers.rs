@@ -4,10 +4,15 @@
 //! (`--mitigation`). Arbitrary text, and valid renderings with mutated,
 //! dropped, duplicated or truncated lines, must come back `Ok` or `Err`
 //! — a panic (or a stack overflow) fails the property — and whatever is
-//! accepted keeps its invariants and re-renders to itself.
+//! accepted keeps its invariants (monitor floor, mitigation ceilings) and
+//! re-renders to itself.
 
 use proptest::prelude::*;
-use psc_core::spec::{AnalysisMode, CampaignSpec, MitigationSetting, MAX_SHARDS};
+use psc_core::session::MIN_MONITOR_INTERVAL_S;
+use psc_core::spec::{
+    AnalysisMode, CampaignSpec, MitigationSetting, MAX_NOISE_SIGMA_W, MAX_SHARDS,
+    MAX_SLOW_MULTIPLIER,
+};
 use psc_core::{Device, TuneConfig};
 
 /// Pieces garbage is built from: the grammar's own words and
@@ -130,7 +135,7 @@ fn mutate(text: &str, edits: &[Edit]) -> String {
 fn spec() -> impl Strategy<Value = CampaignSpec> {
     let shape = (0usize..3, any::<bool>(), any::<bool>(), 0usize..4);
     let budget = (1usize..100_000, 1usize..=MAX_SHARDS, any::<u64>(), 1u64..1000);
-    let extras = (any::<[u8; 16]>(), 0.001f64..100.0, any::<u8>());
+    let extras = (any::<[u8; 16]>(), MIN_MONITOR_INTERVAL_S..100.0, any::<u8>());
     (shape, budget, extras).prop_map(
         |((mode, m1, fleet, mit), (traces, shards, seed, every), (key, value, flags))| {
             CampaignSpec {
@@ -168,13 +173,23 @@ fn tune() -> impl Strategy<Value = TuneConfig> {
     })
 }
 
+/// Settings on both sides of the `noise` and `slow` ceilings.
 fn mitigation() -> impl Strategy<Value = MitigationSetting> {
-    (0u8..4, 0.0f64..1e6).prop_map(|(kind, v)| match kind {
+    (0u8..4, 0.0f64..2.0 * MAX_SLOW_MULTIPLIER).prop_map(|(kind, v)| match kind {
         0 => MitigationSetting::None,
         1 => MitigationSetting::Restrict,
         2 => MitigationSetting::Noise(v),
         _ => MitigationSetting::Slow(1.0 + v),
     })
+}
+
+/// Whether an accepted mitigation lies within the parser's bounds.
+fn in_bounds(setting: MitigationSetting) -> bool {
+    match setting {
+        MitigationSetting::Noise(v) => (0.0..=MAX_NOISE_SIGMA_W).contains(&v),
+        MitigationSetting::Slow(v) => (1.0..=MAX_SLOW_MULTIPLIER).contains(&v),
+        MitigationSetting::None | MitigationSetting::Restrict => true,
+    }
 }
 
 /// Arrays and objects nested far deeper than any tune file: a recursive
@@ -201,6 +216,8 @@ proptest! {
             prop_assert!(spec.tune.validate().is_ok(), "{:?}", spec);
             prop_assert!((1..=MAX_SHARDS).contains(&spec.shards), "{:?}", spec);
             prop_assert!(spec.every > 0, "{:?}", spec);
+            prop_assert!(spec.monitor.is_none_or(|m| m >= MIN_MONITOR_INTERVAL_S), "{:?}", spec);
+            prop_assert!(spec.mitigation.is_none_or(in_bounds), "{:?}", spec);
             prop_assert_eq!(CampaignSpec::parse(&spec.render()), Ok(spec.clone()));
         }
     }
@@ -227,11 +244,7 @@ proptest! {
         ],
     ) {
         if let Ok(setting) = MitigationSetting::parse(&text) {
-            match setting {
-                MitigationSetting::Noise(v) => prop_assert!(v.is_finite() && v >= 0.0, "{}", v),
-                MitigationSetting::Slow(v) => prop_assert!(v.is_finite() && v >= 1.0, "{}", v),
-                MitigationSetting::None | MitigationSetting::Restrict => {}
-            }
+            prop_assert!(in_bounds(setting), "{:?}", setting);
             prop_assert_eq!(MitigationSetting::parse(&setting.render()), Ok(setting));
         }
     }

@@ -33,6 +33,7 @@ use psc_telemetry::event::ChannelId;
 use psc_telemetry::faults::RetryPolicy;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 const SECRET: [u8; 16] = [0x2B; 16];
 const SEED: u64 = 4242;
@@ -127,11 +128,11 @@ fn replayed_tvla_recording_rebuilds_live_matrices_one_row_per_observation() {
 
 // --------------------------------------------------- misaligned shards
 
-/// A shard source borrowed from the caller, so the test can read the
+/// A shard source shared with the caller, so the test can read the
 /// replay's skipped-file counter after the campaign consumed the source.
-struct Borrowed<'a>(&'a ShardReplay);
+struct Shared(Arc<ShardReplay>);
 
-impl TraceSource for Borrowed<'_> {
+impl TraceSource for Shared {
     fn shard_count(&self, requested: usize) -> usize {
         self.0.shard_count(requested)
     }
@@ -316,8 +317,12 @@ fn misaligned_recording_keeps_every_channel_bit_identical() {
         let mut expected: Vec<String> = expected.to_vec();
         expected.sort();
 
-        let replay = ShardReplay::from_dir(dir).expect("slices written");
-        let tvla = Campaign::from_source(Borrowed(&replay)).keys(&keys).tune(tune).session().tvla();
+        let replay = Arc::new(ShardReplay::from_dir(dir).expect("slices written"));
+        let tvla = Campaign::from_source(Shared(Arc::clone(&replay)))
+            .keys(&keys)
+            .tune(tune)
+            .session()
+            .tvla();
         assert_eq!(replay.skipped_files(), skipped, "{}", dir.display());
         assert_eq!(notes(&tvla.health), expected);
         if dir == &a {
@@ -335,8 +340,8 @@ fn misaligned_recording_keeps_every_channel_bit_identical() {
             );
         }
 
-        let replay = ShardReplay::from_dir(dir).expect("slices written");
-        let cpa = Campaign::from_source(Borrowed(&replay))
+        let replay = Arc::new(ShardReplay::from_dir(dir).expect("slices written"));
+        let cpa = Campaign::from_source(Shared(Arc::clone(&replay)))
             .keys(&keys)
             .tune(tune)
             .session()

@@ -3,7 +3,9 @@
 //! `parse(render(spec)) == spec` must hold for every representable spec.
 
 use proptest::prelude::*;
-use psc_core::spec::{AnalysisMode, CampaignSpec, MitigationSetting};
+use psc_core::spec::{
+    AnalysisMode, CampaignSpec, MitigationSetting, MAX_NOISE_SIGMA_W, MAX_SLOW_MULTIPLIER,
+};
 use psc_core::{Device, TuneConfig};
 
 #[allow(clippy::too_many_arguments)]
@@ -85,13 +87,18 @@ proptest! {
     // f64 fields ride through the cfg text via Display/parse; Rust's
     // shortest-round-trip formatting makes that exact, which the
     // PartialEq above only checks for the generated range — pin the
-    // bitwise claim explicitly for the mitigation values.
+    // bitwise claim explicitly for the mitigation values, log-uniform
+    // over every magnitude the parser accepts (σ from 1e-9 W up to
+    // `MAX_NOISE_SIGMA_W`, multipliers from 1 up to `MAX_SLOW_MULTIPLIER`).
     #[test]
-    fn mitigation_values_round_trip_bitwise(sigma in 1e-9f64..1e9) {
-        let setting = MitigationSetting::Slow(sigma);
-        match MitigationSetting::parse(&setting.render()).unwrap() {
-            MitigationSetting::Slow(back) => prop_assert_eq!(back.to_bits(), sigma.to_bits()),
-            other => prop_assert!(false, "wrong variant {:?}", other),
-        }
+    fn mitigation_values_round_trip_bitwise(
+        sigma_exp in -9.0f64..MAX_NOISE_SIGMA_W.log10(),
+        mult_exp in 0.0f64..MAX_SLOW_MULTIPLIER.log10(),
+    ) {
+        let (sigma, mult) = (10f64.powf(sigma_exp), 10f64.powf(mult_exp));
+        let back = MitigationSetting::parse(&MitigationSetting::Noise(sigma).render()).unwrap();
+        prop_assert!(matches!(back, MitigationSetting::Noise(b) if b.to_bits() == sigma.to_bits()));
+        let back = MitigationSetting::parse(&MitigationSetting::Slow(mult).render()).unwrap();
+        prop_assert!(matches!(back, MitigationSetting::Slow(b) if b.to_bits() == mult.to_bits()));
     }
 }

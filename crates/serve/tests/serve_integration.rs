@@ -273,13 +273,15 @@ fn cancel_covers_queued_running_and_finished_jobs() {
         Response::Rejected { reason: RejectReason::BadSpec { .. } } => {}
         other => panic!("expected BadSpec, got {other:?}"),
     }
-    // So is a zero monitor interval: refused at admission, never admitted
-    // as a job that fails later.
-    let zero_monitor = format!("{}monitor=0\n", spec(AnalysisMode::Tvla, 4, 1).render());
-    let mut bad = Client::connect(addr).expect("connect");
-    match bad.submit("t", &zero_monitor, false).expect("submit") {
-        Response::Rejected { reason: RejectReason::BadSpec { .. } } => {}
-        other => panic!("expected BadSpec for monitor=0, got {other:?}"),
+    // So is a zero monitor interval, or one too fine to ever finish: refused
+    // at admission, never admitted as a job that fails (or spins) later.
+    for monitor in ["0", "1e-300"] {
+        let text = format!("{}monitor={monitor}\n", spec(AnalysisMode::Tvla, 4, 1).render());
+        let mut bad = Client::connect(addr).expect("connect");
+        match bad.submit("t", &text, false).expect("submit") {
+            Response::Rejected { reason: RejectReason::BadSpec { .. } } => {}
+            other => panic!("expected BadSpec for monitor={monitor}, got {other:?}"),
+        }
     }
     // So is a shard count beyond MAX_SHARDS (one producer and one worker
     // thread per shard) or one that does not parse.

@@ -70,11 +70,16 @@ COMMANDS:
                               across the M2+M1 device fleet; --record
                               persists labeled .psct shards for replay;
                               --key sets the victim's AES key;
+                              --mitigation noise takes SIGMA in 0..=100 W
+                              (default 0.05), slow takes MULT in 1..=1000
+                              (default 3);
                               --metrics writes the pipeline MetricsReport
                               as JSON, --trace writes campaign spans as
                               Chrome trace-event JSON for Perfetto,
-                              --progress prints a periodic stderr line,
-                              --monitor sets the cadence poll interval;
+                              --progress prints a periodic stderr line
+                              (every SECS >= 0.01 s, default 1),
+                              --monitor sets the cadence poll interval
+                              (SECS >= 0.01 simulated s);
                               --checkpoint snapshots every shard to DIR
                               every N consumed blocks (default 8) and
                               records the spec so `psc resume DIR` can
@@ -307,8 +312,11 @@ fn spec_from_args(cfg: &ExperimentConfig, args: &[String]) -> Result<CampaignSpe
         spec.shards = parse_shards(&s).map_err(|e| format!("bad --shards value {s:?}: {e}"))?;
     }
     spec.tune = parse_tune(args)?;
-    spec.mitigation =
-        parse_opt(args, "--mitigation").map(|s| MitigationSetting::parse(&s)).transpose()?;
+    spec.mitigation = parse_opt(args, "--mitigation")
+        .map(|s| {
+            MitigationSetting::parse(&s).map_err(|e| format!("bad --mitigation value {s:?}: {e}"))
+        })
+        .transpose()?;
     spec.record = parse_opt(args, "--record");
     spec.key = key_opt(args, spec.key)?;
     spec.monitor = parse_opt(args, "--monitor")

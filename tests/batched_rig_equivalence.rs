@@ -1,6 +1,6 @@
 //! End-to-end equivalence of the batched observation pipeline: for every
-//! device × mitigation × victim combination, `Rig::observe_windows` must
-//! produce **bit-identical** observations to the historical per-window
+//! device × mitigation × victim combination, `Rig::observe_windows_with`
+//! must produce **bit-identical** observations to a per-window
 //! `observe_window` loop — same SMC publishes (same firmware RNG stream),
 //! same IOReport `PCPU` deltas, same simulated clock — and the chunked
 //! campaign drivers must therefore reproduce trace sets exactly.
@@ -9,8 +9,15 @@ mod common;
 
 use apple_power_sca::core::{Campaign, Device, Observation, Rig, VictimKind};
 use apple_power_sca::smc::key::key;
-use apple_power_sca::smc::MitigationConfig;
+use apple_power_sca::smc::{MitigationConfig, SmcKey};
 use common::Recorded;
+
+/// One batched `observe_windows_with` call, its observations cloned out.
+fn observe_batch(rig: &mut Rig, pts: &[[u8; 16]], keys: &[SmcKey]) -> Vec<Observation> {
+    let mut out = Vec::with_capacity(pts.len());
+    rig.observe_windows_with(pts, keys, |obs| out.push(obs.clone()));
+    out
+}
 
 fn assert_obs_bits(a: &Observation, b: &Observation, context: &str) {
     assert_eq!(a.plaintext, b.plaintext, "{context}: plaintext");
@@ -53,7 +60,7 @@ fn batched_equals_sequential_across_devices_and_mitigations() {
                 seq.set_mitigation(mitigation);
                 bat.set_mitigation(mitigation);
                 let pts: Vec<[u8; 16]> = (0..4).map(|_| seq.random_plaintext()).collect();
-                let batched = bat.observe_windows(&pts, &keys);
+                let batched = observe_batch(&mut bat, &pts, &keys);
                 for (pt, b) in pts.iter().zip(&batched) {
                     let s = seq.observe_window(*pt, &keys);
                     assert_obs_bits(&s, b, &context);
@@ -76,7 +83,7 @@ fn batched_equals_sequential_under_publish_jitter() {
         smc.set_interval_jitter(0.3);
     }
     let pts: Vec<[u8; 16]> = (0..12).map(|_| seq.random_plaintext()).collect();
-    let batched = bat.observe_windows(&pts, &keys);
+    let batched = observe_batch(&mut bat, &pts, &keys);
     let mut consumed = Vec::new();
     for (pt, b) in pts.iter().zip(&batched) {
         let s = seq.observe_window(*pt, &keys);
@@ -91,15 +98,13 @@ fn batched_equals_sequential_under_publish_jitter() {
 
 #[test]
 fn chunked_campaign_reproduces_per_trace_loop() {
-    // A known-plaintext campaign chunks plaintexts through observe_windows;
+    // A known-plaintext campaign chunks plaintexts through observe_windows_with;
     // a hand-rolled per-trace loop over an identically seeded rig must
     // yield the same (plaintext, value) sequence.
     let keys = [key("PHPC")];
     let n = 70; // spans multiple OBS_CHUNK slices
-    let set = &{
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 77);
-        Recorded::cpa(Campaign::over_rig(&mut rig).keys(&keys).traces(n)).0.traces("PHPC")
-    };
+    let live = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 77);
+    let set = &Recorded::cpa(live.keys(&keys).traces(n)).0.traces("PHPC");
     assert_eq!(set.len(), n);
 
     let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, [1u8; 16], 77);

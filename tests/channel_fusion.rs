@@ -5,7 +5,7 @@
 
 mod common;
 
-use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
+use apple_power_sca::core::{Campaign, Device, VictimKind};
 use apple_power_sca::sca::cpa::Cpa;
 use apple_power_sca::sca::fusion::fuse_z;
 use apple_power_sca::sca::model::Rd0Hw;
@@ -17,6 +17,11 @@ const SECRET: [u8; 16] = [
     0xB7, 0x6F, 0xEB, 0x3E, 0xD5, 0x9D, 0x77, 0xFA, 0xCE, 0xBB, 0x67, 0xF3, 0x5E, 0xAD, 0xD9, 0x7C,
 ];
 
+/// A live campaign against the M2 user-space victim, seeded `seed`.
+fn live(seed: u64) -> Campaign {
+    Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, seed)
+}
+
 fn ge_of(set: &apple_power_sca::sca::trace::TraceSet) -> f64 {
     let mut cpa = Cpa::new(Box::new(Rd0Hw));
     cpa.add_set(set);
@@ -26,9 +31,8 @@ fn ge_of(set: &apple_power_sca::sca::trace::TraceSet) -> f64 {
 #[test]
 fn fused_channels_beat_each_input() {
     // A budget where PHPC alone is clearly mid-convergence.
-    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0xF0F0);
     let keys = [key("PHPC"), key("PDTR"), key("PMVC")];
-    let (sets, _) = Recorded::cpa(Campaign::over_rig(&mut rig).keys(&keys).traces(5_000));
+    let (sets, _) = Recorded::cpa(live(0xF0F0).keys(&keys).traces(5_000));
 
     let phpc = &sets.traces("PHPC");
     let pdtr = &sets.traces("PDTR");
@@ -47,10 +51,8 @@ fn fused_channels_beat_each_input() {
 
 #[test]
 fn fusion_rejects_sets_from_different_campaigns() {
-    let collect = |seed: u64| {
-        let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, seed);
-        Recorded::cpa(Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(30)).0.traces("PHPC")
-    };
+    let collect =
+        |seed: u64| Recorded::cpa(live(seed).keys(&[key("PHPC")]).traces(30)).0.traces("PHPC");
     let a = collect(1);
     let b = collect(2); // different plaintext sequence
     let err = fuse_z(&[&a, &b]).unwrap_err();

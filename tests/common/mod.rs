@@ -20,7 +20,7 @@ pub struct Recorded {
 }
 
 impl Recorded {
-    fn record<R>(campaign: Campaign<'_>, run: impl FnOnce(Campaign<'_>) -> R) -> (Self, R) {
+    fn record<R>(campaign: Campaign, run: impl FnOnce(Campaign) -> R) -> (Self, R) {
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join(format!(
             "psc_it_{}_{}",
@@ -35,12 +35,12 @@ impl Recorded {
 
     /// Run `campaign` as a known-plaintext CPA session (Rd0-HW) while
     /// recording every channel.
-    pub fn cpa(campaign: Campaign<'_>) -> (Self, StreamingCpaReport) {
+    pub fn cpa(campaign: Campaign) -> (Self, StreamingCpaReport) {
         Self::record(campaign, |c| c.session().cpa(|| Box::new(Rd0Hw)))
     }
 
     /// Run `campaign` as a TVLA session while recording every channel.
-    pub fn tvla(campaign: Campaign<'_>) -> (Self, StreamingTvlaReport) {
+    pub fn tvla(campaign: Campaign) -> (Self, StreamingTvlaReport) {
         Self::record(campaign, |c| c.session().tvla())
     }
 

@@ -5,7 +5,7 @@
 
 use apple_power_sca::core::experiments::screening::screen_device;
 use apple_power_sca::core::experiments::ExperimentConfig;
-use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
+use apple_power_sca::core::{Campaign, Device, VictimKind};
 use apple_power_sca::sca::model::Rd0Hw;
 use apple_power_sca::sca::rank::{guessing_entropy, recovery_tally};
 use apple_power_sca::smc::key::key;
@@ -27,8 +27,7 @@ fn screening_surfaces_phpc() {
 /// must be recovered and GE must beat random guessing by a wide margin.
 #[test]
 fn cpa_extracts_key_material_from_user_victim() {
-    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0xE2E);
-    let report = Campaign::over_rig(&mut rig)
+    let report = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0xE2E)
         .keys(&[key("PHPC")])
         .traces(8_000)
         .session()
@@ -48,8 +47,7 @@ fn cpa_extracts_key_material_from_user_victim() {
 fn kernel_victim_leaks_but_slower() {
     let n = 8_000;
     let ge_of = |kind: VictimKind| {
-        let mut rig = Rig::new(Device::MacbookAirM2, kind, SECRET, 0x5E5E);
-        let report = Campaign::over_rig(&mut rig)
+        let report = Campaign::live(Device::MacbookAirM2, kind, SECRET, 0x5E5E)
             .keys(&[key("PHPC")])
             .traces(n)
             .session()
@@ -66,11 +64,10 @@ fn kernel_victim_leaks_but_slower() {
 /// once the access-restriction countermeasure ships.
 #[test]
 fn restricted_access_breaks_the_pipeline() {
-    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0xACCE);
-    rig.set_mitigation(apple_power_sca::smc::MitigationConfig::restrict_access());
-    let report = Campaign::over_rig(&mut rig)
+    let report = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0xACCE)
         .keys(&[key("PHPC")])
         .traces(50)
+        .mitigation(apple_power_sca::smc::MitigationConfig::restrict_access())
         .session()
         .cpa(|| Box::new(Rd0Hw));
     let cpa = report.cpa.cpa(ChannelId::Smc(key("PHPC"))).expect("registered");

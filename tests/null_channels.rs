@@ -18,9 +18,11 @@ const SECRET: [u8; 16] = [
 
 #[test]
 fn phps_and_pcpu_never_leak() {
-    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x9011);
-    let (campaign, _) =
-        Recorded::tvla(Campaign::over_rig(&mut rig).keys(&[key("PHPS"), key("PHPC")]).traces(300));
+    let (campaign, _) = Recorded::tvla(
+        Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x9011)
+            .keys(&[key("PHPS"), key("PHPC")])
+            .traces(300),
+    );
     let matrix = |label: &str| {
         let (first, second) = campaign.datasets(label);
         TvlaMatrix::compute(label, &first, &second)

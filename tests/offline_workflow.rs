@@ -6,7 +6,7 @@
 
 mod common;
 
-use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
+use apple_power_sca::core::{Campaign, Device, VictimKind};
 use apple_power_sca::sca::codec::{read_trace_set, write_recording, LabeledTrace};
 use apple_power_sca::sca::cpa::Cpa;
 use apple_power_sca::sca::enumerate::{verify_with_pair, KeyEnumerator};
@@ -19,6 +19,11 @@ const SECRET: [u8; 16] = [
     0xB7, 0x6F, 0xEB, 0x3E, 0xD5, 0x9D, 0x77, 0xFA, 0xCE, 0xBB, 0x67, 0xF3, 0x5E, 0xAD, 0xD9, 0x7C,
 ];
 
+/// A live campaign against the M2 user-space victim, seeded `seed`.
+fn live(seed: u64) -> Campaign {
+    Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, seed)
+}
+
 /// `set` written in the on-disk recording format (unclassed CPA records).
 fn persist(set: &TraceSet) -> Vec<u8> {
     let records: Vec<LabeledTrace> =
@@ -30,8 +35,7 @@ fn persist(set: &TraceSet) -> Vec<u8> {
 
 #[test]
 fn persisted_campaign_analyzes_identically() {
-    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x0FF1);
-    let (sets, _) = Recorded::cpa(Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(4_000));
+    let (sets, _) = Recorded::cpa(live(0x0FF1).keys(&[key("PHPC")]).traces(4_000));
     let original = &sets.traces("PHPC");
 
     // Round-trip through the on-disk format.
@@ -53,8 +57,7 @@ fn persisted_campaign_analyzes_identically() {
 fn full_offline_attack_with_enumeration_endgame() {
     // Enough traces that every byte ranks near the top, then the
     // enumeration endgame confirms the exact key from the recording alone.
-    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x0FF2);
-    let (sets, _) = Recorded::cpa(Campaign::over_rig(&mut rig).keys(&[key("PHPC")]).traces(25_000));
+    let (sets, _) = Recorded::cpa(live(0x0FF2).keys(&[key("PHPC")]).traces(25_000));
     let bytes = persist(&sets.traces("PHPC"));
 
     // "Another machine": only the recording is available.
@@ -111,8 +114,7 @@ fn cli_refuses_bad_shard_and_trace_counts() {
     // A small valid recording, so `replay` fails on its flags alone.
     let dir = std::env::temp_dir().join(format!("psc_cli_refuses_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0x0FF1);
-    let _ = Campaign::over_rig(&mut rig)
+    let _ = live(0x0FF1)
         .keys(&[key("PHPC")])
         .traces(20)
         .record_to(&dir)
@@ -150,6 +152,10 @@ fn cli_refuses_bad_shard_and_trace_counts() {
         (&["campaign", "--progress", "-1"], "--progress"),
         (&["campaign", "--progress", "nan"], "--progress"),
         (&["campaign", "--progress", "abc"], "--progress"),
+        (&["campaign", "--monitor", "1e-300"], "--monitor"),
+        (&["campaign", "--monitor", "0.000001"], "--monitor"),
+        (&["campaign", "--mitigation", "noise=1e300"], "--mitigation"),
+        (&["campaign", "--mitigation", "slow=1e300"], "--mitigation"),
         (&["campaign", "--checkpoint", ckpt_arg, "--halt-after", "0"], "--halt-after"),
         (&["campaign", "--checkpoint", ckpt_arg, "--halt-after", "abc"], "--halt-after"),
         (&["campaign", "--halt-after", "1"], "--halt-after"),

@@ -7,7 +7,7 @@
 
 mod common;
 
-use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
+use apple_power_sca::core::{Campaign, Device, VictimKind};
 use apple_power_sca::sca::cpa::Cpa;
 use apple_power_sca::sca::filter::detrend_trace_set;
 use apple_power_sca::sca::model::Rd0Hw;
@@ -26,9 +26,10 @@ fn ge_of(set: &apple_power_sca::sca::trace::TraceSet) -> f64 {
 
 #[test]
 fn detrending_recovers_much_of_the_pstr_channel() {
-    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0xD7D7);
     let (sets, _) = common::Recorded::cpa(
-        Campaign::over_rig(&mut rig).keys(&[key("PSTR"), key("PHPC")]).traces(10_000),
+        Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 0xD7D7)
+            .keys(&[key("PSTR"), key("PHPC")])
+            .traces(10_000),
     );
 
     let pstr_raw = &sets.traces("PSTR");

@@ -9,7 +9,7 @@
 
 mod common;
 
-use apple_power_sca::core::{Campaign, Device, Rig, VictimKind};
+use apple_power_sca::core::{Campaign, Device, VictimKind};
 use apple_power_sca::sca::cpa::Cpa;
 use apple_power_sca::sca::model::Rd0Hw;
 use apple_power_sca::sca::tvla::TvlaMatrix;
@@ -40,8 +40,11 @@ fn assert_matrices_close(batch: &TvlaMatrix, streaming: &TvlaMatrix, tol: f64) {
 #[test]
 fn single_shard_tvla_matches_batch_exactly() {
     let keys = [key("PHPC"), key("PSTR")];
-    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED);
-    let (batch, _) = Recorded::tvla(Campaign::over_rig(&mut rig).keys(&keys).traces(120));
+    let (batch, _) = Recorded::tvla(
+        Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED)
+            .keys(&keys)
+            .traces(120),
+    );
     let streaming = Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, SEED)
         .keys(&keys)
         .traces(120)
@@ -75,13 +78,12 @@ fn sharded_tvla_matches_concatenated_batch_shards() {
     let mut first: [Vec<f64>; 3] = Default::default();
     let mut second: [Vec<f64>; 3] = Default::default();
     for (shard, &count) in counts.iter().enumerate() {
-        let mut rig = Rig::new(
-            Device::MacbookAirM2,
-            VictimKind::UserSpace,
-            SECRET,
-            SEED.wrapping_add(shard as u64),
+        let seed = SEED.wrapping_add(shard as u64);
+        let (recorded, _) = Recorded::tvla(
+            Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, seed)
+                .keys(&keys)
+                .traces(count),
         );
-        let (recorded, _) = Recorded::tvla(Campaign::over_rig(&mut rig).keys(&keys).traces(count));
         let (shard_first, shard_second) = recorded.datasets("PHPC");
         for class in 0..3 {
             first[class].extend_from_slice(&shard_first[class]);
