@@ -63,7 +63,7 @@ fn tape(channels: &[ChannelId]) -> Vec<EventBlock> {
 
 fn bench_bus(run: &mut Run) {
     run.measure_ns("telemetry_bus/ring_push_pop_1k", || {
-        let mut ring = RingBuffer::new(256, OverflowPolicy::DropOldest);
+        let mut ring = RingBuffer::new(256, OverflowPolicy::DropNewest);
         for i in 0..1000u64 {
             ring.push(black_box(i));
         }

@@ -925,6 +925,18 @@ impl Analysis for CpaGrid {
     }
 }
 
+/// The one CPA accumulator factory: an incremental accumulator per `keys`
+/// channel under `model_factory`'s model, at the tuned unroll width.
+pub(crate) fn cpa_accumulator(
+    keys: &[SmcKey],
+    model_factory: impl Fn() -> Box<dyn PowerModel>,
+    cpa_unroll: usize,
+) -> StreamingCpa {
+    let mut cpa = StreamingCpa::new(keys.iter().map(|&k| ChannelId::Smc(k)), model_factory);
+    cpa.set_unroll(cpa_unroll);
+    cpa
+}
+
 /// A campaign folded over its shards by [`merge_shards`]: the surviving
 /// shards' analysis (`None` when every shard failed) plus the accounting
 /// every report carries. Turn it into a typed report with `into_report`.
@@ -1657,14 +1669,7 @@ impl Session {
             "campaign/cpa",
             1,
             |n| Schedule::KnownPlaintext { traces: n },
-            |_| {
-                let mut cpa = StreamingCpa::new(
-                    self.spec.keys.iter().map(|&k| ChannelId::Smc(k)),
-                    model_factory,
-                );
-                cpa.set_unroll(self.spec.tune.cpa_unroll);
-                cpa
-            },
+            |_| cpa_accumulator(&self.spec.keys, model_factory, self.spec.tune.cpa_unroll),
         );
         self.fold(runs.shards).into_report(self.spec.keys.clone(), self.shards, runs.metrics)
     }

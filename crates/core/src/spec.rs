@@ -21,7 +21,7 @@
 use crate::experiments::ExperimentConfig;
 use crate::rig::Device;
 use crate::session::{Campaign, MIN_MONITOR_INTERVAL_S};
-use crate::source::{Fleet, FleetMember};
+use crate::source::{Fleet, FleetMember, LiveRig, TraceSource};
 use crate::tune::TuneConfig;
 use crate::victim::VictimKind;
 use psc_smc::key::key;
@@ -371,7 +371,7 @@ impl CampaignSpec {
             device,
             kernel: flag("kernel"),
             fleet: flag("fleet"),
-            traces: parse_num("traces")? as usize,
+            traces: parse_traces(&get("traces")?).map_err(|e| format!("bad traces: {e}"))?,
             shards: parse_shards(&get("shards")?).map_err(|e| format!("bad shards: {e}"))?,
             seed: parse_num("seed")?,
             key: parse_key_hex(&get("key")?)?,
@@ -428,6 +428,19 @@ pub fn parse_shards(s: &str) -> Result<usize, String> {
     }
 }
 
+/// Parse a trace budget: a positive integer, the one check every front
+/// end shares (`psc` flags, spec files, `psc serve`).
+///
+/// # Errors
+///
+/// Returns a message for non-integers and zero.
+pub fn parse_traces(s: &str) -> Result<usize, String> {
+    match s.parse::<usize>().map_err(|e| e.to_string())? {
+        0 => Err("trace count must be positive, got 0".into()),
+        traces => Ok(traces),
+    }
+}
+
 /// Parse a 32-hex-character AES-128 key (whitespace ignored).
 ///
 /// # Errors
@@ -460,12 +473,19 @@ impl Campaign {
     /// ordinary builder methods — they never change the report bytes.
     #[must_use]
     pub fn from_spec(spec: &CampaignSpec) -> Self {
-        let campaign = if spec.fleet {
-            Campaign::fleet(Fleet::new(spec.fleet_members(), spec.key, spec.seed))
+        if spec.fleet {
+            Self::from_spec_over(Fleet::new(spec.fleet_members(), spec.key, spec.seed), spec)
         } else {
-            Campaign::live(spec.device, spec.victim_kind(), spec.key, spec.seed)
-        };
-        let mut campaign = campaign
+            let rig = LiveRig::new(spec.device, spec.victim_kind(), spec.key, spec.seed);
+            Self::from_spec_over(rig, spec)
+        }
+    }
+
+    /// [`Campaign::from_spec`] over `source` instead of the spec's own
+    /// topology (a distributed fleet member's `FleetShard`).
+    #[must_use]
+    pub fn from_spec_over(source: impl TraceSource + 'static, spec: &CampaignSpec) -> Self {
+        let mut campaign = Campaign::from_source(source)
             .keys(&spec.keys())
             .traces(spec.traces)
             .shards(spec.shards)
@@ -532,7 +552,7 @@ mod tests {
             let text = counted.replace("shards=2\n", &format!("shards={shards}\n"));
             assert!(CampaignSpec::parse(&text).is_ok(), "shards={shards} must parse");
         }
-        for traces in ["abc", "-5", "1e3", ""] {
+        for traces in ["0", "abc", "-5", "1e3", ""] {
             let text = counted.replace("traces=40\n", &format!("traces={traces}\n"));
             assert!(CampaignSpec::parse(&text).is_err(), "traces={traces} must be refused");
         }

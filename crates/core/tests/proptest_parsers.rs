@@ -4,8 +4,8 @@
 //! (`--mitigation`). Arbitrary text, and valid renderings with mutated,
 //! dropped, duplicated or truncated lines, must come back `Ok` or `Err`
 //! — a panic (or a stack overflow) fails the property — and whatever is
-//! accepted keeps its invariants (monitor floor, mitigation ceilings) and
-//! re-renders to itself.
+//! accepted keeps its invariants (positive budgets, monitor floor,
+//! mitigation ceilings) and re-renders to itself.
 
 use proptest::prelude::*;
 use psc_core::session::MIN_MONITOR_INTERVAL_S;
@@ -215,6 +215,7 @@ proptest! {
         if let Ok(spec) = CampaignSpec::parse(&text) {
             prop_assert!(spec.tune.validate().is_ok(), "{:?}", spec);
             prop_assert!((1..=MAX_SHARDS).contains(&spec.shards), "{:?}", spec);
+            prop_assert!(spec.traces > 0, "{:?}", spec);
             prop_assert!(spec.every > 0, "{:?}", spec);
             prop_assert!(spec.monitor.is_none_or(|m| m >= MIN_MONITOR_INTERVAL_S), "{:?}", spec);
             prop_assert!(spec.mitigation.is_none_or(in_bounds), "{:?}", spec);

@@ -69,21 +69,18 @@ use crate::proto::{
     get_blob, get_blob_str, mode_from_u8, mode_to_u8, put_blob, read_frame, tags, write_frame,
     ProtoError,
 };
-use psc_core::report::{self, campaign_banner, render_cpa_body, render_tvla_body};
+use psc_core::report::{self, campaign_banner};
 use psc_core::session::{
-    merge_shards, Analysis, Campaign, MergedShards, RecorderTally, ShardHealth, ShardOutput,
-    ShardRun, MONITOR_DEPTH, MONITOR_INTERVAL_S,
+    Campaign, RecorderTally, ShardHealth, ShardOutput, ShardRun, MONITOR_DEPTH, MONITOR_INTERVAL_S,
 };
 use psc_core::source::{Fleet, FleetShard};
-use psc_core::spec::{AnalysisMode, CampaignSpec, MitigationSetting};
+use psc_core::spec::{AnalysisMode, CampaignSpec};
 use psc_sca::checkpoint::{
     decode_frame, encode_frame, CheckpointError, PayloadReader, PayloadWriter,
 };
 use psc_telemetry::faults::{FaultPlan, FaultState, RetryPolicy};
 use psc_telemetry::ring::ChannelStats;
-use psc_telemetry::{
-    panic_message, split_counts, ChannelId, StreamingCpa, StreamingTvla, ThrottleMonitor,
-};
+use psc_telemetry::{panic_message, split_counts, ThrottleMonitor};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -504,48 +501,30 @@ pub fn member_state(
     if member >= members {
         return Err(FleetError::Spec(format!("member {member} out of range (fleet of {members})")));
     }
+    let member_spec = CampaignSpec {
+        traces: split_counts(spec.traces, members)[member],
+        // Worker-local recording: each member records its own shard
+        // under a member-suffixed directory so co-located workers never
+        // collide.
+        record: spec.record.as_ref().map(|dir| format!("{dir}/member-{member:03}")),
+        ..spec.clone()
+    };
     let fleet = Fleet::new(spec.fleet_members(), spec.key, spec.seed);
-    let counts = split_counts(spec.traces, members);
-    let mut campaign = Campaign::from_source(FleetShard::new(fleet, member))
-        .keys(&spec.keys())
-        .traces(counts[member])
-        .shards(1)
-        .mitigation(spec.mitigation.unwrap_or(MitigationSetting::None).to_config())
-        .tune(spec.tune);
+    let mut campaign = Campaign::from_spec_over(FleetShard::new(fleet, member), &member_spec);
     if let Some(dir) = checkpoint_dir {
         campaign = campaign.checkpoint_to(dir, spec.every);
     }
-    if let Some(dir) = &spec.record {
-        // Worker-local recording: each member records its own shard
-        // under a member-suffixed directory so co-located workers
-        // never collide.
-        campaign = campaign.record_to(format!("{dir}/member-{member:03}"));
-    }
-    if let Some(interval_s) = spec.monitor {
-        campaign = campaign.monitor(interval_s);
-    }
-    let session = campaign.session();
-    let (analysis, monitor, bus, io_errors, io_retries, health) = match spec.mode {
-        AnalysisMode::Tvla => {
-            let r = session.tvla();
-            (encoded(&r.tvla), r.monitor, r.bus, r.io_errors, r.io_retries, r.health)
-        }
-        AnalysisMode::Cpa => {
-            let r = session.cpa(report::cpa_model);
-            (encoded(&r.cpa), r.monitor, r.bus, r.io_errors, r.io_retries, r.health)
-        }
-        AnalysisMode::Adaptive => unreachable!("distributed_members refuses adaptive"),
-    };
+    let outcome = report::run_session(campaign.session(), &member_spec);
     let mut w = PayloadWriter::new();
-    monitor.encode_state(&mut w);
-    let monitor = w.into_payload();
-    Ok(MemberFinal { analysis, monitor, bus, io_errors, io_retries, health: health[0].clone() })
-}
-
-fn encoded(analysis: &impl Analysis) -> Vec<u8> {
-    let mut w = PayloadWriter::new();
-    analysis.encode_state(&mut w);
-    w.into_payload()
+    outcome.monitor.encode_state(&mut w);
+    Ok(MemberFinal {
+        analysis: outcome.analysis,
+        monitor: w.into_payload(),
+        bus: outcome.bus,
+        io_errors: outcome.io_errors,
+        io_retries: outcome.io_retries,
+        health: outcome.health[0].clone(),
+    })
 }
 
 /// What became of one member, as input to [`merge_survivors`].
@@ -585,15 +564,14 @@ pub struct MergedFleet {
     pub merge_ns: u64,
 }
 
-/// Decode one member into the shard-run shape [`merge_shards`] takes: a
-/// survivor's analysis (restored into `build()`), cadence monitor, bus
-/// counters and recorder tally; a failed member keeps only its health.
-/// A member that completed after transport reconnects is degraded.
-fn member_run<A: Analysis>(
+/// Decode one member into the shard-run shape [`report::merge_shipped`]
+/// takes: a survivor's encoded analysis, cadence monitor, bus counters
+/// and recorder tally; a failed member keeps only its health. A member
+/// that completed after transport reconnects is degraded.
+fn member_run(
     outcome: &MemberOutcome,
     interval_s: f64,
-    build: impl FnOnce() -> A,
-) -> Result<ShardRun<ShardOutput<A>>, CheckpointError> {
+) -> Result<ShardRun<ShardOutput<Vec<u8>>>, CheckpointError> {
     let (state, reconnects) = match outcome {
         MemberOutcome::Completed { state, reconnects } => (state, *reconnects),
         MemberOutcome::Failed { reason } => return Ok(ShardRun::failed(reason.clone())),
@@ -605,10 +583,6 @@ fn member_run<A: Analysis>(
     } else {
         state.health.clone()
     };
-    let mut analysis = build();
-    let mut r = PayloadReader::new(&state.analysis);
-    analysis.restore_state(&mut r)?;
-    r.finish()?;
     let mut monitor = ThrottleMonitor::new(interval_s, MONITOR_DEPTH);
     let mut r = PayloadReader::new(&state.monitor);
     monitor.restore_state(&mut r)?;
@@ -618,32 +592,17 @@ fn member_run<A: Analysis>(
         io_retries: state.io_retries,
         ..RecorderTally::default()
     };
-    let out = ShardOutput { analysis, monitor, recorders };
+    let out = ShardOutput { analysis: state.analysis.clone(), monitor, recorders };
     Ok(ShardRun { out: Some(out), stats: state.bus, produced: 0, recycle_dropped: 0, health })
 }
 
-/// Decode every member and fold them with [`merge_shards`].
-fn fold_members<A: Analysis>(
-    outcomes: &[MemberOutcome],
-    interval_s: f64,
-    build: impl Fn() -> A,
-) -> Result<MergedShards<A>, FleetError> {
-    let runs = outcomes
-        .iter()
-        .map(|outcome| member_run(outcome, interval_s, &build))
-        .collect::<Result<Vec<_>, _>>()?;
-    merge_shards(runs, interval_s)
-        .map_err(|_| FleetError::Checkpoint(CheckpointError::Corrupt("member channel sets differ")))
-}
-
 /// Merge the surviving members of a distributed fleet campaign, in
-/// member order, through [`merge_shards`] — the very fold the in-process
-/// session driver uses — so a fault-free merge is byte-identical to the
-/// in-process fleet run, a degraded merge equals the fault-free run
-/// restricted to the surviving members, and the same degradation
-/// warnings reach stderr. Each member's shipped state is decoded into a
-/// fresh accumulator (one shared hypothesis table for CPA, like the
-/// in-process driver) before the fold.
+/// member order, through [`report::merge_shipped`] — the mode table's
+/// fold over [`merge_shards`](psc_core::session::merge_shards), the very
+/// fold the in-process session driver uses — so a fault-free merge is
+/// byte-identical to the in-process fleet run, a degraded merge equals
+/// the fault-free run restricted to the surviving members, and the same
+/// degradation warnings reach stderr.
 ///
 /// # Errors
 ///
@@ -669,32 +628,19 @@ pub fn merge_survivors(
 
     let t0 = Instant::now();
     let interval_s = spec.monitor.unwrap_or(MONITOR_INTERVAL_S);
-    let (text, analysis, health) = match spec.mode {
-        AnalysisMode::Tvla => {
-            let report = fold_members(outcomes, interval_s, StreamingTvla::new)?.into_report(
-                spec.keys(),
-                members,
-                None,
-            );
-            let text = campaign_banner(spec) + &render_tvla_body(&report);
-            (text, encoded(&report.tvla), report.health)
-        }
-        AnalysisMode::Cpa => {
-            let build = || {
-                let channels = spec.keys().into_iter().map(ChannelId::Smc);
-                let mut cpa = StreamingCpa::new(channels, report::cpa_model);
-                cpa.set_unroll(spec.tune.cpa_unroll);
-                cpa
-            };
-            let report =
-                fold_members(outcomes, interval_s, build)?.into_report(spec.keys(), members, None);
-            let text = campaign_banner(spec) + &render_cpa_body(&report, &spec.key);
-            (text, encoded(&report.cpa), report.health)
-        }
-        AnalysisMode::Adaptive => unreachable!("distributed_members refuses adaptive"),
-    };
+    let runs = outcomes
+        .iter()
+        .map(|outcome| member_run(outcome, interval_s))
+        .collect::<Result<Vec<_>, _>>()?;
+    let merged = report::merge_shipped(runs, spec)?;
     let merge_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    Ok(MergedFleet { text, analysis, health, survivors, merge_ns })
+    Ok(MergedFleet {
+        text: campaign_banner(spec) + &merged.body,
+        analysis: merged.analysis,
+        health: merged.health,
+        survivors,
+        merge_ns,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -911,12 +857,9 @@ pub fn run_worker(
     spec: &CampaignSpec,
     cfg: &WorkerConfig,
 ) -> Result<WorkerSummary, FleetError> {
-    let members = distributed_members(spec)?;
-    if cfg.member >= members {
-        return Err(FleetError::Spec(format!(
-            "member {} out of range (fleet of {members})",
-            cfg.member
-        )));
+    let (members, member) = (distributed_members(spec)?, cfg.member);
+    if member >= members {
+        return Err(FleetError::Spec(format!("member {member} out of range (fleet of {members})")));
     }
     let faults = cfg.faults.armed();
     let mut link = WorkerLink {
@@ -935,11 +878,9 @@ pub fn run_worker(
     // socket and tails the checkpoint file for partials.
     let ckpt_path = cfg.workdir.join("shard-000.ckpt");
     let campaign_spec = spec.clone();
-    let campaign_member = cfg.member;
     let campaign_dir = cfg.workdir.clone();
-    let handle = std::thread::spawn(move || {
-        member_state(&campaign_spec, campaign_member, Some(&campaign_dir))
-    });
+    let handle =
+        std::thread::spawn(move || member_state(&campaign_spec, member, Some(&campaign_dir)));
 
     let mut last_partial: Vec<u8> = Vec::new();
     let mut last_heartbeat = Instant::now();

@@ -34,7 +34,7 @@ use crate::proto::{
 };
 use psc_core::report::{self, campaign_banner};
 use psc_core::session::Campaign;
-use psc_core::spec::{AnalysisMode, CampaignSpec};
+use psc_core::spec::CampaignSpec;
 use psc_telemetry::metrics::{MetricsHub, MetricsRegistry, MetricsSnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -117,14 +117,6 @@ impl Default for ServerConfig {
     }
 }
 
-struct FinishedReport {
-    mode: AnalysisMode,
-    stopped_early: bool,
-    rounds: u64,
-    text: String,
-    analysis: Vec<u8>,
-}
-
 struct Job {
     tenant: String,
     spec: CampaignSpec,
@@ -132,7 +124,8 @@ struct Job {
     stop: Arc<AtomicBool>,
     hub: Arc<MetricsHub>,
     accepted_at: Instant,
-    report: Option<Arc<FinishedReport>>,
+    /// The finished job's final frame, sent to every waiter.
+    report: Option<Response>,
     error: Option<String>,
     /// Wait/watch streams attached and not yet done; the job is not
     /// evicted while this is nonzero.
@@ -494,7 +487,7 @@ fn stream_until_done(stream: &mut TcpStream, attached: &Attached<'_>) {
             let mut table = inner.lock_table();
             loop {
                 let Some(job) = table.jobs.get(&attached.job) else { return };
-                if let Some(response) = final_frame(attached.job, job) {
+                if let Some(response) = final_frame(job) {
                     break Peek::Done(response);
                 }
                 let now = Instant::now();
@@ -523,7 +516,7 @@ fn stream_until_done(stream: &mut TcpStream, attached: &Attached<'_>) {
 }
 
 /// The frame that ends a wait/watch stream, once `job` has settled.
-fn final_frame(job_id: u64, job: &Job) -> Option<Response> {
+fn final_frame(job: &Job) -> Option<Response> {
     let failed = |default: &str| {
         Some(Response::Rejected {
             reason: RejectReason::Failed {
@@ -533,17 +526,7 @@ fn final_frame(job_id: u64, job: &Job) -> Option<Response> {
     };
     match job.state {
         JobState::Queued | JobState::Running | JobState::Stopping => None,
-        JobState::Completed => {
-            let report = job.report.as_ref().expect("completed job has a report");
-            Some(Response::Report {
-                job: job_id,
-                mode: report.mode,
-                stopped_early: report.stopped_early,
-                rounds: report.rounds,
-                text: report.text.clone(),
-                analysis: report.analysis.clone(),
-            })
-        }
+        JobState::Completed => Some(job.report.clone().expect("completed job has a report")),
         JobState::Cancelled => failed("cancelled"),
         JobState::Failed => failed("worker failed"),
     }
@@ -582,13 +565,14 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
                 job.error = Some("cancelled while running".into());
                 inner.registry.counter(names::CANCELLED).inc();
             } else {
-                job.report = Some(Arc::new(FinishedReport {
+                job.report = Some(Response::Report {
+                    job: job_id,
                     mode: out.mode,
                     stopped_early: out.stopped_early,
                     rounds: out.rounds,
                     text: campaign_banner(&spec) + &out.body,
                     analysis: out.analysis,
-                }));
+                });
                 job.state = JobState::Completed;
                 inner.registry.counter(names::COMPLETED).inc();
                 let latency = u64::try_from(accepted_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -709,7 +693,7 @@ fn handle_drain(inner: &Arc<Inner>, stream: &mut TcpStream) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use psc_core::{Device, ExperimentConfig};
+    use psc_core::{AnalysisMode, Device, ExperimentConfig};
 
     fn job(state: JobState, watchers: usize) -> Job {
         Job {

@@ -195,10 +195,17 @@ fn dropped_partials_do_not_stall_completion() {
 }
 
 /// A worker that never shows up is demoted on the join deadline and
-/// the survivor-restricted merge still completes.
+/// the survivor-restricted merge still completes, for each mode a fleet
+/// can distribute.
 #[test]
 fn a_missing_worker_is_demoted_and_survivors_merge() {
-    let spec = spec(AnalysisMode::Tvla, 48);
+    for mode in [AnalysisMode::Tvla, AnalysisMode::Cpa] {
+        a_missing_worker_is_demoted(mode);
+    }
+}
+
+fn a_missing_worker_is_demoted(mode: AnalysisMode) {
+    let spec = spec(mode, 48);
     let cfg = AggregatorConfig {
         join_timeout: Duration::from_millis(1_500),
         heartbeat_timeout: Duration::from_millis(1_500),
@@ -209,18 +216,18 @@ fn a_missing_worker_is_demoted_and_survivors_merge() {
     let agg_handle = std::thread::spawn(move || aggregator.run());
 
     // Only member 0 ever connects.
-    let dir = temp_dir("missing", 0);
+    let dir = temp_dir(&format!("missing_{}", mode.token()), 0);
     let mut wcfg = WorkerConfig::new(0, dir.clone());
     wcfg.heartbeat_interval = Duration::from_millis(50);
     run_worker(addr, &spec, &wcfg).expect("worker 0");
     let outcome = agg_handle.join().expect("aggregator thread").expect("aggregation");
     cleanup(&dir);
 
-    assert_eq!(outcome.merged.survivors, 1);
-    assert!(outcome.merged.health[0].is_ok());
+    assert_eq!(outcome.merged.survivors, 1, "{mode:?}");
+    assert!(outcome.merged.health[0].is_ok(), "{mode:?}");
     assert!(
         matches!(outcome.merged.health[1], ShardHealth::Failed { .. }),
-        "the absent member fails: {:?}",
+        "{mode:?}: the absent member fails: {:?}",
         outcome.merged.health[1]
     );
 
@@ -236,5 +243,9 @@ fn a_missing_worker_is_demoted_and_survivors_merge() {
         ],
     )
     .expect("restricted merge");
-    assert_eq!(outcome.merged.analysis, restricted.analysis, "survivor-restricted equality");
+    assert_eq!(
+        outcome.merged.analysis, restricted.analysis,
+        "{mode:?}: survivor-restricted equality"
+    );
+    assert_eq!(outcome.merged.text, restricted.text, "{mode:?}: survivor-restricted report");
 }

@@ -5,7 +5,7 @@
 //! for tens of thousands of windows. Every queue in the telemetry pipeline
 //! is therefore a fixed-capacity ring with an explicit overflow policy and
 //! exact drop accounting — `Block` applies backpressure to the producer,
-//! the `Drop*` policies shed load but count every shed event.
+//! `DropNewest` sheds load but counts every shed event.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
@@ -19,8 +19,6 @@ pub enum OverflowPolicy {
     Block,
     /// The incoming item is discarded and counted.
     DropNewest,
-    /// The oldest queued item is evicted (and counted) to make room.
-    DropOldest,
 }
 
 /// Fixed-capacity FIFO with drop accounting.
@@ -71,14 +69,8 @@ impl<T> RingBuffer<T> {
         self.buf.len() >= self.capacity
     }
 
-    /// The fixed capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Items dropped so far (shed pushes under `DropNewest`, evictions
-    /// under `DropOldest`, refused pushes under `Block`).
+    /// Items dropped so far (shed pushes under `DropNewest`, refused
+    /// pushes under `Block`).
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -97,40 +89,18 @@ impl<T> RingBuffer<T> {
         self.high_water
     }
 
-    /// Push under the configured policy. Returns `true` when `item` was
-    /// accepted. Under `Block` a full buffer refuses the push (the caller
-    /// — e.g. the channel sender — is responsible for waiting and
-    /// retrying) and the refusal is counted as a drop.
+    /// Push, refusing (and counting as a drop) when the buffer is full.
+    /// Returns `true` when `item` was accepted. Under `Block` the caller —
+    /// e.g. the channel sender — is responsible for waiting and retrying.
     pub fn push(&mut self, item: T) -> bool {
         if self.is_full() {
-            match self.policy {
-                OverflowPolicy::Block | OverflowPolicy::DropNewest => {
-                    self.dropped += 1;
-                    return false;
-                }
-                OverflowPolicy::DropOldest => {
-                    self.buf.pop_front();
-                    self.dropped += 1;
-                }
-            }
+            self.dropped += 1;
+            return false;
         }
         self.buf.push_back(item);
         self.accepted += 1;
         self.high_water = self.high_water.max(self.buf.len() as u64);
         true
-    }
-
-    /// Push that never counts a refusal: used by the blocking channel,
-    /// which waits for space instead of shedding. Returns `false` (without
-    /// touching counters) when full.
-    pub fn try_push(&mut self, item: T) -> Result<(), T> {
-        if self.is_full() {
-            return Err(item);
-        }
-        self.buf.push_back(item);
-        self.accepted += 1;
-        self.high_water = self.high_water.max(self.buf.len() as u64);
-        Ok(())
     }
 
     /// Pop the oldest item.
@@ -192,8 +162,8 @@ impl core::fmt::Display for Disconnected {
 impl std::error::Error for Disconnected {}
 
 /// Create a bounded channel of `capacity` items with `policy` overflow
-/// behavior. `Block` gives lossless backpressure; the `Drop*` policies
-/// shed load and account for it in [`ChannelStats::dropped`].
+/// behavior. `Block` gives lossless backpressure; `DropNewest` sheds
+/// load and accounts for it in [`ChannelStats::dropped`].
 #[must_use]
 pub fn channel<T>(capacity: usize, policy: OverflowPolicy) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
@@ -223,20 +193,13 @@ impl<T> Sender<T> {
             if !state.receiver_alive {
                 return Err(Disconnected);
             }
-            match state.ring.policy {
-                OverflowPolicy::Block => {
-                    if state.ring.is_full() {
-                        state.waiting_senders += 1;
-                        state = self.shared.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
-                        state.waiting_senders -= 1;
-                        continue;
-                    }
-                    let _ = state.ring.try_push(item);
-                }
-                OverflowPolicy::DropNewest | OverflowPolicy::DropOldest => {
-                    state.ring.push(item);
-                }
+            if state.ring.policy == OverflowPolicy::Block && state.ring.is_full() {
+                state.waiting_senders += 1;
+                state = self.shared.not_full.wait(state).unwrap_or_else(|e| e.into_inner());
+                state.waiting_senders -= 1;
+                continue;
             }
+            state.ring.push(item);
             // Syscall-free hot path: wake the receiver only if it is
             // actually parked (tracked under the same lock).
             if state.receiver_waiting {
@@ -367,17 +330,6 @@ mod tests {
             tx.send(i).unwrap();
         }
         assert_eq!(rx.stats().high_water, 3);
-    }
-
-    #[test]
-    fn drop_oldest_evicts_front() {
-        let mut ring = RingBuffer::new(2, OverflowPolicy::DropOldest);
-        ring.push(1);
-        ring.push(2);
-        ring.push(3);
-        assert_eq!(ring.dropped(), 1);
-        assert_eq!(ring.pop(), Some(2));
-        assert_eq!(ring.pop(), Some(3));
     }
 
     #[test]

@@ -7,11 +7,7 @@ use psc_sca::tvla::{PlaintextClass, TvlaAccumulator};
 use psc_telemetry::ring::{OverflowPolicy, RingBuffer};
 
 fn policy_strategy() -> impl Strategy<Value = OverflowPolicy> {
-    prop_oneof![
-        Just(OverflowPolicy::Block),
-        Just(OverflowPolicy::DropNewest),
-        Just(OverflowPolicy::DropOldest),
-    ]
+    prop_oneof![Just(OverflowPolicy::Block), Just(OverflowPolicy::DropNewest),]
 }
 
 fn tvla_from_obs(obs: &[(bool, u8, f64)]) -> TvlaAccumulator {
@@ -36,18 +32,8 @@ proptest! {
             ring.push(item);
             prop_assert!(ring.len() <= capacity);
         }
-        match policy {
-            // Refusing policies: every push is either accepted or shed.
-            OverflowPolicy::Block | OverflowPolicy::DropNewest => {
-                prop_assert_eq!(ring.accepted() + ring.dropped(), items.len() as u64);
-            }
-            // Evicting policy: every push is accepted; drops count the
-            // queued items that were evicted to make room.
-            OverflowPolicy::DropOldest => {
-                prop_assert_eq!(ring.accepted(), items.len() as u64);
-                prop_assert_eq!(ring.dropped(), (ring.accepted() - ring.len() as u64));
-            }
-        }
+        // Both policies refuse when full: every push is accepted or shed.
+        prop_assert_eq!(ring.accepted() + ring.dropped(), items.len() as u64);
         let drained: Vec<u16> = std::iter::from_fn(|| ring.pop()).collect();
         prop_assert!(drained.len() <= items.len());
     }
@@ -66,26 +52,6 @@ proptest! {
         prop_assert_eq!(ring.dropped(), 0);
         let drained: Vec<u16> = std::iter::from_fn(|| ring.pop()).collect();
         prop_assert_eq!(drained, items);
-    }
-
-    /// DropOldest keeps exactly the newest `capacity` items, in order.
-    #[test]
-    fn drop_oldest_keeps_newest_suffix(
-        capacity in 1usize..16,
-        items in proptest::collection::vec(any::<u16>(), 0..100),
-    ) {
-        let mut ring = RingBuffer::new(capacity, OverflowPolicy::DropOldest);
-        for &item in &items {
-            prop_assert!(ring.push(item), "DropOldest always accepts");
-        }
-        let drained: Vec<u16> = std::iter::from_fn(|| ring.pop()).collect();
-        let expected: Vec<u16> =
-            items[items.len().saturating_sub(capacity)..].to_vec();
-        prop_assert_eq!(drained, expected);
-        prop_assert_eq!(
-            ring.dropped(),
-            items.len().saturating_sub(capacity) as u64
-        );
     }
 
     /// DropNewest keeps exactly the oldest `capacity` items, in order.

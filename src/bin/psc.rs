@@ -22,7 +22,9 @@
 //! streams them back through the same analysis in flat memory.
 
 use apple_power_sca::core::experiments::{banner, TARGETS};
-use apple_power_sca::core::spec::{parse_key_hex, parse_monitor_interval, parse_shards};
+use apple_power_sca::core::spec::{
+    parse_key_hex, parse_monitor_interval, parse_shards, parse_traces,
+};
 use apple_power_sca::core::{report, tune};
 use apple_power_sca::core::{
     AnalysisMode, Campaign, CampaignSpec, Device, ExperimentConfig, MitigationSetting, ShardReplay,
@@ -175,7 +177,7 @@ fn parse_opt(args: &[String], name: &str) -> Option<String> {
 /// `--traces N`, refusing a malformed count instead of falling back.
 fn traces_opt(args: &[String], default: usize) -> Result<usize, String> {
     parse_opt(args, "--traces")
-        .map(|s| s.parse::<usize>().map_err(|e| format!("bad --traces value {s:?}: {e}")))
+        .map(|s| parse_traces(&s).map_err(|e| format!("bad --traces value {s:?}: {e}")))
         .transpose()
         .map(|n| n.unwrap_or(default))
 }
@@ -508,15 +510,10 @@ fn cmd_replay(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
         replay = replay.detrend(w);
         println!("applied moving-average detrend, window {w}, per shard");
     }
-    if cpa {
-        let rep = Campaign::replay(replay).keys(&keys).session().cpa(report::cpa_model);
-        print!("{}", report::render_cpa_body(&rep, &secret));
-        print!("{}", report::render_metrics_summary(rep.metrics.as_ref()));
-    } else {
-        let rep = Campaign::replay(replay).keys(&keys).session().tvla();
-        print!("{}", report::render_tvla_body(&rep));
-        print!("{}", report::render_metrics_summary(rep.metrics.as_ref()));
-    }
+    // Only the mode and the true key shape a replayed report.
+    let mode = if cpa { AnalysisMode::Cpa } else { AnalysisMode::Tvla };
+    let spec = CampaignSpec { key: secret, ..CampaignSpec::new(mode, Device::MacbookAirM2, cfg) };
+    print!("{}", report::run_session(Campaign::replay(replay).keys(&keys).session(), &spec).body);
     Ok(())
 }
 

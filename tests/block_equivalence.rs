@@ -121,11 +121,7 @@ fn deliver(blocks: Vec<EventBlock>, capacity: usize, policy: OverflowPolicy) -> 
 }
 
 fn policy_strategy() -> impl Strategy<Value = OverflowPolicy> {
-    prop_oneof![
-        Just(OverflowPolicy::Block),
-        Just(OverflowPolicy::DropNewest),
-        Just(OverflowPolicy::DropOldest),
-    ]
+    prop_oneof![Just(OverflowPolicy::Block), Just(OverflowPolicy::DropNewest),]
 }
 
 fn assert_tvla_identical(a: &StreamingTvla, b: &TvlaOracle, channels: &[ChannelId]) {

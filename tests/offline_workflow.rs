@@ -147,6 +147,8 @@ fn cli_refuses_bad_shard_and_trace_counts() {
         (&["campaign", "--shards", "3000"], "--shards"),
         (&["campaign", "--shards", "0"], "--shards"),
         (&["campaign", "--cpa", "--traces", "-5"], "--traces"),
+        (&["campaign", "--cpa", "--traces", "0"], "--traces"),
+        (&["campaign", "--traces", "0"], "--traces"),
         (&["campaign", "--key", "zz"], "--key"),
         (&["campaign", "--progress", "0"], "--progress"),
         (&["campaign", "--progress", "-1"], "--progress"),
