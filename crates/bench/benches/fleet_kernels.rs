@@ -29,13 +29,13 @@ use std::time::Duration;
 
 const TRACES_PER_CLASS: usize = 48;
 
-fn fleet_spec() -> CampaignSpec {
-    let cfg = ExperimentConfig::from_env();
+fn fleet_spec() -> Result<CampaignSpec, String> {
+    let cfg = ExperimentConfig::from_env()?;
     let mut spec = CampaignSpec::new(AnalysisMode::Tvla, Device::MacMiniM1, &cfg);
     spec.fleet = true;
     spec.traces = TRACES_PER_CLASS;
     spec.shards = 2;
-    spec
+    Ok(spec)
 }
 
 /// One live distributed run (threads over loopback TCP) with one
@@ -77,8 +77,8 @@ fn measure_recovery(spec: &CampaignSpec) -> Duration {
     summaries[1].recovery
 }
 
-fn main() {
-    let spec = fleet_spec();
+fn main() -> Result<(), String> {
+    let spec = fleet_spec()?;
     let mut run = Run::start("fleet_kernels");
 
     // Real partial payload: member 0's final checkpoint state from an
@@ -125,4 +125,5 @@ fn main() {
         .field("merge_latency_us", merge_ns / 1e3)
         .field("recovery_ms", recovery_ms);
     run.finish();
+    Ok(())
 }

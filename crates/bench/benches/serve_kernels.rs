@@ -39,12 +39,12 @@ const BURST: usize = 8;
 const TRACES_PER_CLASS: usize = 120;
 const SHARDS: usize = 2;
 
-fn burst_spec() -> String {
-    let cfg = ExperimentConfig::from_env();
+fn burst_spec() -> Result<String, String> {
+    let cfg = ExperimentConfig::from_env()?;
     let mut spec = CampaignSpec::new(AnalysisMode::Tvla, Device::MacMiniM1, &cfg);
     spec.traces = TRACES_PER_CLASS;
     spec.shards = SHARDS;
-    spec.render()
+    Ok(spec.render())
 }
 
 /// Run one 8-job burst against `addr`. Panics on any non-report
@@ -61,8 +61,8 @@ fn run_burst(addr: std::net::SocketAddr, spec: &str) {
     });
 }
 
-fn main() {
-    let spec = burst_spec();
+fn main() -> Result<(), String> {
+    let spec = burst_spec()?;
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers: WORKERS,
@@ -112,4 +112,5 @@ fn main() {
         .field("p99_dispatch_wait_us", p99_dispatch_us)
         .field("campaigns_completed", completed);
     run.finish();
+    Ok(())
 }

@@ -6,6 +6,8 @@
 //! Scale up with environment variables (`PSC_TRACES`, `PSC_TVLA_TRACES`,
 //! `PSC_SHARDS`, `PSC_SEED`) or by constructing the config directly.
 
+use crate::spec::{parse_seed, parse_shards, parse_traces};
+
 /// The default victim secret key used across experiments.
 ///
 /// Its Hamming weight (87) sits above the 64 average, which — exactly like
@@ -55,25 +57,48 @@ impl Default for ExperimentConfig {
 
 impl ExperimentConfig {
     /// Defaults, then environment-variable overrides.
-    #[must_use]
-    pub fn from_env() -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Returns `NAME: reason` for the first variable that is set but
+    /// does not parse (see [`Self::from_lookup`]).
+    pub fn from_env() -> Result<Self, String> {
+        Self::from_lookup(|name| std::env::var(name).ok())
+    }
+
+    /// Defaults, then the overrides `lookup` returns for `PSC_TRACES`,
+    /// `PSC_TVLA_TRACES`, `PSC_SHARDS` and `PSC_SEED`. Each value goes
+    /// through the parser every front end shares for that field, so a
+    /// zero budget, an out-of-range shard count or a typo is refused
+    /// instead of being silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns `NAME: reason` for the first value that does not parse.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        fn var<T>(
+            lookup: &impl Fn(&str) -> Option<String>,
+            name: &str,
+            parse: fn(&str) -> Result<T, String>,
+        ) -> Result<Option<T>, String> {
+            lookup(name).map(|v| parse(&v).map_err(|e| format!("{name}: {e}"))).transpose()
+        }
         let mut cfg = Self::default();
-        let parse = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<usize>().ok());
-        if let Some(n) = parse("PSC_TRACES") {
+        if let Some(n) = var(&lookup, "PSC_TRACES", parse_traces)? {
             cfg.cpa_traces_m2 = n;
             cfg.cpa_traces_kernel = n;
             cfg.cpa_traces_m1 = (n / 3).max(1000);
         }
-        if let Some(n) = parse("PSC_TVLA_TRACES") {
+        if let Some(n) = var(&lookup, "PSC_TVLA_TRACES", parse_traces)? {
             cfg.tvla_traces_per_class = n;
         }
-        if let Some(n) = parse("PSC_SHARDS") {
-            cfg.shards = n.max(1);
+        if let Some(n) = var(&lookup, "PSC_SHARDS", parse_shards)? {
+            cfg.shards = n;
         }
-        if let Some(s) = std::env::var("PSC_SEED").ok().and_then(|v| v.parse::<u64>().ok()) {
+        if let Some(s) = var(&lookup, "PSC_SEED", parse_seed)? {
             cfg.seed = s;
         }
-        cfg
+        Ok(cfg)
     }
 
     /// A minimal configuration for fast tests and smoke benches.
@@ -111,6 +136,43 @@ mod tests {
         let def = ExperimentConfig::default();
         assert!(quick.cpa_traces_m2 < def.cpa_traces_m2);
         assert!(quick.tvla_traces_per_class < def.tvla_traces_per_class);
+    }
+
+    fn lookup<'a>(vars: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        |name| vars.iter().find(|(k, _)| *k == name).map(|(_, v)| (*v).to_string())
+    }
+
+    #[test]
+    fn lookup_overrides_parse_through_the_shared_parsers() {
+        assert_eq!(ExperimentConfig::from_lookup(lookup(&[])), Ok(ExperimentConfig::default()));
+        let vars = [
+            ("PSC_TRACES", "9000"),
+            ("PSC_TVLA_TRACES", "40"),
+            ("PSC_SHARDS", "3"),
+            ("PSC_SEED", "7"),
+        ];
+        let cfg = ExperimentConfig::from_lookup(lookup(&vars)).expect("valid overrides");
+        assert_eq!(
+            (cfg.cpa_traces_m2, cfg.cpa_traces_kernel, cfg.cpa_traces_m1),
+            (9000, 9000, 3000)
+        );
+        assert_eq!((cfg.tvla_traces_per_class, cfg.shards, cfg.seed), (40, 3, 7));
+    }
+
+    #[test]
+    fn lookup_refuses_bad_overrides_by_name() {
+        for (name, value) in [
+            ("PSC_TRACES", "0"),
+            ("PSC_TRACES", "lots"),
+            ("PSC_TVLA_TRACES", "0"),
+            ("PSC_SHARDS", "0"),
+            ("PSC_SHARDS", "257"),
+            ("PSC_SEED", "-1"),
+        ] {
+            let err = ExperimentConfig::from_lookup(lookup(&[(name, value)]))
+                .expect_err("a bad override is refused");
+            assert!(err.starts_with(&format!("{name}: ")), "{name}={value}: {err}");
+        }
     }
 
     #[test]

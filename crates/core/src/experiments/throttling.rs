@@ -83,7 +83,7 @@ fn spawn_aes_threads_boosted(
     let plaintext = shared_plaintext([0u8; 16]);
     let base = AesSignal::default();
     let signal = AesSignal { w_per_unit: base.w_per_unit * signal_boost, ..base };
-    // One workload cloned per thread: replicas share the activity memo.
+    // One workload cloned per thread: replicas share the plaintext memo.
     let workload = AesWorkload::with_signal(Arc::clone(&model), Arc::clone(&plaintext), signal);
     for i in 0..count {
         soc.spawn(format!("aes-{i}"), SchedAttrs::realtime_p_core(), Box::new(workload.clone()));
@@ -338,7 +338,7 @@ fn timing_samples(
                     rng.fill(&mut pt);
                     pt
                 });
-                *plaintext.lock().expect("plaintext lock") = pt;
+                plaintext.set(pt);
                 sink(pass, class, batch_time(&mut soc, &mut rng));
             }
         }

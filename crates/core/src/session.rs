@@ -1269,6 +1269,14 @@ impl Session {
     /// throughput and recycle hit/miss into the shard's registry, and
     /// stage spans land in the spec's tracer.
     ///
+    /// A producer never waits on its consumer except through a full bus.
+    /// The bus wakes a parked consumer once a batch of blocks is queued,
+    /// the bus is full or the producer is done (see the
+    /// [`psc_telemetry::ring`] wake policy), so a producer that parked on
+    /// any other signal from its consumer, such as an epoch barrier,
+    /// could leave the consumer asleep on a short batch and deadlock both.
+    /// Such a barrier must wake the consumer before it waits.
+    ///
     /// This is also the campaign's fault boundary. A panic anywhere in a
     /// shard — producer, consumer, or the worker scaffolding itself — is
     /// caught here and folded into that shard's [`ShardHealth`] instead

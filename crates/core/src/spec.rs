@@ -373,7 +373,7 @@ impl CampaignSpec {
             fleet: flag("fleet"),
             traces: parse_traces(&get("traces")?).map_err(|e| format!("bad traces: {e}"))?,
             shards: parse_shards(&get("shards")?).map_err(|e| format!("bad shards: {e}"))?,
-            seed: parse_num("seed")?,
+            seed: parse_seed(&get("seed")?).map_err(|e| format!("bad seed: {e}"))?,
             key: parse_key_hex(&get("key")?)?,
             every,
             tune,
@@ -439,6 +439,15 @@ pub fn parse_traces(s: &str) -> Result<usize, String> {
         0 => Err("trace count must be positive, got 0".into()),
         traces => Ok(traces),
     }
+}
+
+/// Parse a master simulation seed: an unsigned 64-bit integer.
+///
+/// # Errors
+///
+/// Returns a message for anything else.
+pub fn parse_seed(s: &str) -> Result<u64, String> {
+    s.parse::<u64>().map_err(|e| e.to_string())
 }
 
 /// Parse a 32-hex-character AES-128 key (whitespace ignored).

@@ -56,7 +56,7 @@ pub struct AesVictim {
     kind: VictimKind,
     secret_key: [u8; 16],
     /// A replica of the threads' workload: it shares their plaintext and
-    /// activity memo, and runs the service's encryption.
+    /// memo (ciphertext and activity), and runs the service's encryption.
     workload: AesWorkload,
     thread_ids: Vec<ThreadId>,
 }
@@ -96,8 +96,8 @@ impl AesVictim {
             .sqrt(),
         };
         // Replicas are clones of one workload, so all victim threads share
-        // the per-plaintext activity memo: the fused leakage kernel runs
-        // once per window input, not once per thread.
+        // the per-plaintext memo: the fused leakage kernel runs once per
+        // distinct input, not once per thread or per repeat.
         let workload = AesWorkload::with_signal(model, plaintext, effective);
         let thread_ids = (0..threads)
             .map(|i| {
@@ -128,7 +128,8 @@ impl AesVictim {
     /// ciphertext — mirroring the paper's driver that "takes plaintext
     /// from a user application, performs encryption repeatedly, and
     /// then stores the resulting ciphertext in a buffer". The same AES
-    /// pass yields the plaintext's leakage activity for the threads.
+    /// pass yields the plaintext's leakage activity for the threads, and a
+    /// repeat of the last plaintext (TVLA's fixed classes) runs no pass.
     pub fn request_encrypt(&self, plaintext: [u8; 16]) -> [u8; 16] {
         self.workload.encrypt(plaintext)
     }

@@ -753,7 +753,7 @@ mod tests {
         let mut soc = m2();
         let pt = spawn_aes_threads(&mut soc, 3);
         let samples = |soc: &mut Soc, value: [u8; 16], pt: &crate::workload::SharedPlaintext| {
-            *pt.lock().unwrap() = value;
+            pt.set(value);
             let n = 300;
             (0..n).map(|_| soc.run_window(1.0).rails.p_cluster_w).sum::<f64>() / n as f64
         };
@@ -769,9 +769,9 @@ mod tests {
     fn estimator_is_data_independent() {
         let mut soc = m2();
         let pt = spawn_aes_threads(&mut soc, 3);
-        *pt.lock().unwrap() = [0x00; 16];
+        pt.set([0x00; 16]);
         let a = soc.run_window(1.0).estimated_cpu_power_w;
-        *pt.lock().unwrap() = [0xFF; 16];
+        pt.set([0xFF; 16]);
         // Run several windows so the EMA settles; estimate must not move
         // with the plaintext.
         let mut b = 0.0;
@@ -858,8 +858,8 @@ mod tests {
         let pt_ref = spawn_aes_threads(&mut reference, 3);
         let step = |soc: &mut Soc, reference: &mut Soc, d: f64, what: &str| {
             for i in 0..4u8 {
-                *pt.lock().unwrap() = [i.wrapping_mul(37); 16];
-                *pt_ref.lock().unwrap() = [i.wrapping_mul(37); 16];
+                pt.set([i.wrapping_mul(37); 16]);
+                pt_ref.set([i.wrapping_mul(37); 16]);
                 step_pair(soc, reference, d, what);
             }
         };
@@ -905,8 +905,8 @@ mod tests {
         }
         let mut freqs = Vec::new();
         for i in 0..60u8 {
-            *pt.lock().unwrap() = [i; 16];
-            *pt_ref.lock().unwrap() = [i; 16];
+            pt.set([i; 16]);
+            pt_ref.set([i; 16]);
             step_pair(&mut soc, &mut reference, 0.25, "while throttling");
             freqs.push(soc.p_freq_ghz().to_bits());
         }

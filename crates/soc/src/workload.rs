@@ -16,7 +16,8 @@
 use crate::noise::gaussian;
 use psc_aes::leakage::LeakageModel;
 use rand::Rng;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Per-batch evaluation plan of one thread's window signal.
 ///
@@ -25,7 +26,7 @@ use std::sync::{Arc, Mutex};
 /// workload's window signal is `deterministic_w + N(0, sigma_w²)` with an
 /// independent Gaussian draw per window. Capturing the two scalars once
 /// per batch lets [`crate::Soc::run_windows`] replace the per-window
-/// virtual `window_signal_w` calls (each locking the shared plaintext and
+/// virtual `window_signal_w` calls (each reading the shared plaintext and
 /// activity memo) with a tight loop of batched Gaussian draws — while
 /// consuming the simulation RNG in exactly the same order, so batched and
 /// sequential evaluation stay bit-identical.
@@ -217,9 +218,50 @@ impl Workload for FmulStressor {
     }
 }
 
+/// Sixteen bytes held in two relaxed atomic halves: the cell behind a
+/// victim's plaintext input and its memo.
+///
+/// There is no lock because there is no contention to guard. Every handle
+/// on a cell stays inside one rig, and only the one thread that drives the
+/// rig touches it: the victim's encryption service writes the input, and
+/// the same thread's window engine reads it. Program order on that thread
+/// orders every access, so a read never sees half of one write and half of
+/// another. Moving a rig to another thread hands the cell over through the
+/// move's own synchronisation. Two threads writing one cell at once could
+/// tear it; nothing in the workspace does that.
+#[derive(Debug, Default)]
+pub struct BlockCell([AtomicU64; 2]);
+
+impl BlockCell {
+    /// A cell holding `block`.
+    #[must_use]
+    pub fn new(block: [u8; 16]) -> Self {
+        let cell = Self::default();
+        cell.set(block);
+        cell
+    }
+
+    /// The bytes last stored.
+    #[must_use]
+    pub fn get(&self) -> [u8; 16] {
+        let mut block = [0u8; 16];
+        for (half, word) in block.chunks_exact_mut(8).zip(&self.0) {
+            half.copy_from_slice(&word.load(Relaxed).to_le_bytes());
+        }
+        block
+    }
+
+    /// Store `block`.
+    pub fn set(&self, block: [u8; 16]) {
+        for (half, word) in block.chunks_exact(8).zip(&self.0) {
+            word.store(u64::from_le_bytes(half.try_into().expect("8-byte half")), Relaxed);
+        }
+    }
+}
+
 /// Shared, mutable plaintext input of an AES victim: the attacker (in the
 /// known-plaintext model) writes it, every victim thread reads it.
-pub type SharedPlaintext = Arc<Mutex<[u8; 16]>>;
+pub type SharedPlaintext = Arc<BlockCell>;
 
 /// Calibration of the AES victim's electrical signature. The per-device
 /// values are `psc_core::Device::aes_signal`.
@@ -238,28 +280,54 @@ impl Default for AesSignal {
     }
 }
 
-/// Shared memo of the last plaintext's leakage activity. All victim
+/// Memo of the last plaintext one workload family encrypted: its
+/// ciphertext and its leakage activity, from one AES pass. All victim
 /// threads of one campaign encrypt the *same* shared plaintext within a
-/// window, so the first thread to evaluate a plaintext computes the fused
-/// kernel once and every other thread (and every later window on the same
-/// input) reads the cached scalar. A plaintext swap invalidates the entry
-/// naturally: the cache is keyed by the plaintext bytes.
-type ActivityCache = Arc<Mutex<Option<([u8; 16], f64)>>>;
+/// window, so the first evaluation of a plaintext runs the fused kernel
+/// once, and every other thread, every later window and every repeated
+/// service request on the same input (TVLA's fixed classes repeat one
+/// input for whole runs) read the stored pair. A plaintext swap
+/// invalidates the entry naturally: the memo is keyed by the plaintext
+/// bytes. Relaxed atomics, for the reason [`BlockCell`] gives.
+#[derive(Debug, Default)]
+struct Memo {
+    /// Whether the fields below hold a computed entry.
+    primed: AtomicBool,
+    plaintext: BlockCell,
+    ciphertext: BlockCell,
+    /// The activity's `f64` bits.
+    activity: AtomicU64,
+}
+
+impl Memo {
+    /// The stored ciphertext and activity, if the entry is `plaintext`'s.
+    fn get(&self, plaintext: &[u8; 16]) -> Option<([u8; 16], f64)> {
+        (self.primed.load(Relaxed) && self.plaintext.get() == *plaintext)
+            .then(|| (self.ciphertext.get(), f64::from_bits(self.activity.load(Relaxed))))
+    }
+
+    fn set(&self, plaintext: [u8; 16], ciphertext: [u8; 16], activity: f64) {
+        self.plaintext.set(plaintext);
+        self.ciphertext.set(ciphertext);
+        self.activity.store(activity.to_bits(), Relaxed);
+        self.primed.store(true, Relaxed);
+    }
+}
 
 /// The AES-Intrinsics-style victim workload: repeatedly encrypts the shared
 /// plaintext with a fixed secret key for the whole window (the paper sizes
 /// the repeat count so one input spans slightly more than one SMC update).
 ///
-/// Cloning shares the per-plaintext activity memo: spawn victim replicas by
-/// cloning one workload so that each window's activity is computed once,
-/// not once per thread.
+/// Cloning shares the per-plaintext memo (ciphertext and activity): spawn
+/// victim replicas by cloning one workload so that each input's AES pass
+/// runs once, not once per thread or per repeat.
 #[derive(Debug, Clone)]
 pub struct AesWorkload {
     model: Arc<LeakageModel>,
     plaintext: SharedPlaintext,
     signal: AesSignal,
     center_activity: f64,
-    cache: ActivityCache,
+    memo: Arc<Memo>,
 }
 
 impl AesWorkload {
@@ -285,7 +353,7 @@ impl AesWorkload {
                 + w.round_output * (rounds - 1.0)
                 + w.last_round_input
                 + w.ciphertext);
-        Self { model, plaintext, signal, center_activity, cache: Arc::new(Mutex::new(None)) }
+        Self { model, plaintext, signal, center_activity, memo: Arc::default() }
     }
 
     /// The signal calibration in effect.
@@ -301,36 +369,31 @@ impl AesWorkload {
     }
 
     /// Load `plaintext` as the input every replica encrypts from now on
-    /// and return its ciphertext. One encryption yields both the
-    /// ciphertext and the leakage activity, which primes the shared memo,
-    /// so the next window's plan is a memo hit instead of a second AES
-    /// run.
+    /// and return its ciphertext. The memo holds the ciphertext beside the
+    /// activity: a repeat of the memoised plaintext runs no AES pass, and a
+    /// new one runs one pass that yields both and primes the memo, so the
+    /// next window's plan is a memo hit instead of a second AES run.
     pub fn encrypt(&self, plaintext: [u8; 16]) -> [u8; 16] {
-        let (ciphertext, activity) = self.model.encrypt_with_activity(&plaintext);
-        *self.plaintext.lock().expect("plaintext lock") = plaintext;
-        *self.cache.lock().expect("activity cache lock") = Some((plaintext, activity));
-        ciphertext
+        self.plaintext.set(plaintext);
+        self.memoized(&plaintext).0
     }
 
-    /// Memoized leakage activity of `pt`: hit if the cache holds this exact
-    /// plaintext, otherwise one fused-kernel evaluation repopulates it.
-    fn activity_memoized(&self, pt: &[u8; 16]) -> f64 {
-        let mut cache = self.cache.lock().expect("activity cache lock");
-        if let Some((cached_pt, activity)) = *cache {
-            if cached_pt == *pt {
-                return activity;
-            }
-        }
-        let activity = self.model.activity(pt);
-        *cache = Some((*pt, activity));
-        activity
+    /// Memoised ciphertext and leakage activity of `pt`: a hit if the memo
+    /// holds this exact plaintext, otherwise one fused-kernel encryption
+    /// repopulates it.
+    fn memoized(&self, pt: &[u8; 16]) -> ([u8; 16], f64) {
+        self.memo.get(pt).unwrap_or_else(|| {
+            let (ciphertext, activity) = self.model.encrypt_with_activity(pt);
+            self.memo.set(*pt, ciphertext, activity);
+            (ciphertext, activity)
+        })
     }
 
     /// Deterministic part of the current plaintext's signal, in watts.
     #[must_use]
     pub fn deterministic_signal_w(&self) -> f64 {
-        let pt = *self.plaintext.lock().expect("plaintext lock");
-        self.signal.w_per_unit * (self.activity_memoized(&pt) - self.center_activity)
+        let (_, activity) = self.memoized(&self.plaintext.get());
+        self.signal.w_per_unit * (activity - self.center_activity)
     }
 }
 
@@ -364,7 +427,7 @@ impl Workload for AesWorkload {
     fn plan_source(&self) -> Option<usize> {
         // Clones share the memo, the plaintext and the calibration, so the
         // memo's address identifies one plan.
-        Some(Arc::as_ptr(&self.cache) as usize)
+        Some(Arc::as_ptr(&self.memo) as usize)
     }
 
     fn deterministic_signal_w(&self) -> f64 {
@@ -424,7 +487,7 @@ impl Workload for MaskedAesWorkload {
 /// Convenience: a fresh shared plaintext handle.
 #[must_use]
 pub fn shared_plaintext(initial: [u8; 16]) -> SharedPlaintext {
-    Arc::new(Mutex::new(initial))
+    Arc::new(BlockCell::new(initial))
 }
 
 /// Draw a uniformly random plaintext (helper for known-plaintext attacks).
@@ -481,9 +544,9 @@ mod tests {
     #[test]
     fn aes_signal_is_data_dependent() {
         let (w, pt) = aes_workload();
-        *pt.lock().unwrap() = [0x00u8; 16];
+        pt.set([0x00u8; 16]);
         let s0 = w.deterministic_signal_w();
-        *pt.lock().unwrap() = [0xFFu8; 16];
+        pt.set([0xFFu8; 16]);
         let s1 = w.deterministic_signal_w();
         assert_ne!(s0, s1);
     }
@@ -494,7 +557,7 @@ mod tests {
         let (w, pt) = aes_workload();
         let bound = w.signal().w_per_unit * 128.0 * 3.0; // generous
         for b in [0x00u8, 0x55, 0xAA, 0xFF] {
-            *pt.lock().unwrap() = [b; 16];
+            pt.set([b; 16]);
             assert!(w.deterministic_signal_w().abs() < bound);
         }
     }
@@ -502,7 +565,7 @@ mod tests {
     #[test]
     fn aes_window_signal_centers_on_deterministic_part() {
         let (mut w, pt) = aes_workload();
-        *pt.lock().unwrap() = [0xA5u8; 16];
+        pt.set([0xA5u8; 16]);
         let det = w.deterministic_signal_w();
         let mut r = rng();
         let n = 4000;
@@ -513,7 +576,7 @@ mod tests {
     #[test]
     fn aes_same_plaintext_same_deterministic_signal() {
         let (w, pt) = aes_workload();
-        *pt.lock().unwrap() = [0x3Cu8; 16];
+        pt.set([0x3Cu8; 16]);
         assert_eq!(w.deterministic_signal_w(), w.deterministic_signal_w());
     }
 
@@ -521,7 +584,7 @@ mod tests {
     fn memoized_signal_matches_unmemoized_model() {
         let (w, pt) = aes_workload();
         for b in [0x00u8, 0x3C, 0x3C, 0xFF, 0x3C] {
-            *pt.lock().unwrap() = [b; 16];
+            pt.set([b; 16]);
             let direct = w.signal().w_per_unit * (w.model.activity(&[b; 16]) - w.center_activity);
             // Cache hits and misses alike must reproduce the direct value.
             assert_eq!(w.deterministic_signal_w().to_bits(), direct.to_bits());
@@ -532,12 +595,12 @@ mod tests {
     fn clones_share_the_activity_memo() {
         let (w, pt) = aes_workload();
         let replica = w.clone();
-        *pt.lock().unwrap() = [0x77u8; 16];
+        pt.set([0x77u8; 16]);
         let first = w.deterministic_signal_w();
         assert_eq!(replica.deterministic_signal_w().to_bits(), first.to_bits());
-        assert!(Arc::ptr_eq(&w.cache, &replica.cache), "clones must share one cache");
+        assert!(Arc::ptr_eq(&w.memo, &replica.memo), "clones must share one memo");
         // Plaintext swap invalidates by key: the replica sees fresh data.
-        *pt.lock().unwrap() = [0x78u8; 16];
+        pt.set([0x78u8; 16]);
         assert_ne!(replica.deterministic_signal_w(), first);
     }
 
@@ -548,10 +611,15 @@ mod tests {
         let block = [0x6Du8; 16];
         let ct = w.encrypt(block);
         assert_eq!(ct, w.model.cipher().encrypt_block(&block));
-        assert_eq!(*pt.lock().unwrap(), block);
-        let primed = (*w.cache.lock().unwrap()).expect("memo primed");
-        assert_eq!(primed.0, block);
-        assert_eq!(primed.1.to_bits(), w.model.activity(&block).to_bits());
+        assert_eq!(pt.get(), block);
+        let (memo_ct, activity) = w.memo.get(&block).expect("memo primed");
+        assert_eq!(memo_ct, ct);
+        assert_eq!(activity.to_bits(), w.model.activity(&block).to_bits());
+        // A repeat is served from the memo; a stale entry would show here.
+        assert_eq!(replica.encrypt(block), ct);
+        let next = [0x6Eu8; 16];
+        assert_eq!(w.encrypt(next), w.model.cipher().encrypt_block(&next));
+        assert_eq!(w.encrypt(block), ct);
         assert_eq!(replica.plan_source(), w.plan_source());
         let other = aes_workload().0;
         assert_ne!(other.plan_source(), w.plan_source(), "separate installs plan apart");

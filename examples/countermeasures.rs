@@ -6,8 +6,8 @@
 use apple_power_sca::core::experiments::countermeasure::run_countermeasures;
 use apple_power_sca::core::ExperimentConfig;
 
-fn main() {
-    let mut cfg = ExperimentConfig::from_env();
+fn main() -> Result<(), String> {
+    let mut cfg = ExperimentConfig::from_env()?;
     // A modest budget keeps this example snappy; raise PSC_TRACES to probe
     // the mitigations at higher attacker effort.
     cfg.cpa_traces_m2 = cfg.cpa_traces_m2.min(30_000);
@@ -19,4 +19,5 @@ fn main() {
          blending and slower updates both push the required trace count up\n\
          — the same trade-offs Intel documented for RAPL filtering."
     );
+    Ok(())
 }

@@ -16,9 +16,8 @@ use apple_power_sca::serve::{AdmissionConfig, Client, Response, Server, ServerCo
 use apple_power_sca::telemetry::metrics::names as pipeline_names;
 use std::time::Duration;
 
-fn spec(mode: AnalysisMode, traces: usize) -> String {
-    let cfg = ExperimentConfig::from_env();
-    let mut spec = CampaignSpec::new(mode, Device::MacMiniM1, &cfg);
+fn spec(cfg: &ExperimentConfig, mode: AnalysisMode, traces: usize) -> String {
+    let mut spec = CampaignSpec::new(mode, Device::MacMiniM1, cfg);
     spec.traces = traces;
     spec.shards = 2;
     // `render()` produces the same `campaign.cfg` text `psc campaign
@@ -27,7 +26,8 @@ fn spec(mode: AnalysisMode, traces: usize) -> String {
     spec.render()
 }
 
-fn main() {
+fn main() -> Result<(), String> {
+    let cfg = ExperimentConfig::from_env()?;
     // ── Stage 1: start the daemon ──────────────────────────────────────
     // Two workers, and a queue capped at one waiting job so the example
     // can show admission control shedding load.
@@ -45,7 +45,7 @@ fn main() {
 
     // ── Stage 2: one tenant submits and streams the report ─────────────
     let mut alice = Client::connect(addr).expect("connect");
-    match alice.submit("alice", &spec(AnalysisMode::Tvla, 300), true).expect("submit") {
+    match alice.submit("alice", &spec(&cfg, AnalysisMode::Tvla, 300), true).expect("submit") {
         Response::Accepted { job } => println!("[alice] job {job} accepted, streaming ..."),
         other => panic!("unexpected response: {other:?}"),
     }
@@ -77,7 +77,7 @@ fn main() {
     // Three long CPA jobs fill both workers and the one queue slot; a
     // fourth submission is shed with a *typed* refusal, not a hangup.
     println!("── saturating: 3 long CPA jobs, then one too many ──");
-    let long = spec(AnalysisMode::Cpa, 20_000);
+    let long = spec(&cfg, AnalysisMode::Cpa, 20_000);
     for tenant in ["bob", "carol", "dave"] {
         let mut c = Client::connect(addr).expect("connect");
         match c.submit(tenant, &long, false).expect("submit") {
@@ -103,7 +103,7 @@ fn main() {
         std::thread::sleep(Duration::from_millis(5));
     }
     let mut eve = Client::connect(addr).expect("connect");
-    match eve.submit("eve", &spec(AnalysisMode::Tvla, 10), false).expect("submit") {
+    match eve.submit("eve", &spec(&cfg, AnalysisMode::Tvla, 10), false).expect("submit") {
         Response::Rejected { reason } => println!("[eve] shed by admission: {reason}"),
         other => panic!("expected a rejection, got {other:?}"),
     }
@@ -132,4 +132,5 @@ fn main() {
         other => panic!("unexpected response: {other:?}"),
     }
     server.join();
+    Ok(())
 }

@@ -7,10 +7,10 @@
 use apple_power_sca::core::experiments::screening::{run_table1, screen_device};
 use apple_power_sca::core::{Device, ExperimentConfig};
 
-fn main() {
+fn main() -> Result<(), String> {
+    let cfg = ExperimentConfig::from_env()?;
     println!("{}", run_table1().render());
 
-    let cfg = ExperimentConfig::from_env();
     for device in Device::ALL {
         println!("== Screening {} ==", device.label());
         let row = screen_device(device, &cfg);
@@ -25,4 +25,5 @@ fn main() {
             if found_all && row.varying_keys.len() == expected.len() { "yes" } else { "partially" }
         );
     }
+    Ok(())
 }

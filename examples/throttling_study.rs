@@ -7,8 +7,8 @@
 use apple_power_sca::core::experiments::throttling::{run_throttling_study, timing_tvla};
 use apple_power_sca::core::ExperimentConfig;
 
-fn main() {
-    let mut cfg = ExperimentConfig::from_env();
+fn main() -> Result<(), String> {
+    let mut cfg = ExperimentConfig::from_env()?;
     cfg.timing_traces_per_class = cfg.timing_traces_per_class.min(200);
 
     let study = run_throttling_study(&cfg);
@@ -23,4 +23,5 @@ fn main() {
          dependent power)",
         matrix.shows_no_leakage()
     );
+    Ok(())
 }

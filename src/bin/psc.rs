@@ -792,18 +792,20 @@ fn cmd_drain(args: &[String]) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cfg = ExperimentConfig::from_env();
+    // The scaling variables are read only by the commands that take
+    // their defaults from them, and a bad one fails the command.
+    let cfg = ExperimentConfig::from_env;
     let Some(command) = args.first() else {
         println!("{USAGE}");
         return ExitCode::FAILURE;
     };
     let rest = &args[1..];
     let result: Result<(), String> = match command.as_str() {
-        "repro" => cmd_repro(&cfg, rest),
-        "campaign" => cmd_campaign(&cfg, rest),
+        "repro" => cfg().and_then(|cfg| cmd_repro(&cfg, rest)),
+        "campaign" => cfg().and_then(|cfg| cmd_campaign(&cfg, rest)),
         "tune" => cmd_tune(rest),
         "resume" => cmd_resume(rest),
-        "replay" => cmd_replay(&cfg, rest),
+        "replay" => cfg().and_then(|cfg| cmd_replay(&cfg, rest)),
         "serve" => cmd_serve(rest),
         "submit" => cmd_submit(rest),
         "worker" => cmd_worker(rest),

@@ -46,7 +46,7 @@ fn rd0_cpa_recovers_first_half_of_an_aes256_key() {
     for _ in 0..20_000 {
         let mut pt = [0u8; 16];
         rng.fill(&mut pt);
-        *plaintext.lock().expect("lock") = pt;
+        plaintext.set(pt);
         let ct = aes.encrypt_block(&pt);
         let report = soc.run_window(1.0);
         smc.write().observe_window(&report);

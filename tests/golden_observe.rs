@@ -48,20 +48,58 @@ fn fold_observation(mut h: u64, obs: &Observation) -> u64 {
 }
 
 /// Digest `OBSERVATIONS` observations of one rig, reading every key the
-/// device's SMC exposes.
-fn rig_digest(device: Device, kind: VictimKind, mitigation: MitigationConfig) -> u64 {
+/// device's SMC exposes, with `chunk(rig, k, n)` drawing the `n`
+/// plaintexts of the `k`-th chunk.
+fn rig_digest_with(
+    device: Device,
+    kind: VictimKind,
+    mitigation: MitigationConfig,
+    mut chunk: impl FnMut(&mut Rig, usize, usize) -> Vec<[u8; 16]>,
+) -> u64 {
     let mut rig = Rig::new(device, kind, [0x5Au8; 16], 0x0B5E_0001);
     rig.set_mitigation(mitigation);
     let keys = rig.smc.read().keys().to_vec();
     let mut h = FNV_OFFSET;
     let mut done = 0;
-    while done < OBSERVATIONS {
+    for k in 0.. {
+        if done >= OBSERVATIONS {
+            break;
+        }
         let n = CHUNK.min(OBSERVATIONS - done);
-        let pts: Vec<[u8; 16]> = (0..n).map(|_| rig.random_plaintext()).collect();
+        let pts = chunk(&mut rig, k, n);
         rig.observe_windows_with(&pts, &keys, |obs| h = fold_observation(h, obs));
         done += n;
     }
     fold(h, done as u64)
+}
+
+/// [`rig_digest_with`] over random plaintexts only.
+fn rig_digest(device: Device, kind: VictimKind, mitigation: MitigationConfig) -> u64 {
+    rig_digest_with(device, kind, mitigation, |rig, _, n| {
+        (0..n).map(|_| rig.random_plaintext()).collect()
+    })
+}
+
+/// TVLA-shaped chunks, as the live TVLA source draws them: an all-zeros
+/// run spanning two chunks, an all-ones run, a random run, the all-ones
+/// class again, then one chunk that swaps class every observation. Fixed
+/// plaintexts repeat back to back and come back after other inputs, so a
+/// stale per-plaintext memo (ciphertext or activity) moves the digest.
+fn tvla_chunk(rig: &mut Rig, k: usize, n: usize) -> Vec<[u8; 16]> {
+    const ZEROS: [u8; 16] = [0x00; 16];
+    const ONES: [u8; 16] = [0xFF; 16];
+    match k % 6 {
+        0 | 1 => vec![ZEROS; n],
+        2 | 4 => vec![ONES; n],
+        3 => (0..n).map(|_| rig.random_plaintext()).collect(),
+        _ => (0..n)
+            .map(|i| match i % 3 {
+                0 => ZEROS,
+                1 => ONES,
+                _ => rig.random_plaintext(),
+            })
+            .collect(),
+    }
 }
 
 /// The sixteen pinned rig cases of one device, with their recorded
@@ -119,6 +157,25 @@ fn golden_observe_digests_m2() {
             0x53ce_6dc6_8879_7e71,
         ],
     );
+}
+
+/// The TVLA-schedule digests, (M1, M2) × (user, kernel), no mitigation.
+#[test]
+fn golden_observe_digests_tvla_schedule() {
+    let want = [
+        (Device::MacMiniM1, VictimKind::UserSpace, 0x7d14_99eb_3b89_4a76),
+        (Device::MacMiniM1, VictimKind::KernelModule, 0x2903_16bf_b3d8_c63f),
+        (Device::MacbookAirM2, VictimKind::UserSpace, 0x743a_5bf7_018c_f5ef),
+        (Device::MacbookAirM2, VictimKind::KernelModule, 0x531b_2158_57f6_de11),
+    ];
+    let mut moved = Vec::new();
+    for (device, kind, want) in want {
+        let got = rig_digest_with(device, kind, MitigationConfig::none(), tvla_chunk);
+        if got != want {
+            moved.push(format!("{}/{kind:?}: {got:#018x} (recorded {want:#018x})", device.label()));
+        }
+    }
+    assert!(moved.is_empty(), "{} TVLA-schedule digests moved:\n{}", moved.len(), moved.join("\n"));
 }
 
 fn fold_window(mut h: u64, batch: &WindowBatch) -> u64 {
@@ -218,7 +275,7 @@ fn golden_soc_window_digest() {
         }
         // Most calls swap the plaintext; every fourth keeps it.
         if i % 4 != 3 {
-            *pt.lock().expect("plaintext lock") = plaintext(i);
+            pt.set(plaintext(i));
         }
         soc.run_windows_into(1, duration_s, &mut batch);
         if (180..300).contains(&i) {

@@ -197,3 +197,29 @@ fn cli_refuses_bad_shard_and_trace_counts() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn cli_refuses_bad_scaling_variables() {
+    // The commands that take their defaults from the scaling variables
+    // refuse a bad one by name instead of ignoring it: `PSC_TVLA_TRACES=0`
+    // used to run a campaign with no samples and exit 0.
+    for (args, var, value) in [
+        (&["campaign"][..], "PSC_TVLA_TRACES", "0"),
+        (&["campaign", "--cpa"], "PSC_TRACES", "0"),
+        (&["campaign"], "PSC_TRACES", "lots"),
+        (&["campaign"], "PSC_SHARDS", "300"),
+        (&["campaign"], "PSC_SEED", "-1"),
+        (&["repro", "--only", "table4"], "PSC_TRACES", "0"),
+        (&["replay", "no-such-dir"], "PSC_SHARDS", "0"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_psc"))
+            .args(args)
+            .env(var, value)
+            .output()
+            .expect("run psc");
+        assert_eq!(out.status.code(), Some(1), "{var}={value} psc {args:?} must exit 1");
+        assert!(out.stdout.is_empty(), "nothing ran for {var}={value} psc {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.starts_with(&format!("error: {var}: ")), "{var}={value}: {stderr}");
+    }
+}
