@@ -54,6 +54,15 @@ impl Device {
         }
     }
 
+    /// The `device=` token of `campaign.cfg` and `psc campaign --device`.
+    #[must_use]
+    pub fn token(self) -> &'static str {
+        match self {
+            Device::MacMiniM1 => "m1",
+            Device::MacbookAirM2 => "m2",
+        }
+    }
+
     /// Display name matching Table 1.
     #[must_use]
     pub fn label(self) -> &'static str {

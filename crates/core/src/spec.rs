@@ -6,9 +6,11 @@
 //! frames, and the `psc serve` daemon receives one over its wire
 //! protocol. It renders to — and parses back from — the simple
 //! `key=value` line format `psc campaign --checkpoint` has always
-//! written, so existing `campaign.cfg` files keep working, and
-//! `parse(render(spec)) == spec` is pinned by a proptest
-//! (`crates/core/tests/spec_roundtrip.rs`).
+//! written, and `parse(render(spec)) == spec` is pinned by a proptest
+//! (`crates/core/tests/spec_roundtrip.rs`). Every field is parsed and
+//! bounded in one place, [`CampaignSpec::set`]: a cfg line and a
+//! `psc campaign` flag go through it alike, and a name it does not know
+//! is refused.
 //!
 //! The spec captures everything that shapes the *result* — analysis
 //! mode, device/fleet topology, victim kind, budgets, seed and key,
@@ -26,7 +28,10 @@ use crate::tune::TuneConfig;
 use crate::victim::VictimKind;
 use psc_smc::key::key;
 use psc_smc::{MitigationConfig, SmcKey};
+use std::fmt::Display;
+use std::num::NonZeroU64;
 use std::ops::RangeInclusive;
+use std::str::FromStr;
 
 /// Which streaming analysis a campaign runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,12 +61,10 @@ impl AnalysisMode {
     ///
     /// Returns a message naming the unknown token.
     pub fn parse(token: &str) -> Result<Self, String> {
-        match token {
-            "tvla" => Ok(AnalysisMode::Tvla),
-            "cpa" => Ok(AnalysisMode::Cpa),
-            "adaptive" => Ok(AnalysisMode::Adaptive),
-            other => Err(format!("unknown mode {other:?} (tvla|cpa|adaptive)")),
-        }
+        [AnalysisMode::Tvla, AnalysisMode::Cpa, AnalysisMode::Adaptive]
+            .into_iter()
+            .find(|mode| mode.token() == token)
+            .ok_or_else(|| format!("unknown mode {token:?} (tvla|cpa|adaptive)"))
     }
 }
 
@@ -286,14 +289,11 @@ impl CampaignSpec {
     #[must_use]
     pub fn render(&self) -> String {
         let key_hex: String = self.key.iter().map(|b| format!("{b:02x}")).collect();
-        let device_name = match self.device {
-            Device::MacbookAirM2 => "m2",
-            Device::MacMiniM1 => "m1",
-        };
         let mut text = format!(
-            "mode={}\ndevice={device_name}\nkernel={}\nfleet={}\ntraces={}\n\
+            "mode={}\ndevice={}\nkernel={}\nfleet={}\ntraces={}\n\
              shards={}\nseed={}\nkey={key_hex}\nevery={}\n",
             self.mode.token(),
+            self.device.token(),
             self.kernel,
             self.fleet,
             self.traces,
@@ -320,71 +320,92 @@ impl CampaignSpec {
         text
     }
 
-    /// Parse `campaign.cfg` text (the [`Self::render`] format). Blank
-    /// lines and `#` comments are skipped; unknown keys are ignored for
-    /// forward compatibility; `kernel`/`fleet` default to `false` and
-    /// the tuned constants to the shipped baseline when their lines are
+    /// Parse `campaign.cfg` text (the [`Self::render`] format): each
+    /// `name=value` line goes through [`Self::set`]. Blank lines and `#`
+    /// comments are skipped; `kernel`/`fleet` default to `false` and the
+    /// tuned constants to the shipped baseline when their lines are
     /// absent (files older than the knob).
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first missing/bad field, including
-    /// a tune config that fails [`TuneConfig::validate`].
+    /// Returns a message naming the first bad line: an unknown, repeated
+    /// or missing field, a value [`Self::set`] refuses, or a tune config
+    /// that fails [`TuneConfig::validate`].
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut map = std::collections::BTreeMap::new();
-        for line in text.lines() {
-            let line = line.trim();
+        // Every required field overwrites its placeholder.
+        let mut spec =
+            Self::new(AnalysisMode::Tvla, Device::MacbookAirM2, &ExperimentConfig::quick());
+        let mut seen = Vec::new();
+        for line in text.lines().map(str::trim) {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let (k, v) = line.split_once('=').ok_or_else(|| format!("bad line {line:?}"))?;
-            map.insert(k.to_string(), v.to_string());
-        }
-        let get = |k: &str| map.get(k).cloned().ok_or_else(|| format!("missing {k}="));
-        let parse_num = |k: &str| -> Result<u64, String> {
-            get(k)?.parse::<u64>().map_err(|e| format!("bad {k}: {e}"))
-        };
-        let device = match get("device")?.as_str() {
-            "m2" => Device::MacbookAirM2,
-            "m1" => Device::MacMiniM1,
-            other => return Err(format!("unknown device {other:?} (expected m1 or m2)")),
-        };
-        let flag = |k: &str| map.get(k).is_some_and(|v| v == "true");
-        let mut tune = TuneConfig::default();
-        for (name, field) in [
-            ("cpa_unroll", &mut tune.cpa_unroll as &mut usize),
-            ("obs_chunk", &mut tune.obs_chunk),
-            ("replay_chunk", &mut tune.replay_chunk),
-            ("bus_capacity", &mut tune.bus_capacity),
-        ] {
-            if let Some(v) = map.get(name) {
-                *field = v.parse().map_err(|e| format!("bad {name}: {e}"))?;
+            let (name, value) = line.split_once('=').ok_or_else(|| format!("bad line {line:?}"))?;
+            if seen.contains(&name) {
+                return Err(format!("duplicate {name}= line"));
             }
+            spec.set(name, value)?;
+            seen.push(name);
         }
-        tune.validate()?;
-        let every = parse_num("every")?;
-        if every == 0 {
-            return Err("every must be positive".into());
+        let required = ["mode", "device", "traces", "shards", "seed", "key", "every"];
+        if let Some(name) = required.iter().find(|name| !seen.contains(name)) {
+            return Err(format!("missing {name}="));
         }
-        Ok(Self {
-            mode: AnalysisMode::parse(&get("mode")?)?,
-            device,
-            kernel: flag("kernel"),
-            fleet: flag("fleet"),
-            traces: parse_traces(&get("traces")?).map_err(|e| format!("bad traces: {e}"))?,
-            shards: parse_shards(&get("shards")?).map_err(|e| format!("bad shards: {e}"))?,
-            seed: parse_seed(&get("seed")?).map_err(|e| format!("bad seed: {e}"))?,
-            key: parse_key_hex(&get("key")?)?,
-            every,
-            tune,
-            mitigation: map.get("mitigation").map(|m| MitigationSetting::parse(m)).transpose()?,
-            record: map.get("record").cloned(),
-            monitor: map
-                .get("monitor")
-                .map(|s| parse_monitor_interval(s).map_err(|e| format!("bad monitor: {e}")))
-                .transpose()?,
-        })
+        spec.tune.validate()?;
+        Ok(spec)
     }
+
+    /// Set the field a `campaign.cfg` line names — the one place a
+    /// field's value is parsed and bounded, shared by spec files,
+    /// `psc serve` submissions and the `psc campaign` flags. `kernel` and
+    /// `fleet` take exactly `true` or `false`. The four tune fields are
+    /// bounded together, by the [`TuneConfig::validate`] call in
+    /// [`Self::parse`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the field for an unknown name, a value
+    /// out of its bounds, and a value no cfg line can carry back (one
+    /// holding a newline or ending in whitespace, which
+    /// [`Self::parse`] trims).
+    pub fn set(&mut self, name: &str, value: &str) -> Result<(), String> {
+        let bad = |e: String| format!("bad {name} value {value:?}: {e}");
+        if value.contains('\n') || value.ends_with(char::is_whitespace) {
+            return Err(bad("a cfg line cannot hold a newline or end in whitespace".into()));
+        }
+        match name {
+            "mode" => self.mode = AnalysisMode::parse(value)?,
+            "device" => match Device::ALL.into_iter().find(|d| d.token() == value) {
+                Some(device) => self.device = device,
+                None => return Err(bad("expected m1 or m2".into())),
+            },
+            "kernel" => self.kernel = parsed(value).map_err(bad)?,
+            "fleet" => self.fleet = parsed(value).map_err(bad)?,
+            "traces" => self.traces = parse_traces(value).map_err(bad)?,
+            "shards" => self.shards = parse_shards(value).map_err(bad)?,
+            "seed" => self.seed = parse_seed(value).map_err(bad)?,
+            "key" => self.key = parse_key_hex(value).map_err(bad)?,
+            "every" => self.every = parsed::<NonZeroU64>(value).map_err(bad)?.get(),
+            "cpa_unroll" => self.tune.cpa_unroll = parsed(value).map_err(bad)?,
+            "obs_chunk" => self.tune.obs_chunk = parsed(value).map_err(bad)?,
+            "replay_chunk" => self.tune.replay_chunk = parsed(value).map_err(bad)?,
+            "bus_capacity" => self.tune.bus_capacity = parsed(value).map_err(bad)?,
+            "mitigation" => self.mitigation = Some(MitigationSetting::parse(value)?),
+            "record" => self.record = Some(value.to_owned()),
+            "monitor" => self.monitor = Some(parse_monitor_interval(value).map_err(bad)?),
+            _ => return Err(format!("unknown field {name:?}")),
+        }
+        Ok(())
+    }
+}
+
+/// Parse a value with its type's own [`FromStr`] (`bool` takes exactly
+/// `true` or `false`).
+fn parsed<T: FromStr>(value: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    value.parse().map_err(|e: T::Err| e.to_string())
 }
 
 /// Parse a cadence-monitor poll interval: at least
@@ -532,6 +553,33 @@ mod tests {
     }
 
     #[test]
+    fn render_bytes_are_pinned() {
+        // `fleet::spec_fingerprint` and existing checkpoint directories
+        // depend on these exact bytes, field order included.
+        let spec = CampaignSpec {
+            mode: AnalysisMode::Cpa,
+            device: Device::MacMiniM1,
+            kernel: true,
+            fleet: true,
+            traces: 1234,
+            shards: 3,
+            seed: 42,
+            key: std::array::from_fn(|i| i as u8),
+            every: 5,
+            tune: TuneConfig { cpa_unroll: 2, obs_chunk: 16, replay_chunk: 100, bus_capacity: 8 },
+            mitigation: Some(MitigationSetting::Noise(0.125)),
+            record: Some("out/shards".into()),
+            monitor: Some(2.5),
+        };
+        let expected = "mode=cpa\ndevice=m1\nkernel=true\nfleet=true\ntraces=1234\nshards=3\n\
+                        seed=42\nkey=000102030405060708090a0b0c0d0e0f\nevery=5\ncpa_unroll=2\n\
+                        obs_chunk=16\nreplay_chunk=100\nbus_capacity=8\nmitigation=noise=0.125\n\
+                        record=out/shards\nmonitor=2.5\n";
+        assert_eq!(spec.render(), expected);
+        assert_eq!(CampaignSpec::parse(expected).unwrap(), spec);
+    }
+
+    #[test]
     fn parse_accepts_legacy_minimal_files() {
         // Files from before the tune/kernel/fleet lines existed.
         let text = "mode=cpa\ndevice=m1\ntraces=100\nshards=2\nseed=7\n\
@@ -552,6 +600,21 @@ mod tests {
         assert!(CampaignSpec::parse(&good.replace("device=m2", "device=m9")).is_err());
         assert!(CampaignSpec::parse(&good.replace("every=8", "every=0")).is_err());
         assert!(CampaignSpec::parse(&good.replace("obs_chunk=", "obs_chunk=x")).is_err());
+        // A flag that is not exactly `true`/`false` must not fall back to
+        // the user-space victim or a single device; a repeated field must
+        // not let its last line win; a misspelt field must not be skipped.
+        for edited in [
+            good.replace("kernel=false", "kernel=yes"),
+            good.replace("fleet=false", "fleet=1"),
+            good.replace("traces=2500\n", "traces=2500\ntraces=8\n"),
+            format!("{good}mitigaton=restrict\n"),
+        ] {
+            assert!(CampaignSpec::parse(&edited).is_err(), "{edited:?} must be refused");
+        }
+        let mut spec = sample();
+        for record in ["r1\nr2", "r1 ", "r1\t"] {
+            assert!(spec.set("record", record).is_err(), "record={record:?} cannot round-trip");
+        }
         let counted = CampaignSpec { traces: 40, shards: 2, ..sample() }.render();
         for shards in ["0", "257", "3000", "abc", "-1", ""] {
             let text = counted.replace("shards=2\n", &format!("shards={shards}\n"));

@@ -149,4 +149,4 @@ pub use fleet::{
     Aggregator, AggregatorConfig, DedupGate, FleetError, FleetOutcome, MemberOutcome, WorkerConfig,
 };
 pub use proto::{ProtoError, RejectReason, Request, Response};
-pub use server::{Server, ServerConfig, DEFAULT_ADDR};
+pub use server::{Server, ServerConfig, DEFAULT_ADDR, MAX_WORKERS};

@@ -40,7 +40,7 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawn `workers` threads (at least one) pulling from a shared
+    /// Spawn `workers` threads pulling from a shared
     /// FIFO queue. Every dispatch records its queue wait, in
     /// nanoseconds, into `dispatch_wait_ns`.
     #[must_use]
@@ -51,7 +51,7 @@ impl WorkerPool {
             shutdown: AtomicBool::new(false),
             dispatch_wait_ns,
         });
-        let workers = (0..workers.max(1))
+        let workers = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()

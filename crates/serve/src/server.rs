@@ -53,6 +53,11 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7145";
 /// of it, stays bounded however many jobs the server has run.
 pub const FINISHED_JOBS_RETAINED: usize = 64;
 
+/// The most worker threads a server may run. Each worker runs one
+/// campaign at a time, and a campaign runs a producer and a consumer
+/// thread per shard.
+pub const MAX_WORKERS: usize = 64;
+
 /// Metric names for the server's own [`MetricsRegistry`] (the campaign
 /// pipeline names live in [`psc_telemetry::metrics::names`]).
 pub mod names {
@@ -84,7 +89,8 @@ pub mod names {
 pub struct ServerConfig {
     /// Bind address (use port 0 for an ephemeral port in tests).
     pub addr: String,
-    /// Worker threads executing campaigns.
+    /// Worker threads executing campaigns, in `1..=`[`MAX_WORKERS`].
+    /// Admission counts idle workers against this number.
     pub workers: usize,
     /// Admission thresholds.
     pub admission: crate::admission::AdmissionConfig,
@@ -225,8 +231,14 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// [`std::io::ErrorKind::InvalidInput`] for a worker count outside
+    /// `1..=`[`MAX_WORKERS`], before anything is bound or spawned;
+    /// otherwise propagates the bind failure.
     pub fn start(cfg: ServerConfig) -> std::io::Result<Self> {
+        if !(1..=MAX_WORKERS).contains(&cfg.workers) {
+            let error = format!("worker count must be in 1..={MAX_WORKERS}, got {}", cfg.workers);
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, error));
+        }
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let registry = Arc::new(MetricsRegistry::new());

@@ -9,7 +9,7 @@ use psc_core::spec::{AnalysisMode, CampaignSpec};
 use psc_core::{Device, TuneConfig};
 use psc_serve::proto::{CancelResult, JobState, JobSummary, RejectReason, Response};
 use psc_serve::server::{names, FINISHED_JOBS_RETAINED};
-use psc_serve::{submit_and_wait, AdmissionConfig, Client, Server, ServerConfig};
+use psc_serve::{submit_and_wait, AdmissionConfig, Client, Server, ServerConfig, MAX_WORKERS};
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -294,6 +294,14 @@ fn cancel_covers_queued_running_and_finished_jobs() {
             other => panic!("expected BadSpec for shards={shards}, got {other:?}"),
         }
     }
+    // So is a victim flag that is not exactly `true`/`false`, which used
+    // to run the user-space victim.
+    let text = spec(AnalysisMode::Tvla, 4, 1).render().replace("kernel=false", "kernel=yes");
+    let mut bad = Client::connect(addr).expect("connect");
+    match bad.submit("t", &text, false).expect("submit") {
+        Response::Rejected { reason: RejectReason::BadSpec { .. } } => {}
+        other => panic!("expected BadSpec for kernel=yes, got {other:?}"),
+    }
     // And a NaN noise σ, which used to panic inside every shard.
     let nan_noise = format!("{}mitigation=noise=NaN\n", spec(AnalysisMode::Tvla, 4, 1).render());
     let mut bad = Client::connect(addr).expect("connect");
@@ -305,6 +313,20 @@ fn cancel_covers_queued_running_and_finished_jobs() {
     let mut drainer = Client::connect(addr).expect("connect");
     assert!(matches!(drainer.drain().expect("drain"), Response::Drained { .. }));
     server.join();
+}
+
+#[test]
+fn a_worker_count_outside_its_bounds_is_refused_before_start() {
+    // Zero workers used to start a pool of one while admission counted
+    // none idle, so a zero-queue server refused every job as full.
+    for workers in [0, MAX_WORKERS + 1, usize::MAX] {
+        let config =
+            ServerConfig { addr: "127.0.0.1:0".into(), workers, ..ServerConfig::default() };
+        match Server::start(config) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{workers}: {e}"),
+            Ok(_) => panic!("a server with {workers} worker(s) must not start"),
+        }
+    }
 }
 
 #[test]

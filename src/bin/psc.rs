@@ -22,13 +22,10 @@
 //! streams them back through the same analysis in flat memory.
 
 use apple_power_sca::core::experiments::{banner, TARGETS};
-use apple_power_sca::core::spec::{
-    parse_key_hex, parse_monitor_interval, parse_shards, parse_traces,
-};
+use apple_power_sca::core::spec::parse_monitor_interval;
 use apple_power_sca::core::{report, tune};
 use apple_power_sca::core::{
-    AnalysisMode, Campaign, CampaignSpec, Device, ExperimentConfig, MitigationSetting, ShardReplay,
-    TuneConfig,
+    AnalysisMode, Campaign, CampaignSpec, Device, ExperimentConfig, ShardReplay, TuneConfig,
 };
 use apple_power_sca::serve::fleet::{run_worker, Aggregator, AggregatorConfig, WorkerConfig};
 use apple_power_sca::serve::server::names as serve_names;
@@ -40,7 +37,9 @@ use apple_power_sca::telemetry::json::{validate_json, JsonWriter, Layout};
 use apple_power_sca::telemetry::metrics::MetricsReport;
 use apple_power_sca::telemetry::spans::SpanTracer;
 use std::fmt::Write as _;
+use std::num::ParseIntError;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -92,7 +91,8 @@ COMMANDS:
                               DIR` run from its frames: accumulators
                               restore, sources fast-forward, and the
                               completed report matches an uninterrupted
-                              run. Extra flags pass through (e.g.
+                              run. Takes the runtime flags only
+                              (--metrics, --trace, --progress,
                               --halt-after to re-interrupt).
     replay DIR [--cpa] [--key HEX32] [--detrend W]
                               Replay recorded .psct shards (from
@@ -159,49 +159,103 @@ COMMANDS:
                               the next block boundary, and shut the
                               daemon down once everything settles.
 
-Campaign tuning: `--tune FILE` loads a saved `psc tune` config; the
-tuned constants change throughput only — reports stay bit-identical.
-The active SIMD backend and tuned sizes appear in the --metrics report
-(PSC_SIMD=off pins the scalar backend).
+Every command refuses a flag it does not take, a repeated flag, and a
+missing value (exit 1). Campaign tuning: the tuned constants come from
+`--tune FILE` (a saved `psc tune` config) or the cpa_unroll/obs_chunk/
+replay_chunk/bus_capacity lines of a campaign.cfg; they change
+throughput only — reports stay bit-identical. The active SIMD backend
+and tuned sizes appear in the --metrics report (PSC_SIMD=off pins the
+scalar backend).
 
 Scaling env vars: PSC_TRACES, PSC_TVLA_TRACES, PSC_SHARDS, PSC_SEED.";
 
-fn parse_flag(args: &[String], name: &str) -> bool {
-    args.iter().any(|a| a == name)
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// None: a switch such as `--fleet`.
+    Nothing,
+    /// Exactly one, as in `--traces N`.
+    Value,
+    /// The next argument unless it is a flag, as in `--progress [SECS]`.
+    MaybeValue,
 }
 
-fn parse_opt(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+/// A subcommand's command line: its positionals, which come first, then
+/// each flag it was given, with that flag's value.
+struct Args<'a> {
+    positionals: Vec<&'a str>,
+    flags: Vec<(&'a str, Option<&'a str>)>,
 }
 
-/// `--traces N`, refusing a malformed count instead of falling back.
-fn traces_opt(args: &[String], default: usize) -> Result<usize, String> {
-    parse_opt(args, "--traces")
-        .map(|s| parse_traces(&s).map_err(|e| format!("bad --traces value {s:?}: {e}")))
-        .transpose()
-        .map(|n| n.unwrap_or(default))
+impl<'a> Args<'a> {
+    /// Parse the arguments of `psc COMMAND`, which takes the named
+    /// `positionals` and the declared `flags`. A missing positional, an
+    /// unknown flag, a flag given twice and a missing value (or one that
+    /// is itself a `--flag`) are refused, naming the argument.
+    fn parse(
+        command: &str,
+        args: &'a [String],
+        positionals: &[&str],
+        flags: &[(&str, Takes)],
+    ) -> Result<Self, String> {
+        let is_value = |arg: &&str| !arg.starts_with("--");
+        let mut rest = args.iter().map(String::as_str).peekable();
+        let mut parsed = Self { positionals: Vec::new(), flags: Vec::new() };
+        for name in positionals {
+            let arg = rest.next_if(is_value).ok_or(format!("{command} needs a {name} argument"))?;
+            parsed.positionals.push(arg);
+        }
+        while let Some(arg) = rest.next() {
+            let Some(&(_, takes)) = flags.iter().find(|(flag, _)| *flag == arg) else {
+                let what = if is_value(&arg) { "unexpected argument" } else { "unknown flag" };
+                return Err(format!("{what} {arg:?} for psc {command}"));
+            };
+            if parsed.has(arg) {
+                return Err(format!("{arg} is given twice"));
+            }
+            let value = match takes {
+                Takes::Nothing => None,
+                Takes::Value => Some(rest.next_if(is_value).ok_or(format!("{arg} needs a value"))?),
+                Takes::MaybeValue => rest.next_if(is_value),
+            };
+            parsed.flags.push((arg, value));
+        }
+        Ok(parsed)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|&(given, _)| given == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags.iter().find(|&&(given, _)| given == flag).and_then(|&(_, value)| value)
+    }
+
+    /// The number given with `flag`, refused by name when it does not
+    /// parse as a `T`.
+    fn number<T: FromStr<Err = ParseIntError>>(&self, flag: &str) -> Result<Option<T>, String> {
+        let parse = |s: &str| s.parse().map_err(|e| format!("bad {flag} value {s:?}: {e}"));
+        self.value(flag).map(parse).transpose()
+    }
 }
 
-/// `--key HEX32`, the victim's (or the recording's true) AES key.
-fn key_opt(args: &[String], default: [u8; 16]) -> Result<[u8; 16], String> {
-    parse_opt(args, "--key")
-        .map(|hex| parse_key_hex(&hex).map_err(|e| format!("bad --key value {hex:?}: {e}")))
-        .transpose()
-        .map(|k| k.unwrap_or(default))
-}
+/// The `--addr HOST:PORT` flag of the daemon's client commands.
+const ADDR: (&str, Takes) = ("--addr", Takes::Value);
 
 /// `psc repro [--only <target>]`: run every reproduction target (or the
 /// one named) in report order, echo each section to stdout and write the
 /// consolidated `REPORT.md` to the working directory.
 fn cmd_repro(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
-    let names = || TARGETS.map(|(name, ..)| name).join(", ");
-    let only = match args {
-        [] => None,
-        [flag, name] if flag == "--only" => match TARGETS.iter().find(|(n, ..)| n == name) {
+    let args = Args::parse("repro", args, &[], &[("--only", Takes::Value)])?;
+    let only = match args.value("--only") {
+        None => None,
+        Some(name) => match TARGETS.iter().find(|(n, ..)| *n == name) {
             Some(target) => Some(target.0),
-            None => return Err(format!("unknown target {name:?}; valid targets: {}", names())),
+            None => {
+                let names = TARGETS.map(|(name, ..)| name).join(", ");
+                return Err(format!("unknown target {name:?}; valid targets: {names}"));
+            }
         },
-        _ => return Err(format!("usage: psc repro [--only <target>]\ntargets: {}", names())),
     };
     let started = Instant::now();
     let mut report = String::new();
@@ -228,44 +282,16 @@ fn cmd_repro(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_device(args: &[String]) -> Result<Device, String> {
-    match parse_opt(args, "--device").as_deref() {
-        None | Some("m2") => Ok(Device::MacbookAirM2),
-        Some("m1") => Ok(Device::MacMiniM1),
-        Some(other) => Err(format!("unknown device {other:?} (expected m1 or m2)")),
-    }
-}
-
-/// Resolve the campaign's [`TuneConfig`]: defaults, then a saved
-/// `--tune FILE` config, then individual `--obs-chunk`-style overrides.
-fn parse_tune(args: &[String]) -> Result<TuneConfig, String> {
-    let mut tuned = match parse_opt(args, "--tune") {
-        Some(path) => TuneConfig::load(&path).map_err(|e| format!("{path}: {e}"))?,
-        None => TuneConfig::default(),
-    };
-    for (flag, field) in [
-        ("--cpa-unroll", &mut tuned.cpa_unroll as &mut usize),
-        ("--obs-chunk", &mut tuned.obs_chunk),
-        ("--replay-chunk", &mut tuned.replay_chunk),
-        ("--bus-capacity", &mut tuned.bus_capacity),
-    ] {
-        if let Some(v) = parse_opt(args, flag) {
-            *field = v.parse().map_err(|e| format!("bad {flag} value {v:?}: {e}"))?;
-        }
-    }
-    tuned.validate()?;
-    Ok(tuned)
-}
-
 /// `psc tune [--out FILE]`: calibrate the SIMD/chunk-size constants on
 /// this machine and print (optionally save) the winning config.
 fn cmd_tune(args: &[String]) -> Result<(), String> {
+    let args = Args::parse("tune", args, &[], &[("--out", Takes::Value)])?;
     let reps = std::env::var("PSC_TUNE_REPS").unwrap_or_else(|_| "3".into());
     eprintln!("[psc] calibrating (backend {}, {reps} rep(s) per candidate) ...", tune::backend());
     let tuned = tune::calibrate();
     println!("{}", tuned.to_json());
-    if let Some(path) = parse_opt(args, "--out") {
-        tuned.save(&path).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(path) = args.value("--out") {
+        tuned.save(path).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("[psc] wrote tuned config to {path} (use: psc campaign --tune {path})");
     }
     Ok(())
@@ -294,94 +320,90 @@ fn emit_observability(
     Ok(())
 }
 
+/// `psc campaign`'s spec flags and the `campaign.cfg` field each one
+/// sets through [`CampaignSpec::set`]: a switch sets its fixed value,
+/// any other flag the value it is given.
+const SPEC_FLAGS: [(&str, &str, Option<&str>); 12] = [
+    ("--cpa", "mode", Some("cpa")),
+    ("--adaptive", "mode", Some("adaptive")),
+    ("--device", "device", None),
+    ("--kernel", "kernel", Some("true")),
+    ("--fleet", "fleet", Some("true")),
+    ("--traces", "traces", None),
+    ("--shards", "shards", None),
+    ("--key", "key", None),
+    ("--mitigation", "mitigation", None),
+    ("--record", "record", None),
+    ("--monitor", "monitor", None),
+    ("--checkpoint-every", "every", None),
+];
+
+/// The runtime-only flags of `psc campaign` and `psc resume`: they
+/// shape how a run is observed and interrupted, not what it computes.
+const RUN_FLAGS: [(&str, Takes); 4] = [
+    ("--metrics", Takes::Value),
+    ("--trace", Takes::Value),
+    ("--progress", Takes::MaybeValue),
+    ("--halt-after", Takes::Value),
+];
+
 /// Build the serializable campaign spec from `psc campaign` flags — the
 /// same [`CampaignSpec`] the checkpoint cfg, `psc resume` and the serve
-/// protocol use, so every front end agrees on what a campaign is.
-fn spec_from_args(cfg: &ExperimentConfig, args: &[String]) -> Result<CampaignSpec, String> {
-    let device = parse_device(args)?;
-    let mode = if parse_flag(args, "--cpa") {
-        AnalysisMode::Cpa
-    } else if parse_flag(args, "--adaptive") {
-        AnalysisMode::Adaptive
-    } else {
-        AnalysisMode::Tvla
-    };
-    let mut spec = CampaignSpec::new(mode, device, cfg);
-    spec.kernel = parse_flag(args, "--kernel");
-    spec.fleet = parse_flag(args, "--fleet");
-    spec.traces = traces_opt(args, CampaignSpec::default_traces(mode, device, cfg))?;
-    if let Some(s) = parse_opt(args, "--shards") {
-        spec.shards = parse_shards(&s).map_err(|e| format!("bad --shards value {s:?}: {e}"))?;
+/// protocol use, each field set by the one parser they share.
+fn spec_from_args(cfg: &ExperimentConfig, args: &Args) -> Result<CampaignSpec, String> {
+    if args.has("--cpa") && args.has("--adaptive") {
+        return Err("--cpa and --adaptive both set mode".into());
     }
-    spec.tune = parse_tune(args)?;
-    spec.mitigation = parse_opt(args, "--mitigation")
-        .map(|s| {
-            MitigationSetting::parse(&s).map_err(|e| format!("bad --mitigation value {s:?}: {e}"))
-        })
-        .transpose()?;
-    spec.record = parse_opt(args, "--record");
-    spec.key = key_opt(args, spec.key)?;
-    spec.monitor = parse_opt(args, "--monitor")
-        .map(|s| parse_monitor_interval(&s).map_err(|e| format!("bad --monitor value {s:?}: {e}")))
-        .transpose()?;
-    if let Some(every) = parse_opt(args, "--checkpoint-every") {
-        spec.every = every
-            .parse::<u64>()
-            .map_err(|e| format!("bad --checkpoint-every value {every:?}: {e}"))?;
-        if spec.every == 0 {
-            return Err("--checkpoint-every must be positive".into());
+    let mut spec = CampaignSpec::new(AnalysisMode::Tvla, Device::MacbookAirM2, cfg);
+    for &(flag, value) in &args.flags {
+        if let Some(&(_, field, fixed)) = SPEC_FLAGS.iter().find(|(f, ..)| *f == flag) {
+            let value = fixed.or(value).unwrap_or_default();
+            spec.set(field, value).map_err(|e| format!("{flag}: {e}"))?;
         }
+    }
+    if !args.has("--traces") {
+        spec.traces = CampaignSpec::default_traces(spec.mode, spec.device, cfg);
+    }
+    if let Some(path) = args.value("--tune") {
+        spec.tune = TuneConfig::load(path).map_err(|e| format!("{path}: {e}"))?;
     }
     Ok(spec)
 }
 
-/// The runtime-only options of `psc campaign` and `psc resume`: they
-/// shape how a run is observed and interrupted, not what it computes.
-struct RunOpts {
-    metrics_out: Option<String>,
-    trace_out: Option<String>,
-    progress_s: Option<f64>,
-    halt_after: Option<u64>,
-}
-
-impl RunOpts {
-    /// Parse and check the options before the run prints anything.
-    fn parse(args: &[String]) -> Result<Self, String> {
-        // `--progress` alone defaults to one line per second; a value
-        // that follows it overrides the interval.
-        let progress_s = parse_flag(args, "--progress")
-            .then(|| match parse_opt(args, "--progress").filter(|s| !s.starts_with("--")) {
-                None => Ok(1.0),
-                Some(s) => parse_monitor_interval(&s)
-                    .map_err(|e| format!("bad --progress value {s:?}: {e}")),
-            })
-            .transpose()?;
-        let halt_after = parse_opt(args, "--halt-after")
-            .map(|s| match s.parse::<u64>() {
-                Ok(0) => Err("--halt-after must be positive".to_owned()),
-                Ok(n) => Ok(n),
-                Err(e) => Err(format!("bad --halt-after value {s:?}: {e}")),
-            })
-            .transpose()?;
-        Ok(Self {
-            metrics_out: parse_opt(args, "--metrics"),
-            trace_out: parse_opt(args, "--trace"),
-            progress_s,
-            halt_after,
-        })
-    }
-}
-
-/// Run a campaign spec with its runtime-only options, printing the
-/// banner, the deterministic report body, and — separately, because it
-/// carries wall-clock rates — the metrics summary line.
+/// Run a campaign spec with the runtime-only flags in `args`, printing
+/// the banner, the deterministic report body, and — separately, because
+/// it carries wall-clock rates — the metrics summary line. A fresh
+/// checkpointed run records its spec next to its frames, so `psc resume
+/// DIR` can rebuild the exact campaign; a `resume` run continues from
+/// those frames.
 fn run_campaign(
     spec: &CampaignSpec,
-    opts: RunOpts,
+    args: &Args,
     ckpt_dir: Option<&str>,
-    resume_dir: Option<&str>,
+    resume: bool,
 ) -> Result<(), String> {
-    let RunOpts { metrics_out, trace_out, progress_s, halt_after } = opts;
+    // Every option is checked before the run writes or prints anything;
+    // `--progress` alone defaults to one line per second.
+    let progress_s = match args.value("--progress") {
+        Some(s) => Some(
+            parse_monitor_interval(s).map_err(|e| format!("bad --progress value {s:?}: {e}"))?,
+        ),
+        None => args.has("--progress").then_some(1.0),
+    };
+    let halt_after = match args.number("--halt-after")? {
+        Some(0) => return Err("--halt-after must be positive".into()),
+        Some(_) if ckpt_dir.is_none() => {
+            return Err("--halt-after counts checkpoints, so it needs --checkpoint DIR".into())
+        }
+        n => n,
+    };
+    let (metrics_out, trace_out) = (args.value("--metrics"), args.value("--trace"));
+    if let (Some(dir), false) = (ckpt_dir, resume) {
+        std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
+        let path = std::path::Path::new(dir).join("campaign.cfg");
+        std::fs::write(&path, spec.render()).map_err(|e| format!("{}: {e}", path.display()))?;
+        eprintln!("[psc] checkpointing to {dir} every {} block(s)", spec.every);
+    }
     let tracer = trace_out.is_some().then(|| Arc::new(SpanTracer::new()));
 
     print!("{}", report::campaign_banner(spec));
@@ -397,83 +419,71 @@ fn run_campaign(
     }
     if let Some(dir) = ckpt_dir {
         campaign = campaign.checkpoint_to(dir, spec.every);
+        if resume {
+            campaign = campaign.resume_from(dir);
+        }
     }
     if let Some(n) = halt_after {
         campaign = campaign.halt_after(n);
     }
-    if let Some(dir) = resume_dir {
-        campaign = campaign.resume_from(dir);
-    }
     let outcome = report::run_session(campaign.session(), spec);
     print!("{}", outcome.body);
     print!("{}", report::render_metrics_summary(outcome.metrics.as_ref()));
-    emit_observability(
-        outcome.metrics.as_ref(),
-        metrics_out.as_deref(),
-        tracer.as_deref(),
-        trace_out.as_deref(),
-    )
+    emit_observability(outcome.metrics.as_ref(), metrics_out, tracer.as_deref(), trace_out)
 }
 
 fn cmd_campaign(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
-    let spec = spec_from_args(cfg, args)?;
-    let opts = RunOpts::parse(args)?;
-    let ckpt_dir = parse_opt(args, "--checkpoint");
-    let resume_dir = parse_opt(args, "--resume-from");
-    if opts.halt_after.is_some() && ckpt_dir.is_none() {
-        return Err("--halt-after counts checkpoints, so it needs --checkpoint DIR".into());
-    }
-    if let Some(dir) = &ckpt_dir {
-        // A fresh checkpointed run records its spec next to the frames so
-        // `psc resume DIR` can reconstruct the exact campaign; a resumed
-        // run keeps the file it was launched from.
-        if resume_dir.is_none() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
-            let path = std::path::Path::new(dir).join("campaign.cfg");
-            std::fs::write(&path, spec.render()).map_err(|e| format!("{}: {e}", path.display()))?;
-        }
-        eprintln!("[psc] checkpointing to {dir} every {} block(s)", spec.every);
-    }
-    run_campaign(&spec, opts, ckpt_dir.as_deref(), resume_dir.as_deref())
+    let mut flags: Vec<_> = SPEC_FLAGS
+        .iter()
+        .map(|&(flag, _, fixed)| {
+            (flag, if fixed.is_some() { Takes::Nothing } else { Takes::Value })
+        })
+        .collect();
+    flags.extend(RUN_FLAGS);
+    flags.extend([("--tune", Takes::Value), ("--checkpoint", Takes::Value)]);
+    let args = Args::parse("campaign", args, &[], &flags)?;
+    let spec = spec_from_args(cfg, &args)?;
+    run_campaign(&spec, &args, args.value("--checkpoint"), false)
 }
 
 /// `psc resume DIR`: rebuild the campaign described by `DIR/campaign.cfg`
 /// (one parser — [`CampaignSpec::parse`] — shared with the serve
-/// protocol) and run it with `--resume-from DIR`, so the interrupted run
-/// completes bit-identically. Any extra flags pass through (e.g.
+/// protocol) and resume it from the frames in `DIR`, so the interrupted
+/// run completes bit-identically. The runtime-only flags apply (e.g.
 /// `--halt-after` to re-interrupt, `--metrics` to add observability).
 fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let dir = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .ok_or("resume needs a DIR argument")?;
-    let path = std::path::Path::new(&dir).join("campaign.cfg");
+    let args = Args::parse("resume", args, &["DIR"], &RUN_FLAGS)?;
+    let dir = args.positionals[0];
+    let path = std::path::Path::new(dir).join("campaign.cfg");
     let text = std::fs::read_to_string(&path).map_err(|e| {
         format!("{}: {e} (was this campaign run with --checkpoint?)", path.display())
     })?;
     let spec = CampaignSpec::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let opts = RunOpts::parse(&args[1..])?;
     eprintln!("[psc] resuming {} campaign from {dir}", spec.mode.token());
-    run_campaign(&spec, opts, Some(&dir), Some(&dir))
+    run_campaign(&spec, &args, Some(dir), true)
 }
 
 /// `psc replay DIR`: stream a recording back through the TVLA or (with
 /// `--cpa`) the CPA analysis, optionally high-passed by `--detrend W`.
 fn cmd_replay(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
-    let dir = args.first().filter(|a| !a.starts_with("--")).ok_or("replay needs a DIR argument")?;
-    let detrend = parse_flag(args, "--detrend")
-        .then(|| {
-            let s = parse_opt(args, "--detrend").unwrap_or_default();
-            s.parse::<usize>()
-                .ok()
-                // A window-1 moving average is the trace itself, so
-                // detrending by it zeroes every trace.
-                .filter(|&w| w >= 2)
-                .ok_or(format!("bad --detrend value {s:?}: expected a window of at least 2"))
-        })
-        .transpose()?;
-    let secret = key_opt(args, cfg.secret_key)?;
+    let flags = [("--cpa", Takes::Nothing), ("--key", Takes::Value), ("--detrend", Takes::Value)];
+    let args = Args::parse("replay", args, &["DIR"], &flags)?;
+    let dir = args.positionals[0];
+    let detrend = match args.number::<usize>("--detrend")? {
+        // A window-1 moving average is the trace itself, so detrending
+        // by it zeroes every trace.
+        Some(w) if w < 2 => {
+            return Err(format!("bad --detrend value \"{w}\": expected a window of at least 2"))
+        }
+        w => w,
+    };
+    // Only the mode and the true key shape a replayed report.
+    let cpa = args.has("--cpa");
+    let mode = if cpa { AnalysisMode::Cpa } else { AnalysisMode::Tvla };
+    let mut spec = CampaignSpec::new(mode, Device::MacbookAirM2, cfg);
+    if let Some(hex) = args.value("--key") {
+        spec.set("key", hex).map_err(|e| format!("--key: {e}"))?;
+    }
     let mut replay = ShardReplay::from_dir(dir).map_err(|e| e.to_string())?;
     let shard_count = replay.shards().len();
     // Discover the recorded SMC channels from the authoritative header
@@ -492,7 +502,6 @@ fn cmd_replay(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
-    let cpa = parse_flag(args, "--cpa");
     if cpa && keys.is_empty() {
         return Err(format!(
             "{dir} holds no SMC-key recording to correlate; CPA needs one \
@@ -510,39 +519,32 @@ fn cmd_replay(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
         replay = replay.detrend(w);
         println!("applied moving-average detrend, window {w}, per shard");
     }
-    // Only the mode and the true key shape a replayed report.
-    let mode = if cpa { AnalysisMode::Cpa } else { AnalysisMode::Tvla };
-    let spec = CampaignSpec { key: secret, ..CampaignSpec::new(mode, Device::MacbookAirM2, cfg) };
     print!("{}", report::run_session(Campaign::replay(replay).keys(&keys).session(), &spec).body);
     Ok(())
 }
 
-fn serve_addr(args: &[String]) -> String {
-    parse_opt(args, "--addr").unwrap_or_else(|| DEFAULT_ADDR.to_owned())
-}
-
-fn parse_usize(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
-    parse_opt(args, flag)
-        .map(|s| s.parse::<usize>().map_err(|e| format!("bad {flag} value {s:?}: {e}")))
-        .transpose()
-        .map(|v| v.unwrap_or(default))
+fn serve_addr(args: &Args) -> String {
+    args.value("--addr").unwrap_or(DEFAULT_ADDR).to_owned()
 }
 
 /// `psc serve`: run the campaign daemon until a client drains it.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let workers = parse_usize(args, "--workers", 2)?;
+    let flags = ["--workers", "--max-queue", "--tenant-cap", "--spool"].map(|f| (f, Takes::Value));
+    let args = Args::parse("serve", args, &[], &[&flags[..], &[ADDR]].concat())?;
+    let workers = args.number("--workers")?.unwrap_or(ServerConfig::default().workers);
+    let defaults = AdmissionConfig::default();
     let admission = AdmissionConfig {
-        max_queue: parse_usize(args, "--max-queue", AdmissionConfig::default().max_queue)?,
-        tenant_cap: parse_usize(args, "--tenant-cap", AdmissionConfig::default().tenant_cap)?,
-        ..AdmissionConfig::default()
+        max_queue: args.number("--max-queue")?.unwrap_or(defaults.max_queue),
+        tenant_cap: args.number("--tenant-cap")?.unwrap_or(defaults.tenant_cap),
+        ..defaults
     };
-    let spool = match parse_opt(args, "--spool") {
+    let spool = match args.value("--spool") {
         Some(dir) => std::path::PathBuf::from(dir),
         None => std::env::temp_dir().join(format!("psc-serve-{}", std::process::id())),
     };
     std::fs::create_dir_all(&spool).map_err(|e| format!("{}: {e}", spool.display()))?;
     let server = Server::start(ServerConfig {
-        addr: serve_addr(args),
+        addr: serve_addr(&args),
         workers,
         admission,
         spool: Some(spool.clone()),
@@ -565,19 +567,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// stream progress (stderr) and print the final report (stdout) —
 /// byte-identical to running the spec inline with `psc campaign`.
 fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let file = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .cloned()
-        .ok_or("submit needs a campaign.cfg FILE argument")?;
-    let spec = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
+    let flags = [("--wait", Takes::Nothing), ("--tenant", Takes::Value), ADDR];
+    let args = Args::parse("submit", args, &["campaign.cfg FILE"], &flags)?;
+    let file = args.positionals[0];
+    let spec = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     // Parse locally first for a fast, line-numbered error instead of a
     // round trip (the server re-parses with the same shared parser).
     CampaignSpec::parse(&spec).map_err(|e| format!("{file}: {e}"))?;
-    let tenant = parse_opt(args, "--tenant").unwrap_or_else(|| "default".to_owned());
-    let wait = parse_flag(args, "--wait");
-    let mut client = Client::connect(serve_addr(args)).map_err(|e| e.to_string())?;
-    match client.submit(&tenant, &spec, wait).map_err(|e| e.to_string())? {
+    let tenant = args.value("--tenant").unwrap_or("default");
+    let wait = args.has("--wait");
+    let mut client = Client::connect(serve_addr(&args)).map_err(|e| e.to_string())?;
+    match client.submit(tenant, &spec, wait).map_err(|e| e.to_string())? {
         Response::Accepted { job } => {
             if !wait {
                 eprintln!("[psc] job {job} accepted (psc jobs / psc cancel {job})");
@@ -599,7 +599,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
                         std::thread::sleep(retry.delay(attempt, job));
                         attempt += 1;
                         eprintln!("[psc] wait stream dropped; re-subscribing to job {job} ...");
-                        client = match Client::connect(serve_addr(args)) {
+                        client = match Client::connect(serve_addr(&args)) {
                             Ok(client) => client,
                             Err(_) => continue,
                         };
@@ -625,41 +625,40 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn parse_u64_opt(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    parse_opt(args, flag)
-        .map(|s| s.parse::<u64>().map_err(|e| format!("bad {flag} value {s:?}: {e}")))
-        .transpose()
-}
-
-fn read_spec_file(args: &[String]) -> Result<CampaignSpec, String> {
-    let file = parse_opt(args, "--spec").ok_or("--spec FILE is required")?;
-    let text = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
+fn read_spec_file(args: &Args) -> Result<CampaignSpec, String> {
+    let file = args.value("--spec").ok_or("--spec FILE is required")?;
+    let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
     CampaignSpec::parse(&text).map_err(|e| format!("{file}: {e}"))
 }
 
 /// `psc worker`: run one fleet member's shard of a distributed
 /// campaign, streaming partial state to the aggregator.
 fn cmd_worker(args: &[String]) -> Result<(), String> {
-    let addr = parse_opt(args, "--connect").ok_or("--connect HOST:PORT is required")?;
-    let spec = read_spec_file(args)?;
-    let member = parse_u64_opt(args, "--member")?.ok_or("--member I is required")? as usize;
-    let workdir = match parse_opt(args, "--workdir") {
+    let faults = ["--drop-frames", "--frame-delay-us", "--disconnects", "--corrupt-frames"];
+    let flags = ["--connect", "--spec", "--member", "--workdir", "--heartbeat-ms"].iter();
+    let flags: Vec<_> = flags.chain(&faults).map(|&flag| (flag, Takes::Value)).collect();
+    let args = Args::parse("worker", args, &[], &flags)?;
+    let addr = args.value("--connect").ok_or("--connect HOST:PORT is required")?;
+    let spec = read_spec_file(&args)?;
+    let member: usize = args.number("--member")?.ok_or("--member I is required")?;
+    let workdir = match args.value("--workdir") {
         Some(dir) => std::path::PathBuf::from(dir),
         None => std::env::temp_dir().join(format!("psc-worker-{}-{member}", std::process::id())),
     };
     std::fs::create_dir_all(&workdir).map_err(|e| format!("{}: {e}", workdir.display()))?;
     let mut cfg = WorkerConfig::new(member, workdir);
-    if let Some(ms) = parse_u64_opt(args, "--heartbeat-ms")? {
+    if let Some(ms) = args.number("--heartbeat-ms")? {
         cfg.heartbeat_interval = std::time::Duration::from_millis(ms);
     }
-    cfg.faults.frame_drops =
-        u32::try_from(parse_u64_opt(args, "--drop-frames")?.unwrap_or(0)).unwrap_or(u32::MAX);
-    cfg.faults.frame_delay_us = parse_u64_opt(args, "--frame-delay-us")?.unwrap_or(0);
-    cfg.faults.disconnects =
-        u32::try_from(parse_u64_opt(args, "--disconnects")?.unwrap_or(0)).unwrap_or(u32::MAX);
-    cfg.faults.frame_corrupt =
-        u32::try_from(parse_u64_opt(args, "--corrupt-frames")?.unwrap_or(0)).unwrap_or(u32::MAX);
-    let summary = run_worker(&addr, &spec, &cfg).map_err(|e| e.to_string())?;
+    // A fault budget past `u32::MAX` saturates.
+    let budget = |flag| -> Result<u32, String> {
+        Ok(args.number::<u64>(flag)?.map_or(0, |n| u32::try_from(n).unwrap_or(u32::MAX)))
+    };
+    cfg.faults.frame_drops = budget("--drop-frames")?;
+    cfg.faults.frame_delay_us = args.number("--frame-delay-us")?.unwrap_or(0);
+    cfg.faults.disconnects = budget("--disconnects")?;
+    cfg.faults.frame_corrupt = budget("--corrupt-frames")?;
+    let summary = run_worker(addr, &spec, &cfg).map_err(|e| e.to_string())?;
     eprintln!(
         "[psc] member {member} done: {} partial(s) sent, {} rejected, {} reconnect(s) \
          ({:?} recovering), {} epoch(s)",
@@ -675,20 +674,21 @@ fn cmd_worker(args: &[String]) -> Result<(), String> {
 /// `psc aggregate`: collect a fleet's workers and print the merged
 /// report.
 fn cmd_aggregate(args: &[String]) -> Result<(), String> {
-    let addr = parse_opt(args, "--listen").ok_or("--listen HOST:PORT is required")?;
-    let spec = read_spec_file(args)?;
+    let timeouts = ["--heartbeat-timeout-ms", "--join-timeout-ms", "--straggler-timeout-ms"];
+    let flags = ["--listen", "--spec", "--stats"].iter();
+    let flags: Vec<_> = flags.chain(&timeouts).map(|&flag| (flag, Takes::Value)).collect();
+    let args = Args::parse("aggregate", args, &[], &flags)?;
+    let addr = args.value("--listen").ok_or("--listen HOST:PORT is required")?;
+    let spec = read_spec_file(&args)?;
     let mut cfg = AggregatorConfig::default();
-    if let Some(ms) = parse_u64_opt(args, "--heartbeat-timeout-ms")? {
-        cfg.heartbeat_timeout = std::time::Duration::from_millis(ms);
+    let fields = [&mut cfg.heartbeat_timeout, &mut cfg.join_timeout, &mut cfg.straggler_timeout];
+    for (flag, field) in timeouts.into_iter().zip(fields) {
+        if let Some(ms) = args.number(flag)? {
+            *field = std::time::Duration::from_millis(ms);
+        }
     }
-    if let Some(ms) = parse_u64_opt(args, "--join-timeout-ms")? {
-        cfg.join_timeout = std::time::Duration::from_millis(ms);
-    }
-    if let Some(ms) = parse_u64_opt(args, "--straggler-timeout-ms")? {
-        cfg.straggler_timeout = std::time::Duration::from_millis(ms);
-    }
-    let stats_out = parse_opt(args, "--stats");
-    let aggregator = Aggregator::bind(&addr, spec, cfg).map_err(|e| e.to_string())?;
+    let stats_out = args.value("--stats");
+    let aggregator = Aggregator::bind(addr, spec, cfg).map_err(|e| e.to_string())?;
     eprintln!("[psc] aggregating on {} ...", aggregator.local_addr().map_err(|e| e.to_string())?);
     let outcome = aggregator.run().map_err(|e| e.to_string())?;
     print!("{}", outcome.merged.text);
@@ -710,7 +710,7 @@ fn cmd_aggregate(args: &[String]) -> Result<(), String> {
             .field("corrupt_frames", outcome.stats.corrupt_frames)
             .field("reconnects", outcome.stats.reconnects)
             .field("merge_ns", outcome.merged.merge_ns);
-        std::fs::write(&path, json.finish() + "\n").map_err(|e| format!("{path}: {e}"))?;
+        std::fs::write(path, json.finish() + "\n").map_err(|e| format!("{path}: {e}"))?;
         eprintln!("[psc] wrote aggregation stats to {path}");
     }
     Ok(())
@@ -718,7 +718,8 @@ fn cmd_aggregate(args: &[String]) -> Result<(), String> {
 
 /// `psc jobs`: list the daemon's job table and service counters.
 fn cmd_jobs(args: &[String]) -> Result<(), String> {
-    let mut client = Client::connect(serve_addr(args)).map_err(|e| e.to_string())?;
+    let args = Args::parse("jobs", args, &[], &[ADDR])?;
+    let mut client = Client::connect(serve_addr(&args)).map_err(|e| e.to_string())?;
     match client.status().map_err(|e| e.to_string())? {
         Response::JobList { jobs, server } => {
             println!("{:>5}  {:<12} {:<9} STATE", "JOB", "TENANT", "MODE");
@@ -755,13 +756,9 @@ fn cmd_jobs(args: &[String]) -> Result<(), String> {
 
 /// `psc cancel ID`: cancel a queued or running job.
 fn cmd_cancel(args: &[String]) -> Result<(), String> {
-    let id = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .ok_or("cancel needs a job ID argument")?
-        .parse::<u64>()
-        .map_err(|e| format!("bad job ID: {e}"))?;
-    let mut client = Client::connect(serve_addr(args)).map_err(|e| e.to_string())?;
+    let args = Args::parse("cancel", args, &["job ID"], &[ADDR])?;
+    let id = args.positionals[0].parse::<u64>().map_err(|e| format!("bad job ID: {e}"))?;
+    let mut client = Client::connect(serve_addr(&args)).map_err(|e| e.to_string())?;
     match client.cancel(id).map_err(|e| e.to_string())? {
         Response::CancelOutcome { job, outcome } => {
             use apple_power_sca::serve::proto::CancelResult;
@@ -780,7 +777,8 @@ fn cmd_cancel(args: &[String]) -> Result<(), String> {
 
 /// `psc drain`: gracefully stop the daemon.
 fn cmd_drain(args: &[String]) -> Result<(), String> {
-    let mut client = Client::connect(serve_addr(args)).map_err(|e| e.to_string())?;
+    let args = Args::parse("drain", args, &[], &[ADDR])?;
+    let mut client = Client::connect(serve_addr(&args)).map_err(|e| e.to_string())?;
     match client.drain().map_err(|e| e.to_string())? {
         Response::Drained { completed, rejected } => {
             println!("drained: {completed} job(s) completed, {rejected} queued job(s) rejected");

@@ -123,12 +123,24 @@ fn cli_refuses_bad_shard_and_trace_counts() {
     let dir_arg = dir.to_str().expect("utf-8 temp path");
     let ckpt = dir.join("ckpt");
     let ckpt_arg = ckpt.to_str().expect("utf-8 temp path");
+    let resumable = dir.join("resumable");
+    let resumable_arg = resumable.to_str().expect("utf-8 temp path");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_psc"))
+        .args(["campaign", "--traces", "8", "--checkpoint", resumable_arg])
+        .output()
+        .expect("run psc");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let newline_record = format!("{dir_arg}/r1\nr2");
 
     // A typo must not fall back to the default budget, key, target or
     // progress interval (or to no detrending), a huge shard count must not
     // spawn a producer and a worker thread per shard, and an interrupt
-    // that can never fire is an error. Each refusal exits 1 before any
-    // output and names what was wrong. The subcommands that `repro`,
+    // that can never fire is an error. A flag the command does not take
+    // (a typo, or one of the deleted duplicates of `psc resume` and
+    // `--tune`), a flag missing its value and a record path no cfg line
+    // can carry back are refused too, as is a flag that restates one
+    // already given. Each refusal exits 1 before any output and names
+    // what was wrong. The subcommands that `repro`,
     // `campaign --record` and `replay` replaced are unknown commands.
     let gone = [
         "fuzz",
@@ -168,11 +180,22 @@ fn cli_refuses_bad_shard_and_trace_counts() {
         (&["replay", dir_arg, "--detrend", "1"], "--detrend"),
         (&["replay", dir_arg, "--detrend"], "--detrend"),
         (&["replay", "--key", "00112233445566778899aabbccddeeff", dir_arg], "DIR"),
+        (&["campaign", "--traces", "8", "--seed", "5"], "--seed"),
+        (&["campaign", "--traces", "8", "--shard", "3"], "--shard"),
+        (&["campaign", "--traces", "8", "--shards"], "--shards"),
+        (&["campaign", "--traces", "8", "--record", "--cpa"], "--record"),
+        (&["campaign", "--traces", "8", "--record", &newline_record], "--record"),
+        (&["campaign", "--traces", "8", "--resume-from", resumable_arg], "--resume-from"),
+        (&["campaign", "--traces", "8", "--obs-chunk", "16"], "--obs-chunk"),
+        (&["campaign", "--traces", "8", "--traces", "9"], "--traces"),
+        (&["campaign", "--traces", "8", "--cpa", "--adaptive"], "--adaptive"),
+        (&["resume", resumable_arg, "--traces", "5"], "--traces"),
     ];
     let unknown = gone.iter().map(|g| (std::slice::from_ref(g), "unknown command"));
     for (args, named) in refusals.into_iter().chain(unknown) {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_psc"))
             .args(args)
+            .current_dir(&dir)
             .output()
             .expect("run psc");
         assert_eq!(out.status.code(), Some(1), "psc {args:?} must exit 1");
