@@ -6,9 +6,11 @@
 //! the whole run as one JSON line to the bench history. Every kernel is
 //! timed the same way: one estimation pass sizes the iteration count to
 //! the per-kernel budget (`PSC_BENCH_BUDGET_MS`, default 300 ms), then
-//! 9 timed samples give its median and interquartile range. Each line starts with the run's environment — bench name,
-//! Unix time, CPU count, SIMD backend, budget and sample count — so lines
-//! from different hosts or backends are never mistaken for one another.
+//! 9 timed samples give its median and interquartile range. Each line
+//! starts with the run's environment — bench name, Unix time, CPU count,
+//! SIMD backend, source revision, budget and sample count — so lines from
+//! different hosts, backends or commits are never mistaken for one
+//! another.
 
 use psc_telemetry::json::{JsonWriter, Layout};
 use std::io::Write as _;
@@ -35,6 +37,26 @@ fn history_path() -> PathBuf {
         || Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/bench-history.jsonl"),
         PathBuf::from,
     )
+}
+
+/// `git rev-parse --short=12 HEAD` of the workspace checkout, or
+/// `"unknown"` outside one.
+fn revision() -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let git = root.join(".git").exists().then(|| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(&root)
+            .args(["rev-parse", "--short=12", "HEAD"])
+            .stderr(std::process::Stdio::null())
+            .output()
+    });
+    match git {
+        Some(Ok(out)) if out.status.success() => {
+            String::from_utf8_lossy(&out.stdout).trim().to_owned()
+        }
+        _ => "unknown".to_owned(),
+    }
 }
 
 /// Median and interquartile range of one kernel's per-iteration times.
@@ -80,6 +102,7 @@ impl Run {
             .field("unix_time_s", epoch_s)
             .field("cpus", cpus)
             .string("simd_backend", pulp::backend_name())
+            .string("revision", &revision())
             .field("budget_ms", budget.as_millis())
             .field("samples", SAMPLES);
         Self { bench, budget, json }
@@ -174,10 +197,14 @@ mod tests {
         for member in [
             ", \"cpus\": ",
             &format!(", \"simd_backend\": \"{}\"", pulp::backend_name()),
+            &format!(", \"revision\": \"{}\"", revision()),
             ", \"budget_ms\": 5, \"samples\": 9, ",
         ] {
             assert!(line.contains(member), "{member:?} in {line}");
         }
+        let rev = revision();
+        let hex = rev.len() == 12 && rev.bytes().all(|b| b.is_ascii_hexdigit());
+        assert!(hex || rev == "unknown", "revision {rev:?}");
         psc_telemetry::json::validate_json(&line).expect("the line parses");
     }
 

@@ -11,41 +11,112 @@
 //! uninterrupted one.
 //!
 //! Frames are integrity-checked (magic, version, CRC-32) by the
-//! [`psc_sca::checkpoint`] container and guarded against cross-campaign
-//! mixups by an FNV-1a fingerprint over the campaign's identity: analysis
-//! kind, source family, keys, budget, shard count, mitigation and
-//! monitor interval.
+//! [`psc_sca::checkpoint`] container, and each frame's META section
+//! carries the campaign's [`Identity`] record: the analysis and its
+//! early-stop watch, what the source reports about itself (device,
+//! victim, key and seed of a live rig; members, key and seed of a fleet;
+//! file names, lengths and detrend window of a replay), the keys, trace
+//! budget, resolved shard count, mitigation, monitor interval, block
+//! size and record directory. A resume whose record differs is refused
+//! with [`CheckpointError::ForeignCampaign`] naming the first field that
+//! differs, so traces of two campaigns never merge into one statistic.
+//! The record's [`Identity::hash`] is what a distributed fleet worker
+//! presents to its aggregator.
 //!
 //! [`Campaign::checkpoint_to`]: crate::session::Campaign::checkpoint_to
 //! [`Campaign::resume_from`]: crate::session::Campaign::resume_from
 
-use crate::session::SessionSpec;
 use psc_sca::checkpoint::{
-    decode_frame, encode_frame, CheckpointError, PayloadReader, PayloadWriter, Section,
+    decode_frame, encode_frame, get_blob_str, put_blob, CheckpointError, PayloadReader,
+    PayloadWriter, Section,
 };
 use psc_telemetry::processors::RecorderState;
+use std::fmt::{Debug, Write as _};
 use std::path::{Path, PathBuf};
 
-/// Campaign identity and consumed-prefix counters.
-pub(crate) const TAG_META: u16 = 1;
+/// Campaign identity record and consumed-prefix counters. Tag 1 held the
+/// earlier fingerprint layout; a frame that carries only it has no
+/// identity record and is refused.
+pub(crate) const TAG_META: u16 = 6;
 /// Attacker-RNG stream position (ChaCha words) after the prefix.
 pub(crate) const TAG_RNG: u16 = 2;
-/// The analysis accumulator payload (TVLA or CPA — META's kind says).
+/// The analysis accumulator payload (TVLA or CPA — META's `mode` says).
 pub(crate) const TAG_ANALYSIS: u16 = 3;
 /// Cadence monitor state, its poll clock first.
 pub(crate) const TAG_MONITOR: u16 = 4;
 /// Per-channel recorder progress.
 pub(crate) const TAG_RECORDER: u16 = 5;
 
-/// META `kind` for [`Session::tvla`](crate::session::Session::tvla).
-pub(crate) const KIND_TVLA: u8 = 0;
-/// META `kind` for [`Session::cpa`](crate::session::Session::cpa).
-pub(crate) const KIND_CPA: u8 = 1;
-/// META `kind` for
-/// [`Session::adaptive_tvla`](crate::session::Session::adaptive_tvla).
-pub(crate) const KIND_ADAPTIVE: u8 = 2;
-/// META `kind` for [`Session::analyze`](crate::session::Session::analyze).
-pub(crate) const KIND_ANALYSIS: u8 = 3;
+/// A campaign's identity: ordered `field=value` lines naming every input
+/// that can change a result bit or a resume offset. Throughput-only
+/// settings (CPA unroll, replay read window, bus depth, checkpoint
+/// cadence) stay out, so a resume may change them.
+///
+/// [`Session::identity`](crate::session::Session::identity) builds it:
+/// the session's analysis fields around what its
+/// [`TraceSource::identity`](crate::source::TraceSource::identity)
+/// reports.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Identity {
+    text: String,
+}
+
+impl Identity {
+    /// Append the line `field=value`, the value in its `Debug` form
+    /// (which escapes any newline in a string or path).
+    pub fn push(&mut self, field: &str, value: impl Debug) {
+        let _ = writeln!(self.text, "{field}={value:?}");
+    }
+
+    /// The record as text, one `field=value` line per field.
+    #[must_use]
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Read a record back from its [`Identity::text`].
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Corrupt`] when a line has no field name or the
+    /// last line is not ended.
+    pub fn parse(text: &str) -> Result<Self, CheckpointError> {
+        let named = |line: &str| line.split_once('=').is_some_and(|(field, _)| !field.is_empty());
+        if text.lines().all(named) && (text.is_empty() || text.ends_with('\n')) {
+            Ok(Self { text: text.to_owned() })
+        } else {
+            Err(CheckpointError::Corrupt("identity record line has no field name"))
+        }
+    }
+
+    /// FNV-1a over the record text: the campaign identity in 8 bytes.
+    #[must_use]
+    pub fn hash(&self) -> u64 {
+        self.text.bytes().fold(0xCBF2_9CE4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// Accept `stored` only when it is this record.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::ForeignCampaign`] naming the first field whose
+    /// line differs, or that only one of the two records has.
+    pub fn check(&self, stored: &Identity) -> Result<(), CheckpointError> {
+        let foreign = |line: &str| {
+            let field = line.split_once('=').map_or(line, |(field, _)| field);
+            Err(CheckpointError::ForeignCampaign(field.to_owned()))
+        };
+        let mut theirs = stored.text.lines();
+        for line in self.text.lines() {
+            if theirs.next() != Some(line) {
+                return foreign(line);
+            }
+        }
+        theirs.next().map_or(Ok(()), foreign)
+    }
+}
 
 /// Where and how often a campaign checkpoints.
 #[derive(Debug, Clone)]
@@ -61,35 +132,10 @@ pub(crate) fn shard_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:03}.ckpt"))
 }
 
-/// FNV-1a over the campaign's canonical identity line. Stable across
-/// runs of the same campaign; any drift in analysis kind, source family,
-/// keys, budget, shard count, mitigation, monitor interval or block size
-/// changes it. The tuned `obs_chunk` is part of the identity because
-/// checkpoint offsets are whole-block counts — a frame taken under one
-/// chunk size must never resume under another.
-pub(crate) fn fingerprint(spec: &SessionSpec, kind: u8, source_tag: &str, shards: usize) -> u64 {
-    let canonical = format!(
-        "{kind}|{source_tag}|{keys:?}|{traces}|{shards}|{mitigation:?}|{interval:016x}|{chunk}",
-        keys = spec.keys,
-        traces = spec.traces,
-        mitigation = spec.mitigation,
-        interval = spec.monitor_interval_s.to_bits(),
-        chunk = spec.tune.obs_chunk,
-    );
-    let mut hash: u64 = 0xCBF2_9CE4_8422_2325;
-    for byte in canonical.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// One shard's full snapshot, ready to frame and write.
-pub(crate) struct ShardSnapshot {
-    pub kind: u8,
-    pub fingerprint: u64,
+pub(crate) struct ShardSnapshot<'a> {
+    pub identity: &'a Identity,
     pub shard: usize,
-    pub shard_count: usize,
     /// Observations consumed since campaign start (prefix included).
     pub consumed_obs: u64,
     /// Blocks accepted off the bus since campaign start (prefix included).
@@ -115,12 +161,10 @@ pub(crate) struct ShardResume {
 }
 
 /// Encode a snapshot as one codec-v3 frame.
-pub(crate) fn encode_snapshot(s: &ShardSnapshot) -> Vec<u8> {
+pub(crate) fn encode_snapshot(s: &ShardSnapshot<'_>) -> Vec<u8> {
     let mut meta = PayloadWriter::new();
-    meta.put_u8(s.kind);
-    meta.put_u64(s.fingerprint);
+    put_blob(&mut meta, s.identity.text().as_bytes());
     meta.put_u32(s.shard as u32);
-    meta.put_u32(s.shard_count as u32);
     meta.put_u64(s.consumed_obs);
     meta.put_u64(s.blocks);
     let mut sections = vec![meta.into_section(TAG_META)];
@@ -149,15 +193,15 @@ pub(crate) fn write_shard(dir: &Path, shard: usize, frame: &[u8]) -> std::io::Re
 }
 
 /// Load one shard's checkpoint. `Ok(None)` when no frame exists (a fresh
-/// shard); decode failures, kind/fingerprint/shard mismatches and
-/// truncation all come back as [`CheckpointError`] — a resumed campaign
-/// refuses to guess at corrupt or foreign state.
+/// shard); decode failures, truncation, a frame naming another shard and
+/// one taken by another campaign ([`Identity::check`]; a frame without
+/// this META section has an empty record) all come back as
+/// [`CheckpointError`] — a resumed campaign refuses to guess at corrupt
+/// or foreign state.
 pub(crate) fn load_shard(
     dir: &Path,
     shard: usize,
-    kind: u8,
-    fingerprint: u64,
-    shard_count: usize,
+    identity: &Identity,
 ) -> Result<Option<ShardResume>, CheckpointError> {
     let path = shard_path(dir, shard);
     let bytes = match std::fs::read(&path) {
@@ -172,23 +216,9 @@ pub(crate) fn load_shard(
         match section.tag {
             TAG_META => {
                 let mut r = PayloadReader::new(&section.payload);
-                if r.get_u8()? != kind {
-                    return Err(CheckpointError::Corrupt(
-                        "checkpoint was taken by a different analysis",
-                    ));
-                }
-                if r.get_u64()? != fingerprint {
-                    return Err(CheckpointError::Corrupt(
-                        "checkpoint belongs to a different campaign",
-                    ));
-                }
+                identity.check(&Identity::parse(&get_blob_str(&mut r)?)?)?;
                 if r.get_u32()? as usize != shard {
                     return Err(CheckpointError::Corrupt("checkpoint names a different shard"));
-                }
-                if r.get_u32()? as usize != shard_count {
-                    return Err(CheckpointError::Corrupt(
-                        "checkpoint was taken with a different shard count",
-                    ));
                 }
                 resume.consumed_obs = r.get_u64()?;
                 resume.blocks = r.get_u64()?;
@@ -208,7 +238,7 @@ pub(crate) fn load_shard(
         }
     }
     if !saw_meta {
-        return Err(CheckpointError::Corrupt("checkpoint frame has no META section"));
+        identity.check(&Identity::default())?;
     }
     Ok(Some(resume))
 }
@@ -248,13 +278,26 @@ pub(crate) fn decode_recorders(bytes: &[u8]) -> Result<Vec<RecorderState>, Check
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Campaign;
+    use crate::source::{Fleet, FleetMember, FleetShard, ReplayShard, ShardReplay, TraceSource};
+    use crate::spec::AnalysisMode;
+    use crate::tune::TuneConfig;
+    use crate::{Device, VictimKind};
+    use psc_smc::key::key;
+    use psc_smc::MitigationConfig;
 
-    fn snapshot() -> ShardSnapshot {
+    /// A hand-built record: the analysis kind and the shard count.
+    fn identity(mode: &str, shards: usize) -> Identity {
+        let mut id = Identity::default();
+        id.push("mode", mode);
+        id.push("shards", shards);
+        id
+    }
+
+    fn snapshot(identity: &Identity) -> ShardSnapshot<'_> {
         ShardSnapshot {
-            kind: KIND_TVLA,
-            fingerprint: 0xDEAD_BEEF_CAFE_F00D,
+            identity,
             shard: 2,
-            shard_count: 4,
             consumed_obs: 192,
             blocks: 6,
             rng_offset: Some(1234),
@@ -270,12 +313,17 @@ mod tests {
         }
     }
 
+    fn temp_dir(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("psc-ckpt-{tag}-{}", std::process::id()))
+    }
+
     #[test]
     fn snapshot_round_trips_through_disk() {
-        let dir = std::env::temp_dir().join(format!("psc-ckpt-rt-{}", std::process::id()));
-        let s = snapshot();
+        let dir = temp_dir("rt");
+        let id = identity("tvla", 4);
+        let s = snapshot(&id);
         write_shard(&dir, s.shard, &encode_snapshot(&s)).unwrap();
-        let r = load_shard(&dir, 2, KIND_TVLA, s.fingerprint, 4).unwrap().expect("frame exists");
+        let r = load_shard(&dir, 2, &id).unwrap().expect("frame exists");
         assert_eq!(r.consumed_obs, 192);
         assert_eq!(r.blocks, 6);
         assert_eq!(r.rng_offset, Some(1234));
@@ -290,69 +338,222 @@ mod tests {
 
     #[test]
     fn missing_frame_is_a_fresh_shard() {
-        let dir = std::env::temp_dir().join(format!("psc-ckpt-miss-{}", std::process::id()));
-        assert!(load_shard(&dir, 0, KIND_TVLA, 1, 2).unwrap().is_none());
+        let dir = temp_dir("miss");
+        assert!(load_shard(&dir, 0, &identity("tvla", 2)).unwrap().is_none());
     }
 
     #[test]
     fn foreign_frames_are_rejected() {
-        let dir = std::env::temp_dir().join(format!("psc-ckpt-foreign-{}", std::process::id()));
-        let s = snapshot();
+        let dir = temp_dir("foreign");
+        let id = identity("tvla", 4);
+        let s = snapshot(&id);
         write_shard(&dir, s.shard, &encode_snapshot(&s)).unwrap();
-        // Wrong analysis kind, fingerprint, shard index, shard count.
-        assert!(load_shard(&dir, 2, KIND_CPA, s.fingerprint, 4).is_err());
-        assert!(load_shard(&dir, 2, KIND_TVLA, 1, 4).is_err());
-        assert!(load_shard(&dir, 2, KIND_TVLA, s.fingerprint, 8).is_err());
+        // Wrong analysis kind, campaign, shard index, shard count.
+        assert!(load_shard(&dir, 2, &identity("cpa", 4)).is_err());
+        let mut other = id.clone();
+        other.push("seed", 7);
+        assert!(load_shard(&dir, 2, &other).is_err());
+        std::fs::copy(shard_path(&dir, 2), shard_path(&dir, 3)).unwrap();
+        assert!(load_shard(&dir, 3, &id).is_err());
+        assert!(load_shard(&dir, 2, &identity("tvla", 8)).is_err());
         // Torn bytes fail the container CRC, never a panic.
         let path = shard_path(&dir, 2);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(load_shard(&dir, 2, KIND_TVLA, s.fingerprint, 4).is_err());
+        assert!(load_shard(&dir, 2, &id).is_err());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A source reporting only its family tag.
+    struct Tagged(&'static str);
+
+    impl TraceSource for Tagged {
+        fn run_shard(
+            &self,
+            _: &crate::source::ShardPlan<'_>,
+            _: &mut dyn FnMut(&mut psc_telemetry::block::EventBlock),
+            _: &std::sync::atomic::AtomicBool,
+        ) -> usize {
+            0
+        }
+
+        fn fingerprint_tag(&self) -> &'static str {
+            self.0
+        }
+    }
+
+    fn cpa_identity(source: impl TraceSource + 'static) -> Identity {
+        Campaign::from_source(source).shards(4).session().identity(AnalysisMode::Cpa)
     }
 
     #[test]
     fn per_channel_replay_frames_are_refused() {
         // Replay checkpoints used to count per-channel rows ("replay"
         // tag); resuming one over the merged row stream would land at
-        // the wrong offset, so the replay tag moved and the old frame
-        // must fail the fingerprint check with its typed error.
-        use crate::source::{ShardReplay, TraceSource};
-        let dir = std::env::temp_dir().join(format!("psc-ckpt-replay-tag-{}", std::process::id()));
-        let spec = SessionSpec::default();
-        let tag = ShardReplay::default().fingerprint_tag();
-        assert_ne!(tag, "replay");
-        let old = ShardSnapshot {
-            kind: KIND_CPA,
-            fingerprint: fingerprint(&spec, KIND_CPA, "replay", 4),
-            rng_offset: None,
-            ..snapshot()
-        };
+        // the wrong offset, so the replay source reports another tag and
+        // the old frame must fail the identity check with its typed error.
+        let dir = temp_dir("replay-tag");
+        let current = cpa_identity(ShardReplay::default());
+        assert!(!current.text().contains("source=\"replay\"\n"));
+        let old_id = cpa_identity(Tagged("replay"));
+        let old = ShardSnapshot { rng_offset: None, ..snapshot(&old_id) };
         write_shard(&dir, old.shard, &encode_snapshot(&old)).unwrap();
-        let current = fingerprint(&spec, KIND_CPA, tag, 4);
-        match load_shard(&dir, 2, KIND_CPA, current, 4) {
-            Err(CheckpointError::Corrupt(reason)) => {
-                assert_eq!(reason, "checkpoint belongs to a different campaign");
-            }
+        match load_shard(&dir, 2, &current) {
+            Err(CheckpointError::ForeignCampaign(field)) => assert_eq!(field, "source"),
             other => panic!("old replay frame not refused: {other:?}"),
         }
-        let fresh = ShardSnapshot { fingerprint: current, ..old };
+        let fresh = ShardSnapshot { identity: &current, ..old };
         write_shard(&dir, fresh.shard, &encode_snapshot(&fresh)).unwrap();
-        assert!(load_shard(&dir, 2, KIND_CPA, current, 4).unwrap().is_some());
+        assert!(load_shard(&dir, 2, &current).unwrap().is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn frames_without_an_identity_record_are_foreign() {
+        // The earlier META layout (tag 1: kind, fingerprint, shard,
+        // shard count, counters) carries no record.
+        let dir = temp_dir("old-meta");
+        let mut meta = PayloadWriter::new();
+        meta.put_u8(0);
+        meta.put_u64(0xDEAD_BEEF_CAFE_F00D);
+        meta.put_u32(0);
+        meta.put_u32(2);
+        meta.put_u64(64);
+        meta.put_u64(2);
+        write_shard(&dir, 0, &encode_frame(&[meta.into_section(1)])).unwrap();
+        match load_shard(&dir, 0, &identity("tvla", 2)) {
+            Err(CheckpointError::ForeignCampaign(field)) => assert_eq!(field, "mode"),
+            other => panic!("frame without a record not refused: {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn fingerprint_separates_campaigns() {
-        let spec = SessionSpec::default();
-        let base = fingerprint(&spec, KIND_TVLA, "live", 2);
-        assert_eq!(base, fingerprint(&spec, KIND_TVLA, "live", 2), "stable");
-        assert_ne!(base, fingerprint(&spec, KIND_CPA, "live", 2));
-        assert_ne!(base, fingerprint(&spec, KIND_TVLA, "replay", 2));
-        assert_ne!(base, fingerprint(&spec, KIND_TVLA, "live", 4));
-        let other = SessionSpec { traces: 99, ..SessionSpec::default() };
-        assert_ne!(base, fingerprint(&other, KIND_TVLA, "live", 2));
+        let base = cpa_identity(Tagged("live"));
+        assert_eq!(base.hash(), cpa_identity(Tagged("live")).hash(), "stable");
+        let tvla = Campaign::from_source(Tagged("live")).shards(4).session();
+        assert_ne!(base.hash(), tvla.identity(AnalysisMode::Tvla).hash());
+        assert_ne!(base.hash(), cpa_identity(Tagged("replay")).hash());
+        let shards = Campaign::from_source(Tagged("live")).shards(2).session();
+        assert_ne!(base.hash(), shards.identity(AnalysisMode::Cpa).hash());
+        let traces = Campaign::from_source(Tagged("live")).shards(4).traces(99).session();
+        assert_ne!(base.hash(), traces.identity(AnalysisMode::Cpa).hash());
+    }
+
+    #[test]
+    fn identity_text_round_trips_and_refuses_nameless_lines() {
+        let id = cpa_identity(ShardReplay::default().detrend(7));
+        assert_eq!(Identity::parse(id.text()).unwrap(), id);
+        assert_eq!(Identity::parse("").unwrap(), Identity::default());
+        for text in ["mode", "=cpa\n", "mode=\"cpa\"", "mode=\"cpa\"\nshards\n"] {
+            assert!(Identity::parse(text).is_err(), "{text:?} must be refused");
+        }
+        let mut id = Identity::default();
+        id.push("record", std::path::Path::new("a\nb"));
+        assert_eq!(id.text().lines().count(), 1, "a value stays on its line");
+    }
+
+    #[test]
+    fn identity_names_each_field() {
+        const SECRET: [u8; 16] = [0x3C; 16];
+        let live = |device, kind, secret, seed| {
+            Campaign::live(device, kind, secret, seed).keys(&[key("PHPC")]).traces(64).shards(2)
+        };
+        let base = || live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 5);
+        let tvla = |c: Campaign| c.session().identity(AnalysisMode::Tvla);
+        let members = |second| {
+            vec![
+                FleetMember { device: Device::MacbookAirM2, kind: VictimKind::UserSpace },
+                FleetMember { device: second, kind: VictimKind::UserSpace },
+            ]
+        };
+        let fleet = |second, key, seed| Fleet::new(members(second), key, seed);
+        let over_fleet = |f: Fleet| tvla(Campaign::fleet(f).keys(&[key("PHPC")]).traces(64));
+        let shard_of = |f: Fleet, member| {
+            tvla(Campaign::from_source(FleetShard::new(f, member)).keys(&[key("PHPC")]).traces(64))
+        };
+        let dir = temp_dir("identity-table");
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str, len: usize| {
+            let path = dir.join(name);
+            std::fs::write(&path, vec![0u8; len]).unwrap();
+            ReplayShard { files: vec![path] }
+        };
+        let replay = |shard: ReplayShard| ShardReplay::new(vec![shard]);
+        let over_replay = |r: ShardReplay| tvla(Campaign::replay(r).keys(&[key("PHPC")]));
+        let tuned = |tune: TuneConfig| tvla(base().tune(tune));
+
+        let live_base = tvla(base());
+        let fleet_base = over_fleet(fleet(Device::MacMiniM1, SECRET, 5));
+        let shard_base = shard_of(fleet(Device::MacMiniM1, SECRET, 5), 0);
+        let replay_base = over_replay(replay(file("PHPC-s000-0000.psct", 40)));
+        let rows = [
+            ("mode", &live_base, base().session().identity(AnalysisMode::Cpa)),
+            ("mode", &live_base, base().session().identity(AnalysisMode::Adaptive)),
+            ("watch", &live_base, tvla(base().early_stop(key("PHPC")))),
+            ("source", &live_base, fleet_base.clone()),
+            ("device", &live_base, tvla(live(Device::MacMiniM1, VictimKind::UserSpace, SECRET, 5))),
+            (
+                "victim",
+                &live_base,
+                tvla(live(Device::MacbookAirM2, VictimKind::KernelModule, SECRET, 5)),
+            ),
+            (
+                "key",
+                &live_base,
+                tvla(live(Device::MacbookAirM2, VictimKind::UserSpace, [1; 16], 5)),
+            ),
+            (
+                "seed",
+                &live_base,
+                tvla(live(Device::MacbookAirM2, VictimKind::UserSpace, SECRET, 6)),
+            ),
+            ("keys", &live_base, tvla(base().keys(&[key("PHPC"), key("PSTR")]))),
+            ("traces", &live_base, tvla(base().traces(65))),
+            ("shards", &live_base, tvla(base().shards(3))),
+            (
+                "mitigation",
+                &live_base,
+                tvla(base().mitigation(MitigationConfig::restrict_access())),
+            ),
+            ("monitor", &live_base, tvla(base().monitor(3.0))),
+            ("obs_chunk", &live_base, tuned(TuneConfig { obs_chunk: 16, ..TuneConfig::default() })),
+            ("record", &live_base, tvla(base().record_to("rec"))),
+            ("members", &fleet_base, over_fleet(fleet(Device::MacbookAirM2, SECRET, 5))),
+            ("key", &fleet_base, over_fleet(fleet(Device::MacMiniM1, [1; 16], 5))),
+            ("seed", &fleet_base, over_fleet(fleet(Device::MacMiniM1, SECRET, 6))),
+            ("member", &shard_base, shard_of(fleet(Device::MacMiniM1, SECRET, 5), 1)),
+            ("file", &replay_base, over_replay(replay(file("PHPC-s000-0001.psct", 40)))),
+            ("file", &replay_base, over_replay(replay(file("PHPC-s000-0000.psct", 41)))),
+            (
+                "detrend",
+                &replay_base,
+                over_replay(replay(file("PHPC-s000-0000.psct", 40)).detrend(7)),
+            ),
+        ];
+        for (field, base, changed) in &rows {
+            assert_ne!(base.hash(), changed.hash(), "{field}");
+            // A frame of the changed campaign does not resume the base one.
+            let frame = ShardSnapshot { shard: 0, ..snapshot(changed) };
+            write_shard(&dir, 0, &encode_snapshot(&frame)).unwrap();
+            match load_shard(&dir, 0, base) {
+                Err(CheckpointError::ForeignCampaign(named)) => assert_eq!(named, *field),
+                other => panic!("{field} changed alone was not refused: {other:?}"),
+            }
+        }
+        // Throughput-only settings leave the record alone.
+        let same = [
+            tuned(TuneConfig { cpa_unroll: 8, ..TuneConfig::default() }),
+            tuned(TuneConfig { replay_chunk: 16, ..TuneConfig::default() }),
+            tuned(TuneConfig { bus_capacity: 8, ..TuneConfig::default() }),
+            tvla(base().checkpoint_to(&dir, 3)),
+        ];
+        for id in &same {
+            assert_eq!(*id, live_base);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -16,7 +16,8 @@
 //!   fleets ([`Fleet`]);
 //! * [`checkpoint`] — campaign checkpoint frames: atomic per-shard
 //!   snapshots behind [`Campaign::checkpoint_to`] /
-//!   [`Campaign::resume_from`];
+//!   [`Campaign::resume_from`], each carrying the campaign's
+//!   [`checkpoint::Identity`] record;
 //! * [`tune`] — the self-calibrating autotuner: sweeps the CPA unroll
 //!   width and block/chunk sizes with the real kernels and returns the
 //!   winning [`TuneConfig`] for [`Campaign::tune`];
@@ -74,8 +75,12 @@
 //! consumer state (analysis accumulators, cadence monitor + poll clock,
 //! recorder progress, attacker-RNG position, consumed-prefix counters)
 //! into one atomic `shard-{i:03}.ckpt` frame per shard every N consumed
-//! blocks — codec-v3 framed, CRC-checked and fingerprinted against the
-//! campaign identity. [`Campaign::resume_from`] restores the consumers
+//! blocks — codec-v3 framed, CRC-checked, and stamped with the campaign's
+//! identity record (analysis, source identity such as device, victim,
+//! key and seed or the replayed files, keys, budget, shards, mitigation,
+//! monitor interval, `obs_chunk`, record directory). A resume whose
+//! record differs is refused with a typed error naming the first field
+//! that differs. [`Campaign::resume_from`] restores the consumers
 //! and fast-forwards the sources past the consumed prefix
 //! (re-simulating it without emission), so an interrupted TVLA/CPA/
 //! adaptive campaign completes **bit-identically** to an uninterrupted
@@ -97,7 +102,8 @@
 //! campaign's report is bit-identical to a default-constant run; the
 //! one resume-safety caveat is that checkpoint frames are taken at
 //! block boundaries, which is why `obs_chunk` is part of the campaign
-//! fingerprint.
+//! identity record; the other tuned constants are not, so a resume may
+//! change them.
 //!
 //! [`Campaign::checkpoint_to`]: session::Campaign::checkpoint_to
 //! [`Campaign::resume_from`]: session::Campaign::resume_from

@@ -39,7 +39,7 @@
 //! [`StreamingCpa`] for CPA, and any caller-built analysis through
 //! [`Session::analyze`] — the paper runners' GE grids ([`CpaGrid`]) and
 //! second-order TVLA ([`SecondOrderTvla`])). The runner owns
-//! the campaign preamble (fingerprint, resume frames, fault arming,
+//! the campaign preamble (identity, resume frames, fault arming,
 //! observability, progress, span, stop flag), the fan-out and the single
 //! per-block consumer loop, so every analysis gets the same cadence-poll
 //! dispatch, recorders, fault hooks, instruments and checkpoints. Shard
@@ -47,12 +47,10 @@
 //! the distributed fleet aggregator (`psc_serve::fleet`) also uses on
 //! its members' decoded state.
 
-use crate::checkpoint::{
-    self, CheckpointConfig, ShardResume, ShardSnapshot, KIND_ADAPTIVE, KIND_ANALYSIS, KIND_CPA,
-    KIND_TVLA,
-};
+use crate::checkpoint::{self, CheckpointConfig, Identity, ShardResume, ShardSnapshot};
 use crate::rig::Device;
 use crate::source::{Fleet, LiveRig, Schedule, ShardLog, ShardPlan, ShardReplay, TraceSource};
+use crate::spec::AnalysisMode;
 use crate::tune::TuneConfig;
 use crate::victim::VictimKind;
 use psc_sca::checkpoint::{CheckpointError, PayloadReader, PayloadWriter};
@@ -422,7 +420,8 @@ impl Campaign {
     /// or a cached [`TuneConfig`] file). Only throughput changes: every
     /// analysis result is bit-identical under any valid config, but a
     /// checkpointed campaign must resume with the `obs_chunk` it was
-    /// recorded with (the campaign fingerprint enforces this).
+    /// recorded with (the campaign [`Identity`] enforces this; the other
+    /// three constants may change across a resume).
     ///
     /// # Panics
     ///
@@ -1083,7 +1082,7 @@ struct Runs<A> {
 /// blocks)` base counters of the restored prefix.
 ///
 /// Panics on corrupt state: the frame already passed the container CRC
-/// and the campaign fingerprint, so a decode failure here means the file
+/// and the campaign identity check, so a decode failure here means the file
 /// was written by incompatible code — resuming silently would poison the
 /// statistics.
 fn restore_consumer(
@@ -1126,10 +1125,8 @@ fn restore_consumer(
 /// checkpoints).
 struct CheckpointWriter<'a> {
     cfg: &'a CheckpointConfig,
-    kind: u8,
-    fingerprint: u64,
+    identity: &'a Identity,
     shard: usize,
-    shard_count: usize,
     writes: u64,
 }
 
@@ -1155,10 +1152,8 @@ impl CheckpointWriter<'_> {
         let recorder_states: Vec<RecorderState> =
             recorders.iter().map(ShardRecorder::checkpoint_state).collect();
         let snapshot = ShardSnapshot {
-            kind: self.kind,
-            fingerprint: self.fingerprint,
+            identity: self.identity,
             shard: self.shard,
-            shard_count: self.shard_count,
             consumed_obs,
             blocks,
             rng_offset,
@@ -1432,22 +1427,78 @@ impl Session {
             .collect()
     }
 
+    /// The campaign [`Identity`] a run of `mode` checkpoints under and
+    /// resumes against: the mode and early-stop watch, what the source
+    /// reports ([`TraceSource::identity`]), then the keys, trace budget,
+    /// resolved shard count, mitigation, monitor interval, `obs_chunk`
+    /// and record directory.
+    #[must_use]
+    pub fn identity(&self, mode: AnalysisMode) -> Identity {
+        self.identity_of(mode.token())
+    }
+
+    /// [`Session::identity`] of a run kind: a mode token, or `analysis`
+    /// for [`Session::analyze`].
+    fn identity_of(&self, kind: &str) -> Identity {
+        let spec = &self.spec;
+        let mut id = Identity::default();
+        id.push("mode", kind);
+        id.push("watch", spec.early_stop);
+        self.source.identity(&mut id);
+        id.push("keys", &spec.keys);
+        id.push("traces", spec.traces);
+        id.push("shards", self.shards);
+        id.push("mitigation", spec.mitigation);
+        id.push("monitor", spec.monitor_interval_s);
+        id.push("obs_chunk", spec.tune.obs_chunk);
+        id.push("record", &spec.record_dir);
+        id
+    }
+
+    /// Check the frames a resumed run of `mode` would restore, through the
+    /// loader the run uses, without running anything: a front end refuses
+    /// a foreign or corrupt checkpoint before it prints. `Ok` when the
+    /// session does not resume.
+    ///
+    /// # Errors
+    ///
+    /// The first shard's [`CheckpointError`]:
+    /// [`CheckpointError::ForeignCampaign`] names the first identity
+    /// field that differs.
+    pub fn check_resume(&self, mode: AnalysisMode) -> Result<(), CheckpointError> {
+        self.resume_frames(&self.identity(mode)).map(drop)
+    }
+
+    /// Every shard's resume frame (`None` unless the session resumes;
+    /// shards without a frame resume fresh).
+    fn resume_frames(
+        &self,
+        identity: &Identity,
+    ) -> Result<Option<Vec<ShardResume>>, CheckpointError> {
+        let Some(dir) = &self.spec.resume_dir else { return Ok(None) };
+        (0..self.shards)
+            .map(|i| Ok(checkpoint::load_shard(dir, i, identity)?.unwrap_or_default()))
+            .collect::<Result<_, _>>()
+            .map(Some)
+    }
+
     /// The one campaign runner behind every run method. It owns, once,
-    /// the campaign preamble (fingerprint, resume frames, fault arming,
+    /// the campaign preamble (identity, resume frames, fault arming,
     /// observability, progress thread, campaign span, stop flag), the
     /// [`Session::fan_out`] and the per-block consumer loop: fault check →
     /// timed `on_block` to the analysis, the cadence monitor and the
     /// recorders → [`Analysis::should_stop`] → recycle → periodic
     /// checkpoint and `halt_after`.
     ///
-    /// `kind` is the analysis's checkpoint kind (part of the campaign
-    /// fingerprint). `obs_per_unit` sizes the progress ETA. `schedule`
+    /// `kind` names the analysis in the campaign [`Identity`], which is
+    /// built only when the run checkpoints or resumes. `obs_per_unit`
+    /// sizes the progress ETA. `schedule`
     /// turns a shard's count of the trace budget into its source
     /// schedule; `build` turns the shard's slice of the campaign's trace
     /// order (`start..end`, shards in order) into a fresh analysis.
     fn run<A: Analysis>(
         &self,
-        kind: u8,
+        kind: &str,
         span: &'static str,
         obs_per_unit: u64,
         schedule: impl Fn(usize) -> Schedule + Sync,
@@ -1461,22 +1512,13 @@ impl Session {
                 Some(*start - n)
             })
             .collect();
-        let fingerprint =
-            checkpoint::fingerprint(&self.spec, kind, self.source.fingerprint_tag(), self.shards);
         let spec = &self.spec;
-        // Every shard's resume frame (shards without one resume fresh). A
-        // corrupt or foreign frame panics: resuming over it would silently
-        // poison the statistics.
-        let resume: Option<Vec<ShardResume>> = spec.resume_dir.as_ref().map(|dir| {
-            (0..self.shards)
-                .map(|i| {
-                    checkpoint::load_shard(dir, i, kind, fingerprint, self.shards)
-                        .unwrap_or_else(|e| {
-                            panic!("cannot resume shard {i} from {}: {e}", dir.display())
-                        })
-                        .unwrap_or_default()
-                })
-                .collect()
+        let identity = (spec.checkpoint.is_some() || spec.resume_dir.is_some())
+            .then(|| self.identity_of(kind));
+        // A corrupt or foreign frame panics: resuming over it would
+        // silently poison the statistics.
+        let resume = identity.as_ref().and_then(|id| {
+            self.resume_frames(id).unwrap_or_else(|e| panic!("cannot resume the campaign: {e}"))
         });
         let faults = spec.faults.map(FaultPlan::armed);
         // Per-shard metric registries only when observability is on: the
@@ -1516,14 +1558,10 @@ impl Session {
                     &mut monitor,
                     &mut recorders,
                 );
-                let mut writer = spec.checkpoint.as_ref().map(|cfg| CheckpointWriter {
-                    cfg,
-                    kind,
-                    fingerprint,
-                    shard: i,
-                    shard_count: self.shards,
-                    writes: 0,
-                });
+                let mut writer =
+                    spec.checkpoint.as_ref().zip(identity.as_ref()).map(|(cfg, identity)| {
+                        CheckpointWriter { cfg, identity, shard: i, writes: 0 }
+                    });
                 let mut local_blocks = 0u64;
                 let mut local_obs = 0u64;
                 // Blocks end on whole observations (one adaptive round per
@@ -1615,7 +1653,7 @@ impl Session {
     pub fn tvla(self) -> StreamingTvlaReport {
         // One TVLA trace is 2 passes × 3 classes observations.
         let runs = self.run(
-            KIND_TVLA,
+            AnalysisMode::Tvla.token(),
             "campaign/tvla",
             6,
             |n| Schedule::Tvla { traces_per_class: n },
@@ -1641,7 +1679,7 @@ impl Session {
             self.spec.early_stop.expect("adaptive campaigns need Campaign::early_stop(watch)");
         // Rounds-to-stop is bounded by the budget: one round is 6 obs.
         let runs = self.run(
-            KIND_ADAPTIVE,
+            AnalysisMode::Adaptive.token(),
             "campaign/adaptive_tvla",
             6,
             |n| Schedule::AdaptiveRounds { max_rounds: n },
@@ -1673,7 +1711,7 @@ impl Session {
     ) -> StreamingCpaReport {
         let model_factory = &model_factory;
         let runs = self.run(
-            KIND_CPA,
+            AnalysisMode::Cpa.token(),
             "campaign/cpa",
             1,
             |n| Schedule::KnownPlaintext { traces: n },
@@ -1707,7 +1745,7 @@ impl Session {
             Schedule::KnownPlaintext { .. } => 1,
             _ => 6,
         };
-        let runs = self.run(KIND_ANALYSIS, "campaign/analyze", per_unit, schedule, build);
+        let runs = self.run("analysis", "campaign/analyze", per_unit, schedule, build);
         self.fold(runs.shards)
     }
 }

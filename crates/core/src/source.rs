@@ -20,6 +20,7 @@
 //! streaming TVLA, adaptive early-stop TVLA, streaming CPA, and any
 //! analysis run through [`Session::analyze`](crate::session::Session::analyze).
 
+use crate::checkpoint::Identity;
 use crate::rig::{Device, Observation, Rig};
 use crate::victim::VictimKind;
 use psc_sca::codec::{self, LabeledTrace, RecordingReader};
@@ -157,7 +158,7 @@ pub struct ShardPlan<'a> {
     /// Observations per emitted [`EventBlock`] (default [`OBS_CHUNK`];
     /// see [`crate::tune`]). Checkpoints are taken at block boundaries,
     /// so a resumed campaign must use the chunk size it was recorded
-    /// with — the campaign fingerprint pins it.
+    /// with — the campaign [`Identity`] pins it.
     pub obs_chunk: usize,
     /// Recorded traces per codec read and channel in the replay path (default
     /// [`REPLAY_CHUNK`]; see [`crate::tune`]).
@@ -193,11 +194,18 @@ pub trait TraceSource: Send + Sync {
         stop: &AtomicBool,
     ) -> usize;
 
-    /// A short stable tag naming the source family, folded into campaign
-    /// checkpoint fingerprints so a checkpoint taken over one source
-    /// cannot silently resume over another.
+    /// A short stable tag naming the source family: the default
+    /// [`TraceSource::identity`] of a custom source.
     fn fingerprint_tag(&self) -> &'static str {
         "custom"
+    }
+
+    /// Append this source's part of the campaign [`Identity`]: whatever
+    /// about it can change a result bit or a resume offset, so a
+    /// checkpoint taken over one source never resumes over another. The
+    /// default is the [`TraceSource::fingerprint_tag`] alone.
+    fn identity(&self, id: &mut Identity) {
+        id.push("source", self.fingerprint_tag());
     }
 }
 
@@ -492,8 +500,12 @@ impl TraceSource for LiveRig {
         drive_rig(&mut rig, plan, sink, stop)
     }
 
-    fn fingerprint_tag(&self) -> &'static str {
-        "live"
+    fn identity(&self, id: &mut Identity) {
+        id.push("source", "live");
+        id.push("device", self.device);
+        id.push("victim", self.kind);
+        id.push("key", self.secret_key);
+        id.push("seed", self.seed);
     }
 }
 
@@ -554,8 +566,11 @@ impl TraceSource for Fleet {
             .run_shard(plan, sink, stop)
     }
 
-    fn fingerprint_tag(&self) -> &'static str {
-        "fleet"
+    fn identity(&self, id: &mut Identity) {
+        id.push("source", "fleet");
+        id.push("members", &self.members);
+        id.push("key", self.secret_key);
+        id.push("seed", self.seed);
     }
 }
 
@@ -608,8 +623,9 @@ impl TraceSource for FleetShard {
         self.fleet.run_shard(&plan, sink, stop)
     }
 
-    fn fingerprint_tag(&self) -> &'static str {
-        "fleet-shard"
+    fn identity(&self, id: &mut Identity) {
+        self.fleet.identity(id);
+        id.push("member", self.member);
     }
 }
 
@@ -961,7 +977,18 @@ impl TraceSource for ShardReplay {
         usize::try_from(produced).unwrap_or(usize::MAX)
     }
 
-    fn fingerprint_tag(&self) -> &'static str {
-        "replay-rows"
+    /// The recording's file names and lengths by shard, and the detrend
+    /// window. `replay-rows` names replay in merged rows: an older frame
+    /// that counted per-channel rows (`replay`) resumes at the wrong
+    /// offset, so it is refused.
+    fn identity(&self, id: &mut Identity) {
+        id.push("source", "replay-rows");
+        id.push("detrend", self.detrend);
+        for (shard, group) in self.shards.iter().enumerate() {
+            for path in &group.files {
+                let len = std::fs::metadata(path).map(|m| m.len()).ok();
+                id.push("file", (shard, path.file_name(), len));
+            }
+        }
     }
 }

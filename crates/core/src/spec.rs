@@ -31,7 +31,12 @@ use psc_smc::{MitigationConfig, SmcKey};
 use std::fmt::Display;
 use std::num::NonZeroU64;
 use std::ops::RangeInclusive;
+use std::path::Path;
 use std::str::FromStr;
+
+/// The file a checkpointing campaign keeps its spec in, next to its
+/// frames ([`CampaignSpec::save`]).
+pub const SPEC_FILE: &str = "campaign.cfg";
 
 /// Which streaming analysis a campaign runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,8 +187,9 @@ pub struct CampaignSpec {
     /// Checkpoint cadence in consumed blocks (recorded even when the
     /// run doesn't checkpoint, so a later resume keeps the cadence).
     pub every: u64,
-    /// Tuned pipeline constants — part of the campaign identity:
-    /// checkpoint frames are taken at `obs_chunk` block boundaries.
+    /// Tuned pipeline constants. `obs_chunk` is part of the campaign
+    /// identity (checkpoint frames are taken at its block boundaries);
+    /// the other three change throughput only.
     pub tune: TuneConfig,
     /// Countermeasure selection (`None` = the line was absent; the
     /// built campaign installs [`MitigationConfig::none`] either way,
@@ -353,6 +359,33 @@ impl CampaignSpec {
         }
         spec.tune.validate()?;
         Ok(spec)
+    }
+
+    /// Write the spec to `dir`/[`SPEC_FILE`], creating `dir`: a campaign
+    /// checkpointing to `dir` keeps it next to its frames, so `psc resume
+    /// DIR` can rebuild the campaign with [`CampaignSpec::load`].
+    ///
+    /// # Errors
+    ///
+    /// The I/O error, naming the path.
+    pub fn save(&self, dir: &Path) -> Result<(), String> {
+        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+        let path = dir.join(SPEC_FILE);
+        std::fs::write(&path, self.render()).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
+    /// Read the spec [`CampaignSpec::save`] wrote to `dir`.
+    ///
+    /// # Errors
+    ///
+    /// A missing or unreadable file, or a [`CampaignSpec::parse`] error,
+    /// naming the path.
+    pub fn load(dir: &Path) -> Result<Self, String> {
+        let path = dir.join(SPEC_FILE);
+        let text = std::fs::read_to_string(&path).map_err(|e| {
+            format!("{}: {e} (was this campaign run with --checkpoint?)", path.display())
+        })?;
+        Self::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
     /// Set the field a `campaign.cfg` line names — the one place a
@@ -554,8 +587,10 @@ mod tests {
 
     #[test]
     fn render_bytes_are_pinned() {
-        // `fleet::spec_fingerprint` and existing checkpoint directories
-        // depend on these exact bytes, field order included.
+        // Existing `campaign.cfg` files (checkpoint directories, serve
+        // spools, fleet spec files) depend on these exact bytes, field
+        // order included. The fleet handshake hashes the campaign
+        // identity record, not these bytes.
         let spec = CampaignSpec {
             mode: AnalysisMode::Cpa,
             device: Device::MacMiniM1,

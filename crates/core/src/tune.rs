@@ -30,6 +30,12 @@ use std::time::Instant;
 /// Tuned pipeline constants (see the module docs for what each controls).
 /// `Default` is the hand-picked baseline the workspace shipped with — a
 /// campaign run without calibration behaves exactly as before.
+///
+/// Only `obs_chunk` is part of the campaign
+/// [`Identity`](crate::checkpoint::Identity): checkpoint offsets count
+/// whole blocks, so a frame taken under one block size cannot resume
+/// under another. `cpa_unroll`, `replay_chunk` and `bus_capacity` change
+/// throughput only, so a resume (or a fleet worker) may differ in them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuneConfig {
     /// CPA correlation-sweep unroll width (guesses per dispatch group);

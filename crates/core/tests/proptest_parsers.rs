@@ -5,15 +5,18 @@
 //! dropped, duplicated or truncated lines, must come back `Ok` or `Err`
 //! — a panic (or a stack overflow) fails the property — and whatever is
 //! accepted keeps its invariants (positive budgets, monitor floor,
-//! mitigation ceilings) and re-renders to itself.
+//! mitigation ceilings), re-renders to itself, builds a checkpointing
+//! session without a builder panic and has an identity record that
+//! round-trips.
 
 use proptest::prelude::*;
+use psc_core::checkpoint::Identity;
 use psc_core::session::MIN_MONITOR_INTERVAL_S;
 use psc_core::spec::{
     AnalysisMode, CampaignSpec, MitigationSetting, MAX_NOISE_SIGMA_W, MAX_SHARDS,
     MAX_SLOW_MULTIPLIER,
 };
-use psc_core::{Device, TuneConfig};
+use psc_core::{Campaign, Device, TuneConfig};
 
 /// Pieces garbage is built from: the grammar's own words and
 /// separators, numbers at the edges of their types, and multi-byte
@@ -220,6 +223,14 @@ proptest! {
             prop_assert!(spec.monitor.is_none_or(|m| m >= MIN_MONITOR_INTERVAL_S), "{:?}", spec);
             prop_assert!(spec.mitigation.is_none_or(in_bounds), "{:?}", spec);
             prop_assert_eq!(CampaignSpec::parse(&spec.render()), Ok(spec.clone()));
+            // No builder assert is reachable from an accepted spec, and
+            // its campaign identity record round-trips.
+            let session = Campaign::from_spec(&spec)
+                .checkpoint_to(std::env::temp_dir().join("psc-proptest-unused"), spec.every)
+                .halt_after(1)
+                .session();
+            let identity = session.identity(spec.mode);
+            prop_assert_eq!(Identity::parse(identity.text()).ok(), Some(identity));
         }
     }
 

@@ -17,6 +17,7 @@
 mod oracle;
 
 use oracle::{replay_recording, CpaOracle, TvlaOracle};
+use psc_core::checkpoint::Identity;
 use psc_core::report::{cpa_model, render_cpa_body};
 use psc_core::source::{Schedule, ShardPlan};
 use psc_core::{Campaign, Device, ShardHealth, ShardReplay, TraceSource, TuneConfig, VictimKind};
@@ -146,8 +147,8 @@ impl TraceSource for Shared {
         self.0.run_shard(plan, sink, stop)
     }
 
-    fn fingerprint_tag(&self) -> &'static str {
-        self.0.fingerprint_tag()
+    fn identity(&self, id: &mut Identity) {
+        self.0.identity(id);
     }
 }
 

@@ -56,6 +56,9 @@ pub enum CheckpointError {
     },
     /// Structurally invalid contents (bad field values, trailing bytes).
     Corrupt(&'static str),
+    /// The frame was taken by a different campaign: its identity record
+    /// first differs from the resuming campaign's at this field.
+    ForeignCampaign(String),
 }
 
 impl core::fmt::Display for CheckpointError {
@@ -71,6 +74,9 @@ impl core::fmt::Display for CheckpointError {
                 write!(f, "checkpoint CRC mismatch: trailer {expected:#010x}, frame {actual:#010x}")
             }
             CheckpointError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
+            CheckpointError::ForeignCampaign(field) => {
+                write!(f, "checkpoint belongs to a different campaign: its {field} differs")
+            }
         }
     }
 }
@@ -394,6 +400,38 @@ impl<'a> PayloadReader<'a> {
             Err(CheckpointError::Corrupt("trailing bytes in section"))
         }
     }
+}
+
+/// Append a `u32`-length blob — for payloads that can outgrow
+/// [`PayloadWriter::put_str`]'s `u16` length (spec and report text,
+/// encoded analysis state, identity records).
+///
+/// # Panics
+///
+/// Panics if `bytes` exceeds `u32::MAX` bytes.
+pub fn put_blob(w: &mut PayloadWriter, bytes: &[u8]) {
+    w.put_u32(u32::try_from(bytes.len()).expect("blob fits in u32"));
+    w.put_bytes(bytes);
+}
+
+/// Read a blob written by [`put_blob`].
+///
+/// # Errors
+///
+/// [`CheckpointError::Truncated`] when the payload ends inside it.
+pub fn get_blob(r: &mut PayloadReader<'_>) -> Result<Vec<u8>, CheckpointError> {
+    let len = r.get_u32()? as usize;
+    Ok(r.take(len)?.to_vec())
+}
+
+/// Read a [`put_blob`] blob as UTF-8 text.
+///
+/// # Errors
+///
+/// [`CheckpointError::Truncated`] when the payload ends inside it,
+/// [`CheckpointError::Corrupt`] when it is not UTF-8.
+pub fn get_blob_str(r: &mut PayloadReader<'_>) -> Result<String, CheckpointError> {
+    String::from_utf8(get_blob(r)?).map_err(|_| CheckpointError::Corrupt("blob is not UTF-8"))
 }
 
 /// Serialize one Welford accumulator (24 bytes).

@@ -19,11 +19,12 @@
 //! length prefix; worker tags are `32..=35`, aggregator tags
 //! `48..=50`. A worker's life cycle:
 //!
-//! 1. [`WorkerMsg::Hello`] — member identity, member count, epoch, the
-//!    spec fingerprint ([`spec_fingerprint`]) and analysis mode. The
-//!    aggregator answers [`AggregatorMsg::Welcome`] or a typed
-//!    [`AggregatorMsg::Reject`] (wrong spec, bad member index,
-//!    unsupported mode).
+//! 1. [`WorkerMsg::Hello`] — member index, member count, epoch, the
+//!    hash of the campaign identity record (the one a checkpoint frame
+//!    carries, built over `Campaign::from_spec(spec)`) and analysis
+//!    mode. The aggregator answers [`AggregatorMsg::Welcome`] or a
+//!    typed [`AggregatorMsg::Reject`] (another campaign, bad member
+//!    index, unsupported mode).
 //! 2. [`WorkerMsg::Partial`] — the worker's latest per-shard
 //!    checkpoint frame (the existing codec-v3 `shard-000.ckpt`
 //!    snapshot written by `Campaign::checkpoint_to`), stamped with an
@@ -65,10 +66,7 @@
 //!   disconnect, bit corruption — are deterministically injectable on
 //!   the worker send path through [`FaultPlan`]'s transport budgets.
 
-use crate::proto::{
-    get_blob, get_blob_str, mode_from_u8, mode_to_u8, put_blob, read_frame, tags, write_frame,
-    ProtoError,
-};
+use crate::proto::{mode_from_u8, mode_to_u8, read_frame, tags, write_frame, ProtoError};
 use psc_core::report::{self, campaign_banner};
 use psc_core::session::{
     Campaign, RecorderTally, ShardHealth, ShardOutput, ShardRun, MONITOR_DEPTH, MONITOR_INTERVAL_S,
@@ -76,7 +74,8 @@ use psc_core::session::{
 use psc_core::source::{Fleet, FleetShard};
 use psc_core::spec::{AnalysisMode, CampaignSpec};
 use psc_sca::checkpoint::{
-    decode_frame, encode_frame, CheckpointError, PayloadReader, PayloadWriter,
+    decode_frame, encode_frame, get_blob, get_blob_str, put_blob, CheckpointError, PayloadReader,
+    PayloadWriter,
 };
 use psc_telemetry::faults::{FaultPlan, FaultState, RetryPolicy};
 use psc_telemetry::ring::ChannelStats;
@@ -143,18 +142,15 @@ impl From<std::io::Error> for FleetError {
     }
 }
 
-/// FNV-1a over the spec's canonical `campaign.cfg` rendering: both
-/// sides parse the same file format, so matching fingerprints mean
-/// matching campaigns (keys, budgets, seed, tune — everything
-/// [`CampaignSpec::render`] pins).
-#[must_use]
-pub fn spec_fingerprint(spec: &CampaignSpec) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in spec.render().bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// The hash of the campaign [`Identity`] of `spec`'s in-process fleet
+/// run — what a worker presents in its [`WorkerMsg::Hello`] and the
+/// aggregator expects. Two specs that differ only in throughput-only
+/// fields (CPA unroll, replay read window, bus depth, checkpoint cadence)
+/// hash alike, since their members' states merge to the same bits.
+///
+/// [`Identity`]: psc_core::checkpoint::Identity
+fn identity_hash(spec: &CampaignSpec) -> u64 {
+    Campaign::from_spec(spec).session().identity(spec.mode).hash()
 }
 
 /// Validate that `spec` can run as a distributed fleet and return the
@@ -293,7 +289,7 @@ pub enum WorkerMsg {
         members: u32,
         /// Connection epoch (1 on first connect, +1 per reconnect).
         epoch: u64,
-        /// [`spec_fingerprint`] of the worker's spec.
+        /// Hash of the campaign identity record of the worker's spec.
         fingerprint: u64,
         /// Analysis mode the worker is running.
         mode: AnalysisMode,
@@ -744,7 +740,7 @@ impl WorkerLink<'_> {
             member: self.cfg.member as u32,
             members: self.members as u32,
             epoch: self.epoch,
-            fingerprint: spec_fingerprint(self.spec),
+            fingerprint: identity_hash(self.spec),
             mode: self.spec.mode,
         }
     }
@@ -1043,8 +1039,8 @@ impl Shared {
                 }
                 if *fingerprint != self.fingerprint {
                     return AggregatorMsg::Reject {
-                        reason: "spec fingerprint mismatch — workers and aggregator must run \
-                                 the same campaign.cfg"
+                        reason: "campaign identity mismatch — workers and aggregator must \
+                                 run the same campaign"
                             .into(),
                     };
                 }
@@ -1180,7 +1176,7 @@ impl Aggregator {
     pub fn run(self) -> Result<FleetOutcome, FleetError> {
         self.listener.set_nonblocking(true).expect("nonblocking listener");
         let shared = Arc::new(Shared {
-            fingerprint: spec_fingerprint(&self.spec),
+            fingerprint: identity_hash(&self.spec),
             members: self.members,
             mode: self.spec.mode,
             slots: Mutex::new((0..self.members).map(|_| MemberSlot::default()).collect()),
@@ -1345,9 +1341,12 @@ mod tests {
     fn fingerprint_tracks_spec_content() {
         let a = spec(AnalysisMode::Tvla);
         let mut b = a.clone();
-        assert_eq!(spec_fingerprint(&a), spec_fingerprint(&b));
+        assert_eq!(identity_hash(&a), identity_hash(&b));
         b.seed ^= 1;
-        assert_ne!(spec_fingerprint(&a), spec_fingerprint(&b));
+        assert_ne!(identity_hash(&a), identity_hash(&b));
+        // Throughput-only settings stay out of the handshake.
+        let c = CampaignSpec { every: a.every + 1, ..a.clone() };
+        assert_eq!(identity_hash(&a), identity_hash(&c));
     }
 
     #[test]

@@ -24,7 +24,8 @@
 
 use psc_core::spec::AnalysisMode;
 use psc_sca::checkpoint::{
-    decode_frame, encode_frame, CheckpointError, PayloadReader, PayloadWriter, Section,
+    decode_frame, encode_frame, get_blob, get_blob_str, put_blob, CheckpointError, PayloadReader,
+    PayloadWriter, Section,
 };
 use psc_telemetry::metrics::MetricsSnapshot;
 use std::io::{Read, Write};
@@ -62,7 +63,7 @@ pub mod tags {
     pub const CANCEL_OUTCOME: u16 = 21;
     /// Response: drain complete.
     pub const DRAINED: u16 = 22;
-    /// Fleet worker: hello — member identity, epoch, spec fingerprint.
+    /// Fleet worker: hello — member index, epoch, campaign identity hash.
     pub const WORKER_HELLO: u16 = 32;
     /// Fleet worker: partial accumulator state (codec-v3 checkpoint
     /// frame) stamped with an (epoch, sequence) pair.
@@ -441,29 +442,6 @@ pub(crate) fn mode_from_u8(v: u8) -> Result<AnalysisMode, CheckpointError> {
         2 => AnalysisMode::Adaptive,
         _ => return Err(CheckpointError::Corrupt("unknown analysis mode")),
     })
-}
-
-/// `u32`-length blob — for payloads that can outgrow `put_str`'s `u16`
-/// length field (spec text, report text, encoded analysis state).
-pub(crate) fn put_blob(w: &mut PayloadWriter, bytes: &[u8]) {
-    w.put_u32(u32::try_from(bytes.len()).expect("blob fits in u32"));
-    w.put_bytes(bytes);
-}
-
-pub(crate) fn get_blob(r: &mut PayloadReader<'_>) -> Result<Vec<u8>, CheckpointError> {
-    let len = r.get_u32()? as usize;
-    if len > r.remaining() {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(r.get_u8()?);
-    }
-    Ok(out)
-}
-
-pub(crate) fn get_blob_str(r: &mut PayloadReader<'_>) -> Result<String, CheckpointError> {
-    String::from_utf8(get_blob(r)?).map_err(|_| CheckpointError::Corrupt("blob is not UTF-8"))
 }
 
 impl Request {

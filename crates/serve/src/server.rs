@@ -36,6 +36,7 @@ use psc_core::report::{self, campaign_banner};
 use psc_core::session::Campaign;
 use psc_core::spec::CampaignSpec;
 use psc_telemetry::metrics::{MetricsHub, MetricsRegistry, MetricsSnapshot};
+use psc_telemetry::panic_message;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -562,11 +563,15 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
         let mut campaign = Campaign::from_spec(&run_spec).stop_flag(stop).metrics_hub(hub);
         if let Some(spool) = spool {
-            campaign =
-                campaign.checkpoint_to(spool.join(format!("job-{job_id:03}")), run_spec.every);
+            // The spec goes next to the frames, so `psc resume` finishes
+            // a drained job.
+            let dir = spool.join(format!("job-{job_id:03}"));
+            run_spec.save(&dir)?;
+            campaign = campaign.checkpoint_to(dir, run_spec.every);
         }
-        report::run_session(campaign.session(), &run_spec)
-    }));
+        Ok(report::run_session(campaign.session(), &run_spec))
+    }))
+    .unwrap_or_else(|panic| Err(panic_message(&*panic)));
     inner.running.fetch_sub(1, Ordering::AcqRel);
     let mut table = inner.lock_table();
     let Some(job) = table.jobs.get_mut(&job_id) else { return };
@@ -591,12 +596,7 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
                 inner.registry.histogram(names::REPORT_LATENCY_NS).record(latency);
             }
         }
-        Err(panic) => {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_owned())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".into());
+        Err(message) => {
             job.state = JobState::Failed;
             job.error = Some(message);
             inner.registry.counter(names::FAILED).inc();

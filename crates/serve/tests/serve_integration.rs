@@ -6,7 +6,7 @@
 
 use psc_core::report;
 use psc_core::spec::{AnalysisMode, CampaignSpec};
-use psc_core::{Device, TuneConfig};
+use psc_core::{Campaign, Device, TuneConfig};
 use psc_serve::proto::{CancelResult, JobState, JobSummary, RejectReason, Response};
 use psc_serve::server::{names, FINISHED_JOBS_RETAINED};
 use psc_serve::{submit_and_wait, AdmissionConfig, Client, Server, ServerConfig, MAX_WORKERS};
@@ -170,6 +170,40 @@ fn streamed_reports_are_bit_identical_to_inline_runs() {
         other => panic!("expected Drained, got {other:?}"),
     }
     server.join();
+}
+
+#[test]
+fn a_spooled_job_resumes_from_its_directory_to_the_served_report() {
+    // The spool keeps each job's spec next to its frames, so its
+    // directory resumes the way `psc resume DIR` does: load the spec,
+    // check the frames against it, resume, and print the served body.
+    let spool = std::env::temp_dir().join(format!("psc_serve_spool_{}", std::process::id()));
+    std::fs::remove_dir_all(&spool).ok();
+    let server = Server::start(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        spool: Some(spool.clone()),
+        ..ServerConfig::default()
+    })
+    .expect("bind an ephemeral port");
+    // 300 traces per shard: 10 blocks, checkpointed at block 8.
+    let spec = spec(AnalysisMode::Cpa, 600, 2);
+    let (job, served) = match submit_and_wait(server.addr(), "spool", &spec.render()).unwrap() {
+        Response::Report { job, text, .. } => (job, text),
+        other => panic!("expected a report, got {other:?}"),
+    };
+    let dir = spool.join(format!("job-{job:03}"));
+    assert!(dir.join("shard-000.ckpt").is_file() && dir.join("shard-001.ckpt").is_file());
+
+    let loaded = CampaignSpec::load(&dir).expect("the spool keeps the spec");
+    assert_eq!(loaded, spec);
+    let session =
+        Campaign::from_spec(&loaded).checkpoint_to(&dir, loaded.every).resume_from(&dir).session();
+    session.check_resume(loaded.mode).expect("the job's own frames resume it");
+    let resumed = report::run_session(session, &loaded);
+    assert_eq!(served, report::campaign_banner(&loaded) + &resumed.body);
+    drain(server.addr());
+    server.join();
+    std::fs::remove_dir_all(&spool).ok();
 }
 
 #[test]

@@ -38,6 +38,7 @@ use apple_power_sca::telemetry::metrics::MetricsReport;
 use apple_power_sca::telemetry::spans::SpanTracer;
 use std::fmt::Write as _;
 use std::num::ParseIntError;
+use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -88,12 +89,16 @@ COMMANDS:
                               --halt-after stops the run after K
                               checkpoints, a deterministic interrupt).
     resume DIR                Resume an interrupted `campaign --checkpoint
-                              DIR` run from its frames: accumulators
+                              DIR` run (or a `serve --spool` job's
+                              DIR/job-NNN) from its frames: accumulators
                               restore, sources fast-forward, and the
                               completed report matches an uninterrupted
-                              run. Takes the runtime flags only
-                              (--metrics, --trace, --progress,
-                              --halt-after to re-interrupt).
+                              run. Frames of another campaign (an edited
+                              campaign.cfg) are refused before anything
+                              runs, naming the first field that differs.
+                              Takes the runtime flags only (--metrics,
+                              --trace, --progress, --halt-after to
+                              re-interrupt).
     replay DIR [--cpa] [--key HEX32] [--detrend W]
                               Replay recorded .psct shards (from
                               `campaign --record DIR`) through the
@@ -118,9 +123,11 @@ COMMANDS:
                               N workers (default 2); admission sheds
                               load with a typed `saturated` rejection
                               when the queue, drop rate or dispatch p99
-                              crosses its threshold; jobs checkpoint to
-                              the spool (default under the temp dir) so
-                              drained jobs finish via `psc resume`.
+                              crosses its threshold; each job checkpoints
+                              to DIR/job-NNN of the spool (default under
+                              the temp dir) with its campaign.cfg, so a
+                              drained job finishes via `psc resume
+                              DIR/job-NNN`.
                               Blocks until a client sends `psc drain`.
     submit FILE [--wait] [--tenant NAME] [--addr HOST:PORT]
                               Send a campaign.cfg (as written by
@@ -399,14 +406,11 @@ fn run_campaign(
     };
     let (metrics_out, trace_out) = (args.value("--metrics"), args.value("--trace"));
     if let (Some(dir), false) = (ckpt_dir, resume) {
-        std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
-        let path = std::path::Path::new(dir).join("campaign.cfg");
-        std::fs::write(&path, spec.render()).map_err(|e| format!("{}: {e}", path.display()))?;
+        spec.save(Path::new(dir))?;
         eprintln!("[psc] checkpointing to {dir} every {} block(s)", spec.every);
     }
     let tracer = trace_out.is_some().then(|| Arc::new(SpanTracer::new()));
 
-    print!("{}", report::campaign_banner(spec));
     let mut campaign = Campaign::from_spec(spec);
     if metrics_out.is_some() {
         campaign = campaign.metrics();
@@ -426,7 +430,12 @@ fn run_campaign(
     if let Some(n) = halt_after {
         campaign = campaign.halt_after(n);
     }
-    let outcome = report::run_session(campaign.session(), spec);
+    let session = campaign.session();
+    if let (Some(dir), true) = (ckpt_dir, resume) {
+        session.check_resume(spec.mode).map_err(|e| format!("{dir}: {e}"))?;
+    }
+    print!("{}", report::campaign_banner(spec));
+    let outcome = report::run_session(session, spec);
     print!("{}", outcome.body);
     print!("{}", report::render_metrics_summary(outcome.metrics.as_ref()));
     emit_observability(outcome.metrics.as_ref(), metrics_out, tracer.as_deref(), trace_out)
@@ -454,11 +463,7 @@ fn cmd_campaign(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
 fn cmd_resume(args: &[String]) -> Result<(), String> {
     let args = Args::parse("resume", args, &["DIR"], &RUN_FLAGS)?;
     let dir = args.positionals[0];
-    let path = std::path::Path::new(dir).join("campaign.cfg");
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!("{}: {e} (was this campaign run with --checkpoint?)", path.display())
-    })?;
-    let spec = CampaignSpec::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let spec = CampaignSpec::load(Path::new(dir))?;
     eprintln!("[psc] resuming {} campaign from {dir}", spec.mode.token());
     run_campaign(&spec, &args, Some(dir), true)
 }

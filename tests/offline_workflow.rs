@@ -222,6 +222,50 @@ fn cli_refuses_bad_shard_and_trace_counts() {
 }
 
 #[test]
+fn cli_resume_refuses_a_checkpoint_of_another_campaign() {
+    // A `campaign.cfg` edited after the frames were taken describes
+    // another campaign: resuming would merge two victims' traces into
+    // one statistic. `psc resume` refuses it before printing anything,
+    // naming the field, and without a panic.
+    let root = std::env::temp_dir().join(format!("psc_cli_foreign_{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let taken = root.join("taken");
+    let psc = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_psc")).args(args).output().expect("psc")
+    };
+    let ckpt = ["--checkpoint", taken.to_str().expect("utf-8 temp path")];
+    let flags = ["campaign", "--cpa", "--traces", "400", "--shards", "2", "--checkpoint-every"];
+    let out = psc(&[&flags[..], &["1", "--halt-after", "2"], &ckpt].concat());
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let cfg = std::fs::read_to_string(taken.join("campaign.cfg")).expect("spec kept");
+    for (field, value) in [
+        ("seed", "99"),
+        ("key", "00112233445566778899aabbccddeeff"),
+        ("device", "m1"),
+        ("traces", "500"),
+    ] {
+        let edited = root.join(field);
+        std::fs::create_dir_all(&edited).unwrap();
+        for entry in std::fs::read_dir(&taken).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, edited.join(path.file_name().unwrap())).unwrap();
+        }
+        let line = cfg.lines().find(|l| l.starts_with(&format!("{field}="))).expect("field");
+        let text = cfg.replace(line, &format!("{field}={value}"));
+        std::fs::write(edited.join("campaign.cfg"), text).unwrap();
+        let out = psc(&["resume", edited.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "edited {field}: {stderr}");
+        assert!(out.stdout.is_empty(), "edited {field} printed a report");
+        assert!(stderr.contains(&format!("its {field} differs")), "{field}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{field}: {stderr}");
+    }
+    let out = psc(&["resume", taken.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn cli_refuses_bad_scaling_variables() {
     // The commands that take their defaults from the scaling variables
     // refuse a bad one by name instead of ignoring it: `PSC_TVLA_TRACES=0`
