@@ -1,11 +1,11 @@
 //! Kernel benches: the analysis toolkit (Welch-t accumulation, CPA
 //! streaming and ranking, TVLA matrix computation, filtering, fusion,
-//! codec, key enumeration). The one-byte correlation sweep is timed in
-//! `leakage_kernels`.
+//! codec, frame CRC-32, key enumeration). The one-byte correlation sweep
+//! is timed in `leakage_kernels`.
 
 use psc_bench::measure::Run;
-use psc_sca::cpa::Cpa;
-use psc_sca::model::Rd0Hw;
+use psc_sca::cpa::{CountPassMemo, Cpa};
+use psc_sca::model::{PowerModel, Rd0Hw};
 use psc_sca::stats::{welch_t, RunningMoments};
 use psc_sca::trace::{Trace, TraceSet};
 use psc_sca::tvla::TvlaMatrix;
@@ -61,6 +61,37 @@ fn main() {
     let key = [0x42u8; 16];
     run.measure_ns("sca/cpa_full_rank_evaluation", || {
         black_box(cpa.ranks(black_box(&key)));
+    });
+
+    // A served CPA job's rank sweep: four channels binned over the same
+    // 3 000 rows share their counts, so one count pass serves all four.
+    let inputs: Vec<[u8; 16]> = traces
+        .traces()
+        .iter()
+        .take(3_000)
+        .map(|t| Rd0Hw.input_bytes(&t.plaintext, &t.ciphertext))
+        .collect();
+    let channels: Vec<Cpa> = (0..4)
+        .map(|ch| {
+            let column: Vec<Option<f64>> =
+                values[..3_000].iter().map(|v| Some(v * (1.0 + 0.25 * ch as f64))).collect();
+            let mut cpa = Cpa::new(Box::new(Rd0Hw));
+            cpa.add_rows(&inputs, &column);
+            cpa
+        })
+        .collect();
+    run.measure_ns("sca/cpa_ranks_4ch_3000", || {
+        let memo = CountPassMemo::default();
+        for cpa in &channels {
+            black_box(memo.ranks(cpa, black_box(&key)));
+        }
+    });
+
+    // A served CPA Report frame's analysis state is ~256 KiB.
+    let state: Vec<u8> =
+        (0..256 * 1024u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    run.measure_ns("sca/crc32_256k", || {
+        black_box(psc_sca::checkpoint::crc32(black_box(&state)));
     });
 
     let ds: [Vec<f64>; 3] =

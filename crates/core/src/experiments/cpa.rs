@@ -87,7 +87,8 @@ pub fn m2_kernel_campaign(cfg: &ExperimentConfig) -> Campaign {
 pub fn run_table4(cfg: &ExperimentConfig) -> Table4 {
     let column = |label: String, report: &StreamingCpaReport, k| {
         let cpa = report.cpa.cpa(ChannelId::Smc(k)).expect("registered");
-        Table4Column::new(label, cpa.ranks(&cfg.secret_key), cpa.trace_count() as usize)
+        let ranks = report.ranks(k, &cfg.secret_key).expect("registered");
+        Table4Column::new(label, ranks, cpa.trace_count() as usize)
     };
     let m2 = m2_user_campaign(cfg).session().cpa(|| Box::new(Rd0Hw));
     let mut columns: Vec<Table4Column> = [key("PHPC"), key("PDTR"), key("PMVC"), key("PSTR")]

@@ -54,7 +54,7 @@ use crate::spec::AnalysisMode;
 use crate::tune::TuneConfig;
 use crate::victim::VictimKind;
 use psc_sca::checkpoint::{CheckpointError, PayloadReader, PayloadWriter};
-use psc_sca::cpa::CpaMergeError;
+use psc_sca::cpa::{CountPassMemo, CpaMergeError};
 use psc_sca::model::PowerModel;
 use psc_sca::tvla::TvlaMatrix;
 use psc_smc::{MitigationConfig, SmcKey};
@@ -601,13 +601,19 @@ pub struct StreamingCpaReport {
     /// Transient recorder write failures that succeeded on retry,
     /// summed over shards (recovered, not lost — contrast `io_errors`).
     pub io_retries: u64,
+    /// Count passes shared by the channels' rank sweeps: channels with
+    /// equal bin counts pay the count pass once per report.
+    count_passes: CountPassMemo,
 }
 
 impl StreamingCpaReport {
-    /// Key-byte ranks for `key`'s channel against `true_round_key`.
+    /// Key-byte ranks for `key`'s channel against `true_round_key` —
+    /// bit-identical to that channel's [`psc_sca::cpa::Cpa::ranks`], with
+    /// the count pass shared across every key of the report whose bin
+    /// counts compare equal ([`CountPassMemo`]).
     #[must_use]
     pub fn ranks(&self, key: SmcKey, true_round_key: &[u8; 16]) -> Option<[usize; 16]> {
-        self.cpa.cpa(ChannelId::Smc(key)).map(|c| c.ranks(true_round_key))
+        self.cpa.cpa(ChannelId::Smc(key)).map(|c| self.count_passes.ranks(c, true_round_key))
     }
 }
 
@@ -1064,6 +1070,7 @@ impl MergedShards<StreamingCpa> {
             health: self.health,
             warnings: self.warnings,
             io_retries: self.recorders.io_retries,
+            count_passes: CountPassMemo::default(),
         }
     }
 }
@@ -1791,6 +1798,82 @@ mod tests {
         let ranks = report.ranks(key("PHPC"), &[0x3C; 16]).expect("registered");
         for r in ranks {
             assert!((1..=256).contains(&r));
+        }
+    }
+
+    #[test]
+    fn cpa_report_ranks_never_share_a_foreign_count_pass() {
+        use psc_telemetry::event::{SchedEvent, WindowEvent};
+        // Three channels over the same rows; the middle one denied every
+        // third read, so its bin counts differ from its neighbours'.
+        let keys = [key("PHPC"), key("PDTR"), key("PSTR")];
+        let channels: Vec<ChannelId> = keys.iter().map(|&k| ChannelId::Smc(k)).collect();
+        let mut block = EventBlock::new();
+        block.reset(&channels);
+        let mut state = 0x5EED_0FC0_FFEEu64;
+        for i in 0..3_000u64 {
+            let mut pt = [0u8; 16];
+            for b in pt.iter_mut() {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                *b = (state >> 32) as u8;
+            }
+            let leak = f64::from((pt[0] ^ 0x3C).count_ones());
+            block.begin(WindowEvent {
+                seq: i,
+                time_s: i as f64,
+                pass: 0,
+                class: None,
+                plaintext: pt,
+                ciphertext: pt,
+            });
+            for col in 0..channels.len() {
+                if !(col == 1 && i % 3 == 0) {
+                    block.sample(col, leak + (state % 97) as f64 * 0.01 + col as f64);
+                }
+            }
+            block.commit(SchedEvent {
+                time_s: i as f64,
+                windows_consumed: 1,
+                window_s: 1.0,
+                denied_reads: 0,
+            });
+        }
+        let mut cpa = StreamingCpa::new(channels.iter().copied(), || Box::new(Rd0Hw));
+        cpa.on_block(&block);
+        let shard = ShardRun {
+            out: Some(ShardOutput {
+                analysis: cpa,
+                monitor: ThrottleMonitor::new(MONITOR_INTERVAL_S, MONITOR_DEPTH),
+                recorders: RecorderTally::default(),
+            }),
+            stats: ChannelStats::default(),
+            produced: 3_000,
+            recycle_dropped: 0,
+            health: ShardHealth::Ok,
+        };
+        let report = merge_shards(vec![shard], MONITOR_INTERVAL_S).expect("one model").into_report(
+            keys.to_vec(),
+            1,
+            None,
+        );
+        let standalone = |k: SmcKey, secret: &[u8; 16]| {
+            report.cpa.cpa(ChannelId::Smc(k)).expect("registered").ranks(secret)
+        };
+        // The odd channel is asked both after and before its neighbours
+        // have left a count pass in the memo.
+        for order in [[0usize, 1, 2], [1, 2, 0]] {
+            for secret in [[0x3C; 16], [0x00; 16], [0xA5; 16]] {
+                for &i in &order {
+                    let k = keys[i];
+                    assert_eq!(
+                        report.ranks(k, &secret),
+                        Some(standalone(k, &secret)),
+                        "{k} against {secret:02x?}"
+                    );
+                }
+            }
         }
     }
 

@@ -38,7 +38,8 @@ use std::time::Instant;
 /// throughput only, so a resume (or a fleet worker) may differ in them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuneConfig {
-    /// CPA correlation-sweep unroll width (guesses per dispatch group);
+    /// CPA correlation-sweep unroll width (four-guess vectors per sweep
+    /// block);
     /// one of [`Cpa::UNROLL_WIDTHS`].
     pub cpa_unroll: usize,
     /// Observations per [`psc_telemetry::block::EventBlock`] in the

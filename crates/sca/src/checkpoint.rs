@@ -96,10 +96,13 @@ impl From<std::io::Error> for CheckpointError {
     }
 }
 
-const fn crc32_table() -> [u32; 256] {
-    // IEEE 802.3 reflected polynomial, the ubiquitous `crc32` everyone
-    // (zlib, PNG, ethernet) means by "CRC-32".
-    let mut table = [0u32; 256];
+/// Slice-by-16 CRC-32 tables: `CRC_TABLES[0]` is the bytewise table of
+/// the IEEE 802.3 reflected polynomial — the ubiquitous `crc32` everyone
+/// (zlib, PNG, ethernet) means by "CRC-32" — and `CRC_TABLES[k][i]` is
+/// the CRC of byte `i` followed by `k` zero bytes, so one 16-byte chunk
+/// folds in with 16 independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -108,20 +111,54 @@ const fn crc32_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-/// CRC-32 (IEEE) of `bytes` — the checkpoint trailer checksum.
+/// CRC-32 (IEEE) of `bytes` — the checkpoint trailer checksum. Runs
+/// slice-by-16: each 16-byte chunk is folded in with one lookup per byte
+/// into [`crc32_tables`], all independent, and the tail bytewise.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(16);
+    for c in &mut chunks {
+        let head = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let [b0, b1, b2, b3] = head.to_le_bytes();
+        crc = t[15][usize::from(b0)]
+            ^ t[14][usize::from(b1)]
+            ^ t[13][usize::from(b2)]
+            ^ t[12][usize::from(b3)]
+            ^ t[11][usize::from(c[4])]
+            ^ t[10][usize::from(c[5])]
+            ^ t[9][usize::from(c[6])]
+            ^ t[8][usize::from(c[7])]
+            ^ t[7][usize::from(c[8])]
+            ^ t[6][usize::from(c[9])]
+            ^ t[5][usize::from(c[10])]
+            ^ t[4][usize::from(c[11])]
+            ^ t[3][usize::from(c[12])]
+            ^ t[2][usize::from(c[13])]
+            ^ t[1][usize::from(c[14])]
+            ^ t[0][usize::from(c[15])];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
 }
@@ -547,6 +584,55 @@ mod tests {
         // The classic zlib/PNG check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The textbook bitwise-table CRC-32, one byte per step: the reference
+    /// the slice-by-16 loop must match.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference_at_every_length_and_offset() {
+        // Every tail length and chunk count up to 1 100 bytes, starting at
+        // three alignments of the buffer.
+        let buf = noise(1_100 + 3, 0xC3C3_5A5A);
+        for offset in 0..3 {
+            for len in 0..=1_100 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "offset {offset} len {len}");
+            }
+        }
+        for seed in [1u64, 0xDEAD_BEEF, 0x0123_4567_89AB_CDEF] {
+            let big = noise(256 * 1024, seed);
+            assert_eq!(crc32(&big), crc32_bytewise(&big), "256 KiB, seed {seed:#x}");
+        }
+    }
+
+    #[test]
+    fn frame_over_256_kib_round_trips_and_catches_one_bit_flip() {
+        let big = Section { tag: 4, payload: noise(300 * 1024, 77) };
+        let frame = encode_frame(&[big.clone(), Section { tag: 5, payload: b"tail".to_vec() }]);
+        let sections = decode_frame(&frame).expect("valid frame");
+        assert_eq!(sections[0], big);
+        let mut flipped = frame.clone();
+        flipped[frame.len() / 3] ^= 0x10;
+        assert!(matches!(decode_frame(&flipped), Err(CheckpointError::BadCrc { .. })));
     }
 
     fn sample_sections() -> Vec<Section> {

@@ -17,10 +17,15 @@
 //! Σh   = Σ_v count(v)·H(v,g)        Σh²  = Σ_v count(v)·H(v,g)²
 //! Σh·t = Σ_v sum_t(v)·H(v,g)
 //! ```
+//!
+//! The sweep runs in two passes: a **count pass** (Σh and Σh², from the
+//! bin counts alone) and a **value pass** (Σh·t). Channels that bin the
+//! same rows have equal counts, so a finished report runs the count pass
+//! once and each channel only its value pass ([`CountPassMemo`]).
 
 use crate::model::PowerModel;
 use crate::trace::{Trace, TraceSet};
-use pulp::{F64x2, F64x4, Simd, WithSimd};
+use pulp::{F64x4, Simd, WithSimd};
 use std::sync::{Arc, Mutex, PoisonError};
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,22 +34,29 @@ struct Bin {
     sum_t: f64,
 }
 
-/// Precomputed hypothesis table for one power model, in **guess-major**
-/// layout: `rows[g][v]` is the hypothetical leakage of input byte `v`
+/// Precomputed hypothesis table for one power model, in **value-major**
+/// layout: `rows[v][g]` is the hypothetical leakage of input byte `v`
 /// under guess `g`.
 ///
-/// The table is 256 × 256 f64 (512 KB) — expensive to rebuild and identical
-/// for every [`Cpa`] instance of the same model, so it is built once per
-/// model per process ([`HypTable::shared`]) and shared via `Arc` by every
-/// channel, shard and job. Guess-major rows also make
-/// [`Cpa::correlations`] walk memory with unit stride (the inner loop runs
-/// over `v` for a fixed `g`), instead of the 2 KB strides a value-major
-/// `hyp[v][g]` layout forces.
+/// The table is 256 × 256 f64 (528 KB with row padding) — expensive to
+/// rebuild and identical for every [`Cpa`] instance of the same model, so
+/// it is built once per model per process ([`HypTable::shared`]) and
+/// shared via `Arc` by every channel, shard and job. The correlation
+/// sweeps give each vector lane one guess and walk `v` in order, so
+/// value-major rows put a block's adjacent guesses side by side: one
+/// vector load per `v` fills four lanes, where guess-major rows would
+/// force a gather from four rows 2 KB apart.
 pub struct HypTable {
     model_name: &'static str,
-    /// `rows[g][v]`.
-    rows: Vec<[f64; 256]>,
+    /// `rows[v][g]`; the guesses fill the first 256 entries of a row.
+    rows: Vec<Row>,
 }
+
+/// One value-major table row, padded from 256 to 264 entries: a 2 KB row
+/// stride maps every row's guess block onto the same few L1 sets, so a
+/// block's 256 rows would evict each other; 2 112 B strides spread them.
+type Row = [f64; ROW_LEN];
+const ROW_LEN: usize = 264;
 
 impl HypTable {
     /// The process-wide table for `model`, built on first use. Tables are
@@ -68,9 +80,9 @@ impl HypTable {
     /// code wants [`Self::shared`].
     #[must_use]
     pub fn for_model(model: &dyn PowerModel) -> Self {
-        let mut rows = vec![[0.0f64; 256]; 256];
-        for (g, row) in rows.iter_mut().enumerate() {
-            for (v, cell) in row.iter_mut().enumerate() {
+        let mut rows = vec![[0.0f64; ROW_LEN]; 256];
+        for (v, row) in rows.iter_mut().enumerate() {
+            for (g, cell) in row[..256].iter_mut().enumerate() {
                 *cell = model.hypothesis_value(v as u8, g as u8);
             }
         }
@@ -145,48 +157,198 @@ pub struct CpaState {
 #[derive(Debug)]
 pub struct Cpa {
     model: Box<dyn PowerModel>,
-    /// Shared guess-major hypothesis table (see [`HypTable`]).
+    /// Shared value-major hypothesis table (see [`HypTable`]).
     table: Arc<HypTable>,
     /// Per key byte, per input-byte value.
     bins: Vec<[Bin; 256]>,
     n: u64,
     sum_t: f64,
     sum_tt: f64,
-    /// Guesses swept per correlation block; see [`Self::set_unroll`].
+    /// Vectors (of four guesses each) per sweep block; see
+    /// [`Self::set_unroll`].
     unroll: usize,
 }
 
-/// One key byte's correlation sweep, generic over the SIMD backend.
+/// Guesses per vector: each `f64x4` lane owns one guess.
+const LANES: usize = 4;
+
+/// Guesses `g..g + 4` of one value-major hypothesis row, as one vector.
+#[inline(always)]
+fn guess_lanes<S: Simd>(row: &Row, g: usize) -> S::f64x4 {
+    let quad: &[f64; LANES] = row[g..g + LANES].try_into().expect("four guesses");
+    S::f64x4::from_array(*quad)
+}
+
+/// Store one block's per-guess sums at guess `g` of `out`.
+#[inline(always)]
+fn store_lanes<S: Simd, const N: usize>(acc: [S::f64x4; N], out: &mut [f64; 256], g: usize) {
+    for (j, v) in acc.into_iter().enumerate() {
+        out[g + j * LANES..g + (j + 1) * LANES].copy_from_slice(&v.to_array());
+    }
+}
+
+/// The **count pass**, generic over the SIMD backend: per key byte and
+/// guess, `Σh = Σ_v count(v)·H(v,g)` and `Σh² = Σ_v (count(v)·H(v,g))·H(v,g)`.
+/// It reads the bin counts alone, so every accumulator with the same
+/// counts shares one pass ([`CountPassMemo`]).
 ///
 /// **Lane-per-guess layout:** each vector lane owns one guess's private
-/// `Σh / Σh² / Σh·t` dependency chain, so per-guess addition order — and
-/// therefore the result bits — is identical under every backend and every
-/// unroll width. The unroll width only changes how guesses are *grouped*
-/// into blocks, never the order of any single guess's accumulations.
-struct CorrSweep<'a> {
-    /// Guess-major hypothesis rows (`rows[g][v]`).
-    rows: &'a [[f64; 256]],
-    /// Dense per-value bin counts, as f64.
-    cnt: &'a [f64; 256],
-    /// Dense per-value bin Σ value.
-    st: &'a [f64; 256],
-    sum_t: f64,
-    n: f64,
-    var_t: f64,
+/// dependency chain, walked in `v` order, so per-guess addition order —
+/// and therefore the result bits — is identical under every backend and
+/// every unroll width. The unroll width (vectors per block) only changes
+/// how guesses are *grouped*. Blocks run outermost, so one block's
+/// columns of the table stay in cache across all key bytes.
+struct CountSweep<'a> {
+    /// Value-major hypothesis rows (`rows[v][g]`).
+    rows: &'a [Row],
+    /// Per key byte: dense per-value bin counts, as f64.
+    cnt: &'a [[f64; 256]],
     unroll: usize,
-    out: &'a mut [f64; 256],
+    sum_h: &'a mut [[f64; 256]],
+    sum_hh: &'a mut [[f64; 256]],
 }
 
-impl WithSimd for CorrSweep<'_> {
+impl WithSimd for CountSweep<'_> {
     type Output = ();
 
     #[inline(always)]
     fn with_simd<S: Simd>(self) {
         match self.unroll {
-            2 => self.sweep2::<S>(),
-            8 => self.sweep8::<S>(),
-            _ => self.sweep4::<S>(),
+            2 => self.sweep::<S, 2>(),
+            8 => self.sweep::<S, 8>(),
+            _ => self.sweep::<S, 4>(),
         }
+    }
+}
+
+impl CountSweep<'_> {
+    #[inline(always)]
+    fn sweep<S: Simd, const N: usize>(self) {
+        let Self { rows, cnt, sum_h, sum_hh, .. } = self;
+        for g in (0..256).step_by(N * LANES) {
+            let mut pairs =
+                cnt.chunks_exact(2).zip(sum_h.chunks_exact_mut(2)).zip(sum_hh.chunks_exact_mut(2));
+            for ((cnt, sum_h), sum_hh) in &mut pairs {
+                Self::block::<S, N, 2>(rows, cnt, g, sum_h, sum_hh);
+            }
+            let tail = cnt.len() - cnt.len() % 2;
+            Self::block::<S, N, 1>(rows, &cnt[tail..], g, &mut sum_h[tail..], &mut sum_hh[tail..]);
+        }
+    }
+
+    /// One guess block of `B` key bytes (none when `cnt` is empty): the
+    /// bytes share each vector load.
+    #[inline(always)]
+    fn block<S: Simd, const N: usize, const B: usize>(
+        rows: &[Row],
+        cnt: &[[f64; 256]],
+        g: usize,
+        sum_h: &mut [[f64; 256]],
+        sum_hh: &mut [[f64; 256]],
+    ) {
+        let (Ok(cnt), Ok(sum_h), Ok(sum_hh)) = (
+            <&[[f64; 256]; B]>::try_from(cnt),
+            <&mut [[f64; 256]; B]>::try_from(sum_h),
+            <&mut [[f64; 256]; B]>::try_from(sum_hh),
+        ) else {
+            return;
+        };
+        let mut h_acc = [[S::f64x4::splat(0.0); N]; B];
+        let mut hh_acc = [[S::f64x4::splat(0.0); N]; B];
+        for (v, row) in rows.iter().enumerate() {
+            let h: [S::f64x4; N] = core::array::from_fn(|j| guess_lanes::<S>(row, g + j * LANES));
+            for ((h_acc, hh_acc), cnt) in h_acc.iter_mut().zip(hh_acc.iter_mut()).zip(cnt) {
+                let c = S::f64x4::splat(cnt[v]);
+                for ((h_acc, hh_acc), &h) in h_acc.iter_mut().zip(hh_acc.iter_mut()).zip(&h) {
+                    let ch = c * h;
+                    *h_acc += ch;
+                    *hh_acc += ch * h;
+                }
+            }
+        }
+        for (((h_acc, hh_acc), sum_h), sum_hh) in
+            h_acc.into_iter().zip(hh_acc).zip(sum_h).zip(sum_hh)
+        {
+            store_lanes::<S, N>(h_acc, sum_h, g);
+            store_lanes::<S, N>(hh_acc, sum_hh, g);
+        }
+    }
+}
+
+/// The **value pass**: per key byte and guess, `Σh·t = Σ_v sum_t(v)·H(v,g)`,
+/// in the [`CountSweep`] lane layout and block order.
+struct ValueSweep<'a> {
+    /// Value-major hypothesis rows (`rows[v][g]`).
+    rows: &'a [Row],
+    /// Per key byte: dense per-value bin Σ value.
+    st: &'a [[f64; 256]],
+    unroll: usize,
+    sum_ht: &'a mut [[f64; 256]],
+}
+
+impl WithSimd for ValueSweep<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn with_simd<S: Simd>(self) {
+        match self.unroll {
+            2 => self.sweep::<S, 2>(),
+            8 => self.sweep::<S, 8>(),
+            _ => self.sweep::<S, 4>(),
+        }
+    }
+}
+
+impl ValueSweep<'_> {
+    #[inline(always)]
+    fn sweep<S: Simd, const N: usize>(self) {
+        let Self { rows, st, sum_ht, .. } = self;
+        for g in (0..256).step_by(N * LANES) {
+            let mut pairs = st.chunks_exact(2).zip(sum_ht.chunks_exact_mut(2));
+            for (st, sum_ht) in &mut pairs {
+                Self::block::<S, N, 2>(rows, st, g, sum_ht);
+            }
+            let tail = st.len() - st.len() % 2;
+            Self::block::<S, N, 1>(rows, &st[tail..], g, &mut sum_ht[tail..]);
+        }
+    }
+
+    /// One guess block of `B` key bytes (none when `st` is empty): the
+    /// bytes share each vector load, doubling the independent chains.
+    #[inline(always)]
+    fn block<S: Simd, const N: usize, const B: usize>(
+        rows: &[Row],
+        st: &[[f64; 256]],
+        g: usize,
+        sum_ht: &mut [[f64; 256]],
+    ) {
+        let (Ok(st), Ok(sum_ht)) =
+            (<&[[f64; 256]; B]>::try_from(st), <&mut [[f64; 256]; B]>::try_from(sum_ht))
+        else {
+            return;
+        };
+        let mut acc = [[S::f64x4::splat(0.0); N]; B];
+        for (v, row) in rows.iter().enumerate() {
+            let h: [S::f64x4; N] = core::array::from_fn(|j| guess_lanes::<S>(row, g + j * LANES));
+            for (acc, st) in acc.iter_mut().zip(st) {
+                let s = S::f64x4::splat(st[v]);
+                for (acc, &h) in acc.iter_mut().zip(&h) {
+                    *acc += s * h;
+                }
+            }
+        }
+        for (acc, sum_ht) in acc.into_iter().zip(sum_ht) {
+            store_lanes::<S, N>(acc, sum_ht, g);
+        }
+    }
+}
+
+/// Run a sweep on the runtime-dispatched backend, or pinned to scalar.
+fn run_sweep<W: WithSimd>(sweep: W, force_scalar: bool) -> W::Output {
+    if force_scalar {
+        pulp::dispatch_scalar(sweep)
+    } else {
+        pulp::dispatch(sweep)
     }
 }
 
@@ -204,125 +366,73 @@ fn finish_guess(sum_t: f64, n: f64, var_t: f64, sum_h: f64, sum_hh: f64, sum_ht:
     }
 }
 
-impl CorrSweep<'_> {
-    #[inline(always)]
-    fn sweep2<S: Simd>(self) {
-        let Self { rows, cnt, st, sum_t, n, var_t, out, .. } = self;
-        for (block, out2) in out.chunks_exact_mut(2).enumerate() {
-            let g = block * 2;
-            let (r0, r1) = (&rows[g], &rows[g + 1]);
-            let mut sum_h = S::f64x2::splat(0.0);
-            let mut sum_hh = S::f64x2::splat(0.0);
-            let mut sum_ht = S::f64x2::splat(0.0);
-            for v in 0..256 {
-                let h = S::f64x2::new(r0[v], r1[v]);
-                let c = S::f64x2::splat(cnt[v]);
-                let s = S::f64x2::splat(st[v]);
-                let ch = c * h;
-                sum_h += ch;
-                sum_hh += ch * h;
-                sum_ht += s * h;
-            }
-            let (h, hh, ht) = (sum_h.to_array(), sum_hh.to_array(), sum_ht.to_array());
-            for k in 0..2 {
-                out2[k] = finish_guess(sum_t, n, var_t, h[k], hh[k], ht[k]);
-            }
-        }
-    }
+/// The count pass of one accumulator: Σh and Σh² for all 16 key bytes
+/// and 256 guesses, with the bin counts they were taken over. Only the
+/// power model and the counts determine it, so [`CountPassMemo`] serves
+/// one pass to every accumulator whose counts compare equal.
+struct CountPass {
+    model_name: &'static str,
+    /// Per key byte, the bin counts the sums cover.
+    counts: Vec<[u64; 256]>,
+    sum_h: Vec<[f64; 256]>,
+    sum_hh: Vec<[f64; 256]>,
+}
 
-    #[inline(always)]
-    fn sweep4<S: Simd>(self) {
-        let Self { rows, cnt, st, sum_t, n, var_t, out, .. } = self;
-        for (block, out4) in out.chunks_exact_mut(4).enumerate() {
-            let g = block * 4;
-            let rows: [&[f64; 256]; 4] = [&rows[g], &rows[g + 1], &rows[g + 2], &rows[g + 3]];
-            let mut sum_h = S::f64x4::splat(0.0);
-            let mut sum_hh = S::f64x4::splat(0.0);
-            let mut sum_ht = S::f64x4::splat(0.0);
-            for v in 0..256 {
-                let h = S::f64x4::new(rows[0][v], rows[1][v], rows[2][v], rows[3][v]);
-                let c = S::f64x4::splat(cnt[v]);
-                let s = S::f64x4::splat(st[v]);
-                let ch = c * h;
-                sum_h += ch;
-                sum_hh += ch * h;
-                sum_ht += s * h;
-            }
-            let (h, hh, ht) = (sum_h.to_array(), sum_hh.to_array(), sum_ht.to_array());
-            for k in 0..4 {
-                out4[k] = finish_guess(sum_t, n, var_t, h[k], hh[k], ht[k]);
-            }
-        }
-    }
-
-    #[inline(always)]
-    fn sweep8<S: Simd>(self) {
-        let Self { rows, cnt, st, sum_t, n, var_t, out, .. } = self;
-        for (block, out8) in out.chunks_exact_mut(8).enumerate() {
-            let g = block * 8;
-            let ra: [&[f64; 256]; 4] = [&rows[g], &rows[g + 1], &rows[g + 2], &rows[g + 3]];
-            let rb: [&[f64; 256]; 4] = [&rows[g + 4], &rows[g + 5], &rows[g + 6], &rows[g + 7]];
-            let mut sum_h_a = S::f64x4::splat(0.0);
-            let mut sum_hh_a = S::f64x4::splat(0.0);
-            let mut sum_ht_a = S::f64x4::splat(0.0);
-            let mut sum_h_b = S::f64x4::splat(0.0);
-            let mut sum_hh_b = S::f64x4::splat(0.0);
-            let mut sum_ht_b = S::f64x4::splat(0.0);
-            for v in 0..256 {
-                let c = S::f64x4::splat(cnt[v]);
-                let s = S::f64x4::splat(st[v]);
-                let ha = S::f64x4::new(ra[0][v], ra[1][v], ra[2][v], ra[3][v]);
-                let hb = S::f64x4::new(rb[0][v], rb[1][v], rb[2][v], rb[3][v]);
-                let cha = c * ha;
-                let chb = c * hb;
-                sum_h_a += cha;
-                sum_hh_a += cha * ha;
-                sum_ht_a += s * ha;
-                sum_h_b += chb;
-                sum_hh_b += chb * hb;
-                sum_ht_b += s * hb;
-            }
-            let (ha, hha, hta) = (sum_h_a.to_array(), sum_hh_a.to_array(), sum_ht_a.to_array());
-            let (hb, hhb, htb) = (sum_h_b.to_array(), sum_hh_b.to_array(), sum_ht_b.to_array());
-            for k in 0..4 {
-                out8[k] = finish_guess(sum_t, n, var_t, ha[k], hha[k], hta[k]);
-                out8[k + 4] = finish_guess(sum_t, n, var_t, hb[k], hhb[k], htb[k]);
-            }
-        }
+impl CountPass {
+    /// Whether this pass is `cpa`'s own: same model, equal bin counts.
+    fn serves(&self, cpa: &Cpa) -> bool {
+        self.model_name == cpa.model.name()
+            && self
+                .counts
+                .iter()
+                .zip(&cpa.bins)
+                .all(|(counts, bins)| counts.iter().zip(bins).all(|(&c, bin)| c == bin.count))
     }
 }
 
-/// All 16 key bytes' sweeps under one dispatch: the `#[target_feature]`
-/// frame and the backend resolution amortize over the whole rank sweep.
-struct CorrSweepAll<'a> {
-    rows: &'a [[f64; 256]],
-    cnt: &'a [[f64; 256]; 16],
-    st: &'a [[f64; 256]; 16],
-    sum_t: f64,
-    n: f64,
-    var_t: f64,
-    unroll: usize,
-    out: &'a mut [[f64; 256]; 16],
+/// Count passes shared by the accumulators of one finished report.
+///
+/// The channels of a CPA campaign bin the same rows, so unless a channel
+/// denied reads their bin counts — and with them Σh and Σh² — are equal.
+/// The memo keeps one [`CountPass`] per distinct count vector (96 KB
+/// each) and hands it to an accumulator only after comparing its counts,
+/// never on assumption; [`Self::ranks`] is then bit-identical to
+/// [`Cpa::ranks`] at a value pass's cost.
+#[derive(Default)]
+pub struct CountPassMemo {
+    passes: Mutex<Vec<CountPass>>,
 }
 
-impl WithSimd for CorrSweepAll<'_> {
-    type Output = ();
+impl core::fmt::Debug for CountPassMemo {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        let passes = self.passes.lock().unwrap_or_else(PoisonError::into_inner).len();
+        f.debug_struct("CountPassMemo").field("passes", &passes).finish()
+    }
+}
 
-    #[inline(always)]
-    fn with_simd<S: Simd>(self) {
-        for ((cnt, st), out) in self.cnt.iter().zip(self.st).zip(self.out.iter_mut()) {
-            CorrSweep {
-                rows: self.rows,
-                cnt,
-                st,
-                sum_t: self.sum_t,
-                n: self.n,
-                var_t: self.var_t,
-                unroll: self.unroll,
-                out,
-            }
-            .with_simd::<S>();
-        }
+impl CountPassMemo {
+    /// As [`Cpa::ranks`], on `cpa`'s count pass from this memo (run and
+    /// kept on first use).
+    #[must_use]
+    pub fn ranks(&self, cpa: &Cpa, true_round_key: &[u8; 16]) -> [usize; 16] {
+        let mut corr = [[0.0f64; 256]; 16];
+        self.correlations_all_into(cpa, &mut corr);
+        core::array::from_fn(|b| Cpa::rank_in(&corr[b], true_round_key[b]))
+    }
+
+    /// As [`Cpa::correlations_all_into`], on `cpa`'s count pass from this
+    /// memo. Bit-identical to it.
+    fn correlations_all_into(&self, cpa: &Cpa, out: &mut [[f64; 256]; 16]) {
+        let Some(moments) = cpa.clear_and_guard(out) else { return };
+        // A pass is pushed only once complete, so a panic while the lock
+        // was held cannot have left the list invalid.
+        let mut passes = self.passes.lock().unwrap_or_else(PoisonError::into_inner);
+        let i = passes.iter().position(|p| p.serves(cpa)).unwrap_or_else(|| {
+            passes.push(cpa.count_pass(false));
+            passes.len() - 1
+        });
+        let pass = &passes[i];
+        cpa.value_pass(&cpa.bins, &pass.sum_h, &pass.sum_hh, moments, out, false);
     }
 }
 
@@ -359,18 +469,18 @@ impl Cpa {
         }
     }
 
-    /// Default correlation sweep unroll width (guesses per block).
+    /// Default correlation sweep unroll width (vectors per block).
     pub const DEFAULT_UNROLL: usize = 4;
 
     /// The unroll widths [`Self::set_unroll`] accepts — the autotuner's
     /// sweep domain.
     pub const UNROLL_WIDTHS: [usize; 3] = [2, 4, 8];
 
-    /// Set the correlation sweep unroll width: how many guesses (= lane
-    /// chains) each sweep block carries. Pure throughput knob — every
-    /// guess keeps its private accumulator chain regardless of grouping,
-    /// so results are bit-identical across widths (and the autotuner may
-    /// pick whichever is fastest on the host).
+    /// Set the correlation sweep unroll width: how many four-guess
+    /// vectors (= 4 × `unroll` lane chains) each sweep block carries. Pure
+    /// throughput knob — every guess keeps its private accumulator chain
+    /// regardless of grouping, so results are bit-identical across widths
+    /// (and the autotuner may pick whichever is fastest on the host).
     ///
     /// # Panics
     ///
@@ -547,13 +657,14 @@ impl Cpa {
     /// the rank trackers and adaptive early-stop loops call this per key
     /// byte, and the in-place form spares them a 2 KB return copy each.
     ///
-    /// The sweep is branch-free and vectorized: the per-value bins are
-    /// flattened once into two dense `f64` arrays (count, Σ value), then
-    /// `CorrSweep` runs the three Σ reductions per guess as unit-stride
-    /// multiply-adds on the runtime-dispatched SIMD backend (AVX2 / NEON /
-    /// scalar — see the crate docs' *SIMD dispatch & autotuning* section).
-    /// Lanes map one-to-one onto guesses, so per-guess addition order is
-    /// untouched and the result is **bit-identical** across backends and
+    /// The sweep is branch-free and vectorized: the bins are flattened
+    /// into dense `f64` counts and Σ values, then the count pass
+    /// (`CountSweep`: Σh, Σh²) and the value pass (`ValueSweep`: Σh·t)
+    /// run as vector multiply-adds on the runtime-dispatched SIMD backend
+    /// (AVX2 / NEON / scalar — see the crate docs' *SIMD dispatch &
+    /// autotuning* section), each lane one guess and each vector one load
+    /// of a value-major [`HypTable`] row. Every guess's sums keep their
+    /// `v` order, so the result is **bit-identical** across backends and
     /// unroll widths (and to the historical scalar skip-empty loop: empty
     /// bins contribute exact `±0.0` terms, which never perturb a partial
     /// sum that starts at `+0.0`).
@@ -579,33 +690,21 @@ impl Cpa {
     }
 
     fn correlations_into_impl(&self, byte_index: usize, out: &mut [f64; 256], force_scalar: bool) {
-        let bins = &self.bins[byte_index];
-        out.fill(0.0);
-        let Some((n, var_t)) = self.moment_guards() else { return };
-        let mut cnt = [0.0f64; 256];
-        let mut st = [0.0f64; 256];
-        Self::flatten_bins(bins, &mut cnt, &mut st);
-        let sweep = CorrSweep {
-            rows: &self.table.rows,
-            cnt: &cnt,
-            st: &st,
-            sum_t: self.sum_t,
-            n,
-            var_t,
-            unroll: self.unroll,
-            out,
-        };
-        if force_scalar {
-            pulp::dispatch_scalar(sweep);
-        } else {
-            pulp::dispatch(sweep);
-        }
+        let out = core::slice::from_mut(out);
+        let Some(moments) = self.clear_and_guard(out) else { return };
+        let bins = core::slice::from_ref(&self.bins[byte_index]);
+        let (mut sum_h, mut sum_hh) = ([[0.0f64; 256]], [[0.0f64; 256]]);
+        self.count_sums(bins, &mut sum_h, &mut sum_hh, force_scalar);
+        self.value_pass(bins, &sum_h, &sum_hh, moments, out, force_scalar);
     }
 
-    /// The degenerate-input guards shared by every sweep entry point:
-    /// `None` when no correlation is defined (fewer than 2 traces, or a
-    /// constant value column), else `(n, var_t)`.
-    fn moment_guards(&self) -> Option<(f64, f64)> {
+    /// Zero `out`, then the degenerate-input guards shared by every sweep
+    /// entry point: `None` when no correlation is defined (fewer than 2
+    /// traces, or a constant value column), else `(n, var_t)`.
+    fn clear_and_guard(&self, out: &mut [[f64; 256]]) -> Option<(f64, f64)> {
+        for o in out.iter_mut() {
+            o.fill(0.0);
+        }
         if self.n < 2 {
             return None;
         }
@@ -617,16 +716,63 @@ impl Cpa {
         Some((n, var_t))
     }
 
-    fn flatten_bins(bins: &[Bin; 256], cnt: &mut [f64; 256], st: &mut [f64; 256]) {
-        for (bin, (c, s)) in bins.iter().zip(cnt.iter_mut().zip(st.iter_mut())) {
-            *c = bin.count as f64;
-            *s = bin.sum_t;
+    /// The count pass over `bins` (some of this accumulator's key bytes).
+    fn count_sums(
+        &self,
+        bins: &[[Bin; 256]],
+        sum_h: &mut [[f64; 256]],
+        sum_hh: &mut [[f64; 256]],
+        force_scalar: bool,
+    ) {
+        let cnt: Vec<[f64; 256]> =
+            bins.iter().map(|bins| core::array::from_fn(|v| bins[v].count as f64)).collect();
+        let rows = &self.table.rows;
+        run_sweep(CountSweep { rows, cnt: &cnt, unroll: self.unroll, sum_h, sum_hh }, force_scalar);
+    }
+
+    /// This accumulator's count pass over all 16 key bytes.
+    fn count_pass(&self, force_scalar: bool) -> CountPass {
+        let mut sum_h = vec![[0.0f64; 256]; 16];
+        let mut sum_hh = vec![[0.0f64; 256]; 16];
+        self.count_sums(&self.bins, &mut sum_h, &mut sum_hh, force_scalar);
+        CountPass {
+            model_name: self.model.name(),
+            counts: self.bins.iter().map(|bins| core::array::from_fn(|v| bins[v].count)).collect(),
+            sum_h,
+            sum_hh,
+        }
+    }
+
+    /// The value pass over `bins`, finished against their count sums into
+    /// `out` (one row per key byte of `bins`).
+    fn value_pass(
+        &self,
+        bins: &[[Bin; 256]],
+        sum_h: &[[f64; 256]],
+        sum_hh: &[[f64; 256]],
+        (n, var_t): (f64, f64),
+        out: &mut [[f64; 256]],
+        force_scalar: bool,
+    ) {
+        let st: Vec<[f64; 256]> =
+            bins.iter().map(|bins| core::array::from_fn(|v| bins[v].sum_t)).collect();
+        let mut sum_ht = vec![[0.0f64; 256]; bins.len()];
+        let rows = &self.table.rows;
+        run_sweep(
+            ValueSweep { rows, st: &st, unroll: self.unroll, sum_ht: &mut sum_ht },
+            force_scalar,
+        );
+        let sum_t = self.sum_t;
+        for (((out, h), hh), ht) in out.iter_mut().zip(sum_h).zip(sum_hh).zip(&sum_ht) {
+            for (g, c) in out.iter_mut().enumerate() {
+                *c = finish_guess(sum_t, n, var_t, h[g], hh[g], ht[g]);
+            }
         }
     }
 
     /// Correlations for all 256 guesses of **all 16 key bytes** in one
     /// call: the degenerate-input guards, the bin flattening, and the SIMD
-    /// dispatch frame are paid once instead of 16 times, which is what the
+    /// dispatch frames are paid once instead of 16 times, which is what the
     /// rank sweeps ([`Self::ranks`], [`Self::best_guesses`]) want. Each
     /// byte's 256 correlations are bit-identical to a per-byte
     /// [`Self::correlations_into`] call.
@@ -641,30 +787,9 @@ impl Cpa {
     }
 
     fn correlations_all_into_impl(&self, out: &mut [[f64; 256]; 16], force_scalar: bool) {
-        for o in out.iter_mut() {
-            o.fill(0.0);
-        }
-        let Some((n, var_t)) = self.moment_guards() else { return };
-        let mut cnt = [[0.0f64; 256]; 16];
-        let mut st = [[0.0f64; 256]; 16];
-        for ((bins, c), s) in self.bins.iter().zip(cnt.iter_mut()).zip(st.iter_mut()) {
-            Self::flatten_bins(bins, c, s);
-        }
-        let sweep = CorrSweepAll {
-            rows: &self.table.rows,
-            cnt: &cnt,
-            st: &st,
-            sum_t: self.sum_t,
-            n,
-            var_t,
-            unroll: self.unroll,
-            out,
-        };
-        if force_scalar {
-            pulp::dispatch_scalar(sweep);
-        } else {
-            pulp::dispatch(sweep);
-        }
+        let Some(moments) = self.clear_and_guard(out) else { return };
+        let pass = self.count_pass(force_scalar);
+        self.value_pass(&self.bins, &pass.sum_h, &pass.sum_hh, moments, out, force_scalar);
     }
 
     /// Guesses of one byte ranked by descending (signed) correlation — the
@@ -1072,6 +1197,94 @@ mod tests {
         assert_eq!(all, [[0.0f64; 256]; 16]);
         // best_guesses is the amortized best_guess sweep.
         assert_eq!(cpa.best_guesses(), core::array::from_fn(|b| cpa.best_guess(b)));
+    }
+
+    /// The fused guess-major sweep the two passes replaced: per guess, the
+    /// three sums in one `v` loop over a guess-major row. Kept as the
+    /// reference the count and value passes must match bit for bit.
+    fn fused_guess_major_reference(cpa: &Cpa) -> [[f64; 256]; 16] {
+        let mut out = [[0.0f64; 256]; 16];
+        let Some((n, var_t)) = cpa.clear_and_guard(&mut out) else { return out };
+        let model = cpa.model();
+        for (bins, out) in cpa.bins.iter().zip(out.iter_mut()) {
+            for (g, corr) in out.iter_mut().enumerate() {
+                let (mut sum_h, mut sum_hh, mut sum_ht) = (0.0f64, 0.0f64, 0.0f64);
+                for (v, bin) in bins.iter().enumerate() {
+                    let h = model.hypothesis_value(v as u8, g as u8);
+                    let ch = bin.count as f64 * h;
+                    sum_h += ch;
+                    sum_hh += ch * h;
+                    sum_ht += bin.sum_t * h;
+                }
+                *corr = finish_guess(cpa.sum_t, n, var_t, sum_h, sum_hh, sum_ht);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn two_pass_sweep_matches_fused_guess_major_reference_bitwise() {
+        let key = [0x1Fu8; 16];
+        let models: [fn() -> Box<dyn PowerModel>; 3] =
+            [|| Box::new(Rd0Hw), || Box::new(Rd10Hw), || Box::new(Rd10Hd)];
+        for model in models {
+            for n in [0usize, 1, 2, 3, 50, 1_500] {
+                let mut cpa = Cpa::new(model());
+                cpa.add_set(&synthetic_rd0_traces(&key, n));
+                let reference = fused_guess_major_reference(&cpa);
+                for unroll in Cpa::UNROLL_WIDTHS {
+                    cpa.set_unroll(unroll);
+                    let mut got = [[f64::NAN; 256]; 16];
+                    cpa.correlations_all_into(&mut got);
+                    for (b, (r, g)) in reference.iter().zip(&got).enumerate() {
+                        for (guess, (r, g)) in r.iter().zip(g).enumerate() {
+                            assert_eq!(
+                                r.to_bits(),
+                                g.to_bits(),
+                                "{} n={n} unroll {unroll} byte {b} guess {guess}",
+                                cpa.model().name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn count_pass_memo_shares_only_equal_counts() {
+        let key = [0x77u8; 16];
+        let set = synthetic_rd0_traces(&key, 900);
+        let inputs: Vec<[u8; 16]> =
+            set.iter().map(|t| Rd0Hw.input_bytes(&t.plaintext, &t.ciphertext)).collect();
+        // Two channels over the same rows with different values share
+        // counts; a third with denied reads does not.
+        let channel = |value: &dyn Fn(usize, f64) -> Option<f64>| {
+            let column: Vec<Option<f64>> =
+                set.iter().enumerate().map(|(i, t)| value(i, t.value)).collect();
+            let mut cpa = Cpa::new(Box::new(Rd0Hw));
+            cpa.add_rows(&inputs, &column);
+            cpa
+        };
+        let a = channel(&|_, v| Some(v));
+        let b = channel(&|i, v| Some(v * 0.5 + (i % 13) as f64));
+        let sparse = channel(&|i, v| (i % 4 != 0).then_some(v));
+        let memo = CountPassMemo::default();
+        for cpa in [&a, &sparse, &b, &sparse, &a] {
+            let mut shared = [[f64::NAN; 256]; 16];
+            let mut own = [[f64::NAN; 256]; 16];
+            memo.correlations_all_into(cpa, &mut shared);
+            cpa.correlations_all_into(&mut own);
+            for (s, o) in shared.iter().flatten().zip(own.iter().flatten()) {
+                assert_eq!(s.to_bits(), o.to_bits());
+            }
+            assert_eq!(memo.ranks(cpa, &key), cpa.ranks(&key));
+        }
+        assert_eq!(memo.passes.lock().expect("memo lock").len(), 2, "one pass per count vector");
+        // A degenerate accumulator clears the output without a pass.
+        let mut out = [[f64::NAN; 256]; 16];
+        memo.correlations_all_into(&Cpa::new(Box::new(Rd0Hw)), &mut out);
+        assert_eq!(out, [[0.0f64; 256]; 16]);
     }
 
     #[test]

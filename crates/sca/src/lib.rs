@@ -8,7 +8,10 @@
 //! * [`tvla`] — Test Vector Leakage Assessment: the fixed-plaintext 3×3
 //!   t-score matrices of Tables 3/5/6 with TP/TN/FP/FN classification;
 //! * [`model`] — the CPA hypothesis models `Rd0-HW`, `Rd10-HW`, `Rd10-HD`;
-//! * [`cpa`] — streaming Correlation Power Analysis with class binning;
+//! * [`cpa`] — streaming Correlation Power Analysis with class binning,
+//!   ranked by a count pass (Σh, Σh² from the bin counts alone, shared by
+//!   every channel with the same counts) and a per-channel value pass
+//!   (Σh·t);
 //! * [`rank`] — key-byte ranks, Guessing Entropy (Σ log₂ rank), and the
 //!   GE-vs-traces curves of Figure 1.
 //!
@@ -40,16 +43,20 @@
 //!
 //! ## SIMD dispatch & autotuning
 //!
-//! The three hot analysis kernels — the CPA correlation sweep
-//! ([`Cpa::correlations_into`] / [`Cpa::correlations_all_into`]), the
-//! masked 4-lane Welford column ingestion ([`stats::MomentsQuad`]) and
-//! the 4-lane Welch-t sweep ([`stats::welch_t_x4`]) — run on the
-//! vendored `pulp` portable-SIMD shim: one generic kernel, dispatched at
-//! runtime to AVX2 (x86-64), NEON (aarch64) or a scalar fallback with
-//! the identical lane layout. Every lane is a private addition chain in
-//! row order and no FMA contraction is used, so **results are
-//! bit-identical across backends and unroll widths** — pinned by
-//! `*_scalar` twin entry points and the `simd_props` proptests. Set
+//! The three hot analysis kernels — the CPA correlation sweep's count
+//! and value passes ([`Cpa::correlations_into`] /
+//! [`Cpa::correlations_all_into`]), the masked 4-lane Welford column
+//! ingestion ([`stats::MomentsQuad`]) and the 4-lane Welch-t sweep
+//! ([`stats::welch_t_x4`]) — run on the vendored `pulp` portable-SIMD
+//! shim: one generic kernel, dispatched at runtime to AVX2 (x86-64), NEON
+//! (aarch64) or a scalar fallback with the identical lane layout. Every
+//! lane is a private addition chain in row order and no FMA contraction
+//! is used, so **results are bit-identical across backends and unroll
+//! widths** — pinned by `*_scalar` twin entry points, the `simd_props`
+//! proptests and the `golden_correlate` digests. In the CPA passes a lane
+//! is one guess: the value-major hypothesis table ([`cpa::HypTable`])
+//! fills four lanes with one load, and splitting Σh/Σh² from Σh·t keeps
+//! each guess's sums in `v` order, so the split moves no bit. Set
 //! `PSC_SIMD=off` to force the scalar backend; the unroll width of the
 //! correlation sweep ([`Cpa::set_unroll`]) is chosen per machine by the
 //! `psc-core` autotuner.
@@ -70,7 +77,7 @@ pub mod trace;
 pub mod tvla;
 
 pub use checkpoint::{CheckpointError, PayloadReader, PayloadWriter, Section, CHECKPOINT_VERSION};
-pub use cpa::{Cpa, CpaMergeError, CpaRestoreError, CpaState};
+pub use cpa::{CountPassMemo, Cpa, CpaMergeError, CpaRestoreError, CpaState};
 pub use enumerate::{verify_with_pair, KeyEnumerator};
 pub use model::{paper_models, PowerModel, Rd0Hw, Rd10Hd, Rd10Hw, RecoveredRound};
 pub use rank::{ge_curve, guessing_entropy, GeCurve, GePoint};

@@ -716,7 +716,7 @@ fn plan_send(msg: &WorkerMsg, faults: &FaultState) -> SendPlan {
     let mut frame = msg.encode();
     if faults.take_frame_corrupt() {
         // Flip one bit mid-frame: the length prefix stays intact so
-        // framing survives, but the section CRC must catch it.
+        // framing survives, but the frame's CRC trailer must catch it.
         let at = frame.len() / 2;
         frame[at] ^= 0x40;
     }

@@ -26,9 +26,11 @@
 //!
 //! ```text
 //! wire     := len:u32le frame            len <= proto::MAX_FRAME_LEN
-//! frame    := "PSCT" version:u16=3 count:u16 section*
-//! section  := tag:u16 len:u32 payload crc32:u32
+//! frame    := "PSCT" version:u16=3 count:u16 section* crc32:u32
+//! section  := tag:u16 len:u32 payload
 //! ```
+//!
+//! The `crc32` trailer covers the whole frame before it.
 //!
 //! The message is the first section whose tag the receiver knows
 //! (requests `1..=5`: `Submit`, `Status`, `Cancel`, `Drain`, `Watch`;

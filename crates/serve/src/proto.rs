@@ -1,7 +1,8 @@
 //! The `psc serve` wire protocol.
 //!
 //! Every message is one codec-v3 frame (the checkpoint codec from
-//! [`psc_sca::checkpoint`]: magic, version, CRC-checked sections)
+//! [`psc_sca::checkpoint`]: magic, version, tagged sections, one CRC
+//! trailer)
 //! carried over the socket behind a little-endian `u32` length prefix.
 //! Reusing the checkpoint codec means the service inherits its
 //! corruption posture for free: a truncated, bit-flipped or oversized
@@ -11,9 +12,11 @@
 //!
 //! ```text
 //! wire     := len:u32le frame        (len <= MAX_FRAME_LEN)
-//! frame    := "PSCT" version:u16=3 count:u16 section*
-//! section  := tag:u16 len:u32 payload crc32:u32
+//! frame    := "PSCT" version:u16=3 count:u16 section* crc32:u32
+//! section  := tag:u16 len:u32 payload
 //! ```
+//!
+//! The one `crc32` trailer covers every byte of the frame before it.
 //!
 //! A message is the **first section whose tag this build knows**;
 //! unknown tags are skipped, so a newer peer may append sections
@@ -31,9 +34,10 @@ use psc_telemetry::metrics::MetricsSnapshot;
 use std::io::{Read, Write};
 
 /// Hard cap on a framed message, enforced on both send and receive.
-/// Reports carry encoded analysis state (the largest payload: a CPA
-/// state is ~1 MiB at 16 key bytes x 256 guesses); 4 MiB leaves
-/// headroom without letting a corrupt length prefix allocate the moon.
+/// Reports carry encoded analysis state, the largest payload: a CPA
+/// state is ~64 KiB per SMC key (16 key bytes x 256 bins of count and
+/// sum), 262 349 B for the M2's four keys. 4 MiB leaves headroom without
+/// letting a corrupt length prefix allocate the moon.
 pub const MAX_FRAME_LEN: u32 = 4 * 1024 * 1024;
 
 /// Section tags. Requests and responses share one tag space so a
